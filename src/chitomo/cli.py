@@ -82,6 +82,12 @@ def _load_config(args: argparse.Namespace) -> dict:
     return config
 
 
+def _reject_unknown_keys(command: str, config: dict, known: set[str]) -> None:
+    unknown = sorted(set(config) - known - {"seed"})
+    if unknown:
+        raise ValueError(f"{command}: unknown config key(s) {', '.join(map(repr, unknown))}")
+
+
 def _echo(command: str, config: dict, out_dir: Path) -> None:
     print(
         json.dumps(
@@ -109,6 +115,7 @@ def _write_chi(path: Path, matrix: np.ndarray, normalization: str) -> None:
 
 
 def cmd_plate_chi(config: dict, out_dir: Path) -> int:
+    _reject_unknown_keys("plate-chi", config, set(PLATE_CHI_DEFAULTS))
     params = {**PLATE_CHI_DEFAULTS, **config}
     params.pop("seed", None)
     plate = WaveplateSpec(params["thickness_um"], np.deg2rad(params["alpha_deg"]))
@@ -125,6 +132,7 @@ def cmd_plate_chi(config: dict, out_dir: Path) -> int:
 
 
 def cmd_protocol_dump(config: dict, out_dir: Path) -> int:
+    _reject_unknown_keys("protocol-dump", config, {"protocol", "central_lam_um"})
     name = config.get("protocol", "R4")
     lam = config.get("central_lam_um", 1.1509)
     proto = process_protocol(name, lam)
@@ -169,6 +177,9 @@ def _rows_from_json(data: list[dict]) -> list[ProtocolRow]:
 
 
 def cmd_gen_data(config: dict, out_dir: Path) -> int:
+    _reject_unknown_keys(
+        "gen-data", config, {"truth", "protocol", "n_events", "auxiliary_weight"}
+    )
     truth_spec = TruthSpec(**config.get("truth", {}))
     truth = build_truth(truth_spec)
     protocol = config.get("protocol", "R4")
@@ -198,6 +209,11 @@ def cmd_gen_data(config: dict, out_dir: Path) -> int:
 
 
 def cmd_reconstruct(config: dict, out_dir: Path) -> int:
+    _reject_unknown_keys(
+        "reconstruct",
+        config,
+        {"data_path", "rank", "damping", "max_iterations", "convergence_tol"},
+    )
     data_path = config.get("data_path")
     if not data_path:
         raise ValueError("reconstruct needs 'data_path' in the config")
@@ -215,6 +231,7 @@ def cmd_reconstruct(config: dict, out_dir: Path) -> int:
         "rank": res.rank,
         "iterations": res.iterations,
         "converged": res.converged,
+        "stop_reason": res.stop_reason,
         "residual": res.residual,
         "log_likelihood": res.log_likelihood,
         "normalization_gap": res.normalization_gap,
@@ -235,6 +252,7 @@ def _write_campaign(out_dir: Path, result) -> None:
         {
             "mean_loss": result.mean_loss,
             "failures": result.failures,
+            "failure_reasons": {str(i): text for i, text in result.failure_reasons.items()},
             "n_failures": len(result.failures),
             "nu": result.nu,
             "info_modes_above_cut": result.info_modes_above_cut,
@@ -269,10 +287,11 @@ def cmd_scaling(config: dict, out_dir: Path, threads: int) -> int:
     base_cfg = {k: v for k, v in config.items() if k not in ("n_list", "ranks")}
     base = CampaignConfig.from_dict(base_cfg) if base_cfg else CampaignConfig()
     study = run_scaling_study(base, n_list, ranks=ranks, threads=threads)
+    resolved = {**base.to_dict(), "n_list": n_list, "ranks": list(ranks)}
     write_json(
         out_dir / "result.json",
         {**study, "per_rank": {str(k): v for k, v in study["per_rank"].items()},
-         "config_hash": config_hash(config)},
+         "config_hash": config_hash(resolved)},
     )
     lines = ["rank,n,mean_loss"]
     for rank in ranks:
@@ -291,6 +310,9 @@ def cmd_mixed_workflow(config: dict, out_dir: Path) -> int:
 
 
 def cmd_fit_retarder(config: dict, out_dir: Path) -> int:
+    _reject_unknown_keys(
+        "fit-retarder", config, {"chi_path", "lam_um", "thickness_um", "min_dominant_share"}
+    )
     chi_path = config.get("chi_path")
     if not chi_path:
         raise ValueError("fit-retarder needs 'chi_path' in the config")

@@ -108,9 +108,10 @@ class CampaignConfig:
 
 @dataclass(frozen=True)
 class CampaignResult:
-    fidelities: np.ndarray  # NaN where the replication failed
+    fidelities: np.ndarray  # NaN where the solver raised
     mean_loss: float
     failures: list[int]
+    failure_reasons: dict[int, str]  # failed replication -> error text or stop reason
     histogram: dict  # bin_left / bin_right / count arrays
     info_spectrum: np.ndarray
     info_modes_above_cut: int
@@ -175,7 +176,11 @@ def _run_replications(config: CampaignConfig, indices: list[int]) -> list[dict]:
             )
             res = solve_likelihood(rows, solver)
             record["fidelity"] = fidelity(truth, res.estimate)
-            record["converged"] = res.converged
+            if not res.converged:
+                record["error"] = (
+                    f"not converged: {res.stop_reason} after {res.iterations} "
+                    f"iterations, residual {res.residual:.3e}"
+                )
             if i == 0:
                 record["info_spectrum"] = res.info_spectrum.tolist()
                 record["nu"] = res.nu
@@ -194,9 +199,13 @@ def _chunks(n: int, parts: int) -> list[list[int]]:
 def run_mc_campaign(config: CampaignConfig, threads: int = 1) -> CampaignResult:
     """Generate -> reconstruct -> fidelity for every replication.
 
-    Failed replications (solver exceptions or non-convergence) are counted
-    and reported; their fidelity slots hold NaN and they are excluded from
-    the mean loss and the histogram.
+    A replication enters the mean loss and the histogram when its solve
+    converged, i.e. stopped on the residual or on stationarity (stop reason
+    ``"residual"`` or ``"stationary"``).  It fails when the solver raised or
+    stopped at the iteration cap; failures are listed in ``failures`` with
+    their error text in ``failure_reasons``.  A failed replication's
+    fidelity slot holds NaN when the solver raised and its fidelity when it
+    only hit the cap.
     """
     n = config.replications
     if threads > 1:
@@ -208,19 +217,20 @@ def run_mc_campaign(config: CampaignConfig, threads: int = 1) -> CampaignResult:
     records.sort(key=lambda r: r["index"])
 
     fidelities = np.full(n, np.nan)
-    failures = []
+    failure_reasons = {}
     info_spectrum = np.array([])
     nu = None
     for rec in records:
         i = rec["index"]
-        if "error" in rec or not rec.get("converged", False):
-            failures.append(i)
+        if "error" in rec:
+            failure_reasons[i] = rec["error"]
         if "fidelity" in rec:
             fidelities[i] = rec["fidelity"]
         if "info_spectrum" in rec:
             info_spectrum = np.asarray(rec["info_spectrum"])
             nu = rec["nu"]
 
+    failures = sorted(failure_reasons)
     ok = ~np.isnan(fidelities)
     ok[failures] = False
     losses = 1.0 - fidelities[ok]
@@ -240,6 +250,7 @@ def run_mc_campaign(config: CampaignConfig, threads: int = 1) -> CampaignResult:
         fidelities=fidelities,
         mean_loss=mean_loss,
         failures=failures,
+        failure_reasons=failure_reasons,
         histogram={
             "bin_left": edges[:-1].tolist(),
             "bin_right": edges[1:].tolist(),

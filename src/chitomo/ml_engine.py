@@ -13,9 +13,27 @@ with geometric-series extrapolation of the iterate differences, and switches
 to Levenberg-damped Fisher scoring steps ``delta = (F + mu)^{-1} grad`` once
 the relative residual is moderate; scoring is what makes near-boundary
 solutions (model rank above the true rank) converge in tens of iterations
-instead of hundreds of thousands.  Every candidate step of either kind is
-accepted only if it does not decrease the likelihood, so accepted iterations
-are monotone; a rejected fixed-point step halves beta (floored at 1e-3).
+instead of hundreds of thousands.  The scoring step and all its Levenberg
+retries come from one eigendecomposition of F per iteration.
+
+Steps are compared on the likelihood written without its constant offset,
+``sum_{k>0} k ln(lambda t / k) - sum (lambda t - k)``: it has the same
+maximizer, but its value is O(number of rows) instead of O(total counts), so
+the relative slack of the acceptance tests stays near float resolution.  A
+scoring step, and a fixed-point step above the damping floor, is accepted
+only if it does not decrease this surrogate beyond that slack, so accepted
+iterations are a monotone ascent; a rejected fixed-point step halves beta,
+and at the floor beta = 1e-3 the fixed-point step is taken without the test.
+
+Two rules stop the iteration as converged: the relative residual
+``|Ic - Jc| / |Ic|`` falls below ``convergence_tol`` (stop reason
+``"residual"``), or the Newton decrement ``1/2 grad^T F^+ grad``, taken over
+the eigenvalues of F above a relative cutoff, falls below
+``_DECREMENT_TOL * (1 + |surrogate|)`` (``"stationary"``; Boyd & Vandenberghe,
+Convex Optimization, 9.5.2).  The second rule ends solves whose residual
+stalls at float resolution short of ``convergence_tol``.  A solve that meets
+neither rule within ``max_iterations`` stops with ``"iteration_cap"`` and is
+reported as not converged.
 """
 
 from __future__ import annotations
@@ -43,6 +61,10 @@ __all__ = [
 
 _RATE_FLOOR = 1e-300  # only inside logs and divisions, never in the model
 _SCORING_RESIDUAL = 3e-2  # switch to Fisher scoring below this residual
+_SCORING_SLACK = 1e-12  # relative surrogate slack of a scoring step
+_FIXED_POINT_SLACK = 1e-9  # relative surrogate slack of a fixed-point step
+_EIGEN_CUTOFF = 1e-8  # F's range: eigenvalues above this times the largest
+_DECREMENT_TOL = 1e-9  # stationary when the decrement is below this times (1 + |ll|)
 
 
 @dataclass(frozen=True)
@@ -71,6 +93,7 @@ class ReconstructionResult:
     rank: int
     iterations: int
     converged: bool
+    stop_reason: str  # "residual", "stationary" or "iteration_cap"
     residual: float
     log_likelihood: float
     normalization_gap: float
@@ -194,16 +217,23 @@ def solve_likelihood(
     if n_observed <= 0:
         raise ValueError("no observed counts")
     observed = k > 0
+    k_obs = k[observed]
 
     def rates_of(c: np.ndarray) -> np.ndarray:
         rho_flat = (c @ c.conj().T).T.ravel()
         return (ops_flat @ rho_flat).real
 
     def surrogate(lam: np.ndarray) -> float:
+        # log-likelihood without its constant offset: each observed term is
+        # O(1) near the data, so the sum keeps float resolution
         mean = lam * t
-        if np.any(mean[observed] <= 0):
+        mean_obs = mean[observed]
+        if np.any(mean_obs <= 0):
             return -math.inf
-        return float(np.sum(k[observed] * np.log(mean[observed])) - mean.sum())
+        return float(
+            np.sum(k_obs * np.log(mean_obs / k_obs) - (mean_obs - k_obs))
+            - mean[~observed].sum()
+        )
 
     c = _initial_point(d, config.rank, config)
     lam = rates_of(c)
@@ -216,7 +246,7 @@ def solve_likelihood(
     prev_diff: np.ndarray | None = None
     residual = math.inf
     iterations = 0
-    converged = False
+    stop_reason = "iteration_cap"
     for iterations in range(1, config.max_iterations + 1):
         weights = k / np.maximum(lam, _RATE_FLOOR)
         j_mat = (weights @ ops_flat).reshape(d, d)
@@ -224,7 +254,7 @@ def solve_likelihood(
         ic = i_mat @ c
         residual = float(np.linalg.norm(ic - jc) / np.linalg.norm(ic))
         if residual < config.convergence_tol:
-            converged = True
+            stop_reason = "residual"
             break
 
         accepted = False
@@ -236,21 +266,27 @@ def solve_likelihood(
             grad = 2.0 * np.concatenate(
                 [grad_c.real.flatten(order="F"), grad_c.imag.flatten(order="F")]
             )
+            w, u = np.linalg.eigh(fisher)
+            g_eig = u.T @ grad
+            # the decrement over F's range: gauge directions (c -> c U) and
+            # other null directions of F carry no predicted ascent
+            in_range = w > _EIGEN_CUTOFF * w[-1]
+            decrement = 0.5 * float(np.sum(g_eig[in_range] ** 2 / w[in_range]))
+            if decrement < _DECREMENT_TOL * (1.0 + abs(ll)):
+                stop_reason = "stationary"
+                break
+            w = np.maximum(w, 0.0)
             ridge = np.trace(fisher) / fisher.shape[0]
+            half = grad.size // 2
             for _ in range(8):
-                delta = np.linalg.solve(
-                    fisher + mu * ridge * np.eye(fisher.shape[0]), grad
-                )
-                half = delta.size // 2
+                delta = u @ (g_eig / (w + mu * ridge))
                 c_try = c + (
                     delta[:half].reshape(c.shape, order="F")
                     + 1j * delta[half:].reshape(c.shape, order="F")
                 )
                 lam_try = rates_of(c_try)
                 ll_try = surrogate(lam_try)
-                # slack at the float resolution of the likelihood value, so
-                # progress is not blocked once improvements fall below it
-                if ll_try >= ll - 1e-12 * (1.0 + abs(ll)):
+                if ll_try >= ll - _SCORING_SLACK * (1.0 + abs(ll)):
                     c, lam, ll = c_try, lam_try, ll_try
                     mu = max(mu * 0.3, 1e-12)
                     accepted = True
@@ -264,7 +300,7 @@ def solve_likelihood(
                 c_new = (1.0 - beta) * c + beta * step
                 lam_new = rates_of(c_new)
                 ll_new = surrogate(lam_new)
-                if ll_new >= ll - 1e-9 * (1.0 + abs(ll)) or beta <= 1e-3:
+                if ll_new >= ll - _FIXED_POINT_SLACK * (1.0 + abs(ll)) or beta <= 1e-3:
                     break
                 beta = max(beta / 2.0, 1e-3)
                 halved = True
@@ -301,7 +337,8 @@ def solve_likelihood(
         estimate=rho,
         rank=config.rank,
         iterations=iterations,
-        converged=converged,
+        converged=stop_reason != "iteration_cap",
+        stop_reason=stop_reason,
         residual=residual,
         log_likelihood=log_likelihood(c, rows),
         normalization_gap=gap,

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from chitomo.cli import main, matrix_from_json, matrix_to_json
-from chitomo.harness import build_truth, TruthSpec
+from chitomo.cli import config_hash, main, matrix_from_json, matrix_to_json
+from chitomo.harness import CampaignConfig, build_truth, TruthSpec
 from chitomo.ml_engine import ReconstructionConfig, solve_likelihood
 from chitomo.protocols import ExperimentPlan, auxiliary_rows, generate_counts, process_protocol
 from chitomo.quantum_core import fidelity
@@ -72,6 +72,7 @@ class TestGenDataReconstruct:
         expected = fidelity(truth, res.estimate)
         assert result["fidelity_vs_truth"] == pytest.approx(expected, abs=1e-13)
         assert result["converged"]
+        assert result["stop_reason"] == res.stop_reason
 
         estimate = matrix_from_json(
             json.loads((tmp_path / "estimate.json").read_text())["matrix"]
@@ -108,6 +109,15 @@ class TestMcCommand:
         assert hist[0] == "bin_left,bin_right,count"
         counts = [int(line.split(",")[2]) for line in hist[1:]]
         assert sum(counts) == 4 - result["n_failures"]
+        assert result["failure_reasons"] == {}
+
+    def test_failure_reasons_written(self, tmp_path):
+        cfg = write_config(tmp_path / "mc.json", {**self.CONFIG, "max_iterations": 2})
+        assert main(["mc", "--config", cfg, "--seed", "10", "--out", str(tmp_path)]) == 1
+        result = json.loads((tmp_path / "result.json").read_text())
+        assert result["failures"] == [0, 1, 2, 3]
+        assert sorted(result["failure_reasons"]) == ["0", "1", "2", "3"]
+        assert "iteration_cap" in result["failure_reasons"]["0"]
 
     def test_threads_flag_same_bytes(self, tmp_path):
         cfg = write_config(tmp_path / "mc.json", self.CONFIG)
@@ -139,6 +149,19 @@ class TestScalingCommand:
         lines = (tmp_path / "scaling.csv").read_text().strip().splitlines()
         assert lines[0] == "rank,n,mean_loss"
         assert len(lines) == 4
+
+    def test_hash_of_resolved_config(self, tmp_path):
+        # spelling out a default must not change the hash
+        grid = {"replications": 2, "seed": 1, "n_list": [1000, 2000, 4000], "ranks": [2]}
+        hashes = []
+        for name, extra in (("bare", {}), ("explicit", {"protocol": "R4", "damping": 0.5})):
+            cfg = write_config(tmp_path / f"{name}.json", {**grid, **extra})
+            assert main(["scaling", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+            hashes.append(json.loads((tmp_path / name / "result.json").read_text())["config_hash"])
+        assert hashes[0] == hashes[1]
+        resolved = {**CampaignConfig.from_dict({"seed": 1, "replications": 2}).to_dict(),
+                    "n_list": [1000, 2000, 4000], "ranks": [2]}
+        assert hashes[0] == config_hash(resolved)
 
 
 class TestMixedWorkflowCommand:
@@ -198,6 +221,26 @@ class TestErrorPaths:
         cfg = write_config(tmp_path / "c.json", {"replicas": 5})
         assert main(["mc", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "replicas" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, config, key",
+        [
+            ("plate-chi", {"thicknes_um": 312.7}, "thicknes_um"),
+            ("protocol-dump", {"protocol": "J4", "central_lam": 1.0}, "central_lam"),
+            ("gen-data", {"protocol": "R4", "n_event": 500}, "n_event"),
+            ("reconstruct", {"data_path": "data.json", "rnak": 2}, "rnak"),
+            ("fit-retarder", {"chi_path": "chi.json", "lam": 1.0}, "lam"),
+        ],
+    )
+    def test_unknown_key_exits_2(self, tmp_path, capsys, command, config, key):
+        cfg = write_config(tmp_path / "c.json", config)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert repr(key) in capsys.readouterr().err
+
+    def test_seed_key_accepted(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", {"protocol": "J4", "seed": 3})
+        assert main(["protocol-dump", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert main(["plate-chi", "--seed", "3", "--out", str(tmp_path)]) == 0
 
     def test_echo_line_contains_resolved_seed(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "mc.json", {"replications": 2, "n_events": 500})

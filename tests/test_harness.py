@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,18 @@ class TestMcCampaign:
         serial = run_mc_campaign(config, threads=1)
         parallel = run_mc_campaign(config, threads=2)
         assert np.array_equal(serial.fidelities, parallel.fidelities)
+
+    def test_failure_reasons_kept(self):
+        config = CampaignConfig.from_dict(
+            {**QUICK, "replications": 2, "seed": 5, "max_iterations": 2}
+        )
+        result = run_mc_campaign(config)
+        assert result.failures == [0, 1]
+        assert sorted(result.failure_reasons) == [0, 1]
+        for text in result.failure_reasons.values():
+            assert text.startswith("not converged: iteration_cap after 2 iterations")
+        assert math.isnan(result.mean_loss)
+        assert sum(result.histogram["count"]) == 0
 
     def test_config_round_trip(self):
         config = CampaignConfig.from_dict({**QUICK, "seed": 2})

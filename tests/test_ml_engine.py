@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from chitomo.harness import TruthSpec, build_truth, derive_seed
 from chitomo.ml_engine import (
     ReconstructionConfig,
     expected_rates,
@@ -247,6 +248,76 @@ class TestSolveLikelihood:
         b = solve_likelihood(rows, ReconstructionConfig(rank=2))
         assert np.array_equal(a.estimate, b.estimate)
         assert a.iterations == b.iterations
+
+
+# Campaign seed of the acceptance scaling study's rank-2, n=1e3 cell:
+# SeedSequence(20_250_303, spawn_key=(0, 0)).
+ACCEPTANCE_RANK2_N1E3_SEED = 17260451438471865157
+
+
+@pytest.fixture(scope="module")
+def campaign_rows():
+    """Rows of replication ``index`` of an R4 ``mc`` campaign on the default
+    plate truth, built exactly as ``run_mc_campaign`` builds them."""
+    truth = build_truth(TruthSpec())
+    proto = process_protocol("R4")
+
+    def rows(campaign_seed, index, n):
+        return poisson_rows(proto, truth, n=n, seed=derive_seed(campaign_seed, index))
+
+    return rows
+
+
+class TestStoppingRule:
+    """Solves whose residual stalls at float resolution above
+    convergence_tol end on the Newton decrement instead of the cap, and not
+    before the residual is close to it: a decrement threshold scaled by the
+    likelihood's constant offset would stop near residual 1e-5."""
+
+    def assert_converged(self, res, reasons=("stationary",)):
+        assert res.converged
+        assert res.iterations <= 500
+        assert res.stop_reason in reasons
+        assert res.residual < 1e-7
+
+    def test_acceptance_cell_replication_7(self, campaign_rows):
+        rows = campaign_rows(ACCEPTANCE_RANK2_N1E3_SEED, 7, 1000)
+        self.assert_converged(solve_likelihood(rows, ReconstructionConfig(rank=2)))
+
+    @pytest.mark.parametrize("index", range(20))
+    def test_small_n_campaign_seed_77(self, campaign_rows, index):
+        res = solve_likelihood(campaign_rows(77, index, 500), ReconstructionConfig(rank=2))
+        self.assert_converged(res, reasons=("residual", "stationary"))
+
+    def test_over_rank_boundary_case(self, campaign_rows):
+        # rank 4 on a rank-2 truth: F is singular beyond the gauge directions
+        # and the gradient keeps components in its null space, which the
+        # decrement over F's range leaves out
+        rows = campaign_rows(16606320171885100882, 4, 10**4)
+        self.assert_converged(solve_likelihood(rows, ReconstructionConfig(rank=4)))
+
+    def test_iteration_cap_is_reported(self, plate_truth):
+        rows = poisson_rows(process_protocol("R4"), plate_truth, seed=42)
+        res = solve_likelihood(rows, ReconstructionConfig(rank=2, max_iterations=3))
+        assert not res.converged
+        assert res.stop_reason == "iteration_cap"
+        assert res.iterations == 3
+
+    @pytest.mark.parametrize(
+        "seed, index, n, rank",
+        [(ACCEPTANCE_RANK2_N1E3_SEED, 7, 1000, 2), (16606320171885100882, 4, 10**4, 4)],
+    )
+    def test_accepted_steps_never_decrease_likelihood(self, campaign_rows, seed, index, n, rank):
+        # the solve capped after N iterations holds the N-th accepted iterate;
+        # the tolerance is the float resolution of the full likelihood
+        rows = campaign_rows(seed, index, n)
+        final = solve_likelihood(rows, ReconstructionConfig(rank=rank))
+        lls = [
+            solve_likelihood(rows, ReconstructionConfig(rank=rank, max_iterations=cap)).log_likelihood
+            for cap in range(1, final.iterations + 1)
+        ]
+        assert lls[-1] == final.log_likelihood
+        assert min(np.diff(lls)) >= -1e-8
 
 
 class TestReconstructState:
