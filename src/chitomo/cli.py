@@ -306,7 +306,12 @@ def cmd_mixed_workflow(config: dict, out_dir: Path) -> int:
     report = run_mixed_state_workflow(workflow)
     report["config_hash"] = config_hash(workflow.to_dict())
     write_json(out_dir / "result.json", report)
-    return 0
+    capped = any(
+        entry["stop_reason"] == "iteration_cap"
+        for block in report["per_plate_count"].values()
+        for entry in [block["stage1"], *block["stage2"]]
+    )
+    return 1 if capped else 0
 
 
 def cmd_fit_retarder(config: dict, out_dir: Path) -> int:

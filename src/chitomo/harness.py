@@ -16,10 +16,16 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .ml_engine import ReconstructionConfig, reconstruct_state, solve_likelihood
+from .ml_engine import (
+    ReconstructionConfig,
+    ReconstructionResult,
+    reconstruct_state,
+    solve_likelihood,
+)
 from .process_algebra import kraus_from_chi, chi_from_kraus
 from .protocols import (
     ExperimentPlan,
+    ProtocolRow,
     auxiliary_rows,
     bn_state_protocol,
     generate_counts,
@@ -357,6 +363,22 @@ class MixedWorkflowConfig:
         (2, 3, 7),
     )
 
+    def __post_init__(self) -> None:
+        n_components = len(self.component_lams_um)
+        if n_components == 0:
+            raise ValueError("component_lams_um must not be empty")
+        for k, subset in enumerate(self.subsets):
+            if len(subset) == 0:
+                raise ValueError(f"subsets[{k}] must not be empty")
+            for i in subset:
+                if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+                    raise ValueError(f"subsets[{k}]: index {i!r} is not an integer")
+                if not 1 <= i <= n_components:
+                    raise ValueError(
+                        f"subsets[{k}]: index {i} outside 1..{n_components} "
+                        "(1-based into component_lams_um)"
+                    )
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -386,15 +408,11 @@ def _component_weights(config: MixedWorkflowConfig) -> np.ndarray:
 
 
 def _reconstruct_from_b36(
-    rho_truth: np.ndarray, config: MixedWorkflowConfig, rank: int, seed: int
-) -> np.ndarray:
-    proto = bn_state_protocol(
-        config.measurement_orientations, config.measurement_plate_um, config.lam0_um
-    )
-    plan = ExperimentPlan(n_total=config.n_events, seed=seed)
-    data = generate_counts(proto.rows, rho_truth, plan)
-    res = reconstruct_state(data, ReconstructionConfig(rank=rank))
-    return res.estimate
+    rho_truth: np.ndarray, rows: list[ProtocolRow], n_events: int, rank: int, seed: int
+) -> ReconstructionResult:
+    plan = ExperimentPlan(n_total=n_events, seed=seed)
+    data = generate_counts(rows, rho_truth, plan)
+    return reconstruct_state(data, ReconstructionConfig(rank=rank))
 
 
 def run_mixed_state_workflow(config: MixedWorkflowConfig) -> dict:
@@ -402,22 +420,31 @@ def run_mixed_state_workflow(config: MixedWorkflowConfig) -> dict:
     reconstructions, and component-sum states for the configured subsets.
 
     Returned fidelities compare against the broadband truth of the matching
-    plate count; entropies are in bits.
+    plate count; entropies are in bits.  Every stage-1 and stage-2 entry
+    carries its solve's ``iterations`` and ``stop_reason``.  All 16 solves
+    measure with one B36 protocol, built once.
     """
     input_v = np.array([0.0, 1.0], dtype=complex)
     plate = WaveplateSpec(config.plate_thickness_um, np.deg2rad(config.plate_alpha_deg))
     profile = sinc2_profile(config.lam0_um, config.fwhm_um, config.knots, config.span)
     weights = _component_weights(config)
+    rows = bn_state_protocol(
+        config.measurement_orientations, config.measurement_plate_um, config.lam0_um
+    ).rows
 
     report: dict = {"config": config.to_dict(), "per_plate_count": {}}
     for n_plates in (1, 2):
         plates = [plate] * n_plates
         truth = broadband_mixed_state(input_v, plates, profile)
         seed0 = derive_seed(config.seed, 1000 * n_plates)
-        estimate = _reconstruct_from_b36(truth, config, config.broadband_rank, seed0)
+        res = _reconstruct_from_b36(
+            truth, rows, config.n_events, config.broadband_rank, seed0
+        )
         stage1 = {
             "truth_entropy_bits": von_neumann_entropy(truth),
-            "reconstruction_fidelity": fidelity(truth, estimate),
+            "reconstruction_fidelity": fidelity(truth, res.estimate),
+            "iterations": res.iterations,
+            "stop_reason": res.stop_reason,
         }
 
         components = []
@@ -425,18 +452,21 @@ def run_mixed_state_workflow(config: MixedWorkflowConfig) -> dict:
         for idx, lam in enumerate(config.component_lams_um):
             mono = SpectralProfile(np.array([lam]), np.array([1.0]))
             comp_truth = broadband_mixed_state(input_v, plates, mono)
-            comp_est = _reconstruct_from_b36(
+            res = _reconstruct_from_b36(
                 comp_truth,
-                config,
+                rows,
+                config.n_events,
                 config.component_rank,
                 derive_seed(config.seed, 1000 * n_plates + 1 + idx),
             )
-            components.append(comp_est)
+            components.append(res.estimate)
             stage2.append(
                 {
                     "lam_um": lam,
                     "weight": float(weights[idx]),
-                    "fidelity_vs_pure_truth": fidelity(comp_truth, comp_est),
+                    "fidelity_vs_pure_truth": fidelity(comp_truth, res.estimate),
+                    "iterations": res.iterations,
+                    "stop_reason": res.stop_reason,
                 }
             )
 

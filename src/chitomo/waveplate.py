@@ -12,6 +12,10 @@ protocol geometry and retarder fits.
 Broadband light turns the per-wavelength pure transformations into incoherent
 mixtures: the plate's Choi state is the spectral-weight average of the
 vectorized unitaries, which is why a single plate always has process rank 2.
+:func:`broadband_mixed_state` evaluates the dispersion, the unitaries and the
+spectral average over all knots in one array pass; its weighted sum runs in a
+different order than a knot-by-knot sum, so results differ from one at the
+1e-15 level.
 """
 
 from __future__ import annotations
@@ -130,14 +134,32 @@ def quartz_indices(lam_um: float) -> tuple[float, float]:
     0.2 < lam < 3.  Quartz is positive uniaxial here: n_e > n_o.
     """
     if not QUARTZ_LAMBDA_MIN < lam_um < QUARTZ_LAMBDA_MAX:
-        raise ValueError(
-            f"wavelength {lam_um} um outside quartz dispersion window "
-            f"({QUARTZ_LAMBDA_MIN}, {QUARTZ_LAMBDA_MAX})"
-        )
-    l2 = lam_um * lam_um
+        raise _window_error(lam_um)
+    n_o, n_e = _sellmeier(lam_um * lam_um)
+    return float(n_o), float(n_e)
+
+
+def _window_error(lam_um: float) -> ValueError:
+    return ValueError(
+        f"wavelength {lam_um} um outside quartz dispersion window "
+        f"({QUARTZ_LAMBDA_MIN}, {QUARTZ_LAMBDA_MAX})"
+    )
+
+
+def _sellmeier(l2):
+    # (n_o, n_e) from the squared wavelength; scalars or arrays elementwise.
     n_o = np.sqrt(1.30979 + 1.04683 * l2 / (l2 - 0.01025) + 1.20328 * l2 / (l2 - 108.584))
     n_e = np.sqrt(1.32888 + 1.05487 * l2 / (l2 - 0.01053) + 0.97121 * l2 / (l2 - 84.261))
-    return float(n_o), float(n_e)
+    return n_o, n_e
+
+
+def _signed_thickness_knots(spec: WaveplateSpec, lam_um: np.ndarray) -> np.ndarray:
+    # Array form of _signed_thickness; checks the window at every knot.
+    inside = (lam_um > QUARTZ_LAMBDA_MIN) & (lam_um < QUARTZ_LAMBDA_MAX)
+    if not np.all(inside):
+        raise _window_error(float(lam_um[np.argmin(inside)]))
+    n_o, n_e = _sellmeier(lam_um * lam_um)
+    return np.pi * (n_o - n_e) * spec.thickness_um / lam_um
 
 
 def optical_thickness(spec: WaveplateSpec, lam_um: float) -> float:
@@ -262,20 +284,30 @@ def broadband_mixed_state(
     Plates are applied in list order to the same input state at every knot;
     the output is the spectral-weight average of the per-knot pure states.
     Plates thinner than THIN_PLATE_LIMIT_UM use the central-wavelength unitary
-    for all knots (they transform the state as a whole).
+    for all knots (they transform the state as a whole), so only the knots a
+    plate uses are checked against the quartz window.
+
+    All knots are computed at once: per-knot unitaries ``(K, 2, 2)``, the
+    states ``psi (K, 2)`` and the average ``(psi * w)^T conj(psi)``.  That
+    sum's order differs from a knot-by-knot accumulation, which moves the
+    result at the 1e-15 level.
     """
     psi0 = np.asarray(input_state, dtype=complex).ravel()
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-10:
         raise ValueError("input state must be normalized")
-    lam_central = float(profile.wavelengths[len(profile) // 2])
-    rho = np.zeros((2, 2), dtype=complex)
-    for lam, weight in zip(profile.wavelengths, profile.weights):
-        psi = psi0
-        for spec in plates:
-            lam_eff = lam if spec.thickness_um >= THIN_PLATE_LIMIT_UM else lam_central
-            psi = plate_unitary(_signed_thickness(spec, lam_eff), spec.alpha_rad) @ psi
-        rho += weight * np.outer(psi, psi.conj())
-    return rho
+    lam = profile.wavelengths
+    lam_central = lam[len(profile) // 2 : len(profile) // 2 + 1]
+    psi = np.broadcast_to(psi0, (len(profile), 2))
+    for spec in plates:
+        thick = spec.thickness_um >= THIN_PLATE_LIMIT_UM
+        delta = _signed_thickness_knots(spec, lam if thick else lam_central)
+        sigma_n = np.tensordot(axis_from_orientation(spec.alpha_rad), _SIGMA, axes=1)
+        u = (
+            np.cos(delta)[:, None, None] * np.eye(2, dtype=complex)
+            - 1j * np.sin(delta)[:, None, None] * sigma_n
+        )
+        psi = np.einsum("...ij,...j->...i", u, psi)
+    return (psi * profile.weights[:, None]).T @ psi.conj()
 
 
 def component_sum_state(components: list[tuple[float, np.ndarray]]) -> np.ndarray:

@@ -173,6 +173,48 @@ class TestMixedWorkflowCommand:
         report = json.loads((tmp_path / "result.json").read_text())
         assert set(report["per_plate_count"]) == {"1", "2"}
 
+    @pytest.mark.parametrize(
+        "config, field",
+        [
+            ({"subsets": [[0, 1]]}, "subsets[0]"),
+            ({"subsets": [[1, 9]]}, "subsets[0]"),
+            ({"component_lams_um": []}, "component_lams_um"),
+        ],
+        ids=["index-zero", "index-past-end", "no-components"],
+    )
+    def test_invalid_config_exits_2(self, tmp_path, capsys, config, field):
+        cfg = write_config(tmp_path / "w.json", config)
+        assert main(["mixed-workflow", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert not (tmp_path / "result.json").exists()
+
+    def test_capped_solve_exits_1(self, tmp_path, monkeypatch):
+        import dataclasses
+
+        import chitomo.harness as harness
+
+        real = harness.reconstruct_state
+        calls = []
+
+        def capped_third_solve(rows, config):
+            res = real(rows, config)
+            calls.append(res)
+            if len(calls) == 3:
+                res = dataclasses.replace(res, converged=False, stop_reason="iteration_cap")
+            return res
+
+        monkeypatch.setattr(harness, "reconstruct_state", capped_third_solve)
+        cfg = write_config(
+            tmp_path / "w.json", {"knots": 201, "span": 15.0, "n_events": 5000, "seed": 2}
+        )
+        assert main(["mixed-workflow", "--config", cfg, "--out", str(tmp_path)]) == 1
+        report = json.loads((tmp_path / "result.json").read_text())
+        stage2 = report["per_plate_count"]["1"]["stage2"]
+        assert stage2[1]["stop_reason"] == "iteration_cap"
+        assert stage2[1]["iterations"] == calls[2].iterations
+        assert len(calls) == 16
+
 
 class TestFitRetarderCommand:
     def test_refusal_on_mixed_process(self, tmp_path, capsys):

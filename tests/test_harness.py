@@ -173,6 +173,42 @@ class TestMixedWorkflow:
         config = MixedWorkflowConfig(knots=401)
         assert MixedWorkflowConfig.from_dict(config.to_dict()) == config
 
+    def test_solver_status_recorded(self, report):
+        for n_plates in (1, 2):
+            block = report["per_plate_count"][n_plates]
+            for entry in [block["stage1"], *block["stage2"]]:
+                assert entry["stop_reason"] in ("residual", "stationary")
+                assert 1 <= entry["iterations"] <= 500
+
+    def test_protocol_built_once(self, monkeypatch):
+        import chitomo.harness as harness
+
+        calls = []
+        real = harness.bn_state_protocol
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "bn_state_protocol", counting)
+        run_mixed_state_workflow(MixedWorkflowConfig(knots=201, span=15.0, n_events=5000))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"component_lams_um": ()}, "component_lams_um must not be empty"),
+            ({"subsets": ((0, 1),)}, r"subsets\[0\]: index 0 outside 1\.\.7"),
+            ({"subsets": ((1, 2), (1, 9))}, r"subsets\[1\]: index 9 outside 1\.\.7"),
+            ({"subsets": ((),)}, r"subsets\[0\] must not be empty"),
+            ({"subsets": ((1.5,),)}, r"subsets\[0\]: index 1\.5 is not an integer"),
+            ({"component_lams_um": (1.0, 1.002), "subsets": ((1, 3),)}, r"outside 1\.\.2"),
+        ],
+    )
+    def test_invalid_config_rejected(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            MixedWorkflowConfig(**overrides)
+
 
 class TestRetarderFit:
     def test_synthetic_photoelastic_analog(self):

@@ -298,7 +298,61 @@ def broadband_oracle(plates_alphas, lam0, fwhm, grid=4001, span=40.0):
     return rho
 
 
+def broadband_loop_oracle(input_state, plates, profile):
+    """The knot-by-knot loop that the vectorised broadband_mixed_state replaced."""
+    psi0 = np.asarray(input_state, dtype=complex).ravel()
+    lam_central = float(profile.wavelengths[len(profile) // 2])
+    rho = np.zeros((2, 2), dtype=complex)
+    for lam, weight in zip(profile.wavelengths, profile.weights):
+        psi = psi0
+        for spec in plates:
+            lam_eff = lam if spec.thickness_um >= 1000.0 else lam_central
+            n_o, n_e = quartz_indices(lam_eff)
+            delta = np.pi * (n_o - n_e) * spec.thickness_um / lam_eff
+            psi = plate_unitary(delta, spec.alpha_rad) @ psi
+        rho += weight * np.outer(psi, psi.conj())
+    return rho
+
+
 class TestBroadbandMixedState:
+    @pytest.mark.parametrize(
+        "plates",
+        [
+            [],
+            [THICK],
+            [THICK, THICK],
+            [THICK, WaveplateSpec(214.0, 0.3)],
+            [WaveplateSpec(214.0, 0.3), WaveplateSpec(6100.0, 0.2)],
+        ],
+        ids=["0-plates", "1-thick", "2-thick", "thick+thin", "thin+thick"],
+    )
+    def test_agrees_with_loop_oracle(self, plates):
+        for profile in (sinc2_profile(1.0, 0.008), sinc2_profile(1.1509, 0.02, 101, 10)):
+            rho = broadband_mixed_state(V, plates, profile)
+            oracle = broadband_loop_oracle(V, plates, profile)
+            assert np.max(np.abs(rho - oracle)) <= 1e-14
+
+    def test_one_knot_profile_agrees_with_loop_oracle(self):
+        mono = SpectralProfile(np.array([1.002]), np.array([1.0]))
+        for plates in ([THICK], [THICK, THICK], [THICK, WaveplateSpec(214.0, 0.3)]):
+            rho = broadband_mixed_state(V, plates, mono)
+            assert np.max(np.abs(rho - broadband_loop_oracle(V, plates, mono))) <= 1e-14
+
+    def test_knot_outside_quartz_window_rejected(self):
+        profile = sinc2_profile(2.99, 0.008)  # top knot ~3.31 um
+        assert profile.wavelengths[-1] > 3.0
+        with pytest.raises(ValueError, match="outside quartz dispersion window"):
+            broadband_mixed_state(V, [THICK], profile)
+
+    def test_thin_plate_checks_only_central_wavelength(self):
+        # A thin plate uses only the central knot, which lies inside the window.
+        profile = sinc2_profile(2.99, 0.008)
+        thin = WaveplateSpec(214.0, 0.3)
+        rho = broadband_mixed_state(V, [thin], profile)
+        assert_allclose(rho, broadband_loop_oracle(V, [thin], profile), atol=1e-14)
+        with pytest.raises(ValueError, match="outside quartz dispersion window"):
+            broadband_mixed_state(V, [WaveplateSpec(214.0, 0.3)], sinc2_profile(3.1, 0.008, 3, 1))
+
     def test_no_plates(self):
         profile = sinc2_profile(1.0, 0.008, 101, 10)
         assert_allclose(broadband_mixed_state(V, [], profile), np.outer(V, V.conj()))
