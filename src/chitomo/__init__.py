@@ -40,7 +40,7 @@ from .waveplate import (
 )
 from .protocols import (
     ExperimentPlan,
-    ProtocolRow,
+    Measurements,
     auxiliary_rows,
     bn_state_protocol,
     generate_counts,
@@ -48,12 +48,7 @@ from .protocols import (
     process_protocol,
     r4_states,
 )
-from .ml_engine import (
-    ReconstructionConfig,
-    ReconstructionResult,
-    reconstruct_state,
-    solve_likelihood,
-)
+from .ml_engine import ReconstructionConfig, ReconstructionResult, solve_likelihood
 from .harness import (
     CampaignConfig,
     MixedWorkflowConfig,

@@ -16,6 +16,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -34,23 +35,19 @@ from .harness import (
 )
 from .ml_engine import ReconstructionConfig, solve_likelihood
 from .protocols import (
+    LAMBDA_DEFAULT_UM,
     ExperimentPlan,
-    ProtocolRow,
+    Measurements,
     auxiliary_rows,
     generate_counts,
     process_protocol,
+    require_integers,
 )
 from .quantum_core import fidelity, hermitian_eig
-from .waveplate import WaveplateSpec, plate_choi_state, sinc2_profile
 
-PLATE_CHI_DEFAULTS = {
-    "thickness_um": 5024.0,
-    "alpha_deg": 45.0,
-    "lam0_um": 1.1509,
-    "fwhm_um": 0.008,
-    "knots": 801,
-    "span": 40.0,
-}
+# plate-chi takes the plate fields of TruthSpec; it always computes a plate
+PLATE_KEYS = {f.name for f in fields(TruthSpec)} - {"kind", "rank"}
+SOLVER_KEYS = {"rank", "damping", "max_iterations", "convergence_tol"}
 
 
 def matrix_to_json(m: np.ndarray) -> list:
@@ -115,14 +112,8 @@ def _write_chi(path: Path, matrix: np.ndarray, normalization: str) -> None:
 
 
 def cmd_plate_chi(config: dict, out_dir: Path) -> int:
-    _reject_unknown_keys("plate-chi", config, set(PLATE_CHI_DEFAULTS))
-    params = {**PLATE_CHI_DEFAULTS, **config}
-    params.pop("seed", None)
-    plate = WaveplateSpec(params["thickness_um"], np.deg2rad(params["alpha_deg"]))
-    profile = sinc2_profile(
-        params["lam0_um"], params["fwhm_um"], int(params["knots"]), params["span"]
-    )
-    choi = plate_choi_state(plate, profile)
+    _reject_unknown_keys("plate-chi", config, PLATE_KEYS)
+    choi = build_truth(TruthSpec(**{k: v for k, v in config.items() if k in PLATE_KEYS}))
     w, _ = hermitian_eig(choi)
     _write_chi(out_dir / "chi.json", choi, "choi")
     print("choi eigenvalues:", " ".join(f"{x:.6f}" for x in w))
@@ -134,7 +125,7 @@ def cmd_plate_chi(config: dict, out_dir: Path) -> int:
 def cmd_protocol_dump(config: dict, out_dir: Path) -> int:
     _reject_unknown_keys("protocol-dump", config, {"protocol", "central_lam_um"})
     name = config.get("protocol", "R4")
-    lam = config.get("central_lam_um", 1.1509)
+    lam = config.get("central_lam_um", LAMBDA_DEFAULT_UM)
     proto = process_protocol(name, lam)
     write_json(
         out_dir / "protocol.json",
@@ -144,55 +135,52 @@ def cmd_protocol_dump(config: dict, out_dir: Path) -> int:
             "input_states": [matrix_to_json(s.reshape(1, -1)) for s in proto.input_states],
             "projectors": [matrix_to_json(s.reshape(1, -1)) for s in proto.projectors],
             "rows": [
-                {"operator": matrix_to_json(r.operator), "exposure": r.exposure}
-                for r in proto.rows
+                {"operator": matrix_to_json(op), "exposure": float(t)}
+                for op, t in zip(proto.rows.operators, proto.rows.exposures)
             ],
         },
     )
     return 0
 
 
-def _rows_to_json(rows: list[ProtocolRow]) -> list[dict]:
+def _rows_to_json(data: Measurements) -> list[dict]:
+    columns = zip(data.operators, data.exposures, data.counts, data.auxiliary)
     return [
         {
-            "operator": matrix_to_json(r.operator),
-            "exposure": float(r.exposure),
-            "count": None if r.count is None else int(r.count),
-            "is_auxiliary": bool(r.is_auxiliary),
+            "operator": matrix_to_json(op),
+            "exposure": float(t),
+            "count": int(k),
+            "is_auxiliary": bool(a),
         }
-        for r in rows
+        for op, t, k, a in columns
     ]
 
 
-def _rows_from_json(data: list[dict]) -> list[ProtocolRow]:
-    return [
-        ProtocolRow(
-            operator=matrix_from_json(r["operator"]),
-            exposure=float(r["exposure"]),
-            count=None if r["count"] is None else int(r["count"]),
-            is_auxiliary=bool(r["is_auxiliary"]),
-        )
-        for r in data
-    ]
+def _rows_from_json(rows: list[dict]) -> Measurements:
+    return Measurements(
+        [matrix_from_json(r["operator"]) for r in rows],
+        [r["exposure"] for r in rows],
+        [0 if r["count"] is None else r["count"] for r in rows],
+        [r["is_auxiliary"] for r in rows],
+    )
 
 
 def cmd_gen_data(config: dict, out_dir: Path) -> int:
     _reject_unknown_keys(
         "gen-data", config, {"truth", "protocol", "n_events", "auxiliary_weight"}
     )
+    n_events = config.get("n_events", 10_000)
+    require_integers(n_events=n_events)
     truth_spec = TruthSpec(**config.get("truth", {}))
     truth = build_truth(truth_spec)
     protocol = config.get("protocol", "R4")
-    n_events = int(config.get("n_events", 10_000))
     seed = int(config.get("seed", 0))
     weight = float(config.get("auxiliary_weight", 10.0))
     proto = process_protocol(protocol, truth_spec.lam0_um)
     data = generate_counts(
         proto.rows, truth, ExperimentPlan(n_total=n_events, seed=seed, auxiliary_weight=weight)
     )
-    rows = data + auxiliary_rows(
-        proto.input_states, sum(r.exposure for r in data), weight
-    )
+    data = data + auxiliary_rows(proto.input_states, sum(data.exposures), weight)
     write_json(
         out_dir / "data.json",
         {
@@ -202,30 +190,23 @@ def cmd_gen_data(config: dict, out_dir: Path) -> int:
             "seed": seed,
             "auxiliary_weight": weight,
             "truth_choi": matrix_to_json(truth),
-            "rows": _rows_to_json(rows),
+            "rows": _rows_to_json(data),
         },
     )
     return 0
 
 
 def cmd_reconstruct(config: dict, out_dir: Path) -> int:
-    _reject_unknown_keys(
-        "reconstruct",
-        config,
-        {"data_path", "rank", "damping", "max_iterations", "convergence_tol"},
+    _reject_unknown_keys("reconstruct", config, {"data_path", *SOLVER_KEYS})
+    solver = ReconstructionConfig(
+        **{"rank": 2, **{k: v for k, v in config.items() if k in SOLVER_KEYS}}
     )
     data_path = config.get("data_path")
     if not data_path:
         raise ValueError("reconstruct needs 'data_path' in the config")
     payload = json.loads(Path(data_path).read_text())
-    rows = _rows_from_json(payload["rows"])
-    solver = ReconstructionConfig(
-        rank=int(config.get("rank", 2)),
-        damping=float(config.get("damping", 0.5)),
-        max_iterations=int(config.get("max_iterations", 20_000)),
-        convergence_tol=float(config.get("convergence_tol", 1e-9)),
-    )
-    res = solve_likelihood(rows, solver)
+    data = _rows_from_json(payload["rows"])
+    res = solve_likelihood(data, solver)
     _write_chi(out_dir / "estimate.json", res.estimate, "choi")
     summary = {
         "rank": res.rank,
@@ -325,7 +306,7 @@ def cmd_fit_retarder(config: dict, out_dir: Path) -> int:
     choi = matrix_from_json(payload["matrix"])
     report = run_retarder_fit(
         choi,
-        lam_um=float(config.get("lam_um", 1.1509)),
+        lam_um=float(config.get("lam_um", LAMBDA_DEFAULT_UM)),
         thickness_um=float(config.get("thickness_um", 25400.0)),
         min_dominant_share=float(config.get("min_dominant_share", 0.95)),
     )

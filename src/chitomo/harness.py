@@ -16,20 +16,17 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .ml_engine import (
-    ReconstructionConfig,
-    ReconstructionResult,
-    reconstruct_state,
-    solve_likelihood,
-)
+from .ml_engine import ReconstructionConfig, ReconstructionResult, solve_likelihood
 from .process_algebra import kraus_from_chi, chi_from_kraus
 from .protocols import (
+    LAMBDA_DEFAULT_UM,
     ExperimentPlan,
-    ProtocolRow,
+    Measurements,
     auxiliary_rows,
     bn_state_protocol,
     generate_counts,
     process_protocol,
+    require_integers,
 )
 from .quantum_core import fidelity, hermitian_eig, von_neumann_entropy
 from .waveplate import (
@@ -75,11 +72,16 @@ class TruthSpec:
     kind: str = "plate"
     thickness_um: float = 5024.0
     alpha_deg: float = 45.0
-    lam0_um: float = 1.1509
+    lam0_um: float = LAMBDA_DEFAULT_UM
     fwhm_um: float = 0.008
     knots: int = 801
     span: float = 40.0
     rank: int | None = None  # optional truncation of the generated process
+
+    def __post_init__(self) -> None:
+        require_integers(knots=self.knots)
+        if self.rank is not None:
+            require_integers(rank=self.rank)
 
 
 @dataclass(frozen=True)
@@ -97,6 +99,12 @@ class CampaignConfig:
     convergence_tol: float = 1e-9
 
     def __post_init__(self) -> None:
+        require_integers(
+            n_events=self.n_events,
+            replications=self.replications,
+            reconstruction_rank=self.reconstruction_rank,
+            max_iterations=self.max_iterations,
+        )
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if not 1 <= self.reconstruction_rank <= 4:
@@ -176,11 +184,11 @@ def _run_replications(config: CampaignConfig, indices: list[int]) -> list[dict]:
         record: dict = {"index": i}
         try:
             data = generate_counts(proto.rows, truth, plan)
-            total_t = sum(r.exposure for r in data)
-            rows = data + auxiliary_rows(
-                proto.input_states, total_t, config.auxiliary_weight
-            )
-            res = solve_likelihood(rows, solver)
+            # sum() adds in row order; np.sum adds pairwise, which can move
+            # the last bit of t_aux and so of every output
+            total_t = sum(data.exposures)
+            aux = auxiliary_rows(proto.input_states, total_t, config.auxiliary_weight)
+            res = solve_likelihood(data + aux, solver)
             record["fidelity"] = fidelity(truth, res.estimate)
             if not res.converged:
                 record["error"] = (
@@ -408,11 +416,11 @@ def _component_weights(config: MixedWorkflowConfig) -> np.ndarray:
 
 
 def _reconstruct_from_b36(
-    rho_truth: np.ndarray, rows: list[ProtocolRow], n_events: int, rank: int, seed: int
+    rho_truth: np.ndarray, rows: Measurements, n_events: int, rank: int, seed: int
 ) -> ReconstructionResult:
     plan = ExperimentPlan(n_total=n_events, seed=seed)
     data = generate_counts(rows, rho_truth, plan)
-    return reconstruct_state(data, ReconstructionConfig(rank=rank))
+    return solve_likelihood(data, ReconstructionConfig(rank=rank))
 
 
 def run_mixed_state_workflow(config: MixedWorkflowConfig) -> dict:

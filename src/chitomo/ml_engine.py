@@ -40,12 +40,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .process_algebra import parameter_count
-from .protocols import IncompleteProtocolError, ProtocolRow
+from .protocols import IncompleteProtocolError, Measurements, require_integers
 from .quantum_core import partial_trace
 
 __all__ = [
@@ -56,7 +55,6 @@ __all__ = [
     "fisher_matrices",
     "information_matrix",
     "solve_likelihood",
-    "reconstruct_state",
 ]
 
 _RATE_FLOOR = 1e-300  # only inside logs and divisions, never in the model
@@ -79,6 +77,7 @@ class ReconstructionConfig:
     init_seed: int = 0
 
     def __post_init__(self) -> None:
+        require_integers(rank=self.rank, max_iterations=self.max_iterations)
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
         if not 0 < self.damping <= 1:
@@ -102,34 +101,24 @@ class ReconstructionResult:
     info_spectrum: np.ndarray
 
 
-def _stack(rows: Sequence[ProtocolRow]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    ops = np.array([np.asarray(r.operator, dtype=complex) for r in rows])
-    t = np.array([r.exposure for r in rows], dtype=float)
-    counts = np.array([0 if r.count is None else r.count for r in rows], dtype=float)
-    return ops, t, counts
-
-
-def expected_rates(c: np.ndarray, rows: Sequence[ProtocolRow]) -> np.ndarray:
+def expected_rates(c: np.ndarray, data: Measurements) -> np.ndarray:
     """Rates ``lambda_j = tr(c^+ Lambda_j c)`` for every row."""
     c = np.asarray(c, dtype=complex)
-    ops, _, _ = _stack(rows)
+    ops = data.operators
     if ops.shape[1] != c.shape[0]:
         raise ValueError(f"operator dim {ops.shape[1]} does not match c dim {c.shape[0]}")
     return np.einsum("mij,ir,jr->m", ops, c.conj(), c).real
 
 
-def log_likelihood(
-    c: np.ndarray, rows: Sequence[ProtocolRow], include_factorial: bool = True
-) -> float:
+def log_likelihood(c: np.ndarray, data: Measurements, include_factorial: bool = True) -> float:
     """Poisson log-likelihood sum_j [k ln(lambda t) - lambda t - ln k!].
 
     Returns -inf when some row has a positive count but zero rate.  The
     factorial constant does not depend on c; dropping it gives the monotone
     surrogate the solver tracks.
     """
-    lam = expected_rates(c, rows)
-    _, t, k = _stack(rows)
-    mean = lam * t
+    k = data.counts
+    mean = expected_rates(c, data) * data.exposures
     if np.any((mean <= 0) & (k > 0)):
         return -math.inf
     ll = float(np.sum(k * np.log(np.maximum(mean, _RATE_FLOOR))) - mean.sum())
@@ -138,15 +127,13 @@ def log_likelihood(
     return ll
 
 
-def fisher_matrices(
-    c: np.ndarray, rows: Sequence[ProtocolRow]
-) -> tuple[np.ndarray, np.ndarray]:
+def fisher_matrices(c: np.ndarray, data: Measurements) -> tuple[np.ndarray, np.ndarray]:
     """Theoretical I = sum t Lambda and empirical J = sum (k/lambda) Lambda."""
-    ops, t, k = _stack(rows)
-    lam = expected_rates(c, rows)
+    ops, k = data.operators, data.counts
+    lam = expected_rates(c, data)
     if np.any((lam <= 0) & (k > 0)):
         raise ValueError("vanishing rate on a row with observed counts")
-    i_mat = np.tensordot(t, ops, axes=1)
+    i_mat = np.tensordot(data.exposures, ops, axes=1)
     j_mat = np.tensordot(k / np.maximum(lam, _RATE_FLOOR), ops, axes=1)
     return i_mat, j_mat
 
@@ -156,9 +143,7 @@ def _stacked_vectors(ops: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.einsum("mij,jr->mir", ops, c).transpose(0, 2, 1).reshape(ops.shape[0], -1)
 
 
-def information_matrix(
-    c: np.ndarray, rows: Sequence[ProtocolRow]
-) -> tuple[np.ndarray, np.ndarray]:
+def information_matrix(c: np.ndarray, data: Measurements) -> tuple[np.ndarray, np.ndarray]:
     """Complete-information matrix ``2 sum_j t_j v_j v_j^+ / lambda_j`` with
     ``v_j = vec(Lambda_j c)``, embedded in the doubled real space (imaginary
     part of the purified vector under its real part).
@@ -167,10 +152,9 @@ def information_matrix(
     rank-1 term contributes rank 2 in the real representation.
     """
     c = np.asarray(c, dtype=complex)
-    ops, t, _ = _stack(rows)
-    lam = expected_rates(c, rows)
-    v = _stacked_vectors(ops, c)
-    coeff = 2.0 * t / np.maximum(lam, _RATE_FLOOR)
+    lam = expected_rates(c, data)
+    v = _stacked_vectors(data.operators, c)
+    coeff = 2.0 * data.exposures / np.maximum(lam, _RATE_FLOOR)
     h_c = (v.conj().T * coeff) @ v
     h_real = np.block([[h_c.real, -h_c.imag], [h_c.imag, h_c.real]])
     spectrum = np.linalg.eigvalsh(h_real)[::-1]
@@ -188,7 +172,7 @@ def _initial_point(d: int, rank: int, config: ReconstructionConfig) -> np.ndarra
 
 
 def solve_likelihood(
-    rows: Sequence[ProtocolRow], config: ReconstructionConfig
+    data: Measurements, config: ReconstructionConfig
 ) -> ReconstructionResult:
     """Solve ``I c = J c`` for the purified vector and return the estimate.
 
@@ -197,11 +181,10 @@ def solve_likelihood(
     model); non-convergence within the iteration budget is reported through
     the result flags, not raised.
     """
-    ops, t, k = _stack(rows)
-    d = ops.shape[1]
+    ops, t, k = data.operators, data.exposures, data.counts
+    m, d, _ = ops.shape
     if config.rank > d:
         raise ValueError(f"rank {config.rank} exceeds dimension {d}")
-    m = len(rows)
     ops_flat = ops.reshape(m, d * d)
 
     i_mat = np.tensordot(t, ops, axes=1)
@@ -331,7 +314,7 @@ def solve_likelihood(
     if is_process:
         tp_residual = float(np.max(np.abs(partial_trace(s * rho, "output") - np.eye(s))))
         nu = parameter_count(s, config.rank)
-    _, spectrum = information_matrix(c, rows)
+    _, spectrum = information_matrix(c, data)
 
     return ReconstructionResult(
         estimate=rho,
@@ -340,16 +323,9 @@ def solve_likelihood(
         converged=stop_reason != "iteration_cap",
         stop_reason=stop_reason,
         residual=residual,
-        log_likelihood=log_likelihood(c, rows),
+        log_likelihood=log_likelihood(c, data),
         normalization_gap=gap,
         nu=nu,
         tp_residual=tp_residual,
         info_spectrum=spectrum,
     )
-
-
-def reconstruct_state(
-    rows: Sequence[ProtocolRow], config: ReconstructionConfig
-) -> ReconstructionResult:
-    """State tomography with the same engine at d = 2."""
-    return solve_likelihood(rows, config)

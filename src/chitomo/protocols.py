@@ -1,7 +1,8 @@
 """Tomographic protocol construction and Poisson count synthesis.
 
-A protocol is a list of rows; each row carries a Hermitian PSD intensity
-operator, an exposure, and (after data generation) an observed count.  For
+Measurement data travel as one ``Measurements`` record of arrays: m
+Hermitian PSD intensity operators (m, d, d), their exposures and (after data
+generation) observed counts (m,), and a mask of the auxiliary rows.  For
 process tomography the operators act on the composite (input (x) output)
 space and have the effective-projector form ``|conj(c_in)><conj(c_in)| (x)
 |c_m><c_m|``; expected rates are traces against the trace-1 Choi state, so a
@@ -25,7 +26,7 @@ import numpy as np
 from .waveplate import WaveplateSpec, optical_thickness, plate_unitary
 
 __all__ = [
-    "ProtocolRow",
+    "Measurements",
     "ProcessProtocol",
     "StateProtocol",
     "ExperimentPlan",
@@ -52,14 +53,53 @@ class IncompleteProtocolError(ValueError):
     """The measurement set cannot identify the model parameters."""
 
 
-@dataclass(frozen=True)
-class ProtocolRow:
-    """Intensity operator, exposure and (optional) observed count."""
+def require_integers(**values: object) -> None:
+    """Raise ValueError naming the first value that is not an integer; a bool
+    is not one."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
-    operator: np.ndarray
-    exposure: float
-    count: int | None = None
-    is_auxiliary: bool = False
+
+@dataclass(frozen=True, eq=False)
+class Measurements:
+    """Row j of a protocol: intensity operator ``operators[j]``, exposure,
+    observed count (zero before data generation; float, so that noiseless
+    expected counts fit) and whether it is an auxiliary row.
+
+    Shapes are checked on construction; ``a + b`` concatenates the rows.
+    """
+
+    operators: np.ndarray  # (m, d, d) complex
+    exposures: np.ndarray  # (m,) float
+    counts: np.ndarray | None = None  # (m,) float; None means all zero
+    auxiliary: np.ndarray | None = None  # (m,) bool; None means none
+
+    def __post_init__(self) -> None:
+        try:
+            ops = np.asarray(self.operators, dtype=complex)
+        except ValueError:
+            raise ValueError("operators must all have the same shape (d, d)") from None
+        if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
+            raise ValueError(f"operators must have shape (m, d, d), got {ops.shape}")
+        m = len(ops)
+        object.__setattr__(self, "operators", ops)
+        for name, dtype in (("exposures", float), ("counts", float), ("auxiliary", bool)):
+            value = getattr(self, name)
+            value = np.zeros(m, dtype) if value is None else np.asarray(value, dtype)
+            if value.shape != (m,):
+                raise ValueError(f"{name} must have shape ({m},), got {value.shape}")
+            if dtype is float and not np.all(np.isfinite(value) & (value >= 0)):
+                raise ValueError(f"{name} must be finite and >= 0")
+            object.__setattr__(self, name, value)
+
+    def __add__(self, other: "Measurements") -> "Measurements":
+        return Measurements(
+            np.concatenate([self.operators, other.operators]),
+            np.concatenate([self.exposures, other.exposures]),
+            np.concatenate([self.counts, other.counts]),
+            np.concatenate([self.auxiliary, other.auxiliary]),
+        )
 
 
 @dataclass(frozen=True)
@@ -67,13 +107,13 @@ class ProcessProtocol:
     name: str
     input_states: list[np.ndarray]
     projectors: list[np.ndarray]
-    rows: list[ProtocolRow]
+    rows: Measurements
 
 
 @dataclass(frozen=True)
 class StateProtocol:
     name: str
-    rows: list[ProtocolRow]
+    rows: Measurements
 
 
 @dataclass(frozen=True)
@@ -85,6 +125,7 @@ class ExperimentPlan:
     auxiliary_weight: float = 10.0
 
     def __post_init__(self) -> None:
+        require_integers(n_total=self.n_total)
         if self.n_total < 1:
             raise ValueError("n_total must be >= 1")
         if self.auxiliary_weight <= 0:
@@ -146,10 +187,6 @@ def _affine_bloch_rank(states: Sequence[np.ndarray]) -> int:
     return int(np.linalg.matrix_rank(rows, tol=1e-8))
 
 
-def _hermitian_coords(m: np.ndarray) -> np.ndarray:
-    return np.array([m[0, 0].real, m[1, 1].real, m[0, 1].real, m[0, 1].imag])
-
-
 def bn_state_protocol(
     n_orientations: int,
     plate_thickness_um: float = 312.7,
@@ -165,19 +202,22 @@ def bn_state_protocol(
     if n_orientations < 4:
         raise IncompleteProtocolError("need at least 4 orientations")
     delta = optical_thickness(WaveplateSpec(plate_thickness_um, 0.0), lam_um)
-    rows = []
+    ops = []
     for j in range(n_orientations):
-        alpha = j * np.pi / n_orientations
-        u = plate_unitary(delta, alpha)
-        proj = u.conj().T @ np.outer(_V, _V.conj()) @ u
-        rows.append(ProtocolRow(operator=proj, exposure=1.0))
-    stack = np.array([_hermitian_coords(r.operator) for r in rows])
-    if np.linalg.matrix_rank(stack, tol=1e-8) < 4:
+        u = plate_unitary(delta, j * np.pi / n_orientations)
+        ops.append(u.conj().T @ np.outer(_V, _V.conj()) @ u)
+    ops = np.array(ops)
+    coords = np.stack(
+        [ops[:, 0, 0].real, ops[:, 1, 1].real, ops[:, 0, 1].real, ops[:, 0, 1].imag], axis=1
+    )
+    if np.linalg.matrix_rank(coords, tol=1e-8) < 4:
         raise IncompleteProtocolError(
             f"B{n_orientations} with plate retardance {delta:.4f} rad is "
             "tomographically incomplete (plate acts as identity up to phase)"
         )
-    return StateProtocol(name=f"B{n_orientations}", rows=rows)
+    return StateProtocol(
+        name=f"B{n_orientations}", rows=Measurements(ops, np.ones(n_orientations))
+    )
 
 
 def process_protocol(
@@ -190,18 +230,18 @@ def process_protocol(
     are uniform placeholders, rescaled at data-generation time.
     """
     states = _protocol_states(name, central_lam_um)
-    rows = []
-    for c_in in states:
-        in_proj = np.outer(c_in.conj(), c_in)
-        for c_m in states:
-            out_proj = np.outer(c_m, c_m.conj())
-            rows.append(ProtocolRow(operator=np.kron(in_proj, out_proj), exposure=1.0))
+    ops = [
+        np.kron(np.outer(c_in.conj(), c_in), np.outer(c_m, c_m.conj()))
+        for c_in in states
+        for c_m in states
+    ]
+    rows = Measurements(ops, np.ones(len(ops)))
     return ProcessProtocol(name=name, input_states=states, projectors=states, rows=rows)
 
 
 def auxiliary_rows(
     input_states: Sequence[np.ndarray], total_exposure: float, weight: float = 10.0
-) -> list[ProtocolRow]:
+) -> Measurements:
     """Trace-preservation rows: operator ``|conj(c_in)><conj(c_in)| (x) I``
     with exposure weight*total_exposure and the virtual count round(t/s) that
     a trace-preserving process would produce exactly."""
@@ -209,18 +249,13 @@ def auxiliary_rows(
         raise IncompleteProtocolError("input states are not tomographically complete")
     s = input_states[0].size
     t_aux = weight * total_exposure
-    rows = []
-    for c_in in input_states:
-        op = np.kron(np.outer(c_in.conj(), c_in), np.eye(s))
-        rows.append(
-            ProtocolRow(
-                operator=op,
-                exposure=t_aux,
-                count=int(round(t_aux / s)),
-                is_auxiliary=True,
-            )
-        )
-    return rows
+    m = len(input_states)
+    return Measurements(
+        [np.kron(np.outer(c_in.conj(), c_in), np.eye(s)) for c_in in input_states],
+        np.full(m, t_aux),
+        np.full(m, round(t_aux / s)),
+        np.ones(m, bool),
+    )
 
 
 def _poisson_inversion(mu: float, rng: np.random.Generator) -> int:
@@ -270,8 +305,8 @@ def sample_poisson(mu: float, rng: np.random.Generator) -> int:
 
 
 def generate_counts(
-    rows: Sequence[ProtocolRow], truth: np.ndarray, plan: ExperimentPlan
-) -> list[ProtocolRow]:
+    rows: Measurements, truth: np.ndarray, plan: ExperimentPlan
+) -> Measurements:
     """Fill observed counts for the non-auxiliary rows of a protocol.
 
     Rates are ``tr(Lambda_j rho)`` against the trace-1 truth (state or Choi
@@ -280,19 +315,14 @@ def generate_counts(
     the generator seeded with plan.seed.
     """
     truth = np.asarray(truth, dtype=complex)
-    if any(r.is_auxiliary for r in rows):
+    if rows.auxiliary.any():
         raise ValueError("generate_counts expects only non-auxiliary rows")
-    rates = np.array(
-        [float(np.real(np.trace(r.operator @ truth))) for r in rows]
-    )
+    rates = np.trace(rows.operators @ truth, axis1=1, axis2=2).real
     rates = np.clip(rates, 0.0, None)
-    base = float(np.dot(rates, [r.exposure for r in rows]))
+    base = float(np.dot(rates, rows.exposures))
     if not np.isfinite(base) or base <= 0:
         raise ValueError(f"total expected rate {base!r} is not usable")
-    scale = plan.n_total / base
+    exposures = rows.exposures * (plan.n_total / base)
     rng = np.random.default_rng(plan.seed)
-    out = []
-    for row, lam in zip(rows, rates):
-        t = row.exposure * scale
-        out.append(replace(row, exposure=t, count=sample_poisson(lam * t, rng)))
-    return out
+    counts = [sample_poisson(mu, rng) for mu in rates * exposures]
+    return replace(rows, exposures=exposures, counts=counts)

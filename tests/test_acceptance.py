@@ -9,6 +9,7 @@ only: no raw count records exist to reproduce them.
 
 import json
 import time
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -38,9 +39,9 @@ from chitomo.process_algebra import (
     kraus_stack,
     unitary_mix,
 )
-from chitomo.protocols import ProtocolRow, auxiliary_rows, process_protocol
+from chitomo.protocols import Measurements, auxiliary_rows, process_protocol
 from chitomo.quantum_core import fidelity, partial_trace
-from chitomo.random_ops import (
+from random_ops import (
     random_state_vector,
     random_trace_preserving_kraus,
     random_unitary,
@@ -251,19 +252,18 @@ class TestCriterion7PropertySuite:
     def test_ml_engine_properties(self, plate_truth):
         rng = np.random.default_rng(72)
         proto = process_protocol("J4")
-        rates = np.array([np.real(np.trace(r.operator @ plate_truth)) for r in proto.rows])
+        ops = proto.rows.operators
+        rates = np.array([np.real(np.trace(op @ plate_truth)) for op in ops])
         t = 10**4 / rates.sum()
-        rows = [ProtocolRow(r.operator, t, lam * t) for r, lam in zip(proto.rows, rates)]
         aux = auxiliary_rows(proto.input_states, 16 * t, 10.0)
-        rows += [ProtocolRow(a.operator, a.exposure, a.exposure / 2.0, True) for a in aux]
+        rows = Measurements(ops, np.full(16, t), rates * t) + replace(
+            aux, counts=aux.exposures / 2.0
+        )
 
         # fixed point: exact counts leave the purified truth unchanged
         w, u = np.linalg.eigh(plate_truth)
         c = (u[:, ::-1][:, :2]) * np.sqrt(np.clip(w[::-1][:2], 0, None))
-        c *= np.sqrt(
-            sum(r.count for r in rows)
-            / np.dot(expected_rates(c, rows), [r.exposure for r in rows])
-        )
+        c *= np.sqrt(rows.counts.sum() / np.dot(expected_rates(c, rows), rows.exposures))
         i_mat, j_mat = fisher_matrices(c, rows)
         step = np.linalg.solve(i_mat, j_mat @ c)
         fixed_point_err = float(np.max(np.abs(step - c)) / np.max(np.abs(c)))

@@ -67,7 +67,7 @@ class TestGenDataReconstruct:
         truth = build_truth(TruthSpec())
         proto = process_protocol("R4")
         data = generate_counts(proto.rows, truth, ExperimentPlan(5000, seed=321))
-        rows = data + auxiliary_rows(proto.input_states, sum(r.exposure for r in data), 10.0)
+        rows = data + auxiliary_rows(proto.input_states, sum(data.exposures), 10.0)
         res = solve_likelihood(rows, ReconstructionConfig(rank=2))
         expected = fidelity(truth, res.estimate)
         assert result["fidelity_vs_truth"] == pytest.approx(expected, abs=1e-13)
@@ -78,6 +78,27 @@ class TestGenDataReconstruct:
             json.loads((tmp_path / "estimate.json").read_text())["matrix"]
         )
         assert np.max(np.abs(estimate - res.estimate)) < 1e-13
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda rows: [{**r, "exposure": [r["exposure"]] * 2} for r in rows], "exposures"),
+            (lambda rows: [{**rows[0], "operator": [[[1.0, 0.0]]]}, *rows[1:]], "operators"),
+            (lambda rows: [{**rows[0], "exposure": None}, *rows[1:]], "exposures"),
+        ],
+        ids=["exposure-lists", "mixed-dimension", "null-exposure"],
+    )
+    def test_malformed_data_exits_2(self, tmp_path, capsys, corrupt, message):
+        gen_cfg = write_config(tmp_path / "gen.json", {"n_events": 500, "truth": {"knots": 21}})
+        assert main(["gen-data", "--config", gen_cfg, "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "data.json").read_text())
+        payload["rows"] = corrupt(payload["rows"])
+        (tmp_path / "bad.json").write_text(json.dumps(payload))
+        rec_cfg = write_config(tmp_path / "rec.json", {"data_path": str(tmp_path / "bad.json")})
+        assert main(["reconstruct", "--config", rec_cfg, "--out", str(tmp_path / "rec")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "rec" / "result.json").exists()
 
     def test_reconstruct_needs_data_path(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "rec.json", {"rank": 2})
@@ -194,7 +215,7 @@ class TestMixedWorkflowCommand:
 
         import chitomo.harness as harness
 
-        real = harness.reconstruct_state
+        real = harness.solve_likelihood
         calls = []
 
         def capped_third_solve(rows, config):
@@ -204,7 +225,7 @@ class TestMixedWorkflowCommand:
                 res = dataclasses.replace(res, converged=False, stop_reason="iteration_cap")
             return res
 
-        monkeypatch.setattr(harness, "reconstruct_state", capped_third_solve)
+        monkeypatch.setattr(harness, "solve_likelihood", capped_third_solve)
         cfg = write_config(
             tmp_path / "w.json", {"knots": 201, "span": 15.0, "n_events": 5000, "seed": 2}
         )
@@ -278,6 +299,25 @@ class TestErrorPaths:
         cfg = write_config(tmp_path / "c.json", config)
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
         assert repr(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, config, field",
+        [
+            ("mc", {"replications": 2, "reconstruction_rank": 2.0}, "reconstruction_rank"),
+            ("mc", {"replications": 2, "max_iterations": 50.5}, "max_iterations"),
+            ("mc", {"replications": 2, "n_events": True}, "n_events"),
+            ("reconstruct", {"data_path": "data.json", "rank": 2.5}, "rank"),
+            ("reconstruct", {"data_path": "data.json", "max_iterations": 3.9}, "max_iterations"),
+            ("plate-chi", {"knots": 801.5}, "knots"),
+            ("gen-data", {"n_events": True}, "n_events"),
+            ("gen-data", {"n_events": 500, "truth": {"rank": 1.0}}, "rank"),
+        ],
+    )
+    def test_non_integer_field_exits_2(self, tmp_path, capsys, command, config, field):
+        cfg = write_config(tmp_path / "c.json", config)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} must be an integer")
 
     def test_seed_key_accepted(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", {"protocol": "J4", "seed": 3})

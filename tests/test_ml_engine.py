@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -9,20 +11,19 @@ from chitomo.ml_engine import (
     fisher_matrices,
     information_matrix,
     log_likelihood,
-    reconstruct_state,
     solve_likelihood,
 )
 from chitomo.protocols import (
     ExperimentPlan,
     IncompleteProtocolError,
-    ProtocolRow,
+    Measurements,
     auxiliary_rows,
     bn_state_protocol,
     generate_counts,
     process_protocol,
 )
 from chitomo.quantum_core import fidelity
-from chitomo.random_ops import random_density_matrix, random_unitary
+from random_ops import random_density_matrix, random_unitary
 from chitomo.waveplate import WaveplateSpec, broadband_mixed_state, sinc2_profile
 
 
@@ -32,64 +33,67 @@ def purify(rho, rank):
     return u * np.sqrt(np.clip(w, 0, None))
 
 
-def noiseless_rows(protocol, truth, n=10**4, weight=10.0):
-    rates = np.array([np.real(np.trace(r.operator @ truth)) for r in protocol.rows])
+def noiseless_counts(rows, truth, n):
+    """Rows with exposures scaled to n expected events and the expected
+    (non-integer) counts in place of observed ones."""
+    rates = np.array([np.real(np.trace(op @ truth)) for op in rows.operators])
     t = n / rates.sum()
-    rows = [
-        ProtocolRow(r.operator, t, rate * t) for r, rate in zip(protocol.rows, rates)
-    ]
+    return Measurements(rows.operators, np.full(len(rates), t), rates * t), t
+
+
+def noiseless_rows(protocol, truth, n=10**4, weight=10.0):
+    data, t = noiseless_counts(protocol.rows, truth, n)
     aux = auxiliary_rows(protocol.input_states, 16 * t, weight)
-    rows += [ProtocolRow(a.operator, a.exposure, a.exposure / 2.0, True) for a in aux]
-    return rows
+    return data + replace(aux, counts=aux.exposures / 2.0)
 
 
 def poisson_rows(protocol, truth, n=10**4, seed=0, weight=10.0):
     data = generate_counts(protocol.rows, truth, ExperimentPlan(n, seed=seed))
-    return data + auxiliary_rows(
-        protocol.input_states, sum(r.exposure for r in data), weight
-    )
+    return data + auxiliary_rows(protocol.input_states, sum(data.exposures), weight)
 
 
 class TestExpectedRates:
     def test_projector_onto_itself(self, rng):
         psi = random_density_matrix(4, rng, rank=1)
         c = purify(psi, 1)
-        rows = [ProtocolRow(psi, 1.0)]
+        rows = Measurements([psi], [1.0])
         assert expected_rates(c, rows)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_quadratic_scaling(self, rng):
         c = purify(random_density_matrix(4, rng), 2)
-        rows = [ProtocolRow(random_density_matrix(4, rng), 1.0) for _ in range(3)]
+        rows = Measurements([random_density_matrix(4, rng) for _ in range(3)], np.ones(3))
         assert_allclose(expected_rates(1.7 * c, rows), 1.7**2 * expected_rates(c, rows))
 
     def test_matches_trace_oracle(self, rng):
         rho = random_density_matrix(4, rng, rank=3)
         c = purify(rho, 3)
         ops = [random_density_matrix(4, rng) for _ in range(5)]
-        rows = [ProtocolRow(op, 1.0) for op in ops]
+        rows = Measurements(ops, np.ones(5))
         oracle = [np.real(np.trace(op @ rho)) for op in ops]
         assert_allclose(expected_rates(c, rows), oracle, atol=1e-12)
 
     def test_dim_mismatch(self, rng):
         with pytest.raises(ValueError, match="dim"):
-            expected_rates(purify(random_density_matrix(2, rng), 1), [ProtocolRow(np.eye(4), 1.0)])
+            expected_rates(
+                purify(random_density_matrix(2, rng), 1), Measurements([np.eye(4)], [1.0])
+            )
 
 
 class TestLogLikelihood:
     def test_zero_rate_with_counts_is_failure(self):
-        rows = [ProtocolRow(np.diag([1.0, 0.0]), 1.0, 5)]
+        rows = Measurements([np.diag([1.0, 0.0])], [1.0], [5])
         c = np.array([[0.0], [1.0]], dtype=complex)
         assert log_likelihood(c, rows) == -np.inf
 
     def test_empty_row_changes_nothing(self):
         c = np.array([[0.0], [1.0]], dtype=complex)
-        base = [ProtocolRow(np.diag([0.0, 1.0]), 2.0, 3)]
-        extra = base + [ProtocolRow(np.diag([1.0, 0.0]), 2.0, 0)]
+        base = Measurements([np.diag([0.0, 1.0])], [2.0], [3])
+        extra = base + Measurements([np.diag([1.0, 0.0])], [2.0], [0])
         assert log_likelihood(c, extra) == pytest.approx(log_likelihood(c, base))
 
     def test_factorial_constant_shift(self):
         c = np.array([[0.0], [1.0]], dtype=complex)
-        rows = [ProtocolRow(np.diag([0.0, 1.0]), 2.0, 3)]
+        rows = Measurements([np.diag([0.0, 1.0])], [2.0], [3])
         import math
 
         diff = log_likelihood(c, rows, include_factorial=False) - log_likelihood(c, rows)
@@ -101,8 +105,8 @@ class TestLogLikelihood:
         c = purify(random_density_matrix(4, rng), 2)
         # keep the point on the data's normalization scale so the likelihood
         # stays O(n) and central differences are not drowned by roundoff
-        counts = sum(r.count for r in rows)
-        c *= np.sqrt(counts / np.dot(expected_rates(c, rows), [r.exposure for r in rows]))
+        counts = rows.counts.sum()
+        c *= np.sqrt(counts / np.dot(expected_rates(c, rows), rows.exposures))
         i_mat, j_mat = fisher_matrices(c, rows)
         grad = 2.0 * (j_mat - i_mat) @ c
         eps = 1e-6
@@ -117,7 +121,7 @@ class TestLogLikelihood:
 class TestFisherMatrices:
     def test_single_row(self, rng):
         op = random_density_matrix(4, rng)
-        rows = [ProtocolRow(op, 1.0, 1)]
+        rows = Measurements([op], [1.0], [1])
         i_mat, _ = fisher_matrices(purify(random_density_matrix(4, rng), 2), rows)
         assert_allclose(i_mat, op, atol=1e-15)
 
@@ -125,8 +129,7 @@ class TestFisherMatrices:
         proto = process_protocol("J4")
         rows = noiseless_rows(proto, plate_truth)
         c = purify(plate_truth, 2)
-        c *= np.sqrt(sum(r.count for r in rows) / np.dot(expected_rates(c, rows),
-                                                          [r.exposure for r in rows]))
+        c *= np.sqrt(rows.counts.sum() / np.dot(expected_rates(c, rows), rows.exposures))
         i_mat, j_mat = fisher_matrices(c, rows)
         assert np.max(np.abs(i_mat - j_mat)) < 1e-9 * np.max(np.abs(i_mat))
 
@@ -148,16 +151,16 @@ class TestInformationMatrix:
 
     def test_rank_bound_two_per_row(self, rng):
         ops = [random_density_matrix(4, rng) for _ in range(3)]
-        rows = [ProtocolRow(op, 1.0, 1) for op in ops]
+        rows = Measurements(ops, np.ones(3), np.ones(3))
         c = purify(random_density_matrix(4, rng), 2)
         h, spec = information_matrix(c, rows)
-        assert np.sum(spec > 1e-12 * spec[0]) <= 2 * len(rows)
+        assert np.sum(spec > 1e-12 * spec[0]) <= 2 * len(rows.operators)
 
     def test_linear_in_exposure(self, rng):
         ops = [random_density_matrix(4, rng) for _ in range(4)]
         c = purify(random_density_matrix(4, rng), 2)
-        h1, _ = information_matrix(c, [ProtocolRow(op, 1.0, 1) for op in ops])
-        h2, _ = information_matrix(c, [ProtocolRow(op, 2.0, 1) for op in ops])
+        h1, _ = information_matrix(c, Measurements(ops, np.full(4, 1.0), np.ones(4)))
+        h2, _ = information_matrix(c, Measurements(ops, np.full(4, 2.0), np.ones(4)))
         assert_allclose(h2, 2 * h1, atol=1e-12)
 
 
@@ -166,8 +169,7 @@ class TestSolveLikelihood:
         proto = process_protocol("R4")
         rows = noiseless_rows(proto, plate_truth)
         c = purify(plate_truth, 2)
-        c *= np.sqrt(sum(r.count for r in rows) / np.dot(expected_rates(c, rows),
-                                                          [r.exposure for r in rows]))
+        c *= np.sqrt(rows.counts.sum() / np.dot(expected_rates(c, rows), rows.exposures))
         i_mat, j_mat = fisher_matrices(c, rows)
         step = np.linalg.solve(i_mat, j_mat @ c)
         assert np.max(np.abs(step - c)) < 1e-12 * np.max(np.abs(c))
@@ -202,8 +204,8 @@ class TestSolveLikelihood:
         proto = process_protocol("R4")
         rows = poisson_rows(proto, plate_truth, seed=3)
         c = purify(plate_truth, 2)
-        counts = sum(r.count for r in rows)
-        c *= np.sqrt(counts / np.dot(expected_rates(c, rows), [r.exposure for r in rows]))
+        counts = rows.counts.sum()
+        c *= np.sqrt(counts / np.dot(expected_rates(c, rows), rows.exposures))
         u = random_unitary(2, rng)
         mixed = c @ u
         assert_allclose(mixed @ mixed.conj().T, c @ c.conj().T, atol=1e-10)
@@ -223,7 +225,8 @@ class TestSolveLikelihood:
 
     def test_incomplete_protocol_raises(self, plate_truth):
         proto = process_protocol("J4")
-        rows = poisson_rows(proto, plate_truth, seed=0)[:4]
+        rows = poisson_rows(proto, plate_truth, seed=0)
+        rows = Measurements(rows.operators[:4], rows.exposures[:4], rows.counts[:4])
         with pytest.raises(IncompleteProtocolError, match="singular"):
             solve_likelihood(rows, ReconstructionConfig(rank=2))
 
@@ -240,6 +243,18 @@ class TestSolveLikelihood:
             ReconstructionConfig(rank=2, damping=1.5)
         with pytest.raises(ValueError, match="positive"):
             ReconstructionConfig(rank=2, convergence_tol=-1.0)
+
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            ({"rank": 2.0}, "rank"),
+            ({"rank": True}, "rank"),
+            ({"rank": 2, "max_iterations": 50.5}, "max_iterations"),
+        ],
+    )
+    def test_integer_fields(self, fields, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            ReconstructionConfig(**fields)
 
     def test_deterministic_for_fixed_inputs(self, plate_truth):
         proto = process_protocol("R4")
@@ -323,18 +338,15 @@ class TestStoppingRule:
 class TestReconstructState:
     def test_pure_v_noiseless(self):
         v = np.diag([0.0, 1.0]).astype(complex)
-        proto = bn_state_protocol(36, 312.7, 1.0)
-        rates = np.array([np.real(np.trace(r.operator @ v)) for r in proto.rows])
-        t = 10**5 / rates.sum()
-        rows = [ProtocolRow(r.operator, t, rate * t) for r, rate in zip(proto.rows, rates)]
-        res = reconstruct_state(rows, ReconstructionConfig(rank=1))
+        rows, _ = noiseless_counts(bn_state_protocol(36, 312.7, 1.0).rows, v, 10**5)
+        res = solve_likelihood(rows, ReconstructionConfig(rank=1))
         assert fidelity(res.estimate, v) >= 1 - 1e-8
 
     def test_maximally_mixed_poisson(self):
         truth = np.eye(2) / 2
         proto = bn_state_protocol(36, 312.7, 1.0)
         data = generate_counts(proto.rows, truth, ExperimentPlan(10**5, seed=14))
-        res = reconstruct_state(data, ReconstructionConfig(rank=2))
+        res = solve_likelihood(data, ReconstructionConfig(rank=2))
         assert fidelity(res.estimate, truth) >= 0.995
         assert res.nu is None and res.tp_residual is None
 
@@ -344,11 +356,8 @@ class TestReconstructState:
             np.array([0, 1], dtype=complex), [plate], sinc2_profile(1.0, 0.008)
         )
         lam_max = np.linalg.eigvalsh(truth).max()
-        proto = bn_state_protocol(36, 312.7, 1.0)
-        rates = np.array([np.real(np.trace(r.operator @ truth)) for r in proto.rows])
-        t = 10**6 / rates.sum()
-        rows = [ProtocolRow(r.operator, t, rate * t) for r, rate in zip(proto.rows, rates)]
-        res = reconstruct_state(rows, ReconstructionConfig(rank=1))
+        rows, _ = noiseless_counts(bn_state_protocol(36, 312.7, 1.0).rows, truth, 10**6)
+        res = solve_likelihood(rows, ReconstructionConfig(rank=1))
         f = fidelity(res.estimate, truth)
         # the top-eigenvector projector realizes the pure-state ceiling exactly
         w, u = np.linalg.eigh(truth)

@@ -19,7 +19,7 @@ from chitomo.process_algebra import (
     unitary_mix,
 )
 from chitomo.quantum_core import partial_trace, vectorize
-from chitomo.random_ops import (
+from random_ops import (
     random_state_vector,
     random_trace_preserving_kraus,
     random_unitary,

@@ -10,6 +10,7 @@ from chitomo.process_algebra import (
 from chitomo.protocols import (
     ExperimentPlan,
     IncompleteProtocolError,
+    Measurements,
     auxiliary_rows,
     b4_states,
     bloch_vector,
@@ -21,11 +22,57 @@ from chitomo.protocols import (
     sample_poisson,
     state_from_bloch,
 )
-from chitomo.random_ops import random_trace_preserving_kraus
+from random_ops import random_density_matrix, random_trace_preserving_kraus
 
 # Counts for the reference plate truth, R4, n=10^4, seed=123; frozen to pin
 # the sampler across platforms and numpy versions.
 GOLDEN_COUNTS = [1136, 528, 403, 444, 549, 1154, 423, 462, 428, 407, 1118, 524, 423, 443, 588, 1089]
+
+
+class TestMeasurements:
+    def test_defaults_and_dtypes(self):
+        data = Measurements([np.eye(2), np.diag([1, 0])], [1, 2])
+        assert data.operators.dtype == complex and data.operators.shape == (2, 2, 2)
+        assert data.exposures.dtype == float
+        assert data.counts.tolist() == [0.0, 0.0]
+        assert data.auxiliary.tolist() == [False, False]
+        assert len(data.operators) == 2
+
+    def test_concatenation_keeps_row_order(self):
+        a = Measurements([np.eye(2)], [1.0], [3])
+        b = Measurements([np.diag([0.0, 1.0])] * 2, [2.0, 4.0], [5, 7], [True, True])
+        joined = a + b
+        assert len(joined.operators) == 3
+        assert np.array_equal(joined.operators[1], b.operators[0])
+        assert joined.exposures.tolist() == [1.0, 2.0, 4.0]
+        assert joined.counts.tolist() == [3.0, 5.0, 7.0]
+        assert joined.auxiliary.tolist() == [False, True, True]
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"exposures": [1.0]}, r"exposures must have shape \(2,\)"),
+            ({"exposures": [[1.0, 1.0], [1.0, 1.0]]}, r"exposures must have shape \(2,\)"),
+            ({"counts": [1, 2, 3]}, r"counts must have shape \(2,\)"),
+            ({"auxiliary": [True]}, r"auxiliary must have shape \(2,\)"),
+            ({"operators": [np.eye(2), np.eye(3)]}, "operators must all have the same shape"),
+            ({"operators": np.ones((2, 2, 3))}, r"operators must have shape \(m, d, d\)"),
+            ({"operators": np.eye(2)}, r"operators must have shape \(m, d, d\)"),
+        ],
+        ids=["short-exposures", "2d-exposures", "long-counts", "short-mask", "mixed-dim",
+             "non-square", "single-matrix"],
+    )
+    def test_shape_mismatch_rejected(self, kwargs, message):
+        fields = {"operators": [np.eye(2)] * 2, "exposures": [1.0, 1.0], **kwargs}
+        with pytest.raises(ValueError, match=message):
+            Measurements(**fields)
+
+    @pytest.mark.parametrize("name", ["exposures", "counts"])
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf, None])
+    def test_negative_or_non_finite_rejected(self, name, bad):
+        fields = {"operators": [np.eye(2)] * 2, "exposures": [1.0, 1.0], name: [1.0, bad]}
+        with pytest.raises(ValueError, match=f"{name} must be finite and >= 0"):
+            Measurements(**fields)
 
 
 class TestStateSets:
@@ -83,22 +130,21 @@ class TestBnProtocol:
     def test_b36_shape(self):
         proto = bn_state_protocol(36, 312.7, 1.0)
         assert proto.name == "B36"
-        assert len(proto.rows) == 36
-        for row in proto.rows:
-            w = np.linalg.eigvalsh(row.operator)
-            assert row.operator.trace().real == pytest.approx(1.0, abs=1e-12)
+        assert len(proto.rows.operators) == 36
+        for op in proto.rows.operators:
+            w = np.linalg.eigvalsh(op)
+            assert op.trace().real == pytest.approx(1.0, abs=1e-12)
             assert w.min() > -1e-12
             assert np.sum(w > 1e-12) == 1  # rank 1
 
     def test_average_operator_and_completeness(self):
         proto = bn_state_protocol(36, 312.7, 1.0)
-        avg = sum(r.operator for r in proto.rows) / 36
+        avg = sum(proto.rows.operators) / 36
         assert avg.trace().real == pytest.approx(1.0, abs=1e-12)
         stack = np.array(
             [
-                [r.operator[0, 0].real, r.operator[1, 1].real,
-                 r.operator[0, 1].real, r.operator[0, 1].imag]
-                for r in proto.rows
+                [op[0, 0].real, op[1, 1].real, op[0, 1].real, op[0, 1].imag]
+                for op in proto.rows.operators
             ]
         )
         assert np.linalg.matrix_rank(stack, tol=1e-8) == 4
@@ -117,11 +163,11 @@ class TestProcessProtocol:
     def test_row_count_and_shapes(self):
         for name in ("J4", "R4", "B4"):
             proto = process_protocol(name)
-            assert len(proto.rows) == 16
-            for row in proto.rows:
-                assert row.operator.shape == (4, 4)
-                assert row.operator.trace().real == pytest.approx(1.0, abs=1e-12)
-                w = np.linalg.eigvalsh(row.operator)
+            assert len(proto.rows.operators) == 16
+            for op in proto.rows.operators:
+                assert op.shape == (4, 4)
+                assert op.trace().real == pytest.approx(1.0, abs=1e-12)
+                w = np.linalg.eigvalsh(op)
                 assert w.min() > -1e-12
                 assert np.sum(w > 1e-12) == 1
 
@@ -129,7 +175,7 @@ class TestProcessProtocol:
         proto = process_protocol("J4")
         phi = np.array([1, 0, 0, 1]) / np.sqrt(2)
         rho_phi = np.outer(phi, phi)
-        rate = np.real(np.trace(proto.rows[0].operator @ rho_phi))  # (H in, H out)
+        rate = np.real(np.trace(proto.rows.operators[0] @ rho_phi))  # (H in, H out)
         assert rate == pytest.approx(0.5, abs=1e-12)
 
     def test_identity_process_matched_probability_one(self):
@@ -146,8 +192,8 @@ class TestProcessProtocol:
             proto = process_protocol(name)
             stack = np.array(
                 [
-                    np.concatenate([r.operator.real.ravel(), r.operator.imag.ravel()])
-                    for r in proto.rows
+                    np.concatenate([op.real.ravel(), op.imag.ravel()])
+                    for op in proto.rows.operators
                 ]
             )
             assert np.linalg.matrix_rank(stack, tol=1e-10) == 16
@@ -159,11 +205,11 @@ class TestProcessProtocol:
         choi = chi_from_kraus(kraus) / 2
         for name in ("J4", "R4", "B4"):
             proto = process_protocol(name)
-            for row, (c_in, c_m) in zip(
-                proto.rows,
+            for op, (c_in, c_m) in zip(
+                proto.rows.operators,
                 [(ci, cm) for ci in proto.input_states for cm in proto.projectors],
             ):
-                rate = np.real(np.trace(row.operator @ choi))
+                rate = np.real(np.trace(op @ choi))
                 assert rate == pytest.approx(
                     direct_probability(kraus, c_in, c_m) / 2, abs=1e-12
                 )
@@ -178,20 +224,20 @@ class TestAuxiliaryRows:
         rows = auxiliary_rows(j4_states(), total_exposure=100.0, weight=10.0)
         kraus = random_trace_preserving_kraus(2, 3, rng)
         choi = chi_from_kraus(kraus) / 2
-        for row in rows:
-            assert np.real(np.trace(row.operator @ choi)) == pytest.approx(0.5, abs=1e-12)
+        for op in rows.operators:
+            assert np.real(np.trace(op @ choi)) == pytest.approx(0.5, abs=1e-12)
 
     def test_exposure_and_virtual_count(self):
         rows = auxiliary_rows(j4_states(), total_exposure=1000.0, weight=10.0)
-        for row in rows:
-            assert row.exposure == pytest.approx(10000.0)
-            assert row.count == 5000
-            assert row.is_auxiliary
+        for exposure, count, auxiliary in zip(rows.exposures, rows.counts, rows.auxiliary):
+            assert exposure == pytest.approx(10000.0)
+            assert count == 5000
+            assert auxiliary
 
     def test_operator_is_psd_trace_two(self):
-        for row in auxiliary_rows(r4_states(), 10.0, 1.0):
-            assert row.operator.trace().real == pytest.approx(2.0, abs=1e-12)
-            assert np.linalg.eigvalsh(row.operator).min() > -1e-12
+        for op in auxiliary_rows(r4_states(), 10.0, 1.0).operators:
+            assert op.trace().real == pytest.approx(2.0, abs=1e-12)
+            assert np.linalg.eigvalsh(op).min() > -1e-12
 
     def test_incomplete_inputs_rejected(self):
         h = np.array([1.0, 0.0])
@@ -231,22 +277,42 @@ class TestGenerateCounts:
     def test_frozen_counts(self, plate_truth):
         proto = process_protocol("R4")
         rows = generate_counts(proto.rows, plate_truth, ExperimentPlan(10**4, seed=123))
-        assert [r.count for r in rows] == GOLDEN_COUNTS
+        assert rows.counts.tolist() == GOLDEN_COUNTS
+
+    @pytest.mark.parametrize("name", ["J4", "R4", "B4", "B36"])
+    def test_matches_per_row_reference(self, name):
+        # the per-row loop that the batched rates replaced: the arithmetic is
+        # the same, so exposures and counts must agree bit for bit (an einsum
+        # for the rates moves the last bit of the total rate on some truths)
+        rows = bn_state_protocol(36).rows if name == "B36" else process_protocol(name).rows
+        rng = np.random.default_rng(5)
+        plan = ExperimentPlan(1000, seed=0)
+        for _ in range(8):
+            truth = random_density_matrix(rows.operators.shape[1], rng)
+            rates = [float(np.real(np.trace(op @ truth))) for op in rows.operators]
+            rates = np.clip(rates, 0.0, None)
+            scale = plan.n_total / float(np.dot(rates, rows.exposures))
+            exposures = [t * scale for t in rows.exposures]
+            draws = np.random.default_rng(plan.seed)
+            counts = [sample_poisson(lam * t, draws) for lam, t in zip(rates, exposures)]
+            data = generate_counts(rows, truth, plan)
+            assert data.exposures.tolist() == exposures
+            assert data.counts.tolist() == counts
 
     def test_repeatable_for_fixed_seed(self, plate_truth):
         proto = process_protocol("J4")
         plan = ExperimentPlan(10**4, seed=9)
         a = generate_counts(proto.rows, plate_truth, plan)
         b = generate_counts(proto.rows, plate_truth, plan)
-        assert [r.count for r in a] == [r.count for r in b]
+        assert a.counts.tolist() == b.counts.tolist()
 
     def test_exposure_rescaling_exact(self, plate_truth):
         proto = process_protocol("R4")
         rows = generate_counts(proto.rows, plate_truth, ExperimentPlan(10**4, seed=1))
-        rates = [np.real(np.trace(r.operator @ plate_truth)) for r in rows]
-        total = sum(rate * r.exposure for rate, r in zip(rates, rows))
+        rates = [np.real(np.trace(op @ plate_truth)) for op in rows.operators]
+        total = sum(rate * t for rate, t in zip(rates, rows.exposures))
         assert total == pytest.approx(10**4, rel=1e-12)
-        exposures = {round(r.exposure, 9) for r in rows}
+        exposures = {round(t, 9) for t in rows.exposures}
         assert len(exposures) == 1  # uniform stays uniform
 
     def test_zero_rate_row_gets_zero_count(self):
@@ -255,8 +321,8 @@ class TestGenerateCounts:
         proto = process_protocol("J4")
         rows = generate_counts(proto.rows, identity_choi, ExperimentPlan(10**4, seed=3))
         # row (H in, V out) has rate 0 under the identity process
-        assert np.real(np.trace(proto.rows[1].operator @ identity_choi)) < 1e-15
-        assert rows[1].count == 0
+        assert np.real(np.trace(proto.rows.operators[1] @ identity_choi)) < 1e-15
+        assert rows.counts[1] == 0
 
     def test_sample_mean_tracks_expectation(self, plate_truth):
         proto = process_protocol("R4")
@@ -264,10 +330,10 @@ class TestGenerateCounts:
         sums = np.zeros(16)
         for i in range(reps):
             rows = generate_counts(proto.rows, plate_truth, ExperimentPlan(1000, seed=50_000 + i))
-            sums += [r.count for r in rows]
+            sums += rows.counts
         rows = generate_counts(proto.rows, plate_truth, ExperimentPlan(1000, seed=0))
         expected = np.array(
-            [np.real(np.trace(r.operator @ plate_truth)) * r.exposure for r in rows]
+            [np.real(np.trace(op @ plate_truth)) * t for op, t in zip(rows.operators, rows.exposures)]
         )
         se = np.sqrt(expected / reps)
         assert np.all(np.abs(sums / reps - expected) < 4 * se)
@@ -280,5 +346,9 @@ class TestGenerateCounts:
     def test_plan_validation(self):
         with pytest.raises(ValueError, match="n_total"):
             ExperimentPlan(0, seed=0)
+        for bad in (1000.5, 1000.0, True):
+            with pytest.raises(ValueError, match="n_total must be an integer"):
+                ExperimentPlan(bad, seed=0)
+        assert ExperimentPlan(np.int64(10), seed=0).n_total == 10
         with pytest.raises(ValueError, match="auxiliary_weight"):
             ExperimentPlan(10, seed=0, auxiliary_weight=0.0)

@@ -11,7 +11,7 @@ from chitomo.quantum_core import (
     vectorize,
     von_neumann_entropy,
 )
-from chitomo.random_ops import (
+from random_ops import (
     random_density_matrix,
     random_state_vector,
     random_trace_preserving_kraus,

@@ -387,7 +387,7 @@ class TestBroadbandMixedState:
 
 class TestComponentSumState:
     def test_single_component(self, rng):
-        from chitomo.random_ops import random_density_matrix
+        from random_ops import random_density_matrix
 
         rho = random_density_matrix(2, rng)
         assert_allclose(component_sum_state([(0.7, rho)]), rho)
@@ -411,7 +411,7 @@ class TestComponentSumState:
         assert fidelity(broadband, mix) >= 0.99
 
     def test_output_is_density_matrix(self, rng):
-        from chitomo.random_ops import random_density_matrix
+        from random_ops import random_density_matrix
 
         comps = [(rng.uniform(0.1, 2.0), random_density_matrix(2, rng)) for _ in range(5)]
         rho = component_sum_state(comps)
