@@ -1,10 +1,12 @@
 """Command-line interface.
 
 Subcommands: plate-chi, protocol-dump, gen-data, reconstruct, mc, scaling,
-mixed-workflow, fit-retarder.  Every command reads one JSON config (defaults
-apply when omitted), echoes the resolved config and seed to stdout, and
-writes machine-readable outputs into --out.  Identical config + seed gives
-byte-identical output files.
+mixed-workflow, fit-retarder.  ``COMMANDS`` maps each one to its frozen
+config class and its runner.  A command reads one JSON config into that class
+(omitted keys take the class defaults; an unknown key or a wrongly typed
+field exits 2), echoes the resolved config and its hash to stdout once the
+config has passed its checks, and writes machine-readable outputs into
+--out.  Identical config + seed gives byte-identical output files.
 
 Exit codes: 0 full success, 2 bad config or input, 3 refused precondition
 (e.g. retarder fit on a mixed process).
@@ -16,7 +18,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,28 +28,57 @@ from .harness import (
     CampaignConfig,
     EstimateTooMixedError,
     MixedWorkflowConfig,
+    PlateSpec,
+    ScalingConfig,
+    TruthSpec,
     build_truth,
     run_mc_campaign,
     run_mixed_state_workflow,
     run_retarder_fit,
     run_scaling_study,
-    TruthSpec,
 )
 from .ml_engine import ReconstructionConfig, solve_likelihood
 from .protocols import (
     LAMBDA_DEFAULT_UM,
+    Config,
     ExperimentPlan,
     Measurements,
     auxiliary_rows,
     generate_counts,
     process_protocol,
-    require_integers,
 )
 from .quantum_core import fidelity, hermitian_eig
 
-# plate-chi takes the plate fields of TruthSpec; it always computes a plate
-PLATE_KEYS = {f.name for f in fields(TruthSpec)} - {"kind", "rank"}
-SOLVER_KEYS = {"rank", "damping", "max_iterations", "convergence_tol"}
+
+@dataclass(frozen=True)
+class ProtocolDumpConfig(Config):
+    protocol: str = "R4"
+    central_lam_um: float = LAMBDA_DEFAULT_UM
+
+
+@dataclass(frozen=True)
+class GenDataConfig(Config):
+    truth: TruthSpec = field(default_factory=TruthSpec)
+    protocol: str = "R4"
+    n_events: int = 10_000
+    seed: int = 0
+    auxiliary_weight: float = ExperimentPlan.auxiliary_weight
+
+
+@dataclass(frozen=True, kw_only=True)
+class ReconstructConfig(ReconstructionConfig):
+    """The solver controls plus the ``data.json`` to read."""
+
+    data_path: str
+    rank: int = 2
+
+
+@dataclass(frozen=True)
+class FitRetarderConfig(Config):
+    chi_path: str
+    lam_um: float = LAMBDA_DEFAULT_UM
+    thickness_um: float = 25400.0
+    min_dominant_share: float = 0.95
 
 
 def matrix_to_json(m: np.ndarray) -> list:
@@ -68,21 +99,17 @@ def config_hash(config: dict) -> str:
     ).hexdigest()[:16]
 
 
-def _load_config(args: argparse.Namespace) -> dict:
-    config: dict = {}
+def _load_config(args: argparse.Namespace, config_class: type[Config]) -> Config:
+    data: dict = {}
     if args.config:
-        config = json.loads(Path(args.config).read_text())
-        if not isinstance(config, dict):
+        data = json.loads(Path(args.config).read_text())
+        if not isinstance(data, dict):
             raise ValueError("config file must hold a JSON object")
     if args.seed is not None:
-        config["seed"] = args.seed
-    return config
-
-
-def _reject_unknown_keys(command: str, config: dict, known: set[str]) -> None:
-    unknown = sorted(set(config) - known - {"seed"})
-    if unknown:
-        raise ValueError(f"{command}: unknown config key(s) {', '.join(map(repr, unknown))}")
+        data["seed"] = args.seed
+    if "seed" not in {f.name for f in fields(config_class)}:
+        data.pop("seed", None)  # every command accepts a seed; some use none
+    return config_class.from_dict(data)
 
 
 def _echo(command: str, config: dict, out_dir: Path) -> None:
@@ -111,9 +138,8 @@ def _write_chi(path: Path, matrix: np.ndarray, normalization: str) -> None:
     )
 
 
-def cmd_plate_chi(config: dict, out_dir: Path) -> int:
-    _reject_unknown_keys("plate-chi", config, PLATE_KEYS)
-    choi = build_truth(TruthSpec(**{k: v for k, v in config.items() if k in PLATE_KEYS}))
+def cmd_plate_chi(config: PlateSpec, out_dir: Path, threads: int) -> int:
+    choi = build_truth(TruthSpec(**config.to_dict()))
     w, _ = hermitian_eig(choi)
     _write_chi(out_dir / "chi.json", choi, "choi")
     print("choi eigenvalues:", " ".join(f"{x:.6f}" for x in w))
@@ -122,16 +148,13 @@ def cmd_plate_chi(config: dict, out_dir: Path) -> int:
     return 0
 
 
-def cmd_protocol_dump(config: dict, out_dir: Path) -> int:
-    _reject_unknown_keys("protocol-dump", config, {"protocol", "central_lam_um"})
-    name = config.get("protocol", "R4")
-    lam = config.get("central_lam_um", LAMBDA_DEFAULT_UM)
-    proto = process_protocol(name, lam)
+def cmd_protocol_dump(config: ProtocolDumpConfig, out_dir: Path, threads: int) -> int:
+    proto = process_protocol(config.protocol, config.central_lam_um)
     write_json(
         out_dir / "protocol.json",
         {
-            "protocol": name,
-            "central_lam_um": lam,
+            "protocol": config.protocol,
+            "central_lam_um": config.central_lam_um,
             "input_states": [matrix_to_json(s.reshape(1, -1)) for s in proto.input_states],
             "projectors": [matrix_to_json(s.reshape(1, -1)) for s in proto.projectors],
             "rows": [
@@ -165,30 +188,22 @@ def _rows_from_json(rows: list[dict]) -> Measurements:
     )
 
 
-def cmd_gen_data(config: dict, out_dir: Path) -> int:
-    _reject_unknown_keys(
-        "gen-data", config, {"truth", "protocol", "n_events", "auxiliary_weight"}
-    )
-    n_events = config.get("n_events", 10_000)
-    require_integers(n_events=n_events)
-    truth_spec = TruthSpec(**config.get("truth", {}))
-    truth = build_truth(truth_spec)
-    protocol = config.get("protocol", "R4")
-    seed = int(config.get("seed", 0))
-    weight = float(config.get("auxiliary_weight", 10.0))
-    proto = process_protocol(protocol, truth_spec.lam0_um)
+def cmd_gen_data(config: GenDataConfig, out_dir: Path, threads: int) -> int:
+    truth = build_truth(config.truth)
+    weight = config.auxiliary_weight
+    proto = process_protocol(config.protocol, config.truth.lam0_um)
     data = generate_counts(
-        proto.rows, truth, ExperimentPlan(n_total=n_events, seed=seed, auxiliary_weight=weight)
+        proto.rows, truth, ExperimentPlan(config.n_events, config.seed, weight)
     )
     data = data + auxiliary_rows(proto.input_states, sum(data.exposures), weight)
     write_json(
         out_dir / "data.json",
         {
-            "protocol": protocol,
+            "protocol": config.protocol,
             "dim": 4,
-            "n_events": n_events,
-            "seed": seed,
-            "auxiliary_weight": weight,
+            "n_events": config.n_events,
+            "seed": config.seed,
+            "auxiliary_weight": float(weight),  # written as a float even when given as 5
             "truth_choi": matrix_to_json(truth),
             "rows": _rows_to_json(data),
         },
@@ -196,17 +211,10 @@ def cmd_gen_data(config: dict, out_dir: Path) -> int:
     return 0
 
 
-def cmd_reconstruct(config: dict, out_dir: Path) -> int:
-    _reject_unknown_keys("reconstruct", config, {"data_path", *SOLVER_KEYS})
-    solver = ReconstructionConfig(
-        **{"rank": 2, **{k: v for k, v in config.items() if k in SOLVER_KEYS}}
-    )
-    data_path = config.get("data_path")
-    if not data_path:
-        raise ValueError("reconstruct needs 'data_path' in the config")
-    payload = json.loads(Path(data_path).read_text())
+def cmd_reconstruct(config: ReconstructConfig, out_dir: Path, threads: int) -> int:
+    payload = json.loads(Path(config.data_path).read_text())
     data = _rows_from_json(payload["rows"])
-    res = solve_likelihood(data, solver)
+    res = solve_likelihood(data, config)
     _write_chi(out_dir / "estimate.json", res.estimate, "choi")
     summary = {
         "rank": res.rank,
@@ -255,37 +263,30 @@ def _write_campaign(out_dir: Path, result) -> None:
     (out_dir / "histogram.csv").write_text("\n".join(lines) + "\n")
 
 
-def cmd_mc(config: dict, out_dir: Path, threads: int) -> int:
-    campaign = CampaignConfig.from_dict(config) if config else CampaignConfig()
-    result = run_mc_campaign(campaign, threads=threads)
+def cmd_mc(config: CampaignConfig, out_dir: Path, threads: int) -> int:
+    result = run_mc_campaign(config, threads=threads)
     _write_campaign(out_dir, result)
     return 0 if not result.failures else 1
 
 
-def cmd_scaling(config: dict, out_dir: Path, threads: int) -> int:
-    n_list = [int(n) for n in config.get("n_list", [10**3, 10**4, 10**5, 10**6])]
-    ranks = tuple(int(r) for r in config.get("ranks", (2, 4)))
-    base_cfg = {k: v for k, v in config.items() if k not in ("n_list", "ranks")}
-    base = CampaignConfig.from_dict(base_cfg) if base_cfg else CampaignConfig()
-    study = run_scaling_study(base, n_list, ranks=ranks, threads=threads)
-    resolved = {**base.to_dict(), "n_list": n_list, "ranks": list(ranks)}
+def cmd_scaling(config: ScalingConfig, out_dir: Path, threads: int) -> int:
+    study = run_scaling_study(config, config.n_list, ranks=config.ranks, threads=threads)
     write_json(
         out_dir / "result.json",
         {**study, "per_rank": {str(k): v for k, v in study["per_rank"].items()},
-         "config_hash": config_hash(resolved)},
+         "config_hash": config_hash(config.to_dict())},
     )
     lines = ["rank,n,mean_loss"]
-    for rank in ranks:
-        for n, loss in zip(n_list, study["per_rank"][rank]["mean_loss"]):
+    for rank in config.ranks:
+        for n, loss in zip(config.n_list, study["per_rank"][rank]["mean_loss"]):
             lines.append(f"{rank},{n},{repr(float(loss))}")
     (out_dir / "scaling.csv").write_text("\n".join(lines) + "\n")
     return 0
 
 
-def cmd_mixed_workflow(config: dict, out_dir: Path) -> int:
-    workflow = MixedWorkflowConfig.from_dict(config) if config else MixedWorkflowConfig()
-    report = run_mixed_state_workflow(workflow)
-    report["config_hash"] = config_hash(workflow.to_dict())
+def cmd_mixed_workflow(config: MixedWorkflowConfig, out_dir: Path, threads: int) -> int:
+    report = run_mixed_state_workflow(config)
+    report["config_hash"] = config_hash(config.to_dict())
     write_json(out_dir / "result.json", report)
     capped = any(
         entry["stop_reason"] == "iteration_cap"
@@ -295,23 +296,29 @@ def cmd_mixed_workflow(config: dict, out_dir: Path) -> int:
     return 1 if capped else 0
 
 
-def cmd_fit_retarder(config: dict, out_dir: Path) -> int:
-    _reject_unknown_keys(
-        "fit-retarder", config, {"chi_path", "lam_um", "thickness_um", "min_dominant_share"}
-    )
-    chi_path = config.get("chi_path")
-    if not chi_path:
-        raise ValueError("fit-retarder needs 'chi_path' in the config")
-    payload = json.loads(Path(chi_path).read_text())
+def cmd_fit_retarder(config: FitRetarderConfig, out_dir: Path, threads: int) -> int:
+    payload = json.loads(Path(config.chi_path).read_text())
     choi = matrix_from_json(payload["matrix"])
     report = run_retarder_fit(
         choi,
-        lam_um=float(config.get("lam_um", LAMBDA_DEFAULT_UM)),
-        thickness_um=float(config.get("thickness_um", 25400.0)),
-        min_dominant_share=float(config.get("min_dominant_share", 0.95)),
+        lam_um=config.lam_um,
+        thickness_um=config.thickness_um,
+        min_dominant_share=config.min_dominant_share,
     )
     write_json(out_dir / "result.json", report)
     return 0
+
+
+COMMANDS = {
+    "plate-chi": (PlateSpec, cmd_plate_chi),
+    "protocol-dump": (ProtocolDumpConfig, cmd_protocol_dump),
+    "gen-data": (GenDataConfig, cmd_gen_data),
+    "reconstruct": (ReconstructConfig, cmd_reconstruct),
+    "mc": (CampaignConfig, cmd_mc),
+    "scaling": (ScalingConfig, cmd_scaling),
+    "mixed-workflow": (MixedWorkflowConfig, cmd_mixed_workflow),
+    "fit-retarder": (FitRetarderConfig, cmd_fit_retarder),
+}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -321,17 +328,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--version", action="version", version=f"chitomo {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = [
-        "plate-chi",
-        "protocol-dump",
-        "gen-data",
-        "reconstruct",
-        "mc",
-        "scaling",
-        "mixed-workflow",
-        "fit-retarder",
-    ]
-    for name in commands:
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
@@ -339,28 +336,13 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--threads", type=int, default=1, help="worker processes")
 
     args = parser.parse_args(argv)
+    config_class, run = COMMANDS[args.command]
     out_dir = Path(args.out)
     try:
-        config = _load_config(args)
+        config = _load_config(args, config_class)
         out_dir.mkdir(parents=True, exist_ok=True)
-        _echo(args.command, config, out_dir)
-        if args.command == "plate-chi":
-            return cmd_plate_chi(config, out_dir)
-        if args.command == "protocol-dump":
-            return cmd_protocol_dump(config, out_dir)
-        if args.command == "gen-data":
-            return cmd_gen_data(config, out_dir)
-        if args.command == "reconstruct":
-            return cmd_reconstruct(config, out_dir)
-        if args.command == "mc":
-            return cmd_mc(config, out_dir, args.threads)
-        if args.command == "scaling":
-            return cmd_scaling(config, out_dir, args.threads)
-        if args.command == "mixed-workflow":
-            return cmd_mixed_workflow(config, out_dir)
-        if args.command == "fit-retarder":
-            return cmd_fit_retarder(config, out_dir)
-        raise ValueError(f"unknown command {args.command!r}")
+        _echo(args.command, config.to_dict(), out_dir)
+        return run(config, out_dir, args.threads)
     except EstimateTooMixedError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -20,13 +20,13 @@ from .ml_engine import ReconstructionConfig, ReconstructionResult, solve_likelih
 from .process_algebra import kraus_from_chi, chi_from_kraus
 from .protocols import (
     LAMBDA_DEFAULT_UM,
+    Config,
     ExperimentPlan,
     Measurements,
     auxiliary_rows,
     bn_state_protocol,
     generate_counts,
     process_protocol,
-    require_integers,
 )
 from .quantum_core import fidelity, hermitian_eig, von_neumann_entropy
 from .waveplate import (
@@ -42,8 +42,10 @@ from .waveplate import (
 )
 
 __all__ = [
+    "PlateSpec",
     "TruthSpec",
     "CampaignConfig",
+    "ScalingConfig",
     "CampaignResult",
     "MixedWorkflowConfig",
     "EstimateTooMixedError",
@@ -65,27 +67,29 @@ class EstimateTooMixedError(ValueError):
 
 
 @dataclass(frozen=True)
-class TruthSpec:
-    """True process for data generation: a dispersive plate, the identity
-    channel, or an explicit Choi matrix supplied by the caller."""
+class PlateSpec(Config):
+    """A quartz plate (thickness, optical axis in degrees from vertical) under
+    a sinc^2 spectrum (centre, FWHM, odd knot count, half-window in FWHM)."""
 
-    kind: str = "plate"
     thickness_um: float = 5024.0
     alpha_deg: float = 45.0
     lam0_um: float = LAMBDA_DEFAULT_UM
     fwhm_um: float = 0.008
     knots: int = 801
     span: float = 40.0
-    rank: int | None = None  # optional truncation of the generated process
-
-    def __post_init__(self) -> None:
-        require_integers(knots=self.knots)
-        if self.rank is not None:
-            require_integers(rank=self.rank)
 
 
 @dataclass(frozen=True)
-class CampaignConfig:
+class TruthSpec(PlateSpec):
+    """True process for data generation: the plate, optionally truncated to
+    its ``rank`` dominant Kraus operators, or the identity channel."""
+
+    kind: str = "plate"
+    rank: int | None = None
+
+
+@dataclass(frozen=True)
+class CampaignConfig(Config):
     scenario: str = "plate-r4"
     protocol: str = "R4"
     truth: TruthSpec = field(default_factory=TruthSpec)
@@ -93,31 +97,25 @@ class CampaignConfig:
     replications: int = 50
     reconstruction_rank: int = 2
     seed: int = 0
-    auxiliary_weight: float = 10.0
-    damping: float = 0.5
-    max_iterations: int = 20_000
-    convergence_tol: float = 1e-9
+    auxiliary_weight: float = ExperimentPlan.auxiliary_weight
+    damping: float = ReconstructionConfig.damping
+    max_iterations: int = ReconstructionConfig.max_iterations
+    convergence_tol: float = ReconstructionConfig.convergence_tol
 
     def __post_init__(self) -> None:
-        require_integers(
-            n_events=self.n_events,
-            replications=self.replications,
-            reconstruction_rank=self.reconstruction_rank,
-            max_iterations=self.max_iterations,
-        )
+        super().__post_init__()
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if not 1 <= self.reconstruction_rank <= 4:
             raise ValueError("reconstruction rank must be in [1, 4]")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "CampaignConfig":
-        data = dict(data)
-        truth = data.pop("truth", {})
-        return cls(truth=TruthSpec(**truth), **data)
+@dataclass(frozen=True)
+class ScalingConfig(CampaignConfig):
+    """A campaign per (rank, sample size) cell of the scaling study."""
+
+    n_list: tuple[int, ...] = (10**3, 10**4, 10**5, 10**6)
+    ranks: tuple[int, ...] = (2, 4)
 
 
 @dataclass(frozen=True)
@@ -300,14 +298,12 @@ def run_scaling_study(
                     base.seed, spawn_key=(rank_idx, n_idx)
                 ).generate_state(1, np.uint64)[0]
             )
-            config = CampaignConfig.from_dict(
-                {
-                    **base.to_dict(),
-                    "scenario": f"{base.scenario}-rank{rank}-n{n}",
-                    "n_events": int(n),
-                    "reconstruction_rank": rank,
-                    "seed": cell_seed,
-                }
+            config = replace(
+                base,
+                scenario=f"{base.scenario}-rank{rank}-n{n}",
+                n_events=n,
+                reconstruction_rank=rank,
+                seed=cell_seed,
             )
             means.append(run_mc_campaign(config, threads=threads).mean_loss)
         slope, intercept = np.polyfit(np.log10(n_list), np.log10(means), 1)
@@ -338,7 +334,7 @@ def bootstrap_ratio_lower_bound(
 
 
 @dataclass(frozen=True)
-class MixedWorkflowConfig:
+class MixedWorkflowConfig(Config):
     """Component-wise reconstruction of broadband mixed polarization states."""
 
     plate_thickness_um: float = 5031.0
@@ -372,6 +368,7 @@ class MixedWorkflowConfig:
     )
 
     def __post_init__(self) -> None:
+        # the subset checks run first so that their messages name the subset
         n_components = len(self.component_lams_um)
         if n_components == 0:
             raise ValueError("component_lams_um must not be empty")
@@ -386,19 +383,7 @@ class MixedWorkflowConfig:
                         f"subsets[{k}]: index {i} outside 1..{n_components} "
                         "(1-based into component_lams_um)"
                     )
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MixedWorkflowConfig":
-        data = dict(data)
-        for key in ("component_lams_um",):
-            if key in data:
-                data[key] = tuple(data[key])
-        if "subsets" in data:
-            data["subsets"] = tuple(tuple(s) for s in data["subsets"])
-        return cls(**data)
+        super().__post_init__()
 
 
 def _component_weights(config: MixedWorkflowConfig) -> np.ndarray:

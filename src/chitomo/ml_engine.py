@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .process_algebra import parameter_count
-from .protocols import IncompleteProtocolError, Measurements, require_integers
+from .protocols import Config, IncompleteProtocolError, Measurements
 from .quantum_core import partial_trace
 
 __all__ = [
@@ -59,6 +59,8 @@ __all__ = [
 
 _RATE_FLOOR = 1e-300  # only inside logs and divisions, never in the model
 _SCORING_RESIDUAL = 3e-2  # switch to Fisher scoring below this residual
+_INIT_PERTURBATION = 1e-3  # size of the seeded random start around c0
+_INIT_SEED = 0
 _SCORING_SLACK = 1e-12  # relative surrogate slack of a scoring step
 _FIXED_POINT_SLACK = 1e-9  # relative surrogate slack of a fixed-point step
 _EIGEN_CUTOFF = 1e-8  # F's range: eigenvalues above this times the largest
@@ -66,18 +68,16 @@ _DECREMENT_TOL = 1e-9  # stationary when the decrement is below this times (1 + 
 
 
 @dataclass(frozen=True)
-class ReconstructionConfig:
-    """Solver controls: model rank, damping, stopping rules, initialization."""
+class ReconstructionConfig(Config):
+    """Solver controls: model rank, damping and stopping rules."""
 
     rank: int
     damping: float = 0.5
     max_iterations: int = 20000
     convergence_tol: float = 1e-9
-    init_perturbation: float = 1e-3
-    init_seed: int = 0
 
     def __post_init__(self) -> None:
-        require_integers(rank=self.rank, max_iterations=self.max_iterations)
+        super().__post_init__()
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
         if not 0 < self.damping <= 1:
@@ -161,12 +161,12 @@ def information_matrix(c: np.ndarray, data: Measurements) -> tuple[np.ndarray, n
     return h_real, spectrum
 
 
-def _initial_point(d: int, rank: int, config: ReconstructionConfig) -> np.ndarray:
+def _initial_point(d: int, rank: int) -> np.ndarray:
     c0 = np.zeros((d, rank), dtype=complex)
     for i in range(rank):
         c0[i % d, i] = 1.0 / np.sqrt(rank)
-    rng = np.random.default_rng(config.init_seed)
-    return c0 + config.init_perturbation * (
+    rng = np.random.default_rng(_INIT_SEED)
+    return c0 + _INIT_PERTURBATION * (
         rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
     )
 
@@ -218,7 +218,7 @@ def solve_likelihood(
             - mean[~observed].sum()
         )
 
-    c = _initial_point(d, config.rank, config)
+    c = _initial_point(d, config.rank)
     lam = rates_of(c)
     c = c * np.sqrt(n_observed / float(np.dot(lam, t)))
     lam = rates_of(c)

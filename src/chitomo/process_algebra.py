@@ -22,7 +22,6 @@ import numpy as np
 from .quantum_core import hermitian_eig, unvectorize, vectorize
 
 __all__ = [
-    "completeness_residual",
     "kraus_stack",
     "chi_from_kraus",
     "kraus_from_chi",
@@ -32,8 +31,6 @@ __all__ = [
     "effective_probability",
     "pauli_basis_matrices",
     "chi_change_basis",
-    "basis_orthonormality_check",
-    "unitary_mix",
     "parameter_count",
     "process_rank",
 ]
@@ -41,14 +38,6 @@ __all__ = [
 _SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 _SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-
-def completeness_residual(kraus_ops: Sequence[np.ndarray]) -> float:
-    """Max-norm deviation of ``sum_k E_k^+ E_k`` from the identity."""
-    ops = [np.asarray(e, dtype=complex) for e in kraus_ops]
-    s = ops[0].shape[0]
-    acc = sum(e.conj().T @ e for e in ops)
-    return float(np.max(np.abs(acc - np.eye(s))))
 
 
 def kraus_stack(kraus_ops: Sequence[np.ndarray]) -> np.ndarray:
@@ -191,24 +180,6 @@ def chi_change_basis(chi: np.ndarray, direction: str) -> np.ndarray:
     if direction == "pauli->natural":
         return u0 @ chi @ u0.conj().T
     raise ValueError(f"unknown direction {direction!r}")
-
-
-def basis_orthonormality_check(basis: Sequence[np.ndarray]) -> float:
-    """Max deviation of ``tr(a_j a_k^+)`` from the Kronecker delta."""
-    mats = [np.asarray(b, dtype=complex) for b in basis]
-    gram = np.array([[np.trace(a @ b.conj().T) for b in mats] for a in mats])
-    return float(np.max(np.abs(gram - np.eye(len(mats)))))
-
-
-def unitary_mix(e: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Apply the unitary mixing freedom e -> e u; the chi-matrix e e^+ is
-    invariant under this."""
-    e = np.asarray(e, dtype=complex)
-    u = np.asarray(u, dtype=complex)
-    defect = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[1])))
-    if defect > 1e-10:
-        raise ValueError(f"mixing matrix is not unitary: defect {defect:.3e}")
-    return e @ u
 
 
 def parameter_count(s: int, r: int) -> int:

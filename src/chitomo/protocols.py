@@ -17,8 +17,10 @@ fixed seed gives bit-identical counts across platforms and numpy versions.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, replace
+import typing
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -53,12 +55,69 @@ class IncompleteProtocolError(ValueError):
     """The measurement set cannot identify the model parameters."""
 
 
-def require_integers(**values: object) -> None:
-    """Raise ValueError naming the first value that is not an integer; a bool
-    is not one."""
-    for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+@functools.cache
+def _field_types(cls: type) -> dict[str, object]:
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
+
+
+_INTEGER = (int, np.integer)  # a bool is neither an integer nor a number here
+_NUMBER = (int, float, np.integer, np.floating)
+
+
+def _check_field(name: str, kind: object, value: object) -> None:
+    if kind is int or (kind == int | None and value is not None):
+        if isinstance(value, bool) or not isinstance(value, _INTEGER):
             raise ValueError(f"{name} must be an integer, got {value!r}")
+    elif kind is float:
+        if isinstance(value, bool) or not isinstance(value, _NUMBER):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+    elif typing.get_origin(kind) is tuple:
+        if not isinstance(value, (tuple, list)):
+            raise ValueError(f"{name} must be a list, got {value!r}")
+        for i, item in enumerate(value):
+            _check_field(f"{name}[{i}]", typing.get_args(kind)[0], item)
+
+
+def _from_json(name: str, kind: object, value: object) -> object:
+    if isinstance(kind, type) and issubclass(kind, Config):
+        if not isinstance(value, dict):
+            raise ValueError(f"{name} must be a JSON object, got {value!r}")
+        return kind.from_dict(value)
+    if typing.get_origin(kind) is tuple and isinstance(value, (list, tuple)):
+        return tuple(_from_json(name, typing.get_args(kind)[0], item) for item in value)
+    return value
+
+
+class Config:
+    """Base of the frozen config dataclasses.
+
+    Construction checks every field against its annotation: an ``int`` (or
+    ``int | None``) field must hold an integer, a ``float`` field a number,
+    element-wise in ``tuple[...]`` fields, and a ``seed`` must be >= 0; each
+    error names the field.  ``from_dict`` builds a config from parsed JSON.
+    """
+
+    def __post_init__(self) -> None:
+        for name, kind in _field_types(type(self)).items():
+            _check_field(name, kind, getattr(self, name))
+        if getattr(self, "seed", 0) < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "Config":
+        """Reject unknown keys, build nested configs from their objects and
+        turn lists into tuples; omitted keys take the defaults."""
+        types = _field_types(cls)
+        unknown = sorted(set(data) - set(types))
+        if unknown:
+            raise ValueError(
+                f"unknown config key(s) {', '.join(map(repr, unknown))} for {cls.__name__}"
+            )
+        return cls(**{k: _from_json(k, types[k], v) for k, v in data.items()})
+
+    def to_dict(self) -> dict:
+        return asdict(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,7 +176,7 @@ class StateProtocol:
 
 
 @dataclass(frozen=True)
-class ExperimentPlan:
+class ExperimentPlan(Config):
     """Total expected number of events, RNG seed and auxiliary-row weight."""
 
     n_total: int
@@ -125,7 +184,7 @@ class ExperimentPlan:
     auxiliary_weight: float = 10.0
 
     def __post_init__(self) -> None:
-        require_integers(n_total=self.n_total)
+        super().__post_init__()
         if self.n_total < 1:
             raise ValueError("n_total must be >= 1")
         if self.auxiliary_weight <= 0:

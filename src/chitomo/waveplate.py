@@ -40,7 +40,6 @@ __all__ = [
     "su2_from_retarder",
     "fit_su2_retarder",
     "birefringence_from_delta",
-    "stress_birefringence",
     "broadband_mixed_state",
     "component_sum_state",
 ]
@@ -68,18 +67,15 @@ _SIGMA = np.array(
 
 @dataclass(frozen=True)
 class WaveplateSpec:
-    """Geometric thickness (micrometers), optical-axis orientation (radians
-    from vertical) and material of one retardant plate."""
+    """Geometric thickness (micrometers) and optical-axis orientation
+    (radians from vertical) of one quartz retardant plate."""
 
     thickness_um: float
     alpha_rad: float
-    material: str = "quartz"
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.thickness_um) and self.thickness_um >= 0):
             raise ValueError(f"thickness must be finite and >= 0, got {self.thickness_um}")
-        if self.material != "quartz":
-            raise ValueError(f"unsupported material {self.material!r}")
 
 
 @dataclass(frozen=True)
@@ -267,11 +263,6 @@ def birefringence_from_delta(delta: float, lam_um: float, thickness_um: float) -
     if thickness_um <= 0:
         raise ValueError("thickness must be positive")
     return delta * lam_um / (np.pi * thickness_um)
-
-
-def stress_birefringence(brewster_k1: float, stress: float) -> float:
-    """Linear photoelastic law dn = K1 * stress (K1 in m^2/N, stress in N/m^2)."""
-    return brewster_k1 * stress
 
 
 def broadband_mixed_state(

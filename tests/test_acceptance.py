@@ -37,10 +37,10 @@ from chitomo.process_algebra import (
     effective_probability,
     kraus_from_chi,
     kraus_stack,
-    unitary_mix,
 )
 from chitomo.protocols import Measurements, auxiliary_rows, process_protocol
 from chitomo.quantum_core import fidelity, partial_trace
+from process_oracles import unitary_mix
 from random_ops import (
     random_state_vector,
     random_trace_preserving_kraus,

@@ -1,10 +1,13 @@
 import json
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from chitomo.cli import config_hash, main, matrix_from_json, matrix_to_json
-from chitomo.harness import CampaignConfig, build_truth, TruthSpec
+from chitomo.cli import COMMANDS, config_hash, main, matrix_from_json, matrix_to_json
+from chitomo.harness import CampaignConfig, ScalingConfig, build_truth, TruthSpec
 from chitomo.ml_engine import ReconstructionConfig, solve_likelihood
 from chitomo.protocols import ExperimentPlan, auxiliary_rows, generate_counts, process_protocol
 from chitomo.quantum_core import fidelity
@@ -183,6 +186,7 @@ class TestScalingCommand:
         resolved = {**CampaignConfig.from_dict({"seed": 1, "replications": 2}).to_dict(),
                     "n_list": [1000, 2000, 4000], "ranks": [2]}
         assert hashes[0] == config_hash(resolved)
+        assert hashes[0] == config_hash(ScalingConfig.from_dict(grid).to_dict())
 
 
 class TestMixedWorkflowCommand:
@@ -293,6 +297,11 @@ class TestErrorPaths:
             ("gen-data", {"protocol": "R4", "n_event": 500}, "n_event"),
             ("reconstruct", {"data_path": "data.json", "rnak": 2}, "rnak"),
             ("fit-retarder", {"chi_path": "chi.json", "lam": 1.0}, "lam"),
+            ("mc", {"replications": 2, "replicas": 5}, "replicas"),
+            ("scaling", {"n_lists": [1000, 2000, 4000]}, "n_lists"),
+            ("mixed-workflow", {"knot": 201}, "knot"),
+            ("gen-data", {"truth": {"thicknes_um": 312.7}}, "thicknes_um"),
+            ("mc", {"truth": {"kind": "identity", "rnak": 1}}, "rnak"),
         ],
     )
     def test_unknown_key_exits_2(self, tmp_path, capsys, command, config, key):
@@ -311,6 +320,13 @@ class TestErrorPaths:
             ("plate-chi", {"knots": 801.5}, "knots"),
             ("gen-data", {"n_events": True}, "n_events"),
             ("gen-data", {"n_events": 500, "truth": {"rank": 1.0}}, "rank"),
+            ("gen-data", {"n_events": 500, "seed": 1.9}, "seed"),
+            ("mc", {"replications": 2, "seed": 1.5}, "seed"),
+            ("scaling", {"replications": 2, "ranks": [2.7]}, "ranks[0]"),
+            ("scaling", {"replications": 2, "n_list": [1000, 2000.5, 4000]}, "n_list[1]"),
+            ("mixed-workflow", {"n_events": 5000.5}, "n_events"),
+            ("mixed-workflow", {"knots": 201.0}, "knots"),
+            ("mixed-workflow", {"measurement_orientations": 36.0}, "measurement_orientations"),
         ],
     )
     def test_non_integer_field_exits_2(self, tmp_path, capsys, command, config, field):
@@ -318,6 +334,72 @@ class TestErrorPaths:
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field} must be an integer")
+
+    @pytest.mark.parametrize(
+        "command, config, message",
+        [
+            ("protocol-dump", {"central_lam_um": "abc"}, "central_lam_um must be a number"),
+            ("gen-data", {"auxiliary_weight": "10"}, "auxiliary_weight must be a number"),
+            ("mc", {"damping": True}, "damping must be a number"),
+            ("mixed-workflow", {"component_lams_um": [1.0, "x"], "subsets": [[1, 2]]},
+             "component_lams_um[1] must be a number"),
+            ("scaling", {"ranks": 2}, "ranks must be a list"),
+            ("mc", {"truth": 5}, "truth must be a JSON object"),
+            ("mc", {"seed": -1}, "seed must be a non-negative integer"),
+            ("gen-data", {"seed": -3}, "seed must be a non-negative integer"),
+        ],
+    )
+    def test_mistyped_field_exits_2(self, tmp_path, capsys, command, config, message):
+        cfg = write_config(tmp_path / "c.json", config)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_misspelled_key_rejected_before_echo(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path / "c.json", {"no_such_key": 1})
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'no_such_key'" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_seed_flag_accepted(self, tmp_path, capsys, monkeypatch, command):
+        config_class, _ = COMMANDS[command]
+        seen = []
+        monkeypatch.setitem(
+            COMMANDS, command, (config_class, lambda config, out, threads: seen.append(config) or 0)
+        )
+        required = {"data_path": "data.json", "chi_path": "chi.json"}
+        names = {f.name for f in fields(config_class)}
+        cfg = write_config(tmp_path / "c.json", {k: v for k, v in required.items() if k in names})
+        assert main([command, "--config", cfg, "--seed", "3", "--out", str(tmp_path)]) == 0
+        assert len(seen) == 1 and isinstance(seen[0], config_class)
+        echo = json.loads(capsys.readouterr().out)
+        assert echo["config"] == json.loads(json.dumps(seen[0].to_dict()))
+        assert echo["config"].get("seed", 3) == 3
+
+    @pytest.mark.parametrize(
+        "command, config, hash_of",
+        [
+            ("mc", {"replications": 2, "n_events": 500}, lambda r: r["metadata"]["config_hash"]),
+            ("scaling", {"replications": 2, "n_list": [1000, 2000, 4000], "ranks": [2]},
+             lambda r: r["config_hash"]),
+            ("mixed-workflow", {"knots": 201, "span": 15.0, "n_events": 5000},
+             lambda r: r["config_hash"]),
+        ],
+    )
+    def test_echoed_hash_matches_result(self, tmp_path, capsys, command, config, hash_of):
+        cfg = write_config(tmp_path / "c.json", config)
+        assert main([command, "--config", cfg, "--seed", "4", "--out", str(tmp_path)]) == 0
+        echo = json.loads(capsys.readouterr().out.splitlines()[0])
+        result = json.loads((tmp_path / "result.json").read_text())
+        assert echo["config_hash"] == hash_of(result)
+        assert echo["config_hash"] == config_hash(echo["config"])
 
     def test_seed_key_accepted(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", {"protocol": "J4", "seed": 3})
@@ -330,3 +412,18 @@ class TestErrorPaths:
         echo = json.loads(capsys.readouterr().out.splitlines()[0])
         assert echo["config"]["seed"] == 77
         assert echo["command"] == "mc"
+
+
+def _readme_schema_bullets() -> dict[str, str]:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    schema = readme.split("### Config schema", 1)[1].split("\n## ", 1)[0]
+    bullets = re.split(r"^- (?=`)", schema, flags=re.M)[1:]
+    return {re.match(r"`([a-z-]+)`", b).group(1): b for b in bullets}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_readme_schema_lists_every_field(command):
+    bullet = _readme_schema_bullets()[command]
+    config_class, _ = COMMANDS[command]
+    missing = [f.name for f in fields(config_class) if f"`{f.name}`" not in bullet]
+    assert missing == []

@@ -4,11 +4,9 @@ from numpy.testing import assert_allclose
 
 from chitomo.process_algebra import (
     apply_channel,
-    basis_orthonormality_check,
     chi_change_basis,
     chi_from_kraus,
     choi_from_channel,
-    completeness_residual,
     direct_probability,
     effective_probability,
     kraus_from_chi,
@@ -16,9 +14,9 @@ from chitomo.process_algebra import (
     parameter_count,
     pauli_basis_matrices,
     process_rank,
-    unitary_mix,
 )
 from chitomo.quantum_core import partial_trace, vectorize
+from process_oracles import basis_orthonormality_check, completeness_residual, unitary_mix
 from random_ops import (
     random_state_vector,
     random_trace_preserving_kraus,

@@ -1,3 +1,7 @@
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,6 +12,7 @@ from chitomo.process_algebra import (
     effective_probability,
 )
 from chitomo.protocols import (
+    Config,
     ExperimentPlan,
     IncompleteProtocolError,
     Measurements,
@@ -27,6 +32,58 @@ from random_ops import random_density_matrix, random_trace_preserving_kraus
 # Counts for the reference plate truth, R4, n=10^4, seed=123; frozen to pin
 # the sampler across platforms and numpy versions.
 GOLDEN_COUNTS = [1136, 528, 403, 444, 549, 1154, 423, 462, 428, 407, 1118, 524, 423, 443, 588, 1089]
+
+
+@dataclass(frozen=True)
+class _Inner(Config):
+    width: float = 1.0
+
+
+@dataclass(frozen=True)
+class _Outer(Config):
+    inner: _Inner = field(default_factory=_Inner)
+    count: int = 3
+    limit: int | None = None
+    seed: int = 0
+    grid: tuple[tuple[int, ...], ...] = ((1, 2),)
+
+
+class TestConfig:
+    def test_from_dict_builds_nested_configs_and_tuples(self):
+        config = _Outer.from_dict({"inner": {"width": 2}, "grid": [[3], [4, 5]], "limit": 7})
+        assert config == _Outer(inner=_Inner(2), limit=7, grid=((3,), (4, 5)))
+        assert _Outer.from_dict(config.to_dict()) == config
+        assert _Outer.from_dict({}) == _Outer()
+
+    def test_to_dict_is_asdict(self):
+        assert _Outer().to_dict() == {
+            "inner": {"width": 1.0}, "count": 3, "limit": None, "seed": 0, "grid": ((1, 2),)
+        }
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"cuont": 1, "alpha": 2}, "unknown config key(s) 'alpha', 'cuont' for _Outer"),
+            ({"inner": {"wdth": 1}}, "unknown config key(s) 'wdth' for _Inner"),
+            ({"inner": [1.0]}, "inner must be a JSON object"),
+            ({"count": 3.0}, "count must be an integer"),
+            ({"limit": 2.5}, "limit must be an integer"),
+            ({"grid": [[1, 2.5]]}, "grid[0][1] must be an integer"),
+            ({"grid": [3]}, "grid[0] must be a list"),
+            ({"inner": {"width": "wide"}}, "width must be a number"),
+            ({"inner": {"width": False}}, "width must be a number"),
+            ({"seed": 1.5}, "seed must be an integer"),
+            ({"seed": -1}, "seed must be a non-negative integer"),
+        ],
+    )
+    def test_rejections_name_the_field(self, data, message):
+        with pytest.raises(ValueError) as info:
+            _Outer.from_dict(data)
+        assert str(info.value).startswith(message)
+
+    def test_numpy_scalars_accepted(self):
+        config = _Outer(inner=_Inner(np.float64(0.5)), count=np.int64(2), seed=np.uint64(9))
+        assert config.count == 2
 
 
 class TestMeasurements:

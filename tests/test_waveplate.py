@@ -20,7 +20,6 @@ from chitomo.waveplate import (
     quartz_indices,
     retarder_unitary,
     sinc2_profile,
-    stress_birefringence,
     su2_from_retarder,
 )
 from conftest import REF_PLATE_CHOI, REF_PLATE_EIGENVALUES, SIGMA_X
@@ -268,11 +267,6 @@ class TestBirefringenceHelpers:
     def test_thickness_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
             birefringence_from_delta(1.0, 1.0, 0.0)
-
-    def test_stress_birefringence(self):
-        assert stress_birefringence(1e-12, 0.0) == 0.0
-        assert stress_birefringence(1e-12, 1e6) == pytest.approx(1e-6)
-        assert stress_birefringence(1e-11, 2.2e8) == pytest.approx(2.2e-3)
 
 
 V = np.array([0.0, 1.0], dtype=complex)
