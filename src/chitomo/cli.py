@@ -256,6 +256,12 @@ def _write_campaign(out_dir: Path, result) -> None:
     for i, f in enumerate(result.fidelities):
         lines.append(f"{i},{repr(float(f))}")
     (out_dir / "fidelities.csv").write_text("\n".join(lines) + "\n")
+    lines = ["replication,seed,fidelity,iterations,stop_reason,residual"]
+    for i, (f, rep) in enumerate(zip(result.fidelities, result.replications)):
+        # str(float) is repr(float); the solve's fields are empty where it raised
+        cells = (i, rep["seed"], float(f), rep["iterations"], rep["stop_reason"], rep["residual"])
+        lines.append(",".join("" if c is None else str(c) for c in cells))
+    (out_dir / "replications.csv").write_text("\n".join(lines) + "\n")
     hist = result.histogram
     lines = ["bin_left,bin_right,count"]
     for left, right, count in zip(hist["bin_left"], hist["bin_right"], hist["count"]):

@@ -104,6 +104,8 @@ class CampaignConfig(Config):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        if self.n_events < 1:
+            raise ValueError(f"n_events must be >= 1, got {self.n_events}")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if not 1 <= self.reconstruction_rank <= 4:
@@ -117,6 +119,19 @@ class ScalingConfig(CampaignConfig):
     n_list: tuple[int, ...] = (10**3, 10**4, 10**5, 10**6)
     ranks: tuple[int, ...] = (2, 4)
 
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if len(self.n_list) < 3:
+            raise ValueError(f"n_list must hold at least 3 sample sizes, got {len(self.n_list)}")
+        for i, n in enumerate(self.n_list):
+            if n < 1:
+                raise ValueError(f"n_list[{i}] must be >= 1, got {n}")
+        if not self.ranks:
+            raise ValueError("ranks must not be empty")
+        for i, rank in enumerate(self.ranks):
+            if not 1 <= rank <= 4:
+                raise ValueError(f"ranks[{i}] must be in 1..4, got {rank}")
+
 
 @dataclass(frozen=True)
 class CampaignResult:
@@ -129,6 +144,9 @@ class CampaignResult:
     info_modes_above_cut: int
     nu: int | None
     metadata: dict
+    # per replication, in index order: derived seed and the solve's
+    # iterations, stop reason and residual (None where the solver raised)
+    replications: list[dict]
 
 
 def derive_seed(campaign_seed: int, index: int) -> int:
@@ -174,12 +192,11 @@ def _run_replications(config: CampaignConfig, indices: list[int]) -> list[dict]:
     solver = _solver_config(config)
     out = []
     for i in indices:
+        seed = derive_seed(config.seed, i)
         plan = ExperimentPlan(
-            n_total=config.n_events,
-            seed=derive_seed(config.seed, i),
-            auxiliary_weight=config.auxiliary_weight,
+            n_total=config.n_events, seed=seed, auxiliary_weight=config.auxiliary_weight
         )
-        record: dict = {"index": i}
+        record: dict = {"index": i, "seed": seed}
         try:
             data = generate_counts(proto.rows, truth, plan)
             # sum() adds in row order; np.sum adds pairwise, which can move
@@ -188,6 +205,9 @@ def _run_replications(config: CampaignConfig, indices: list[int]) -> list[dict]:
             aux = auxiliary_rows(proto.input_states, total_t, config.auxiliary_weight)
             res = solve_likelihood(data + aux, solver)
             record["fidelity"] = fidelity(truth, res.estimate)
+            record["iterations"] = res.iterations
+            record["stop_reason"] = res.stop_reason
+            record["residual"] = res.residual
             if not res.converged:
                 record["error"] = (
                     f"not converged: {res.stop_reason} after {res.iterations} "
@@ -277,6 +297,10 @@ def run_mc_campaign(config: CampaignConfig, threads: int = 1) -> CampaignResult:
             "chitomo_version": __version__,
             "numpy_version": np.__version__,
         },
+        replications=[
+            {key: rec.get(key) for key in ("seed", "iterations", "stop_reason", "residual")}
+            for rec in records
+        ],
     )
 
 

@@ -354,7 +354,7 @@ class TestCriterion9Determinism:
         assert main(["mc", "--config", str(cfg), "--seed", "99", "--out", str(out_b)]) == 0
         identical = all(
             (out_a / name).read_bytes() == (out_b / name).read_bytes()
-            for name in ("result.json", "fidelities.csv", "histogram.csv")
+            for name in ("result.json", "fidelities.csv", "histogram.csv", "replications.csv")
         )
         report(9, identical, "mc rerun with identical config+seed is byte-identical")
         assert identical

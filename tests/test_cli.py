@@ -7,11 +7,14 @@ import numpy as np
 import pytest
 
 from chitomo.cli import COMMANDS, config_hash, main, matrix_from_json, matrix_to_json
-from chitomo.harness import CampaignConfig, ScalingConfig, build_truth, TruthSpec
+from chitomo.harness import CampaignConfig, ScalingConfig, TruthSpec, build_truth, derive_seed
 from chitomo.ml_engine import ReconstructionConfig, solve_likelihood
 from chitomo.protocols import ExperimentPlan, auxiliary_rows, generate_counts, process_protocol
 from chitomo.quantum_core import fidelity
 from conftest import REF_PLATE_CHOI
+
+
+MC_OUTPUTS = ("result.json", "fidelities.csv", "histogram.csv", "replications.csv")
 
 
 def write_config(path, payload):
@@ -117,7 +120,7 @@ class TestMcCommand:
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert main(["mc", "--config", cfg, "--seed", "9", "--out", str(out_a)]) == 0
         assert main(["mc", "--config", cfg, "--seed", "9", "--out", str(out_b)]) == 0
-        for name in ("result.json", "fidelities.csv", "histogram.csv"):
+        for name in MC_OUTPUTS:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
     def test_result_metadata_and_csv(self, tmp_path):
@@ -151,7 +154,47 @@ class TestMcCommand:
             main(["mc", "--config", cfg, "--seed", "3", "--out", str(out_b), "--threads", "2"])
             == 0
         )
-        assert (out_a / "result.json").read_bytes() == (out_b / "result.json").read_bytes()
+        for name in MC_OUTPUTS:
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    def test_replications_csv(self, tmp_path):
+        # rows come back from two worker processes and are written in index order
+        cfg = write_config(tmp_path / "mc.json", self.CONFIG)
+        args = ["mc", "--config", cfg, "--seed", "9", "--out", str(tmp_path), "--threads", "2"]
+        assert main(args) == 0
+        lines = (tmp_path / "replications.csv").read_text().strip().splitlines()
+        assert lines[0] == "replication,seed,fidelity,iterations,stop_reason,residual"
+        fidelities = (tmp_path / "fidelities.csv").read_text().strip().splitlines()[1:]
+        assert len(lines) == 1 + self.CONFIG["replications"]
+        for i, (line, fid_line) in enumerate(zip(lines[1:], fidelities)):
+            index, seed, fid, iterations, stop_reason, residual = line.split(",")
+            assert int(index) == i
+            assert int(seed) == derive_seed(9, i)
+            assert f"{index},{fid}" == fid_line
+            assert int(iterations) >= 1
+            assert stop_reason in ("residual", "stationary")
+            assert float(residual) < 1e-6
+
+    def test_replications_csv_of_raised_and_capped_solves(self, tmp_path, monkeypatch):
+        import chitomo.harness as harness
+
+        real = harness.solve_likelihood
+        calls = []
+
+        def raise_on_second(rows, config):
+            calls.append(config)
+            if len(calls) == 2:
+                raise ValueError("solver failed")
+            return real(rows, config)
+
+        monkeypatch.setattr(harness, "solve_likelihood", raise_on_second)
+        cfg = write_config(tmp_path / "mc.json", {**self.CONFIG, "max_iterations": 2})
+        assert main(["mc", "--config", cfg, "--seed", "9", "--out", str(tmp_path)]) == 1
+        lines = (tmp_path / "replications.csv").read_text().strip().splitlines()
+        assert lines[2] == f"1,{derive_seed(9, 1)},nan,,,"
+        index, _, fid, iterations, stop_reason, _ = lines[1].split(",")
+        assert (iterations, stop_reason) == ("2", "iteration_cap")
+        assert 0.0 <= float(fid) <= 1.0
 
 
 class TestScalingCommand:
@@ -347,6 +390,13 @@ class TestErrorPaths:
             ("mc", {"truth": 5}, "truth must be a JSON object"),
             ("mc", {"seed": -1}, "seed must be a non-negative integer"),
             ("gen-data", {"seed": -3}, "seed must be a non-negative integer"),
+            ("mc", {"n_events": 0}, "n_events must be >= 1"),
+            ("scaling", {"n_events": -5}, "n_events must be >= 1"),
+            ("scaling", {"ranks": [5]}, "ranks[0] must be in 1..4"),
+            ("scaling", {"ranks": [2, 0]}, "ranks[1] must be in 1..4"),
+            ("scaling", {"ranks": []}, "ranks must not be empty"),
+            ("scaling", {"n_list": [1000, 2000]}, "n_list must hold at least 3 sample sizes"),
+            ("scaling", {"n_list": [1000, 0, 4000]}, "n_list[1] must be >= 1"),
         ],
     )
     def test_mistyped_field_exits_2(self, tmp_path, capsys, command, config, message):

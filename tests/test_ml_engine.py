@@ -7,6 +7,8 @@ from numpy.testing import assert_allclose
 from chitomo.harness import TruthSpec, build_truth, derive_seed
 from chitomo.ml_engine import (
     ReconstructionConfig,
+    _initial_point,
+    _perturbation,
     expected_rates,
     fisher_matrices,
     information_matrix,
@@ -265,6 +267,95 @@ class TestSolveLikelihood:
         assert a.iterations == b.iterations
 
 
+def start_columns(rows, rank):
+    """The start without its seeded perturbation: column norms squared are
+    the floored, trace-normalized eigenvalues of the linear-inversion
+    estimate."""
+    c0 = _initial_point(rows, rank) - _perturbation(rows.operators.shape[1], rank)
+    return c0, np.sum(np.abs(c0) ** 2, axis=0)
+
+
+class TestInitialPoint:
+    """The solve starts from the rank-r truncation of the weighted
+    linear-inversion estimate, so noiseless data start at the truth."""
+
+    @pytest.mark.parametrize(
+        "rho",
+        [
+            np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]),
+            np.diag([0.9, 0.1]).astype(complex),
+            np.eye(2, dtype=complex) / 2,
+        ],
+        ids=["generic", "diagonal", "maximally-mixed"],
+    )
+    def test_noiseless_full_rank_state_starts_at_truth(self, rho):
+        rows, _ = noiseless_counts(bn_state_protocol(36, 312.7, 1.0).rows, rho, 10**5)
+        c0 = _initial_point(rows, 2)
+        # the truth up to the seeded perturbation of 1e-3 per entry
+        assert np.max(np.abs(c0 @ c0.conj().T - rho)) < 5e-3
+        res = solve_likelihood(rows, ReconstructionConfig(rank=2))
+        assert res.stop_reason == "residual"
+        assert res.iterations <= 3
+
+    @pytest.mark.parametrize("protocol", ["J4", "R4", "B4"])
+    def test_noiseless_process_starts_at_truth(self, plate_truth, protocol):
+        rows = noiseless_rows(process_protocol(protocol), plate_truth)
+        c0, norms = start_columns(rows, 2)
+        assert_allclose(c0 @ c0.conj().T, plate_truth, atol=1e-6)
+        assert_allclose(norms, [0.84212, 0.15788], atol=1e-5)
+        res = solve_likelihood(rows, ReconstructionConfig(rank=2))
+        assert res.stop_reason == "residual"
+        assert res.iterations <= 5
+        assert fidelity(res.estimate, plate_truth) >= 1 - 1e-9
+
+    @pytest.mark.parametrize("protocol", ["J4", "R4", "B4"])
+    def test_over_rank_start_floors_eigenvalues(self, plate_truth, protocol):
+        # rank 4 on the rank-2 plate: the two empty directions start at the
+        # floor, 1e-3 times the largest eigenvalue
+        rows = noiseless_rows(process_protocol(protocol), plate_truth)
+        _, norms = start_columns(rows, 4)
+        assert norms.sum() == pytest.approx(1.0, abs=1e-12)
+        assert_allclose(norms[2:], 1e-3 * norms[0], rtol=1e-6)
+        res = solve_likelihood(rows, ReconstructionConfig(rank=4))
+        assert res.converged
+        assert fidelity(res.estimate, plate_truth) >= 1 - 1e-3
+
+    PHI = np.array([1, 0, 0, 1]) / np.sqrt(2)
+    IDENTITY_CHOI = np.outer(PHI, PHI).astype(complex)
+
+    @pytest.mark.parametrize("protocol", ["J4", "R4", "B4"])
+    def test_identity_channel_at_rank_4(self, protocol):
+        rows = noiseless_rows(process_protocol(protocol), self.IDENTITY_CHOI)
+        c0, norms = start_columns(rows, 4)
+        assert_allclose(norms[1:], 1e-3 * norms[0], rtol=1e-6)
+        assert abs(c0[:, 0] @ self.PHI) ** 2 == pytest.approx(norms[0], rel=1e-6)
+        res = solve_likelihood(rows, ReconstructionConfig(rank=4))
+        assert res.converged
+        assert fidelity(res.estimate, self.IDENTITY_CHOI) >= 1 - 1e-6
+
+    def test_rows_with_zero_counts(self):
+        # J4 on the identity channel: |H> in, |V> out never clicks
+        rows = poisson_rows(process_protocol("J4"), self.IDENTITY_CHOI, n=1000, seed=3)
+        assert np.sum(rows.counts == 0) >= 2
+        c0, norms = start_columns(rows, 4)
+        assert np.all(np.isfinite(c0))
+        assert norms.min() >= 1e-3 * norms.max() * (1 - 1e-9)
+        res = solve_likelihood(rows, ReconstructionConfig(rank=4))
+        assert res.converged
+        assert fidelity(res.estimate, self.IDENTITY_CHOI) > 0.99
+
+    def test_rank_deficient_design_gets_minimum_norm_start(self):
+        # two Pauli-Z projectors see only the diagonal: the start has no
+        # coherence, and the solve still runs (I = identity is regular)
+        rows = Measurements([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], [1.0, 1.0], [30, 70])
+        c0, norms = start_columns(rows, 2)
+        rho0 = c0 @ c0.conj().T
+        assert_allclose(rho0, np.diag([0.3, 0.7]), atol=1e-8)
+        res = solve_likelihood(rows, ReconstructionConfig(rank=2))
+        assert res.converged
+        assert_allclose(np.diag(res.estimate).real, [0.3, 0.7], atol=1e-6)
+
+
 # Campaign seed of the acceptance scaling study's rank-2, n=1e3 cell:
 # SeedSequence(20_250_303, spawn_key=(0, 0)).
 ACCEPTANCE_RANK2_N1E3_SEED = 17260451438471865157
@@ -333,6 +424,27 @@ class TestStoppingRule:
         ]
         assert lls[-1] == final.log_likelihood
         assert min(np.diff(lls)) >= -1e-8
+
+
+class TestDataStartOnTheAcceptanceCell:
+    def test_replication_63_reaches_the_higher_maximum(self, campaign_rows):
+        # from a fixed start at c0[i % d, i] = 1/sqrt(r) this solve stopped
+        # at a lower stationary point: ll -76.9524, loss 0.1432 against 0.1154
+        rows = campaign_rows(ACCEPTANCE_RANK2_N1E3_SEED, 63, 1000)
+        res = solve_likelihood(rows, ReconstructionConfig(rank=2))
+        assert res.stop_reason == "stationary"
+        assert res.log_likelihood >= -76.8807
+
+    def test_median_iterations_of_first_20_replications(self, campaign_rows):
+        # the fixed start took a median of 22; the median, not the total,
+        # because a few long solves set the total
+        iterations = [
+            solve_likelihood(
+                campaign_rows(ACCEPTANCE_RANK2_N1E3_SEED, i, 1000), ReconstructionConfig(rank=2)
+            ).iterations
+            for i in range(20)
+        ]
+        assert np.median(iterations) <= 16
 
 
 class TestReconstructState:
