@@ -43,6 +43,7 @@ from .protocols import (
     Config,
     ExperimentPlan,
     Measurements,
+    ProcessProtocolName,
     auxiliary_rows,
     generate_counts,
     process_protocol,
@@ -52,14 +53,14 @@ from .quantum_core import fidelity, hermitian_eig
 
 @dataclass(frozen=True)
 class ProtocolDumpConfig(Config):
-    protocol: str = "R4"
+    protocol: ProcessProtocolName = "R4"
     central_lam_um: float = LAMBDA_DEFAULT_UM
 
 
 @dataclass(frozen=True)
 class GenDataConfig(Config):
     truth: TruthSpec = field(default_factory=TruthSpec)
-    protocol: str = "R4"
+    protocol: ProcessProtocolName = "R4"
     n_events: int = 10_000
     seed: int = 0
     auxiliary_weight: float = ExperimentPlan.auxiliary_weight
@@ -345,6 +346,8 @@ def main(argv: list[str] | None = None) -> int:
     config_class, run = COMMANDS[args.command]
     out_dir = Path(args.out)
     try:
+        if args.threads < 1:
+            raise ValueError(f"--threads must be >= 1, got {args.threads}")
         config = _load_config(args, config_class)
         out_dir.mkdir(parents=True, exist_ok=True)
         _echo(args.command, config.to_dict(), out_dir)

@@ -23,6 +23,7 @@ from .protocols import (
     Config,
     ExperimentPlan,
     Measurements,
+    ProcessProtocolName,
     auxiliary_rows,
     bn_state_protocol,
     generate_counts,
@@ -87,11 +88,18 @@ class TruthSpec(PlateSpec):
     kind: str = "plate"
     rank: int | None = None
 
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.kind not in ("plate", "identity"):
+            raise ValueError(f"unknown truth kind {self.kind!r}; expected plate or identity")
+        if self.rank is not None and not 1 <= self.rank <= 4:
+            raise ValueError(f"rank must be in 1..4 or null, got {self.rank}")
+
 
 @dataclass(frozen=True)
 class CampaignConfig(Config):
     scenario: str = "plate-r4"
-    protocol: str = "R4"
+    protocol: ProcessProtocolName = "R4"
     truth: TruthSpec = field(default_factory=TruthSpec)
     n_events: int = 10_000
     replications: int = 50
@@ -167,14 +175,12 @@ def build_truth(spec: TruthSpec) -> np.ndarray:
         phi = np.zeros(4, dtype=complex)
         phi[0] = phi[3] = 1.0 / np.sqrt(2)
         return np.outer(phi, phi.conj())
-    if spec.kind == "plate":
-        plate = WaveplateSpec(spec.thickness_um, np.deg2rad(spec.alpha_deg))
-        profile = sinc2_profile(spec.lam0_um, spec.fwhm_um, spec.knots, spec.span)
-        choi = plate_choi_state(plate, profile)
-        if spec.rank is not None:
-            choi = _truncate_rank(choi, spec.rank)
-        return choi
-    raise ValueError(f"unknown truth kind {spec.kind!r}")
+    plate = WaveplateSpec(spec.thickness_um, np.deg2rad(spec.alpha_deg))
+    profile = sinc2_profile(spec.lam0_um, spec.fwhm_um, spec.knots, spec.span)
+    choi = plate_choi_state(plate, profile)
+    if spec.rank is not None:
+        choi = _truncate_rank(choi, spec.rank)
+    return choi
 
 
 def _solver_config(config: CampaignConfig) -> ReconstructionConfig:
@@ -241,8 +247,9 @@ def run_mc_campaign(config: CampaignConfig, threads: int = 1) -> CampaignResult:
     """
     n = config.replications
     if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            batches = pool.map(_run_replications, [config] * threads, _chunks(n, threads))
+        chunks = _chunks(n, threads)
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            batches = pool.map(_run_replications, [config] * len(chunks), chunks)
             records = [r for batch in batches for r in batch]
     else:
         records = _run_replications(config, list(range(n)))

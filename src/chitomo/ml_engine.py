@@ -43,6 +43,13 @@ Convex Optimization, 9.5.2).  The second rule ends solves whose residual
 stalls at float resolution short of ``convergence_tol``.  A solve that meets
 neither rule within ``max_iterations`` stops with ``"iteration_cap"`` and is
 reported as not converged.
+
+``info_spectrum`` holds the 2*d*r eigenvalues, descending, of the scoring
+step's real Fisher matrix F at the returned c; a stationary stop reuses that
+step's eigendecomposition.  For a process on an s-level system under an
+adequate model they split into s^2 modes pinned by the auxiliary rows, ``nu``
+data modes and r^2 gauge nulls (``c -> c U``): ``nu + s^2`` lie above 1e-8
+times the largest.
 """
 
 from __future__ import annotations
@@ -62,8 +69,6 @@ __all__ = [
     "ReconstructionResult",
     "expected_rates",
     "log_likelihood",
-    "fisher_matrices",
-    "information_matrix",
     "solve_likelihood",
 ]
 
@@ -110,7 +115,13 @@ class ReconstructionResult:
     normalization_gap: float
     nu: int | None
     tp_residual: float | None
-    info_spectrum: np.ndarray
+    info_spectrum: np.ndarray  # the real Fisher matrix's 2*d*r eigenvalues, descending
+
+
+def _rates(c: np.ndarray, ops_flat: np.ndarray) -> np.ndarray:
+    # row j of ops_flat, the (m, d*d) view of the operators, dotted with
+    # vec((c c^+)^T) is tr(Lambda_j c c^+)
+    return (ops_flat @ (c @ c.conj().T).T.ravel()).real
 
 
 def expected_rates(c: np.ndarray, data: Measurements) -> np.ndarray:
@@ -119,7 +130,7 @@ def expected_rates(c: np.ndarray, data: Measurements) -> np.ndarray:
     ops = data.operators
     if ops.shape[1] != c.shape[0]:
         raise ValueError(f"operator dim {ops.shape[1]} does not match c dim {c.shape[0]}")
-    return np.einsum("mij,ir,jr->m", ops, c.conj(), c).real
+    return _rates(c, ops.reshape(len(ops), -1))
 
 
 def log_likelihood(c: np.ndarray, data: Measurements, include_factorial: bool = True) -> float:
@@ -139,38 +150,14 @@ def log_likelihood(c: np.ndarray, data: Measurements, include_factorial: bool = 
     return ll
 
 
-def fisher_matrices(c: np.ndarray, data: Measurements) -> tuple[np.ndarray, np.ndarray]:
-    """Theoretical I = sum t Lambda and empirical J = sum (k/lambda) Lambda."""
-    ops, k = data.operators, data.counts
-    lam = expected_rates(c, data)
-    if np.any((lam <= 0) & (k > 0)):
-        raise ValueError("vanishing rate on a row with observed counts")
-    i_mat = np.tensordot(data.exposures, ops, axes=1)
-    j_mat = np.tensordot(k / np.maximum(lam, _RATE_FLOOR), ops, axes=1)
-    return i_mat, j_mat
-
-
-def _stacked_vectors(ops: np.ndarray, c: np.ndarray) -> np.ndarray:
-    # Row j is vec(Lambda_j c), column-major, shape (m, d*r).
-    return np.einsum("mij,jr->mir", ops, c).transpose(0, 2, 1).reshape(ops.shape[0], -1)
-
-
-def information_matrix(c: np.ndarray, data: Measurements) -> tuple[np.ndarray, np.ndarray]:
-    """Complete-information matrix ``2 sum_j t_j v_j v_j^+ / lambda_j`` with
-    ``v_j = vec(Lambda_j c)``, embedded in the doubled real space (imaginary
-    part of the purified vector under its real part).
-
-    Returns (H, spectrum) with the spectrum sorted descending; each complex
-    rank-1 term contributes rank 2 in the real representation.
-    """
-    c = np.asarray(c, dtype=complex)
-    lam = expected_rates(c, data)
-    v = _stacked_vectors(data.operators, c)
-    coeff = 2.0 * data.exposures / np.maximum(lam, _RATE_FLOOR)
-    h_c = (v.conj().T * coeff) @ v
-    h_real = np.block([[h_c.real, -h_c.imag], [h_c.imag, h_c.real]])
-    spectrum = np.linalg.eigvalsh(h_real)[::-1]
-    return h_real, spectrum
+def _fisher(c: np.ndarray, data: Measurements, lam: np.ndarray) -> np.ndarray:
+    """Real Fisher matrix ``4 sum_j (t_j / lambda_j) v_j v_j^T`` at c with
+    rates lam, over the real parameters (Re c, then Im c, each column-major);
+    ``v_j`` is ``vec(Lambda_j c)`` in that layout."""
+    ops = data.operators
+    v = np.einsum("mij,jr->mir", ops, c).transpose(0, 2, 1).reshape(len(ops), -1)
+    v_real = np.concatenate([v.real, v.imag], axis=1)
+    return 4.0 * (v_real * (data.exposures / np.maximum(lam, _RATE_FLOOR))[:, None]).T @ v_real
 
 
 @functools.cache
@@ -239,10 +226,6 @@ def solve_likelihood(
     observed = k > 0
     k_obs = k[observed]
 
-    def rates_of(c: np.ndarray) -> np.ndarray:
-        rho_flat = (c @ c.conj().T).T.ravel()
-        return (ops_flat @ rho_flat).real
-
     def surrogate(lam: np.ndarray) -> float:
         # log-likelihood without its constant offset: each observed term is
         # O(1) near the data, so the sum keeps float resolution
@@ -256,9 +239,9 @@ def solve_likelihood(
         )
 
     c = _initial_point(data, config.rank)
-    lam = rates_of(c)
+    lam = _rates(c, ops_flat)
     c = c * np.sqrt(n_observed / float(np.dot(lam, t)))
-    lam = rates_of(c)
+    lam = _rates(c, ops_flat)
     ll = surrogate(lam)
 
     beta = config.damping
@@ -279,9 +262,7 @@ def solve_likelihood(
 
         accepted = False
         if residual < _SCORING_RESIDUAL:
-            v = _stacked_vectors(ops, c)
-            v_real = np.concatenate([v.real, v.imag], axis=1)
-            fisher = 4.0 * (v_real * (t / np.maximum(lam, _RATE_FLOOR))[:, None]).T @ v_real
+            fisher = _fisher(c, data, lam)
             grad_c = jc - ic
             grad = 2.0 * np.concatenate(
                 [grad_c.real.flatten(order="F"), grad_c.imag.flatten(order="F")]
@@ -304,7 +285,7 @@ def solve_likelihood(
                     delta[:half].reshape(c.shape, order="F")
                     + 1j * delta[half:].reshape(c.shape, order="F")
                 )
-                lam_try = rates_of(c_try)
+                lam_try = _rates(c_try, ops_flat)
                 ll_try = surrogate(lam_try)
                 if ll_try >= ll - _SCORING_SLACK * (1.0 + abs(ll)):
                     c, lam, ll = c_try, lam_try, ll_try
@@ -318,7 +299,7 @@ def solve_likelihood(
             halved = False
             while True:
                 c_new = (1.0 - beta) * c + beta * step
-                lam_new = rates_of(c_new)
+                lam_new = _rates(c_new, ops_flat)
                 ll_new = surrogate(lam_new)
                 if ll_new >= ll - _FIXED_POINT_SLACK * (1.0 + abs(ll)) or beta <= 1e-3:
                     break
@@ -332,7 +313,7 @@ def solve_likelihood(
                 q = float(np.vdot(prev_diff, diff).real) / denom if denom > 0 else 0.0
                 if 0.0 < q < 0.9999:
                     c_acc = c_new + diff * (q / (1.0 - q))
-                    lam_acc = rates_of(c_acc)
+                    lam_acc = _rates(c_acc, ops_flat)
                     ll_acc = surrogate(lam_acc)
                     if ll_acc >= ll_new:
                         c_new, lam_new, ll_new = c_acc, lam_acc, ll_acc
@@ -351,7 +332,8 @@ def solve_likelihood(
     if is_process:
         tp_residual = float(np.max(np.abs(partial_trace(s * rho, "output") - np.eye(s))))
         nu = parameter_count(s, config.rank)
-    _, spectrum = information_matrix(c, data)
+    if stop_reason != "stationary":  # a stationary stop took F's eigh at this c
+        w = np.linalg.eigvalsh(_fisher(c, data, lam))
 
     return ReconstructionResult(
         estimate=rho,
@@ -364,5 +346,5 @@ def solve_likelihood(
         normalization_gap=gap,
         nu=nu,
         tp_residual=tp_residual,
-        info_spectrum=spectrum,
+        info_spectrum=w[::-1],
     )

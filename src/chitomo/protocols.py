@@ -47,6 +47,7 @@ __all__ = [
 
 # Central wavelength of the reference numerical experiments, micrometers.
 LAMBDA_DEFAULT_UM = 1.1509
+ProcessProtocolName = typing.Literal["J4", "R4", "B4"]
 
 _V = np.array([0.0, 1.0], dtype=complex)
 
@@ -72,6 +73,10 @@ def _check_field(name: str, kind: object, value: object) -> None:
     elif kind is float:
         if isinstance(value, bool) or not isinstance(value, _NUMBER):
             raise ValueError(f"{name} must be a number, got {value!r}")
+    elif typing.get_origin(kind) is typing.Literal:
+        if value not in typing.get_args(kind):
+            choices = ", ".join(typing.get_args(kind))
+            raise ValueError(f"{name} must be one of {choices}, got {value!r}")
     elif typing.get_origin(kind) is tuple:
         if not isinstance(value, (tuple, list)):
             raise ValueError(f"{name} must be a list, got {value!r}")
@@ -94,8 +99,9 @@ class Config:
 
     Construction checks every field against its annotation: an ``int`` (or
     ``int | None``) field must hold an integer, a ``float`` field a number,
-    element-wise in ``tuple[...]`` fields, and a ``seed`` must be >= 0; each
-    error names the field.  ``from_dict`` builds a config from parsed JSON.
+    a ``Literal[...]`` field one of its values, element-wise in ``tuple[...]``
+    fields, and a ``seed`` must be >= 0; each error names the field.
+    ``from_dict`` builds a config from parsed JSON.
     """
 
     def __post_init__(self) -> None:
@@ -232,13 +238,13 @@ def b4_states(central_lam_um: float = LAMBDA_DEFAULT_UM) -> list[np.ndarray]:
 
 
 def _protocol_states(name: str, central_lam_um: float) -> list[np.ndarray]:
+    if name not in typing.get_args(ProcessProtocolName):
+        raise ValueError(f"unknown protocol {name!r}; expected J4, R4 or B4")
     if name == "J4":
         return j4_states()
     if name == "R4":
         return r4_states()
-    if name == "B4":
-        return b4_states(central_lam_um)
-    raise ValueError(f"unknown protocol {name!r}; expected J4, R4 or B4")
+    return b4_states(central_lam_um)
 
 
 def _affine_bloch_rank(states: Sequence[np.ndarray]) -> int:

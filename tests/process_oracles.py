@@ -1,5 +1,6 @@
 """Test-only checks of Kraus sets, operator bases and the unitary mixing
-freedom of a chi-matrix factor."""
+freedom of a chi-matrix factor, and the two matrices of the likelihood
+equation ``I c = J c``."""
 
 from __future__ import annotations
 
@@ -7,7 +8,15 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["completeness_residual", "basis_orthonormality_check", "unitary_mix"]
+from chitomo.ml_engine import expected_rates
+from chitomo.protocols import Measurements
+
+__all__ = [
+    "completeness_residual",
+    "basis_orthonormality_check",
+    "unitary_mix",
+    "fisher_matrices",
+]
 
 
 def completeness_residual(kraus_ops: Sequence[np.ndarray]) -> float:
@@ -34,3 +43,12 @@ def unitary_mix(e: np.ndarray, u: np.ndarray) -> np.ndarray:
     if defect > 1e-10:
         raise ValueError(f"mixing matrix is not unitary: defect {defect:.3e}")
     return e @ u
+
+
+def fisher_matrices(c: np.ndarray, data: Measurements) -> tuple[np.ndarray, np.ndarray]:
+    """Theoretical ``I = sum_j t_j Lambda_j`` and empirical ``J = sum_j (k_j /
+    lambda_j) Lambda_j`` at the purified vector c."""
+    lam = expected_rates(c, data)
+    i_mat = np.tensordot(data.exposures, data.operators, axes=1)
+    j_mat = np.tensordot(data.counts / lam, data.operators, axes=1)
+    return i_mat, j_mat

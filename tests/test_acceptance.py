@@ -26,7 +26,6 @@ from chitomo.harness import (
 from chitomo.ml_engine import (
     ReconstructionConfig,
     expected_rates,
-    fisher_matrices,
     log_likelihood,
     solve_likelihood,
 )
@@ -40,7 +39,7 @@ from chitomo.process_algebra import (
 )
 from chitomo.protocols import Measurements, auxiliary_rows, process_protocol
 from chitomo.quantum_core import fidelity, partial_trace
-from process_oracles import unitary_mix
+from process_oracles import fisher_matrices, unitary_mix
 from random_ops import (
     random_state_vector,
     random_trace_preserving_kraus,

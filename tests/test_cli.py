@@ -397,6 +397,14 @@ class TestErrorPaths:
             ("scaling", {"ranks": []}, "ranks must not be empty"),
             ("scaling", {"n_list": [1000, 2000]}, "n_list must hold at least 3 sample sizes"),
             ("scaling", {"n_list": [1000, 0, 4000]}, "n_list[1] must be >= 1"),
+            ("mc", {"truth": {"rank": -1}}, "rank must be in 1..4 or null, got -1"),
+            ("mc", {"truth": {"rank": 9}}, "rank must be in 1..4 or null, got 9"),
+            ("gen-data", {"truth": {"rank": 0}}, "rank must be in 1..4 or null, got 0"),
+            ("mc", {"truth": {"kind": "foo"}}, "unknown truth kind 'foo'"),
+            ("mc", {"protocol": "X4"}, "protocol must be one of J4, R4, B4, got 'X4'"),
+            ("scaling", {"protocol": "j4"}, "protocol must be one of J4, R4, B4, got 'j4'"),
+            ("gen-data", {"protocol": 4}, "protocol must be one of J4, R4, B4, got 4"),
+            ("protocol-dump", {"protocol": "B36"}, "protocol must be one of J4, R4, B4"),
         ],
     )
     def test_mistyped_field_exits_2(self, tmp_path, capsys, command, config, message):
@@ -406,6 +414,15 @@ class TestErrorPaths:
         assert captured.err.startswith(f"error: {message}")
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exits_2(self, tmp_path, capsys, threads):
+        out = tmp_path / "out"
+        assert main(["mc", "--threads", threads, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: --threads must be >= 1, got {threads}")
+        assert captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_misspelled_key_rejected_before_echo(self, tmp_path, capsys, command):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from chitomo import harness
 from chitomo.harness import (
     CampaignConfig,
     EstimateTooMixedError,
@@ -84,6 +85,28 @@ class TestMcCampaign:
         serial = run_mc_campaign(config, threads=1)
         parallel = run_mc_campaign(config, threads=2)
         assert np.array_equal(serial.fidelities, parallel.fidelities)
+
+    def test_pool_sized_to_its_chunks(self, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        config = CampaignConfig.from_dict({**QUICK, "replications": 3, "seed": 13})
+        pooled = run_mc_campaign(config, threads=8)
+        assert sizes == [3]
+        assert np.array_equal(pooled.fidelities, run_mc_campaign(config).fidelities)
 
     def test_failure_reasons_kept(self):
         config = CampaignConfig.from_dict(

@@ -7,11 +7,10 @@ from numpy.testing import assert_allclose
 from chitomo.harness import TruthSpec, build_truth, derive_seed
 from chitomo.ml_engine import (
     ReconstructionConfig,
+    _fisher,
     _initial_point,
     _perturbation,
     expected_rates,
-    fisher_matrices,
-    information_matrix,
     log_likelihood,
     solve_likelihood,
 )
@@ -25,6 +24,7 @@ from chitomo.protocols import (
     process_protocol,
 )
 from chitomo.quantum_core import fidelity
+from process_oracles import fisher_matrices
 from random_ops import random_density_matrix, random_unitary
 from chitomo.waveplate import WaveplateSpec, broadband_mixed_state, sinc2_profile
 
@@ -142,28 +142,53 @@ class TestFisherMatrices:
         assert np.linalg.eigvalsh(i_mat).min() > 0
 
 
+def fisher_at(c, rows):
+    return _fisher(c, rows, expected_rates(c, rows))
+
+
 class TestInformationMatrix:
     def test_psd_and_sorted(self, rng, plate_truth):
         proto = process_protocol("R4")
         rows = poisson_rows(proto, plate_truth, seed=5)
         c = purify(random_density_matrix(4, rng), 2)
-        h, spec = information_matrix(c, rows)
-        assert np.linalg.eigvalsh(h).min() > -1e-8 * spec[0]
-        assert np.all(np.diff(spec) <= 1e-12)
+        w = np.linalg.eigvalsh(fisher_at(c, rows))
+        assert w.min() > -1e-8 * w.max()
+        spec = solve_likelihood(rows, ReconstructionConfig(rank=2)).info_spectrum
+        assert spec.size == 16
+        assert np.all(np.diff(spec) <= 0)
 
-    def test_rank_bound_two_per_row(self, rng):
+    def test_rank_bound_one_per_row(self, rng):
         ops = [random_density_matrix(4, rng) for _ in range(3)]
         rows = Measurements(ops, np.ones(3), np.ones(3))
         c = purify(random_density_matrix(4, rng), 2)
-        h, spec = information_matrix(c, rows)
-        assert np.sum(spec > 1e-12 * spec[0]) <= 2 * len(rows.operators)
+        w = np.linalg.eigvalsh(fisher_at(c, rows))
+        assert np.sum(w > 1e-12 * w.max()) <= len(rows.operators)
 
     def test_linear_in_exposure(self, rng):
         ops = [random_density_matrix(4, rng) for _ in range(4)]
         c = purify(random_density_matrix(4, rng), 2)
-        h1, _ = information_matrix(c, Measurements(ops, np.full(4, 1.0), np.ones(4)))
-        h2, _ = information_matrix(c, Measurements(ops, np.full(4, 2.0), np.ones(4)))
+        h1 = fisher_at(c, Measurements(ops, np.full(4, 1.0), np.ones(4)))
+        h2 = fisher_at(c, Measurements(ops, np.full(4, 2.0), np.ones(4)))
         assert_allclose(h2, 2 * h1, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [10**3, 10**4, 10**5])
+    @pytest.mark.parametrize("rank", [1, 2])
+    @pytest.mark.parametrize("protocol", ["J4", "R4", "B4"])
+    def test_reported_spectrum_splits_into_pinned_data_and_gauge_modes(self, protocol, rank, n):
+        """With the plate truth at the model rank, the 2*d*r reported
+        eigenvalues are nu data modes plus the s^2 = 4 modes pinned by the
+        auxiliary rows above 1e-8 times the largest, and r^2 gauge nulls."""
+        truth = build_truth(TruthSpec(rank=rank))
+        proto = process_protocol(protocol)
+        for seed in range(20):
+            res = solve_likelihood(
+                poisson_rows(proto, truth, n=n, seed=seed), ReconstructionConfig(rank=rank)
+            )
+            spec = res.info_spectrum
+            assert spec.size == 2 * 4 * rank
+            assert np.all(np.diff(spec) <= 0)
+            above = int(np.sum(spec > 1e-8 * spec[0]))
+            assert (above, spec.size - above) == (res.nu + 4, rank**2), (seed, res.stop_reason)
 
 
 class TestSolveLikelihood:
