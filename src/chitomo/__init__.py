@@ -48,7 +48,12 @@ from .protocols import (
     process_protocol,
     r4_states,
 )
-from .ml_engine import ReconstructionConfig, ReconstructionResult, solve_likelihood
+from .ml_engine import (
+    ReconstructionConfig,
+    ReconstructionResult,
+    solve_likelihood,
+    solve_likelihood_batch,
+)
 from .harness import (
     CampaignConfig,
     MixedWorkflowConfig,

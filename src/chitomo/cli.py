@@ -25,6 +25,7 @@ import numpy as np
 
 from . import __version__
 from .harness import (
+    REPLICATION_FIELDS,
     CampaignConfig,
     EstimateTooMixedError,
     MixedWorkflowConfig,
@@ -257,10 +258,11 @@ def _write_campaign(out_dir: Path, result) -> None:
     for i, f in enumerate(result.fidelities):
         lines.append(f"{i},{repr(float(f))}")
     (out_dir / "fidelities.csv").write_text("\n".join(lines) + "\n")
-    lines = ["replication,seed,fidelity,iterations,stop_reason,residual"]
+    solve_fields = REPLICATION_FIELDS[1:]
+    lines = [",".join(("replication", "seed", "fidelity", *solve_fields))]
     for i, (f, rep) in enumerate(zip(result.fidelities, result.replications)):
         # str(float) is repr(float); the solve's fields are empty where it raised
-        cells = (i, rep["seed"], float(f), rep["iterations"], rep["stop_reason"], rep["residual"])
+        cells = (i, rep["seed"], float(f), *(rep[key] for key in solve_fields))
         lines.append(",".join("" if c is None else str(c) for c in cells))
     (out_dir / "replications.csv").write_text("\n".join(lines) + "\n")
     hist = result.histogram

@@ -16,7 +16,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .ml_engine import ReconstructionConfig, ReconstructionResult, solve_likelihood
+from .ml_engine import (
+    ReconstructionConfig,
+    ReconstructionResult,
+    solve_likelihood,
+    solve_likelihood_batch,
+)
 from .process_algebra import kraus_from_chi, chi_from_kraus
 from .protocols import (
     LAMBDA_DEFAULT_UM,
@@ -56,10 +61,19 @@ __all__ = [
     "run_scaling_study",
     "run_mixed_state_workflow",
     "run_retarder_fit",
-    "bootstrap_ratio_lower_bound",
 ]
 
 HISTOGRAM_BINS = 30
+# the per-replication fields of CampaignResult.replications, in column order
+REPLICATION_FIELDS = (
+    "seed",
+    "iterations",
+    "stop_reason",
+    "residual",
+    "scoring_steps",
+    "fixed_point_steps",
+    "rejected_steps",
+)
 
 
 class EstimateTooMixedError(ValueError):
@@ -153,7 +167,8 @@ class CampaignResult:
     nu: int | None
     metadata: dict
     # per replication, in index order: derived seed and the solve's
-    # iterations, stop reason and residual (None where the solver raised)
+    # iterations, stop reason, residual and step counts (None where the
+    # solver raised)
     replications: list[dict]
 
 
@@ -211,9 +226,7 @@ def _run_replications(config: CampaignConfig, indices: list[int]) -> list[dict]:
             aux = auxiliary_rows(proto.input_states, total_t, config.auxiliary_weight)
             res = solve_likelihood(data + aux, solver)
             record["fidelity"] = fidelity(truth, res.estimate)
-            record["iterations"] = res.iterations
-            record["stop_reason"] = res.stop_reason
-            record["residual"] = res.residual
+            record.update(_solve_status(res), residual=res.residual)
             if not res.converged:
                 record["error"] = (
                     f"not converged: {res.stop_reason} after {res.iterations} "
@@ -304,10 +317,7 @@ def run_mc_campaign(config: CampaignConfig, threads: int = 1) -> CampaignResult:
             "chitomo_version": __version__,
             "numpy_version": np.__version__,
         },
-        replications=[
-            {key: rec.get(key) for key in ("seed", "iterations", "stop_reason", "residual")}
-            for rec in records
-        ],
+        replications=[{key: rec.get(key) for key in REPLICATION_FIELDS} for rec in records],
     )
 
 
@@ -344,24 +354,6 @@ def run_scaling_study(
             "intercept": float(intercept),
         }
     return study
-
-
-def bootstrap_ratio_lower_bound(
-    numerator: np.ndarray,
-    denominator: np.ndarray,
-    alpha: float = 0.05,
-    n_boot: int = 4000,
-    seed: int = 0,
-) -> float:
-    """One-sided lower confidence bound of mean(numerator)/mean(denominator)
-    by independent nonparametric bootstrap."""
-    rng = np.random.default_rng(seed)
-    num = np.asarray(numerator, dtype=float)
-    den = np.asarray(denominator, dtype=float)
-    idx_n = rng.integers(0, num.size, (n_boot, num.size))
-    idx_d = rng.integers(0, den.size, (n_boot, den.size))
-    ratios = num[idx_n].mean(axis=1) / den[idx_d].mean(axis=1)
-    return float(np.quantile(ratios, alpha))
 
 
 @dataclass(frozen=True)
@@ -403,6 +395,13 @@ class MixedWorkflowConfig(Config):
         n_components = len(self.component_lams_um)
         if n_components == 0:
             raise ValueError("component_lams_um must not be empty")
+        if n_components > 999:
+            # the count-set seed keys 1000 * n_plates + 1 + index would
+            # reach the next plate count's keys
+            raise ValueError(
+                f"component_lams_um holds {n_components} wavelengths; at most 999 keep "
+                "every count set's seed distinct"
+            )
         for k, subset in enumerate(self.subsets):
             if len(subset) == 0:
                 raise ValueError(f"subsets[{k}] must not be empty")
@@ -431,22 +430,16 @@ def _component_weights(config: MixedWorkflowConfig) -> np.ndarray:
     return np.sinc(x / np.pi) ** 2
 
 
-def _reconstruct_from_b36(
-    rho_truth: np.ndarray, rows: Measurements, n_events: int, rank: int, seed: int
-) -> ReconstructionResult:
-    plan = ExperimentPlan(n_total=n_events, seed=seed)
-    data = generate_counts(rows, rho_truth, plan)
-    return solve_likelihood(data, ReconstructionConfig(rank=rank))
-
-
 def run_mixed_state_workflow(config: MixedWorkflowConfig) -> dict:
     """Three-stage report: broadband truth + reconstruction, per-component
     reconstructions, and component-sum states for the configured subsets.
 
     Returned fidelities compare against the broadband truth of the matching
     plate count; entropies are in bits.  Every stage-1 and stage-2 entry
-    carries its solve's ``iterations`` and ``stop_reason``.  All 16 solves
-    measure with one B36 protocol, built once.
+    carries its solve's ``iterations``, ``stop_reason`` and step counts.  All
+    16 solves measure with one B36 protocol, built once, and run as two
+    batches: the broadband solves at ``broadband_rank`` and the component
+    solves at ``component_rank``.
     """
     input_v = np.array([0.0, 1.0], dtype=complex)
     plate = WaveplateSpec(config.plate_thickness_um, np.deg2rad(config.plate_alpha_deg))
@@ -455,49 +448,58 @@ def run_mixed_state_workflow(config: MixedWorkflowConfig) -> dict:
     rows = bn_state_protocol(
         config.measurement_orientations, config.measurement_plate_um, config.lam0_um
     ).rows
+    plate_counts = (1, 2)
+
+    def counts(truth: np.ndarray, key: int) -> Measurements:
+        plan = ExperimentPlan(n_total=config.n_events, seed=derive_seed(config.seed, key))
+        return generate_counts(rows, truth, plan)
+
+    truths, component_truths = {}, {}
+    for n_plates in plate_counts:
+        plates = [plate] * n_plates
+        truths[n_plates] = broadband_mixed_state(input_v, plates, profile)
+        component_truths[n_plates] = [
+            broadband_mixed_state(
+                input_v, plates, SpectralProfile(np.array([lam]), np.array([1.0]))
+            )
+            for lam in config.component_lams_um
+        ]
+    broadband = solve_likelihood_batch(
+        [counts(truths[n], 1000 * n) for n in plate_counts],
+        ReconstructionConfig(rank=config.broadband_rank),
+    )
+    components = solve_likelihood_batch(
+        [
+            counts(truth, 1000 * n + 1 + idx)
+            for n in plate_counts
+            for idx, truth in enumerate(component_truths[n])
+        ],
+        ReconstructionConfig(rank=config.component_rank),
+    )
 
     report: dict = {"config": config.to_dict(), "per_plate_count": {}}
-    for n_plates in (1, 2):
-        plates = [plate] * n_plates
-        truth = broadband_mixed_state(input_v, plates, profile)
-        seed0 = derive_seed(config.seed, 1000 * n_plates)
-        res = _reconstruct_from_b36(
-            truth, rows, config.n_events, config.broadband_rank, seed0
-        )
+    n_components = len(config.component_lams_um)
+    for i, n_plates in enumerate(plate_counts):
+        truth, res = truths[n_plates], broadband[i]
         stage1 = {
             "truth_entropy_bits": von_neumann_entropy(truth),
             "reconstruction_fidelity": fidelity(truth, res.estimate),
-            "iterations": res.iterations,
-            "stop_reason": res.stop_reason,
+            **_solve_status(res),
         }
-
-        components = []
-        stage2 = []
-        for idx, lam in enumerate(config.component_lams_um):
-            mono = SpectralProfile(np.array([lam]), np.array([1.0]))
-            comp_truth = broadband_mixed_state(input_v, plates, mono)
-            res = _reconstruct_from_b36(
-                comp_truth,
-                rows,
-                config.n_events,
-                config.component_rank,
-                derive_seed(config.seed, 1000 * n_plates + 1 + idx),
-            )
-            components.append(res.estimate)
-            stage2.append(
-                {
-                    "lam_um": lam,
-                    "weight": float(weights[idx]),
-                    "fidelity_vs_pure_truth": fidelity(comp_truth, res.estimate),
-                    "iterations": res.iterations,
-                    "stop_reason": res.stop_reason,
-                }
-            )
-
+        solved = components[i * n_components : (i + 1) * n_components]
+        stage2 = [
+            {
+                "lam_um": lam,
+                "weight": float(weights[idx]),
+                "fidelity_vs_pure_truth": fidelity(component_truths[n_plates][idx], res.estimate),
+                **_solve_status(res),
+            }
+            for idx, (lam, res) in enumerate(zip(config.component_lams_um, solved))
+        ]
         stage3 = []
         for subset in config.subsets:
             mix = component_sum_state(
-                [(float(weights[i - 1]), components[i - 1]) for i in subset]
+                [(float(weights[j - 1]), solved[j - 1].estimate) for j in subset]
             )
             stage3.append(
                 {
@@ -512,6 +514,16 @@ def run_mixed_state_workflow(config: MixedWorkflowConfig) -> dict:
             "stage3": stage3,
         }
     return report
+
+
+def _solve_status(res: ReconstructionResult) -> dict:
+    return {
+        "iterations": res.iterations,
+        "stop_reason": res.stop_reason,
+        "scoring_steps": res.scoring_steps,
+        "fixed_point_steps": res.fixed_point_steps,
+        "rejected_steps": res.rejected_steps,
+    }
 
 
 def run_retarder_fit(

@@ -49,7 +49,20 @@ step's real Fisher matrix F at the returned c; a stationary stop reuses that
 step's eigendecomposition.  For a process on an s-level system under an
 adequate model they split into s^2 modes pinned by the auxiliary rows, ``nu``
 data modes and r^2 gauge nulls (``c -> c U``): ``nu + s^2`` lie above 1e-8
-times the largest.
+times the largest.  Each result also counts its accepted scoring steps, its
+fixed-point steps and its rejected steps (failed Levenberg retries and
+fixed-point beta halvings).
+
+There is one solver, ``solve_likelihood_batch``; ``solve_likelihood`` is a
+batch of one.  A batch solves several datasets, its lanes, at once: the lanes
+share one operator array and carry their own exposures and counts, and each
+lane runs the algorithm above with its own iterate, step controls, step
+counts and stop rule.  Every per-lane quantity is computed by an operation
+that treats the lanes independently (one BLAS or LAPACK call per lane, or an
+elementwise operation, or a sum along a lane's own row), so a lane's result
+is bit-identical whether it is solved alone or inside any batch.  A lane
+leaves the batch when it stops, and the remaining lanes are compacted, so a
+long solve costs only its own lane's iterations.
 """
 
 from __future__ import annotations
@@ -70,6 +83,7 @@ __all__ = [
     "expected_rates",
     "log_likelihood",
     "solve_likelihood",
+    "solve_likelihood_batch",
 ]
 
 _RATE_FLOOR = 1e-300  # only inside logs and divisions, never in the model
@@ -116,12 +130,22 @@ class ReconstructionResult:
     nu: int | None
     tp_residual: float | None
     info_spectrum: np.ndarray  # the real Fisher matrix's 2*d*r eigenvalues, descending
+    scoring_steps: int  # accepted scoring steps
+    fixed_point_steps: int  # fixed-point steps
+    rejected_steps: int  # failed Levenberg retries plus fixed-point beta halvings
+
+
+def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # a @ x over the last axes, one matrix-vector product per lane
+    return (a @ x[..., None])[..., 0]
 
 
 def _rates(c: np.ndarray, ops_flat: np.ndarray) -> np.ndarray:
     # row j of ops_flat, the (m, d*d) view of the operators, dotted with
-    # vec((c c^+)^T) is tr(Lambda_j c c^+)
-    return (ops_flat @ (c @ c.conj().T).T.ravel()).real
+    # vec((c c^+)^T) is tr(Lambda_j c c^+); c is (d, r) or a batch (B, d, r),
+    # and each lane gets its own matrix-vector product
+    rho = c @ c.conj().swapaxes(-1, -2)
+    return _matvec(ops_flat, rho.swapaxes(-1, -2).reshape(*c.shape[:-2], -1)).real
 
 
 def expected_rates(c: np.ndarray, data: Measurements) -> np.ndarray:
@@ -140,24 +164,29 @@ def log_likelihood(c: np.ndarray, data: Measurements, include_factorial: bool = 
     factorial constant does not depend on c; dropping it gives the monotone
     surrogate the solver tracks.
     """
+    return _log_likelihood(expected_rates(c, data), data, include_factorial)
+
+
+def _log_likelihood(lam: np.ndarray, data: Measurements, include_factorial: bool = True) -> float:
     k = data.counts
-    mean = expected_rates(c, data) * data.exposures
+    mean = lam * data.exposures
     if np.any((mean <= 0) & (k > 0)):
         return -math.inf
     ll = float(np.sum(k * np.log(np.maximum(mean, _RATE_FLOOR))) - mean.sum())
     if include_factorial:
-        ll -= float(sum(math.lgamma(ki + 1.0) for ki in k))
+        ll -= float(sum(map(math.lgamma, (k + 1.0).tolist())))
     return ll
 
 
-def _fisher(c: np.ndarray, data: Measurements, lam: np.ndarray) -> np.ndarray:
-    """Real Fisher matrix ``4 sum_j (t_j / lambda_j) v_j v_j^T`` at c with
-    rates lam, over the real parameters (Re c, then Im c, each column-major);
-    ``v_j`` is ``vec(Lambda_j c)`` in that layout."""
-    ops = data.operators
-    v = np.einsum("mij,jr->mir", ops, c).transpose(0, 2, 1).reshape(len(ops), -1)
-    v_real = np.concatenate([v.real, v.imag], axis=1)
-    return 4.0 * (v_real * (data.exposures / np.maximum(lam, _RATE_FLOOR))[:, None]).T @ v_real
+def _fisher(c: np.ndarray, ops: np.ndarray, t: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Real Fisher matrices ``4 sum_j (t_j / lambda_j) v_j v_j^T`` of a batch
+    c (B, d, r) with exposures t and rates lam (B, m), over the real
+    parameters (Re c, then Im c, each column-major); ``v_j`` is
+    ``vec(Lambda_j c)`` in that layout."""
+    v = np.einsum("mij,bjr->bmir", ops, c).swapaxes(2, 3).reshape(len(c), len(ops), -1)
+    v_real = np.concatenate([v.real, v.imag], axis=2)
+    weighted = v_real * (t / np.maximum(lam, _RATE_FLOOR))[:, :, None]
+    return 4.0 * weighted.swapaxes(1, 2) @ v_real
 
 
 @functools.cache
@@ -188,139 +217,278 @@ def _initial_point(data: Measurements, rank: int) -> np.ndarray:
     design_h = design.conj().T
     weights = 1.0 / np.maximum(k, 1.0)
     normal = (design_h * weights) @ design
-    normal.flat[:: d * d + 1] += _START_RIDGE * normal.trace().real / (d * d)
+    normal.reshape(-1)[:: d * d + 1] += _START_RIDGE * normal.trace().real / (d * d)
     rho = np.linalg.solve(normal, design_h @ (weights * k)).reshape(d, d).T
     w, u = np.linalg.eigh(rho + rho.conj().T)
     w = np.maximum(w[: -rank - 1 : -1], _START_FLOOR * w[-1])
     return u[:, : -rank - 1 : -1] * np.sqrt(w / w.sum()) + _perturbation(d, rank)
 
 
+class _Lanes:
+    """Per-lane state of the lanes still iterating, one row per lane;
+    ``keep`` compacts every array at once."""
+
+    def __init__(self, **arrays: np.ndarray) -> None:
+        self.__dict__.update(arrays)
+
+    def keep(self, mask: np.ndarray) -> None:
+        self.__dict__.update({name: a[mask] for name, a in vars(self).items()})
+
+    def put(self, rows: slice | np.ndarray, **values) -> None:
+        for name, value in values.items():
+            getattr(self, name)[rows] = value
+
+
+def _sq_norm(x: np.ndarray) -> np.ndarray:
+    # per lane, the squared norm np.linalg.norm takes: one dot product of the
+    # real parts plus one of the imaginary parts
+    v = x.reshape(len(x), -1)
+    re, im = v.real, v.imag
+    return (re[:, None] @ re[:, :, None] + im[:, None] @ im[:, :, None])[:, 0, 0]
+
+
+def _surrogate(
+    lam: np.ndarray, k: np.ndarray, t: np.ndarray, k_div: np.ndarray
+) -> np.ndarray:
+    """Log-likelihood without its constant offset, per lane: each observed
+    term is O(1) near the data, so the sum keeps float resolution; -inf
+    where an observed row has a rate <= 0.  ``k_div`` is k with zeros
+    replaced by one."""
+    mean = lam * t
+    safe = mean if np.minimum.reduce(mean, axis=None) > 0 else np.where(mean > 0, mean, 1.0)
+    ll = np.add.reduce(k * np.log(safe / k_div) - (mean - k), axis=-1)
+    if safe is not mean:
+        ll = np.where(np.logical_or.reduce((mean <= 0) & (k > 0), axis=-1), -np.inf, ll)
+    return ll
+
+
 def solve_likelihood(
     data: Measurements, config: ReconstructionConfig
 ) -> ReconstructionResult:
-    """Solve ``I c = J c`` for the purified vector and return the estimate.
+    """Solve ``I c = J c`` for one dataset: a batch of one lane."""
+    return solve_likelihood_batch([data], config)[0]
 
-    Auxiliary rows participate exactly like measured ones.  Raises
-    IncompleteProtocolError when I is singular (protocol cannot identify the
-    model); non-convergence within the iteration budget is reported through
-    the result flags, not raised.
+
+def solve_likelihood_batch(
+    datasets: list[Measurements], config: ReconstructionConfig
+) -> list[ReconstructionResult]:
+    """Solve ``I c = J c`` for every dataset (lane); result b is lane b's.
+
+    The lanes share one operator array and carry their own exposures and
+    counts.  Auxiliary rows participate exactly like measured ones.  Raises
+    ValueError when the operators differ or a lane has no counts, and
+    IncompleteProtocolError when a lane's I is singular (the protocol cannot
+    identify the model); in a batch of more than one lane the message names
+    the lane.  Non-convergence within the iteration budget is reported
+    through the result flags, not raised.
     """
-    ops, t, k = data.operators, data.exposures, data.counts
+    if not datasets:
+        raise ValueError("no datasets to solve")
+    ops = datasets[0].operators
     m, d, _ = ops.shape
-    if config.rank > d:
-        raise ValueError(f"rank {config.rank} exceeds dimension {d}")
+    rank = config.rank
+    if rank > d:
+        raise ValueError(f"rank {rank} exceeds dimension {d}")
     ops_flat = ops.reshape(m, d * d)
-
-    i_mat = np.tensordot(t, ops, axes=1)
-    w_i = np.linalg.eigvalsh(i_mat)
-    if w_i.min() <= 1e-12 * w_i.max():
-        raise IncompleteProtocolError(
-            f"information matrix I is singular (eigenvalues {w_i.min():.3e}.."
-            f"{w_i.max():.3e}); the protocol cannot identify rank {config.rank}"
-        )
-    i_inv = np.linalg.inv(i_mat)
-
-    n_observed = k.sum()
-    if n_observed <= 0:
-        raise ValueError("no observed counts")
-    observed = k > 0
-    k_obs = k[observed]
-
-    def surrogate(lam: np.ndarray) -> float:
-        # log-likelihood without its constant offset: each observed term is
-        # O(1) near the data, so the sum keeps float resolution
-        mean = lam * t
-        mean_obs = mean[observed]
-        if np.any(mean_obs <= 0):
-            return -math.inf
-        return float(
-            np.sum(k_obs * np.log(mean_obs / k_obs) - (mean_obs - k_obs))
-            - mean[~observed].sum()
-        )
-
-    c = _initial_point(data, config.rank)
-    lam = _rates(c, ops_flat)
-    c = c * np.sqrt(n_observed / float(np.dot(lam, t)))
-    lam = _rates(c, ops_flat)
-    ll = surrogate(lam)
-
-    beta = config.damping
-    mu = 1e-3  # Levenberg parameter of the scoring phase
-    prev_diff: np.ndarray | None = None
-    residual = math.inf
-    iterations = 0
-    stop_reason = "iteration_cap"
-    for iterations in range(1, config.max_iterations + 1):
-        weights = k / np.maximum(lam, _RATE_FLOOR)
-        j_mat = (weights @ ops_flat).reshape(d, d)
-        jc = j_mat @ c
-        ic = i_mat @ c
-        residual = float(np.linalg.norm(ic - jc) / np.linalg.norm(ic))
-        if residual < config.convergence_tol:
-            stop_reason = "residual"
-            break
-
-        accepted = False
-        if residual < _SCORING_RESIDUAL:
-            fisher = _fisher(c, data, lam)
-            grad_c = jc - ic
-            grad = 2.0 * np.concatenate(
-                [grad_c.real.flatten(order="F"), grad_c.imag.flatten(order="F")]
+    n_lanes = len(datasets)
+    s = _Lanes(
+        lane=np.arange(n_lanes),
+        c=np.empty((n_lanes, d, rank), complex),
+        k=np.empty((n_lanes, m)),
+        t=np.empty((n_lanes, m)),
+        i_mat=np.empty((n_lanes, d, d), complex),
+        i_inv=np.empty((n_lanes, d, d), complex),
+        beta=np.full(n_lanes, config.damping),
+        mu=np.full(n_lanes, 1e-3),  # Levenberg parameter of the scoring phase
+        # the last fixed-point difference; zero, like a zero difference,
+        # skips the extrapolation
+        prev=np.zeros((n_lanes, d, rank), complex),
+        fixed_steps=np.zeros(n_lanes, int),
+        rejected=np.zeros(n_lanes, int),  # failed Levenberg retries and beta halvings
+    )
+    for b, data in enumerate(datasets):
+        lane = f"lane {b}: " if n_lanes > 1 else ""
+        if data.operators is not ops and not np.array_equal(data.operators, ops):
+            raise ValueError(
+                f"{lane}operators differ from lane 0's; a batch shares one operator array"
             )
+        # what np.tensordot(t, ops, axes=1) computes, without its set-up
+        i_mat = np.dot(data.exposures[None], ops_flat).reshape(d, d)
+        w_i = np.linalg.eigvalsh(i_mat)
+        if w_i.min() <= 1e-12 * w_i.max():
+            raise IncompleteProtocolError(
+                f"{lane}information matrix I is singular (eigenvalues {w_i.min():.3e}.."
+                f"{w_i.max():.3e}); the protocol cannot identify rank {rank}"
+            )
+        n_observed = data.counts.sum()
+        if n_observed <= 0:
+            raise ValueError(f"{lane}no observed counts")
+        c = _initial_point(data, rank)
+        lam = _rates(c, ops_flat)
+        s.c[b] = c * np.sqrt(n_observed / float(np.dot(lam, data.exposures)))
+        s.k[b], s.t[b] = data.counts, data.exposures
+        s.i_mat[b], s.i_inv[b] = i_mat, np.linalg.inv(i_mat)
+    s.k_div = np.where(s.k > 0, s.k, 1.0)
+    s.lam = _rates(s.c, ops_flat)
+    s.ll = _surrogate(s.lam, s.k, s.t, s.k_div)
+    results: list[ReconstructionResult | None] = [None] * n_lanes
+    fixed_steps_taken = False  # until then every prev is zero
+
+    def finish(p: int, residual: float, iterations: int, reason: str, spectrum=None) -> None:
+        b = s.lane[p]
+        fixed_steps = int(s.fixed_steps[p])
+        # every iteration but a converged stop's last takes one step
+        scoring_steps = iterations - (reason != "iteration_cap") - fixed_steps
+        results[b] = _result(
+            datasets[b], s.c[p], residual, iterations, reason, spectrum, rank,
+            (scoring_steps, fixed_steps, int(s.rejected[p])),
+        )
+
+    for iterations in range(1, config.max_iterations + 1):
+        n_active = len(s.lane)
+        weights = s.k / np.maximum(s.lam, _RATE_FLOOR)
+        jc = (weights[:, None, :] @ ops_flat).reshape(n_active, d, d) @ s.c
+        ic = s.i_mat @ s.c
+        grad_c = jc - ic
+        norms = np.sqrt(_sq_norm(np.concatenate([grad_c, ic])))
+        residual = norms[:n_active] / norms[n_active:]
+        done = residual < config.convergence_tol
+        stopped = done  # and the stationary lanes
+        fixed = ~done  # less the lanes that take a scoring step
+        spectra = {}
+        all_stepped = False
+
+        scoring = fixed & (residual < _SCORING_RESIDUAL)
+        n_scoring = np.count_nonzero(scoring)
+        if n_scoring:
+            # a basic slice while every lane scores: no copies
+            pos = slice(None) if n_scoring == n_active else np.flatnonzero(scoring)
+            c, ll, k, t, k_div = s.c[pos], s.ll[pos], s.k[pos], s.t[pos], s.k_div[pos]
+            fisher = _fisher(c, ops, t, s.lam[pos])
+            g = grad_c[pos].swapaxes(1, 2).reshape(len(c), -1)  # each lane column-major
+            grad = 2.0 * np.concatenate([g.real, g.imag], axis=1)
             w, u = np.linalg.eigh(fisher)
-            g_eig = u.T @ grad
+            g_eig = _matvec(u.swapaxes(1, 2), grad)
             # the decrement over F's range: gauge directions (c -> c U) and
             # other null directions of F carry no predicted ascent
-            in_range = w > _EIGEN_CUTOFF * w[-1]
-            decrement = 0.5 * float(np.sum(g_eig[in_range] ** 2 / w[in_range]))
-            if decrement < _DECREMENT_TOL * (1.0 + abs(ll)):
-                stop_reason = "stationary"
-                break
-            w = np.maximum(w, 0.0)
-            ridge = np.trace(fisher) / fisher.shape[0]
-            half = grad.size // 2
-            for _ in range(8):
-                delta = u @ (g_eig / (w + mu * ridge))
-                c_try = c + (
-                    delta[:half].reshape(c.shape, order="F")
-                    + 1j * delta[half:].reshape(c.shape, order="F")
-                )
-                lam_try = _rates(c_try, ops_flat)
-                ll_try = surrogate(lam_try)
-                if ll_try >= ll - _SCORING_SLACK * (1.0 + abs(ll)):
-                    c, lam, ll = c_try, lam_try, ll_try
-                    mu = max(mu * 0.3, 1e-12)
-                    accepted = True
-                    prev_diff = None
-                    break
-                mu *= 10.0
-        if not accepted:
-            step = i_inv @ jc
-            halved = False
-            while True:
-                c_new = (1.0 - beta) * c + beta * step
-                lam_new = _rates(c_new, ops_flat)
-                ll_new = surrogate(lam_new)
-                if ll_new >= ll - _FIXED_POINT_SLACK * (1.0 + abs(ll)) or beta <= 1e-3:
-                    break
-                beta = max(beta / 2.0, 1e-3)
-                halved = True
-            if not halved:
-                beta = min(config.damping, beta * 1.5)
-            diff = c_new - c
-            if prev_diff is not None and iterations % 5 == 0:
-                denom = float(np.vdot(prev_diff, prev_diff).real)
-                q = float(np.vdot(prev_diff, diff).real) / denom if denom > 0 else 0.0
-                if 0.0 < q < 0.9999:
-                    c_acc = c_new + diff * (q / (1.0 - q))
-                    lam_acc = _rates(c_acc, ops_flat)
-                    ll_acc = surrogate(lam_acc)
-                    if ll_acc >= ll_new:
-                        c_new, lam_new, ll_new = c_acc, lam_acc, ll_acc
-                        diff = None
-            prev_diff = diff
-            c, lam, ll = c_new, lam_new, ll_new
+            in_range = w > _EIGEN_CUTOFF * w[:, -1:]
+            twice_decrement = np.add.reduce(g_eig**2 / np.where(in_range, w, np.inf), axis=1)
+            scale = 1.0 + np.abs(ll)
+            stop = twice_decrement < (2.0 * _DECREMENT_TOL) * scale
+            if np.logical_or.reduce(stop):
+                pos = np.arange(n_active)[pos]
+                stopped = done.copy()
+                stopped[pos[stop]] = True
+                fixed[pos[stop]] = False
+                spectra = dict(zip(pos[stop], w[stop, ::-1]))
+                pos = pos[~stop]
+                if len(pos):
+                    c, ll, scale, k, t, k_div, fisher, w, u, g_eig = (
+                        x[~stop] for x in (c, ll, scale, k, t, k_div, fisher, w, u, g_eig)
+                    )
+            if isinstance(pos, slice) or len(pos):  # Levenberg-damped scoring steps
+                w = np.maximum(w, 0.0)
+                ridge = fisher.trace(axis1=1, axis2=2) / fisher.shape[1]
+                mu = s.mu[pos]
+                for _ in range(8):
+                    dc = _matvec(u, g_eig / (w + (mu * ridge)[:, None])).reshape(-1, 2, rank, d)
+                    c_try = c + (dc[:, 0] + 1j * dc[:, 1]).swapaxes(1, 2)
+                    lam_try = _rates(c_try, ops_flat)
+                    ll_try = _surrogate(lam_try, k, t, k_div)
+                    ok = ll_try >= ll - _SCORING_SLACK * scale
+                    if np.logical_and.reduce(ok):  # every pending lane takes its step
+                        mu = np.maximum(mu * 0.3, 1e-12)
+                        if isinstance(pos, slice):  # the common case: every lane did
+                            s.mu, s.c, s.lam, s.ll = mu, c_try, lam_try, ll_try
+                            if fixed_steps_taken:
+                                s.prev[:] = 0.0
+                            all_stepped = True
+                            break
+                        s.put(pos, mu=mu, c=c_try, lam=lam_try, ll=ll_try, prev=0.0)
+                        fixed[pos] = False
+                        break
+                    s.rejected[pos] += ~ok
+                    mu = np.where(ok, np.maximum(mu * 0.3, 1e-12), mu * 10.0)
+                    if np.logical_or.reduce(ok):
+                        pos = np.arange(n_active)[pos]
+                        p = pos[ok]
+                        s.put(p, mu=mu[ok], c=c_try[ok], lam=lam_try[ok], ll=ll_try[ok], prev=0.0)
+                        fixed[p] = False
+                        pos, c, ll, scale, k, t, k_div, w, u, g_eig, ridge, mu = (
+                            x[~ok] for x in (pos, c, ll, scale, k, t, k_div, w, u, g_eig, ridge, mu)
+                        )
+                else:
+                    s.mu[pos] = mu  # no step after 8 tries: the fixed point follows
+                if all_stepped:
+                    continue  # no lane stopped, and none needs the fixed point
 
+        if np.logical_or.reduce(fixed):
+            pos = np.flatnonzero(fixed)
+            c, ll, beta = s.c[pos], s.ll[pos], s.beta[pos]
+            k, t, k_div = s.k[pos], s.t[pos], s.k_div[pos]
+            step = s.i_inv[pos] @ jc[pos]
+            c_new, lam_new, ll_new = np.empty_like(c), np.empty((len(pos), m)), np.empty(len(pos))
+            halved = np.zeros(len(pos), bool)
+            todo = np.arange(len(pos))
+            while True:
+                b = beta[todo, None, None]
+                c_new[todo] = (1.0 - b) * c[todo] + b * step[todo]
+                lam_new[todo] = _rates(c_new[todo], ops_flat)
+                ll_new[todo] = _surrogate(lam_new[todo], k[todo], t[todo], k_div[todo])
+                slack = _FIXED_POINT_SLACK * (1.0 + np.abs(ll[todo]))
+                todo = todo[~(ll_new[todo] >= ll[todo] - slack) & ~(beta[todo] <= 1e-3)]
+                if not todo.size:
+                    break
+                beta[todo] = np.maximum(beta[todo] / 2.0, 1e-3)
+                halved[todo] = True
+                s.rejected[pos[todo]] += 1
+            beta = np.where(halved, beta, np.minimum(config.damping, beta * 1.5))
+            diff = c_new - c
+            if iterations % 5 == 0:
+                # geometric-series extrapolation, lane by lane: it is rare
+                for j, prev in enumerate(s.prev[pos]):
+                    denom = float(np.vdot(prev, prev).real)
+                    q = float(np.vdot(prev, diff[j]).real) / denom if denom > 0 else 0.0
+                    if 0.0 < q < 0.9999:
+                        c_acc = c_new[j] + diff[j] * (q / (1.0 - q))
+                        lam_acc = _rates(c_acc, ops_flat)
+                        ll_acc = _surrogate(lam_acc, k[j], t[j], k_div[j])
+                        if ll_acc >= ll_new[j]:
+                            c_new[j], lam_new[j], ll_new[j], diff[j] = c_acc, lam_acc, ll_acc, 0.0
+            s.put(pos, c=c_new, lam=lam_new, ll=ll_new, beta=beta, prev=diff)
+            s.fixed_steps[pos] += 1
+            fixed_steps_taken = True
+
+        if np.logical_or.reduce(stopped):
+            for p in np.flatnonzero(stopped):
+                reason = "residual" if done[p] else "stationary"
+                finish(p, residual[p], iterations, reason, spectra.get(p))
+            if np.logical_and.reduce(stopped):
+                return results
+            s.keep(~stopped)
+            residual = residual[~stopped]
+    for p in range(len(s.lane)):
+        finish(p, residual[p], config.max_iterations, "iteration_cap")
+    return results
+
+
+def _result(
+    data: Measurements,
+    c: np.ndarray,
+    residual: float,
+    iterations: int,
+    stop_reason: str,
+    spectrum: np.ndarray | None,
+    rank: int,
+    steps: tuple[int, int, int],
+) -> ReconstructionResult:
+    """One lane's result at its final c; ``spectrum`` is the last scoring
+    step's F spectrum on a stationary stop, taken at exactly this c;
+    ``steps`` counts its scoring, fixed-point and rejected steps."""
+    ops, t = data.operators, data.exposures
+    m, d, _ = ops.shape
+    lam = _rates(c, ops.reshape(m, d * d))
+    n_observed = data.counts.sum()
     gap = abs(float(np.dot(lam, t)) - n_observed) / n_observed
     rho = c @ c.conj().T
     rho /= rho.trace().real
@@ -331,20 +499,23 @@ def solve_likelihood(
     nu = None
     if is_process:
         tp_residual = float(np.max(np.abs(partial_trace(s * rho, "output") - np.eye(s))))
-        nu = parameter_count(s, config.rank)
-    if stop_reason != "stationary":  # a stationary stop took F's eigh at this c
-        w = np.linalg.eigvalsh(_fisher(c, data, lam))
+        nu = parameter_count(s, rank)
+    if spectrum is None:
+        spectrum = np.linalg.eigvalsh(_fisher(c[None], ops, t[None], lam[None])[0])[::-1]
 
     return ReconstructionResult(
         estimate=rho,
-        rank=config.rank,
+        rank=rank,
         iterations=iterations,
         converged=stop_reason != "iteration_cap",
         stop_reason=stop_reason,
-        residual=residual,
-        log_likelihood=log_likelihood(c, data),
+        residual=float(residual),
+        log_likelihood=_log_likelihood(lam, data),
         normalization_gap=gap,
         nu=nu,
         tp_residual=tp_residual,
-        info_spectrum=w[::-1],
+        info_spectrum=spectrum,
+        scoring_steps=steps[0],
+        fixed_point_steps=steps[1],
+        rejected_steps=steps[2],
     )

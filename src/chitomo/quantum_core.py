@@ -23,7 +23,6 @@ __all__ = [
     "hermitian_eig",
     "fidelity",
     "von_neumann_entropy",
-    "check_density_matrix",
 ]
 
 
@@ -89,29 +88,6 @@ def _sqrtm_psd(rho: np.ndarray) -> np.ndarray:
     w, u = np.linalg.eigh(rho)
     w = np.clip(w, 0.0, None)
     return (u * np.sqrt(w)) @ u.conj().T
-
-
-def check_density_matrix(
-    rho: np.ndarray,
-    herm_tol: float = 1e-12,
-    eig_floor: float = -1e-10,
-    trace_tol: float = 1e-10,
-) -> np.ndarray:
-    """Validate Hermiticity, positivity and unit trace; return the array.
-
-    Raises ValueError naming the violated invariant.
-    """
-    rho = _as_complex_matrix(rho)
-    defect = np.max(np.abs(rho - rho.conj().T))
-    if defect > herm_tol:
-        raise ValueError(f"not Hermitian: defect {defect:.3e}")
-    w = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-    if w.min() < eig_floor:
-        raise ValueError(f"not positive semidefinite: min eigenvalue {w.min():.3e}")
-    tr = rho.trace().real
-    if abs(tr - 1.0) > trace_tol:
-        raise ValueError(f"trace {tr!r} differs from 1 beyond {trace_tol:.0e}")
-    return rho
 
 
 def fidelity(rho0: np.ndarray, rho: np.ndarray) -> float:

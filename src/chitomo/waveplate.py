@@ -37,7 +37,6 @@ __all__ = [
     "plate_unitary",
     "sinc2_profile",
     "plate_choi_state",
-    "su2_from_retarder",
     "fit_su2_retarder",
     "birefringence_from_delta",
     "broadband_mixed_state",
@@ -227,15 +226,9 @@ def plate_choi_state(spec: WaveplateSpec, profile: SpectralProfile) -> np.ndarra
     return weighted.T @ psis.conj()
 
 
-def su2_from_retarder(delta: float, alpha_rad: float) -> SU2Retarder:
-    """Coefficients t = cos(d) + i sin(d) cos(2a), r = i sin(d) sin(2a)."""
-    t = np.cos(delta) + 1j * np.sin(delta) * np.cos(2 * alpha_rad)
-    r = 1j * np.sin(delta) * np.sin(2 * alpha_rad)
-    return SU2Retarder(complex(t), complex(r))
-
-
 def fit_su2_retarder(g: SU2Retarder) -> tuple[float, float, bool]:
-    """Invert :func:`su2_from_retarder` up to the inherent retarder symmetries.
+    """Invert ``t = cos(d) + i sin(d) cos(2a), r = i sin(d) sin(2a)`` up to the
+    inherent retarder symmetries.
 
     Returns (delta, alpha, degenerate) with delta folded to [0, pi/2] and
     alpha to [0, pi).  When |sin delta| < 1e-12 the orientation is undefined;

@@ -1,6 +1,7 @@
-"""Test-only checks of Kraus sets, operator bases and the unitary mixing
-freedom of a chi-matrix factor, and the two matrices of the likelihood
-equation ``I c = J c``."""
+"""Test-only checks and oracles: Kraus sets, operator bases, the unitary
+mixing freedom of a chi-matrix factor, the two matrices of the likelihood
+equation ``I c = J c``, density-matrix validation, the SU(2) form of a
+retarder and a bootstrap bound on a ratio of means."""
 
 from __future__ import annotations
 
@@ -10,12 +11,17 @@ import numpy as np
 
 from chitomo.ml_engine import expected_rates
 from chitomo.protocols import Measurements
+from chitomo.quantum_core import _as_complex_matrix
+from chitomo.waveplate import SU2Retarder
 
 __all__ = [
     "completeness_residual",
     "basis_orthonormality_check",
     "unitary_mix",
     "fisher_matrices",
+    "check_density_matrix",
+    "su2_from_retarder",
+    "bootstrap_ratio_lower_bound",
 ]
 
 
@@ -52,3 +58,51 @@ def fisher_matrices(c: np.ndarray, data: Measurements) -> tuple[np.ndarray, np.n
     i_mat = np.tensordot(data.exposures, data.operators, axes=1)
     j_mat = np.tensordot(data.counts / lam, data.operators, axes=1)
     return i_mat, j_mat
+
+
+def check_density_matrix(
+    rho: np.ndarray,
+    herm_tol: float = 1e-12,
+    eig_floor: float = -1e-10,
+    trace_tol: float = 1e-10,
+) -> np.ndarray:
+    """Validate Hermiticity, positivity and unit trace; return the array.
+
+    Raises ValueError naming the violated invariant.
+    """
+    rho = _as_complex_matrix(rho)
+    defect = np.max(np.abs(rho - rho.conj().T))
+    if defect > herm_tol:
+        raise ValueError(f"not Hermitian: defect {defect:.3e}")
+    w = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
+    if w.min() < eig_floor:
+        raise ValueError(f"not positive semidefinite: min eigenvalue {w.min():.3e}")
+    tr = rho.trace().real
+    if abs(tr - 1.0) > trace_tol:
+        raise ValueError(f"trace {tr!r} differs from 1 beyond {trace_tol:.0e}")
+    return rho
+
+
+def su2_from_retarder(delta: float, alpha_rad: float) -> SU2Retarder:
+    """Coefficients t = cos(d) + i sin(d) cos(2a), r = i sin(d) sin(2a)."""
+    t = np.cos(delta) + 1j * np.sin(delta) * np.cos(2 * alpha_rad)
+    r = 1j * np.sin(delta) * np.sin(2 * alpha_rad)
+    return SU2Retarder(complex(t), complex(r))
+
+
+def bootstrap_ratio_lower_bound(
+    numerator: np.ndarray,
+    denominator: np.ndarray,
+    alpha: float = 0.05,
+    n_boot: int = 4000,
+    seed: int = 0,
+) -> float:
+    """One-sided lower confidence bound of mean(numerator)/mean(denominator)
+    by independent nonparametric bootstrap."""
+    rng = np.random.default_rng(seed)
+    num = np.asarray(numerator, dtype=float)
+    den = np.asarray(denominator, dtype=float)
+    idx_n = rng.integers(0, num.size, (n_boot, num.size))
+    idx_d = rng.integers(0, den.size, (n_boot, den.size))
+    ratios = num[idx_n].mean(axis=1) / den[idx_d].mean(axis=1)
+    return float(np.quantile(ratios, alpha))

@@ -18,7 +18,6 @@ import pytest
 from chitomo.harness import (
     CampaignConfig,
     MixedWorkflowConfig,
-    bootstrap_ratio_lower_bound,
     run_mc_campaign,
     run_mixed_state_workflow,
     run_scaling_study,
@@ -39,7 +38,7 @@ from chitomo.process_algebra import (
 )
 from chitomo.protocols import Measurements, auxiliary_rows, process_protocol
 from chitomo.quantum_core import fidelity, partial_trace
-from process_oracles import fisher_matrices, unitary_mix
+from process_oracles import bootstrap_ratio_lower_bound, fisher_matrices, unitary_mix
 from random_ops import (
     random_state_vector,
     random_trace_preserving_kraus,

@@ -163,17 +163,37 @@ class TestMcCommand:
         args = ["mc", "--config", cfg, "--seed", "9", "--out", str(tmp_path), "--threads", "2"]
         assert main(args) == 0
         lines = (tmp_path / "replications.csv").read_text().strip().splitlines()
-        assert lines[0] == "replication,seed,fidelity,iterations,stop_reason,residual"
+        assert lines[0] == (
+            "replication,seed,fidelity,iterations,stop_reason,residual,"
+            "scoring_steps,fixed_point_steps,rejected_steps"
+        )
         fidelities = (tmp_path / "fidelities.csv").read_text().strip().splitlines()[1:]
         assert len(lines) == 1 + self.CONFIG["replications"]
         for i, (line, fid_line) in enumerate(zip(lines[1:], fidelities)):
-            index, seed, fid, iterations, stop_reason, residual = line.split(",")
+            index, seed, fid, iterations, stop_reason, residual, *steps = line.split(",")
             assert int(index) == i
             assert int(seed) == derive_seed(9, i)
             assert f"{index},{fid}" == fid_line
             assert int(iterations) >= 1
             assert stop_reason in ("residual", "stationary")
             assert float(residual) < 1e-6
+            # a converged stop takes no step in its last iteration
+            scoring, fixed, rejected = map(int, steps)
+            assert scoring + fixed == int(iterations) - 1
+            assert min(scoring, fixed, rejected) >= 0
+
+    def test_step_counts_deterministic(self, tmp_path):
+        # the step columns repeat byte for byte, and --threads 2 leaves them alone
+        cfg = write_config(tmp_path / "mc.json", {**self.CONFIG, "n_events": 500})
+        texts = []
+        for name, threads in (("a", "1"), ("b", "1"), ("c", "2")):
+            out = tmp_path / name
+            args = ["mc", "--config", cfg, "--seed", "77", "--out", str(out), "--threads", threads]
+            assert main(args) == 0
+            texts.append((out / "replications.csv").read_text())
+        assert texts[0] == texts[1] == texts[2]
+        rows = [line.split(",") for line in texts[0].strip().splitlines()[1:]]
+        assert sum(int(row[6]) for row in rows) > 0  # scoring steps were counted
 
     def test_replications_csv_of_raised_and_capped_solves(self, tmp_path, monkeypatch):
         import chitomo.harness as harness
@@ -191,10 +211,11 @@ class TestMcCommand:
         cfg = write_config(tmp_path / "mc.json", {**self.CONFIG, "max_iterations": 2})
         assert main(["mc", "--config", cfg, "--seed", "9", "--out", str(tmp_path)]) == 1
         lines = (tmp_path / "replications.csv").read_text().strip().splitlines()
-        assert lines[2] == f"1,{derive_seed(9, 1)},nan,,,"
-        index, _, fid, iterations, stop_reason, _ = lines[1].split(",")
+        assert lines[2] == f"1,{derive_seed(9, 1)},nan,,,,,,"
+        index, _, fid, iterations, stop_reason, _, scoring, fixed, _ = lines[1].split(",")
         assert (iterations, stop_reason) == ("2", "iteration_cap")
         assert 0.0 <= float(fid) <= 1.0
+        assert int(scoring) + int(fixed) == 2  # a capped solve steps in every iteration
 
 
 class TestScalingCommand:
@@ -247,8 +268,9 @@ class TestMixedWorkflowCommand:
             ({"subsets": [[0, 1]]}, "subsets[0]"),
             ({"subsets": [[1, 9]]}, "subsets[0]"),
             ({"component_lams_um": []}, "component_lams_um"),
+            ({"component_lams_um": [1.0] * 1000, "subsets": [[1]]}, "component_lams_um"),
         ],
-        ids=["index-zero", "index-past-end", "no-components"],
+        ids=["index-zero", "index-past-end", "no-components", "1000-components"],
     )
     def test_invalid_config_exits_2(self, tmp_path, capsys, config, field):
         cfg = write_config(tmp_path / "w.json", config)
@@ -262,17 +284,22 @@ class TestMixedWorkflowCommand:
 
         import chitomo.harness as harness
 
-        real = harness.solve_likelihood
+        real = harness.solve_likelihood_batch
+        batches = []
         calls = []
 
-        def capped_third_solve(rows, config):
-            res = real(rows, config)
-            calls.append(res)
-            if len(calls) == 3:
-                res = dataclasses.replace(res, converged=False, stop_reason="iteration_cap")
-            return res
+        def capped_second_component(datasets, config):
+            results = real(datasets, config)
+            batches.append((len(datasets), config.rank))
+            calls.extend(results)
+            if len(batches) == 2:
+                # lane 1 of the component batch: the second 1-plate component
+                results[1] = dataclasses.replace(
+                    results[1], converged=False, stop_reason="iteration_cap"
+                )
+            return results
 
-        monkeypatch.setattr(harness, "solve_likelihood", capped_third_solve)
+        monkeypatch.setattr(harness, "solve_likelihood_batch", capped_second_component)
         cfg = write_config(
             tmp_path / "w.json", {"knots": 201, "span": 15.0, "n_events": 5000, "seed": 2}
         )
@@ -280,8 +307,10 @@ class TestMixedWorkflowCommand:
         report = json.loads((tmp_path / "result.json").read_text())
         stage2 = report["per_plate_count"]["1"]["stage2"]
         assert stage2[1]["stop_reason"] == "iteration_cap"
-        assert stage2[1]["iterations"] == calls[2].iterations
+        # calls holds the 2 broadband lanes, then the 14 component lanes
+        assert stage2[1]["iterations"] == calls[3].iterations
         assert len(calls) == 16
+        assert batches == [(2, 2), (14, 1)]
 
 
 class TestFitRetarderCommand:

@@ -9,7 +9,6 @@ from chitomo.harness import (
     EstimateTooMixedError,
     MixedWorkflowConfig,
     TruthSpec,
-    bootstrap_ratio_lower_bound,
     build_truth,
     derive_seed,
     run_mc_campaign,
@@ -23,8 +22,8 @@ from chitomo.waveplate import (
     plate_choi_state,
     plate_unitary,
     sinc2_profile,
-    su2_from_retarder,
 )
+from process_oracles import bootstrap_ratio_lower_bound, su2_from_retarder
 
 QUICK = {"replications": 6, "n_events": 2000, "scenario": "test"}
 
@@ -232,6 +231,9 @@ class TestMixedWorkflow:
             ({"subsets": ((),)}, r"subsets\[0\] must not be empty"),
             ({"subsets": ((1.5,),)}, r"subsets\[0\]: index 1\.5 is not an integer"),
             ({"component_lams_um": (1.0, 1.002), "subsets": ((1, 3),)}, r"outside 1\.\.2"),
+            # 1000 components would give the 1-plate component 999 the seed
+            # key 2000 of the 2-plate broadband counts
+            ({"component_lams_um": (1.0,) * 1000, "subsets": ((1,),)}, r"component_lams_um holds 1000"),
         ],
     )
     def test_invalid_config_rejected(self, overrides, message):

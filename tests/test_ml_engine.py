@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from chitomo.harness import TruthSpec, build_truth, derive_seed
 from chitomo.ml_engine import (
+    _SCORING_RESIDUAL,
     ReconstructionConfig,
     _fisher,
     _initial_point,
@@ -13,6 +14,7 @@ from chitomo.ml_engine import (
     expected_rates,
     log_likelihood,
     solve_likelihood,
+    solve_likelihood_batch,
 )
 from chitomo.protocols import (
     ExperimentPlan,
@@ -143,7 +145,8 @@ class TestFisherMatrices:
 
 
 def fisher_at(c, rows):
-    return _fisher(c, rows, expected_rates(c, rows))
+    lam = expected_rates(c, rows)
+    return _fisher(c[None], rows.operators, rows.exposures[None], lam[None])[0]
 
 
 class TestInformationMatrix:
@@ -470,6 +473,104 @@ class TestDataStartOnTheAcceptanceCell:
             for i in range(20)
         ]
         assert np.median(iterations) <= 16
+
+
+def assert_same_result(alone, lane):
+    """Every output of a lane solved inside a batch equals, to the bit, the
+    same dataset solved alone."""
+    assert alone.estimate.tobytes() == lane.estimate.tobytes()
+    assert alone.info_spectrum.tobytes() == lane.info_spectrum.tobytes()
+    for name in (
+        "iterations", "stop_reason", "converged", "residual", "log_likelihood",
+        "normalization_gap", "tp_residual", "nu",
+        "scoring_steps", "fixed_point_steps", "rejected_steps",
+    ):
+        assert getattr(alone, name) == getattr(lane, name), name
+
+
+class TestBatchLanes:
+    """A lane's result does not depend on the batch it is solved in."""
+
+    def assert_lanes_independent(self, datasets, config):
+        batch = solve_likelihood_batch(datasets, config)
+        assert len(batch) == len(datasets)
+        for data, lane in zip(datasets, batch):
+            assert_same_result(solve_likelihood(data, config), lane)
+        return batch
+
+    def test_mixed_workflow_batches(self, monkeypatch):
+        import chitomo.harness as harness
+
+        real = harness.solve_likelihood_batch
+        batches = []
+
+        def recording(datasets, config):
+            results = real(datasets, config)
+            batches.append((datasets, config, results))
+            return results
+
+        monkeypatch.setattr(harness, "solve_likelihood_batch", recording)
+        harness.run_mixed_state_workflow(harness.MixedWorkflowConfig(seed=3))
+        assert [(len(d), c.rank) for d, c, _ in batches] == [(2, 2), (14, 1)]
+        for datasets, config, results in batches:
+            for data, lane in zip(datasets, results):
+                assert_same_result(solve_likelihood(data, config), lane)
+
+    def test_acceptance_cell_first_10_replications(self, campaign_rows):
+        datasets = [campaign_rows(ACCEPTANCE_RANK2_N1E3_SEED, i, 1000) for i in range(10)]
+        self.assert_lanes_independent(datasets, ReconstructionConfig(rank=2))
+
+    def test_fixed_point_lane_beside_scoring_lanes(self, campaign_rows):
+        # replication 48 starts above the scoring threshold and takes a
+        # fixed-point step while the other lanes take scoring steps
+        datasets = [campaign_rows(77, i, 500) for i in range(44, 52)]
+        batch = self.assert_lanes_independent(datasets, ReconstructionConfig(rank=2))
+        first = solve_likelihood(datasets[4], ReconstructionConfig(rank=2, max_iterations=1))
+        assert first.residual > _SCORING_RESIDUAL and first.fixed_point_steps == 1
+        assert batch[4].fixed_point_steps >= 1
+        assert all(res.fixed_point_steps == 0 for i, res in enumerate(batch) if i != 4)
+
+    def test_iteration_cap_hits_only_the_slow_lane(self, campaign_rows):
+        # replication 89 takes 336 iterations without a cap; the others stop
+        # within 30
+        indices = [0, 1, 89, 2, 3]
+        datasets = [campaign_rows(ACCEPTANCE_RANK2_N1E3_SEED, i, 1000) for i in indices]
+        batch = self.assert_lanes_independent(
+            datasets, ReconstructionConfig(rank=2, max_iterations=100)
+        )
+        assert [res.stop_reason == "iteration_cap" for res in batch] == [
+            False, False, True, False, False
+        ]
+        assert batch[2].iterations == 100 and not batch[2].converged
+
+    def test_step_counts(self, campaign_rows):
+        datasets = [campaign_rows(77, i, 500) for i in range(44, 52)]
+        capped = ReconstructionConfig(rank=2, max_iterations=3)
+        for config in (ReconstructionConfig(rank=2), capped):
+            for res in solve_likelihood_batch(datasets, config):
+                # one step per iteration, except a converged stop's last
+                steps = res.scoring_steps + res.fixed_point_steps
+                assert steps == res.iterations - res.converged
+                assert res.rejected_steps >= 0
+
+    def test_operators_must_be_shared(self, campaign_rows):
+        data = campaign_rows(77, 0, 500)
+        other = Measurements(data.operators[::-1], data.exposures, data.counts)
+        with pytest.raises(ValueError, match="lane 1: operators differ"):
+            solve_likelihood_batch([data, other], ReconstructionConfig(rank=2))
+
+    def test_errors_name_the_lane(self, campaign_rows):
+        data = campaign_rows(77, 0, 500)
+        empty = Measurements(data.operators, data.exposures, np.zeros_like(data.counts))
+        with pytest.raises(ValueError, match="lane 2: no observed counts"):
+            solve_likelihood_batch([data, data, empty], ReconstructionConfig(rank=2))
+        with pytest.raises(ValueError, match="^no observed counts"):
+            solve_likelihood(empty, ReconstructionConfig(rank=2))
+        # three exposed rows cannot make I = sum_j t_j Lambda_j full rank
+        t = np.where(np.arange(len(data.exposures)) < 3, data.exposures, 0.0)
+        singular = Measurements(data.operators, t, data.counts)
+        with pytest.raises(IncompleteProtocolError, match="lane 1: information matrix"):
+            solve_likelihood_batch([data, singular], ReconstructionConfig(rank=2))
 
 
 class TestReconstructState:

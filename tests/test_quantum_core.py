@@ -3,7 +3,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from chitomo.quantum_core import (
-    check_density_matrix,
     fidelity,
     hermitian_eig,
     partial_trace,
@@ -11,6 +10,7 @@ from chitomo.quantum_core import (
     vectorize,
     von_neumann_entropy,
 )
+from process_oracles import check_density_matrix
 from random_ops import (
     random_density_matrix,
     random_state_vector,

@@ -20,8 +20,8 @@ from chitomo.waveplate import (
     quartz_indices,
     retarder_unitary,
     sinc2_profile,
-    su2_from_retarder,
 )
+from process_oracles import su2_from_retarder
 from conftest import REF_PLATE_CHOI, REF_PLATE_EIGENVALUES, SIGMA_X
 
 
