@@ -37,12 +37,12 @@ from .protocols import (
 from .quantum_core import fidelity, hermitian_eig, von_neumann_entropy
 from .waveplate import (
     SU2Retarder,
-    SpectralProfile,
     WaveplateSpec,
     birefringence_from_delta,
     broadband_mixed_state,
     component_sum_state,
     fit_su2_retarder,
+    monochromatic_states,
     plate_choi_state,
     sinc2_profile,
 )
@@ -439,7 +439,9 @@ def run_mixed_state_workflow(config: MixedWorkflowConfig) -> dict:
     carries its solve's ``iterations``, ``stop_reason`` and step counts.  All
     16 solves measure with one B36 protocol, built once, and run as two
     batches: the broadband solves at ``broadband_rank`` and the component
-    solves at ``component_rank``.
+    solves at ``component_rank``.  The component truths of a plate count come
+    from one ``monochromatic_states`` call, and its fidelities and entropies
+    from one stacked call each.
     """
     input_v = np.array([0.0, 1.0], dtype=complex)
     plate = WaveplateSpec(config.plate_thickness_um, np.deg2rad(config.plate_alpha_deg))
@@ -458,12 +460,9 @@ def run_mixed_state_workflow(config: MixedWorkflowConfig) -> dict:
     for n_plates in plate_counts:
         plates = [plate] * n_plates
         truths[n_plates] = broadband_mixed_state(input_v, plates, profile)
-        component_truths[n_plates] = [
-            broadband_mixed_state(
-                input_v, plates, SpectralProfile(np.array([lam]), np.array([1.0]))
-            )
-            for lam in config.component_lams_um
-        ]
+        component_truths[n_plates] = monochromatic_states(
+            input_v, plates, config.component_lams_um
+        )
     broadband = solve_likelihood_batch(
         [counts(truths[n], 1000 * n) for n in plate_counts],
         ReconstructionConfig(rank=config.broadband_rank),
@@ -481,33 +480,36 @@ def run_mixed_state_workflow(config: MixedWorkflowConfig) -> dict:
     n_components = len(config.component_lams_um)
     for i, n_plates in enumerate(plate_counts):
         truth, res = truths[n_plates], broadband[i]
+        solved = components[i * n_components : (i + 1) * n_components]
+        mixes = [
+            component_sum_state([(float(weights[j - 1]), solved[j - 1].estimate) for j in subset])
+            for subset in config.subsets
+        ]
+        # one call each: the stage-1, stage-2 and stage-3 fidelities, and the
+        # truth's and the component sums' entropies
+        fidelities = fidelity(
+            np.stack([truth, *component_truths[n_plates], *[truth] * len(mixes)]),
+            np.stack([res.estimate, *(r.estimate for r in solved), *mixes]),
+        ).tolist()
+        entropies = von_neumann_entropy(np.stack([truth, *mixes])).tolist()
         stage1 = {
-            "truth_entropy_bits": von_neumann_entropy(truth),
-            "reconstruction_fidelity": fidelity(truth, res.estimate),
+            "truth_entropy_bits": entropies[0],
+            "reconstruction_fidelity": fidelities[0],
             **_solve_status(res),
         }
-        solved = components[i * n_components : (i + 1) * n_components]
         stage2 = [
             {
                 "lam_um": lam,
                 "weight": float(weights[idx]),
-                "fidelity_vs_pure_truth": fidelity(component_truths[n_plates][idx], res.estimate),
-                **_solve_status(res),
+                "fidelity_vs_pure_truth": fidelities[1 + idx],
+                **_solve_status(r),
             }
-            for idx, (lam, res) in enumerate(zip(config.component_lams_um, solved))
+            for idx, (lam, r) in enumerate(zip(config.component_lams_um, solved))
         ]
-        stage3 = []
-        for subset in config.subsets:
-            mix = component_sum_state(
-                [(float(weights[j - 1]), solved[j - 1].estimate) for j in subset]
-            )
-            stage3.append(
-                {
-                    "subset": list(subset),
-                    "fidelity_vs_broadband": fidelity(truth, mix),
-                    "entropy_bits": von_neumann_entropy(mix),
-                }
-            )
+        stage3 = [
+            {"subset": list(subset), "fidelity_vs_broadband": f, "entropy_bits": e}
+            for subset, f, e in zip(config.subsets, fidelities[1 + n_components :], entropies[1:])
+        ]
         report["per_plate_count"][n_plates] = {
             "stage1": stage1,
             "stage2": stage2,

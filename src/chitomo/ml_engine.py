@@ -62,7 +62,11 @@ that treats the lanes independently (one BLAS or LAPACK call per lane, or an
 elementwise operation, or a sum along a lane's own row), so a lane's result
 is bit-identical whether it is solved alone or inside any batch.  A lane
 leaves the batch when it stops, and the remaining lanes are compacted, so a
-long solve costs only its own lane's iterations.
+long solve costs only its own lane's iterations.  The set-up (I, its
+spectrum and inverse, the data start and its rescale) and the finish (the
+results of the lanes that have stopped) are stacked the same way: one array
+call for all lanes, per-lane LAPACK and BLAS calls inside it.  A set-up error
+names the first failing lane in lane order.
 """
 
 from __future__ import annotations
@@ -164,18 +168,20 @@ def log_likelihood(c: np.ndarray, data: Measurements, include_factorial: bool = 
     factorial constant does not depend on c; dropping it gives the monotone
     surrogate the solver tracks.
     """
-    return _log_likelihood(expected_rates(c, data), data, include_factorial)
+    lam = expected_rates(c, data)
+    return float(_log_likelihood(lam, data.counts, data.exposures, include_factorial))
 
 
-def _log_likelihood(lam: np.ndarray, data: Measurements, include_factorial: bool = True) -> float:
-    k = data.counts
-    mean = lam * data.exposures
-    if np.any((mean <= 0) & (k > 0)):
-        return -math.inf
-    ll = float(np.sum(k * np.log(np.maximum(mean, _RATE_FLOOR))) - mean.sum())
+def _log_likelihood(
+    lam: np.ndarray, k: np.ndarray, t: np.ndarray, include_factorial: bool = True
+) -> np.ndarray:
+    # log_likelihood per lane of rates, counts and exposures (..., m)
+    mean = lam * t
+    ll = np.sum(k * np.log(np.maximum(mean, _RATE_FLOOR)), axis=-1) - mean.sum(axis=-1)
     if include_factorial:
-        ll -= float(sum(map(math.lgamma, (k + 1.0).tolist())))
-    return ll
+        rows = (k + 1.0).reshape(-1, k.shape[-1]).tolist()
+        ll = ll - np.reshape([sum(map(math.lgamma, row)) for row in rows], ll.shape)
+    return np.where(np.logical_or.reduce((mean <= 0) & (k > 0), axis=-1), -np.inf, ll)
 
 
 def _fisher(c: np.ndarray, ops: np.ndarray, t: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -199,34 +205,39 @@ def _perturbation(d: int, rank: int) -> np.ndarray:
     return p
 
 
-def _initial_point(data: Measurements, rank: int) -> np.ndarray:
-    """Start of the solve, computed from the data: the top-``rank``
-    eigenvectors of the Poisson-weighted linear-inversion estimate, scaled by
-    the square roots of their eigenvalues (floored at ``_START_FLOOR`` times
-    the largest) to trace 1, plus the seeded perturbation.
+def _initial_point(ops_flat: np.ndarray, t: np.ndarray, k: np.ndarray, rank: int) -> np.ndarray:
+    """Start of each lane's solve, computed from its exposures and counts
+    ``t, k (B, m)``: the top-``rank`` eigenvectors of the lane's
+    Poisson-weighted linear-inversion estimate, scaled by the square roots of
+    their eigenvalues (floored at ``_START_FLOOR`` times the largest) to
+    trace 1, plus the seeded perturbation; ``(B, d, rank)``.
 
     The estimate minimizes ``sum_j (t_j tr(Lambda_j rho) - k_j)^2 / max(k_j, 1)``
     through its normal equations with a ridge of ``_START_RIDGE`` times their
     mean diagonal: a full-rank solution moves only at that relative order,
     and a rank-deficient design gets the minimum-norm solution.
     """
-    ops, t, k = data.operators, data.exposures, data.counts
-    m, d, _ = ops.shape
-    # row j of the design, dotted with rho.T.ravel(), is t_j tr(Lambda_j rho)
-    design = ops.reshape(m, d * d) * t[:, None]
-    design_h = design.conj().T
+    n_lanes, dd = len(t), ops_flat.shape[1]
+    d = math.isqrt(dd)
+    # row j of a lane's design, dotted with rho.T.ravel(), is t_j tr(Lambda_j rho)
+    design = ops_flat * t[:, :, None]
+    design_h = design.conj().swapaxes(1, 2)
     weights = 1.0 / np.maximum(k, 1.0)
-    normal = (design_h * weights) @ design
-    normal.reshape(-1)[:: d * d + 1] += _START_RIDGE * normal.trace().real / (d * d)
-    rho = np.linalg.solve(normal, design_h @ (weights * k)).reshape(d, d).T
-    w, u = np.linalg.eigh(rho + rho.conj().T)
-    w = np.maximum(w[: -rank - 1 : -1], _START_FLOOR * w[-1])
-    return u[:, : -rank - 1 : -1] * np.sqrt(w / w.sum()) + _perturbation(d, rank)
+    normal = (design_h * weights[:, None, :]) @ design
+    ridge = _START_RIDGE * np.trace(normal, axis1=1, axis2=2).real / dd
+    normal.reshape(n_lanes, -1)[:, :: dd + 1] += ridge[:, None]
+    x = np.linalg.solve(normal, _matvec(design_h, weights * k)[..., None])[..., 0]
+    rho = x.reshape(n_lanes, d, d).swapaxes(1, 2)
+    w, u = np.linalg.eigh(rho + rho.conj().swapaxes(1, 2))
+    w = np.maximum(w[:, : -rank - 1 : -1], _START_FLOOR * w[:, -1:])
+    scale = np.sqrt(w / w.sum(axis=1, keepdims=True))
+    return u[:, :, : -rank - 1 : -1] * scale[:, None, :] + _perturbation(d, rank)
 
 
 class _Lanes:
-    """Per-lane state of the lanes still iterating, one row per lane;
-    ``keep`` compacts every array at once."""
+    """Per-lane arrays, one row per lane: the state of the lanes still
+    iterating, or of every lane where it stopped; ``keep`` compacts every
+    array at once."""
 
     def __init__(self, **arrays: np.ndarray) -> None:
         self.__dict__.update(arrays)
@@ -262,6 +273,49 @@ def _surrogate(
     return ll
 
 
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # per lane, the dot product np.dot takes of two real rows
+    return (a[:, None] @ b[:, :, None])[:, 0, 0]
+
+
+def _set_up(
+    datasets: list[Measurements], ops: np.ndarray, rank: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each lane's exposures and counts (B, m) and its ``I = sum_j t_j
+    Lambda_j`` (B, d, d).  Raises for the first lane, in lane order, whose
+    operators differ from ``ops``, whose I is singular or that has no
+    counts, naming its first failing check in that order."""
+    n_lanes = len(datasets)
+    m, d, _ = ops.shape
+    shared = n_lanes  # the lanes before the first one with other operators
+    for b, data in enumerate(datasets):
+        if data.operators is not ops and not np.array_equal(data.operators, ops):
+            shared = b
+            break
+    t = np.array([data.exposures for data in datasets[:shared]])
+    k = np.array([data.counts for data in datasets[:shared]])
+    # what np.tensordot(t, ops, axes=1) computes, lane by lane
+    i_mat = (t[:, None] @ ops.reshape(m, d * d)).reshape(shared, d, d)
+    w_i = np.linalg.eigvalsh(i_mat)
+    w_min, w_max = w_i.min(axis=1), w_i.max(axis=1)
+    singular = w_min <= 1e-12 * w_max
+    failing = np.flatnonzero(singular | (k.sum(axis=1) <= 0))
+    if failing.size or shared < n_lanes:
+        b = failing[0] if failing.size else shared
+        lane = f"lane {b}: " if n_lanes > 1 else ""
+        if b == shared:
+            raise ValueError(
+                f"{lane}operators differ from lane 0's; a batch shares one operator array"
+            )
+        if singular[b]:
+            raise IncompleteProtocolError(
+                f"{lane}information matrix I is singular (eigenvalues {w_min[b]:.3e}.."
+                f"{w_max[b]:.3e}); the protocol cannot identify rank {rank}"
+            )
+        raise ValueError(f"{lane}no observed counts")
+    return t, k, i_mat
+
+
 def solve_likelihood(
     data: Measurements, config: ReconstructionConfig
 ) -> ReconstructionResult:
@@ -279,8 +333,8 @@ def solve_likelihood_batch(
     ValueError when the operators differ or a lane has no counts, and
     IncompleteProtocolError when a lane's I is singular (the protocol cannot
     identify the model); in a batch of more than one lane the message names
-    the lane.  Non-convergence within the iteration budget is reported
-    through the result flags, not raised.
+    the first failing lane in lane order.  Non-convergence within the
+    iteration budget is reported through the result flags, not raised.
     """
     if not datasets:
         raise ValueError("no datasets to solve")
@@ -291,13 +345,16 @@ def solve_likelihood_batch(
         raise ValueError(f"rank {rank} exceeds dimension {d}")
     ops_flat = ops.reshape(m, d * d)
     n_lanes = len(datasets)
+    exposures, counts, i_mat = _set_up(datasets, ops, rank)
+    c = _initial_point(ops_flat, exposures, counts, rank)
+    c = c * np.sqrt(counts.sum(axis=1) / _dots(_rates(c, ops_flat), exposures))[:, None, None]
     s = _Lanes(
         lane=np.arange(n_lanes),
-        c=np.empty((n_lanes, d, rank), complex),
-        k=np.empty((n_lanes, m)),
-        t=np.empty((n_lanes, m)),
-        i_mat=np.empty((n_lanes, d, d), complex),
-        i_inv=np.empty((n_lanes, d, d), complex),
+        c=c,
+        k=counts,
+        t=exposures,
+        i_mat=i_mat,
+        i_inv=np.linalg.inv(i_mat),
         beta=np.full(n_lanes, config.damping),
         mu=np.full(n_lanes, 1e-3),  # Levenberg parameter of the scoring phase
         # the last fixed-point difference; zero, like a zero difference,
@@ -306,43 +363,33 @@ def solve_likelihood_batch(
         fixed_steps=np.zeros(n_lanes, int),
         rejected=np.zeros(n_lanes, int),  # failed Levenberg retries and beta halvings
     )
-    for b, data in enumerate(datasets):
-        lane = f"lane {b}: " if n_lanes > 1 else ""
-        if data.operators is not ops and not np.array_equal(data.operators, ops):
-            raise ValueError(
-                f"{lane}operators differ from lane 0's; a batch shares one operator array"
-            )
-        # what np.tensordot(t, ops, axes=1) computes, without its set-up
-        i_mat = np.dot(data.exposures[None], ops_flat).reshape(d, d)
-        w_i = np.linalg.eigvalsh(i_mat)
-        if w_i.min() <= 1e-12 * w_i.max():
-            raise IncompleteProtocolError(
-                f"{lane}information matrix I is singular (eigenvalues {w_i.min():.3e}.."
-                f"{w_i.max():.3e}); the protocol cannot identify rank {rank}"
-            )
-        n_observed = data.counts.sum()
-        if n_observed <= 0:
-            raise ValueError(f"{lane}no observed counts")
-        c = _initial_point(data, rank)
-        lam = _rates(c, ops_flat)
-        s.c[b] = c * np.sqrt(n_observed / float(np.dot(lam, data.exposures)))
-        s.k[b], s.t[b] = data.counts, data.exposures
-        s.i_mat[b], s.i_inv[b] = i_mat, np.linalg.inv(i_mat)
     s.k_div = np.where(s.k > 0, s.k, 1.0)
     s.lam = _rates(s.c, ops_flat)
     s.ll = _surrogate(s.lam, s.k, s.t, s.k_div)
-    results: list[ReconstructionResult | None] = [None] * n_lanes
     fixed_steps_taken = False  # until then every prev is zero
+    # each lane as it stopped: its c, residual, iterations, step counts, stop
+    # reason and, on a stationary stop, the spectrum of its last scoring step
+    end = _Lanes(
+        c=np.empty_like(c),
+        residual=np.empty(n_lanes),
+        iterations=np.empty(n_lanes, int),
+        fixed_steps=np.empty(n_lanes, int),
+        rejected=np.empty(n_lanes, int),
+    )
+    stop_reasons, end_spectra = [""] * n_lanes, [None] * n_lanes
 
-    def finish(p: int, residual: float, iterations: int, reason: str, spectrum=None) -> None:
-        b = s.lane[p]
-        fixed_steps = int(s.fixed_steps[p])
-        # every iteration but a converged stop's last takes one step
-        scoring_steps = iterations - (reason != "iteration_cap") - fixed_steps
-        results[b] = _result(
-            datasets[b], s.c[p], residual, iterations, reason, spectrum, rank,
-            (scoring_steps, fixed_steps, int(s.rejected[p])),
+    def finish(p: np.ndarray, residual: np.ndarray, iterations: int, reasons: list[str]) -> None:
+        lanes = s.lane[p]
+        end.put(
+            lanes,
+            c=s.c[p],
+            residual=residual[p],
+            iterations=iterations,
+            fixed_steps=s.fixed_steps[p],
+            rejected=s.rejected[p],
         )
+        for b, reason in zip(lanes.tolist(), reasons):
+            stop_reasons[b] = reason
 
     for iterations in range(1, config.max_iterations + 1):
         n_active = len(s.lane)
@@ -460,62 +507,78 @@ def solve_likelihood_batch(
             fixed_steps_taken = True
 
         if np.logical_or.reduce(stopped):
-            for p in np.flatnonzero(stopped):
-                reason = "residual" if done[p] else "stationary"
-                finish(p, residual[p], iterations, reason, spectra.get(p))
+            p = np.flatnonzero(stopped)
+            finish(p, residual, iterations, ["residual" if q else "stationary" for q in done[p]])
+            for q, spectrum in spectra.items():
+                end_spectra[s.lane[q]] = spectrum
             if np.logical_and.reduce(stopped):
-                return results
+                break
             s.keep(~stopped)
             residual = residual[~stopped]
-    for p in range(len(s.lane)):
-        finish(p, residual[p], config.max_iterations, "iteration_cap")
-    return results
+    else:
+        capped = ["iteration_cap"] * len(s.lane)
+        finish(np.arange(len(s.lane)), residual, config.max_iterations, capped)
+    return _results(ops, exposures, counts, rank, end, stop_reasons, end_spectra)
 
 
-def _result(
-    data: Measurements,
-    c: np.ndarray,
-    residual: float,
-    iterations: int,
-    stop_reason: str,
-    spectrum: np.ndarray | None,
+def _results(
+    ops: np.ndarray,
+    t: np.ndarray,
+    k: np.ndarray,
     rank: int,
-    steps: tuple[int, int, int],
-) -> ReconstructionResult:
-    """One lane's result at its final c; ``spectrum`` is the last scoring
-    step's F spectrum on a stationary stop, taken at exactly this c;
-    ``steps`` counts its scoring, fixed-point and rejected steps."""
-    ops, t = data.operators, data.exposures
+    end: _Lanes,
+    stop_reasons: list[str],
+    spectra: list[np.ndarray | None],
+) -> list[ReconstructionResult]:
+    """Every lane's result at the c it stopped with, computed for all lanes
+    at once, each quantity by one BLAS or LAPACK call per lane, an
+    elementwise operation or a sum along the lane's own row.  ``end`` holds
+    each lane's c, residual, iterations and fixed-point and rejected step
+    counts; ``spectra`` holds the last scoring step's F spectrum of a
+    stationary stop, taken at exactly that c, and None where it is computed
+    here."""
+    c = end.c
     m, d, _ = ops.shape
     lam = _rates(c, ops.reshape(m, d * d))
-    n_observed = data.counts.sum()
-    gap = abs(float(np.dot(lam, t)) - n_observed) / n_observed
-    rho = c @ c.conj().T
-    rho /= rho.trace().real
+    n_observed = k.sum(axis=1)
+    gap = np.abs(_dots(lam, t) - n_observed) / n_observed
+    rho = c @ c.conj().swapaxes(1, 2)
+    rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+    log_likelihood = _log_likelihood(lam, k, t)
 
     s = math.isqrt(d)
     is_process = s >= 2 and s * s == d
-    tp_residual = None
+    tp_residual = [None] * len(c)
     nu = None
     if is_process:
-        tp_residual = float(np.max(np.abs(partial_trace(s * rho, "output") - np.eye(s))))
+        reduced = partial_trace(s * rho, "output")
+        tp_residual = np.max(np.abs(reduced - np.eye(s)), axis=(1, 2)).tolist()
         nu = parameter_count(s, rank)
-    if spectrum is None:
-        spectrum = np.linalg.eigvalsh(_fisher(c[None], ops, t[None], lam[None])[0])[::-1]
+    missing = [b for b, spectrum in enumerate(spectra) if spectrum is None]
+    if missing:
+        fisher = _fisher(c[missing], ops, t[missing], lam[missing])
+        for b, spectrum in zip(missing, np.linalg.eigvalsh(fisher)[:, ::-1]):
+            spectra[b] = spectrum
 
-    return ReconstructionResult(
-        estimate=rho,
-        rank=rank,
-        iterations=iterations,
-        converged=stop_reason != "iteration_cap",
-        stop_reason=stop_reason,
-        residual=float(residual),
-        log_likelihood=_log_likelihood(lam, data),
-        normalization_gap=gap,
-        nu=nu,
-        tp_residual=tp_residual,
-        info_spectrum=spectrum,
-        scoring_steps=steps[0],
-        fixed_point_steps=steps[1],
-        rejected_steps=steps[2],
-    )
+    converged = [reason != "iteration_cap" for reason in stop_reasons]
+    # every iteration but a converged stop's last takes one step
+    scoring_steps = end.iterations - converged - end.fixed_steps
+    return [
+        ReconstructionResult(
+            estimate=rho[b],
+            rank=rank,
+            iterations=int(end.iterations[b]),
+            converged=converged[b],
+            stop_reason=stop_reasons[b],
+            residual=float(end.residual[b]),
+            log_likelihood=float(log_likelihood[b]),
+            normalization_gap=gap[b],
+            nu=nu,
+            tp_residual=tp_residual[b],
+            info_spectrum=spectra[b],
+            scoring_steps=int(scoring_steps[b]),
+            fixed_point_steps=int(end.fixed_steps[b]),
+            rejected_steps=int(end.rejected[b]),
+        )
+        for b in range(len(c))
+    ]

@@ -13,6 +13,7 @@ trace-preservation constraint softly.
 Counts are Poisson draws with a sampler built directly on the generator's
 uniform stream (inversion below mean 30, transformed rejection above), so a
 fixed seed gives bit-identical counts across platforms and numpy versions.
+The sampler runs on Python floats and fetches its uniforms in blocks.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ __all__ = [
     "process_protocol",
     "auxiliary_rows",
     "generate_counts",
-    "sample_poisson",
+    "poisson_counts",
 ]
 
 # Central wavelength of the reference numerical experiments, micrometers.
@@ -267,11 +268,8 @@ def bn_state_protocol(
     if n_orientations < 4:
         raise IncompleteProtocolError("need at least 4 orientations")
     delta = optical_thickness(WaveplateSpec(plate_thickness_um, 0.0), lam_um)
-    ops = []
-    for j in range(n_orientations):
-        u = plate_unitary(delta, j * np.pi / n_orientations)
-        ops.append(u.conj().T @ np.outer(_V, _V.conj()) @ u)
-    ops = np.array(ops)
+    u = plate_unitary(delta, np.arange(n_orientations) * np.pi / n_orientations)
+    ops = u.conj().swapaxes(1, 2) @ np.outer(_V, _V.conj()) @ u
     coords = np.stack(
         [ops[:, 0, 0].real, ops[:, 1, 1].real, ops[:, 0, 1].real, ops[:, 0, 1].imag], axis=1
     )
@@ -323,11 +321,18 @@ def auxiliary_rows(
     )
 
 
-def _poisson_inversion(mu: float, rng: np.random.Generator) -> int:
+def _uniform_stream(rng: np.random.Generator, block: int) -> typing.Iterator[float]:
+    # rng.random() values in stream order, fetched block by block:
+    # rng.random(n) yields the same doubles as n scalar calls
+    while True:
+        yield from rng.random(block).tolist()
+
+
+def _poisson_inversion(mu: float, uniform: typing.Callable[[], float]) -> int:
     p = math.exp(-mu)
     cum = p
     k = 0
-    u = rng.random()
+    u = uniform()
     k_max = int(mu + 60.0 * math.sqrt(mu) + 60.0)
     while u > cum and k < k_max:
         k += 1
@@ -336,7 +341,7 @@ def _poisson_inversion(mu: float, rng: np.random.Generator) -> int:
     return k
 
 
-def _poisson_ptrs(mu: float, rng: np.random.Generator) -> int:
+def _poisson_ptrs(mu: float, uniform: typing.Callable[[], float]) -> int:
     # Transformed rejection with squeeze (Hormann 1993); exact for mu >= 10.
     log_mu = math.log(mu)
     b = 0.931 + 2.53 * math.sqrt(mu)
@@ -344,29 +349,47 @@ def _poisson_ptrs(mu: float, rng: np.random.Generator) -> int:
     inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
     v_r = 0.9277 - 3.6224 / (b - 2.0)
     while True:
-        u = rng.random() - 0.5
-        v = rng.random()
+        u = uniform() - 0.5
+        v = uniform()
         us = 0.5 - abs(u)
         k = math.floor((2.0 * a / us + b) * u + mu + 0.43)
         if us >= 0.07 and v <= v_r:
-            return int(k)
+            return k
         if k < 0 or (us < 0.013 and v > us):
             continue
         if math.log(v * inv_alpha / (a / (us * us) + b)) <= k * log_mu - mu - math.lgamma(
             k + 1.0
         ):
-            return int(k)
+            return k
 
 
-def sample_poisson(mu: float, rng: np.random.Generator) -> int:
-    """One Poisson draw with mean mu, consuming only rng.random() uniforms."""
-    if not np.isfinite(mu) or mu < 0:
-        raise ValueError(f"Poisson mean must be finite and >= 0, got {mu}")
-    if mu == 0.0:
-        return 0
-    if mu < 30.0:
-        return _poisson_inversion(mu, rng)
-    return _poisson_ptrs(mu, rng)
+def poisson_counts(means: np.ndarray, rng: np.random.Generator) -> list[int]:
+    """Independent Poisson draws with the given means, in order.
+
+    Each draw consumes only ``rng.random()`` uniforms, in stream order: one
+    by inversion below mean 30, two per attempt of the transformed rejection
+    from 30 up, none for a zero mean.  The uniforms are fetched in blocks of
+    ``rng.random(n)``, which yields the same stream as one call per uniform,
+    so the draws equal those of a draw-by-draw sampler; the generator ends
+    past the last block, not at the last uniform used.
+    """
+    means = np.asarray(means, dtype=float)
+    bad = means[~(np.isfinite(means) & (means >= 0))]
+    if bad.size:
+        raise ValueError(f"Poisson mean must be finite and >= 0, got {bad[0]}")
+    # one uniform per inversion draw and two per rejection attempt: the
+    # first block covers the draws unless some attempts are rejected
+    block = np.count_nonzero(means) + np.count_nonzero(means >= 30.0) + 16
+    uniform = _uniform_stream(rng, int(block)).__next__
+    counts = []
+    for mu in means.tolist():
+        if mu == 0.0:
+            counts.append(0)
+        elif mu < 30.0:
+            counts.append(_poisson_inversion(mu, uniform))
+        else:
+            counts.append(_poisson_ptrs(mu, uniform))
+    return counts
 
 
 def generate_counts(
@@ -388,6 +411,5 @@ def generate_counts(
     if not np.isfinite(base) or base <= 0:
         raise ValueError(f"total expected rate {base!r} is not usable")
     exposures = rows.exposures * (plan.n_total / base)
-    rng = np.random.default_rng(plan.seed)
-    counts = [sample_poisson(mu, rng) for mu in rates * exposures]
+    counts = poisson_counts(rates * exposures, np.random.default_rng(plan.seed))
     return replace(rows, exposures=exposures, counts=counts)

@@ -40,6 +40,7 @@ __all__ = [
     "fit_su2_retarder",
     "birefringence_from_delta",
     "broadband_mixed_state",
+    "monochromatic_states",
     "component_sum_state",
 ]
 
@@ -169,9 +170,13 @@ def _signed_thickness(spec: WaveplateSpec, lam_um: float) -> float:
     return np.pi * (n_o - n_e) * spec.thickness_um / lam_um
 
 
-def axis_from_orientation(alpha_rad: float) -> np.ndarray:
-    """Rotation axis (sin 2a, 0, cos 2a) of a plate at orientation a."""
-    return np.array([np.sin(2 * alpha_rad), 0.0, np.cos(2 * alpha_rad)])
+def axis_from_orientation(alpha_rad: float | np.ndarray) -> np.ndarray:
+    """Rotation axis (sin 2a, 0, cos 2a) of a plate at orientation a; an
+    array of orientations gives one axis per orientation, (..., 3)."""
+    two_a = 2 * np.asarray(alpha_rad, dtype=float)
+    axis = np.zeros((*two_a.shape, 3))
+    axis[..., 0], axis[..., 2] = np.sin(two_a), np.cos(two_a)
+    return axis
 
 
 def retarder_unitary(delta: float, axis: np.ndarray) -> np.ndarray:
@@ -179,12 +184,20 @@ def retarder_unitary(delta: float, axis: np.ndarray) -> np.ndarray:
     axis = np.asarray(axis, dtype=float)
     if abs(np.linalg.norm(axis) - 1.0) > 1e-12:
         raise ValueError(f"axis norm {np.linalg.norm(axis)!r} is not 1")
-    sigma_n = np.tensordot(axis, _SIGMA, axes=1)
+    return _rotations(delta, axis)
+
+
+def _rotations(delta: float, axes: np.ndarray) -> np.ndarray:
+    # the rotation of retarder_unitary about one axis, or about each of a
+    # stack of axes (..., 3)
+    sigma_n = np.tensordot(axes, _SIGMA, axes=1)
     return np.cos(delta) * np.eye(2, dtype=complex) - 1j * np.sin(delta) * sigma_n
 
 
-def plate_unitary(delta: float, alpha_rad: float) -> np.ndarray:
-    return retarder_unitary(delta, axis_from_orientation(alpha_rad))
+def plate_unitary(delta: float, alpha_rad: float | np.ndarray) -> np.ndarray:
+    """Retarder unitary of a plate at orientation alpha_rad; an array of
+    orientations gives the stack of unitaries (..., 2, 2)."""
+    return _rotations(delta, axis_from_orientation(alpha_rad))
 
 
 def sinc2_profile(
@@ -258,6 +271,33 @@ def birefringence_from_delta(delta: float, lam_um: float, thickness_um: float) -
     return delta * lam_um / (np.pi * thickness_um)
 
 
+def _output_states(
+    input_state: np.ndarray,
+    plates: list[WaveplateSpec],
+    lam: np.ndarray,
+    lam_thin: np.ndarray,
+) -> np.ndarray:
+    """Pure output states ``psi (K, 2)`` at the wavelengths ``lam (K,)``:
+    plates are applied in list order, a thick plate with each wavelength's
+    own unitary and a plate thinner than THIN_PLATE_LIMIT_UM with the unitary
+    at ``lam_thin`` (one wavelength for all, or one per wavelength).  Only
+    the wavelengths a plate uses are checked against the quartz window."""
+    psi0 = np.asarray(input_state, dtype=complex).ravel()
+    if abs(np.linalg.norm(psi0) - 1.0) > 1e-10:
+        raise ValueError("input state must be normalized")
+    psi = np.broadcast_to(psi0, (len(lam), 2))
+    for spec in plates:
+        thick = spec.thickness_um >= THIN_PLATE_LIMIT_UM
+        delta = _signed_thickness_knots(spec, lam if thick else lam_thin)
+        sigma_n = np.tensordot(axis_from_orientation(spec.alpha_rad), _SIGMA, axes=1)
+        u = (
+            np.cos(delta)[:, None, None] * np.eye(2, dtype=complex)
+            - 1j * np.sin(delta)[:, None, None] * sigma_n
+        )
+        psi = np.einsum("...ij,...j->...i", u, psi)
+    return psi
+
+
 def broadband_mixed_state(
     input_state: np.ndarray,
     plates: list[WaveplateSpec],
@@ -276,22 +316,28 @@ def broadband_mixed_state(
     sum's order differs from a knot-by-knot accumulation, which moves the
     result at the 1e-15 level.
     """
-    psi0 = np.asarray(input_state, dtype=complex).ravel()
-    if abs(np.linalg.norm(psi0) - 1.0) > 1e-10:
-        raise ValueError("input state must be normalized")
     lam = profile.wavelengths
-    lam_central = lam[len(profile) // 2 : len(profile) // 2 + 1]
-    psi = np.broadcast_to(psi0, (len(profile), 2))
-    for spec in plates:
-        thick = spec.thickness_um >= THIN_PLATE_LIMIT_UM
-        delta = _signed_thickness_knots(spec, lam if thick else lam_central)
-        sigma_n = np.tensordot(axis_from_orientation(spec.alpha_rad), _SIGMA, axes=1)
-        u = (
-            np.cos(delta)[:, None, None] * np.eye(2, dtype=complex)
-            - 1j * np.sin(delta)[:, None, None] * sigma_n
-        )
-        psi = np.einsum("...ij,...j->...i", u, psi)
+    central = len(profile) // 2
+    psi = _output_states(input_state, plates, lam, lam[central : central + 1])
     return (psi * profile.weights[:, None]).T @ psi.conj()
+
+
+def monochromatic_states(
+    input_state: np.ndarray,
+    plates: list[WaveplateSpec],
+    wavelengths: np.ndarray,
+) -> np.ndarray:
+    """Pure output states ``|psi_k><psi_k|`` at each wavelength, ``(K, 2, 2)``.
+
+    State k is what :func:`broadband_mixed_state` returns, to the bit, for
+    the one-knot profile at ``wavelengths[k]``: a one-knot profile's central
+    knot is the knot itself, so a thin plate also acts with its unitary at
+    that wavelength.  An out-of-window wavelength raises the error of the
+    first such one-knot call.
+    """
+    lam = np.asarray(wavelengths, dtype=float)
+    psi = _output_states(input_state, plates, lam, lam)
+    return psi[:, :, None] @ psi.conj()[:, None, :]
 
 
 def component_sum_state(components: list[tuple[float, np.ndarray]]) -> np.ndarray:

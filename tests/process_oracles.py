@@ -1,10 +1,12 @@
 """Test-only checks and oracles: Kraus sets, operator bases, the unitary
 mixing freedom of a chi-matrix factor, the two matrices of the likelihood
 equation ``I c = J c``, density-matrix validation, the SU(2) form of a
-retarder and a bootstrap bound on a ratio of means."""
+retarder, a bootstrap bound on a ratio of means and the draw-by-draw Poisson
+sampler."""
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -22,6 +24,7 @@ __all__ = [
     "check_density_matrix",
     "su2_from_retarder",
     "bootstrap_ratio_lower_bound",
+    "sample_poisson",
 ]
 
 
@@ -106,3 +109,50 @@ def bootstrap_ratio_lower_bound(
     idx_d = rng.integers(0, den.size, (n_boot, den.size))
     ratios = num[idx_n].mean(axis=1) / den[idx_d].mean(axis=1)
     return float(np.quantile(ratios, alpha))
+
+
+def _poisson_inversion(mu: float, rng: np.random.Generator) -> int:
+    p = math.exp(-mu)
+    cum = p
+    k = 0
+    u = rng.random()
+    k_max = int(mu + 60.0 * math.sqrt(mu) + 60.0)
+    while u > cum and k < k_max:
+        k += 1
+        p *= mu / k
+        cum += p
+    return k
+
+
+def _poisson_ptrs(mu: float, rng: np.random.Generator) -> int:
+    # Transformed rejection with squeeze (Hormann 1993); exact for mu >= 10.
+    log_mu = math.log(mu)
+    b = 0.931 + 2.53 * math.sqrt(mu)
+    a = -0.059 + 0.02483 * b
+    inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
+    v_r = 0.9277 - 3.6224 / (b - 2.0)
+    while True:
+        u = rng.random() - 0.5
+        v = rng.random()
+        us = 0.5 - abs(u)
+        k = math.floor((2.0 * a / us + b) * u + mu + 0.43)
+        if us >= 0.07 and v <= v_r:
+            return int(k)
+        if k < 0 or (us < 0.013 and v > us):
+            continue
+        if math.log(v * inv_alpha / (a / (us * us) + b)) <= k * log_mu - mu - math.lgamma(
+            k + 1.0
+        ):
+            return int(k)
+
+
+def sample_poisson(mu: float, rng: np.random.Generator) -> int:
+    """One Poisson draw with mean mu, one ``rng.random()`` call per uniform:
+    the scalar oracle of ``protocols.poisson_counts``."""
+    if not np.isfinite(mu) or mu < 0:
+        raise ValueError(f"Poisson mean must be finite and >= 0, got {mu}")
+    if mu == 0.0:
+        return 0
+    if mu < 30.0:
+        return _poisson_inversion(mu, rng)
+    return _poisson_ptrs(mu, rng)

@@ -295,11 +295,17 @@ class TestSolveLikelihood:
         assert a.iterations == b.iterations
 
 
+def initial_point(rows, rank):
+    """The batched start of one dataset."""
+    ops_flat = rows.operators.reshape(len(rows.operators), -1)
+    return _initial_point(ops_flat, rows.exposures[None], rows.counts[None], rank)[0]
+
+
 def start_columns(rows, rank):
     """The start without its seeded perturbation: column norms squared are
     the floored, trace-normalized eigenvalues of the linear-inversion
     estimate."""
-    c0 = _initial_point(rows, rank) - _perturbation(rows.operators.shape[1], rank)
+    c0 = initial_point(rows, rank) - _perturbation(rows.operators.shape[1], rank)
     return c0, np.sum(np.abs(c0) ** 2, axis=0)
 
 
@@ -318,7 +324,7 @@ class TestInitialPoint:
     )
     def test_noiseless_full_rank_state_starts_at_truth(self, rho):
         rows, _ = noiseless_counts(bn_state_protocol(36, 312.7, 1.0).rows, rho, 10**5)
-        c0 = _initial_point(rows, 2)
+        c0 = initial_point(rows, 2)
         # the truth up to the seeded perturbation of 1e-3 per entry
         assert np.max(np.abs(c0 @ c0.conj().T - rho)) < 5e-3
         res = solve_likelihood(rows, ReconstructionConfig(rank=2))
@@ -571,6 +577,30 @@ class TestBatchLanes:
         singular = Measurements(data.operators, t, data.counts)
         with pytest.raises(IncompleteProtocolError, match="lane 1: information matrix"):
             solve_likelihood_batch([data, singular], ReconstructionConfig(rank=2))
+
+
+    def test_first_failing_lane_in_lane_order(self, campaign_rows):
+        # a singular-I lane and a no-counts lane: the error names whichever
+        # comes first, as a lane-by-lane set-up would
+        data = campaign_rows(77, 0, 500)
+        config = ReconstructionConfig(rank=2)
+        empty = Measurements(data.operators, data.exposures, np.zeros_like(data.counts))
+        t = np.where(np.arange(len(data.exposures)) < 3, data.exposures, 0.0)
+        singular = Measurements(data.operators, t, data.counts)
+        with pytest.raises(IncompleteProtocolError, match="^lane 1: information matrix"):
+            solve_likelihood_batch([data, singular, data, empty], config)
+        with pytest.raises(ValueError, match="^lane 1: no observed counts"):
+            solve_likelihood_batch([data, empty, data, singular], config)
+        # within a lane, the singular I is named before the missing counts
+        both = Measurements(data.operators, t, np.zeros_like(data.counts))
+        with pytest.raises(IncompleteProtocolError, match="^lane 2: information matrix"):
+            solve_likelihood_batch([data, data, both, empty], config)
+        # and a lane with other operators only where it comes first
+        other = Measurements(data.operators[::-1], data.exposures, data.counts)
+        with pytest.raises(ValueError, match="^lane 1: no observed counts"):
+            solve_likelihood_batch([data, empty, other], config)
+        with pytest.raises(ValueError, match="^lane 1: operators differ"):
+            solve_likelihood_batch([data, other, empty], config)
 
 
 class TestReconstructState:

@@ -22,11 +22,13 @@ from chitomo.protocols import (
     bn_state_protocol,
     generate_counts,
     j4_states,
+    poisson_counts,
     process_protocol,
     r4_states,
-    sample_poisson,
     state_from_bloch,
 )
+from chitomo.waveplate import WaveplateSpec, optical_thickness, plate_unitary
+from process_oracles import sample_poisson
 from random_ops import random_density_matrix, random_trace_preserving_kraus
 
 # Counts for the reference plate truth, R4, n=10^4, seed=123; frozen to pin
@@ -206,6 +208,26 @@ class TestBnProtocol:
         )
         assert np.linalg.matrix_rank(stack, tol=1e-8) == 4
 
+    @pytest.mark.parametrize("n", [4, 7, 36, 100])
+    @pytest.mark.parametrize("thickness", [100.0, 312.7, 5031.0])
+    def test_matches_per_orientation_loop(self, n, thickness):
+        # the loop over orientations that the stacked build replaced
+        delta = optical_thickness(WaveplateSpec(thickness, 0.0), 1.0)
+        v = np.array([0.0, 1.0], dtype=complex)
+        loop = []
+        for j in range(n):
+            u = plate_unitary(delta, j * np.pi / n)
+            loop.append(u.conj().T @ np.outer(v, v.conj()) @ u)
+        loop = np.array(loop)
+        coords = [loop[:, 0, 0].real, loop[:, 1, 1].real, loop[:, 0, 1].real, loop[:, 0, 1].imag]
+        if np.linalg.matrix_rank(np.stack(coords, axis=1), tol=1e-8) < 4:
+            # 4 orientations 45 degrees apart: 0 and 90 degrees have opposite axes
+            with pytest.raises(IncompleteProtocolError, match="incomplete"):
+                bn_state_protocol(n, thickness, 1.0)
+            return
+        ops = bn_state_protocol(n, thickness, 1.0).rows.operators
+        assert ops.tobytes() == loop.tobytes()
+
     def test_degenerate_plate_rejected(self):
         # A vanishing retardance makes every row the same projector.
         with pytest.raises(IncompleteProtocolError, match="incomplete"):
@@ -302,32 +324,65 @@ class TestAuxiliaryRows:
             auxiliary_rows([h, h, h, h], 10.0, 1.0)
 
 
+class CountingGenerator:
+    """A generator that counts its ``random`` calls."""
+
+    default_rng = np.random.default_rng  # unaffected by patching np.random
+
+    def __init__(self, seed):
+        self.rng = CountingGenerator.default_rng(seed)
+        self.calls = 0
+
+    def random(self, *args):
+        self.calls += 1
+        return self.rng.random(*args)
+
+
 class TestPoissonSampler:
     def test_zero_mean(self, rng):
-        assert sample_poisson(0.0, rng) == 0
+        assert poisson_counts([0.0], rng) == [0]
 
     def test_invalid_mean(self, rng):
         with pytest.raises(ValueError, match="finite"):
-            sample_poisson(-1.0, rng)
+            poisson_counts([1.0, -1.0], rng)
         with pytest.raises(ValueError, match="finite"):
-            sample_poisson(np.inf, rng)
+            poisson_counts([np.inf], rng)
 
     def test_frozen_draws(self):
         rng = np.random.default_rng(2024)
-        draws = [sample_poisson(m, rng) for m in (0.0, 0.5, 5.0, 29.9, 30.0, 1e4)]
+        draws = poisson_counts([0.0, 0.5, 5.0, 29.9, 30.0, 1e4], rng)
         assert draws == [0, 1, 3, 27, 23, 9897]
+        assert all(type(k) is int for k in draws)
 
     @pytest.mark.parametrize("mean", [0.1, 10.0, 1e4])
     def test_moments(self, mean):
         rng = np.random.default_rng(777)
         n = 20000
-        draws = np.array([sample_poisson(mean, rng) for _ in range(n)])
+        draws = np.array(poisson_counts(np.full(n, mean), rng))
         se_mean = np.sqrt(mean / n)
         assert abs(draws.mean() - mean) < 4 * se_mean
         # Poisson variance equals the mean; var of the sample variance is
         # roughly (mu + 2 mu^2) / n (Gaussian limit plus skew correction).
         se_var = np.sqrt((mean + 2 * mean**2) / n)
         assert abs(draws.var() - mean) < 5 * se_var
+
+    def test_matches_scalar_oracle_across_blocks(self):
+        # the blocks of uniforms are one stream: the draws equal one scalar
+        # rng.random() call per uniform, also past a block's end
+        means = np.tile([0.0, 0.3, 7.0, 29.99, 30.0, 30.01, 64.0, 5e3], 40)
+        counting = CountingGenerator(31)
+        draws = poisson_counts(means, counting)
+        oracle = np.random.default_rng(31)
+        assert draws == [sample_poisson(mu, oracle) for mu in means]
+        assert counting.calls >= 2
+
+
+def straddle_rows():
+    """480 rows whose means under the truth |0><0| sit on both sides of the
+    sampler's switch at mean 30, every other row with rate exactly 0."""
+    means = np.tile([0.4, 29.0, 29.999, 30.0, 30.001, 30.5, 33.0, 41.0], 30)
+    ops = np.tile([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], (240, 1, 1))
+    return Measurements(ops, np.repeat(means, 2))
 
 
 class TestGenerateCounts:
@@ -336,25 +391,44 @@ class TestGenerateCounts:
         rows = generate_counts(proto.rows, plate_truth, ExperimentPlan(10**4, seed=123))
         assert rows.counts.tolist() == GOLDEN_COUNTS
 
-    @pytest.mark.parametrize("name", ["J4", "R4", "B4", "B36"])
-    def test_matches_per_row_reference(self, name):
-        # the per-row loop that the batched rates replaced: the arithmetic is
-        # the same, so exposures and counts must agree bit for bit (an einsum
-        # for the rates moves the last bit of the total rate on some truths)
-        rows = bn_state_protocol(36).rows if name == "B36" else process_protocol(name).rows
-        rng = np.random.default_rng(5)
-        plan = ExperimentPlan(1000, seed=0)
-        for _ in range(8):
-            truth = random_density_matrix(rows.operators.shape[1], rng)
+    @pytest.mark.parametrize("name", ["J4", "R4", "B4", "B36", "straddle"])
+    def test_matches_per_row_reference(self, name, monkeypatch):
+        # the per-row loop that the batched rates replaced, drawing with the
+        # scalar sampler: the arithmetic is the same, so exposures and counts
+        # must agree bit for bit (an einsum for the rates moves the last bit
+        # of the total rate on some truths)
+        if name == "straddle":
+            rows, n_total = straddle_rows(), 6717  # the exposed rows' sum: scale 1
+            truths = [np.diag([1.0, 0.0]).astype(complex)]
+        else:
+            rows = bn_state_protocol(36).rows if name == "B36" else process_protocol(name).rows
+            rng = np.random.default_rng(5)
+            n_total = 1000
+            truths = [random_density_matrix(rows.operators.shape[1], rng) for _ in range(8)]
+        plan = ExperimentPlan(n_total, seed=0)
+        generators = []
+
+        def counting_rng(seed):
+            generators.append(CountingGenerator(seed))
+            return generators[-1]
+
+        for truth in truths:
             rates = [float(np.real(np.trace(op @ truth))) for op in rows.operators]
             rates = np.clip(rates, 0.0, None)
             scale = plan.n_total / float(np.dot(rates, rows.exposures))
             exposures = [t * scale for t in rows.exposures]
             draws = np.random.default_rng(plan.seed)
             counts = [sample_poisson(lam * t, draws) for lam, t in zip(rates, exposures)]
-            data = generate_counts(rows, truth, plan)
+            with monkeypatch.context() as patch:
+                patch.setattr(np.random, "default_rng", counting_rng)
+                data = generate_counts(rows, truth, plan)
             assert data.exposures.tolist() == exposures
             assert data.counts.tolist() == counts
+        if name == "straddle":
+            means = np.multiply(rates, exposures)
+            assert np.any(means == 0.0) and np.any((means > 29.9) & (means < 30))
+            assert np.any((means >= 30.0) & (means < 30.1))
+            assert generators[-1].calls >= 2  # the uniform block was refilled
 
     def test_repeatable_for_fixed_seed(self, plate_truth):
         proto = process_protocol("J4")

@@ -148,8 +148,10 @@ class TestFidelity:
 
     def test_non_psd_rejected(self):
         bad = np.diag([1.5, -0.5]).astype(complex)
-        with pytest.raises(ValueError, match="not PSD"):
+        with pytest.raises(ValueError, match="^rho0 is not PSD"):
             fidelity(bad, np.eye(2) / 2)
+        with pytest.raises(ValueError, match="^rho is not PSD"):
+            fidelity(np.eye(2) / 2, bad)
 
 
 class TestEntropy:
@@ -170,6 +172,72 @@ class TestEntropy:
         assert von_neumann_entropy(rotated) == pytest.approx(
             von_neumann_entropy(rho), abs=1e-10
         )
+
+
+def random_stack(d, rng, per_rank=4):
+    """Random d x d states, ``per_rank`` of every rank 1..d."""
+    return np.array(
+        [random_density_matrix(d, rng, rank=r) for r in range(1, d + 1) for _ in range(per_rank)]
+    )
+
+
+class TestStacks:
+    """A stack (..., d, d) gives, pair by pair, what the 2-D calls give, to
+    the bit; 2-D input gives a float."""
+
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_fidelity_matches_pairwise_loop(self, d, rng):
+        rho0, rho = random_stack(d, rng), random_stack(d, rng)
+        rho[::3] = rho0[::3]  # pairs of equal states
+        loop = [fidelity(a, b) for a, b in zip(rho0, rho)]
+        assert all(type(f) is float for f in loop)
+        stacked = fidelity(rho0, rho)
+        assert stacked.shape == (len(rho0),)
+        assert stacked.tobytes() == np.array(loop).tobytes()
+        grid = fidelity(rho0.reshape(2, -1, d, d), rho.reshape(2, -1, d, d))
+        assert grid.tobytes() == stacked.tobytes()
+
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_entropy_matches_loop(self, d, rng):
+        rho = random_stack(d, rng)
+        rho[0] = np.diag([1.0] + [0.0] * (d - 1))  # exact zero eigenvalues
+        loop = [von_neumann_entropy(r) for r in rho]
+        assert all(type(s) is float for s in loop)
+        stacked = von_neumann_entropy(rho)
+        assert stacked.shape == (len(rho),)
+        assert stacked.tobytes() == np.array(loop).tobytes()
+
+    def test_entropy_matches_sum_over_positive_eigenvalues(self, rng):
+        # the 0 * log(0) = 0 convention drops zero eigenvalues from the sum;
+        # below d = 8 the zero terms leave every bit of it in place
+        for d in (2, 4):
+            for r in random_stack(d, rng):
+                w = np.clip(np.linalg.eigvalsh(r), 0.0, None)
+                w = w[w > 0.0]
+                expected = float(-np.sum(w * np.log2(w)))
+                assert np.float64(von_neumann_entropy(r)).tobytes() == np.float64(expected).tobytes()
+
+    def test_partial_trace_of_a_stack(self, rng):
+        rho = random_stack(4, rng, per_rank=1)
+        for which in ("output", "input"):
+            stacked = partial_trace(rho, which)
+            loop = [partial_trace(r, which) for r in rho]
+            assert stacked.tobytes() == np.array(loop).tobytes()
+
+    def test_errors_name_the_argument(self):
+        good = np.stack([np.eye(2) / 2] * 3)
+        bad = good.copy()
+        bad[1] = np.diag([1.5, -0.5])
+        with pytest.raises(ValueError, match=r"^rho0\[1\] is not PSD"):
+            fidelity(bad, good)
+        with pytest.raises(ValueError, match=r"^rho\[1\] is not PSD"):
+            fidelity(good, bad)
+        with pytest.raises(ValueError, match="mismatch"):
+            fidelity(good, good[:2])
+        with pytest.raises(ValueError, match="mismatch"):
+            fidelity(np.eye(2) / 2, good)
+        with pytest.raises(ValueError, match="square"):
+            von_neumann_entropy(np.ones((3, 2, 4)))
 
 
 class TestCheckDensityMatrix:

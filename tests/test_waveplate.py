@@ -13,7 +13,9 @@ from chitomo.waveplate import (
     birefringence_from_delta,
     broadband_mixed_state,
     component_sum_state,
+    THIN_PLATE_LIMIT_UM,
     fit_su2_retarder,
+    monochromatic_states,
     optical_thickness,
     plate_choi_state,
     plate_unitary,
@@ -114,6 +116,14 @@ class TestRetarderUnitary:
             u = plate_unitary(delta, alpha)
             assert np.max(np.abs(u @ u.conj().T - np.eye(2))) < 1e-12
             assert np.linalg.det(u) == pytest.approx(1.0, abs=1e-12)
+
+    def test_stack_of_orientations_matches_scalar_calls(self):
+        alphas = np.arange(36) * np.pi / 36
+        stack = plate_unitary(1.234, alphas)
+        assert stack.shape == (36, 2, 2)
+        for alpha, u in zip(alphas, stack):
+            assert u.tobytes() == plate_unitary(1.234, float(alpha)).tobytes()
+            assert u.tobytes() == retarder_unitary(1.234, axis_from_orientation(alpha)).tobytes()
 
     def test_rejects_non_unit_axis(self):
         with pytest.raises(ValueError, match="axis"):
@@ -377,6 +387,45 @@ class TestBroadbandMixedState:
     def test_unnormalized_input_rejected(self):
         with pytest.raises(ValueError, match="normalized"):
             broadband_mixed_state(np.array([1.0, 1.0]), [], sinc2_profile(1.0, 0.008, 3, 1))
+
+
+class TestMonochromaticStates:
+    LAMS = (0.994, 0.996, 0.998, 1.000, 1.002, 1.004, 1.006)
+
+    @pytest.mark.parametrize(
+        "plates",
+        [
+            [THICK],
+            [THICK, THICK],
+            [WaveplateSpec(THIN_PLATE_LIMIT_UM - 786.0, 0.3)],
+            [WaveplateSpec(214.0, 0.3), WaveplateSpec(312.7, 1.1)],
+            [THICK, WaveplateSpec(214.0, 0.3)],
+        ],
+        ids=["1-thick", "2-thick", "1-thin", "2-thin", "thick+thin"],
+    )
+    def test_equals_one_knot_profiles(self, plates):
+        # state k is, to the bit, the one-knot broadband state at lambda_k; a
+        # thin plate acts with the unitary at that same wavelength
+        for psi0 in (V, np.array([0.6, 0.8j])):
+            states = monochromatic_states(psi0, plates, self.LAMS)
+            assert states.shape == (len(self.LAMS), 2, 2)
+            for lam, rho in zip(self.LAMS, states):
+                mono = SpectralProfile(np.array([lam]), np.array([1.0]))
+                assert rho.tobytes() == broadband_mixed_state(psi0, plates, mono).tobytes()
+
+    @pytest.mark.parametrize("plates", [[THICK], [WaveplateSpec(214.0, 0.3)]], ids=["thick", "thin"])
+    def test_out_of_window_wavelength_raises_as_one_knot_call(self, plates):
+        lams = (1.0, 3.2, 3.4)
+        with pytest.raises(ValueError) as one_knot:
+            broadband_mixed_state(V, plates, SpectralProfile(np.array([3.2]), np.array([1.0])))
+        with pytest.raises(ValueError) as stacked:
+            monochromatic_states(V, plates, lams)
+        assert "outside quartz dispersion window" in str(stacked.value)
+        assert str(stacked.value) == str(one_knot.value)
+
+    def test_unnormalized_input_rejected(self):
+        with pytest.raises(ValueError, match="normalized"):
+            monochromatic_states(np.array([1.0, 1.0]), [THICK], self.LAMS)
 
 
 class TestComponentSumState:
