@@ -17,15 +17,10 @@ from .quantum_core import (
     von_neumann_entropy,
 )
 from .process_algebra import (
-    apply_channel,
     chi_change_basis,
     chi_from_kraus,
-    choi_from_channel,
-    direct_probability,
-    effective_probability,
     kraus_from_chi,
     parameter_count,
-    process_rank,
 )
 from .waveplate import (
     SpectralProfile,

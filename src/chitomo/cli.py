@@ -15,6 +15,7 @@ Exit codes: 0 full success, 2 bad config or input, 3 refused precondition
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -65,6 +66,10 @@ class GenDataConfig(Config):
     n_events: int = 10_000
     seed: int = 0
     auxiliary_weight: float = ExperimentPlan.auxiliary_weight
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        ExperimentPlan.check(self.n_events, self.auxiliary_weight, "n_events")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -330,7 +335,9 @@ COMMANDS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # a constant of the program: built on the first call of main, then reused
     parser = argparse.ArgumentParser(
         prog="chitomo",
         description="Quantum process tomography of dispersive waveplates",
@@ -343,8 +350,14 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--threads", type=int, default=1, help="worker processes")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    """Run one command; may be called repeatedly in one process.  Each call
+    parses its own argv into a fresh namespace with the parser that the
+    first call built."""
+    args = _parser().parse_args(argv)
     config_class, run = COMMANDS[args.command]
     out_dir = Path(args.out)
     try:

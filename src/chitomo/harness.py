@@ -31,15 +31,18 @@ from .protocols import (
     ProcessProtocolName,
     auxiliary_rows,
     bn_state_protocol,
+    check_orientation_count,
     generate_counts,
     process_protocol,
 )
 from .quantum_core import fidelity, hermitian_eig, von_neumann_entropy
 from .waveplate import (
+    SpectralProfile,
     SU2Retarder,
     WaveplateSpec,
     birefringence_from_delta,
     broadband_mixed_state,
+    check_quartz_window,
     component_sum_state,
     fit_su2_retarder,
     monochromatic_states,
@@ -93,6 +96,18 @@ class PlateSpec(Config):
     knots: int = 801
     span: float = 40.0
 
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        # the checks that build_truth's plate, profile and knots would fail
+        self.plate()
+        check_quartz_window(self.profile().wavelengths)
+
+    def plate(self) -> WaveplateSpec:
+        return WaveplateSpec(self.thickness_um, np.deg2rad(self.alpha_deg))
+
+    def profile(self) -> SpectralProfile:
+        return sinc2_profile(self.lam0_um, self.fwhm_um, self.knots, self.span)
+
 
 @dataclass(frozen=True)
 class TruthSpec(PlateSpec):
@@ -126,12 +141,12 @@ class CampaignConfig(Config):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.n_events < 1:
-            raise ValueError(f"n_events must be >= 1, got {self.n_events}")
+        ExperimentPlan.check(self.n_events, self.auxiliary_weight, "n_events")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if not 1 <= self.reconstruction_rank <= 4:
             raise ValueError("reconstruction rank must be in [1, 4]")
+        _solver_config(self)  # damping and the stopping controls
 
 
 @dataclass(frozen=True)
@@ -190,9 +205,7 @@ def build_truth(spec: TruthSpec) -> np.ndarray:
         phi = np.zeros(4, dtype=complex)
         phi[0] = phi[3] = 1.0 / np.sqrt(2)
         return np.outer(phi, phi.conj())
-    plate = WaveplateSpec(spec.thickness_um, np.deg2rad(spec.alpha_deg))
-    profile = sinc2_profile(spec.lam0_um, spec.fwhm_um, spec.knots, spec.span)
-    choi = plate_choi_state(plate, profile)
+    choi = plate_choi_state(spec.plate(), spec.profile())
     if spec.rank is not None:
         choi = _truncate_rank(choi, spec.rank)
     return choi
@@ -414,6 +427,23 @@ class MixedWorkflowConfig(Config):
                         "(1-based into component_lams_um)"
                     )
         super().__post_init__()
+        ExperimentPlan.check(self.n_events, ExperimentPlan.auxiliary_weight, "n_events")
+        for name in ("component_rank", "broadband_rank"):
+            rank = getattr(self, name)
+            if not 1 <= rank <= 2:
+                raise ValueError(f"{name} must be in 1..2 (a polarization state), got {rank}")
+        # the plate, spectrum, component and orientation checks of
+        # run_mixed_state_workflow
+        self.plate()
+        self.profile()
+        check_quartz_window(np.asarray(self.component_lams_um))
+        check_orientation_count(self.measurement_orientations)
+
+    def plate(self) -> WaveplateSpec:
+        return WaveplateSpec(self.plate_thickness_um, np.deg2rad(self.plate_alpha_deg))
+
+    def profile(self) -> SpectralProfile:
+        return sinc2_profile(self.lam0_um, self.fwhm_um, self.knots, self.span)
 
 
 def _component_weights(config: MixedWorkflowConfig) -> np.ndarray:
@@ -444,8 +474,7 @@ def run_mixed_state_workflow(config: MixedWorkflowConfig) -> dict:
     from one stacked call each.
     """
     input_v = np.array([0.0, 1.0], dtype=complex)
-    plate = WaveplateSpec(config.plate_thickness_um, np.deg2rad(config.plate_alpha_deg))
-    profile = sinc2_profile(config.lam0_um, config.fwhm_um, config.knots, config.span)
+    plate, profile = config.plate(), config.profile()
     weights = _component_weights(config)
     rows = bn_state_protocol(
         config.measurement_orientations, config.measurement_plate_um, config.lam0_um

@@ -39,6 +39,7 @@ __all__ = [
     "b4_states",
     "state_from_bloch",
     "bloch_vector",
+    "check_orientation_count",
     "bn_state_protocol",
     "process_protocol",
     "auxiliary_rows",
@@ -192,10 +193,17 @@ class ExperimentPlan(Config):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.n_total < 1:
-            raise ValueError("n_total must be >= 1")
-        if self.auxiliary_weight <= 0:
-            raise ValueError("auxiliary_weight must be positive")
+        self.check(self.n_total, self.auxiliary_weight)
+
+    @staticmethod
+    def check(n_total: int, auxiliary_weight: float, name: str = "n_total") -> None:
+        """Raise the error a plan with these values raises, naming n_total
+        ``name``: a config checks its ``n_events`` with this before any plan
+        is built."""
+        if n_total < 1:
+            raise ValueError(f"{name} must be >= 1, got {n_total}")
+        if auxiliary_weight <= 0:
+            raise ValueError(f"auxiliary_weight must be positive, got {auxiliary_weight}")
 
 
 def j4_states() -> list[np.ndarray]:
@@ -253,6 +261,13 @@ def _affine_bloch_rank(states: Sequence[np.ndarray]) -> int:
     return int(np.linalg.matrix_rank(rows, tol=1e-8))
 
 
+def check_orientation_count(n_orientations: int) -> None:
+    """Raise IncompleteProtocolError when a BN protocol has too few
+    orientations to be tomographically complete."""
+    if n_orientations < 4:
+        raise IncompleteProtocolError(f"need at least 4 orientations, got {n_orientations}")
+
+
 def bn_state_protocol(
     n_orientations: int,
     plate_thickness_um: float = 312.7,
@@ -265,8 +280,7 @@ def bn_state_protocol(
     uniform.  Degenerate plates (retardance a multiple of pi, which makes the
     plate act as the identity up to phase) are rejected.
     """
-    if n_orientations < 4:
-        raise IncompleteProtocolError("need at least 4 orientations")
+    check_orientation_count(n_orientations)
     delta = optical_thickness(WaveplateSpec(plate_thickness_um, 0.0), lam_um)
     u = plate_unitary(delta, np.arange(n_orientations) * np.pi / n_orientations)
     ops = u.conj().swapaxes(1, 2) @ np.outer(_V, _V.conj()) @ u
@@ -401,11 +415,19 @@ def generate_counts(
     state); uniform exposures are rescaled so the total expected count equals
     plan.n_total exactly, then each count is an independent Poisson draw from
     the generator seeded with plan.seed.
+
+    All m rates come from one ``(m*d, d) @ (d, d)`` product, the operators
+    stacked row-block by row-block, whose diagonal blocks are then traced.
+    Each entry is the same length-d dot product as in the per-row
+    ``np.trace(Lambda_j @ rho)``, so the rates equal the per-row ones to the
+    bit (tested); an einsum would move the last bit of some.
     """
     truth = np.asarray(truth, dtype=complex)
     if rows.auxiliary.any():
         raise ValueError("generate_counts expects only non-auxiliary rows")
-    rates = np.trace(rows.operators @ truth, axis1=1, axis2=2).real
+    m, d, _ = rows.operators.shape
+    products = (rows.operators.reshape(m * d, d) @ truth).reshape(m, d, d)
+    rates = np.trace(products, axis1=1, axis2=2).real
     rates = np.clip(rates, 0.0, None)
     base = float(np.dot(rates, rows.exposures))
     if not np.isfinite(base) or base <= 0:

@@ -31,6 +31,7 @@ __all__ = [
     "SpectralProfile",
     "SU2Retarder",
     "quartz_indices",
+    "check_quartz_window",
     "optical_thickness",
     "axis_from_orientation",
     "retarder_unitary",
@@ -149,11 +150,17 @@ def _sellmeier(l2):
     return n_o, n_e
 
 
-def _signed_thickness_knots(spec: WaveplateSpec, lam_um: np.ndarray) -> np.ndarray:
-    # Array form of _signed_thickness; checks the window at every knot.
+def check_quartz_window(lam_um: np.ndarray) -> None:
+    """Raise the error of quartz_indices for the first wavelength outside
+    the dispersion window, if any."""
     inside = (lam_um > QUARTZ_LAMBDA_MIN) & (lam_um < QUARTZ_LAMBDA_MAX)
     if not np.all(inside):
         raise _window_error(float(lam_um[np.argmin(inside)]))
+
+
+def _signed_thickness_knots(spec: WaveplateSpec, lam_um: np.ndarray) -> np.ndarray:
+    # Array form of _signed_thickness; checks the window at every knot.
+    check_quartz_window(lam_um)
     n_o, n_e = _sellmeier(lam_um * lam_um)
     return np.pi * (n_o - n_e) * spec.thickness_um / lam_um
 

@@ -1,8 +1,9 @@
 """Test-only checks and oracles: Kraus sets, operator bases, the unitary
 mixing freedom of a chi-matrix factor, the two matrices of the likelihood
 equation ``I c = J c``, density-matrix validation, the SU(2) form of a
-retarder, a bootstrap bound on a ratio of means and the draw-by-draw Poisson
-sampler."""
+retarder, a bootstrap bound on a ratio of means, the draw-by-draw Poisson
+sampler, the per-row count rates, and the channel action, Choi state,
+outcome probabilities and rank of a process computed directly."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import numpy as np
 
 from chitomo.ml_engine import expected_rates
 from chitomo.protocols import Measurements
-from chitomo.quantum_core import _as_complex_matrix
+from chitomo.quantum_core import _as_complex_matrix, hermitian_eig
 from chitomo.waveplate import SU2Retarder
 
 __all__ = [
@@ -25,6 +26,12 @@ __all__ = [
     "su2_from_retarder",
     "bootstrap_ratio_lower_bound",
     "sample_poisson",
+    "per_row_rates",
+    "apply_channel",
+    "choi_from_channel",
+    "direct_probability",
+    "effective_probability",
+    "process_rank",
 ]
 
 
@@ -156,3 +163,85 @@ def sample_poisson(mu: float, rng: np.random.Generator) -> int:
     if mu < 30.0:
         return _poisson_inversion(mu, rng)
     return _poisson_ptrs(mu, rng)
+
+
+def per_row_rates(rows: Measurements, truth: np.ndarray) -> np.ndarray:
+    """``tr(Lambda_j rho)`` row by row: the oracle of the rates in
+    ``protocols.generate_counts``."""
+    return np.array([np.trace(op @ truth).real for op in rows.operators])
+
+
+def apply_channel(kraus_ops: Sequence[np.ndarray], rho_in: np.ndarray) -> np.ndarray:
+    """Operator-sum action ``sum_k E_k rho E_k^+``."""
+    rho_in = np.asarray(rho_in, dtype=complex)
+    s = rho_in.shape[0]
+    out = np.zeros_like(rho_in)
+    for e in kraus_ops:
+        e = np.asarray(e, dtype=complex)
+        if e.shape != (s, s):
+            raise ValueError(f"Kraus operator shape {e.shape} does not match state dim {s}")
+        out += e @ rho_in @ e.conj().T
+    return out
+
+
+def choi_from_channel(kraus_ops: Sequence[np.ndarray]) -> np.ndarray:
+    """Choi state (trace 1) by sending half of a maximally entangled pair
+    through the channel.
+
+    This is an independent construction from :func:`chi_from_kraus` (explicit
+    Kraus action on the output factor of ``|Phi><Phi|``); the two must agree
+    up to the 1/s normalization, which the tests use as a cross-check.
+    """
+    s = np.asarray(kraus_ops[0]).shape[0]
+    phi = np.zeros(s * s, dtype=complex)
+    for j in range(s):
+        basis_j = np.zeros(s)
+        basis_j[j] = 1.0
+        phi += np.kron(basis_j, basis_j)
+    phi /= np.sqrt(s)
+    rho_phi = np.outer(phi, phi.conj())
+    eye = np.eye(s)
+    out = np.zeros_like(rho_phi)
+    for e in kraus_ops:
+        big = np.kron(eye, np.asarray(e, dtype=complex))
+        out += big @ rho_phi @ big.conj().T
+    return out
+
+
+def _check_normalized(vec: np.ndarray, name: str) -> np.ndarray:
+    vec = np.asarray(vec, dtype=complex).ravel()
+    if abs(np.linalg.norm(vec) - 1.0) > 1e-10:
+        raise ValueError(f"{name} is not normalized (norm {np.linalg.norm(vec)!r})")
+    return vec
+
+
+def direct_probability(
+    kraus_ops: Sequence[np.ndarray], c_in: np.ndarray, c_m: np.ndarray
+) -> float:
+    """Outcome probability tr(E(|c_in><c_in|) |c_m><c_m|)."""
+    c_in = _check_normalized(c_in, "c_in")
+    c_m = _check_normalized(c_m, "c_m")
+    rho_out = apply_channel(kraus_ops, np.outer(c_in, c_in.conj()))
+    return float(np.real(c_m.conj() @ rho_out @ c_m))
+
+
+def effective_probability(chi: np.ndarray, c_in: np.ndarray, c_m: np.ndarray) -> float:
+    """Same probability from the chi-matrix (trace-s normalization) via the
+    effective projector onto ``conj(c_in) (x) c_m``."""
+    chi = np.asarray(chi, dtype=complex)
+    c_in = _check_normalized(c_in, "c_in")
+    c_m = _check_normalized(c_m, "c_m")
+    c_eff = np.kron(c_in.conj(), c_m)
+    if c_eff.size != chi.shape[0]:
+        raise ValueError(
+            f"state dims {c_in.size}x{c_m.size} do not match chi dim {chi.shape[0]}"
+        )
+    return float(np.real(c_eff.conj() @ chi @ c_eff))
+
+
+
+
+def process_rank(chi: np.ndarray, tol: float = 1e-10) -> int:
+    """Number of chi eigenvalues above ``tol * max_eigenvalue``."""
+    w, _ = hermitian_eig(chi)
+    return int(np.sum(w > tol * w[0]))

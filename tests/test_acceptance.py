@@ -28,17 +28,17 @@ from chitomo.ml_engine import (
     log_likelihood,
     solve_likelihood,
 )
-from chitomo.process_algebra import (
-    chi_from_kraus,
+from chitomo.process_algebra import chi_from_kraus, kraus_from_chi, kraus_stack
+from chitomo.protocols import Measurements, auxiliary_rows, process_protocol
+from chitomo.quantum_core import fidelity, partial_trace
+from process_oracles import (
+    bootstrap_ratio_lower_bound,
     choi_from_channel,
     direct_probability,
     effective_probability,
-    kraus_from_chi,
-    kraus_stack,
+    fisher_matrices,
+    unitary_mix,
 )
-from chitomo.protocols import Measurements, auxiliary_rows, process_protocol
-from chitomo.quantum_core import fidelity, partial_trace
-from process_oracles import bootstrap_ratio_lower_bound, fisher_matrices, unitary_mix
 from random_ops import (
     random_state_vector,
     random_trace_preserving_kraus,

@@ -1,11 +1,15 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from chitomo import cli
 from chitomo.cli import COMMANDS, config_hash, main, matrix_from_json, matrix_to_json
 from chitomo.harness import CampaignConfig, ScalingConfig, TruthSpec, build_truth, derive_seed
 from chitomo.ml_engine import ReconstructionConfig, solve_likelihood
@@ -434,6 +438,33 @@ class TestErrorPaths:
             ("scaling", {"protocol": "j4"}, "protocol must be one of J4, R4, B4, got 'j4'"),
             ("gen-data", {"protocol": 4}, "protocol must be one of J4, R4, B4, got 4"),
             ("protocol-dump", {"protocol": "B36"}, "protocol must be one of J4, R4, B4"),
+            # value checks of the plan, the solver, the plate and its
+            # spectrum, made before the echo
+            ("gen-data", {"n_events": 0}, "n_events must be >= 1, got 0"),
+            ("gen-data", {"auxiliary_weight": -1}, "auxiliary_weight must be positive, got -1"),
+            ("plate-chi", {"knots": 4}, "knots must be odd and >= 3, got 4"),
+            ("plate-chi", {"fwhm_um": 0}, "span and fwhm must be positive"),
+            ("gen-data", {"truth": {"fwhm_um": -0.01}}, "span and fwhm must be positive"),
+            ("mc", {"truth": {"knots": 4}}, "knots must be odd and >= 3, got 4"),
+            ("gen-data", {"truth": {"thickness_um": -5}},
+             "thickness must be finite and >= 0, got -5"),
+            ("plate-chi", {"lam0_um": 5.0},
+             "wavelength 4.68 um outside quartz dispersion window"),
+            ("mc", {"truth": {"lam0_um": 5.0}},
+             "wavelength 4.68 um outside quartz dispersion window"),
+            ("mc", {"auxiliary_weight": -1}, "auxiliary_weight must be positive, got -1"),
+            ("mc", {"damping": 0}, "damping must be in (0, 1]"),
+            ("mc", {"max_iterations": 0}, "stopping controls must be positive"),
+            ("scaling", {"damping": 2}, "damping must be in (0, 1]"),
+            ("mixed-workflow", {"knots": 4}, "knots must be odd and >= 3, got 4"),
+            ("mixed-workflow", {"n_events": 0}, "n_events must be >= 1, got 0"),
+            ("mixed-workflow", {"measurement_orientations": 3},
+             "need at least 4 orientations, got 3"),
+            ("mixed-workflow", {"component_rank": 3}, "component_rank must be in 1..2"),
+            ("mixed-workflow", {"broadband_rank": 0}, "broadband_rank must be in 1..2"),
+            ("mixed-workflow", {"fwhm_um": 0}, "span and fwhm must be positive"),
+            ("mixed-workflow", {"component_lams_um": [5.0], "subsets": [[1]]},
+             "wavelength 5.0 um outside quartz dispersion window"),
         ],
     )
     def test_mistyped_field_exits_2(self, tmp_path, capsys, command, config, message):
@@ -508,6 +539,59 @@ class TestErrorPaths:
         echo = json.loads(capsys.readouterr().out.splitlines()[0])
         assert echo["config"]["seed"] == 77
         assert echo["command"] == "mc"
+
+
+class TestRepeatedMain:
+    """main builds its parser once per process; every call parses its own
+    argv, and nothing a config decides outlives the call."""
+
+    GEN = {"seed": 9, "n_events": 500, "truth": {"knots": 21}}
+
+    def test_parser_built_once(self):
+        assert cli._parser() is cli._parser()
+
+    def test_seed_flag_does_not_stick(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "gen.json", self.GEN)
+        assert main(["gen-data", "--config", cfg, "--seed", "5", "--out", str(tmp_path)]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["seed"] == 5
+        assert main(["gen-data", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["seed"] == 9
+
+    def test_argparse_rejection_then_valid_call(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-data", "--no-such-flag", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--no-such-flag" in capsys.readouterr().err
+        cfg = write_config(tmp_path / "gen.json", self.GEN)
+        assert main(["gen-data", "--config", cfg, "--out", str(tmp_path)]) == 0
+        echo = json.loads(capsys.readouterr().out)
+        assert echo["command"] == "gen-data" and echo["config"]["seed"] == 9
+        assert (tmp_path / "data.json").exists()
+
+    def test_chain_equals_fresh_interpreter(self, tmp_path, capsys):
+        def chain(out: Path, run) -> None:
+            out.mkdir()
+            plate = write_config(out / "plate.json", {"knots": 201})
+            gen = write_config(
+                out / "gen.json", {"n_events": 2000, "seed": 11, "truth": {"knots": 201}}
+            )
+            rec = write_config(out / "rec.json", {"data_path": str(out / "data.json")})
+            for command, cfg in (("plate-chi", plate), ("gen-data", gen), ("reconstruct", rec)):
+                assert run([command, "--config", cfg, "--out", str(out)]) == 0
+
+        def fresh(argv: list[str]) -> int:
+            src = str(Path(cli.__file__).resolve().parents[1])
+            path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+            env = {**os.environ, "PYTHONPATH": path}
+            return subprocess.run(
+                [sys.executable, "-m", "chitomo.cli", *argv], env=env, capture_output=True
+            ).returncode
+
+        chain(tmp_path / "in_process", main)
+        chain(tmp_path / "fresh", fresh)
+        for name in ("chi.json", "data.json", "estimate.json", "result.json"):
+            in_process = (tmp_path / "in_process" / name).read_bytes()
+            assert in_process == (tmp_path / "fresh" / name).read_bytes(), name
 
 
 def _readme_schema_bullets() -> dict[str, str]:

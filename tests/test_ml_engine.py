@@ -1,3 +1,4 @@
+import dataclasses
 from dataclasses import replace
 
 import numpy as np
@@ -492,6 +493,10 @@ def assert_same_result(alone, lane):
         "scoring_steps", "fixed_point_steps", "rejected_steps",
     ):
         assert getattr(alone, name) == getattr(lane, name), name
+    for f in dataclasses.fields(alone):  # and no field is left out
+        a, b = getattr(alone, f.name), getattr(lane, f.name)
+        assert type(a) is type(b), f.name
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), f.name
 
 
 class TestBatchLanes:
@@ -525,6 +530,16 @@ class TestBatchLanes:
     def test_acceptance_cell_first_10_replications(self, campaign_rows):
         datasets = [campaign_rows(ACCEPTANCE_RANK2_N1E3_SEED, i, 1000) for i in range(10)]
         self.assert_lanes_independent(datasets, ReconstructionConfig(rank=2))
+
+    def test_acceptance_cell_as_one_batch_of_200(self, campaign_rows):
+        # the whole acceptance mc cell (R4, n=1e3, rank 2) in one call: the
+        # groundwork for solving a campaign's replications as one batch
+        datasets = [campaign_rows(ACCEPTANCE_RANK2_N1E3_SEED, i, 1000) for i in range(200)]
+        batch = self.assert_lanes_independent(datasets, ReconstructionConfig(rank=2))
+        # lanes leave the batch at many different iterations, the cell's
+        # slow solves last
+        assert max(r.iterations for r in batch) >= 150
+        assert len({r.iterations for r in batch}) >= 10
 
     def test_fixed_point_lane_beside_scoring_lanes(self, campaign_rows):
         # replication 48 starts above the scoring threshold and takes a

@@ -3,20 +3,24 @@ import pytest
 from numpy.testing import assert_allclose
 
 from chitomo.process_algebra import (
-    apply_channel,
     chi_change_basis,
     chi_from_kraus,
-    choi_from_channel,
-    direct_probability,
-    effective_probability,
     kraus_from_chi,
     kraus_stack,
     parameter_count,
     pauli_basis_matrices,
-    process_rank,
 )
 from chitomo.quantum_core import partial_trace, vectorize
-from process_oracles import basis_orthonormality_check, completeness_residual, unitary_mix
+from process_oracles import (
+    apply_channel,
+    basis_orthonormality_check,
+    choi_from_channel,
+    completeness_residual,
+    direct_probability,
+    effective_probability,
+    process_rank,
+    unitary_mix,
+)
 from random_ops import (
     random_state_vector,
     random_trace_preserving_kraus,

@@ -6,11 +6,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from chitomo.process_algebra import (
-    chi_from_kraus,
-    direct_probability,
-    effective_probability,
-)
+from chitomo import protocols
+from chitomo.process_algebra import chi_from_kraus
 from chitomo.protocols import (
     Config,
     ExperimentPlan,
@@ -28,7 +25,12 @@ from chitomo.protocols import (
     state_from_bloch,
 )
 from chitomo.waveplate import WaveplateSpec, optical_thickness, plate_unitary
-from process_oracles import sample_poisson
+from process_oracles import (
+    direct_probability,
+    effective_probability,
+    per_row_rates,
+    sample_poisson,
+)
 from random_ops import random_density_matrix, random_trace_preserving_kraus
 
 # Counts for the reference plate truth, R4, n=10^4, seed=123; frozen to pin
@@ -391,39 +393,54 @@ class TestGenerateCounts:
         rows = generate_counts(proto.rows, plate_truth, ExperimentPlan(10**4, seed=123))
         assert rows.counts.tolist() == GOLDEN_COUNTS
 
-    @pytest.mark.parametrize("name", ["J4", "R4", "B4", "B36", "straddle"])
+    @pytest.mark.parametrize("name", ["J4", "R4", "B4", "B4-state", "B36", "straddle"])
     def test_matches_per_row_reference(self, name, monkeypatch):
-        # the per-row loop that the batched rates replaced, drawing with the
-        # scalar sampler: the arithmetic is the same, so exposures and counts
-        # must agree bit for bit (an einsum for the rates moves the last bit
-        # of the total rate on some truths)
+        # the per-row loop that the one-product rates replaced, drawing with
+        # the scalar sampler: each rate is the same length-d dot product, so
+        # exposures and counts must agree bit for bit (an einsum for the
+        # rates moves the last bit of some), for truths of every rank
         if name == "straddle":
             rows, n_total = straddle_rows(), 6717  # the exposed rows' sum: scale 1
             truths = [np.diag([1.0, 0.0]).astype(complex)]
         else:
-            rows = bn_state_protocol(36).rows if name == "B36" else process_protocol(name).rows
+            if name == "B4-state":
+                rows = Measurements([np.outer(s, s.conj()) for s in b4_states()], np.ones(4))
+            elif name == "B36":
+                rows = bn_state_protocol(36).rows
+            else:
+                rows = process_protocol(name).rows
             rng = np.random.default_rng(5)
             n_total = 1000
-            truths = [random_density_matrix(rows.operators.shape[1], rng) for _ in range(8)]
+            d = rows.operators.shape[1]
+            truths = [
+                random_density_matrix(d, rng, rank)
+                for rank in range(1, d + 1)
+                for _ in range(4)
+            ]
         plan = ExperimentPlan(n_total, seed=0)
-        generators = []
+        generators, means_drawn = [], []
 
         def counting_rng(seed):
             generators.append(CountingGenerator(seed))
             return generators[-1]
 
+        def recording_poisson_counts(means, rng):
+            means_drawn.append(means)
+            return poisson_counts(means, rng)
+
         for truth in truths:
-            rates = [float(np.real(np.trace(op @ truth))) for op in rows.operators]
-            rates = np.clip(rates, 0.0, None)
+            rates = np.clip(per_row_rates(rows, truth), 0.0, None)
             scale = plan.n_total / float(np.dot(rates, rows.exposures))
-            exposures = [t * scale for t in rows.exposures]
+            exposures = np.array([t * scale for t in rows.exposures])
             draws = np.random.default_rng(plan.seed)
-            counts = [sample_poisson(lam * t, draws) for lam, t in zip(rates, exposures)]
+            counts = np.array([sample_poisson(lam * t, draws) for lam, t in zip(rates, exposures)])
             with monkeypatch.context() as patch:
                 patch.setattr(np.random, "default_rng", counting_rng)
+                patch.setattr(protocols, "poisson_counts", recording_poisson_counts)
                 data = generate_counts(rows, truth, plan)
-            assert data.exposures.tolist() == exposures
-            assert data.counts.tolist() == counts
+            assert np.array_equal(means_drawn[-1], rates * exposures)
+            assert np.array_equal(data.exposures, exposures)
+            assert np.array_equal(data.counts, counts)
         if name == "straddle":
             means = np.multiply(rates, exposures)
             assert np.any(means == 0.0) and np.any((means > 29.9) & (means < 30))
