@@ -39,6 +39,7 @@ from .protocols import (
     auxiliary_rows,
     bn_state_protocol,
     generate_counts,
+    generate_counts_batch,
     j4_states,
     process_protocol,
     r4_states,

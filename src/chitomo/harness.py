@@ -10,6 +10,7 @@ can run in any order or in parallel without changing results.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -31,22 +32,22 @@ from .protocols import (
     ProcessProtocolName,
     auxiliary_rows,
     bn_state_protocol,
-    check_orientation_count,
     generate_counts,
+    generate_counts_batch,
     process_protocol,
 )
 from .quantum_core import fidelity, hermitian_eig, von_neumann_entropy
 from .waveplate import (
+    THIN_PLATE_LIMIT_UM,
     SpectralProfile,
     SU2Retarder,
     WaveplateSpec,
     birefringence_from_delta,
-    broadband_mixed_state,
     check_quartz_window,
-    component_sum_state,
+    component_sum_states,
     fit_su2_retarder,
-    monochromatic_states,
     plate_choi_state,
+    plate_count_states,
     sinc2_profile,
 )
 
@@ -432,18 +433,29 @@ class MixedWorkflowConfig(Config):
             rank = getattr(self, name)
             if not 1 <= rank <= 2:
                 raise ValueError(f"{name} must be in 1..2 (a polarization state), got {rank}")
-        # the plate, spectrum, component and orientation checks of
-        # run_mixed_state_workflow
-        self.plate()
-        self.profile()
+        # the plate, spectrum and component checks of
+        # run_mixed_state_workflow: a thick plate uses every knot, a thin one
+        # the central knot only
+        knots = self.profile().wavelengths
+        if self.plate().thickness_um < THIN_PLATE_LIMIT_UM:
+            knots = knots[len(knots) // 2 :][:1]
+        check_quartz_window(knots)
         check_quartz_window(np.asarray(self.component_lams_um))
-        check_orientation_count(self.measurement_orientations)
+        self.measurement_rows  # builds the protocol: its count and completeness checks
 
     def plate(self) -> WaveplateSpec:
         return WaveplateSpec(self.plate_thickness_um, np.deg2rad(self.plate_alpha_deg))
 
     def profile(self) -> SpectralProfile:
         return sinc2_profile(self.lam0_um, self.fwhm_um, self.knots, self.span)
+
+    @functools.cached_property
+    def measurement_rows(self) -> Measurements:
+        """The rows of the B-N state protocol every solve measures with,
+        built once per config, when the config is checked."""
+        return bn_state_protocol(
+            self.measurement_orientations, self.measurement_plate_um, self.lam0_um
+        ).rows
 
 
 def _component_weights(config: MixedWorkflowConfig) -> np.ndarray:
@@ -466,61 +478,57 @@ def run_mixed_state_workflow(config: MixedWorkflowConfig) -> dict:
 
     Returned fidelities compare against the broadband truth of the matching
     plate count; entropies are in bits.  Every stage-1 and stage-2 entry
-    carries its solve's ``iterations``, ``stop_reason`` and step counts.  All
-    16 solves measure with one B36 protocol, built once, and run as two
-    batches: the broadband solves at ``broadband_rank`` and the component
-    solves at ``component_rank``.  The component truths of a plate count come
-    from one ``monochromatic_states`` call, and its fidelities and entropies
-    from one stacked call each.
+    carries its solve's ``iterations``, ``stop_reason`` and step counts.
+
+    Each layer runs once for the whole report: the broadband and component
+    truths of both plate counts come from one ``plate_count_states`` pass,
+    all 16 count sets from one ``generate_counts_batch`` call over the
+    config's ``measurement_rows``, the solves from two batches (the broadband solves at
+    ``broadband_rank``, the component solves at ``component_rank``), and per
+    plate count the component sums from one ``component_sum_states`` call
+    and the fidelities and entropies from one stacked call each.
     """
     input_v = np.array([0.0, 1.0], dtype=complex)
-    plate, profile = config.plate(), config.profile()
     weights = _component_weights(config)
-    rows = bn_state_protocol(
-        config.measurement_orientations, config.measurement_plate_um, config.lam0_um
-    ).rows
     plate_counts = (1, 2)
-
-    def counts(truth: np.ndarray, key: int) -> Measurements:
-        plan = ExperimentPlan(n_total=config.n_events, seed=derive_seed(config.seed, key))
-        return generate_counts(rows, truth, plan)
-
-    truths, component_truths = {}, {}
-    for n_plates in plate_counts:
-        plates = [plate] * n_plates
-        truths[n_plates] = broadband_mixed_state(input_v, plates, profile)
-        component_truths[n_plates] = monochromatic_states(
-            input_v, plates, config.component_lams_um
-        )
+    n_components = len(config.component_lams_um)
+    truths, component_truths = plate_count_states(
+        input_v,
+        [config.plate()] * len(plate_counts),
+        config.profile(),
+        config.component_lams_um,
+    )
+    # per plate count n, the broadband set (seed key 1000 n), then the
+    # component sets (keys 1000 n + 1 + index)
+    width = 1 + n_components
+    count_sets = generate_counts_batch(
+        config.measurement_rows,
+        np.concatenate([truths[:, None], component_truths], axis=1).reshape(-1, 2, 2),
+        config.n_events,
+        [derive_seed(config.seed, 1000 * n + j) for n in plate_counts for j in range(width)],
+    )
     broadband = solve_likelihood_batch(
-        [counts(truths[n], 1000 * n) for n in plate_counts],
-        ReconstructionConfig(rank=config.broadband_rank),
+        count_sets[::width], ReconstructionConfig(rank=config.broadband_rank)
     )
     components = solve_likelihood_batch(
-        [
-            counts(truth, 1000 * n + 1 + idx)
-            for n in plate_counts
-            for idx, truth in enumerate(component_truths[n])
-        ],
+        [data for i, data in enumerate(count_sets) if i % width],
         ReconstructionConfig(rank=config.component_rank),
     )
 
     report: dict = {"config": config.to_dict(), "per_plate_count": {}}
-    n_components = len(config.component_lams_um)
+    subsets = [[j - 1 for j in subset] for subset in config.subsets]
     for i, n_plates in enumerate(plate_counts):
-        truth, res = truths[n_plates], broadband[i]
+        truth, res = truths[i], broadband[i]
         solved = components[i * n_components : (i + 1) * n_components]
-        mixes = [
-            component_sum_state([(float(weights[j - 1]), solved[j - 1].estimate) for j in subset])
-            for subset in config.subsets
-        ]
+        estimates = np.stack([r.estimate for r in solved])
+        mixes = component_sum_states(estimates, weights, subsets)
         # one call each: the stage-1, stage-2 and stage-3 fidelities, and the
         # truth's and the component sums' entropies
         fidelities = fidelity(
-            np.stack([truth, *component_truths[n_plates], *[truth] * len(mixes)]),
-            np.stack([res.estimate, *(r.estimate for r in solved), *mixes]),
+            np.concatenate([truth[None], component_truths[i], [truth] * len(mixes)]),
+            np.concatenate([res.estimate[None], estimates, mixes]),
         ).tolist()
-        entropies = von_neumann_entropy(np.stack([truth, *mixes])).tolist()
+        entropies = von_neumann_entropy(np.concatenate([truth[None], mixes])).tolist()
         stage1 = {
             "truth_entropy_bits": entropies[0],
             "reconstruction_fidelity": fidelities[0],

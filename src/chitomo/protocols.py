@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import math
 import typing
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -44,6 +44,7 @@ __all__ = [
     "process_protocol",
     "auxiliary_rows",
     "generate_counts",
+    "generate_counts_batch",
     "poisson_counts",
 ]
 
@@ -125,7 +126,14 @@ class Config:
         return cls(**{k: _from_json(k, types[k], v) for k, v in data.items()})
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields by name, a nested config as its own dict; every other
+        value as it is (tuples stay tuples), as ``dataclasses.asdict`` gives
+        them but without its deep copy."""
+        out = {}
+        for name in _field_types(type(self)):
+            value = getattr(self, name)
+            out[name] = value.to_dict() if isinstance(value, Config) else value
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -414,24 +422,63 @@ def generate_counts(
     Rates are ``tr(Lambda_j rho)`` against the trace-1 truth (state or Choi
     state); uniform exposures are rescaled so the total expected count equals
     plan.n_total exactly, then each count is an independent Poisson draw from
-    the generator seeded with plan.seed.
-
-    All m rates come from one ``(m*d, d) @ (d, d)`` product, the operators
-    stacked row-block by row-block, whose diagonal blocks are then traced.
-    Each entry is the same length-d dot product as in the per-row
-    ``np.trace(Lambda_j @ rho)``, so the rates equal the per-row ones to the
-    bit (tested); an einsum would move the last bit of some.
+    the generator seeded with plan.seed.  This is a batch of one of
+    :func:`generate_counts_batch`.
     """
-    truth = np.asarray(truth, dtype=complex)
+    return generate_counts_batch(rows, [truth], plan.n_total, [plan.seed])[0]
+
+
+def generate_counts_batch(
+    rows: Measurements, truths: Sequence[np.ndarray], n_total: int, seeds: Sequence[int]
+) -> list[Measurements]:
+    """``generate_counts`` for several truths over one protocol: count set s
+    is ``generate_counts(rows, truths[s], ExperimentPlan(n_total,
+    seeds[s]))``, to the bit (tested), and every set shares the operator
+    array of ``rows``.
+
+    All sets' rates come from one ``(m*d, d) @ (S, d, d)`` product, the
+    operators stacked row-block by row-block, whose diagonal blocks are then
+    traced.  Each entry is the same length-d dot product as in the per-row
+    ``np.trace(Lambda_j @ rho)``, so the rates equal the per-row ones to the
+    bit; an einsum would move the last bit of some.  Each set's total
+    expected rate is the dot product ``np.dot`` takes of its rates and the
+    exposures (a plain ``rates @ exposures`` moves the last bit), and each
+    set draws from its own generator with the scalar-stream sampler of
+    :func:`poisson_counts`.
+    """
+    truths = np.asarray(truths, dtype=complex)
     if rows.auxiliary.any():
         raise ValueError("generate_counts expects only non-auxiliary rows")
+    n_sets = len(truths)
+    if len(seeds) != n_sets:
+        raise ValueError(f"{len(seeds)} seeds for {n_sets} truths")
     m, d, _ = rows.operators.shape
-    products = (rows.operators.reshape(m * d, d) @ truth).reshape(m, d, d)
-    rates = np.trace(products, axis1=1, axis2=2).real
-    rates = np.clip(rates, 0.0, None)
-    base = float(np.dot(rates, rows.exposures))
-    if not np.isfinite(base) or base <= 0:
-        raise ValueError(f"total expected rate {base!r} is not usable")
-    exposures = rows.exposures * (plan.n_total / base)
-    counts = poisson_counts(rates * exposures, np.random.default_rng(plan.seed))
-    return replace(rows, exposures=exposures, counts=counts)
+    products = (rows.operators.reshape(m * d, d) @ truths).reshape(n_sets, m, d, d)
+    rates = np.clip(np.trace(products, axis1=2, axis2=3).real, 0.0, None)
+    base = (rates[:, None] @ rows.exposures[:, None])[:, 0, 0]
+    for s, total in enumerate(base.tolist()):
+        if not (math.isfinite(total) and total > 0):
+            name = f"set {s}: " if n_sets > 1 else ""
+            raise ValueError(f"{name}total expected rate {total!r} is not usable")
+    exposures = rows.exposures * (n_total / base)[:, None]
+    means = rates * exposures
+    return [
+        _with_counts(rows, exposures[s], poisson_counts(means[s], np.random.default_rng(seed)))
+        for s, seed in enumerate(seeds)
+    ]
+
+
+def _with_counts(rows: Measurements, exposures: np.ndarray, counts: list[int]) -> Measurements:
+    # rows with drawn exposures and counts, skipping the checks of
+    # construction, which they pass: the exposures are >= 0 and finite (an
+    # infinite one gives an infinite mean, and its draw raises first) and
+    # the counts are non-negative integers
+    data = object.__new__(Measurements)
+    for name, value in (
+        ("operators", rows.operators),
+        ("exposures", exposures),
+        ("counts", np.array(counts, dtype=float)),
+        ("auxiliary", rows.auxiliary),
+    ):
+        object.__setattr__(data, name, value)
+    return data

@@ -15,12 +15,14 @@ vectorized unitaries, which is why a single plate always has process rank 2.
 :func:`broadband_mixed_state` evaluates the dispersion, the unitaries and the
 spectral average over all knots in one array pass; its weighted sum runs in a
 different order than a knot-by-knot sum, so results differ from one at the
-1e-15 level.
+1e-15 level.  :func:`plate_count_states` gives the states behind 1..P plates
+from one pass over the plates, equal to the bit to one call per plate count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -42,7 +44,9 @@ __all__ = [
     "birefringence_from_delta",
     "broadband_mixed_state",
     "monochromatic_states",
+    "plate_count_states",
     "component_sum_state",
+    "component_sum_states",
 ]
 
 # Validity window of the quartz dispersion formulas, micrometers.
@@ -283,26 +287,42 @@ def _output_states(
     plates: list[WaveplateSpec],
     lam: np.ndarray,
     lam_thin: np.ndarray,
-) -> np.ndarray:
-    """Pure output states ``psi (K, 2)`` at the wavelengths ``lam (K,)``:
-    plates are applied in list order, a thick plate with each wavelength's
-    own unitary and a plate thinner than THIN_PLATE_LIMIT_UM with the unitary
-    at ``lam_thin`` (one wavelength for all, or one per wavelength).  Only
-    the wavelengths a plate uses are checked against the quartz window."""
+) -> list[np.ndarray]:
+    """Pure output states ``psi (K, 2)`` at the wavelengths ``lam (K,)``
+    after each leading part of the plate list: entry n is the state after
+    the first n plates (entry 0 the input).  A thick plate acts with each
+    wavelength's own unitary and a plate thinner than THIN_PLATE_LIMIT_UM
+    with the unitary at ``lam_thin`` (one wavelength for all, or one per
+    wavelength).  Only the wavelengths a plate uses are checked against the
+    quartz window.  A plate equal to the one before it reuses that plate's
+    unitaries, which are the same numbers."""
     psi0 = np.asarray(input_state, dtype=complex).ravel()
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-10:
         raise ValueError("input state must be normalized")
-    psi = np.broadcast_to(psi0, (len(lam), 2))
+    states = [np.broadcast_to(psi0, (len(lam), 2))]
+    previous = None
     for spec in plates:
-        thick = spec.thickness_um >= THIN_PLATE_LIMIT_UM
-        delta = _signed_thickness_knots(spec, lam if thick else lam_thin)
-        sigma_n = np.tensordot(axis_from_orientation(spec.alpha_rad), _SIGMA, axes=1)
-        u = (
-            np.cos(delta)[:, None, None] * np.eye(2, dtype=complex)
-            - 1j * np.sin(delta)[:, None, None] * sigma_n
-        )
-        psi = np.einsum("...ij,...j->...i", u, psi)
-    return psi
+        if spec != previous:
+            thick = spec.thickness_um >= THIN_PLATE_LIMIT_UM
+            delta = _signed_thickness_knots(spec, lam if thick else lam_thin)
+            sigma_n = np.tensordot(axis_from_orientation(spec.alpha_rad), _SIGMA, axes=1)
+            u = (
+                np.cos(delta)[:, None, None] * np.eye(2, dtype=complex)
+                - 1j * np.sin(delta)[:, None, None] * sigma_n
+            )
+            previous = spec
+        states.append(np.einsum("...ij,...j->...i", u, states[-1]))
+    return states
+
+
+def _spectral_average(psi: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    # the mixed state sum_k w_k |psi_k><psi_k| as one product
+    return (psi * weights[:, None]).T @ psi.conj()
+
+
+def _projectors(psi: np.ndarray) -> np.ndarray:
+    # |psi><psi| for each state of a stack (..., 2)
+    return psi[..., :, None] @ psi.conj()[..., None, :]
 
 
 def broadband_mixed_state(
@@ -325,8 +345,8 @@ def broadband_mixed_state(
     """
     lam = profile.wavelengths
     central = len(profile) // 2
-    psi = _output_states(input_state, plates, lam, lam[central : central + 1])
-    return (psi * profile.weights[:, None]).T @ psi.conj()
+    psi = _output_states(input_state, plates, lam, lam[central : central + 1])[-1]
+    return _spectral_average(psi, profile.weights)
 
 
 def monochromatic_states(
@@ -343,8 +363,32 @@ def monochromatic_states(
     first such one-knot call.
     """
     lam = np.asarray(wavelengths, dtype=float)
-    psi = _output_states(input_state, plates, lam, lam)
-    return psi[:, :, None] @ psi.conj()[:, None, :]
+    return _projectors(_output_states(input_state, plates, lam, lam)[-1])
+
+
+def plate_count_states(
+    input_state: np.ndarray,
+    plates: list[WaveplateSpec],
+    profile: SpectralProfile,
+    wavelengths: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Broadband and monochromatic output states behind 1..P plates, from
+    one pass over the P plates: ``broadband[n - 1]`` (P, 2, 2) is
+    ``broadband_mixed_state(input_state, plates[:n], profile)`` and
+    ``monochromatic[n - 1]`` (P, K, 2, 2) is ``monochromatic_states(
+    input_state, plates[:n], wavelengths)``, each to the bit (tested).
+
+    The states behind n plates are the input of plate n + 1, and equal
+    plates share their unitaries, so a stack of P copies of one plate
+    computes its dispersion and unitaries once per wavelength set.
+    """
+    lam = profile.wavelengths
+    central = len(profile) // 2
+    knots = _output_states(input_state, plates, lam, lam[central : central + 1])[1:]
+    lam_k = np.asarray(wavelengths, dtype=float)
+    components = _output_states(input_state, plates, lam_k, lam_k)[1:]
+    broadband = np.stack([_spectral_average(psi, profile.weights) for psi in knots])
+    return broadband, _projectors(np.stack(components))
 
 
 def component_sum_state(components: list[tuple[float, np.ndarray]]) -> np.ndarray:
@@ -353,11 +397,37 @@ def component_sum_state(components: list[tuple[float, np.ndarray]]) -> np.ndarra
     Weights must be nonnegative with at least one positive; they are divided
     by their sum, so only relative weights matter.
     """
-    weights = np.array([w for w, _ in components], dtype=float)
+    weights = [w for w, _ in components]
+    states = [r for _, r in components]
+    return component_sum_states(states, weights, [range(len(components))])[0]
+
+
+def component_sum_states(
+    states: np.ndarray, weights: np.ndarray, subsets: Sequence[Sequence[int]]
+) -> np.ndarray:
+    """The :func:`component_sum_state` of every subset of ``states`` (C, d, d)
+    at once, (S, d, d): mixture s is ``sum_j weights[j] states[j]`` over the
+    0-based indices ``j`` of ``subsets[s]``, in subset order, divided by
+    the sum of those weights.
+
+    Weights must be nonnegative, and each subset must hold a positive one.
+    Every weighted term comes from one product, the subsets padded to the
+    longest with a zero state, and each mixture sums its terms in subset
+    order, as the one-subset sum does; each total is the subset's own
+    ``np.sum``.  So every mixture is the one-subset result to the bit
+    (tested).
+    """
+    states = np.asarray(states, dtype=complex)
+    weights = np.asarray(weights, dtype=float)
     if np.any(weights < 0):
         raise ValueError("weights must be nonnegative")
-    total = weights.sum()
-    if total <= 0:
+    totals = np.array([weights[list(subset)].sum() for subset in subsets])
+    if np.any(totals <= 0):
         raise ValueError("at least one weight must be positive")
-    rho = sum(w * np.asarray(r, dtype=complex) for w, r in components) / total
-    return rho
+    # index len(states) is the padding: a zero state of weight 0
+    index = np.full((len(subsets), max(map(len, subsets))), len(states))
+    for row, subset in zip(index, subsets):
+        row[: len(subset)] = subset
+    padded_states = np.concatenate([states, np.zeros((1, *states.shape[1:]), complex)])
+    terms = np.append(weights, 0.0)[index][..., None, None] * padded_states[index]
+    return terms.sum(axis=1) / totals[:, None, None]

@@ -2,18 +2,21 @@
 mixing freedom of a chi-matrix factor, the two matrices of the likelihood
 equation ``I c = J c``, density-matrix validation, the SU(2) form of a
 retarder, a bootstrap bound on a ratio of means, the draw-by-draw Poisson
-sampler, the per-row count rates, and the channel action, Choi state,
-outcome probabilities and rank of a process computed directly."""
+sampler, the per-row count rates, one count set and each subset's
+component sum as computed before their stacked forms, and the channel action,
+Choi state, outcome probabilities and rank of a process computed
+directly."""
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
 
 from chitomo.ml_engine import expected_rates
-from chitomo.protocols import Measurements
+from chitomo.protocols import ExperimentPlan, Measurements, poisson_counts
 from chitomo.quantum_core import _as_complex_matrix, hermitian_eig
 from chitomo.waveplate import SU2Retarder
 
@@ -27,6 +30,8 @@ __all__ = [
     "bootstrap_ratio_lower_bound",
     "sample_poisson",
     "per_row_rates",
+    "generate_counts_per_set",
+    "component_sums_per_subset",
     "apply_channel",
     "choi_from_channel",
     "direct_probability",
@@ -245,3 +250,34 @@ def process_rank(chi: np.ndarray, tol: float = 1e-10) -> int:
     """Number of chi eigenvalues above ``tol * max_eigenvalue``."""
     w, _ = hermitian_eig(chi)
     return int(np.sum(w > tol * w[0]))
+
+
+def generate_counts_per_set(
+    rows: Measurements, truth: np.ndarray, plan: ExperimentPlan
+) -> Measurements:
+    """One count set as ``protocols.generate_counts`` drew it before the
+    batched synthesis: the rates from one ``(m*d, d) @ (d, d)`` product,
+    the total from ``np.dot``, exposures scaled by a Python float, and the
+    draws from the generator seeded with plan.seed."""
+    truth = np.asarray(truth, dtype=complex)
+    m, d, _ = rows.operators.shape
+    products = (rows.operators.reshape(m * d, d) @ truth).reshape(m, d, d)
+    rates = np.clip(np.trace(products, axis1=1, axis2=2).real, 0.0, None)
+    base = float(np.dot(rates, rows.exposures))
+    exposures = rows.exposures * (plan.n_total / base)
+    counts = poisson_counts(rates * exposures, np.random.default_rng(plan.seed))
+    return replace(rows, exposures=exposures, counts=counts)
+
+
+def component_sums_per_subset(
+    states: np.ndarray, weights: np.ndarray, subsets: Sequence[Sequence[int]]
+) -> np.ndarray:
+    """Each subset's mixture as ``waveplate.component_sum_state`` formed it
+    before the stacked sums: a Python sum of the weighted states in subset
+    order (0-based indices), divided by the ``np.sum`` of their weights."""
+    mixtures = []
+    for subset in subsets:
+        w = np.array([weights[j] for j in subset], dtype=float)
+        terms = (float(weights[j]) * np.asarray(states[j], dtype=complex) for j in subset)
+        mixtures.append(sum(terms) / w.sum())
+    return np.stack(mixtures)

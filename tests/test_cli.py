@@ -465,6 +465,14 @@ class TestErrorPaths:
             ("mixed-workflow", {"fwhm_um": 0}, "span and fwhm must be positive"),
             ("mixed-workflow", {"component_lams_um": [5.0], "subsets": [[1]]},
              "wavelength 5.0 um outside quartz dispersion window"),
+            # the measurement protocol's completeness and the thick plate's
+            # spectrum, checked when the config is built
+            ("mixed-workflow", {"measurement_orientations": 4},
+             "B4 with plate retardance 8.6262 rad is tomographically incomplete"),
+            ("mixed-workflow", {"measurement_plate_um": 1e-6},
+             "B36 with plate retardance 0.0000 rad is tomographically incomplete"),
+            ("mixed-workflow", {"lam0_um": 2.9},
+             "wavelength 3.0 um outside quartz dispersion window"),
         ],
     )
     def test_mistyped_field_exits_2(self, tmp_path, capsys, command, config, message):

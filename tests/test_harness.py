@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -16,14 +17,22 @@ from chitomo.harness import (
     run_retarder_fit,
     run_scaling_study,
 )
+from chitomo.protocols import ExperimentPlan
 from chitomo.quantum_core import vectorize
 from chitomo.waveplate import (
     WaveplateSpec,
+    broadband_mixed_state,
+    monochromatic_states,
     plate_choi_state,
     plate_unitary,
     sinc2_profile,
 )
-from process_oracles import bootstrap_ratio_lower_bound, su2_from_retarder
+from process_oracles import (
+    bootstrap_ratio_lower_bound,
+    component_sums_per_subset,
+    generate_counts_per_set,
+    su2_from_retarder,
+)
 
 QUICK = {"replications": 6, "n_events": 2000, "scenario": "test"}
 
@@ -222,9 +231,40 @@ class TestMixedWorkflow:
         run_mixed_state_workflow(MixedWorkflowConfig(knots=201, span=15.0, n_events=5000))
         assert len(calls) == 1
 
+    def test_report_equals_per_set_path(self, monkeypatch):
+        # the stacked truths, count synthesis and component sums give the
+        # report of one generate_counts call per count set, separate
+        # broadband and monochromatic calls per plate count and one sum per
+        # subset, compared exactly
+        config = MixedWorkflowConfig(seed=9)
+        stacked = run_mixed_state_workflow(config)
+
+        def per_set_counts(rows, truths, n_total, seeds):
+            return [
+                generate_counts_per_set(rows, truth, ExperimentPlan(n_total, seed))
+                for truth, seed in zip(truths, seeds)
+            ]
+
+        def separate_truths(input_state, plates, profile, wavelengths):
+            counts = range(1, len(plates) + 1)
+            return (
+                np.stack([broadband_mixed_state(input_state, plates[:n], profile) for n in counts]),
+                np.stack([monochromatic_states(input_state, plates[:n], wavelengths) for n in counts]),
+            )
+
+        monkeypatch.setattr(harness, "generate_counts_batch", per_set_counts)
+        monkeypatch.setattr(harness, "plate_count_states", separate_truths)
+        monkeypatch.setattr(harness, "component_sum_states", component_sums_per_subset)
+        per_set = run_mixed_state_workflow(config)
+        assert json.dumps(per_set, sort_keys=True) == json.dumps(stacked, sort_keys=True)
+
     @pytest.mark.parametrize(
         "overrides, message",
         [
+            # checked when the config is built, before any output exists
+            ({"measurement_orientations": 4}, r"B4 with plate retardance .* incomplete"),
+            ({"measurement_plate_um": 1e-6}, r"B36 with plate retardance 0\.0000 rad"),
+            ({"lam0_um": 2.9}, r"wavelength 3\.0\d* um outside quartz dispersion window"),
             ({"component_lams_um": ()}, "component_lams_um must not be empty"),
             ({"subsets": ((0, 1),)}, r"subsets\[0\]: index 0 outside 1\.\.7"),
             ({"subsets": ((1, 2), (1, 9))}, r"subsets\[1\]: index 9 outside 1\.\.7"),
@@ -239,6 +279,12 @@ class TestMixedWorkflow:
     def test_invalid_config_rejected(self, overrides, message):
         with pytest.raises(ValueError, match=message):
             MixedWorkflowConfig(**overrides)
+
+    def test_thin_plate_checks_only_central_wavelength(self):
+        # a thin plate acts at lam0 only, so a spectrum reaching past the
+        # quartz window is accepted, as the run accepts it
+        config = MixedWorkflowConfig(lam0_um=2.9, plate_thickness_um=500.0, knots=201)
+        assert config.profile().wavelengths[-1] > 3.0
 
 
 class TestRetarderFit:

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from chitomo import protocols
+from chitomo.cli import COMMANDS
+from chitomo.harness import TruthSpec, derive_seed
+from chitomo.ml_engine import ReconstructionConfig
 from chitomo.process_algebra import chi_from_kraus
 from chitomo.protocols import (
     Config,
@@ -18,6 +21,7 @@ from chitomo.protocols import (
     bloch_vector,
     bn_state_protocol,
     generate_counts,
+    generate_counts_batch,
     j4_states,
     poisson_counts,
     process_protocol,
@@ -28,6 +32,7 @@ from chitomo.waveplate import WaveplateSpec, optical_thickness, plate_unitary
 from process_oracles import (
     direct_probability,
     effective_probability,
+    generate_counts_per_set,
     per_row_rates,
     sample_poisson,
 )
@@ -63,6 +68,24 @@ class TestConfig:
         assert _Outer().to_dict() == {
             "inner": {"width": 1.0}, "count": 3, "limit": None, "seed": 0, "grid": ((1, 2),)
         }
+
+    @pytest.mark.parametrize("config_class", sorted({c for c, _ in COMMANDS.values()} | {
+        _Outer, ExperimentPlan, ReconstructionConfig, TruthSpec}, key=lambda c: c.__name__))
+    def test_to_dict_equals_asdict_with_same_types(self, config_class):
+        # to_dict skips asdict's deep copy; the dict must not change
+        required = {"data_path": "x.json", "chi_path": "x.json", "n_total": 5, "seed": 1, "rank": 2}
+        names = {f.name for f in fields(config_class)}
+        config = config_class(**{k: v for k, v in required.items() if k in names})
+
+        def types(value):
+            if isinstance(value, dict):
+                return {k: types(v) for k, v in value.items()}
+            if isinstance(value, tuple):
+                return (tuple, [types(v) for v in value])
+            return type(value)
+
+        assert config.to_dict() == asdict(config)
+        assert types(config.to_dict()) == types(asdict(config))
 
     @pytest.mark.parametrize(
         "data, message",
@@ -446,6 +469,52 @@ class TestGenerateCounts:
             assert np.any(means == 0.0) and np.any((means > 29.9) & (means < 30))
             assert np.any((means >= 30.0) & (means < 30.1))
             assert generators[-1].calls >= 2  # the uniform block was refilled
+
+    @pytest.mark.parametrize("name", ["J4", "R4", "B4", "B36", "straddle"])
+    def test_batch_lanes_equal_single_sets(self, name):
+        # every lane of a batch of S = 1..16 sets is generate_counts alone,
+        # and the per-set path it replaced, bit for bit: process rows of each
+        # family and the B36 state rows with random truths of every rank, and
+        # rows whose means are 0, just below 30 and from 30 up
+        if name == "straddle":
+            rows, n_total = straddle_rows(), 6717
+            truths = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.7, 0.3]).astype(complex)]
+        else:
+            rows = bn_state_protocol(36).rows if name == "B36" else process_protocol(name).rows
+            rng = np.random.default_rng(11)
+            n_total = 3000
+            d = rows.operators.shape[1]
+            truths = [random_density_matrix(d, rng, 1 + k % d) for k in range(16)]
+            if name == "B36":
+                truths[0] = np.diag([1.0, 0.0]).astype(complex)  # rate 0 on row 0, |V><V|
+        truths = np.array([truths[k % len(truths)] for k in range(16)])
+        seeds = [derive_seed(7, k) for k in range(16)]
+        means = []
+        for n_sets in range(1, 17):
+            batch = generate_counts_batch(rows, truths[:n_sets], n_total, seeds[:n_sets])
+            assert len(batch) == n_sets
+            for truth, seed, data in zip(truths, seeds, batch):
+                plan = ExperimentPlan(n_total, seed)
+                for single in (generate_counts(rows, truth, plan),
+                               generate_counts_per_set(rows, truth, plan)):
+                    assert np.array_equal(data.exposures, single.exposures)
+                    assert np.array_equal(data.counts, single.counts)
+                assert data.operators is rows.operators  # the solver's shared-operator path
+                assert data.auxiliary is rows.auxiliary
+                means.append(per_row_rates(rows, truth) * data.exposures)
+        means = np.concatenate(means)
+        assert np.any(means < 30.0) and np.any(means >= 30.0)
+        if name in ("straddle", "B36"):
+            assert np.any(np.abs(means) < 1e-12)
+
+    def test_batch_checks(self, plate_truth):
+        rows = process_protocol("R4").rows
+        with pytest.raises(ValueError, match="2 seeds for 1 truths"):
+            generate_counts_batch(rows, [plate_truth], 100, [1, 2])
+        with pytest.raises(ValueError, match="set 1: total expected rate 0.0 is not usable"):
+            generate_counts_batch(rows, [plate_truth, np.zeros((4, 4))], 100, [1, 2])
+        with pytest.raises(ValueError, match="^total expected rate 0.0 is not usable"):
+            generate_counts(rows, np.zeros((4, 4)), ExperimentPlan(100, seed=0))
 
     def test_repeatable_for_fixed_seed(self, plate_truth):
         proto = process_protocol("J4")

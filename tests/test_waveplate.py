@@ -13,17 +13,19 @@ from chitomo.waveplate import (
     birefringence_from_delta,
     broadband_mixed_state,
     component_sum_state,
+    component_sum_states,
     THIN_PLATE_LIMIT_UM,
     fit_su2_retarder,
     monochromatic_states,
     optical_thickness,
     plate_choi_state,
+    plate_count_states,
     plate_unitary,
     quartz_indices,
     retarder_unitary,
     sinc2_profile,
 )
-from process_oracles import su2_from_retarder
+from process_oracles import component_sums_per_subset, su2_from_retarder
 from conftest import REF_PLATE_CHOI, REF_PLATE_EIGENVALUES, SIGMA_X
 
 
@@ -426,6 +428,64 @@ class TestMonochromaticStates:
     def test_unnormalized_input_rejected(self):
         with pytest.raises(ValueError, match="normalized"):
             monochromatic_states(np.array([1.0, 1.0]), [THICK], self.LAMS)
+
+
+class TestPlateCountStates:
+    LAMS = (0.994, 0.996, 0.998, 1.000, 1.002, 1.004, 1.006)
+    THIN = WaveplateSpec(214.0, 0.3)
+
+    @pytest.mark.parametrize(
+        "plates",
+        [[THICK], [THICK, THICK], [THICK] * 3, [THICK, THIN], [THIN, THICK, THICK], [THIN, THIN]],
+        ids=["1-thick", "2-thick", "3-thick", "thick+thin", "thin+2-thick", "2-thin"],
+    )
+    def test_each_plate_count_equals_separate_calls(self, plates):
+        # the one pass gives, to the bit, the states of a separate
+        # broadband_mixed_state and monochromatic_states call per plate count
+        for profile in (sinc2_profile(1.0, 0.008), sinc2_profile(1.1509, 0.02, 101, 10)):
+            broadband, mono = plate_count_states(V, plates, profile, self.LAMS)
+            assert broadband.shape == (len(plates), 2, 2)
+            assert mono.shape == (len(plates), len(self.LAMS), 2, 2)
+            for n in range(1, len(plates) + 1):
+                separate = broadband_mixed_state(V, plates[:n], profile)
+                assert broadband[n - 1].tobytes() == separate.tobytes()
+                separate = monochromatic_states(V, plates[:n], self.LAMS)
+                assert mono[n - 1].tobytes() == separate.tobytes()
+
+    def test_window_checked_per_wavelength_set(self):
+        with pytest.raises(ValueError, match="wavelength 3.2 um outside"):
+            plate_count_states(V, [THICK] * 2, sinc2_profile(1.0, 0.008), (1.0, 3.2))
+        with pytest.raises(ValueError, match="outside quartz dispersion window"):
+            plate_count_states(V, [THICK] * 2, sinc2_profile(2.99, 0.008), self.LAMS)
+        # a thin plate uses the central knot only
+        plate_count_states(V, [self.THIN] * 2, sinc2_profile(2.99, 0.008), self.LAMS)
+
+
+class TestComponentSumStates:
+    def test_equal_per_subset_sums(self, rng):
+        # subsets in any order, with repeats and of 8 or more members (where
+        # np.sum of the weights adds pairwise) equal the one-subset sums
+        from random_ops import random_density_matrix
+
+        for _ in range(200):
+            n = int(rng.integers(1, 20))
+            states = np.array([random_density_matrix(2, rng) for _ in range(n)])
+            weights = rng.uniform(0.0, 1.0, n)
+            subsets = [
+                rng.integers(0, n, size=int(rng.integers(1, 12))).tolist()
+                for _ in range(int(rng.integers(1, 8)))
+            ]
+            mixes = component_sum_states(states, weights, subsets)
+            assert mixes.tobytes() == component_sums_per_subset(states, weights, subsets).tobytes()
+            one = component_sum_state([(weights[j], states[j]) for j in subsets[0]])
+            assert one.tobytes() == mixes[0].tobytes()
+
+    def test_weight_validation(self):
+        states = np.array([np.eye(2) / 2, np.diag([1.0, 0.0])])
+        with pytest.raises(ValueError, match="nonnegative"):
+            component_sum_states(states, [1.0, -1.0], [[0]])
+        with pytest.raises(ValueError, match="positive"):
+            component_sum_states(states, [1.0, 0.0], [[0], [1]])
 
 
 class TestComponentSumState:
