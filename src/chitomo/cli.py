@@ -313,6 +313,12 @@ def cmd_mixed_workflow(config: MixedWorkflowConfig, out_dir: Path, threads: int)
 def cmd_fit_retarder(config: FitRetarderConfig, out_dir: Path, threads: int) -> int:
     payload = json.loads(Path(config.chi_path).read_text())
     choi = matrix_from_json(payload["matrix"])
+    if choi.shape != (4, 4):
+        dims = "x".join(map(str, choi.shape))
+        raise ValueError(
+            f"chi_path {config.chi_path} holds a {dims} matrix; fit-retarder fits the "
+            "4x4 Choi matrix of a one-qubit process"
+        )
     report = run_retarder_fit(
         choi,
         lam_um=config.lam_um,

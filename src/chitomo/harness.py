@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .ml_engine import (
+    EIGEN_CUTOFF,
     ReconstructionConfig,
     ReconstructionResult,
     solve_likelihood,
@@ -169,6 +170,8 @@ class ScalingConfig(CampaignConfig):
         for i, rank in enumerate(self.ranks):
             if not 1 <= rank <= 4:
                 raise ValueError(f"ranks[{i}] must be in 1..4, got {rank}")
+            if rank in self.ranks[:i]:
+                raise ValueError(f"ranks[{i}] repeats rank {rank}; each rank runs one study")
 
 
 @dataclass(frozen=True)
@@ -307,8 +310,9 @@ def run_mc_campaign(config: CampaignConfig, threads: int = 1) -> CampaignResult:
         counts, edges = np.histogram(losses, bins=HISTOGRAM_BINS, range=(lo, hi))
     else:
         counts, edges = np.zeros(HISTOGRAM_BINS, int), np.linspace(0, 1, HISTOGRAM_BINS + 1)
+    # the solver's cutoff of F's range
     modes_above = (
-        int(np.sum(info_spectrum > 1e-8 * info_spectrum[0])) if info_spectrum.size else 0
+        int(np.sum(info_spectrum > EIGEN_CUTOFF * info_spectrum[0])) if info_spectrum.size else 0
     )
     from . import __version__
 
@@ -436,7 +440,7 @@ class MixedWorkflowConfig(Config):
         # the plate, spectrum and component checks of
         # run_mixed_state_workflow: a thick plate uses every knot, a thin one
         # the central knot only
-        knots = self.profile().wavelengths
+        knots = self.profile.wavelengths
         if self.plate().thickness_um < THIN_PLATE_LIMIT_UM:
             knots = knots[len(knots) // 2 :][:1]
         check_quartz_window(knots)
@@ -446,7 +450,10 @@ class MixedWorkflowConfig(Config):
     def plate(self) -> WaveplateSpec:
         return WaveplateSpec(self.plate_thickness_um, np.deg2rad(self.plate_alpha_deg))
 
+    @functools.cached_property
     def profile(self) -> SpectralProfile:
+        """The sinc^2 spectrum of the broadband light, built once per config,
+        when the config is checked."""
         return sinc2_profile(self.lam0_um, self.fwhm_um, self.knots, self.span)
 
     @functools.cached_property
@@ -481,21 +488,24 @@ def run_mixed_state_workflow(config: MixedWorkflowConfig) -> dict:
     carries its solve's ``iterations``, ``stop_reason`` and step counts.
 
     Each layer runs once for the whole report: the broadband and component
-    truths of both plate counts come from one ``plate_count_states`` pass,
-    all 16 count sets from one ``generate_counts_batch`` call over the
-    config's ``measurement_rows``, the solves from two batches (the broadband solves at
-    ``broadband_rank``, the component solves at ``component_rank``), and per
-    plate count the component sums from one ``component_sum_states`` call
-    and the fidelities and entropies from one stacked call each.
+    truths of both plate counts come from one ``plate_count_states`` pass
+    under the config's ``profile``, all 16 count sets from one
+    ``generate_counts_batch`` call over the config's ``measurement_rows``,
+    the solves from two batches (the broadband solves at ``broadband_rank``,
+    the component solves at ``component_rank``), the component sums of both
+    plate counts from one ``component_sum_states`` call, and all fidelities
+    and entropies from one stacked call each; the per-plate-count blocks of
+    the report are sliced from those.
     """
     input_v = np.array([0.0, 1.0], dtype=complex)
     weights = _component_weights(config)
     plate_counts = (1, 2)
+    n_plate_counts = len(plate_counts)
     n_components = len(config.component_lams_um)
     truths, component_truths = plate_count_states(
         input_v,
-        [config.plate()] * len(plate_counts),
-        config.profile(),
+        [config.plate()] * n_plate_counts,
+        config.profile,
         config.component_lams_um,
     )
     # per plate count n, the broadband set (seed key 1000 n), then the
@@ -515,37 +525,56 @@ def run_mixed_state_workflow(config: MixedWorkflowConfig) -> dict:
         ReconstructionConfig(rank=config.component_rank),
     )
 
+    # plate count i's component estimates are the block i of the stack, and
+    # its subsets index that block
+    estimates = np.stack([r.estimate for r in components])
+    subsets = [
+        [i * n_components + j - 1 for j in subset]
+        for i in range(n_plate_counts)
+        for subset in config.subsets
+    ]
+    mixes = component_sum_states(estimates, np.tile(weights, n_plate_counts), subsets)
+    mixes = mixes.reshape(n_plate_counts, -1, 2, 2)
+    # one call each, a row per plate count: the stage-1, stage-2 and stage-3
+    # fidelities, and the truth's and the component sums' entropies
+    fidelities = fidelity(
+        np.concatenate(
+            [truths[:, None], component_truths, np.broadcast_to(truths[:, None], mixes.shape)],
+            axis=1,
+        ),
+        np.concatenate(
+            [
+                np.stack([r.estimate for r in broadband])[:, None],
+                estimates.reshape(n_plate_counts, n_components, 2, 2),
+                mixes,
+            ],
+            axis=1,
+        ),
+    ).tolist()
+    entropies = von_neumann_entropy(np.concatenate([truths[:, None], mixes], axis=1)).tolist()
+
     report: dict = {"config": config.to_dict(), "per_plate_count": {}}
-    subsets = [[j - 1 for j in subset] for subset in config.subsets]
+    component_weights = weights.tolist()
+    component_statuses = [_solve_status(r) for r in components]
     for i, n_plates in enumerate(plate_counts):
-        truth, res = truths[i], broadband[i]
-        solved = components[i * n_components : (i + 1) * n_components]
-        estimates = np.stack([r.estimate for r in solved])
-        mixes = component_sum_states(estimates, weights, subsets)
-        # one call each: the stage-1, stage-2 and stage-3 fidelities, and the
-        # truth's and the component sums' entropies
-        fidelities = fidelity(
-            np.concatenate([truth[None], component_truths[i], [truth] * len(mixes)]),
-            np.concatenate([res.estimate[None], estimates, mixes]),
-        ).tolist()
-        entropies = von_neumann_entropy(np.concatenate([truth[None], mixes])).tolist()
+        fid, ent = fidelities[i], entropies[i]
         stage1 = {
-            "truth_entropy_bits": entropies[0],
-            "reconstruction_fidelity": fidelities[0],
-            **_solve_status(res),
+            "truth_entropy_bits": ent[0],
+            "reconstruction_fidelity": fid[0],
+            **_solve_status(broadband[i]),
         }
         stage2 = [
-            {
-                "lam_um": lam,
-                "weight": float(weights[idx]),
-                "fidelity_vs_pure_truth": fidelities[1 + idx],
-                **_solve_status(r),
-            }
-            for idx, (lam, r) in enumerate(zip(config.component_lams_um, solved))
+            {"lam_um": lam, "weight": w, "fidelity_vs_pure_truth": f, **status}
+            for lam, w, f, status in zip(
+                config.component_lams_um,
+                component_weights,
+                fid[1 : 1 + n_components],
+                component_statuses[i * n_components : (i + 1) * n_components],
+            )
         ]
         stage3 = [
             {"subset": list(subset), "fidelity_vs_broadband": f, "entropy_bits": e}
-            for subset, f, e in zip(config.subsets, fidelities[1 + n_components :], entropies[1:])
+            for subset, f, e in zip(config.subsets, fid[1 + n_components :], ent[1:])
         ]
         report["per_plate_count"][n_plates] = {
             "stage1": stage1,

@@ -53,6 +53,12 @@ times the largest.  Each result also counts its accepted scoring steps, its
 fixed-point steps and its rejected steps (failed Levenberg retries and
 fixed-point beta halvings).
 
+A result's ``log_likelihood`` is the full Poisson log-likelihood at the
+estimate, its factorial constant ``sum_j ln k_j!`` included.  The solve
+stores it without that constant; the constant, a Python ``math.lgamma`` per
+row, is added when ``log_likelihood`` is first read, giving the same bits as
+``_log_likelihood(..., include_factorial=True)`` at the returned rates.
+
 There is one solver, ``solve_likelihood_batch``; ``solve_likelihood`` is a
 batch of one.  A batch solves several datasets, its lanes, at once: the lanes
 share one operator array and carry their own exposures and counts, and each
@@ -73,7 +79,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -98,7 +104,7 @@ _START_FLOOR = 1e-3  # start eigenvalues floored at this times the largest
 _START_RIDGE = 1e-12  # ridge of the start's normal equations, times their mean diagonal
 _SCORING_SLACK = 1e-12  # relative surrogate slack of a scoring step
 _FIXED_POINT_SLACK = 1e-9  # relative surrogate slack of a fixed-point step
-_EIGEN_CUTOFF = 1e-8  # F's range: eigenvalues above this times the largest
+EIGEN_CUTOFF = 1e-8  # F's range: eigenvalues above this times the largest
 _DECREMENT_TOL = 1e-9  # stationary when the decrement is below this times (1 + |ll|)
 
 
@@ -129,7 +135,6 @@ class ReconstructionResult:
     converged: bool
     stop_reason: str  # "residual", "stationary" or "iteration_cap"
     residual: float
-    log_likelihood: float
     normalization_gap: float
     nu: int | None
     tp_residual: float | None
@@ -137,6 +142,15 @@ class ReconstructionResult:
     scoring_steps: int  # accepted scoring steps
     fixed_point_steps: int  # fixed-point steps
     rejected_steps: int  # failed Levenberg retries plus fixed-point beta halvings
+    # the log-likelihood without its factorial constant, and the counts that
+    # constant is taken over
+    _partial_log_likelihood: float = field(repr=False)
+    _counts: np.ndarray = field(repr=False)
+
+    @functools.cached_property
+    def log_likelihood(self) -> float:
+        """Poisson log-likelihood at the estimate, computed on first read."""
+        return self._partial_log_likelihood - _log_factorials(self._counts)[0]
 
 
 def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -179,9 +193,13 @@ def _log_likelihood(
     mean = lam * t
     ll = np.sum(k * np.log(np.maximum(mean, _RATE_FLOOR)), axis=-1) - mean.sum(axis=-1)
     if include_factorial:
-        rows = (k + 1.0).reshape(-1, k.shape[-1]).tolist()
-        ll = ll - np.reshape([sum(map(math.lgamma, row)) for row in rows], ll.shape)
+        ll = ll - np.reshape(_log_factorials(k), ll.shape)
     return np.where(np.logical_or.reduce((mean <= 0) & (k > 0), axis=-1), -np.inf, ll)
+
+
+def _log_factorials(k: np.ndarray) -> list[float]:
+    # sum_j ln k_j! of each row of counts (..., m), a Python lgamma per count
+    return [sum(map(math.lgamma, row)) for row in (k + 1.0).reshape(-1, k.shape[-1]).tolist()]
 
 
 def _fisher(c: np.ndarray, ops: np.ndarray, t: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -418,7 +436,7 @@ def solve_likelihood_batch(
             g_eig = _matvec(u.swapaxes(1, 2), grad)
             # the decrement over F's range: gauge directions (c -> c U) and
             # other null directions of F carry no predicted ascent
-            in_range = w > _EIGEN_CUTOFF * w[:, -1:]
+            in_range = w > EIGEN_CUTOFF * w[:, -1:]
             twice_decrement = np.add.reduce(g_eig**2 / np.where(in_range, w, np.inf), axis=1)
             scale = 1.0 + np.abs(ll)
             stop = twice_decrement < (2.0 * _DECREMENT_TOL) * scale
@@ -544,7 +562,7 @@ def _results(
     gap = np.abs(_dots(lam, t) - n_observed) / n_observed
     rho = c @ c.conj().swapaxes(1, 2)
     rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
-    log_likelihood = _log_likelihood(lam, k, t)
+    partial_log_likelihood = _log_likelihood(lam, k, t, include_factorial=False)
 
     s = math.isqrt(d)
     is_process = s >= 2 and s * s == d
@@ -563,22 +581,43 @@ def _results(
     converged = [reason != "iteration_cap" for reason in stop_reasons]
     # every iteration but a converged stop's last takes one step
     scoring_steps = end.iterations - converged - end.fixed_steps
+    # one column per field: Python scalars from tolist(), numpy arrays (and
+    # the gaps as numpy floats) from iterating over the stacks
+    columns = zip(
+        rho,
+        end.iterations.tolist(),
+        converged,
+        stop_reasons,
+        end.residual.tolist(),
+        gap,
+        tp_residual,
+        spectra,
+        scoring_steps.tolist(),
+        end.fixed_steps.tolist(),
+        end.rejected.tolist(),
+        partial_log_likelihood.tolist(),
+        k,
+    )
     return [
         ReconstructionResult(
-            estimate=rho[b],
+            estimate=estimate,
             rank=rank,
-            iterations=int(end.iterations[b]),
-            converged=converged[b],
-            stop_reason=stop_reasons[b],
-            residual=float(end.residual[b]),
-            log_likelihood=float(log_likelihood[b]),
-            normalization_gap=gap[b],
+            iterations=iterations,
+            converged=lane_converged,
+            stop_reason=reason,
+            residual=residual,
+            normalization_gap=lane_gap,
             nu=nu,
-            tp_residual=tp_residual[b],
-            info_spectrum=spectra[b],
-            scoring_steps=int(scoring_steps[b]),
-            fixed_point_steps=int(end.fixed_steps[b]),
-            rejected_steps=int(end.rejected[b]),
+            tp_residual=lane_tp,
+            info_spectrum=spectrum,
+            scoring_steps=scoring,
+            fixed_point_steps=fixed,
+            rejected_steps=rejected,
+            _partial_log_likelihood=partial,
+            _counts=counts,
         )
-        for b in range(len(c))
+        for (
+            estimate, iterations, lane_converged, reason, residual, lane_gap, lane_tp,
+            spectrum, scoring, fixed, rejected, partial, counts,
+        ) in columns
     ]

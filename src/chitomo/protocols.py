@@ -396,15 +396,34 @@ def poisson_counts(means: np.ndarray, rng: np.random.Generator) -> list[int]:
     past the last block, not at the last uniform used.
     """
     means = np.asarray(means, dtype=float)
+    _check_means(means)
+    return _draw_counts(means.tolist(), rng, _block_sizes(means))
+
+
+def _check_means(means: np.ndarray) -> None:
+    # the first bad mean in row-major order names the error
     bad = means[~(np.isfinite(means) & (means >= 0))]
     if bad.size:
         raise ValueError(f"Poisson mean must be finite and >= 0, got {bad[0]}")
-    # one uniform per inversion draw and two per rejection attempt: the
-    # first block covers the draws unless some attempts are rejected
-    block = np.count_nonzero(means) + np.count_nonzero(means >= 30.0) + 16
-    uniform = _uniform_stream(rng, int(block)).__next__
+
+
+# a checked mean's uniforms in the first block: none for a zero mean, one for
+# an inversion draw below 30, two for a rejection attempt from 30 up
+_UNIFORM_EDGES = np.array([np.nextafter(0.0, 1.0), 30.0])
+
+
+def _block_sizes(means: np.ndarray) -> int | list[int]:
+    # the first block covers a row's draws unless some rejection attempts
+    # fail; one size per row of (S, m) means, from one pass over all rows
+    uniforms = _UNIFORM_EDGES.searchsorted(means, side="right")
+    return (np.add.reduce(uniforms, axis=-1) + 16).tolist()
+
+
+def _draw_counts(means: list[float], rng: np.random.Generator, block: int) -> list[int]:
+    # the scalar-stream sampler of poisson_counts over checked means
+    uniform = _uniform_stream(rng, block).__next__
     counts = []
-    for mu in means.tolist():
+    for mu in means:
         if mu == 0.0:
             counts.append(0)
         elif mu < 30.0:
@@ -442,9 +461,13 @@ def generate_counts_batch(
     ``np.trace(Lambda_j @ rho)``, so the rates equal the per-row ones to the
     bit; an einsum would move the last bit of some.  Each set's total
     expected rate is the dot product ``np.dot`` takes of its rates and the
-    exposures (a plain ``rates @ exposures`` moves the last bit), and each
-    set draws from its own generator with the scalar-stream sampler of
-    :func:`poisson_counts`.
+    exposures (a plain ``rates @ exposures`` moves the last bit).  All
+    sets' means are checked at once, the first bad one raising the error
+    :func:`poisson_counts` raises for it, and every set's first block of
+    uniforms is sized in one pass; each set then draws from its own
+    generator with the scalar-stream sampler of :func:`poisson_counts`, and
+    the counts of all sets fill one ``(S, m)`` array whose rows the sets
+    hold.
     """
     truths = np.asarray(truths, dtype=complex)
     if rows.auxiliary.any():
@@ -454,7 +477,8 @@ def generate_counts_batch(
         raise ValueError(f"{len(seeds)} seeds for {n_sets} truths")
     m, d, _ = rows.operators.shape
     products = (rows.operators.reshape(m * d, d) @ truths).reshape(n_sets, m, d, d)
-    rates = np.clip(np.trace(products, axis1=2, axis2=3).real, 0.0, None)
+    # np.maximum is the ufunc np.clip(..., 0.0, None) calls
+    rates = np.maximum(products.trace(axis1=2, axis2=3).real, 0.0)
     base = (rates[:, None] @ rows.exposures[:, None])[:, 0, 0]
     for s, total in enumerate(base.tolist()):
         if not (math.isfinite(total) and total > 0):
@@ -462,22 +486,27 @@ def generate_counts_batch(
             raise ValueError(f"{name}total expected rate {total!r} is not usable")
     exposures = rows.exposures * (n_total / base)[:, None]
     means = rates * exposures
-    return [
-        _with_counts(rows, exposures[s], poisson_counts(means[s], np.random.default_rng(seed)))
-        for s, seed in enumerate(seeds)
-    ]
+    _check_means(means)
+    counts = np.array(
+        [
+            _draw_counts(set_means, np.random.default_rng(seed), block)
+            for set_means, seed, block in zip(means.tolist(), seeds, _block_sizes(means))
+        ],
+        dtype=float,
+    )
+    return [_with_counts(rows, e, k) for e, k in zip(exposures, counts)]
 
 
-def _with_counts(rows: Measurements, exposures: np.ndarray, counts: list[int]) -> Measurements:
+def _with_counts(rows: Measurements, exposures: np.ndarray, counts: np.ndarray) -> Measurements:
     # rows with drawn exposures and counts, skipping the checks of
     # construction, which they pass: the exposures are >= 0 and finite (an
-    # infinite one gives an infinite mean, and its draw raises first) and
-    # the counts are non-negative integers
+    # infinite one gives an infinite mean, which the means check rejects
+    # first) and the counts are non-negative integers
     data = object.__new__(Measurements)
     for name, value in (
         ("operators", rows.operators),
         ("exposures", exposures),
-        ("counts", np.array(counts, dtype=float)),
+        ("counts", counts),
         ("auxiliary", rows.auxiliary),
     ):
         object.__setattr__(data, name, value)

@@ -163,8 +163,7 @@ def check_quartz_window(lam_um: np.ndarray) -> None:
 
 
 def _signed_thickness_knots(spec: WaveplateSpec, lam_um: np.ndarray) -> np.ndarray:
-    # Array form of _signed_thickness; checks the window at every knot.
-    check_quartz_window(lam_um)
+    # Array form of _signed_thickness; the caller checks the window.
     n_o, n_e = _sellmeier(lam_um * lam_um)
     return np.pi * (n_o - n_e) * spec.thickness_um / lam_um
 
@@ -287,6 +286,7 @@ def _output_states(
     plates: list[WaveplateSpec],
     lam: np.ndarray,
     lam_thin: np.ndarray,
+    parts: tuple[slice, ...] = (slice(None),),
 ) -> list[np.ndarray]:
     """Pure output states ``psi (K, 2)`` at the wavelengths ``lam (K,)``
     after each leading part of the plate list: entry n is the state after
@@ -294,17 +294,24 @@ def _output_states(
     wavelength's own unitary and a plate thinner than THIN_PLATE_LIMIT_UM
     with the unitary at ``lam_thin`` (one wavelength for all, or one per
     wavelength).  Only the wavelengths a plate uses are checked against the
-    quartz window.  A plate equal to the one before it reuses that plate's
-    unitaries, which are the same numbers."""
+    quartz window, before any state is computed: ``parts`` splits ``lam``
+    (and a per-wavelength ``lam_thin``) into consecutive sets, checked one
+    after the other, each for the plates in order, so the first error is
+    the one of a separate call per set.  A plate equal to the one before it
+    reuses that plate's unitaries, which are the same numbers."""
     psi0 = np.asarray(input_state, dtype=complex).ravel()
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-10:
         raise ValueError("input state must be normalized")
+    thick = [spec.thickness_um >= THIN_PLATE_LIMIT_UM for spec in plates]
+    for part in parts:
+        # the check depends on the plate only through its thickness class
+        for plate_is_thick in dict.fromkeys(thick):
+            check_quartz_window((lam if plate_is_thick else lam_thin)[part])
     states = [np.broadcast_to(psi0, (len(lam), 2))]
     previous = None
-    for spec in plates:
+    for spec, plate_is_thick in zip(plates, thick):
         if spec != previous:
-            thick = spec.thickness_um >= THIN_PLATE_LIMIT_UM
-            delta = _signed_thickness_knots(spec, lam if thick else lam_thin)
+            delta = _signed_thickness_knots(spec, lam if plate_is_thick else lam_thin)
             sigma_n = np.tensordot(axis_from_orientation(spec.alpha_rad), _SIGMA, axes=1)
             u = (
                 np.cos(delta)[:, None, None] * np.eye(2, dtype=complex)
@@ -380,15 +387,25 @@ def plate_count_states(
 
     The states behind n plates are the input of plate n + 1, and equal
     plates share their unitaries, so a stack of P copies of one plate
-    computes its dispersion and unitaries once per wavelength set.
+    computes its dispersion and unitaries once.  The knots and the
+    component wavelengths go through the plates in one pass: a thin plate
+    acts at the central knot on the knots and at each component's own
+    wavelength on the components.  The knots are checked against the quartz
+    window before the components, so an error is the first one of the
+    separate calls.
     """
     lam = profile.wavelengths
-    central = len(profile) // 2
-    knots = _output_states(input_state, plates, lam, lam[central : central + 1])[1:]
+    n_knots = len(lam)
     lam_k = np.asarray(wavelengths, dtype=float)
-    components = _output_states(input_state, plates, lam_k, lam_k)[1:]
-    broadband = np.stack([_spectral_average(psi, profile.weights) for psi in knots])
-    return broadband, _projectors(np.stack(components))
+    states = _output_states(
+        input_state,
+        plates,
+        np.concatenate([lam, lam_k]),
+        np.concatenate([np.full(n_knots, lam[n_knots // 2]), lam_k]),
+        (slice(None, n_knots), slice(n_knots, None)),
+    )[1:]
+    broadband = np.stack([_spectral_average(psi[:n_knots], profile.weights) for psi in states])
+    return broadband, _projectors(np.stack([psi[n_knots:] for psi in states]))
 
 
 def component_sum_state(components: list[tuple[float, np.ndarray]]) -> np.ndarray:

@@ -327,6 +327,19 @@ class TestFitRetarderCommand:
         assert main(["fit-retarder", "--config", cfg, "--out", str(tmp_path)]) == 3
         assert "refused" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 9])
+    def test_choi_matrix_not_4x4_exits_2(self, tmp_path, capsys, dim):
+        chi = tmp_path / "chi.json"
+        write_config(chi, {"dim": dim, "normalization": "choi",
+                           "matrix": matrix_to_json(np.eye(dim) / dim)})
+        cfg = write_config(tmp_path / "f.json", {"chi_path": str(chi)})
+        out = tmp_path / "out"
+        assert main(["fit-retarder", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: chi_path {chi} holds a {dim}x{dim} matrix")
+        assert "4x4 Choi matrix" in err
+        assert not (out / "result.json").exists()
+
     def test_fit_on_nearly_unitary_process(self, tmp_path):
         cfg = write_config(
             tmp_path / "p.json",
@@ -428,6 +441,10 @@ class TestErrorPaths:
             ("scaling", {"ranks": [5]}, "ranks[0] must be in 1..4"),
             ("scaling", {"ranks": [2, 0]}, "ranks[1] must be in 1..4"),
             ("scaling", {"ranks": []}, "ranks must not be empty"),
+            # a repeated rank would run its study twice and write its rows twice
+            ("scaling", {"ranks": [2, 2], "n_list": [200, 400, 800], "replications": 3},
+             "ranks[1] repeats rank 2"),
+            ("scaling", {"ranks": [4, 2, 4]}, "ranks[2] repeats rank 4"),
             ("scaling", {"n_list": [1000, 2000]}, "n_list must hold at least 3 sample sizes"),
             ("scaling", {"n_list": [1000, 0, 4000]}, "n_list[1] must be >= 1"),
             ("mc", {"truth": {"rank": -1}}, "rank must be in 1..4 or null, got -1"),

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from chitomo import harness
+from chitomo import harness, ml_engine
 from chitomo.harness import (
     CampaignConfig,
     EstimateTooMixedError,
@@ -18,7 +18,7 @@ from chitomo.harness import (
     run_scaling_study,
 )
 from chitomo.protocols import ExperimentPlan
-from chitomo.quantum_core import vectorize
+from chitomo.quantum_core import fidelity, vectorize, von_neumann_entropy
 from chitomo.waveplate import (
     WaveplateSpec,
     broadband_mixed_state,
@@ -80,6 +80,20 @@ class TestMcCampaign:
         assert result.metadata["seed"] == 5
         assert result.nu == 8
         assert result.info_spectrum.size == 16
+
+    def test_modes_above_cut_use_the_solver_cutoff(self, monkeypatch):
+        # one definition of F's range for the solver and the campaign, at
+        # 1e-8 times the largest eigenvalue
+        assert harness.EIGEN_CUTOFF is ml_engine.EIGEN_CUTOFF == 1e-8
+        for seed, rank in ((5, 1), (5, 2), (7, 4)):
+            config = CampaignConfig.from_dict({**QUICK, "seed": seed, "reconstruction_rank": rank})
+            result = run_mc_campaign(config)
+            spectrum = result.info_spectrum
+            assert result.info_modes_above_cut == int(np.sum(spectrum > 1e-8 * spectrum[0]))
+            if rank < 4:  # an adequate model: nu data modes and 4 pinned by the auxiliary rows
+                assert result.info_modes_above_cut == result.nu + 4
+        monkeypatch.setattr(harness, "EIGEN_CUTOFF", 0.5)
+        assert run_mc_campaign(config).info_modes_above_cut == 1
 
     def test_deterministic(self):
         config = CampaignConfig.from_dict({**QUICK, "seed": 11})
@@ -232,12 +246,24 @@ class TestMixedWorkflow:
         assert len(calls) == 1
 
     def test_report_equals_per_set_path(self, monkeypatch):
-        # the stacked truths, count synthesis and component sums give the
-        # report of one generate_counts call per count set, separate
-        # broadband and monochromatic calls per plate count and one sum per
-        # subset, compared exactly
+        # the stacked layers give the report of one generate_counts call per
+        # count set, separate broadband and monochromatic calls per plate
+        # count, one sum per subset, and one fidelity, von_neumann_entropy
+        # and component_sum_states call per plate count, compared exactly
         config = MixedWorkflowConfig(seed=9)
+        stacked_layers = (
+            "plate_count_states", "generate_counts_batch", "component_sum_states",
+            "fidelity", "von_neumann_entropy",
+        )
+        calls = []
+        for name in stacked_layers:
+            real = getattr(harness, name)
+            monkeypatch.setattr(
+                harness, name, lambda *args, _f=real, _n=name: calls.append(_n) or _f(*args)
+            )
         stacked = run_mixed_state_workflow(config)
+        assert sorted(calls) == sorted(stacked_layers)  # each layer runs once
+        monkeypatch.undo()
 
         def per_set_counts(rows, truths, n_total, seeds):
             return [
@@ -252,9 +278,30 @@ class TestMixedWorkflow:
                 np.stack([monochromatic_states(input_state, plates[:n], wavelengths) for n in counts]),
             )
 
+        n_components = len(config.component_lams_um)
+        n_subsets = len(config.subsets)
+
+        def sums_per_plate_count(states, weights, subsets):
+            # plate count i's subsets index the block i of the estimates
+            mixtures = []
+            for i in range(len(subsets) // n_subsets):
+                block = slice(i * n_components, (i + 1) * n_components)
+                own = [
+                    [j - i * n_components for j in subset]
+                    for subset in subsets[i * n_subsets : (i + 1) * n_subsets]
+                ]
+                mixtures.append(component_sums_per_subset(states[block], weights[block], own))
+            return np.concatenate(mixtures)
+
+        def per_plate_count(func):
+            # one call on each plate count's row of the stacks
+            return lambda *stacks: np.stack([func(*rows) for rows in zip(*stacks)])
+
         monkeypatch.setattr(harness, "generate_counts_batch", per_set_counts)
         monkeypatch.setattr(harness, "plate_count_states", separate_truths)
-        monkeypatch.setattr(harness, "component_sum_states", component_sums_per_subset)
+        monkeypatch.setattr(harness, "component_sum_states", sums_per_plate_count)
+        monkeypatch.setattr(harness, "fidelity", per_plate_count(fidelity))
+        monkeypatch.setattr(harness, "von_neumann_entropy", per_plate_count(von_neumann_entropy))
         per_set = run_mixed_state_workflow(config)
         assert json.dumps(per_set, sort_keys=True) == json.dumps(stacked, sort_keys=True)
 
@@ -284,7 +331,7 @@ class TestMixedWorkflow:
         # a thin plate acts at lam0 only, so a spectrum reaching past the
         # quartz window is accepted, as the run accepts it
         config = MixedWorkflowConfig(lam0_um=2.9, plate_thickness_um=500.0, knots=201)
-        assert config.profile().wavelengths[-1] > 3.0
+        assert config.profile.wavelengths[-1] > 3.0
 
 
 class TestRetarderFit:

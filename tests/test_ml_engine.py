@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from chitomo import ml_engine
 from chitomo.harness import TruthSpec, build_truth, derive_seed
 from chitomo.ml_engine import (
     _SCORING_RESIDUAL,
@@ -616,6 +617,59 @@ class TestBatchLanes:
             solve_likelihood_batch([data, empty, other], config)
         with pytest.raises(ValueError, match="^lane 1: operators differ"):
             solve_likelihood_batch([data, other, empty], config)
+
+
+class TestLazyLogLikelihood:
+    """A result's log_likelihood adds its factorial constant on first read,
+    with the bits of the eager ``_log_likelihood(..., include_factorial=True)``
+    at the rates the solve ended with."""
+
+    def solve_recording_rates(self, monkeypatch, datasets, config):
+        # the (lam, k, t) of the finish, where the solve takes the partial value
+        recorded = []
+        real = ml_engine._log_likelihood
+
+        def recording(lam, k, t, include_factorial=True):
+            recorded.append((lam, k, t, include_factorial))
+            return real(lam, k, t, include_factorial)
+
+        monkeypatch.setattr(ml_engine, "_log_likelihood", recording)
+        results = solve_likelihood_batch(datasets, config)
+        monkeypatch.setattr(ml_engine, "_log_likelihood", real)
+        assert [flag for *_, flag in recorded] == [False]
+        lam, k, t, _ = recorded[0]
+        return results, real(lam, k, t, include_factorial=True)
+
+    def test_equals_eager_value_alone_and_in_batches(self, monkeypatch, campaign_rows):
+        config = ReconstructionConfig(rank=2)
+        datasets = [campaign_rows(77, i, 500) for i in range(44, 52)]
+        batch, eager = self.solve_recording_rates(monkeypatch, datasets, config)
+        for data, lane, value in zip(datasets, batch, eager):
+            alone, eager_alone = self.solve_recording_rates(monkeypatch, [data], config)
+            assert type(lane.log_likelihood) is float
+            assert lane.log_likelihood == value == alone[0].log_likelihood == eager_alone[0]
+            assert np.isfinite(value)
+
+    def test_state_rows(self, monkeypatch):
+        # the d=2 solves of mixed-workflow: B36 rows, counts up to ~1e4
+        rows = bn_state_protocol(36, 312.7, 1.0).rows
+        truths = [np.diag([0.7, 0.3]).astype(complex), np.eye(2) / 2]
+        datasets = [generate_counts(rows, truth, ExperimentPlan(10**5, seed=3)) for truth in truths]
+        batch, eager = self.solve_recording_rates(monkeypatch, datasets, ReconstructionConfig(rank=2))
+        assert [res.log_likelihood for res in batch] == eager.tolist()
+
+    def test_computed_on_first_read_only(self, monkeypatch, campaign_rows):
+        calls = []
+        real = ml_engine._log_factorials
+        monkeypatch.setattr(ml_engine, "_log_factorials", lambda k: calls.append(k) or real(k))
+        res = solve_likelihood(campaign_rows(77, 0, 500), ReconstructionConfig(rank=2))
+        assert calls == []
+        first = res.log_likelihood
+        assert res.log_likelihood == first and len(calls) == 1
+
+    def test_zero_rate_with_counts_stays_minus_inf(self, campaign_rows):
+        res = solve_likelihood(campaign_rows(77, 0, 500), ReconstructionConfig(rank=2))
+        assert replace(res, _partial_log_likelihood=-np.inf).log_likelihood == -np.inf
 
 
 class TestReconstructState:

@@ -391,6 +391,17 @@ class TestPoissonSampler:
         se_var = np.sqrt((mean + 2 * mean**2) / n)
         assert abs(draws.var() - mean) < 5 * se_var
 
+    def test_generator_ends_past_the_first_block(self):
+        # the first block holds a uniform per mean in (0, 30), two per mean
+        # from 30 up and 16 more; when it covers the draws, the generator
+        # ends right past it
+        means = [0.0, 0.5, 5e-324, 29.99, 30.0, 1e3, 0.0]
+        rng = np.random.default_rng(8)
+        poisson_counts(means, rng)
+        oracle = np.random.default_rng(8)
+        oracle.random(3 + 2 * 2 + 16)  # 3 inversion draws, 2 rejection means
+        assert rng.random() == oracle.random()
+
     def test_matches_scalar_oracle_across_blocks(self):
         # the blocks of uniforms are one stream: the draws equal one scalar
         # rng.random() call per uniform, also past a block's end
@@ -447,9 +458,11 @@ class TestGenerateCounts:
             generators.append(CountingGenerator(seed))
             return generators[-1]
 
-        def recording_poisson_counts(means, rng):
+        draw_counts = protocols._draw_counts
+
+        def recording_draw_counts(means, rng, block):
             means_drawn.append(means)
-            return poisson_counts(means, rng)
+            return draw_counts(means, rng, block)
 
         for truth in truths:
             rates = np.clip(per_row_rates(rows, truth), 0.0, None)
@@ -459,7 +472,7 @@ class TestGenerateCounts:
             counts = np.array([sample_poisson(lam * t, draws) for lam, t in zip(rates, exposures)])
             with monkeypatch.context() as patch:
                 patch.setattr(np.random, "default_rng", counting_rng)
-                patch.setattr(protocols, "poisson_counts", recording_poisson_counts)
+                patch.setattr(protocols, "_draw_counts", recording_draw_counts)
                 data = generate_counts(rows, truth, plan)
             assert np.array_equal(means_drawn[-1], rates * exposures)
             assert np.array_equal(data.exposures, exposures)
@@ -515,6 +528,28 @@ class TestGenerateCounts:
             generate_counts_batch(rows, [plate_truth, np.zeros((4, 4))], 100, [1, 2])
         with pytest.raises(ValueError, match="^total expected rate 0.0 is not usable"):
             generate_counts(rows, np.zeros((4, 4)), ExperimentPlan(100, seed=0))
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_bad_mean_in_set_3_raises_as_per_set_path(self, rank):
+        # a subnormal truth passes the total-rate check, but its exposure
+        # scale n_total / base overflows: every mean is inf, or nan on a row
+        # of rate 0; the one check over all sets raises what set 3's own
+        # draw raised before
+        rows = bn_state_protocol(36).rows
+        rng = np.random.default_rng(4)
+        truths = [random_density_matrix(2, rng, rank) for _ in range(6)]
+        truths[3] = np.diag([1e-310, 0.0]).astype(complex)
+        seeds = [derive_seed(5, k) for k in range(6)]
+        with np.errstate(over="ignore", invalid="ignore"):  # the overflow, and 0 * inf
+            with pytest.raises(ValueError) as per_set:
+                for truth, seed in zip(truths, seeds):
+                    generate_counts_per_set(rows, truth, ExperimentPlan(10**5, seed))
+            with pytest.raises(ValueError) as alone:
+                generate_counts(rows, truths[3], ExperimentPlan(10**5, seeds[3]))
+            with pytest.raises(ValueError) as batch:
+                generate_counts_batch(rows, truths, 10**5, seeds)
+        assert str(batch.value).startswith("Poisson mean must be finite and >= 0, got ")
+        assert str(batch.value) == str(per_set.value) == str(alone.value)
 
     def test_repeatable_for_fixed_seed(self, plate_truth):
         proto = process_protocol("J4")

@@ -452,6 +452,58 @@ class TestPlateCountStates:
                 separate = monochromatic_states(V, plates[:n], self.LAMS)
                 assert mono[n - 1].tobytes() == separate.tobytes()
 
+    @staticmethod
+    def first_error_of_separate_calls(psi0, plates, profile, lams):
+        # the broadband calls of every plate count, then the monochromatic ones
+        try:
+            for n in range(1, len(plates) + 1):
+                broadband_mixed_state(psi0, plates[:n], profile)
+            for n in range(1, len(plates) + 1):
+                monochromatic_states(psi0, plates[:n], lams)
+        except ValueError as exc:
+            return str(exc)
+        return None
+
+    @pytest.mark.parametrize(
+        "plates, lam0, lams",
+        [
+            # out-of-window knots (2.99 +- 0.32 um) and components: the knots first
+            ([THICK] * 2, 2.99, (1.0, 3.2)),
+            # the thin plate uses only the central knot, in the window; the
+            # thick plate after it finds a knot outside before the thin
+            # plate's component 3.2 is checked
+            ([THIN, THICK], 2.99, (1.0, 3.2)),
+            ([THICK, THIN], 2.99, (1.0, 3.2)),
+            # out-of-window components only
+            ([THIN] * 2, 2.99, (1.0, 3.2, 3.4)),
+            ([THICK, THIN], 1.0, (0.1, 1.0)),
+            # a central knot outside the window: what a thin plate reports
+            ([THIN], 3.1, (1.0,)),
+            ([THIN, THIN], 3.1, (3.4,)),
+        ],
+    )
+    def test_out_of_window_raises_as_separate_calls(self, plates, lam0, lams):
+        profile = sinc2_profile(lam0, 0.008)
+        for psi0 in (V, np.array([1.0, 1.0])):  # the normalization is checked first
+            expected = self.first_error_of_separate_calls(psi0, plates, profile, lams)
+            assert expected is not None
+            with pytest.raises(ValueError) as one_pass:
+                plate_count_states(psi0, plates, profile, lams)
+            assert str(one_pass.value) == expected
+
+    @pytest.mark.parametrize("lam0", [1.0, 2.99])
+    def test_thin_plates_equal_separate_calls(self, lam0):
+        # thin plates act at the central knot on the knots and at each
+        # component's own wavelength on the components; at lam0 2.99 the
+        # knots past 3 um are never used
+        plates = [self.THIN, WaveplateSpec(312.7, 1.1), self.THIN]
+        profile = sinc2_profile(lam0, 0.008)
+        lams = (lam0 - 0.006, lam0, lam0 + 0.006)
+        broadband, mono = plate_count_states(V, plates, profile, lams)
+        for n in range(1, len(plates) + 1):
+            assert broadband[n - 1].tobytes() == broadband_mixed_state(V, plates[:n], profile).tobytes()
+            assert mono[n - 1].tobytes() == monochromatic_states(V, plates[:n], lams).tobytes()
+
     def test_window_checked_per_wavelength_set(self):
         with pytest.raises(ValueError, match="wavelength 3.2 um outside"):
             plate_count_states(V, [THICK] * 2, sinc2_profile(1.0, 0.008), (1.0, 3.2))
