@@ -13,7 +13,9 @@ trace-preservation constraint softly.
 Counts are Poisson draws with a sampler built directly on the generator's
 uniform stream (inversion below mean 30, transformed rejection above), so a
 fixed seed gives bit-identical counts across platforms and numpy versions.
-The sampler runs on Python floats and fetches its uniforms in blocks.
+The sampler is one loop per count set on Python floats: it reads its
+uniforms by index from a list fetched block by block, and takes each
+rejection draw's constants from one array pass over the means.
 """
 
 from __future__ import annotations
@@ -69,22 +71,59 @@ _INTEGER = (int, np.integer)  # a bool is neither an integer nor a number here
 _NUMBER = (int, float, np.integer, np.floating)
 
 
-def _check_field(name: str, kind: object, value: object) -> None:
-    if kind is int or (kind == int | None and value is not None):
-        if isinstance(value, bool) or not isinstance(value, _INTEGER):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    elif kind is float:
-        if isinstance(value, bool) or not isinstance(value, _NUMBER):
-            raise ValueError(f"{name} must be a number, got {value!r}")
-    elif typing.get_origin(kind) is typing.Literal:
-        if value not in typing.get_args(kind):
-            choices = ", ".join(typing.get_args(kind))
-            raise ValueError(f"{name} must be one of {choices}, got {value!r}")
-    elif typing.get_origin(kind) is tuple:
-        if not isinstance(value, (tuple, list)):
-            raise ValueError(f"{name} must be a list, got {value!r}")
+# a field's check, called with the field's name and value
+_Check = typing.Callable[[str, object], None]
+
+
+def _check_integer(name: str, value: object) -> None:
+    if isinstance(value, bool) or not isinstance(value, _INTEGER):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_optional_integer(name: str, value: object) -> None:
+    if value is not None:
+        _check_integer(name, value)
+
+
+def _check_number(name: str, value: object) -> None:
+    if isinstance(value, bool) or not isinstance(value, _NUMBER):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+
+
+def _check_choice(choices: tuple, name: str, value: object) -> None:
+    if value not in choices:
+        raise ValueError(f"{name} must be one of {', '.join(choices)}, got {value!r}")
+
+
+def _check_items(check_item: _Check | None, name: str, value: object) -> None:
+    if not isinstance(value, (tuple, list)):
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    if check_item is not None:
         for i, item in enumerate(value):
-            _check_field(f"{name}[{i}]", typing.get_args(kind)[0], item)
+            check_item(f"{name}[{i}]", item)
+
+
+def _field_check(kind: object) -> _Check | None:
+    # the check of a field annotated ``kind``; None for an annotation that
+    # is not checked
+    if kind is int:
+        return _check_integer
+    if kind == int | None:
+        return _check_optional_integer
+    if kind is float:
+        return _check_number
+    if typing.get_origin(kind) is typing.Literal:
+        return functools.partial(_check_choice, typing.get_args(kind))
+    if typing.get_origin(kind) is tuple:
+        return functools.partial(_check_items, _field_check(typing.get_args(kind)[0]))
+    return None
+
+
+@functools.cache
+def _field_checks(cls: type) -> list[tuple[str, _Check]]:
+    # each checked field's name and check, resolved once per class
+    checks = ((name, _field_check(kind)) for name, kind in _field_types(cls).items())
+    return [(name, check) for name, check in checks if check is not None]
 
 
 def _from_json(name: str, kind: object, value: object) -> object:
@@ -108,8 +147,8 @@ class Config:
     """
 
     def __post_init__(self) -> None:
-        for name, kind in _field_types(type(self)).items():
-            _check_field(name, kind, getattr(self, name))
+        for name, check in _field_checks(type(self)):
+            check(name, getattr(self, name))
         if getattr(self, "seed", 0) < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
@@ -343,61 +382,23 @@ def auxiliary_rows(
     )
 
 
-def _uniform_stream(rng: np.random.Generator, block: int) -> typing.Iterator[float]:
-    # rng.random() values in stream order, fetched block by block:
-    # rng.random(n) yields the same doubles as n scalar calls
-    while True:
-        yield from rng.random(block).tolist()
-
-
-def _poisson_inversion(mu: float, uniform: typing.Callable[[], float]) -> int:
-    p = math.exp(-mu)
-    cum = p
-    k = 0
-    u = uniform()
-    k_max = int(mu + 60.0 * math.sqrt(mu) + 60.0)
-    while u > cum and k < k_max:
-        k += 1
-        p *= mu / k
-        cum += p
-    return k
-
-
-def _poisson_ptrs(mu: float, uniform: typing.Callable[[], float]) -> int:
-    # Transformed rejection with squeeze (Hormann 1993); exact for mu >= 10.
-    log_mu = math.log(mu)
-    b = 0.931 + 2.53 * math.sqrt(mu)
-    a = -0.059 + 0.02483 * b
-    inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
-    v_r = 0.9277 - 3.6224 / (b - 2.0)
-    while True:
-        u = uniform() - 0.5
-        v = uniform()
-        us = 0.5 - abs(u)
-        k = math.floor((2.0 * a / us + b) * u + mu + 0.43)
-        if us >= 0.07 and v <= v_r:
-            return k
-        if k < 0 or (us < 0.013 and v > us):
-            continue
-        if math.log(v * inv_alpha / (a / (us * us) + b)) <= k * log_mu - mu - math.lgamma(
-            k + 1.0
-        ):
-            return k
-
-
 def poisson_counts(means: np.ndarray, rng: np.random.Generator) -> list[int]:
     """Independent Poisson draws with the given means, in order.
 
     Each draw consumes only ``rng.random()`` uniforms, in stream order: one
     by inversion below mean 30, two per attempt of the transformed rejection
-    from 30 up, none for a zero mean.  The uniforms are fetched in blocks of
-    ``rng.random(n)``, which yields the same stream as one call per uniform,
-    so the draws equal those of a draw-by-draw sampler; the generator ends
-    past the last block, not at the last uniform used.
+    (Hormann 1993) from 30 up, none for a zero mean.  One loop draws every
+    count on Python floats, reading the uniforms by index from a list that
+    grows by one ``rng.random(n)`` block whenever the next draw needs more;
+    a block yields the same doubles as n scalar calls, so the draws equal
+    those of a draw-by-draw sampler, and the generator ends past the last
+    block, not at the last uniform used.  The rejection constants of every
+    mean from 30 up come from one array pass before the loop, whose IEEE
+    operations give the doubles of the scalar expressions.
     """
     means = np.asarray(means, dtype=float)
     _check_means(means)
-    return _draw_counts(means.tolist(), rng, _block_sizes(means))
+    return _draw_counts(means.tolist(), rng, _block_sizes(means), _rejection_constants(means))
 
 
 def _check_means(means: np.ndarray) -> None:
@@ -419,17 +420,77 @@ def _block_sizes(means: np.ndarray) -> int | list[int]:
     return (np.add.reduce(uniforms, axis=-1) + 16).tolist()
 
 
-def _draw_counts(means: list[float], rng: np.random.Generator, block: int) -> list[int]:
-    # the scalar-stream sampler of poisson_counts over checked means
-    uniform = _uniform_stream(rng, block).__next__
+# the transformed rejection's (b, a, 1/alpha, v_r) of consecutive means
+_RejectionConstants = typing.Iterator[tuple[float, float, float, float]]
+
+
+def _rejection_constants(means: np.ndarray) -> _RejectionConstants:
+    # (b, a, 1/alpha, v_r) of the transformed rejection for every checked
+    # mean from 30 up, in row-major order, from one array pass; sqrt, +, *
+    # and / are correctly rounded in numpy as in Python, so each equals its
+    # scalar expression
+    mu = means[means >= 30.0]
+    b = 0.931 + 2.53 * np.sqrt(mu)
+    a = -0.059 + 0.02483 * b
+    inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
+    v_r = 0.9277 - 3.6224 / (b - 2.0)
+    return zip(b.tolist(), a.tolist(), inv_alpha.tolist(), v_r.tolist())
+
+
+def _draw_counts(
+    means: list[float],
+    rng: np.random.Generator,
+    block: int,
+    rejection: _RejectionConstants,
+) -> list[int]:
+    # the sampler of poisson_counts over checked means; each mean from 30 up
+    # takes the next constants from rejection.  i is the next uniform and
+    # end the list's length: the first block is fetched by the first draw
+    # that needs a uniform, as every later one
+    uniforms, i, end = [], 0, 0
     counts = []
     for mu in means:
         if mu == 0.0:
             counts.append(0)
         elif mu < 30.0:
-            counts.append(_poisson_inversion(mu, uniform))
+            # inversion: the first k with u <= P(X <= k), capped far out in
+            # the tail
+            if i == end:
+                uniforms += rng.random(block).tolist()
+                end += block
+            u = uniforms[i]
+            i += 1
+            p = math.exp(-mu)
+            cum = p
+            k = 0
+            k_max = int(mu + 60.0 * math.sqrt(mu) + 60.0)
+            while u > cum and k < k_max:
+                k += 1
+                p *= mu / k
+                cum += p
+            counts.append(k)
         else:
-            counts.append(_poisson_ptrs(mu, uniform))
+            # transformed rejection with squeeze (Hormann 1993), exact for
+            # mu >= 10
+            b, a, inv_alpha, v_r = next(rejection)
+            while True:
+                if i + 2 > end:
+                    uniforms += rng.random(block).tolist()
+                    end += block
+                u = uniforms[i] - 0.5
+                v = uniforms[i + 1]
+                i += 2
+                us = 0.5 - abs(u)
+                k = math.floor((2.0 * a / us + b) * u + mu + 0.43)
+                if us >= 0.07 and v <= v_r:
+                    break
+                if k < 0 or (us < 0.013 and v > us):
+                    continue
+                if math.log(v * inv_alpha / (a / (us * us) + b)) <= (
+                    k * math.log(mu) - mu - math.lgamma(k + 1.0)
+                ):
+                    break
+            counts.append(k)
     return counts
 
 
@@ -463,11 +524,11 @@ def generate_counts_batch(
     expected rate is the dot product ``np.dot`` takes of its rates and the
     exposures (a plain ``rates @ exposures`` moves the last bit).  All
     sets' means are checked at once, the first bad one raising the error
-    :func:`poisson_counts` raises for it, and every set's first block of
-    uniforms is sized in one pass; each set then draws from its own
-    generator with the scalar-stream sampler of :func:`poisson_counts`, and
-    the counts of all sets fill one ``(S, m)`` array whose rows the sets
-    hold.
+    :func:`poisson_counts` raises for it; every set's first block of
+    uniforms is sized, and the rejection constants of every set's means
+    from 30 up are computed, in one pass each.  Each set then draws from its
+    own generator with the sampler loop of :func:`poisson_counts`, and the
+    counts of all sets fill one ``(S, m)`` array whose rows the sets hold.
     """
     truths = np.asarray(truths, dtype=complex)
     if rows.auxiliary.any():
@@ -487,9 +548,12 @@ def generate_counts_batch(
     exposures = rows.exposures * (n_total / base)[:, None]
     means = rates * exposures
     _check_means(means)
+    # one iterator over all sets' constants, in row-major order: each set
+    # takes those of its own rows, in turn
+    rejection = _rejection_constants(means)
     counts = np.array(
         [
-            _draw_counts(set_means, np.random.default_rng(seed), block)
+            _draw_counts(set_means, np.random.default_rng(seed), block, rejection)
             for set_means, seed, block in zip(means.tolist(), seeds, _block_sizes(means))
         ],
         dtype=float,

@@ -94,7 +94,7 @@ def hermitian_eig(m: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.nda
 
 def _sqrtm_psd(rho: np.ndarray) -> np.ndarray:
     w, u = np.linalg.eigh(rho)
-    w = np.clip(w, 0.0, None)
+    w = np.maximum(w, 0.0)  # the ufunc np.clip(w, 0.0, None) calls
     return (u * np.sqrt(w)[..., None, :]) @ u.conj().swapaxes(-1, -2)
 
 
@@ -140,6 +140,6 @@ def von_neumann_entropy(rho: np.ndarray) -> float | np.ndarray:
     add zero terms; numpy sums fewer than 8 terms in order, so for d < 8 the
     result is bit-identical to a sum over the positive eigenvalues alone.
     """
-    w = np.clip(np.linalg.eigvalsh(_as_square_stack(rho)), 0.0, None)
+    w = np.maximum(np.linalg.eigvalsh(_as_square_stack(rho)), 0.0)
     entropy = -np.sum(w * np.log2(np.where(w > 0.0, w, 1.0)), axis=-1)
     return float(entropy) if entropy.ndim == 0 else entropy

@@ -1,3 +1,4 @@
+import enum
 import json
 import os
 import re
@@ -24,6 +25,79 @@ MC_OUTPUTS = ("result.json", "fidelities.csv", "histogram.csv", "replications.cs
 def write_config(path, payload):
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+class TestWriteJson:
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"x": [float("nan"), float("inf"), -float("inf"), -0.0, 0.1, 1e300, 5e-324, 1e16]},
+            {3: "c", 10: "j", -1: None, 2**70: [1, -2, 0]},
+            {2.5: 1, -0.5: 2, float("inf"): 3},
+            {True: "t", False: "f"},
+            {None: [True, False, None]},
+            {"tuple": (1, (2.0, "x"), ()), "list": [], "dict": {}, "nested": {"a": {"b": [[]]}}},
+            {"ünïcødé ☃": "𝄞 \"quoted\" \\ \n\t\x00\x7f é", "": ""},
+            {"subclasses": [np.float64(0.1), np.float64("nan"), enum.IntEnum("E", "A B").B]},
+            {"deep": [[[[1.5, {"k": [2.5e-8, (3, "s")]}]]]]},
+        ],
+    )
+    def test_bytes_equal_json_dumps(self, tmp_path, obj):
+        cli.write_json(tmp_path / "out.json", obj)
+        assert (tmp_path / "out.json").read_bytes() == dumps(obj).encode()
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"a": np.int64(3)},
+            {"a": [1.0, np.bool_(True)]},
+            {"a": {"b": object()}},
+            {(1, 2): 3},
+            {(1, 2): np.int64(3)},  # the key is checked first
+            {np.int64(1): 2},
+            {"a": 1, "b": [2, {"c": np.float32(1.5)}]},
+        ],
+    )
+    def test_type_errors_equal_json_dumps(self, tmp_path, obj):
+        with pytest.raises(TypeError) as ours:
+            cli.write_json(tmp_path / "out.json", obj)
+        with pytest.raises(TypeError) as theirs:
+            dumps(obj)
+        assert str(ours.value) == str(theirs.value)
+
+    def test_every_command_output_equals_json_dumps(self, tmp_path, monkeypatch):
+        # every JSON file of every command, against json.dumps of the object
+        # the command wrote
+        written = []
+        write_json = cli.write_json
+
+        def recording_write_json(path, obj):
+            written.append((path, obj))
+            write_json(path, obj)
+
+        monkeypatch.setattr(cli, "write_json", recording_write_json)
+        quick = {"replications": 3, "n_events": 1500, "seed": 4}
+        configs = {
+            "plate-chi": {"knots": 201},
+            "protocol-dump": {"protocol": "B4"},
+            "gen-data": {"n_events": 2000, "seed": 11, "truth": {"knots": 201}},
+            "reconstruct": {"data_path": str(tmp_path / "gen-data" / "data.json")},
+            "mc": quick,
+            "scaling": {**quick, "n_list": [1000, 2000, 4000], "ranks": [2]},
+            "mixed-workflow": {"knots": 201, "span": 15.0, "n_events": 5000, "seed": 2},
+            "fit-retarder": {"chi_path": str(tmp_path / "plate-chi" / "chi.json")},
+        }
+        assert list(configs) == list(COMMANDS)
+        for command, config in configs.items():
+            cfg = write_config(tmp_path / f"{command}.json", config)
+            main([command, "--config", cfg, "--out", str(tmp_path / command)])
+        assert len(written) == len(configs)
+        for path, obj in written:
+            assert path.read_bytes() == dumps(obj).encode(), path
 
 
 class TestMatrixJson:

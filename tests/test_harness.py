@@ -12,6 +12,7 @@ from chitomo.harness import (
     TruthSpec,
     build_truth,
     derive_seed,
+    derive_seeds,
     run_mc_campaign,
     run_mixed_state_workflow,
     run_retarder_fit,
@@ -44,6 +45,34 @@ class TestSeedsAndTruth:
         assert a == b
         assert len(set(a)) == 50
         assert derive_seed(8, 0) != derive_seed(7, 0)
+
+    @pytest.mark.parametrize(
+        "campaign_seed", [0, 2**32 - 1, 2**32, 2**64 - 1, 2**128, 2**200]
+    )
+    def test_derive_seeds_equal_seed_sequence(self, campaign_seed):
+        # one to seven seed words (past the pool of 4 from 2**128 on) and
+        # one- and two-word keys: every derived integer is numpy's, to the bit
+        keys = [0, *range(1000, 2008), 2**40]
+        expected = [
+            int(
+                np.random.SeedSequence(campaign_seed, spawn_key=(key,)).generate_state(
+                    1, np.uint64
+                )[0]
+            )
+            for key in keys
+        ]
+        assert derive_seeds(campaign_seed, keys) == expected
+        assert [derive_seed(campaign_seed, key) for key in (0, 1500, 2**40)] == [
+            expected[0], expected[501], expected[-1]
+        ]
+        assert all(type(seed) is int for seed in derive_seeds(campaign_seed, keys))
+
+    def test_derive_seeds_rejects_negative_values(self):
+        with pytest.raises(ValueError):
+            derive_seeds(-1, [0])
+        with pytest.raises(ValueError, match="non-negative"):
+            derive_seeds(1, [0, -3])
+        assert derive_seeds(5, []) == []
 
     def test_identity_truth(self):
         rho = build_truth(TruthSpec(kind="identity"))

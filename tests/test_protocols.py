@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -412,6 +413,47 @@ class TestPoissonSampler:
         assert draws == [sample_poisson(mu, oracle) for mu in means]
         assert counting.calls >= 2
 
+    def test_rejection_constants_equal_scalar_expressions(self):
+        # the one array pass gives the doubles of the oracle's per-draw
+        # expressions for every mean from 30 up, in order; a wrong bit in
+        # v_r or 1/alpha would move a draw only once in ~1e15 attempts
+        rng = np.random.default_rng(6)
+        edges = [0.0, 29.9, 30.0, 1e4, 1e7, np.nextafter(30.0, 0.0)]
+        means = np.concatenate([edges, 30.0 + rng.exponential(1e3, 1994)])
+        rng.shuffle(means)
+        expected = []
+        for mu in means[means >= 30.0].tolist():
+            b = 0.931 + 2.53 * math.sqrt(mu)
+            expected.append(
+                (b, -0.059 + 0.02483 * b, 1.1239 + 1.1328 / (b - 3.4), 0.9277 - 3.6224 / (b - 2.0))
+            )
+        assert list(protocols._rejection_constants(means)) == expected
+        assert list(protocols._rejection_constants(means.reshape(40, -1))) == expected
+
+    @pytest.mark.parametrize(
+        "means",
+        [[mean] * 300 for mean in (0.0, 0.3, 29.9, 30.0, 1e4, 1e7)]
+        + [[0.0, 0.3, 29.9, 30.0, 1e4, 1e7] * 50, [1e4] * 300 + [0.5]],
+        ids=["0", "0.3", "29.9", "30", "1e4", "1e7", "mixed", "odd-block"],
+    )
+    def test_draws_and_end_state_equal_scalar_oracle(self, means):
+        # every draw is the scalar oracle's, and the generator ends past the
+        # last block fetched: blocks of (uniforms per first attempt + 16),
+        # as many as the oracle's uniforms fill, none for all-zero means;
+        # the rejection means fail more than 8 attempts and refill the
+        # block, in the odd-sized block of "odd-block" with one uniform left
+        counting = CountingGenerator(41)
+        draws = poisson_counts(means, counting)
+        oracle = CountingGenerator(41)
+        assert draws == [sample_poisson(mu, oracle) for mu in means]
+        block = sum(1 if 0 < mu < 30 else 2 if mu >= 30 else 0 for mu in means) + 16
+        end = np.random.default_rng(41)
+        end.random(-(-oracle.calls // block) * block)
+        assert counting.rng.bit_generator.state == end.bit_generator.state
+        assert counting.calls == -(-oracle.calls // block)
+        if max(means) >= 30.0:
+            assert counting.calls >= 2
+
 
 def straddle_rows():
     """480 rows whose means under the truth |0><0| sit on both sides of the
@@ -460,9 +502,9 @@ class TestGenerateCounts:
 
         draw_counts = protocols._draw_counts
 
-        def recording_draw_counts(means, rng, block):
+        def recording_draw_counts(means, rng, block, rejection):
             means_drawn.append(means)
-            return draw_counts(means, rng, block)
+            return draw_counts(means, rng, block, rejection)
 
         for truth in truths:
             rates = np.clip(per_row_rates(rows, truth), 0.0, None)
@@ -519,6 +561,44 @@ class TestGenerateCounts:
         assert np.any(means < 30.0) and np.any(means >= 30.0)
         if name in ("straddle", "B36"):
             assert np.any(np.abs(means) < 1e-12)
+
+    def test_batch_equals_scalar_oracle_with_end_states(self, monkeypatch):
+        # rows of rate 1 or 0 under diagonal truths, with exposures whose
+        # every partial sum is exact and whose total is n_total, so the
+        # exposure scale is 1 and the means are exactly 0, 0.3125, 29.875
+        # (dyadic neighbours of 0.3 and 29.9), 30, 1e4 and 1e7 (halved under
+        # the mixed truth); each set's counts are
+        # the scalar oracle's draws from its seed, and each generator ends
+        # past the blocks its draws fetched, some set refilling its first
+        means = np.tile([0.0, 0.3125, 29.875, 30.0, 1e4, 1e7, 0.8125], 40)
+        rows = Measurements(
+            np.tile([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], (len(means), 1, 1)),
+            np.repeat(means, 2),
+        )
+        n_total = 40 * 10_010_061
+        truths = np.array([np.diag(p) for p in ([1.0, 0.0], [0.0, 1.0], [0.5, 0.5])], complex)
+        seeds = [derive_seed(3, k) for k in range(3)]
+        generators = []
+
+        def counting_rng(seed):
+            generators.append(CountingGenerator(seed))
+            return generators[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.random, "default_rng", counting_rng)
+            batch = generate_counts_batch(rows, truths, n_total, seeds)
+        for truth, seed, data, generator in zip(truths, seeds, batch, generators):
+            assert np.array_equal(data.exposures, rows.exposures)  # scale 1
+            set_means = per_row_rates(rows, truth) * data.exposures
+            rate = truth[0, 0].real or 1.0  # of the exposed rows
+            assert set(set_means.tolist()) >= {0.0, 30.0 * rate, 1e4 * rate, 1e7 * rate}
+            oracle = CountingGenerator(seed)
+            assert data.counts.tolist() == [sample_poisson(mu, oracle) for mu in set_means]
+            block = int(np.count_nonzero(set_means) + np.count_nonzero(set_means >= 30) + 16)
+            end = np.random.default_rng(seed)
+            end.random(-(-oracle.calls // block) * block)
+            assert generator.rng.bit_generator.state == end.bit_generator.state
+        assert max(generator.calls for generator in generators) >= 2
 
     def test_batch_checks(self, plate_truth):
         rows = process_protocol("R4").rows
