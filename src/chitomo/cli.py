@@ -2,11 +2,16 @@
 
 Subcommands: plate-chi, protocol-dump, gen-data, reconstruct, mc, scaling,
 mixed-workflow, fit-retarder.  ``COMMANDS`` maps each one to its frozen
-config class and its runner.  A command reads one JSON config into that class
-(omitted keys take the class defaults; an unknown key or a wrongly typed
-field exits 2), echoes the resolved config and its hash to stdout once the
-config has passed its checks, and writes machine-readable outputs into
---out.  Identical config + seed gives byte-identical output files.
+config class and its runner ``run(config, out_dir, threads, digest)``.  A
+command reads one JSON config into that class (omitted keys take the class
+defaults; an unknown key or a wrongly typed field exits 2), echoes the
+resolved config and its hash to stdout once the config has passed its
+checks, and writes machine-readable outputs into --out.  The hash is
+computed once: ``mc``, ``scaling`` and ``mixed-workflow`` write it into their
+reports from ``digest``, and the other ``cmd_*`` functions do not take it.
+An input file that a config names (``data_path``, ``chi_path``) and that is
+not the JSON object the command reads exits 2, naming the file and the field.
+Identical config + seed gives byte-identical output files.
 
 Exit codes: 0 full success, 2 bad config or input, 3 refused precondition
 (e.g. retarder fit on a mixed process).
@@ -201,19 +206,44 @@ def _load_config(args: argparse.Namespace, config_class: type[Config]) -> Config
     return config_class.from_dict(data)
 
 
-def _echo(command: str, config: dict, out_dir: Path) -> None:
+def _echo(command: str, config: dict, digest: str, out_dir: Path) -> None:
     print(
         json.dumps(
             {
                 "command": command,
                 "config": config,
-                "config_hash": config_hash(config),
+                "config_hash": digest,
                 "out": str(out_dir),
                 "version": __version__,
             },
             sort_keys=True,
         )
     )
+
+
+def _read_input(path: str, source: str) -> dict:
+    # the JSON object in the input file at path; source ("<config field>
+    # <path>") names the file in every error
+    try:
+        payload = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{source} is not JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ValueError(f"{source} must hold a JSON object, got {type(payload).__name__}")
+    return payload
+
+
+def _input_field(payload: dict, key: str, source: str) -> object:
+    if key not in payload:
+        raise ValueError(f"{source} has no field {key!r}")
+    return payload[key]
+
+
+def _input_matrix(value: object, source: str, name: str) -> np.ndarray:
+    try:
+        return matrix_from_json(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{source}: {name} is not a matrix of [re, im] pairs ({exc})") from None
 
 
 def _write_chi(path: Path, matrix: np.ndarray, normalization: str) -> None:
@@ -268,13 +298,31 @@ def _rows_to_json(data: Measurements) -> list[dict]:
     ]
 
 
-def _rows_from_json(rows: list[dict]) -> Measurements:
-    return Measurements(
-        [matrix_from_json(r["operator"]) for r in rows],
-        [r["exposure"] for r in rows],
-        [0 if r["count"] is None else r["count"] for r in rows],
-        [r["is_auxiliary"] for r in rows],
-    )
+_ROW_FIELDS = ("operator", "exposure", "count", "is_auxiliary")
+
+
+def _rows_from_json(rows: object, source: str) -> Measurements:
+    # the rows of a data.json; every error names the file (source) and the
+    # field
+    if not isinstance(rows, list):
+        raise ValueError(f"{source}: rows must be a list of row objects, got {type(rows).__name__}")
+    operators = []
+    for j, row in enumerate(rows):
+        if not isinstance(row, dict):
+            raise ValueError(f"{source}: rows[{j}] must be a JSON object, got {type(row).__name__}")
+        missing = [key for key in _ROW_FIELDS if key not in row]
+        if missing:
+            raise ValueError(f"{source}: rows[{j}] has no field {missing[0]!r}")
+        operators.append(_input_matrix(row["operator"], source, f"rows[{j}].operator"))
+    try:
+        return Measurements(
+            operators,
+            [r["exposure"] for r in rows],
+            [0 if r["count"] is None else r["count"] for r in rows],
+            [r["is_auxiliary"] for r in rows],
+        )
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{source}: rows: {exc}") from None
 
 
 def cmd_gen_data(config: GenDataConfig, out_dir: Path, threads: int) -> int:
@@ -301,8 +349,12 @@ def cmd_gen_data(config: GenDataConfig, out_dir: Path, threads: int) -> int:
 
 
 def cmd_reconstruct(config: ReconstructConfig, out_dir: Path, threads: int) -> int:
-    payload = json.loads(Path(config.data_path).read_text())
-    data = _rows_from_json(payload["rows"])
+    source = f"data_path {config.data_path}"
+    payload = _read_input(config.data_path, source)
+    data = _rows_from_json(_input_field(payload, "rows", source), source)
+    truth = None
+    if "truth_choi" in payload:
+        truth = _input_matrix(payload["truth_choi"], source, "truth_choi")
     res = solve_likelihood(data, config)
     _write_chi(out_dir / "estimate.json", res.estimate, "choi")
     summary = {
@@ -317,14 +369,13 @@ def cmd_reconstruct(config: ReconstructConfig, out_dir: Path, threads: int) -> i
         "nu": res.nu,
         "info_spectrum": res.info_spectrum.tolist(),
     }
-    if "truth_choi" in payload:
-        truth = matrix_from_json(payload["truth_choi"])
+    if truth is not None:
         summary["fidelity_vs_truth"] = fidelity(truth, res.estimate)
     write_json(out_dir / "result.json", summary)
     return 0 if res.converged else 1
 
 
-def _write_campaign(out_dir: Path, result) -> None:
+def _write_campaign(out_dir: Path, result, digest: str) -> None:
     write_json(
         out_dir / "result.json",
         {
@@ -335,10 +386,7 @@ def _write_campaign(out_dir: Path, result) -> None:
             "nu": result.nu,
             "info_modes_above_cut": result.info_modes_above_cut,
             "info_spectrum": result.info_spectrum.tolist(),
-            "metadata": {
-                **result.metadata,
-                "config_hash": config_hash(result.metadata["config"]),
-            },
+            "metadata": {**result.metadata, "config_hash": digest},
         },
     )
     lines = ["replication,fidelity"]
@@ -359,18 +407,21 @@ def _write_campaign(out_dir: Path, result) -> None:
     (out_dir / "histogram.csv").write_text("\n".join(lines) + "\n")
 
 
-def cmd_mc(config: CampaignConfig, out_dir: Path, threads: int) -> int:
+def cmd_mc(config: CampaignConfig, out_dir: Path, threads: int, digest: str) -> int:
     result = run_mc_campaign(config, threads=threads)
-    _write_campaign(out_dir, result)
+    _write_campaign(out_dir, result, digest)
     return 0 if not result.failures else 1
 
 
-def cmd_scaling(config: ScalingConfig, out_dir: Path, threads: int) -> int:
+def cmd_scaling(config: ScalingConfig, out_dir: Path, threads: int, digest: str) -> int:
     study = run_scaling_study(config, config.n_list, ranks=config.ranks, threads=threads)
     write_json(
         out_dir / "result.json",
-        {**study, "per_rank": {str(k): v for k, v in study["per_rank"].items()},
-         "config_hash": config_hash(config.to_dict())},
+        {
+            **study,
+            "per_rank": {str(k): v for k, v in study["per_rank"].items()},
+            "config_hash": digest,
+        },
     )
     lines = ["rank,n,mean_loss"]
     for rank in config.ranks:
@@ -380,9 +431,11 @@ def cmd_scaling(config: ScalingConfig, out_dir: Path, threads: int) -> int:
     return 0
 
 
-def cmd_mixed_workflow(config: MixedWorkflowConfig, out_dir: Path, threads: int) -> int:
+def cmd_mixed_workflow(
+    config: MixedWorkflowConfig, out_dir: Path, threads: int, digest: str
+) -> int:
     report = run_mixed_state_workflow(config)
-    report["config_hash"] = config_hash(config.to_dict())
+    report["config_hash"] = digest
     write_json(out_dir / "result.json", report)
     capped = any(
         entry["stop_reason"] == "iteration_cap"
@@ -393,8 +446,9 @@ def cmd_mixed_workflow(config: MixedWorkflowConfig, out_dir: Path, threads: int)
 
 
 def cmd_fit_retarder(config: FitRetarderConfig, out_dir: Path, threads: int) -> int:
-    payload = json.loads(Path(config.chi_path).read_text())
-    choi = matrix_from_json(payload["matrix"])
+    source = f"chi_path {config.chi_path}"
+    payload = _read_input(config.chi_path, source)
+    choi = _input_matrix(_input_field(payload, "matrix", source), source, "matrix")
     if choi.shape != (4, 4):
         dims = "x".join(map(str, choi.shape))
         raise ValueError(
@@ -411,15 +465,20 @@ def cmd_fit_retarder(config: FitRetarderConfig, out_dir: Path, threads: int) -> 
     return 0
 
 
+def _without_digest(run):
+    # the runner of a command whose outputs carry no config hash
+    return lambda config, out_dir, threads, digest: run(config, out_dir, threads)
+
+
 COMMANDS = {
-    "plate-chi": (PlateSpec, cmd_plate_chi),
-    "protocol-dump": (ProtocolDumpConfig, cmd_protocol_dump),
-    "gen-data": (GenDataConfig, cmd_gen_data),
-    "reconstruct": (ReconstructConfig, cmd_reconstruct),
+    "plate-chi": (PlateSpec, _without_digest(cmd_plate_chi)),
+    "protocol-dump": (ProtocolDumpConfig, _without_digest(cmd_protocol_dump)),
+    "gen-data": (GenDataConfig, _without_digest(cmd_gen_data)),
+    "reconstruct": (ReconstructConfig, _without_digest(cmd_reconstruct)),
     "mc": (CampaignConfig, cmd_mc),
     "scaling": (ScalingConfig, cmd_scaling),
     "mixed-workflow": (MixedWorkflowConfig, cmd_mixed_workflow),
-    "fit-retarder": (FitRetarderConfig, cmd_fit_retarder),
+    "fit-retarder": (FitRetarderConfig, _without_digest(cmd_fit_retarder)),
 }
 
 
@@ -453,8 +512,10 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError(f"--threads must be >= 1, got {args.threads}")
         config = _load_config(args, config_class)
         out_dir.mkdir(parents=True, exist_ok=True)
-        _echo(args.command, config.to_dict(), out_dir)
-        return run(config, out_dir, args.threads)
+        resolved = config.to_dict()
+        digest = config_hash(resolved)  # the echo's and every report's
+        _echo(args.command, resolved, digest, out_dir)
+        return run(config, out_dir, args.threads, digest)
     except EstimateTooMixedError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3

@@ -9,6 +9,12 @@ can run in any order or in parallel without changing results.  The rule is
 computed by ``derive_seeds`` for many keys at once: it builds the pool of
 ``SeedSequence(seed)`` once and mixes each key into a copy of it with
 SeedSequence's own arithmetic, giving the same integers.
+
+A Monte-Carlo chunk (a worker's run of replications) does once what is the
+same for every replication: one truth, one protocol, one
+``generate_counts_batch`` call for all its seeds, one set of auxiliary rows
+and one stacked ``fidelity`` call; only each replication's generator and
+solve are its own, so the outputs equal those of one replication at a time.
 """
 
 from __future__ import annotations
@@ -38,7 +44,6 @@ from .protocols import (
     ProcessProtocolName,
     auxiliary_rows,
     bn_state_protocol,
-    generate_counts,
     generate_counts_batch,
     process_protocol,
 )
@@ -300,37 +305,78 @@ def _solver_config(config: CampaignConfig) -> ReconstructionConfig:
     )
 
 
+def _error_text(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
 def _run_replications(config: CampaignConfig, indices: list[int]) -> list[dict]:
     truth = build_truth(config.truth)
     proto = process_protocol(config.protocol, config.truth.lam0_um)
     solver = _solver_config(config)
-    out = []
-    for i, seed in zip(indices, derive_seeds(config.seed, indices)):
-        plan = ExperimentPlan(
-            n_total=config.n_events, seed=seed, auxiliary_weight=config.auxiliary_weight
-        )
-        record: dict = {"index": i, "seed": seed}
+    seeds = derive_seeds(config.seed, indices)
+    records = [{"index": i, "seed": seed} for i, seed in zip(indices, seeds)]
+    # failure is data, not a crash: a replication whose synthesis, solve or
+    # scoring raises records the error text
+    try:
+        # one truth for every seed: the sets share their exposures, and so
+        # the auxiliary rows
+        count_sets = generate_counts_batch(proto.rows, truth, config.n_events, seeds)
+        # sum() adds in row order; np.sum adds pairwise, which can move
+        # the last bit of t_aux and so of every output
+        total_t = sum(count_sets[0].exposures)
+        aux = auxiliary_rows(proto.input_states, total_t, config.auxiliary_weight)
+        rows = count_sets[0] + aux
+    except Exception as exc:  # the same error for every replication
+        for record in records:
+            record["error"] = _error_text(exc)
+        return records
+    solved = []
+    for record, data in zip(records, count_sets):
+        counts = np.concatenate((data.counts, aux.counts))
         try:
-            data = generate_counts(proto.rows, truth, plan)
-            # sum() adds in row order; np.sum adds pairwise, which can move
-            # the last bit of t_aux and so of every output
-            total_t = sum(data.exposures)
-            aux = auxiliary_rows(proto.input_states, total_t, config.auxiliary_weight)
-            res = solve_likelihood(data + aux, solver)
-            record["fidelity"] = fidelity(truth, res.estimate)
-            record.update(_solve_status(res), residual=res.residual)
-            if not res.converged:
-                record["error"] = (
-                    f"not converged: {res.stop_reason} after {res.iterations} "
-                    f"iterations, residual {res.residual:.3e}"
-                )
-            if i == 0:
-                record["info_spectrum"] = res.info_spectrum.tolist()
-                record["nu"] = res.nu
-        except Exception as exc:  # failure is data, not a crash
-            record["error"] = f"{type(exc).__name__}: {exc}"
-        out.append(record)
-    return out
+            res = solve_likelihood(
+                Measurements(rows.operators, rows.exposures, counts, rows.auxiliary), solver
+            )
+        except Exception as exc:
+            record["error"] = _error_text(exc)
+        else:
+            solved.append((record, res))
+    scores = _fidelities(truth, [res.estimate for _, res in solved])
+    for (record, res), score in zip(solved, scores):
+        if isinstance(score, str):
+            record["error"] = score
+            continue
+        record["fidelity"] = score
+        record.update(_solve_status(res), residual=res.residual)
+        if not res.converged:
+            record["error"] = (
+                f"not converged: {res.stop_reason} after {res.iterations} "
+                f"iterations, residual {res.residual:.3e}"
+            )
+        if record["index"] == 0:
+            record["info_spectrum"] = res.info_spectrum.tolist()
+            record["nu"] = res.nu
+    return records
+
+
+def _fidelities(truth: np.ndarray, estimates: list[np.ndarray]) -> list[float | str]:
+    # each estimate's fidelity to the truth, or the error text of its own
+    # fidelity call: one stacked call, whose checks raise when some pair's
+    # would, and one call per estimate only when it raises
+    if not estimates:
+        return []
+    try:
+        stack = np.stack(estimates)
+        return fidelity(np.broadcast_to(truth, stack.shape), stack).tolist()
+    except Exception:
+        pass
+    scores = []
+    for estimate in estimates:
+        try:
+            scores.append(fidelity(truth, estimate))
+        except Exception as exc:
+            scores.append(_error_text(exc))
+    return scores
 
 
 def _chunks(n: int, parts: int) -> list[list[int]]:
@@ -349,6 +395,14 @@ def run_mc_campaign(config: CampaignConfig, threads: int = 1) -> CampaignResult:
     their error text in ``failure_reasons``.  A failed replication's
     fidelity slot holds NaN when the solver raised and its fidelity when it
     only hit the cap.
+
+    The replications run in chunks, one per worker (``threads``), each
+    synthesizing its count sets, building its auxiliary rows and scoring
+    its estimates once; each replication draws from its own seeded
+    generator and has its own solve, so neither the chunking nor
+    ``threads`` moves an output bit.  A synthesis error fails every
+    replication of the chunk with the same text; a solve or scoring error
+    fails its replication alone.
     """
     n = config.replications
     if threads > 1:

@@ -21,6 +21,7 @@ rejection draw's constants from one array pass over the means.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import typing
 from dataclasses import dataclass, fields
@@ -344,22 +345,35 @@ def bn_state_protocol(
     )
 
 
+def _kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # np.kron over the last two axes of broadcast stacks: the same one
+    # multiply of the same operands, so the same bits as a kron per matrix
+    p, q = a.shape[-2:]
+    r, s = b.shape[-2:]
+    product = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return product.reshape(*product.shape[:-4], p * r, q * s)
+
+
+def _input_operators(states: np.ndarray) -> np.ndarray:
+    # |conj(c_in)><conj(c_in)| of every input state, as np.outer(c.conj(), c)
+    return states.conj()[:, :, None] * states[:, None, :]
+
+
 def process_protocol(
     name: str, central_lam_um: float = LAMBDA_DEFAULT_UM
 ) -> ProcessProtocol:
     """16-row process protocol: every input state of the family against every
     projector of the same family.
 
-    Row operators are ``|conj(c_in)><conj(c_in)| (x) |c_m><c_m|``; exposures
-    are uniform placeholders, rescaled at data-generation time.
+    Row operators are ``|conj(c_in)><conj(c_in)| (x) |c_m><c_m|``, input
+    states slow, built as one broadcast outer product; exposures are uniform
+    placeholders, rescaled at data-generation time.
     """
     states = _protocol_states(name, central_lam_um)
-    ops = [
-        np.kron(np.outer(c_in.conj(), c_in), np.outer(c_m, c_m.conj()))
-        for c_in in states
-        for c_m in states
-    ]
-    rows = Measurements(ops, np.ones(len(ops)))
+    c = np.array(states)
+    projectors = c[:, :, None] * c.conj()[:, None, :]
+    ops = _kron_stack(_input_operators(c)[:, None], projectors[None])
+    rows = Measurements(ops.reshape(-1, *ops.shape[2:]), np.ones(len(c) ** 2))
     return ProcessProtocol(name=name, input_states=states, projectors=states, rows=rows)
 
 
@@ -371,11 +385,11 @@ def auxiliary_rows(
     a trace-preserving process would produce exactly."""
     if _affine_bloch_rank(input_states) < 4:
         raise IncompleteProtocolError("input states are not tomographically complete")
-    s = input_states[0].size
+    c = np.array(input_states, dtype=complex)
+    m, s = c.shape
     t_aux = weight * total_exposure
-    m = len(input_states)
     return Measurements(
-        [np.kron(np.outer(c_in.conj(), c_in), np.eye(s)) for c_in in input_states],
+        _kron_stack(_input_operators(c), np.eye(s)),
         np.full(m, t_aux),
         np.full(m, round(t_aux / s)),
         np.ones(m, bool),
@@ -509,52 +523,73 @@ def generate_counts(
 
 
 def generate_counts_batch(
-    rows: Measurements, truths: Sequence[np.ndarray], n_total: int, seeds: Sequence[int]
+    rows: Measurements,
+    truths: np.ndarray | Sequence[np.ndarray],
+    n_total: int,
+    seeds: Sequence[int],
 ) -> list[Measurements]:
-    """``generate_counts`` for several truths over one protocol: count set s
+    """``generate_counts`` for several seeds over one protocol: count set s
     is ``generate_counts(rows, truths[s], ExperimentPlan(n_total,
     seeds[s]))``, to the bit (tested), and every set shares the operator
-    array of ``rows``.
+    array of ``rows``.  ``truths`` is a stack ``(S, d, d)`` with one seed
+    per truth, or one truth ``(d, d)`` for every seed.
 
-    All sets' rates come from one ``(m*d, d) @ (S, d, d)`` product, the
+    All truths' rates come from one ``(m*d, d) @ (S, d, d)`` product, the
     operators stacked row-block by row-block, whose diagonal blocks are then
     traced.  Each entry is the same length-d dot product as in the per-row
     ``np.trace(Lambda_j @ rho)``, so the rates equal the per-row ones to the
-    bit; an einsum would move the last bit of some.  Each set's total
+    bit; an einsum would move the last bit of some.  Each truth's total
     expected rate is the dot product ``np.dot`` takes of its rates and the
     exposures (a plain ``rates @ exposures`` moves the last bit).  All
-    sets' means are checked at once, the first bad one raising the error
-    :func:`poisson_counts` raises for it; every set's first block of
-    uniforms is sized, and the rejection constants of every set's means
-    from 30 up are computed, in one pass each.  Each set then draws from its
-    own generator with the sampler loop of :func:`poisson_counts`, and the
-    counts of all sets fill one ``(S, m)`` array whose rows the sets hold.
+    truths' means are checked at once, the first bad one raising the error
+    :func:`poisson_counts` raises for it; every truth's first block of
+    uniforms is sized, and the rejection constants of every truth's means
+    from 30 up are computed, in one pass each.  One truth has its rates,
+    exposures, means and constants computed once for all its seeds, and its
+    errors read as those of a single set; its sets share one exposures
+    array.  Each set then draws from its own generator with the sampler
+    loop of :func:`poisson_counts`, and the counts of all sets fill one
+    ``(S, m)`` array whose rows the sets hold.
     """
     truths = np.asarray(truths, dtype=complex)
     if rows.auxiliary.any():
         raise ValueError("generate_counts expects only non-auxiliary rows")
-    n_sets = len(truths)
-    if len(seeds) != n_sets:
-        raise ValueError(f"{len(seeds)} seeds for {n_sets} truths")
+    shared = truths.ndim == 2  # one truth for every seed
+    if shared:
+        truths = truths[None]
+    elif len(seeds) != len(truths):
+        raise ValueError(f"{len(seeds)} seeds for {len(truths)} truths")
+    n_truths = len(truths)
     m, d, _ = rows.operators.shape
-    products = (rows.operators.reshape(m * d, d) @ truths).reshape(n_sets, m, d, d)
+    products = (rows.operators.reshape(m * d, d) @ truths).reshape(n_truths, m, d, d)
     # np.maximum is the ufunc np.clip(..., 0.0, None) calls
     rates = np.maximum(products.trace(axis1=2, axis2=3).real, 0.0)
     base = (rates[:, None] @ rows.exposures[:, None])[:, 0, 0]
     for s, total in enumerate(base.tolist()):
         if not (math.isfinite(total) and total > 0):
-            name = f"set {s}: " if n_sets > 1 else ""
+            name = f"set {s}: " if n_truths > 1 else ""
             raise ValueError(f"{name}total expected rate {total!r} is not usable")
     exposures = rows.exposures * (n_total / base)[:, None]
     means = rates * exposures
     _check_means(means)
-    # one iterator over all sets' constants, in row-major order: each set
-    # takes those of its own rows, in turn
-    rejection = _rejection_constants(means)
+    if shared:
+        # each seed reads the one truth's constants from the start
+        set_means, block = means[0].tolist(), _block_sizes(means)[0]
+        constants = list(_rejection_constants(means))
+        draws = [(set_means, seed, block, iter(constants)) for seed in seeds]
+        exposures = itertools.repeat(exposures[0])
+    else:
+        # one iterator over all sets' constants, in row-major order: each set
+        # takes those of its own rows, in turn
+        rejection = _rejection_constants(means)
+        draws = [
+            (set_means, seed, block, rejection)
+            for set_means, seed, block in zip(means.tolist(), seeds, _block_sizes(means))
+        ]
     counts = np.array(
         [
             _draw_counts(set_means, np.random.default_rng(seed), block, rejection)
-            for set_means, seed, block in zip(means.tolist(), seeds, _block_sizes(means))
+            for set_means, seed, block, rejection in draws
         ],
         dtype=float,
     )

@@ -2,9 +2,10 @@
 mixing freedom of a chi-matrix factor, the two matrices of the likelihood
 equation ``I c = J c``, density-matrix validation, the SU(2) form of a
 retarder, a bootstrap bound on a ratio of means, the draw-by-draw Poisson
-sampler, the per-row count rates, one count set and each subset's
-component sum as computed before their stacked forms, and the channel action,
-Choi state, outcome probabilities and rank of a process computed
+sampler, the per-row count rates, one count set, each subset's component
+sum, the process-protocol and auxiliary-row operators and a chunk of Monte-
+Carlo replications as computed before their stacked forms, and the channel
+action, Choi state, outcome probabilities and rank of a process computed
 directly."""
 
 from __future__ import annotations
@@ -15,8 +16,16 @@ from typing import Sequence
 
 import numpy as np
 
+from chitomo import harness
 from chitomo.ml_engine import expected_rates
-from chitomo.protocols import ExperimentPlan, Measurements, poisson_counts
+from chitomo.protocols import (
+    ExperimentPlan,
+    Measurements,
+    auxiliary_rows,
+    generate_counts,
+    poisson_counts,
+    process_protocol,
+)
 from chitomo.quantum_core import _as_complex_matrix, hermitian_eig
 from chitomo.waveplate import SU2Retarder
 
@@ -32,6 +41,9 @@ __all__ = [
     "per_row_rates",
     "generate_counts_per_set",
     "component_sums_per_subset",
+    "process_operators_per_row",
+    "auxiliary_operators_per_row",
+    "replications_one_by_one",
     "apply_channel",
     "choi_from_channel",
     "direct_probability",
@@ -281,3 +293,59 @@ def component_sums_per_subset(
         terms = (float(weights[j]) * np.asarray(states[j], dtype=complex) for j in subset)
         mixtures.append(sum(terms) / w.sum())
     return np.stack(mixtures)
+
+
+def process_operators_per_row(states: Sequence[np.ndarray]) -> np.ndarray:
+    """The process-protocol row operators as ``protocols.process_protocol``
+    built them before the broadcast product: one ``np.kron`` per (input,
+    projector) pair, input states slow."""
+    return np.array(
+        [
+            np.kron(np.outer(c_in.conj(), c_in), np.outer(c_m, c_m.conj()))
+            for c_in in states
+            for c_m in states
+        ]
+    )
+
+
+def auxiliary_operators_per_row(states: Sequence[np.ndarray]) -> np.ndarray:
+    """The auxiliary-row operators as ``protocols.auxiliary_rows`` built them
+    before the broadcast product: one ``np.kron`` with the identity per input
+    state."""
+    return np.array([np.kron(np.outer(c.conj(), c), np.eye(c.size)) for c in states])
+
+
+def replications_one_by_one(config: harness.CampaignConfig, indices: list[int]) -> list[dict]:
+    """The records of ``harness._run_replications`` as it computed them
+    before the per-chunk synthesis: each replication generates its own count
+    set, builds its own auxiliary rows and scores its own estimate.  The
+    truth build, the solver and the fidelity are looked up in ``harness``,
+    so a test's patch there reaches both paths."""
+    truth = harness.build_truth(config.truth)
+    proto = process_protocol(config.protocol, config.truth.lam0_um)
+    solver = harness._solver_config(config)
+    out = []
+    for i, seed in zip(indices, harness.derive_seeds(config.seed, indices)):
+        plan = ExperimentPlan(
+            n_total=config.n_events, seed=seed, auxiliary_weight=config.auxiliary_weight
+        )
+        record: dict = {"index": i, "seed": seed}
+        try:
+            data = generate_counts(proto.rows, truth, plan)
+            total_t = sum(data.exposures)
+            aux = auxiliary_rows(proto.input_states, total_t, config.auxiliary_weight)
+            res = harness.solve_likelihood(data + aux, solver)
+            record["fidelity"] = harness.fidelity(truth, res.estimate)
+            record.update(harness._solve_status(res), residual=res.residual)
+            if not res.converged:
+                record["error"] = (
+                    f"not converged: {res.stop_reason} after {res.iterations} "
+                    f"iterations, residual {res.residual:.3e}"
+                )
+            if i == 0:
+                record["info_spectrum"] = res.info_spectrum.tolist()
+                record["nu"] = res.nu
+        except Exception as exc:
+            record["error"] = f"{type(exc).__name__}: {exc}"
+        out.append(record)
+    return out

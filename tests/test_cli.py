@@ -598,7 +598,9 @@ class TestErrorPaths:
         config_class, _ = COMMANDS[command]
         seen = []
         monkeypatch.setitem(
-            COMMANDS, command, (config_class, lambda config, out, threads: seen.append(config) or 0)
+            COMMANDS,
+            command,
+            (config_class, lambda config, out, threads, digest: seen.append(config) or 0),
         )
         required = {"data_path": "data.json", "chi_path": "chi.json"}
         names = {f.name for f in fields(config_class)}
@@ -627,6 +629,29 @@ class TestErrorPaths:
         assert echo["config_hash"] == hash_of(result)
         assert echo["config_hash"] == config_hash(echo["config"])
 
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_config_hashed_once(self, tmp_path, monkeypatch, command):
+        # the echo and the report share one hash of the resolved config
+        configs = {
+            "reconstruct": {"data_path": str(tmp_path / "data.json")},
+            "fit-retarder": {"chi_path": str(tmp_path / "chi.json")},
+            "mc": {"replications": 2, "n_events": 500, "truth": {"knots": 21}},
+            "scaling": {"replications": 2, "n_list": [500, 1000, 2000], "ranks": [2],
+                        "truth": {"knots": 21}},
+            "mixed-workflow": {"knots": 201, "span": 15.0, "n_events": 5000},
+            "plate-chi": {"knots": 21},
+            "gen-data": {"n_events": 500, "truth": {"knots": 21}},
+        }
+        assert main(["gen-data", "--config", write_config(tmp_path / "g.json", configs["gen-data"]),
+                     "--out", str(tmp_path)]) == 0
+        assert main(["plate-chi", "--config", write_config(tmp_path / "p.json", configs["plate-chi"]),
+                     "--out", str(tmp_path)]) == 0
+        calls = []
+        monkeypatch.setattr(cli, "config_hash", lambda config: calls.append(config) or "h")
+        cfg = write_config(tmp_path / "c.json", configs.get(command, {}))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) in (0, 1, 3)
+        assert len(calls) == 1
+
     def test_seed_key_accepted(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", {"protocol": "J4", "seed": 3})
         assert main(["protocol-dump", "--config", cfg, "--out", str(tmp_path)]) == 0
@@ -638,6 +663,61 @@ class TestErrorPaths:
         echo = json.loads(capsys.readouterr().out.splitlines()[0])
         assert echo["config"]["seed"] == 77
         assert echo["command"] == "mc"
+
+
+GOOD_ROW = {"operator": [[[1.0, 0.0]]], "exposure": 1.0, "count": 3, "is_auxiliary": False}
+
+
+class TestMalformedInputFiles:
+    """An input file that is not the JSON object its command reads exits 2,
+    naming the file and the field."""
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"protocol": "R4"}, " has no field 'rows'"),
+            ({"rows": [{k: v for k, v in GOOD_ROW.items() if k != "count"}]},
+             ": rows[0] has no field 'count'"),
+            ({"rows": [GOOD_ROW, "row"]}, ": rows[1] must be a JSON object, got str"),
+            ({"rows": "rows"}, ": rows must be a list of row objects, got str"),
+            ([GOOD_ROW], " must hold a JSON object, got list"),
+            ({"rows": [{**GOOD_ROW, "operator": [1.0, 2.0]}]},
+             ": rows[0].operator is not a matrix of [re, im] pairs"),
+            ({"rows": [{**GOOD_ROW, "exposure": "x"}]}, ": rows: could not convert string"),
+            ({"rows": [GOOD_ROW], "truth_choi": [["a"]]},
+             ": truth_choi is not a matrix of [re, im] pairs"),
+        ],
+    )
+    def test_reconstruct(self, tmp_path, capsys, payload, message):
+        data = tmp_path / "data.json"
+        data.write_text(json.dumps(payload))
+        cfg = write_config(tmp_path / "r.json", {"data_path": str(data)})
+        out = tmp_path / "out"
+        assert main(["reconstruct", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: data_path {data}{message}")
+        assert not (out / "result.json").exists()
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"dim": 4, "normalization": "choi"}, " has no field 'matrix'"),
+            ([[1.0, 0.0]], " must hold a JSON object, got list"),
+            ({"matrix": [[1.0, 0.0]]}, ": matrix is not a matrix of [re, im] pairs"),
+        ],
+    )
+    def test_fit_retarder(self, tmp_path, capsys, payload, message):
+        chi = tmp_path / "chi.json"
+        chi.write_text(json.dumps(payload))
+        cfg = write_config(tmp_path / "f.json", {"chi_path": str(chi)})
+        assert main(["fit-retarder", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: chi_path {chi}{message}")
+
+    def test_not_json(self, tmp_path, capsys):
+        chi = tmp_path / "chi.json"
+        chi.write_text("{matrix")
+        cfg = write_config(tmp_path / "f.json", {"chi_path": str(chi)})
+        assert main(["fit-retarder", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: chi_path {chi} is not JSON: ")
 
 
 class TestRepeatedMain:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -7,6 +8,7 @@ import pytest
 from chitomo import harness, ml_engine
 from chitomo.harness import (
     CampaignConfig,
+    CampaignResult,
     EstimateTooMixedError,
     MixedWorkflowConfig,
     TruthSpec,
@@ -32,6 +34,7 @@ from process_oracles import (
     bootstrap_ratio_lower_bound,
     component_sums_per_subset,
     generate_counts_per_set,
+    replications_one_by_one,
     su2_from_retarder,
 )
 
@@ -183,6 +186,117 @@ class TestMcCampaign:
             CampaignConfig(reconstruction_rank=5)
         with pytest.raises(ValueError, match="n_events must be >= 1"):
             CampaignConfig(n_events=0)
+
+
+# the campaigns whose every output the per-chunk path must reproduce: the
+# first 40 replications of the acceptance cell (rank 2, n=1e3) and of the
+# rank-4 campaign, the J4 and B4 protocols, identity and rank-1 truths, and
+# solves capped at 2 iterations; the quick ones with one and two workers
+ORACLE_CAMPAIGNS = {
+    "acceptance-cell": {"seed": 17260451438471865157, "n_events": 1000, "replications": 40},
+    "rank-4": {"seed": 987654321, "reconstruction_rank": 4, "replications": 40},
+    "J4": {**QUICK, "protocol": "J4", "seed": 21},
+    "B4": {**QUICK, "protocol": "B4", "seed": 22},
+    "identity": {**QUICK, "truth": {"kind": "identity"}, "seed": 23},
+    "rank-1": {**QUICK, "truth": {"rank": 1, "knots": 201}, "seed": 24},
+    "capped": {**QUICK, "max_iterations": 2, "seed": 25},
+}
+
+
+def one_by_one(config: CampaignConfig, monkeypatch) -> CampaignResult:
+    # the campaign with each replication synthesized, solved and scored on
+    # its own
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "_run_replications", replications_one_by_one)
+        return run_mc_campaign(config)
+
+
+def assert_same_bits(result: CampaignResult, oracle: CampaignResult) -> None:
+    for f in dataclasses.fields(CampaignResult):
+        got, want = getattr(result, f.name), getattr(oracle, f.name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and got.shape == want.shape, f.name
+            assert got.tobytes() == want.tobytes(), f.name
+        else:
+            assert repr(got) == repr(want), f.name  # repr is exact for floats
+
+
+class TestReplicationsPerChunk:
+    """A chunk synthesizes its count sets, builds its auxiliary rows and
+    scores its estimates once; every output bit stays that of one
+    replication at a time."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_CAMPAIGNS))
+    def test_equals_one_by_one(self, monkeypatch, name):
+        config = CampaignConfig.from_dict(ORACLE_CAMPAIGNS[name])
+        oracle = one_by_one(config, monkeypatch)
+        # two workers only move the chunk boundary, which the quick
+        # campaigns already cover; the 40-replication cells run one worker
+        for threads in (1,) if name in ("acceptance-cell", "rank-4") else (1, 2):
+            result = run_mc_campaign(config, threads=threads)
+            assert_same_bits(result, oracle)
+            if name == "capped":
+                assert result.failures == list(range(config.replications))
+
+    def test_one_synthesis_and_one_scoring_per_chunk(self, monkeypatch):
+        calls = {"batch": [], "aux": 0, "fidelity": []}
+        batch, aux, score = (
+            harness.generate_counts_batch, harness.auxiliary_rows, harness.fidelity
+        )
+
+        def counting_batch(rows, truths, n_total, seeds):
+            calls["batch"].append((np.ndim(truths), list(seeds)))
+            return batch(rows, truths, n_total, seeds)
+
+        def counting_aux(*args):
+            calls["aux"] += 1
+            return aux(*args)
+
+        def counting_fidelity(rho0, rho):
+            calls["fidelity"].append(np.shape(rho))
+            return score(rho0, rho)
+
+        monkeypatch.setattr(harness, "generate_counts_batch", counting_batch)
+        monkeypatch.setattr(harness, "auxiliary_rows", counting_aux)
+        monkeypatch.setattr(harness, "fidelity", counting_fidelity)
+        config = CampaignConfig.from_dict({**QUICK, "seed": 8})
+        run_mc_campaign(config)
+        assert calls == {
+            "batch": [(2, derive_seeds(8, range(6)))],
+            "aux": 1,
+            "fidelity": [(6, 4, 4)],
+        }
+
+    def test_non_finite_truth_fails_every_replication_alike(self, monkeypatch):
+        monkeypatch.setattr(harness, "build_truth", lambda spec: np.full((4, 4), np.nan, complex))
+        config = CampaignConfig.from_dict({**QUICK, "seed": 9})
+        result = run_mc_campaign(config)
+        text = "ValueError: total expected rate nan is not usable"
+        assert result.failure_reasons == {i: text for i in range(6)}
+        assert np.isnan(result.fidelities).all()
+        assert_same_bits(result, one_by_one(config, monkeypatch))
+
+    def test_unscorable_estimate_fails_alone(self, monkeypatch):
+        config = CampaignConfig.from_dict({**QUICK, "seed": 10})
+        clean = run_mc_campaign(config)
+        solve, calls = harness.solve_likelihood, []
+
+        def nan_third_estimate(data, solver):
+            res = solve(data, solver)
+            calls.append(res)
+            if len(calls) % 6 == 3:  # replication 2, on either path
+                res = dataclasses.replace(res, estimate=np.full((4, 4), np.nan, complex))
+            return res
+
+        monkeypatch.setattr(harness, "solve_likelihood", nan_third_estimate)
+        result = run_mc_campaign(config)
+        assert result.failure_reasons == {2: "ValueError: matrix contains non-finite entries"}
+        assert math.isnan(result.fidelities[2])
+        others = [0, 1, 3, 4, 5]
+        assert result.fidelities[others].tobytes() == clean.fidelities[others].tobytes()
+        assert result.replications[2]["iterations"] is None
+        assert result.replications[3] == clean.replications[3]
+        assert_same_bits(result, one_by_one(config, monkeypatch))
 
 
 class TestScalingStudy:

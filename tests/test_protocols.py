@@ -31,10 +31,12 @@ from chitomo.protocols import (
 )
 from chitomo.waveplate import WaveplateSpec, optical_thickness, plate_unitary
 from process_oracles import (
+    auxiliary_operators_per_row,
     direct_probability,
     effective_probability,
     generate_counts_per_set,
     per_row_rates,
+    process_operators_per_row,
     sample_poisson,
 )
 from random_ops import random_density_matrix, random_trace_preserving_kraus
@@ -319,6 +321,17 @@ class TestProcessProtocol:
                     direct_probability(kraus, c_in, c_m) / 2, abs=1e-12
                 )
 
+    @pytest.mark.parametrize("name", ["J4", "R4", "B4"])
+    @pytest.mark.parametrize("lam_um", [0.8, 1.0, 1.1509])
+    def test_operators_equal_kron_per_row(self, name, lam_um):
+        # the broadcast product against one np.kron per row, bit for bit
+        # (signed zeros included) for the process rows and the auxiliary rows
+        proto = process_protocol(name, lam_um)
+        oracle = process_operators_per_row(proto.input_states)
+        assert proto.rows.operators.tobytes() == oracle.tobytes()
+        aux = auxiliary_rows(proto.input_states, 123.4, 10.0)
+        assert aux.operators.tobytes() == auxiliary_operators_per_row(proto.input_states).tobytes()
+
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown protocol"):
             process_protocol("X4")
@@ -599,6 +612,50 @@ class TestGenerateCounts:
             end.random(-(-oracle.calls // block) * block)
             assert generator.rng.bit_generator.state == end.bit_generator.state
         assert max(generator.calls for generator in generators) >= 2
+
+    @pytest.mark.parametrize("name", ["R4", "B36", "straddle"])
+    def test_one_truth_for_many_seeds(self, name, monkeypatch):
+        # one truth for S seeds is one generate_counts call per seed: the
+        # same exposures and counts, each generator in the same end state,
+        # and one exposures array shared by the sets
+        if name == "straddle":
+            rows, n_total = straddle_rows(), 6717  # scale 1: means 0, below and from 30
+            truth = np.diag([1.0, 0.0]).astype(complex)
+        else:
+            rows = bn_state_protocol(36).rows if name == "B36" else process_protocol(name).rows
+            truth = random_density_matrix(rows.operators.shape[1], np.random.default_rng(2), 2)
+            n_total = 3000
+        seeds = [derive_seed(9, k) for k in range(12)]
+        generators = {"batch": [], "single": []}
+        for path in generators:
+            with monkeypatch.context() as patch:
+                patch.setattr(np.random, "default_rng",
+                              lambda seed: generators[path].append(CountingGenerator(seed))
+                              or generators[path][-1])
+                if path == "batch":
+                    batch = generate_counts_batch(rows, truth, n_total, seeds)
+                else:
+                    singles = [generate_counts(rows, truth, ExperimentPlan(n_total, seed))
+                               for seed in seeds]
+        assert len(batch) == len(seeds)
+        for data, single in zip(batch, singles):
+            assert data.exposures.tobytes() == single.exposures.tobytes()
+            assert data.counts.tobytes() == single.counts.tobytes()
+            assert data.operators is rows.operators
+            assert data.exposures is batch[0].exposures
+        for got, want in zip(generators["batch"], generators["single"]):
+            assert got.calls == want.calls
+            assert got.rng.bit_generator.state == want.rng.bit_generator.state
+        if name == "straddle":
+            assert max(g.calls for g in generators["batch"]) >= 2  # a refilled block
+        assert generate_counts_batch(rows, truth, n_total, []) == []
+
+    def test_one_truth_errors_read_as_one_set(self):
+        rows = process_protocol("R4").rows
+        with pytest.raises(ValueError, match="^total expected rate nan is not usable"):
+            generate_counts_batch(rows, np.full((4, 4), np.nan), 100, [1, 2, 3])
+        with pytest.raises(ValueError, match="^total expected rate 0.0 is not usable"):
+            generate_counts_batch(rows, np.zeros((4, 4)), 100, [1, 2])
 
     def test_batch_checks(self, plate_truth):
         rows = process_protocol("R4").rows
