@@ -34,7 +34,6 @@ from .waveplate import (
     sinc2_profile,
 )
 from .protocols import (
-    ExperimentPlan,
     Measurements,
     auxiliary_rows,
     bn_state_protocol,

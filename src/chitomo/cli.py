@@ -2,15 +2,15 @@
 
 Subcommands: plate-chi, protocol-dump, gen-data, reconstruct, mc, scaling,
 mixed-workflow, fit-retarder.  ``COMMANDS`` maps each one to its frozen
-config class and its runner ``run(config, out_dir, threads, digest)``.  A
-command reads one JSON config into that class (omitted keys take the class
-defaults; an unknown key or a wrongly typed field exits 2), echoes the
-resolved config and its hash to stdout once the config has passed its
-checks, and writes machine-readable outputs into --out.  The hash is
-computed once: ``mc``, ``scaling`` and ``mixed-workflow`` write it into their
-reports from ``digest``, and the other ``cmd_*`` functions do not take it.
-An input file that a config names (``data_path``, ``chi_path``) and that is
-not the JSON object the command reads exits 2, naming the file and the field.
+config class and its runner ``run(config, out_dir, threads)``.  A command
+reads one JSON config into that class (omitted keys take the class defaults;
+an unknown key or a wrongly typed field exits 2), echoes the resolved config
+and its hash to stdout once the config has passed its checks, and writes
+machine-readable outputs into --out; ``mc``, ``scaling`` and
+``mixed-workflow`` also write the hash into their reports.  JSON files are
+written by ``write_json``.  An input file that a config names
+(``data_path``, ``chi_path``) and that is not the JSON object the command
+reads exits 2, naming the file and the field.
 Identical config + seed gives byte-identical output files.
 
 Exit codes: 0 full success, 2 bad config or input, 3 refused precondition
@@ -46,12 +46,13 @@ from .harness import (
 )
 from .ml_engine import ReconstructionConfig, solve_likelihood
 from .protocols import (
+    AUXILIARY_WEIGHT,
     LAMBDA_DEFAULT_UM,
     Config,
-    ExperimentPlan,
     Measurements,
     ProcessProtocolName,
     auxiliary_rows,
+    check_synthesis,
     generate_counts,
     process_protocol,
 )
@@ -70,11 +71,11 @@ class GenDataConfig(Config):
     protocol: ProcessProtocolName = "R4"
     n_events: int = 10_000
     seed: int = 0
-    auxiliary_weight: float = ExperimentPlan.auxiliary_weight
+    auxiliary_weight: float = AUXILIARY_WEIGHT
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        ExperimentPlan.check(self.n_events, self.auxiliary_weight, "n_events")
+        check_synthesis(self.n_events, self.auxiliary_weight)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -107,83 +108,51 @@ _float_repr = float.__repr__
 
 
 def _json_key(key: object) -> str:
-    # a dict key as json turns it into a string, in json's order of checks
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        text = _float_repr(key)
-        return _FLOAT_NAMES.get(text, text)
-    if key is True:
-        return "true"
-    if key is False:
-        return "false"
-    if key is None:
-        return "null"
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+    if type(key) is str:
+        return _encode_str(key)
+    if type(key) is int:
+        return f'"{key!r}"'
+    raise TypeError(f"keys must be str or int, not {type(key).__name__}")
 
 
 def _json_text(obj: object, newline: str) -> str:
-    # json.dumps(obj, sort_keys=True, indent=2) for a value whose lines
-    # start with ``newline``: the same checks in the same order (a float
-    # subclass is a float, an int subclass other than bool an int), the same
-    # texts and errors, built by joins instead of json's chain of generators
-    if isinstance(obj, str):
-        return _encode_str(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
+    # json.dumps(obj, sort_keys=True, indent=2) of a value whose lines start
+    # with ``newline``, built by joins instead of json's chain of generators;
+    # the checks run in the order of how often chitomo writes each type
+    kind = type(obj)
+    if kind is float:
         text = _float_repr(obj)
         return _FLOAT_NAMES.get(text, text)
-    inner = newline + "  "
-    # the items' exact floats, ints and strings, the bulk of every file, are
-    # written inline; every other item takes the checks above
-    if isinstance(obj, (list, tuple)):
+    if kind is str:
+        return _encode_str(obj)
+    if kind is int:
+        return repr(obj)
+    if kind is list or kind is tuple:
         if not obj:
             return "[]"
-        items = []
-        for value in obj:
-            kind = type(value)
-            if kind is float:
-                text = _float_repr(value)
-                items.append(_FLOAT_NAMES.get(text, text))
-            elif kind is int:
-                items.append(int.__repr__(value))
-            else:
-                items.append(_json_text(value, inner))
+        inner = newline + "  "
+        items = [_json_text(value, inner) for value in obj]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if isinstance(obj, dict):
+    if kind is dict:
         if not obj:
             return "{}"
-        items = []
-        for key, value in sorted(obj.items()):
-            key = _encode_str(key if type(key) is str else _json_key(key)) + ": "
-            kind = type(value)
-            if kind is float:
-                text = _float_repr(value)
-                items.append(key + _FLOAT_NAMES.get(text, text))
-            elif kind is str:
-                items.append(key + _encode_str(value))
-            elif kind is int:
-                items.append(key + int.__repr__(value))
-            else:
-                items.append(key + _json_text(value, inner))
+        inner = newline + "  "
+        items = [_json_key(k) + ": " + _json_text(v, inner) for k, v in sorted(obj.items())]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
-    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+    if obj is None or kind is bool:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, float):  # a numpy float, written as its float
+        return _json_text(float(obj), newline)
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def write_json(path: Path, obj: dict) -> None:
     """Write ``json.dumps(obj, sort_keys=True, indent=2)`` and a newline,
-    byte for byte (tested), with a join-based encoder that takes about 40 %
-    less time than json's indenting one.  Unlike json it does not detect
-    circular references."""
+    byte for byte (tested), for the values chitomo writes: str or int keys,
+    and str, int, bool, None, float (numpy floats too), list, tuple and dict
+    values; any other type raises TypeError.  The join-based encoder takes
+    about 40 % less time than json's indenting one, and unlike json it does
+    not detect circular references."""
     path.write_text(_json_text(obj, "\n") + "\n")
 
 
@@ -206,13 +175,13 @@ def _load_config(args: argparse.Namespace, config_class: type[Config]) -> Config
     return config_class.from_dict(data)
 
 
-def _echo(command: str, config: dict, digest: str, out_dir: Path) -> None:
+def _echo(command: str, config: dict, out_dir: Path) -> None:
     print(
         json.dumps(
             {
                 "command": command,
                 "config": config,
-                "config_hash": digest,
+                "config_hash": config_hash(config),
                 "out": str(out_dir),
                 "version": __version__,
             },
@@ -329,9 +298,7 @@ def cmd_gen_data(config: GenDataConfig, out_dir: Path, threads: int) -> int:
     truth = build_truth(config.truth)
     weight = config.auxiliary_weight
     proto = process_protocol(config.protocol, config.truth.lam0_um)
-    data = generate_counts(
-        proto.rows, truth, ExperimentPlan(config.n_events, config.seed, weight)
-    )
+    data = generate_counts(proto.rows, truth, config.n_events, config.seed)
     data = data + auxiliary_rows(proto.input_states, sum(data.exposures), weight)
     write_json(
         out_dir / "data.json",
@@ -375,7 +342,7 @@ def cmd_reconstruct(config: ReconstructConfig, out_dir: Path, threads: int) -> i
     return 0 if res.converged else 1
 
 
-def _write_campaign(out_dir: Path, result, digest: str) -> None:
+def _write_campaign(out_dir: Path, result) -> None:
     write_json(
         out_dir / "result.json",
         {
@@ -386,7 +353,7 @@ def _write_campaign(out_dir: Path, result, digest: str) -> None:
             "nu": result.nu,
             "info_modes_above_cut": result.info_modes_above_cut,
             "info_spectrum": result.info_spectrum.tolist(),
-            "metadata": {**result.metadata, "config_hash": digest},
+            "metadata": {**result.metadata, "config_hash": config_hash(result.metadata["config"])},
         },
     )
     lines = ["replication,fidelity"]
@@ -407,20 +374,20 @@ def _write_campaign(out_dir: Path, result, digest: str) -> None:
     (out_dir / "histogram.csv").write_text("\n".join(lines) + "\n")
 
 
-def cmd_mc(config: CampaignConfig, out_dir: Path, threads: int, digest: str) -> int:
+def cmd_mc(config: CampaignConfig, out_dir: Path, threads: int) -> int:
     result = run_mc_campaign(config, threads=threads)
-    _write_campaign(out_dir, result, digest)
+    _write_campaign(out_dir, result)
     return 0 if not result.failures else 1
 
 
-def cmd_scaling(config: ScalingConfig, out_dir: Path, threads: int, digest: str) -> int:
-    study = run_scaling_study(config, config.n_list, ranks=config.ranks, threads=threads)
+def cmd_scaling(config: ScalingConfig, out_dir: Path, threads: int) -> int:
+    study = run_scaling_study(config, threads=threads)
     write_json(
         out_dir / "result.json",
         {
             **study,
             "per_rank": {str(k): v for k, v in study["per_rank"].items()},
-            "config_hash": digest,
+            "config_hash": config_hash(config.to_dict()),
         },
     )
     lines = ["rank,n,mean_loss"]
@@ -431,11 +398,9 @@ def cmd_scaling(config: ScalingConfig, out_dir: Path, threads: int, digest: str)
     return 0
 
 
-def cmd_mixed_workflow(
-    config: MixedWorkflowConfig, out_dir: Path, threads: int, digest: str
-) -> int:
+def cmd_mixed_workflow(config: MixedWorkflowConfig, out_dir: Path, threads: int) -> int:
     report = run_mixed_state_workflow(config)
-    report["config_hash"] = digest
+    report["config_hash"] = config_hash(report["config"])
     write_json(out_dir / "result.json", report)
     capped = any(
         entry["stop_reason"] == "iteration_cap"
@@ -465,20 +430,15 @@ def cmd_fit_retarder(config: FitRetarderConfig, out_dir: Path, threads: int) -> 
     return 0
 
 
-def _without_digest(run):
-    # the runner of a command whose outputs carry no config hash
-    return lambda config, out_dir, threads, digest: run(config, out_dir, threads)
-
-
 COMMANDS = {
-    "plate-chi": (PlateSpec, _without_digest(cmd_plate_chi)),
-    "protocol-dump": (ProtocolDumpConfig, _without_digest(cmd_protocol_dump)),
-    "gen-data": (GenDataConfig, _without_digest(cmd_gen_data)),
-    "reconstruct": (ReconstructConfig, _without_digest(cmd_reconstruct)),
+    "plate-chi": (PlateSpec, cmd_plate_chi),
+    "protocol-dump": (ProtocolDumpConfig, cmd_protocol_dump),
+    "gen-data": (GenDataConfig, cmd_gen_data),
+    "reconstruct": (ReconstructConfig, cmd_reconstruct),
     "mc": (CampaignConfig, cmd_mc),
     "scaling": (ScalingConfig, cmd_scaling),
     "mixed-workflow": (MixedWorkflowConfig, cmd_mixed_workflow),
-    "fit-retarder": (FitRetarderConfig, _without_digest(cmd_fit_retarder)),
+    "fit-retarder": (FitRetarderConfig, cmd_fit_retarder),
 }
 
 
@@ -512,10 +472,8 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError(f"--threads must be >= 1, got {args.threads}")
         config = _load_config(args, config_class)
         out_dir.mkdir(parents=True, exist_ok=True)
-        resolved = config.to_dict()
-        digest = config_hash(resolved)  # the echo's and every report's
-        _echo(args.command, resolved, digest, out_dir)
-        return run(config, out_dir, args.threads, digest)
+        _echo(args.command, config.to_dict(), out_dir)
+        return run(config, out_dir, args.threads)
     except EstimateTooMixedError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3

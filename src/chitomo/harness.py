@@ -37,13 +37,14 @@ from .ml_engine import (
 )
 from .process_algebra import kraus_from_chi, chi_from_kraus
 from .protocols import (
+    AUXILIARY_WEIGHT,
     LAMBDA_DEFAULT_UM,
     Config,
-    ExperimentPlan,
     Measurements,
     ProcessProtocolName,
     auxiliary_rows,
     bn_state_protocol,
+    check_synthesis,
     generate_counts_batch,
     process_protocol,
 )
@@ -147,14 +148,14 @@ class CampaignConfig(Config):
     replications: int = 50
     reconstruction_rank: int = 2
     seed: int = 0
-    auxiliary_weight: float = ExperimentPlan.auxiliary_weight
+    auxiliary_weight: float = AUXILIARY_WEIGHT
     damping: float = ReconstructionConfig.damping
     max_iterations: int = ReconstructionConfig.max_iterations
     convergence_tol: float = ReconstructionConfig.convergence_tol
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        ExperimentPlan.check(self.n_events, self.auxiliary_weight, "n_events")
+        check_synthesis(self.n_events, self.auxiliary_weight)
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if not 1 <= self.reconstruction_rank <= 4:
@@ -318,8 +319,8 @@ def _run_replications(config: CampaignConfig, indices: list[int]) -> list[dict]:
     # failure is data, not a crash: a replication whose synthesis, solve or
     # scoring raises records the error text
     try:
-        # one truth for every seed: the sets share their exposures, and so
-        # the auxiliary rows
+        # one truth for every seed: the sets' exposures are equal, and so are
+        # their auxiliary rows
         count_sets = generate_counts_batch(proto.rows, truth, config.n_events, seeds)
         # sum() adds in row order; np.sum adds pairwise, which can move
         # the last bit of t_aux and so of every output
@@ -468,32 +469,27 @@ def run_mc_campaign(config: CampaignConfig, threads: int = 1) -> CampaignResult:
     )
 
 
-def run_scaling_study(
-    base: CampaignConfig,
-    n_list: list[int],
-    ranks: tuple[int, ...] = (2, 4),
-    threads: int = 1,
-) -> dict:
-    """Mean loss vs n on a log-log grid with least-squares slopes per rank."""
-    if len(n_list) < 3:
-        raise ValueError("need at least 3 sample sizes")
-    study: dict = {"n_list": list(n_list), "per_rank": {}}
-    for rank_idx, rank in enumerate(ranks):
+def run_scaling_study(config: ScalingConfig, threads: int = 1) -> dict:
+    """Mean loss vs n on a log-log grid with least-squares slopes per rank:
+    one campaign per (rank, n) cell of ``config.ranks`` x ``config.n_list``."""
+    n_list = list(config.n_list)
+    study: dict = {"n_list": n_list, "per_rank": {}}
+    for rank_idx, rank in enumerate(config.ranks):
         means = []
         for n_idx, n in enumerate(n_list):
             cell_seed = int(
                 np.random.SeedSequence(
-                    base.seed, spawn_key=(rank_idx, n_idx)
+                    config.seed, spawn_key=(rank_idx, n_idx)
                 ).generate_state(1, np.uint64)[0]
             )
-            config = replace(
-                base,
-                scenario=f"{base.scenario}-rank{rank}-n{n}",
+            cell = replace(
+                config,
+                scenario=f"{config.scenario}-rank{rank}-n{n}",
                 n_events=n,
                 reconstruction_rank=rank,
                 seed=cell_seed,
             )
-            means.append(run_mc_campaign(config, threads=threads).mean_loss)
+            means.append(run_mc_campaign(cell, threads=threads).mean_loss)
         slope, intercept = np.polyfit(np.log10(n_list), np.log10(means), 1)
         study["per_rank"][rank] = {
             "mean_loss": means,
@@ -561,7 +557,8 @@ class MixedWorkflowConfig(Config):
                         "(1-based into component_lams_um)"
                     )
         super().__post_init__()
-        ExperimentPlan.check(self.n_events, ExperimentPlan.auxiliary_weight, "n_events")
+        if self.n_events < 1:
+            raise ValueError(f"n_events must be >= 1, got {self.n_events}")
         for name in ("component_rank", "broadband_rank"):
             rank = getattr(self, name)
             if not 1 <= rank <= 2:
@@ -727,7 +724,7 @@ def run_retarder_fit(
     choi: np.ndarray,
     lam_um: float,
     thickness_um: float,
-    min_dominant_share: float = 0.95,
+    min_dominant_share: float,
 ) -> dict:
     """Extract retarder orientation and birefringence from a reconstructed
     process that is approximately unitary.

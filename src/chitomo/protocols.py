@@ -21,7 +21,6 @@ rejection draw's constants from one array pass over the means.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import typing
 from dataclasses import dataclass, fields
@@ -35,8 +34,8 @@ __all__ = [
     "Measurements",
     "ProcessProtocol",
     "StateProtocol",
-    "ExperimentPlan",
     "IncompleteProtocolError",
+    "check_synthesis",
     "j4_states",
     "r4_states",
     "b4_states",
@@ -53,6 +52,9 @@ __all__ = [
 
 # Central wavelength of the reference numerical experiments, micrometers.
 LAMBDA_DEFAULT_UM = 1.1509
+# Default weight of the auxiliary rows: their exposure per unit of the
+# protocol's total exposure.
+AUXILIARY_WEIGHT = 10.0
 ProcessProtocolName = typing.Literal["J4", "R4", "B4"]
 
 _V = np.array([0.0, 1.0], dtype=complex)
@@ -231,27 +233,14 @@ class StateProtocol:
     rows: Measurements
 
 
-@dataclass(frozen=True)
-class ExperimentPlan(Config):
-    """Total expected number of events, RNG seed and auxiliary-row weight."""
-
-    n_total: int
-    seed: int
-    auxiliary_weight: float = 10.0
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        self.check(self.n_total, self.auxiliary_weight)
-
-    @staticmethod
-    def check(n_total: int, auxiliary_weight: float, name: str = "n_total") -> None:
-        """Raise the error a plan with these values raises, naming n_total
-        ``name``: a config checks its ``n_events`` with this before any plan
-        is built."""
-        if n_total < 1:
-            raise ValueError(f"{name} must be >= 1, got {n_total}")
-        if auxiliary_weight <= 0:
-            raise ValueError(f"auxiliary_weight must be positive, got {auxiliary_weight}")
+def check_synthesis(n_events: int, auxiliary_weight: float) -> None:
+    """Raise ValueError unless the total expected number of events is >= 1
+    and the auxiliary-row weight is positive: the checks of a config that
+    synthesizes counts."""
+    if n_events < 1:
+        raise ValueError(f"n_events must be >= 1, got {n_events}")
+    if auxiliary_weight <= 0:
+        raise ValueError(f"auxiliary_weight must be positive, got {auxiliary_weight}")
 
 
 def j4_states() -> list[np.ndarray]:
@@ -378,7 +367,7 @@ def process_protocol(
 
 
 def auxiliary_rows(
-    input_states: Sequence[np.ndarray], total_exposure: float, weight: float = 10.0
+    input_states: Sequence[np.ndarray], total_exposure: float, weight: float = AUXILIARY_WEIGHT
 ) -> Measurements:
     """Trace-preservation rows: operator ``|conj(c_in)><conj(c_in)| (x) I``
     with exposure weight*total_exposure and the virtual count round(t/s) that
@@ -509,17 +498,17 @@ def _draw_counts(
 
 
 def generate_counts(
-    rows: Measurements, truth: np.ndarray, plan: ExperimentPlan
+    rows: Measurements, truth: np.ndarray, n_total: int, seed: int
 ) -> Measurements:
     """Fill observed counts for the non-auxiliary rows of a protocol.
 
     Rates are ``tr(Lambda_j rho)`` against the trace-1 truth (state or Choi
     state); uniform exposures are rescaled so the total expected count equals
-    plan.n_total exactly, then each count is an independent Poisson draw from
-    the generator seeded with plan.seed.  This is a batch of one of
+    n_total exactly, then each count is an independent Poisson draw from the
+    generator seeded with seed.  This is a batch of one of
     :func:`generate_counts_batch`.
     """
-    return generate_counts_batch(rows, [truth], plan.n_total, [plan.seed])[0]
+    return generate_counts_batch(rows, truth, n_total, [seed])[0]
 
 
 def generate_counts_batch(
@@ -529,10 +518,12 @@ def generate_counts_batch(
     seeds: Sequence[int],
 ) -> list[Measurements]:
     """``generate_counts`` for several seeds over one protocol: count set s
-    is ``generate_counts(rows, truths[s], ExperimentPlan(n_total,
-    seeds[s]))``, to the bit (tested), and every set shares the operator
-    array of ``rows``.  ``truths`` is a stack ``(S, d, d)`` with one seed
-    per truth, or one truth ``(d, d)`` for every seed.
+    is ``generate_counts(rows, truths[s], n_total, seeds[s])``, to the bit
+    (tested), and every set shares the operator array of ``rows``.
+    ``truths`` is a stack ``(S, d, d)`` with one seed per truth, or one truth
+    ``(d, d)`` for every seed, which is read as that truth broadcast to
+    ``(S, d, d)``: the same bits as the stack of S copies (tested), with the
+    errors of a single set.  ``n_total`` must be an integer >= 1.
 
     All truths' rates come from one ``(m*d, d) @ (S, d, d)`` product, the
     operators stacked row-block by row-block, whose diagonal blocks are then
@@ -544,52 +535,41 @@ def generate_counts_batch(
     truths' means are checked at once, the first bad one raising the error
     :func:`poisson_counts` raises for it; every truth's first block of
     uniforms is sized, and the rejection constants of every truth's means
-    from 30 up are computed, in one pass each.  One truth has its rates,
-    exposures, means and constants computed once for all its seeds, and its
-    errors read as those of a single set; its sets share one exposures
-    array.  Each set then draws from its own generator with the sampler
-    loop of :func:`poisson_counts`, and the counts of all sets fill one
-    ``(S, m)`` array whose rows the sets hold.
+    from 30 up are computed, in one pass each.  Each set then draws from its
+    own generator with the sampler loop of :func:`poisson_counts`, and the
+    counts of all sets fill one ``(S, m)`` array whose rows the sets hold.
     """
+    _check_integer("n_total", n_total)
+    if n_total < 1:
+        raise ValueError(f"n_total must be >= 1, got {n_total}")
     truths = np.asarray(truths, dtype=complex)
     if rows.auxiliary.any():
         raise ValueError("generate_counts expects only non-auxiliary rows")
-    shared = truths.ndim == 2  # one truth for every seed
-    if shared:
-        truths = truths[None]
+    # an error names its set only when the sets have different truths
+    named = truths.ndim == 3 and len(truths) > 1
+    if truths.ndim == 2:
+        truths = np.broadcast_to(truths, (len(seeds), *truths.shape))
     elif len(seeds) != len(truths):
         raise ValueError(f"{len(seeds)} seeds for {len(truths)} truths")
-    n_truths = len(truths)
     m, d, _ = rows.operators.shape
-    products = (rows.operators.reshape(m * d, d) @ truths).reshape(n_truths, m, d, d)
+    products = (rows.operators.reshape(m * d, d) @ truths).reshape(len(truths), m, d, d)
     # np.maximum is the ufunc np.clip(..., 0.0, None) calls
     rates = np.maximum(products.trace(axis1=2, axis2=3).real, 0.0)
     base = (rates[:, None] @ rows.exposures[:, None])[:, 0, 0]
     for s, total in enumerate(base.tolist()):
         if not (math.isfinite(total) and total > 0):
-            name = f"set {s}: " if n_truths > 1 else ""
+            name = f"set {s}: " if named else ""
             raise ValueError(f"{name}total expected rate {total!r} is not usable")
     exposures = rows.exposures * (n_total / base)[:, None]
     means = rates * exposures
     _check_means(means)
-    if shared:
-        # each seed reads the one truth's constants from the start
-        set_means, block = means[0].tolist(), _block_sizes(means)[0]
-        constants = list(_rejection_constants(means))
-        draws = [(set_means, seed, block, iter(constants)) for seed in seeds]
-        exposures = itertools.repeat(exposures[0])
-    else:
-        # one iterator over all sets' constants, in row-major order: each set
-        # takes those of its own rows, in turn
-        rejection = _rejection_constants(means)
-        draws = [
-            (set_means, seed, block, rejection)
-            for set_means, seed, block in zip(means.tolist(), seeds, _block_sizes(means))
-        ]
+    # one iterator over all sets' constants, in row-major order: each set
+    # takes those of its own rows, in turn
+    rejection = _rejection_constants(means)
     counts = np.array(
         [
             _draw_counts(set_means, np.random.default_rng(seed), block, rejection)
-            for set_means, seed, block, rejection in draws
+            for set_means, seed, block in zip(means.tolist(), seeds, _block_sizes(means))
         ],
         dtype=float,
     )

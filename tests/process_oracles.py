@@ -19,7 +19,6 @@ import numpy as np
 from chitomo import harness
 from chitomo.ml_engine import expected_rates
 from chitomo.protocols import (
-    ExperimentPlan,
     Measurements,
     auxiliary_rows,
     generate_counts,
@@ -265,19 +264,19 @@ def process_rank(chi: np.ndarray, tol: float = 1e-10) -> int:
 
 
 def generate_counts_per_set(
-    rows: Measurements, truth: np.ndarray, plan: ExperimentPlan
+    rows: Measurements, truth: np.ndarray, n_total: int, seed: int
 ) -> Measurements:
     """One count set as ``protocols.generate_counts`` drew it before the
     batched synthesis: the rates from one ``(m*d, d) @ (d, d)`` product,
     the total from ``np.dot``, exposures scaled by a Python float, and the
-    draws from the generator seeded with plan.seed."""
+    draws from the generator seeded with seed."""
     truth = np.asarray(truth, dtype=complex)
     m, d, _ = rows.operators.shape
     products = (rows.operators.reshape(m * d, d) @ truth).reshape(m, d, d)
     rates = np.clip(np.trace(products, axis1=1, axis2=2).real, 0.0, None)
     base = float(np.dot(rates, rows.exposures))
-    exposures = rows.exposures * (plan.n_total / base)
-    counts = poisson_counts(rates * exposures, np.random.default_rng(plan.seed))
+    exposures = rows.exposures * (n_total / base)
+    counts = poisson_counts(rates * exposures, np.random.default_rng(seed))
     return replace(rows, exposures=exposures, counts=counts)
 
 
@@ -326,12 +325,9 @@ def replications_one_by_one(config: harness.CampaignConfig, indices: list[int]) 
     solver = harness._solver_config(config)
     out = []
     for i, seed in zip(indices, harness.derive_seeds(config.seed, indices)):
-        plan = ExperimentPlan(
-            n_total=config.n_events, seed=seed, auxiliary_weight=config.auxiliary_weight
-        )
         record: dict = {"index": i, "seed": seed}
         try:
-            data = generate_counts(proto.rows, truth, plan)
+            data = generate_counts(proto.rows, truth, config.n_events, seed)
             total_t = sum(data.exposures)
             aux = auxiliary_rows(proto.input_states, total_t, config.auxiliary_weight)
             res = harness.solve_likelihood(data + aux, solver)

@@ -18,6 +18,7 @@ import pytest
 from chitomo.harness import (
     CampaignConfig,
     MixedWorkflowConfig,
+    ScalingConfig,
     run_mc_campaign,
     run_mixed_state_workflow,
     run_scaling_study,
@@ -80,10 +81,16 @@ def adequacy_campaigns(plate_truth):
 
 @pytest.fixture(scope="session")
 def scaling_results():
-    base = CampaignConfig.from_dict(
-        {"scenario": "acceptance-scaling", "replications": 200, "seed": 20_250_303}
+    config = ScalingConfig.from_dict(
+        {
+            "scenario": "acceptance-scaling",
+            "replications": 200,
+            "seed": 20_250_303,
+            "n_list": [10**3, 10**4, 10**5, 10**6],
+            "ranks": [2, 4],
+        }
     )
-    return run_scaling_study(base, [10**3, 10**4, 10**5, 10**6], ranks=(2, 4))
+    return run_scaling_study(config)
 
 
 @pytest.fixture(scope="session")

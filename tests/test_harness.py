@@ -11,6 +11,7 @@ from chitomo.harness import (
     CampaignResult,
     EstimateTooMixedError,
     MixedWorkflowConfig,
+    ScalingConfig,
     TruthSpec,
     build_truth,
     derive_seed,
@@ -20,7 +21,6 @@ from chitomo.harness import (
     run_retarder_fit,
     run_scaling_study,
 )
-from chitomo.protocols import ExperimentPlan
 from chitomo.quantum_core import fidelity, vectorize, von_neumann_entropy
 from chitomo.waveplate import (
     WaveplateSpec,
@@ -301,17 +301,18 @@ class TestReplicationsPerChunk:
 
 class TestScalingStudy:
     def test_slopes_negative_and_reported(self):
-        base = CampaignConfig.from_dict({**QUICK, "replications": 8, "seed": 3})
-        study = run_scaling_study(base, [10**3, 10**4, 10**5], ranks=(2,))
+        config = ScalingConfig.from_dict(
+            {**QUICK, "replications": 8, "seed": 3, "n_list": [10**3, 10**4, 10**5], "ranks": [2]}
+        )
+        study = run_scaling_study(config)
         out = study["per_rank"][2]
         assert len(out["mean_loss"]) == 3
         assert out["mean_loss"][0] > out["mean_loss"][-1]
         assert out["slope"] < -0.5
 
     def test_needs_three_points(self):
-        base = CampaignConfig.from_dict(QUICK)
-        with pytest.raises(ValueError, match="3"):
-            run_scaling_study(base, [10, 100])
+        with pytest.raises(ValueError, match="at least 3 sample sizes, got 2"):
+            ScalingConfig.from_dict({**QUICK, "n_list": [10, 100]})
 
 
 class TestBootstrap:
@@ -410,7 +411,7 @@ class TestMixedWorkflow:
 
         def per_set_counts(rows, truths, n_total, seeds):
             return [
-                generate_counts_per_set(rows, truth, ExperimentPlan(n_total, seed))
+                generate_counts_per_set(rows, truth, n_total, seed)
                 for truth, seed in zip(truths, seeds)
             ]
 
@@ -494,7 +495,7 @@ class TestRetarderFit:
             delta_fold = np.pi - delta_fold
             alpha_fold = (alpha_true + np.pi / 2) % np.pi
 
-        report = run_retarder_fit(choi, lam, thickness)
+        report = run_retarder_fit(choi, lam, thickness, 0.95)
         assert not report["degenerate"]
         assert report["alpha_rad"] == pytest.approx(alpha_fold, abs=np.deg2rad(0.5))
         assert report["delta_rad"] == pytest.approx(delta_fold, abs=1e-9)
@@ -508,13 +509,13 @@ class TestRetarderFit:
 
     def test_identity_process_is_degenerate(self):
         phi = np.array([1, 0, 0, 1]) / np.sqrt(2)
-        report = run_retarder_fit(np.outer(phi, phi), 1.0, 1000.0)
+        report = run_retarder_fit(np.outer(phi, phi), 1.0, 1000.0, 0.95)
         assert report["degenerate"]
         assert report["delta_rad"] == 0.0
 
     def test_mixed_process_refused(self, plate_truth):
         with pytest.raises(EstimateTooMixedError, match="share"):
-            run_retarder_fit(plate_truth, 1.1509, 5024.0)
+            run_retarder_fit(plate_truth, 1.1509, 5024.0, 0.95)
 
     def test_share_threshold_respected(self, plate_truth):
         report = run_retarder_fit(plate_truth, 1.1509, 5024.0, min_dominant_share=0.8)

@@ -1,0 +1,77 @@
+"""Static checks of the package source, with the standard library's ``ast``
+(no linter is needed): no module-level import goes unused, and every name
+in a module's ``__all__`` or imported by ``chitomo/__init__.py`` is bound at
+the top level of the module it names."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "chitomo"
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
+
+
+def parse(module: str) -> ast.Module:
+    return ast.parse((PACKAGE / f"{module}.py").read_text())
+
+
+def imported_names(tree: ast.Module) -> dict[str, int]:
+    # each name a module-level import binds, and the import's line
+    names = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def bound_names(tree: ast.Module) -> set[str]:
+    # the names the module's top level binds
+    names = set(imported_names(tree))
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def all_names(tree: ast.Module) -> list[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return [ast.literal_eval(item) for item in node.value.elts]
+    return []
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "__init__"])
+def test_no_unused_module_imports(module):
+    # a name read anywhere in the module, or exported by its __all__, is used
+    tree = parse(module)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= set(all_names(tree))
+    unused = [f"{name} (line {line})" for name, line in imported_names(tree).items()
+              if name not in used]
+    assert not unused, f"{module}.py imports but never uses: {', '.join(unused)}"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_all_names_resolve(module):
+    tree = parse(module)
+    missing = [name for name in all_names(tree) if name not in bound_names(tree)]
+    assert not missing, f"{module}.__all__ names what the module does not define: {missing}"
+
+
+def test_package_exports_resolve():
+    missing = []
+    for node in parse("__init__").body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            defined = bound_names(parse(node.module))
+            missing += [f"{node.module}.{a.name}" for a in node.names if a.name not in defined]
+    assert not missing, f"chitomo/__init__.py imports names that do not exist: {missing}"

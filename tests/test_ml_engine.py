@@ -19,7 +19,6 @@ from chitomo.ml_engine import (
     solve_likelihood_batch,
 )
 from chitomo.protocols import (
-    ExperimentPlan,
     IncompleteProtocolError,
     Measurements,
     auxiliary_rows,
@@ -54,7 +53,7 @@ def noiseless_rows(protocol, truth, n=10**4, weight=10.0):
 
 
 def poisson_rows(protocol, truth, n=10**4, seed=0, weight=10.0):
-    data = generate_counts(protocol.rows, truth, ExperimentPlan(n, seed=seed))
+    data = generate_counts(protocol.rows, truth, n, seed)
     return data + auxiliary_rows(protocol.input_states, sum(data.exposures), weight)
 
 
@@ -654,7 +653,7 @@ class TestLazyLogLikelihood:
         # the d=2 solves of mixed-workflow: B36 rows, counts up to ~1e4
         rows = bn_state_protocol(36, 312.7, 1.0).rows
         truths = [np.diag([0.7, 0.3]).astype(complex), np.eye(2) / 2]
-        datasets = [generate_counts(rows, truth, ExperimentPlan(10**5, seed=3)) for truth in truths]
+        datasets = [generate_counts(rows, truth, 10**5, 3) for truth in truths]
         batch, eager = self.solve_recording_rates(monkeypatch, datasets, ReconstructionConfig(rank=2))
         assert [res.log_likelihood for res in batch] == eager.tolist()
 
@@ -682,7 +681,7 @@ class TestReconstructState:
     def test_maximally_mixed_poisson(self):
         truth = np.eye(2) / 2
         proto = bn_state_protocol(36, 312.7, 1.0)
-        data = generate_counts(proto.rows, truth, ExperimentPlan(10**5, seed=14))
+        data = generate_counts(proto.rows, truth, 10**5, 14)
         res = solve_likelihood(data, ReconstructionConfig(rank=2))
         assert fidelity(res.estimate, truth) >= 0.995
         assert res.nu is None and res.tp_residual is None

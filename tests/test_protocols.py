@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -13,14 +14,15 @@ from chitomo.harness import TruthSpec, derive_seed
 from chitomo.ml_engine import ReconstructionConfig
 from chitomo.process_algebra import chi_from_kraus
 from chitomo.protocols import (
+    AUXILIARY_WEIGHT,
     Config,
-    ExperimentPlan,
     IncompleteProtocolError,
     Measurements,
     auxiliary_rows,
     b4_states,
     bloch_vector,
     bn_state_protocol,
+    check_synthesis,
     generate_counts,
     generate_counts_batch,
     j4_states,
@@ -73,10 +75,10 @@ class TestConfig:
         }
 
     @pytest.mark.parametrize("config_class", sorted({c for c, _ in COMMANDS.values()} | {
-        _Outer, ExperimentPlan, ReconstructionConfig, TruthSpec}, key=lambda c: c.__name__))
+        _Outer, ReconstructionConfig, TruthSpec}, key=lambda c: c.__name__))
     def test_to_dict_equals_asdict_with_same_types(self, config_class):
         # to_dict skips asdict's deep copy; the dict must not change
-        required = {"data_path": "x.json", "chi_path": "x.json", "n_total": 5, "seed": 1, "rank": 2}
+        required = {"data_path": "x.json", "chi_path": "x.json", "rank": 2}
         names = {f.name for f in fields(config_class)}
         config = config_class(**{k: v for k, v in required.items() if k in names})
 
@@ -479,7 +481,7 @@ def straddle_rows():
 class TestGenerateCounts:
     def test_frozen_counts(self, plate_truth):
         proto = process_protocol("R4")
-        rows = generate_counts(proto.rows, plate_truth, ExperimentPlan(10**4, seed=123))
+        rows = generate_counts(proto.rows, plate_truth, 10**4, 123)
         assert rows.counts.tolist() == GOLDEN_COUNTS
 
     @pytest.mark.parametrize("name", ["J4", "R4", "B4", "B4-state", "B36", "straddle"])
@@ -506,7 +508,6 @@ class TestGenerateCounts:
                 for rank in range(1, d + 1)
                 for _ in range(4)
             ]
-        plan = ExperimentPlan(n_total, seed=0)
         generators, means_drawn = [], []
 
         def counting_rng(seed):
@@ -521,14 +522,14 @@ class TestGenerateCounts:
 
         for truth in truths:
             rates = np.clip(per_row_rates(rows, truth), 0.0, None)
-            scale = plan.n_total / float(np.dot(rates, rows.exposures))
+            scale = n_total / float(np.dot(rates, rows.exposures))
             exposures = np.array([t * scale for t in rows.exposures])
-            draws = np.random.default_rng(plan.seed)
+            draws = np.random.default_rng(0)
             counts = np.array([sample_poisson(lam * t, draws) for lam, t in zip(rates, exposures)])
             with monkeypatch.context() as patch:
                 patch.setattr(np.random, "default_rng", counting_rng)
                 patch.setattr(protocols, "_draw_counts", recording_draw_counts)
-                data = generate_counts(rows, truth, plan)
+                data = generate_counts(rows, truth, n_total, 0)
             assert np.array_equal(means_drawn[-1], rates * exposures)
             assert np.array_equal(data.exposures, exposures)
             assert np.array_equal(data.counts, counts)
@@ -562,9 +563,8 @@ class TestGenerateCounts:
             batch = generate_counts_batch(rows, truths[:n_sets], n_total, seeds[:n_sets])
             assert len(batch) == n_sets
             for truth, seed, data in zip(truths, seeds, batch):
-                plan = ExperimentPlan(n_total, seed)
-                for single in (generate_counts(rows, truth, plan),
-                               generate_counts_per_set(rows, truth, plan)):
+                for single in (generate_counts(rows, truth, n_total, seed),
+                               generate_counts_per_set(rows, truth, n_total, seed)):
                     assert np.array_equal(data.exposures, single.exposures)
                     assert np.array_equal(data.counts, single.counts)
                 assert data.operators is rows.operators  # the solver's shared-operator path
@@ -615,9 +615,9 @@ class TestGenerateCounts:
 
     @pytest.mark.parametrize("name", ["R4", "B36", "straddle"])
     def test_one_truth_for_many_seeds(self, name, monkeypatch):
-        # one truth for S seeds is one generate_counts call per seed: the
-        # same exposures and counts, each generator in the same end state,
-        # and one exposures array shared by the sets
+        # one truth for S seeds is one generate_counts call per seed and the
+        # stack of S copies of the truth: the same exposures and counts, and
+        # each generator in the same end state
         if name == "straddle":
             rows, n_total = straddle_rows(), 6717  # scale 1: means 0, below and from 30
             truth = np.diag([1.0, 0.0]).astype(complex)
@@ -635,14 +635,14 @@ class TestGenerateCounts:
                 if path == "batch":
                     batch = generate_counts_batch(rows, truth, n_total, seeds)
                 else:
-                    singles = [generate_counts(rows, truth, ExperimentPlan(n_total, seed))
-                               for seed in seeds]
+                    singles = [generate_counts(rows, truth, n_total, seed) for seed in seeds]
+        stack = generate_counts_batch(rows, np.stack([truth] * len(seeds)), n_total, seeds)
         assert len(batch) == len(seeds)
-        for data, single in zip(batch, singles):
-            assert data.exposures.tobytes() == single.exposures.tobytes()
-            assert data.counts.tobytes() == single.counts.tobytes()
+        for data, single, stacked in zip(batch, singles, stack):
+            for other in (single, stacked):
+                assert data.exposures.tobytes() == other.exposures.tobytes()
+                assert data.counts.tobytes() == other.counts.tobytes()
             assert data.operators is rows.operators
-            assert data.exposures is batch[0].exposures
         for got, want in zip(generators["batch"], generators["single"]):
             assert got.calls == want.calls
             assert got.rng.bit_generator.state == want.rng.bit_generator.state
@@ -664,7 +664,7 @@ class TestGenerateCounts:
         with pytest.raises(ValueError, match="set 1: total expected rate 0.0 is not usable"):
             generate_counts_batch(rows, [plate_truth, np.zeros((4, 4))], 100, [1, 2])
         with pytest.raises(ValueError, match="^total expected rate 0.0 is not usable"):
-            generate_counts(rows, np.zeros((4, 4)), ExperimentPlan(100, seed=0))
+            generate_counts(rows, np.zeros((4, 4)), 100, 0)
 
     @pytest.mark.parametrize("rank", [1, 2])
     def test_bad_mean_in_set_3_raises_as_per_set_path(self, rank):
@@ -680,9 +680,9 @@ class TestGenerateCounts:
         with np.errstate(over="ignore", invalid="ignore"):  # the overflow, and 0 * inf
             with pytest.raises(ValueError) as per_set:
                 for truth, seed in zip(truths, seeds):
-                    generate_counts_per_set(rows, truth, ExperimentPlan(10**5, seed))
+                    generate_counts_per_set(rows, truth, 10**5, seed)
             with pytest.raises(ValueError) as alone:
-                generate_counts(rows, truths[3], ExperimentPlan(10**5, seeds[3]))
+                generate_counts(rows, truths[3], 10**5, seeds[3])
             with pytest.raises(ValueError) as batch:
                 generate_counts_batch(rows, truths, 10**5, seeds)
         assert str(batch.value).startswith("Poisson mean must be finite and >= 0, got ")
@@ -690,14 +690,13 @@ class TestGenerateCounts:
 
     def test_repeatable_for_fixed_seed(self, plate_truth):
         proto = process_protocol("J4")
-        plan = ExperimentPlan(10**4, seed=9)
-        a = generate_counts(proto.rows, plate_truth, plan)
-        b = generate_counts(proto.rows, plate_truth, plan)
+        a = generate_counts(proto.rows, plate_truth, 10**4, 9)
+        b = generate_counts(proto.rows, plate_truth, 10**4, 9)
         assert a.counts.tolist() == b.counts.tolist()
 
     def test_exposure_rescaling_exact(self, plate_truth):
         proto = process_protocol("R4")
-        rows = generate_counts(proto.rows, plate_truth, ExperimentPlan(10**4, seed=1))
+        rows = generate_counts(proto.rows, plate_truth, 10**4, 1)
         rates = [np.real(np.trace(op @ plate_truth)) for op in rows.operators]
         total = sum(rate * t for rate, t in zip(rates, rows.exposures))
         assert total == pytest.approx(10**4, rel=1e-12)
@@ -708,7 +707,7 @@ class TestGenerateCounts:
         phi = np.array([1, 0, 0, 1]) / np.sqrt(2)
         identity_choi = np.outer(phi, phi)
         proto = process_protocol("J4")
-        rows = generate_counts(proto.rows, identity_choi, ExperimentPlan(10**4, seed=3))
+        rows = generate_counts(proto.rows, identity_choi, 10**4, 3)
         # row (H in, V out) has rate 0 under the identity process
         assert np.real(np.trace(proto.rows.operators[1] @ identity_choi)) < 1e-15
         assert rows.counts[1] == 0
@@ -718,9 +717,9 @@ class TestGenerateCounts:
         reps = 400
         sums = np.zeros(16)
         for i in range(reps):
-            rows = generate_counts(proto.rows, plate_truth, ExperimentPlan(1000, seed=50_000 + i))
+            rows = generate_counts(proto.rows, plate_truth, 1000, 50_000 + i)
             sums += rows.counts
-        rows = generate_counts(proto.rows, plate_truth, ExperimentPlan(1000, seed=0))
+        rows = generate_counts(proto.rows, plate_truth, 1000, 0)
         expected = np.array(
             [np.real(np.trace(op @ plate_truth)) * t for op, t in zip(rows.operators, rows.exposures)]
         )
@@ -730,14 +729,29 @@ class TestGenerateCounts:
     def test_rejects_auxiliary_rows(self, plate_truth):
         aux = auxiliary_rows(j4_states(), 10.0, 1.0)
         with pytest.raises(ValueError, match="non-auxiliary"):
-            generate_counts(aux, plate_truth, ExperimentPlan(100, seed=0))
+            generate_counts(aux, plate_truth, 100, 0)
 
-    def test_plan_validation(self):
-        with pytest.raises(ValueError, match="n_total"):
-            ExperimentPlan(0, seed=0)
-        for bad in (1000.5, 1000.0, True):
-            with pytest.raises(ValueError, match="n_total must be an integer"):
-                ExperimentPlan(bad, seed=0)
-        assert ExperimentPlan(np.int64(10), seed=0).n_total == 10
-        with pytest.raises(ValueError, match="auxiliary_weight"):
-            ExperimentPlan(10, seed=0, auxiliary_weight=0.0)
+    @pytest.mark.parametrize(
+        "n_total, message",
+        [
+            (0, "n_total must be >= 1, got 0"),
+            (-3, "n_total must be >= 1, got -3"),
+            (2.5, "n_total must be an integer, got 2.5"),
+            (True, "n_total must be an integer, got True"),
+        ],
+    )
+    def test_rejects_bad_n_total(self, plate_truth, n_total, message):
+        rows = process_protocol("J4").rows
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            generate_counts(rows, plate_truth, n_total, 0)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            generate_counts_batch(rows, plate_truth, n_total, [0, 1])
+
+    def test_check_synthesis(self):
+        with pytest.raises(ValueError, match="^n_events must be >= 1, got 0$"):
+            check_synthesis(0, AUXILIARY_WEIGHT)
+        with pytest.raises(ValueError, match="^n_events must be >= 1, got -3$"):
+            check_synthesis(-3, AUXILIARY_WEIGHT)
+        with pytest.raises(ValueError, match="^auxiliary_weight must be positive, got 0.0$"):
+            check_synthesis(10, 0.0)
+        check_synthesis(np.int64(1), 1e-9)
