@@ -2,7 +2,7 @@
 
 Subcommands: plate-chi, protocol-dump, gen-data, reconstruct, mc, scaling,
 mixed-workflow, fit-retarder.  ``COMMANDS`` maps each one to its frozen
-config class and its runner ``run(config, out_dir, threads)``.  A command
+config class and its runner ``run(config, out_dir)``.  A command
 reads one JSON config into that class (omitted keys take the class defaults;
 an unknown key or a wrongly typed field exits 2), echoes the resolved config
 and its hash to stdout once the config has passed its checks, and writes
@@ -11,7 +11,8 @@ machine-readable outputs into --out; ``mc``, ``scaling`` and
 written by ``write_json``.  An input file that a config names
 (``data_path``, ``chi_path``) and that is not the JSON object the command
 reads exits 2, naming the file and the field.
-Identical config + seed gives byte-identical output files.
+Identical config + seed gives byte-identical output files.  Every command
+runs in one process; ``--threads`` is still accepted (>= 1) and changes nothing.
 
 Exit codes: 0 full success, 2 bad config or input, 3 refused precondition
 (e.g. retarder fit on a mixed process).
@@ -226,7 +227,7 @@ def _write_chi(path: Path, matrix: np.ndarray, normalization: str) -> None:
     )
 
 
-def cmd_plate_chi(config: PlateSpec, out_dir: Path, threads: int) -> int:
+def cmd_plate_chi(config: PlateSpec, out_dir: Path) -> int:
     choi = build_truth(TruthSpec(**config.to_dict()))
     w, _ = hermitian_eig(choi)
     _write_chi(out_dir / "chi.json", choi, "choi")
@@ -236,7 +237,7 @@ def cmd_plate_chi(config: PlateSpec, out_dir: Path, threads: int) -> int:
     return 0
 
 
-def cmd_protocol_dump(config: ProtocolDumpConfig, out_dir: Path, threads: int) -> int:
+def cmd_protocol_dump(config: ProtocolDumpConfig, out_dir: Path) -> int:
     proto = process_protocol(config.protocol, config.central_lam_um)
     write_json(
         out_dir / "protocol.json",
@@ -294,7 +295,7 @@ def _rows_from_json(rows: object, source: str) -> Measurements:
         raise ValueError(f"{source}: rows: {exc}") from None
 
 
-def cmd_gen_data(config: GenDataConfig, out_dir: Path, threads: int) -> int:
+def cmd_gen_data(config: GenDataConfig, out_dir: Path) -> int:
     truth = build_truth(config.truth)
     weight = config.auxiliary_weight
     proto = process_protocol(config.protocol, config.truth.lam0_um)
@@ -315,7 +316,7 @@ def cmd_gen_data(config: GenDataConfig, out_dir: Path, threads: int) -> int:
     return 0
 
 
-def cmd_reconstruct(config: ReconstructConfig, out_dir: Path, threads: int) -> int:
+def cmd_reconstruct(config: ReconstructConfig, out_dir: Path) -> int:
     source = f"data_path {config.data_path}"
     payload = _read_input(config.data_path, source)
     data = _rows_from_json(_input_field(payload, "rows", source), source)
@@ -374,14 +375,14 @@ def _write_campaign(out_dir: Path, result) -> None:
     (out_dir / "histogram.csv").write_text("\n".join(lines) + "\n")
 
 
-def cmd_mc(config: CampaignConfig, out_dir: Path, threads: int) -> int:
-    result = run_mc_campaign(config, threads=threads)
+def cmd_mc(config: CampaignConfig, out_dir: Path) -> int:
+    result = run_mc_campaign(config)
     _write_campaign(out_dir, result)
     return 0 if not result.failures else 1
 
 
-def cmd_scaling(config: ScalingConfig, out_dir: Path, threads: int) -> int:
-    study = run_scaling_study(config, threads=threads)
+def cmd_scaling(config: ScalingConfig, out_dir: Path) -> int:
+    study = run_scaling_study(config)
     write_json(
         out_dir / "result.json",
         {
@@ -398,7 +399,7 @@ def cmd_scaling(config: ScalingConfig, out_dir: Path, threads: int) -> int:
     return 0
 
 
-def cmd_mixed_workflow(config: MixedWorkflowConfig, out_dir: Path, threads: int) -> int:
+def cmd_mixed_workflow(config: MixedWorkflowConfig, out_dir: Path) -> int:
     report = run_mixed_state_workflow(config)
     report["config_hash"] = config_hash(report["config"])
     write_json(out_dir / "result.json", report)
@@ -410,7 +411,7 @@ def cmd_mixed_workflow(config: MixedWorkflowConfig, out_dir: Path, threads: int)
     return 1 if capped else 0
 
 
-def cmd_fit_retarder(config: FitRetarderConfig, out_dir: Path, threads: int) -> int:
+def cmd_fit_retarder(config: FitRetarderConfig, out_dir: Path) -> int:
     source = f"chi_path {config.chi_path}"
     payload = _read_input(config.chi_path, source)
     choi = _input_matrix(_input_field(payload, "matrix", source), source, "matrix")
@@ -456,7 +457,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--threads", type=int, default=1, help="worker processes")
+        p.add_argument("--threads", type=int, default=1, help="accepted (>= 1); no effect")
     return parser
 
 
@@ -473,7 +474,7 @@ def main(argv: list[str] | None = None) -> int:
         config = _load_config(args, config_class)
         out_dir.mkdir(parents=True, exist_ok=True)
         _echo(args.command, config.to_dict(), out_dir)
-        return run(config, out_dir, args.threads)
+        return run(config, out_dir)
     except EstimateTooMixedError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3

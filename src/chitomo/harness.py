@@ -10,11 +10,13 @@ computed by ``derive_seeds`` for many keys at once: it builds the pool of
 ``SeedSequence(seed)`` once and mixes each key into a copy of it with
 SeedSequence's own arithmetic, giving the same integers.
 
-A Monte-Carlo chunk (a worker's run of replications) does once what is the
-same for every replication: one truth, one protocol, one
-``generate_counts_batch`` call for all its seeds, one set of auxiliary rows
-and one stacked ``fidelity`` call; only each replication's generator and
-solve are its own, so the outputs equal those of one replication at a time.
+A Monte-Carlo campaign runs in one process and does once what is the same
+for every replication: one truth, one protocol, one ``generate_counts_batch``
+call for all its seeds, one set of auxiliary rows, one
+``solve_likelihood_batch`` call and one stacked ``fidelity`` call.  Each
+replication draws from its own seeded generator and is its own lane of the
+batch, whose lanes are bit-identical to lone solves, so the outputs equal
+those of one replication at a time.
 """
 
 from __future__ import annotations
@@ -22,9 +24,8 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -310,12 +311,12 @@ def _error_text(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _run_replications(config: CampaignConfig, indices: list[int]) -> list[dict]:
+def _run_replications(config: CampaignConfig) -> list[dict]:
     truth = build_truth(config.truth)
     proto = process_protocol(config.protocol, config.truth.lam0_um)
     solver = _solver_config(config)
-    seeds = derive_seeds(config.seed, indices)
-    records = [{"index": i, "seed": seed} for i, seed in zip(indices, seeds)]
+    seeds = derive_seeds(config.seed, range(config.replications))
+    records = [{"seed": seed} for seed in seeds]
     # failure is data, not a crash: a replication whose synthesis, solve or
     # scoring raises records the error text
     try:
@@ -327,22 +328,29 @@ def _run_replications(config: CampaignConfig, indices: list[int]) -> list[dict]:
         total_t = sum(count_sets[0].exposures)
         aux = auxiliary_rows(proto.input_states, total_t, config.auxiliary_weight)
         rows = count_sets[0] + aux
+        datasets = [
+            replace(rows, counts=np.concatenate((data.counts, aux.counts))) for data in count_sets
+        ]
     except Exception as exc:  # the same error for every replication
         for record in records:
             record["error"] = _error_text(exc)
         return records
+    results = _each(
+        lambda lanes: solve_likelihood_batch(lanes, solver),
+        lambda data: solve_likelihood(data, solver),
+        datasets,
+    )
     solved = []
-    for record, data in zip(records, count_sets):
-        counts = np.concatenate((data.counts, aux.counts))
-        try:
-            res = solve_likelihood(
-                Measurements(rows.operators, rows.exposures, counts, rows.auxiliary), solver
-            )
-        except Exception as exc:
-            record["error"] = _error_text(exc)
+    for record, res in zip(records, results):
+        if isinstance(res, str):
+            record["error"] = res
         else:
             solved.append((record, res))
-    scores = _fidelities(truth, [res.estimate for _, res in solved])
+    scores = _each(
+        lambda estimates: fidelity(*np.broadcast_arrays(truth, np.stack(estimates))).tolist(),
+        lambda estimate: fidelity(truth, estimate),
+        [res.estimate for _, res in solved],
+    )
     for (record, res), score in zip(solved, scores):
         if isinstance(score, str):
             record["error"] = score
@@ -354,39 +362,30 @@ def _run_replications(config: CampaignConfig, indices: list[int]) -> list[dict]:
                 f"not converged: {res.stop_reason} after {res.iterations} "
                 f"iterations, residual {res.residual:.3e}"
             )
-        if record["index"] == 0:
-            record["info_spectrum"] = res.info_spectrum.tolist()
-            record["nu"] = res.nu
+        if record is records[0]:
+            record.update(info_spectrum=res.info_spectrum.tolist(), nu=res.nu)
     return records
 
 
-def _fidelities(truth: np.ndarray, estimates: list[np.ndarray]) -> list[float | str]:
-    # each estimate's fidelity to the truth, or the error text of its own
-    # fidelity call: one stacked call, whose checks raise when some pair's
-    # would, and one call per estimate only when it raises
-    if not estimates:
-        return []
+def _each(batch: Callable[[list], list], single: Callable, items: list) -> list:
+    # batch(items), one result per item, or, when that raises, single(item)
+    # for each item, with the error text of each one that raises: a batch's
+    # checks raise when some item's would, and its error may name the item's
+    # place in the batch, so only the items' own calls give their own texts
     try:
-        stack = np.stack(estimates)
-        return fidelity(np.broadcast_to(truth, stack.shape), stack).tolist()
+        return batch(items)
     except Exception:
         pass
-    scores = []
-    for estimate in estimates:
+    results = []
+    for item in items:
         try:
-            scores.append(fidelity(truth, estimate))
+            results.append(single(item))
         except Exception as exc:
-            scores.append(_error_text(exc))
-    return scores
+            results.append(_error_text(exc))
+    return results
 
 
-def _chunks(n: int, parts: int) -> list[list[int]]:
-    parts = max(1, min(parts, n))
-    bounds = np.linspace(0, n, parts + 1).astype(int)
-    return [list(range(bounds[p], bounds[p + 1])) for p in range(parts)]
-
-
-def run_mc_campaign(config: CampaignConfig, threads: int = 1) -> CampaignResult:
+def run_mc_campaign(config: CampaignConfig) -> CampaignResult:
     """Generate -> reconstruct -> fidelity for every replication.
 
     A replication enters the mean loss and the histogram when its solve
@@ -397,30 +396,23 @@ def run_mc_campaign(config: CampaignConfig, threads: int = 1) -> CampaignResult:
     fidelity slot holds NaN when the solver raised and its fidelity when it
     only hit the cap.
 
-    The replications run in chunks, one per worker (``threads``), each
-    synthesizing its count sets, building its auxiliary rows and scoring
-    its estimates once; each replication draws from its own seeded
-    generator and has its own solve, so neither the chunking nor
-    ``threads`` moves an output bit.  A synthesis error fails every
-    replication of the chunk with the same text; a solve or scoring error
-    fails its replication alone.
+    The campaign runs in one process: one synthesis of every count set,
+    one set of auxiliary rows, one ``solve_likelihood_batch`` call with a
+    lane per replication and one stacked ``fidelity`` call.  Each
+    replication draws from its own seeded generator and a lane's result is
+    that of its lone solve, so every output bit is that of one replication
+    at a time.  A synthesis error fails every replication with the same
+    text.  When the batch raises, each replication is solved alone, so a
+    solve or scoring error fails its replication alone, with the text of
+    its own call.
     """
     n = config.replications
-    if threads > 1:
-        chunks = _chunks(n, threads)
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            batches = pool.map(_run_replications, [config] * len(chunks), chunks)
-            records = [r for batch in batches for r in batch]
-    else:
-        records = _run_replications(config, list(range(n)))
-    records.sort(key=lambda r: r["index"])
-
+    records = _run_replications(config)
     fidelities = np.full(n, np.nan)
     failure_reasons = {}
     info_spectrum = np.array([])
     nu = None
-    for rec in records:
-        i = rec["index"]
+    for i, rec in enumerate(records):
         if "error" in rec:
             failure_reasons[i] = rec["error"]
         if "fidelity" in rec:
@@ -469,7 +461,7 @@ def run_mc_campaign(config: CampaignConfig, threads: int = 1) -> CampaignResult:
     )
 
 
-def run_scaling_study(config: ScalingConfig, threads: int = 1) -> dict:
+def run_scaling_study(config: ScalingConfig) -> dict:
     """Mean loss vs n on a log-log grid with least-squares slopes per rank:
     one campaign per (rank, n) cell of ``config.ranks`` x ``config.n_list``."""
     n_list = list(config.n_list)
@@ -489,7 +481,7 @@ def run_scaling_study(config: ScalingConfig, threads: int = 1) -> dict:
                 reconstruction_rank=rank,
                 seed=cell_seed,
             )
-            means.append(run_mc_campaign(cell, threads=threads).mean_loss)
+            means.append(run_mc_campaign(cell).mean_loss)
         slope, intercept = np.polyfit(np.log10(n_list), np.log10(means), 1)
         study["per_rank"][rank] = {
             "mean_loss": means,

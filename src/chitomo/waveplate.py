@@ -26,8 +26,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .quantum_core import vectorize
-
 __all__ = [
     "WaveplateSpec",
     "SpectralProfile",
@@ -162,22 +160,10 @@ def check_quartz_window(lam_um: np.ndarray) -> None:
         raise _window_error(float(lam_um[np.argmin(inside)]))
 
 
-def _signed_thickness_knots(spec: WaveplateSpec, lam_um: np.ndarray) -> np.ndarray:
-    # Array form of _signed_thickness; the caller checks the window.
-    n_o, n_e = _sellmeier(lam_um * lam_um)
-    return np.pi * (n_o - n_e) * spec.thickness_um / lam_um
-
-
 def optical_thickness(spec: WaveplateSpec, lam_um: float) -> float:
     """Optical thickness delta = pi |dn| h / lambda, radians (magnitude)."""
     n_o, n_e = quartz_indices(lam_um)
     return np.pi * abs(n_e - n_o) * spec.thickness_um / lam_um
-
-
-def _signed_thickness(spec: WaveplateSpec, lam_um: float) -> float:
-    # dn = n_o - n_e as in the dispersive-plate convention; negative for quartz.
-    n_o, n_e = quartz_indices(lam_um)
-    return np.pi * (n_o - n_e) * spec.thickness_um / lam_um
 
 
 def axis_from_orientation(alpha_rad: float | np.ndarray) -> np.ndarray:
@@ -236,17 +222,16 @@ def sinc2_profile(
 def plate_choi_state(spec: WaveplateSpec, profile: SpectralProfile) -> np.ndarray:
     """Choi state (4x4, trace 1) of one plate under a spectral mixture.
 
-    Each knot contributes the normalized vectorized retarder unitary at that
-    wavelength; the weighted sum of the pure projectors is rank <= 2 because
-    all the vectors live in the fixed 2-dim subspace set by the plate axis.
+    Each knot contributes the normalized vectorized retarder unitary at its
+    own wavelength (no thin-plate rule), all knots in one array pass; the
+    weighted sum of the pure projectors is rank <= 2 because all the vectors
+    live in the fixed 2-dim subspace set by the plate axis.
     """
-    axis = axis_from_orientation(spec.alpha_rad)
-    psis = np.empty((len(profile), 4), dtype=complex)
-    for j, lam in enumerate(profile.wavelengths):
-        delta = _signed_thickness(spec, lam)
-        psis[j] = vectorize(retarder_unitary(delta, axis)) / np.sqrt(2.0)
-    weighted = psis * profile.weights[:, None]
-    return weighted.T @ psis.conj()
+    lam = profile.wavelengths
+    check_quartz_window(lam)
+    # the column-stacked unitaries, one row per knot
+    psis = _unitaries(spec, lam).swapaxes(1, 2).reshape(len(lam), 4) / np.sqrt(2.0)
+    return _spectral_average(psis, profile.weights)
 
 
 def fit_su2_retarder(g: SU2Retarder) -> tuple[float, float, bool]:
@@ -311,15 +296,23 @@ def _output_states(
     previous = None
     for spec, plate_is_thick in zip(plates, thick):
         if spec != previous:
-            delta = _signed_thickness_knots(spec, lam if plate_is_thick else lam_thin)
-            sigma_n = np.tensordot(axis_from_orientation(spec.alpha_rad), _SIGMA, axes=1)
-            u = (
-                np.cos(delta)[:, None, None] * np.eye(2, dtype=complex)
-                - 1j * np.sin(delta)[:, None, None] * sigma_n
-            )
+            u = _unitaries(spec, lam if plate_is_thick else lam_thin)
             previous = spec
         states.append(np.einsum("...ij,...j->...i", u, states[-1]))
     return states
+
+
+def _unitaries(spec: WaveplateSpec, lam_um: np.ndarray) -> np.ndarray:
+    # the plate's retarder unitary at each wavelength (K, 2, 2), with the
+    # signed optical thickness pi (n_o - n_e) h / lambda (negative for
+    # quartz); the caller checks the window
+    n_o, n_e = _sellmeier(lam_um * lam_um)
+    delta = np.pi * (n_o - n_e) * spec.thickness_um / lam_um
+    sigma_n = np.tensordot(axis_from_orientation(spec.alpha_rad), _SIGMA, axes=1)
+    return (
+        np.cos(delta)[:, None, None] * np.eye(2, dtype=complex)
+        - 1j * np.sin(delta)[:, None, None] * sigma_n
+    )
 
 
 def _spectral_average(psi: np.ndarray, weights: np.ndarray) -> np.ndarray:

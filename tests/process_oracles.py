@@ -3,10 +3,10 @@ mixing freedom of a chi-matrix factor, the two matrices of the likelihood
 equation ``I c = J c``, density-matrix validation, the SU(2) form of a
 retarder, a bootstrap bound on a ratio of means, the draw-by-draw Poisson
 sampler, the per-row count rates, one count set, each subset's component
-sum, the process-protocol and auxiliary-row operators and a chunk of Monte-
-Carlo replications as computed before their stacked forms, and the channel
-action, Choi state, outcome probabilities and rank of a process computed
-directly."""
+sum, the process-protocol and auxiliary-row operators, a plate's Choi state
+and a campaign's Monte-Carlo replications as computed before their stacked
+forms, and the channel action, Choi state, outcome probabilities and rank of
+a process computed directly."""
 
 from __future__ import annotations
 
@@ -25,8 +25,15 @@ from chitomo.protocols import (
     poisson_counts,
     process_protocol,
 )
-from chitomo.quantum_core import _as_complex_matrix, hermitian_eig
-from chitomo.waveplate import SU2Retarder
+from chitomo.quantum_core import _as_complex_matrix, hermitian_eig, vectorize
+from chitomo.waveplate import (
+    SpectralProfile,
+    SU2Retarder,
+    WaveplateSpec,
+    axis_from_orientation,
+    quartz_indices,
+    retarder_unitary,
+)
 
 __all__ = [
     "completeness_residual",
@@ -42,6 +49,7 @@ __all__ = [
     "component_sums_per_subset",
     "process_operators_per_row",
     "auxiliary_operators_per_row",
+    "plate_choi_state_per_knot",
     "replications_one_by_one",
     "apply_channel",
     "choi_from_channel",
@@ -314,15 +322,32 @@ def auxiliary_operators_per_row(states: Sequence[np.ndarray]) -> np.ndarray:
     return np.array([np.kron(np.outer(c.conj(), c), np.eye(c.size)) for c in states])
 
 
-def replications_one_by_one(config: harness.CampaignConfig, indices: list[int]) -> list[dict]:
+def plate_choi_state_per_knot(spec: WaveplateSpec, profile: SpectralProfile) -> np.ndarray:
+    """``waveplate.plate_choi_state`` as it computed the Choi state before its
+    array pass: one knot at a time, each with its own signed optical
+    thickness from ``quartz_indices`` (which raises for the first knot
+    outside the quartz window) and its own vectorized retarder unitary."""
+    axis = axis_from_orientation(spec.alpha_rad)
+    psis = np.empty((len(profile), 4), dtype=complex)
+    for j, lam in enumerate(profile.wavelengths):
+        n_o, n_e = quartz_indices(lam)
+        delta = np.pi * (n_o - n_e) * spec.thickness_um / lam
+        psis[j] = vectorize(retarder_unitary(delta, axis)) / np.sqrt(2.0)
+    weighted = psis * profile.weights[:, None]
+    return weighted.T @ psis.conj()
+
+
+def replications_one_by_one(config: harness.CampaignConfig) -> list[dict]:
     """The records of ``harness._run_replications`` as it computed them
-    before the per-chunk synthesis: each replication generates its own count
-    set, builds its own auxiliary rows and scores its own estimate.  The
-    truth build, the solver and the fidelity are looked up in ``harness``,
-    so a test's patch there reaches both paths."""
+    before the batched synthesis and solve: each replication generates its
+    own count set, builds its own auxiliary rows, has its own solve and
+    scores its own estimate.  The truth build, the solver and the fidelity
+    are looked up in ``harness``, so a test's patch there reaches both
+    paths."""
     truth = harness.build_truth(config.truth)
     proto = process_protocol(config.protocol, config.truth.lam0_um)
     solver = harness._solver_config(config)
+    indices = range(config.replications)
     out = []
     for i, seed in zip(indices, harness.derive_seeds(config.seed, indices)):
         record: dict = {"index": i, "seed": seed}

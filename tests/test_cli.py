@@ -237,7 +237,7 @@ class TestMcCommand:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
     def test_replications_csv(self, tmp_path):
-        # rows come back from two worker processes and are written in index order
+        # rows are written in index order; --threads 2 is accepted and changes nothing
         cfg = write_config(tmp_path / "mc.json", self.CONFIG)
         args = ["mc", "--config", cfg, "--seed", "9", "--out", str(tmp_path), "--threads", "2"]
         assert main(args) == 0
@@ -277,20 +277,30 @@ class TestMcCommand:
     def test_replications_csv_of_raised_and_capped_solves(self, tmp_path, monkeypatch):
         import chitomo.harness as harness
 
-        real = harness.solve_likelihood
-        calls = []
+        real = harness.solve_likelihood_batch
+        bad = []
 
-        def raise_on_second(rows, config):
-            calls.append(config)
-            if len(calls) == 2:
-                raise ValueError("solver failed")
-            return real(rows, config)
+        def raise_on_second(datasets, config):
+            # the solver rejects the second replication's data, which lane 1
+            # of the campaign's batch holds: the batch raises naming the
+            # lane, and that data's lone solve raises as well
+            if not bad:
+                bad.append(datasets[1].counts)
+            for b, data in enumerate(datasets):
+                if np.array_equal(data.counts, bad[0]):
+                    raise ValueError(("" if len(datasets) == 1 else f"lane {b}: ") + "solver failed")
+            return real(datasets, config)
 
-        monkeypatch.setattr(harness, "solve_likelihood", raise_on_second)
+        monkeypatch.setattr(harness, "solve_likelihood_batch", raise_on_second)
+        monkeypatch.setattr(
+            harness, "solve_likelihood", lambda data, config: raise_on_second([data], config)[0]
+        )
         cfg = write_config(tmp_path / "mc.json", {**self.CONFIG, "max_iterations": 2})
         assert main(["mc", "--config", cfg, "--seed", "9", "--out", str(tmp_path)]) == 1
         lines = (tmp_path / "replications.csv").read_text().strip().splitlines()
         assert lines[2] == f"1,{derive_seed(9, 1)},nan,,,,,,"
+        result = json.loads((tmp_path / "result.json").read_text())
+        assert result["failure_reasons"]["1"] == "ValueError: solver failed"  # the lone solve's text
         index, _, fid, iterations, stop_reason, _, scoring, fixed, _ = lines[1].split(",")
         assert (iterations, stop_reason) == ("2", "iteration_cap")
         assert 0.0 <= float(fid) <= 1.0
@@ -601,7 +611,7 @@ class TestErrorPaths:
         monkeypatch.setitem(
             COMMANDS,
             command,
-            (config_class, lambda config, out, threads: seen.append(config) or 0),
+            (config_class, lambda config, out: seen.append(config) or 0),
         )
         required = {"data_path": "data.json", "chi_path": "chi.json"}
         names = {f.name for f in fields(config_class)}

@@ -34,6 +34,7 @@ from process_oracles import (
     bootstrap_ratio_lower_bound,
     component_sums_per_subset,
     generate_counts_per_set,
+    plate_choi_state_per_knot,
     replications_one_by_one,
     su2_from_retarder,
 )
@@ -96,6 +97,11 @@ class TestSeedsAndTruth:
         assert w[0] == pytest.approx(1.0, abs=1e-12)
         assert rho.trace().real == pytest.approx(1.0, abs=1e-12)
 
+    def test_rank_truncated_truth_equals_per_knot_oracle(self):
+        spec = TruthSpec(rank=1, knots=201)
+        want = harness._truncate_rank(plate_choi_state_per_knot(spec.plate(), spec.profile()), 1)
+        assert build_truth(spec).tobytes() == want.tobytes()
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="truth kind"):
             build_truth(TruthSpec(kind="mystery"))
@@ -134,34 +140,6 @@ class TestMcCampaign:
         assert np.array_equal(a.fidelities, b.fidelities)
         assert a.mean_loss == b.mean_loss
 
-    def test_threads_do_not_change_results(self):
-        config = CampaignConfig.from_dict({**QUICK, "seed": 13})
-        serial = run_mc_campaign(config, threads=1)
-        parallel = run_mc_campaign(config, threads=2)
-        assert np.array_equal(serial.fidelities, parallel.fidelities)
-
-    def test_pool_sized_to_its_chunks(self, monkeypatch):
-        sizes = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
-        config = CampaignConfig.from_dict({**QUICK, "replications": 3, "seed": 13})
-        pooled = run_mc_campaign(config, threads=8)
-        assert sizes == [3]
-        assert np.array_equal(pooled.fidelities, run_mc_campaign(config).fidelities)
-
     def test_failure_reasons_kept(self):
         config = CampaignConfig.from_dict(
             {**QUICK, "replications": 2, "seed": 5, "max_iterations": 2}
@@ -188,10 +166,10 @@ class TestMcCampaign:
             CampaignConfig(n_events=0)
 
 
-# the campaigns whose every output the per-chunk path must reproduce: the
+# the campaigns whose every output the batched path must reproduce: the
 # first 40 replications of the acceptance cell (rank 2, n=1e3) and of the
 # rank-4 campaign, the J4 and B4 protocols, identity and rank-1 truths, and
-# solves capped at 2 iterations; the quick ones with one and two workers
+# solves capped at 2 iterations
 ORACLE_CAMPAIGNS = {
     "acceptance-cell": {"seed": 17260451438471865157, "n_events": 1000, "replications": 40},
     "rank-4": {"seed": 987654321, "reconstruction_rank": 4, "replications": 40},
@@ -222,26 +200,25 @@ def assert_same_bits(result: CampaignResult, oracle: CampaignResult) -> None:
 
 
 class TestReplicationsPerChunk:
-    """A chunk synthesizes its count sets, builds its auxiliary rows and
-    scores its estimates once; every output bit stays that of one
-    replication at a time."""
+    """A campaign synthesizes its count sets, builds its auxiliary rows,
+    solves and scores once, as one batch; every output bit stays that of
+    one replication at a time."""
 
     @pytest.mark.parametrize("name", sorted(ORACLE_CAMPAIGNS))
     def test_equals_one_by_one(self, monkeypatch, name):
         config = CampaignConfig.from_dict(ORACLE_CAMPAIGNS[name])
-        oracle = one_by_one(config, monkeypatch)
-        # two workers only move the chunk boundary, which the quick
-        # campaigns already cover; the 40-replication cells run one worker
-        for threads in (1,) if name in ("acceptance-cell", "rank-4") else (1, 2):
-            result = run_mc_campaign(config, threads=threads)
-            assert_same_bits(result, oracle)
-            if name == "capped":
-                assert result.failures == list(range(config.replications))
+        result = run_mc_campaign(config)
+        assert_same_bits(result, one_by_one(config, monkeypatch))
+        if name == "capped":
+            assert result.failures == list(range(config.replications))
 
     def test_one_synthesis_and_one_scoring_per_chunk(self, monkeypatch):
-        calls = {"batch": [], "aux": 0, "fidelity": []}
-        batch, aux, score = (
-            harness.generate_counts_batch, harness.auxiliary_rows, harness.fidelity
+        calls = {"batch": [], "aux": 0, "solve": [], "fidelity": []}
+        batch, aux, solve, score = (
+            harness.generate_counts_batch,
+            harness.auxiliary_rows,
+            harness.solve_likelihood_batch,
+            harness.fidelity,
         )
 
         def counting_batch(rows, truths, n_total, seeds):
@@ -252,20 +229,33 @@ class TestReplicationsPerChunk:
             calls["aux"] += 1
             return aux(*args)
 
+        def counting_solve(datasets, config):
+            calls["solve"].append(len(datasets))
+            return solve(datasets, config)
+
         def counting_fidelity(rho0, rho):
             calls["fidelity"].append(np.shape(rho))
             return score(rho0, rho)
 
         monkeypatch.setattr(harness, "generate_counts_batch", counting_batch)
         monkeypatch.setattr(harness, "auxiliary_rows", counting_aux)
+        monkeypatch.setattr(harness, "solve_likelihood_batch", counting_solve)
         monkeypatch.setattr(harness, "fidelity", counting_fidelity)
         config = CampaignConfig.from_dict({**QUICK, "seed": 8})
         run_mc_campaign(config)
         assert calls == {
             "batch": [(2, derive_seeds(8, range(6)))],
             "aux": 1,
+            "solve": [6],
             "fidelity": [(6, 4, 4)],
         }
+        # a scaling study runs one campaign, and so one batch, per cell
+        calls["solve"].clear()
+        study = ScalingConfig.from_dict(
+            {**QUICK, "replications": 3, "n_list": [1000, 2000, 4000], "ranks": [2, 1]}
+        )
+        run_scaling_study(study)
+        assert calls["solve"] == [3] * 6
 
     def test_non_finite_truth_fails_every_replication_alike(self, monkeypatch):
         monkeypatch.setattr(harness, "build_truth", lambda spec: np.full((4, 4), np.nan, complex))
@@ -279,16 +269,21 @@ class TestReplicationsPerChunk:
     def test_unscorable_estimate_fails_alone(self, monkeypatch):
         config = CampaignConfig.from_dict({**QUICK, "seed": 10})
         clean = run_mc_campaign(config)
-        solve, calls = harness.solve_likelihood, []
+        solve, calls = harness.solve_likelihood_batch, []
 
-        def nan_third_estimate(data, solver):
-            res = solve(data, solver)
-            calls.append(res)
-            if len(calls) % 6 == 3:  # replication 2, on either path
-                res = dataclasses.replace(res, estimate=np.full((4, 4), np.nan, complex))
-            return res
+        def nan_third_estimate(datasets, solver):
+            results = solve(datasets, solver)
+            for b, res in enumerate(results):
+                calls.append(res)
+                if len(calls) % 6 == 3:  # replication 2, on either path
+                    results[b] = dataclasses.replace(res, estimate=np.full((4, 4), np.nan, complex))
+            return results
 
-        monkeypatch.setattr(harness, "solve_likelihood", nan_third_estimate)
+        monkeypatch.setattr(harness, "solve_likelihood_batch", nan_third_estimate)
+        # the one-by-one oracle solves each replication as a batch of one
+        monkeypatch.setattr(
+            harness, "solve_likelihood", lambda data, solver: nan_third_estimate([data], solver)[0]
+        )
         result = run_mc_campaign(config)
         assert result.failure_reasons == {2: "ValueError: matrix contains non-finite entries"}
         assert math.isnan(result.fidelities[2])
@@ -297,6 +292,44 @@ class TestReplicationsPerChunk:
         assert result.replications[2]["iterations"] is None
         assert result.replications[3] == clean.replications[3]
         assert_same_bits(result, one_by_one(config, monkeypatch))
+
+    def test_raising_batch_falls_back_to_lone_solves(self, monkeypatch):
+        # replication 3's count set has no counts: the batch raises naming
+        # its lane, each replication is then solved alone, and only
+        # replication 3 fails, with the text of its own solve
+        config = CampaignConfig.from_dict({**QUICK, "seed": 12})
+        aux, synthesize = harness.auxiliary_rows, harness.generate_counts_batch
+
+        def no_auxiliary_counts(*args):
+            rows = aux(*args)
+            return dataclasses.replace(rows, counts=np.zeros_like(rows.counts))
+
+        def no_counts_in_set_3(rows, truth, n_total, seeds):
+            sets = synthesize(rows, truth, n_total, seeds)
+            sets[3] = dataclasses.replace(sets[3], counts=np.zeros_like(sets[3].counts))
+            return sets
+
+        monkeypatch.setattr(harness, "auxiliary_rows", no_auxiliary_counts)
+        clean = run_mc_campaign(config)
+        assert not clean.failures
+        batch_errors = []
+
+        def recording_batch(datasets, solver):
+            try:
+                return ml_engine.solve_likelihood_batch(datasets, solver)
+            except ValueError as exc:
+                batch_errors.append(str(exc))
+                raise
+
+        monkeypatch.setattr(harness, "generate_counts_batch", no_counts_in_set_3)
+        monkeypatch.setattr(harness, "solve_likelihood_batch", recording_batch)
+        result = run_mc_campaign(config)
+        assert batch_errors == ["lane 3: no observed counts"]
+        assert result.failure_reasons == {3: "ValueError: no observed counts"}
+        assert result.replications[3]["iterations"] is None
+        others = [0, 1, 2, 4, 5]
+        assert result.fidelities[others].tobytes() == clean.fidelities[others].tobytes()
+        assert [result.replications[i] for i in others] == [clean.replications[i] for i in others]
 
 
 class TestScalingStudy:

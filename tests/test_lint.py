@@ -1,7 +1,8 @@
 """Static checks of the package source, with the standard library's ``ast``
-(no linter is needed): no module-level import goes unused, and every name
-in a module's ``__all__`` or imported by ``chitomo/__init__.py`` is bound at
-the top level of the module it names."""
+(no linter is needed): no module-level import goes unused, every private
+module-level function or class is referenced somewhere in the package, and
+every name in a module's ``__all__`` or imported by ``chitomo/__init__.py``
+is bound at the top level of the module it names."""
 
 import ast
 from pathlib import Path
@@ -59,6 +60,31 @@ def test_no_unused_module_imports(module):
     unused = [f"{name} (line {line})" for name, line in imported_names(tree).items()
               if name not in used]
     assert not unused, f"{module}.py imports but never uses: {', '.join(unused)}"
+
+
+def test_no_unreferenced_private_definitions():
+    # a private function or class that no module of the package names (as a
+    # name, an attribute or an import) is dead code
+    trees = {module: parse(module) for module in MODULES}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    unreferenced = [
+        f"{module}.{node.name} (line {node.lineno})"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in referenced
+    ]
+    assert not unreferenced, f"private definitions never referenced: {', '.join(unreferenced)}"
 
 
 @pytest.mark.parametrize("module", MODULES)

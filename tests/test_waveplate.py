@@ -25,7 +25,11 @@ from chitomo.waveplate import (
     retarder_unitary,
     sinc2_profile,
 )
-from process_oracles import component_sums_per_subset, su2_from_retarder
+from process_oracles import (
+    component_sums_per_subset,
+    plate_choi_state_per_knot,
+    su2_from_retarder,
+)
 from conftest import REF_PLATE_CHOI, REF_PLATE_EIGENVALUES, SIGMA_X
 
 
@@ -203,6 +207,30 @@ class TestPlateChoiState:
         spec = WaveplateSpec(5024.0, np.pi / 4)
         finer = plate_choi_state(spec, sinc2_profile(1.1509, 0.008, 1601))
         assert np.max(np.abs(finer - plate_truth)) < 1e-4
+
+    @pytest.mark.parametrize(
+        "thickness_um, alpha, lam0, fwhm, knots, span",
+        [
+            (5024.0, np.pi / 4, 1.1509, 0.008, 801, 40.0),
+            (312.7, 1.0, 0.8, 0.008, 401, 20.0),  # thin: every knot still at its own wavelength
+            (25400.0, 0.3, 1.55, 0.02, 201, 10.0),
+            (0.0, 0.2, 1.0, 0.01, 3, 1.0),
+        ],
+    )
+    def test_equals_per_knot_oracle(self, thickness_um, alpha, lam0, fwhm, knots, span):
+        spec = WaveplateSpec(thickness_um, alpha)
+        profile = sinc2_profile(lam0, fwhm, knots, span)
+        got, want = plate_choi_state(spec, profile), plate_choi_state_per_knot(spec, profile)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_first_out_of_window_knot_named(self):
+        spec = WaveplateSpec(5024.0, 0.4)
+        profile = SpectralProfile(np.array([0.1, 0.15, 1.0, 3.5]), np.full(4, 0.25))
+        with pytest.raises(ValueError) as oracle:
+            plate_choi_state_per_knot(spec, profile)
+        with pytest.raises(ValueError, match=r"^wavelength 0\.1 um outside") as got:
+            plate_choi_state(spec, profile)
+        assert str(got.value) == str(oracle.value)
 
     def test_subspace_amplitudes(self):
         # Every knot's vector decomposes as cos(d)|phi1> - i sin(d)|phi2>
