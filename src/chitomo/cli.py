@@ -52,12 +52,12 @@ from .protocols import (
     Config,
     Measurements,
     ProcessProtocolName,
-    auxiliary_rows,
     check_synthesis,
-    generate_counts,
+    process_datasets,
     process_protocol,
 )
 from .quantum_core import fidelity, hermitian_eig
+from .waveplate import plate_choi_state
 
 
 @dataclass(frozen=True)
@@ -216,6 +216,20 @@ def _input_matrix(value: object, source: str, name: str) -> np.ndarray:
         raise ValueError(f"{source}: {name} is not a matrix of [re, im] pairs ({exc})") from None
 
 
+def _input_truth(value: object, source: str, shape: tuple[int, int]) -> np.ndarray:
+    # a data.json's truth_choi: finite, of the data's shape and PSD by the
+    # rule of fidelity
+    truth = _input_matrix(value, source, "truth_choi")
+    if truth.shape != shape:
+        raise ValueError(f"{source}: truth_choi has shape {truth.shape}, the data's {shape}")
+    if not np.isfinite(truth).all():
+        raise ValueError(f"{source}: truth_choi has non-finite entries")
+    w_min = np.linalg.eigvalsh(0.5 * (truth + truth.conj().T))[0]
+    if w_min < -1e-10:
+        raise ValueError(f"{source}: truth_choi is not PSD: min eigenvalue {w_min:.3e}")
+    return truth
+
+
 def _write_chi(path: Path, matrix: np.ndarray, normalization: str) -> None:
     write_json(
         path,
@@ -228,7 +242,7 @@ def _write_chi(path: Path, matrix: np.ndarray, normalization: str) -> None:
 
 
 def cmd_plate_chi(config: PlateSpec, out_dir: Path) -> int:
-    choi = build_truth(TruthSpec(**config.to_dict()))
+    choi = plate_choi_state(config.plate(), config.profile)
     w, _ = hermitian_eig(choi)
     _write_chi(out_dir / "chi.json", choi, "choi")
     print("choi eigenvalues:", " ".join(f"{x:.6f}" for x in w))
@@ -299,8 +313,7 @@ def cmd_gen_data(config: GenDataConfig, out_dir: Path) -> int:
     truth = build_truth(config.truth)
     weight = config.auxiliary_weight
     proto = process_protocol(config.protocol, config.truth.lam0_um)
-    data = generate_counts(proto.rows, truth, config.n_events, config.seed)
-    data = data + auxiliary_rows(proto.input_states, sum(data.exposures), weight)
+    (data,) = process_datasets(proto, truth, config.n_events, [config.seed], weight)
     write_json(
         out_dir / "data.json",
         {
@@ -322,7 +335,7 @@ def cmd_reconstruct(config: ReconstructConfig, out_dir: Path) -> int:
     data = _rows_from_json(_input_field(payload, "rows", source), source)
     truth = None
     if "truth_choi" in payload:
-        truth = _input_matrix(payload["truth_choi"], source, "truth_choi")
+        truth = _input_truth(payload["truth_choi"], source, data.operators.shape[1:])
     res = solve_likelihood(data, config)
     _write_chi(out_dir / "estimate.json", res.estimate, "choi")
     summary = {

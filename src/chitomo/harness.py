@@ -43,10 +43,10 @@ from .protocols import (
     Config,
     Measurements,
     ProcessProtocolName,
-    auxiliary_rows,
     bn_state_protocol,
     check_synthesis,
     generate_counts_batch,
+    process_datasets,
     process_protocol,
 )
 from .quantum_core import fidelity, hermitian_eig, von_neumann_entropy
@@ -62,6 +62,7 @@ from .waveplate import (
     plate_choi_state,
     plate_count_states,
     sinc2_profile,
+    sinc2_weights,
 )
 
 __all__ = [
@@ -115,12 +116,14 @@ class PlateSpec(Config):
         super().__post_init__()
         # the checks that build_truth's plate, profile and knots would fail
         self.plate()
-        check_quartz_window(self.profile().wavelengths)
+        check_quartz_window(self.profile.wavelengths)
 
     def plate(self) -> WaveplateSpec:
         return WaveplateSpec(self.thickness_um, np.deg2rad(self.alpha_deg))
 
+    @functools.cached_property
     def profile(self) -> SpectralProfile:
+        """The sinc^2 spectrum, built once per spec, when it is checked."""
         return sinc2_profile(self.lam0_um, self.fwhm_um, self.knots, self.span)
 
 
@@ -292,7 +295,7 @@ def build_truth(spec: TruthSpec) -> np.ndarray:
         phi = np.zeros(4, dtype=complex)
         phi[0] = phi[3] = 1.0 / np.sqrt(2)
         return np.outer(phi, phi.conj())
-    choi = plate_choi_state(spec.plate(), spec.profile())
+    choi = plate_choi_state(spec.plate(), spec.profile)
     if spec.rank is not None:
         choi = _truncate_rank(choi, spec.rank)
     return choi
@@ -311,60 +314,20 @@ def _error_text(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _run_replications(config: CampaignConfig) -> list[dict]:
-    truth = build_truth(config.truth)
+def _solve_replications(config: CampaignConfig, truth: np.ndarray, seeds: list[int]) -> list:
+    # each replication's ReconstructionResult, or the error text of its
+    # synthesis or solve: a synthesis error is every replication's
     proto = process_protocol(config.protocol, config.truth.lam0_um)
     solver = _solver_config(config)
-    seeds = derive_seeds(config.seed, range(config.replications))
-    records = [{"seed": seed} for seed in seeds]
-    # failure is data, not a crash: a replication whose synthesis, solve or
-    # scoring raises records the error text
     try:
-        # one truth for every seed: the sets' exposures are equal, and so are
-        # their auxiliary rows
-        count_sets = generate_counts_batch(proto.rows, truth, config.n_events, seeds)
-        # sum() adds in row order; np.sum adds pairwise, which can move
-        # the last bit of t_aux and so of every output
-        total_t = sum(count_sets[0].exposures)
-        aux = auxiliary_rows(proto.input_states, total_t, config.auxiliary_weight)
-        rows = count_sets[0] + aux
-        datasets = [
-            replace(rows, counts=np.concatenate((data.counts, aux.counts))) for data in count_sets
-        ]
-    except Exception as exc:  # the same error for every replication
-        for record in records:
-            record["error"] = _error_text(exc)
-        return records
-    results = _each(
+        datasets = process_datasets(proto, truth, config.n_events, seeds, config.auxiliary_weight)
+    except Exception as exc:
+        return [_error_text(exc)] * len(seeds)
+    return _each(
         lambda lanes: solve_likelihood_batch(lanes, solver),
         lambda data: solve_likelihood(data, solver),
         datasets,
     )
-    solved = []
-    for record, res in zip(records, results):
-        if isinstance(res, str):
-            record["error"] = res
-        else:
-            solved.append((record, res))
-    scores = _each(
-        lambda estimates: fidelity(*np.broadcast_arrays(truth, np.stack(estimates))).tolist(),
-        lambda estimate: fidelity(truth, estimate),
-        [res.estimate for _, res in solved],
-    )
-    for (record, res), score in zip(solved, scores):
-        if isinstance(score, str):
-            record["error"] = score
-            continue
-        record["fidelity"] = score
-        record.update(_solve_status(res), residual=res.residual)
-        if not res.converged:
-            record["error"] = (
-                f"not converged: {res.stop_reason} after {res.iterations} "
-                f"iterations, residual {res.residual:.3e}"
-            )
-        if record is records[0]:
-            record.update(info_spectrum=res.info_spectrum.tolist(), nu=res.nu)
-    return records
 
 
 def _each(batch: Callable[[list], list], single: Callable, items: list) -> list:
@@ -407,24 +370,40 @@ def run_mc_campaign(config: CampaignConfig) -> CampaignResult:
     its own call.
     """
     n = config.replications
-    records = _run_replications(config)
+    truth = build_truth(config.truth)
+    seeds = derive_seeds(config.seed, range(n))
+    # failure is data, not a crash: a replication whose synthesis, solve or
+    # scoring raises records the error text
+    results = _solve_replications(config, truth, seeds)
+    errors = [res if isinstance(res, str) else None for res in results]
+    solved = [i for i, error in enumerate(errors) if error is None]
+    scores = _each(
+        lambda estimates: fidelity(*np.broadcast_arrays(truth, np.stack(estimates))).tolist(),
+        lambda estimate: fidelity(truth, estimate),
+        [results[i].estimate for i in solved],
+    )
     fidelities = np.full(n, np.nan)
-    failure_reasons = {}
-    info_spectrum = np.array([])
-    nu = None
-    for i, rec in enumerate(records):
-        if "error" in rec:
-            failure_reasons[i] = rec["error"]
-        if "fidelity" in rec:
-            fidelities[i] = rec["fidelity"]
-        if "info_spectrum" in rec:
-            info_spectrum = np.asarray(rec["info_spectrum"])
-            nu = rec["nu"]
+    replications = [{**dict.fromkeys(REPLICATION_FIELDS), "seed": seed} for seed in seeds]
+    info_spectrum, nu = np.array([]), None
+    for i, score in zip(solved, scores):
+        if isinstance(score, str):
+            errors[i] = score
+            continue
+        res = results[i]
+        fidelities[i] = score
+        replications[i].update(_solve_status(res), residual=res.residual)
+        if not res.converged:
+            errors[i] = (
+                f"not converged: {res.stop_reason} after {res.iterations} "
+                f"iterations, residual {res.residual:.3e}"
+            )
+        if i == 0:
+            info_spectrum, nu = res.info_spectrum, res.nu
+    failure_reasons = {i: error for i, error in enumerate(errors) if error is not None}
 
-    failures = sorted(failure_reasons)
-    ok = ~np.isnan(fidelities)
-    ok[failures] = False
-    losses = 1.0 - fidelities[ok]
+    failures = list(failure_reasons)
+    # a replication without a fidelity has failed
+    losses = 1.0 - np.delete(fidelities, failures)
     mean_loss = float(losses.mean()) if losses.size else math.nan
     if losses.size:
         lo, hi = float(losses.min()), float(losses.max())
@@ -457,7 +436,7 @@ def run_mc_campaign(config: CampaignConfig) -> CampaignResult:
             "chitomo_version": __version__,
             "numpy_version": np.__version__,
         },
-        replications=[{key: rec.get(key) for key in REPLICATION_FIELDS} for rec in records],
+        replications=replications,
     )
 
 
@@ -583,20 +562,6 @@ class MixedWorkflowConfig(Config):
         ).rows
 
 
-def _component_weights(config: MixedWorkflowConfig) -> np.ndarray:
-    # sinc**2 sample of the spectral shape at each component wavelength,
-    # normalized to 1 at the profile center.
-    from .waveplate import SINC_HALF_POWER
-
-    x = (
-        2.0
-        * SINC_HALF_POWER
-        * (np.asarray(config.component_lams_um) - config.lam0_um)
-        / config.fwhm_um
-    )
-    return np.sinc(x / np.pi) ** 2
-
-
 def run_mixed_state_workflow(config: MixedWorkflowConfig) -> dict:
     """Three-stage report: broadband truth + reconstruction, per-component
     reconstructions, and component-sum states for the configured subsets.
@@ -616,7 +581,8 @@ def run_mixed_state_workflow(config: MixedWorkflowConfig) -> dict:
     the report are sliced from those.
     """
     input_v = np.array([0.0, 1.0], dtype=complex)
-    weights = _component_weights(config)
+    # the spectral shape at each component wavelength, 1 at the centre
+    weights = sinc2_weights(np.asarray(config.component_lams_um), config.lam0_um, config.fwhm_um)
     plate_counts = (1, 2)
     n_plate_counts = len(plate_counts)
     n_components = len(config.component_lams_um)

@@ -45,6 +45,7 @@ __all__ = [
     "bn_state_protocol",
     "process_protocol",
     "auxiliary_rows",
+    "process_datasets",
     "generate_counts",
     "generate_counts_batch",
     "poisson_counts",
@@ -122,13 +123,6 @@ def _field_check(kind: object) -> _Check | None:
     return None
 
 
-@functools.cache
-def _field_checks(cls: type) -> list[tuple[str, _Check]]:
-    # each checked field's name and check, resolved once per class
-    checks = ((name, _field_check(kind)) for name, kind in _field_types(cls).items())
-    return [(name, check) for name, check in checks if check is not None]
-
-
 def _from_json(name: str, kind: object, value: object) -> object:
     if isinstance(kind, type) and issubclass(kind, Config):
         if not isinstance(value, dict):
@@ -150,8 +144,10 @@ class Config:
     """
 
     def __post_init__(self) -> None:
-        for name, check in _field_checks(type(self)):
-            check(name, getattr(self, name))
+        for name, kind in _field_types(type(self)).items():
+            check = _field_check(kind)
+            if check is not None:
+                check(name, getattr(self, name))
         if getattr(self, "seed", 0) < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
@@ -576,17 +572,33 @@ def generate_counts_batch(
     return [_with_counts(rows, e, k) for e, k in zip(exposures, counts)]
 
 
+def process_datasets(
+    proto: ProcessProtocol, truth: np.ndarray, n_total: int, seeds: Sequence[int], weight: float
+) -> list[Measurements]:
+    """The data set of a process protocol for each of one or more seeds: the
+    counts ``generate_counts_batch`` draws from one truth ``(d, d)``, then
+    the protocol's auxiliary rows of weight ``weight``, built once: every set
+    has the same exposures, so ``t_aux = weight * sum(exposures)`` is one
+    number, summed in row order (``np.sum`` adds pairwise, which can move the
+    last bit of every output).  The sets share every array of one checked
+    ``rows + aux`` but the counts."""
+    count_sets = generate_counts_batch(proto.rows, truth, n_total, seeds)
+    aux = auxiliary_rows(proto.input_states, sum(count_sets[0].exposures), weight)
+    rows = count_sets[0] + aux
+    return [
+        _with_counts(rows, rows.exposures, np.concatenate((data.counts, aux.counts)))
+        for data in count_sets
+    ]
+
+
 def _with_counts(rows: Measurements, exposures: np.ndarray, counts: np.ndarray) -> Measurements:
     # rows with drawn exposures and counts, skipping the checks of
     # construction, which they pass: the exposures are >= 0 and finite (an
     # infinite one gives an infinite mean, which the means check rejects
-    # first) and the counts are non-negative integers
+    # first, or they are those of checked rows) and the counts are
+    # non-negative integers
     data = object.__new__(Measurements)
-    for name, value in (
-        ("operators", rows.operators),
-        ("exposures", exposures),
-        ("counts", counts),
-        ("auxiliary", rows.auxiliary),
-    ):
-        object.__setattr__(data, name, value)
+    vars(data).update(
+        operators=rows.operators, exposures=exposures, counts=counts, auxiliary=rows.auxiliary
+    )
     return data

@@ -37,6 +37,7 @@ __all__ = [
     "retarder_unitary",
     "plate_unitary",
     "sinc2_profile",
+    "sinc2_weights",
     "plate_choi_state",
     "fit_su2_retarder",
     "birefringence_from_delta",
@@ -214,9 +215,16 @@ def sinc2_profile(
     if span <= 0 or fwhm_um <= 0:
         raise ValueError("span and fwhm must be positive")
     lam = lam0_um + np.linspace(-span * fwhm_um, span * fwhm_um, knots)
-    x = 2.0 * SINC_HALF_POWER * (lam - lam0_um) / fwhm_um
-    w = np.sinc(x / np.pi) ** 2  # np.sinc is sin(pi t)/(pi t)
+    w = sinc2_weights(lam, lam0_um, fwhm_um)
     return SpectralProfile(lam, w / w.sum())
+
+
+def sinc2_weights(lam_um: np.ndarray, lam0_um: float, fwhm_um: float) -> np.ndarray:
+    """The sinc(x)**2 spectral shape at wavelengths lam_um, with
+    x = 2a (lam - lam0) / fwhm and a = SINC_HALF_POWER: 1 at lam0, 1/2 at
+    lam0 +- fwhm/2."""
+    x = 2.0 * SINC_HALF_POWER * (lam_um - lam0_um) / fwhm_um
+    return np.sinc(x / np.pi) ** 2  # np.sinc is sin(pi t)/(pi t)
 
 
 def plate_choi_state(spec: WaveplateSpec, profile: SpectralProfile) -> np.ndarray:

@@ -337,36 +337,23 @@ def plate_choi_state_per_knot(spec: WaveplateSpec, profile: SpectralProfile) -> 
     return weighted.T @ psis.conj()
 
 
-def replications_one_by_one(config: harness.CampaignConfig) -> list[dict]:
-    """The records of ``harness._run_replications`` as it computed them
+def replications_one_by_one(
+    config: harness.CampaignConfig, truth: np.ndarray, seeds: Sequence[int]
+) -> list:
+    """The solves of ``harness._solve_replications`` as it computed them
     before the batched synthesis and solve: each replication generates its
-    own count set, builds its own auxiliary rows, has its own solve and
-    scores its own estimate.  The truth build, the solver and the fidelity
-    are looked up in ``harness``, so a test's patch there reaches both
-    paths."""
-    truth = harness.build_truth(config.truth)
+    own count set, builds its own auxiliary rows and has its own solve,
+    giving its result or its error text.  The solver is looked up in
+    ``harness``, so a test's patch there reaches both paths."""
     proto = process_protocol(config.protocol, config.truth.lam0_um)
     solver = harness._solver_config(config)
-    indices = range(config.replications)
     out = []
-    for i, seed in zip(indices, harness.derive_seeds(config.seed, indices)):
-        record: dict = {"index": i, "seed": seed}
+    for seed in seeds:
         try:
             data = generate_counts(proto.rows, truth, config.n_events, seed)
             total_t = sum(data.exposures)
             aux = auxiliary_rows(proto.input_states, total_t, config.auxiliary_weight)
-            res = harness.solve_likelihood(data + aux, solver)
-            record["fidelity"] = harness.fidelity(truth, res.estimate)
-            record.update(harness._solve_status(res), residual=res.residual)
-            if not res.converged:
-                record["error"] = (
-                    f"not converged: {res.stop_reason} after {res.iterations} "
-                    f"iterations, residual {res.residual:.3e}"
-                )
-            if i == 0:
-                record["info_spectrum"] = res.info_spectrum.tolist()
-                record["nu"] = res.nu
+            out.append(harness.solve_likelihood(data + aux, solver))
         except Exception as exc:
-            record["error"] = f"{type(exc).__name__}: {exc}"
-        out.append(record)
+            out.append(f"{type(exc).__name__}: {exc}")
     return out

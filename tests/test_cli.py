@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chitomo import cli
+from chitomo import cli, harness
 from chitomo.cli import COMMANDS, config_hash, main, matrix_from_json, matrix_to_json
 from chitomo.harness import CampaignConfig, ScalingConfig, TruthSpec, build_truth, derive_seed
 from chitomo.ml_engine import ReconstructionConfig, solve_likelihood
@@ -123,6 +123,19 @@ class TestPlateChi:
             tmp_path / "cfg.json", {"thickness_um": 312.7, "lam0_um": 1.0, "knots": 201}
         )
         assert main(["plate-chi", "--config", cfg, "--out", str(tmp_path)]) == 0
+
+    def test_profile_built_once_per_command(self, tmp_path, monkeypatch):
+        # the spec checks its spectrum and keeps it; the command and the
+        # truth build use the kept one
+        calls = []
+        build = harness.sinc2_profile
+        monkeypatch.setattr(harness, "sinc2_profile", lambda *a: calls.append(a) or build(*a))
+        plate = write_config(tmp_path / "plate.json", {"knots": 201})
+        gen = write_config(tmp_path / "gen.json", {"n_events": 2000, "truth": {"knots": 201}})
+        for command, cfg in (("plate-chi", plate), ("gen-data", gen)):
+            calls.clear()
+            assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+            assert len(calls) == 1, command
 
 
 class TestProtocolDump:
@@ -656,6 +669,17 @@ class TestErrorPaths:
 GOOD_ROW = {"operator": [[[1.0, 0.0]]], "exposure": 1.0, "count": 3, "is_auxiliary": False}
 
 
+def reconstructible_rows() -> list[dict]:
+    # the rows of a data.json that reconstructs: R4 counts of the identity
+    # channel and their auxiliary rows
+    proto = process_protocol("R4")
+    data = generate_counts(proto.rows, build_truth(TruthSpec(kind="identity")), 2000, 1)
+    return cli._rows_to_json(data + auxiliary_rows(proto.input_states, sum(data.exposures), 10.0))
+
+
+ROWS_4X4 = reconstructible_rows()
+
+
 class TestMalformedInputFiles:
     """An input file that is not the JSON object its command reads exits 2,
     naming the file and the field."""
@@ -674,6 +698,13 @@ class TestMalformedInputFiles:
             ({"rows": [{**GOOD_ROW, "exposure": "x"}]}, ": rows: could not convert string"),
             ({"rows": [GOOD_ROW], "truth_choi": [["a"]]},
              ": truth_choi is not a matrix of [re, im] pairs"),
+            # a truth that does not fit the data is rejected before the solve
+            ({"rows": ROWS_4X4, "truth_choi": matrix_to_json(np.eye(2) / 2)},
+             ": truth_choi has shape (2, 2), the data's (4, 4)"),
+            ({"rows": ROWS_4X4, "truth_choi": matrix_to_json(np.diag([-1.0, 1.0, 1.0, 0.0]))},
+             ": truth_choi is not PSD: min eigenvalue -1.000e+00"),
+            ({"rows": ROWS_4X4, "truth_choi": matrix_to_json(np.full((4, 4), np.nan))},
+             ": truth_choi has non-finite entries"),
         ],
     )
     def test_reconstruct(self, tmp_path, capsys, payload, message):
@@ -683,7 +714,16 @@ class TestMalformedInputFiles:
         out = tmp_path / "out"
         assert main(["reconstruct", "--config", cfg, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"error: data_path {data}{message}")
+        assert not (out / "estimate.json").exists()
         assert not (out / "result.json").exists()
+
+    def test_reconstructible_rows_reconstruct(self, tmp_path):
+        # the rows of the truth_choi cases above pass every check without a
+        # truth
+        data = tmp_path / "data.json"
+        data.write_text(json.dumps({"rows": ROWS_4X4}))
+        cfg = write_config(tmp_path / "r.json", {"data_path": str(data)})
+        assert main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
     @pytest.mark.parametrize(
         "payload, message",

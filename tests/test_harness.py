@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from chitomo import harness, ml_engine
+from chitomo import harness, ml_engine, protocols
 from chitomo.harness import (
     CampaignConfig,
     CampaignResult,
@@ -99,7 +99,7 @@ class TestSeedsAndTruth:
 
     def test_rank_truncated_truth_equals_per_knot_oracle(self):
         spec = TruthSpec(rank=1, knots=201)
-        want = harness._truncate_rank(plate_choi_state_per_knot(spec.plate(), spec.profile()), 1)
+        want = harness._truncate_rank(plate_choi_state_per_knot(spec.plate(), spec.profile), 1)
         assert build_truth(spec).tobytes() == want.tobytes()
 
     def test_unknown_kind(self):
@@ -182,10 +182,9 @@ ORACLE_CAMPAIGNS = {
 
 
 def one_by_one(config: CampaignConfig, monkeypatch) -> CampaignResult:
-    # the campaign with each replication synthesized, solved and scored on
-    # its own
+    # the campaign with each replication synthesized and solved on its own
     with monkeypatch.context() as patch:
-        patch.setattr(harness, "_run_replications", replications_one_by_one)
+        patch.setattr(harness, "_solve_replications", replications_one_by_one)
         return run_mc_campaign(config)
 
 
@@ -199,7 +198,7 @@ def assert_same_bits(result: CampaignResult, oracle: CampaignResult) -> None:
             assert repr(got) == repr(want), f.name  # repr is exact for floats
 
 
-class TestReplicationsPerChunk:
+class TestReplicationsAsOneBatch:
     """A campaign synthesizes its count sets, builds its auxiliary rows,
     solves and scores once, as one batch; every output bit stays that of
     one replication at a time."""
@@ -212,11 +211,11 @@ class TestReplicationsPerChunk:
         if name == "capped":
             assert result.failures == list(range(config.replications))
 
-    def test_one_synthesis_and_one_scoring_per_chunk(self, monkeypatch):
+    def test_one_synthesis_solve_and_scoring_per_campaign(self, monkeypatch):
         calls = {"batch": [], "aux": 0, "solve": [], "fidelity": []}
         batch, aux, solve, score = (
-            harness.generate_counts_batch,
-            harness.auxiliary_rows,
+            protocols.generate_counts_batch,
+            protocols.auxiliary_rows,
             harness.solve_likelihood_batch,
             harness.fidelity,
         )
@@ -237,8 +236,8 @@ class TestReplicationsPerChunk:
             calls["fidelity"].append(np.shape(rho))
             return score(rho0, rho)
 
-        monkeypatch.setattr(harness, "generate_counts_batch", counting_batch)
-        monkeypatch.setattr(harness, "auxiliary_rows", counting_aux)
+        monkeypatch.setattr(protocols, "generate_counts_batch", counting_batch)
+        monkeypatch.setattr(protocols, "auxiliary_rows", counting_aux)
         monkeypatch.setattr(harness, "solve_likelihood_batch", counting_solve)
         monkeypatch.setattr(harness, "fidelity", counting_fidelity)
         config = CampaignConfig.from_dict({**QUICK, "seed": 8})
@@ -298,7 +297,7 @@ class TestReplicationsPerChunk:
         # its lane, each replication is then solved alone, and only
         # replication 3 fails, with the text of its own solve
         config = CampaignConfig.from_dict({**QUICK, "seed": 12})
-        aux, synthesize = harness.auxiliary_rows, harness.generate_counts_batch
+        aux, synthesize = protocols.auxiliary_rows, protocols.generate_counts_batch
 
         def no_auxiliary_counts(*args):
             rows = aux(*args)
@@ -309,7 +308,7 @@ class TestReplicationsPerChunk:
             sets[3] = dataclasses.replace(sets[3], counts=np.zeros_like(sets[3].counts))
             return sets
 
-        monkeypatch.setattr(harness, "auxiliary_rows", no_auxiliary_counts)
+        monkeypatch.setattr(protocols, "auxiliary_rows", no_auxiliary_counts)
         clean = run_mc_campaign(config)
         assert not clean.failures
         batch_errors = []
@@ -321,7 +320,7 @@ class TestReplicationsPerChunk:
                 batch_errors.append(str(exc))
                 raise
 
-        monkeypatch.setattr(harness, "generate_counts_batch", no_counts_in_set_3)
+        monkeypatch.setattr(protocols, "generate_counts_batch", no_counts_in_set_3)
         monkeypatch.setattr(harness, "solve_likelihood_batch", recording_batch)
         result = run_mc_campaign(config)
         assert batch_errors == ["lane 3: no observed counts"]

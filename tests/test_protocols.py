@@ -365,6 +365,22 @@ class TestAuxiliaryRows:
             auxiliary_rows([h, h, h, h], 10.0, 1.0)
 
 
+class TestProcessDatasets:
+    @pytest.mark.parametrize("name", ["J4", "R4", "B4"])
+    def test_equal_one_set_at_a_time(self, name, plate_truth):
+        # each set is its own count set joined with auxiliary rows built
+        # from its own exposures, to the bit
+        proto = process_protocol(name)
+        seeds = [derive_seed(4, i) for i in range(5)]
+        sets = protocols.process_datasets(proto, plate_truth, 3000, seeds, 7.5)
+        for data, seed in zip(sets, seeds):
+            alone = generate_counts(proto.rows, plate_truth, 3000, seed)
+            alone = alone + auxiliary_rows(proto.input_states, sum(alone.exposures), 7.5)
+            for column in ("operators", "exposures", "counts", "auxiliary"):
+                assert getattr(data, column).tobytes() == getattr(alone, column).tobytes(), column
+        assert all(data.operators is sets[0].operators for data in sets)
+
+
 class CountingGenerator:
     """A generator that counts its ``random`` calls."""
 

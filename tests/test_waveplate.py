@@ -24,6 +24,7 @@ from chitomo.waveplate import (
     quartz_indices,
     retarder_unitary,
     sinc2_profile,
+    sinc2_weights,
 )
 from process_oracles import (
     component_sums_per_subset,
@@ -154,6 +155,13 @@ class TestSinc2Profile:
         assert rel[0] == pytest.approx(0.847, abs=0.01)
         assert rel[1] == pytest.approx(0.50, abs=0.005)
         assert rel[2] == pytest.approx(0.173, abs=0.01)
+
+    def test_profile_is_the_normalized_shape(self):
+        p = sinc2_profile(1.0, 0.008, knots=801, span=10)
+        shape = sinc2_weights(p.wavelengths, 1.0, 0.008)
+        assert shape[400] == 1.0
+        assert shape[np.argmin(np.abs(p.wavelengths - 1.004))] == pytest.approx(0.5, rel=0.01)
+        assert p.weights.tobytes() == (shape / shape.sum()).tobytes()
 
     def test_normalized_and_increasing(self):
         p = sinc2_profile(1.1509, 0.008)
