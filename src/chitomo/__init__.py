@@ -26,18 +26,15 @@ from .waveplate import (
     SpectralProfile,
     WaveplateSpec,
     broadband_mixed_state,
-    component_sum_state,
     optical_thickness,
     plate_choi_state,
     quartz_indices,
-    retarder_unitary,
     sinc2_profile,
 )
 from .protocols import (
     Measurements,
     auxiliary_rows,
     bn_state_protocol,
-    generate_counts,
     generate_counts_batch,
     j4_states,
     process_protocol,

@@ -8,11 +8,15 @@ an unknown key or a wrongly typed field exits 2), echoes the resolved config
 and its hash to stdout once the config has passed its checks, and writes
 machine-readable outputs into --out; ``mc``, ``scaling`` and
 ``mixed-workflow`` also write the hash into their reports.  JSON files are
-written by ``write_json``.  An input file that a config names
-(``data_path``, ``chi_path``) and that is not the JSON object the command
-reads exits 2, naming the file and the field.
+written by ``write_json``.  A ``--config`` file, or an input file that a
+config names (``data_path``, ``chi_path``), that is not the JSON object the
+command reads exits 2, naming the file (and the field); so does a
+``truth_choi`` or fit-retarder ``matrix`` that is not a finite, Hermitian,
+PSD matrix of positive trace.
 Identical config + seed gives byte-identical output files.  Every command
-runs in one process; ``--threads`` is still accepted (>= 1) and changes nothing.
+runs in one process; ``--threads`` is still accepted (>= 1) and changes
+nothing, because the benchmark runner (``perfbench/run.py``) passes
+``--threads 1`` to every command it runs.
 
 Exit codes: 0 full success, 2 bad config or input, 3 refused precondition
 (e.g. retarder fit on a mixed process).
@@ -166,9 +170,7 @@ def config_hash(config: dict) -> str:
 def _load_config(args: argparse.Namespace, config_class: type[Config]) -> Config:
     data: dict = {}
     if args.config:
-        data = json.loads(Path(args.config).read_text())
-        if not isinstance(data, dict):
-            raise ValueError("config file must hold a JSON object")
+        data = _read_input(args.config, f"--config {args.config}")
     if args.seed is not None:
         data["seed"] = args.seed
     if "seed" not in {f.name for f in fields(config_class)}:
@@ -216,17 +218,28 @@ def _input_matrix(value: object, source: str, name: str) -> np.ndarray:
         raise ValueError(f"{source}: {name} is not a matrix of [re, im] pairs ({exc})") from None
 
 
+def _check_choi(choi: np.ndarray, source: str, name: str) -> None:
+    # a square Choi matrix read from an input file must be finite, Hermitian
+    # within 1e-10, PSD by the rule of fidelity and of positive trace
+    if not np.isfinite(choi).all():
+        raise ValueError(f"{source}: {name} has non-finite entries")
+    defect = np.max(np.abs(choi - choi.conj().T))
+    if defect > 1e-10:
+        raise ValueError(f"{source}: {name} is not Hermitian: defect {defect:.3e}")
+    w_min = np.linalg.eigvalsh(0.5 * (choi + choi.conj().T))[0]
+    if w_min < -1e-10:
+        raise ValueError(f"{source}: {name} is not PSD: min eigenvalue {w_min:.3e}")
+    trace = choi.trace().real
+    if not trace > 0:
+        raise ValueError(f"{source}: {name} has trace {trace:.3e}, not a positive one")
+
+
 def _input_truth(value: object, source: str, shape: tuple[int, int]) -> np.ndarray:
-    # a data.json's truth_choi: finite, of the data's shape and PSD by the
-    # rule of fidelity
+    # a data.json's truth_choi, of the data's shape
     truth = _input_matrix(value, source, "truth_choi")
     if truth.shape != shape:
         raise ValueError(f"{source}: truth_choi has shape {truth.shape}, the data's {shape}")
-    if not np.isfinite(truth).all():
-        raise ValueError(f"{source}: truth_choi has non-finite entries")
-    w_min = np.linalg.eigvalsh(0.5 * (truth + truth.conj().T))[0]
-    if w_min < -1e-10:
-        raise ValueError(f"{source}: truth_choi is not PSD: min eigenvalue {w_min:.3e}")
+    _check_choi(truth, source, "truth_choi")
     return truth
 
 
@@ -253,13 +266,15 @@ def cmd_plate_chi(config: PlateSpec, out_dir: Path) -> int:
 
 def cmd_protocol_dump(config: ProtocolDumpConfig, out_dir: Path) -> int:
     proto = process_protocol(config.protocol, config.central_lam_um)
+    # a process protocol measures the projectors of its input states
+    states = [matrix_to_json(s.reshape(1, -1)) for s in proto.input_states]
     write_json(
         out_dir / "protocol.json",
         {
             "protocol": config.protocol,
             "central_lam_um": config.central_lam_um,
-            "input_states": [matrix_to_json(s.reshape(1, -1)) for s in proto.input_states],
-            "projectors": [matrix_to_json(s.reshape(1, -1)) for s in proto.projectors],
+            "input_states": states,
+            "projectors": states,
             "rows": [
                 {"operator": matrix_to_json(op), "exposure": float(t)}
                 for op, t in zip(proto.rows.operators, proto.rows.exposures)
@@ -434,6 +449,7 @@ def cmd_fit_retarder(config: FitRetarderConfig, out_dir: Path) -> int:
             f"chi_path {config.chi_path} holds a {dims} matrix; fit-retarder fits the "
             "4x4 Choi matrix of a one-qubit process"
         )
+    _check_choi(choi, source, "matrix")
     report = run_retarder_fit(
         choi,
         lam_um=config.lam_um,
@@ -491,7 +507,7 @@ def main(argv: list[str] | None = None) -> int:
     except EstimateTooMixedError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, TypeError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, TypeError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -73,7 +73,6 @@ __all__ = [
     "CampaignResult",
     "MixedWorkflowConfig",
     "EstimateTooMixedError",
-    "derive_seed",
     "derive_seeds",
     "build_truth",
     "run_mc_campaign",
@@ -229,15 +228,10 @@ def _words32(n: int) -> list[int]:
     return words
 
 
-def derive_seed(campaign_seed: int, index: int) -> int:
-    """Counter-based per-replication seed (documented derivation rule):
-    the first 64-bit word of ``SeedSequence(campaign_seed,
-    spawn_key=(index,)).generate_state``."""
-    return derive_seeds(campaign_seed, [index])[0]
-
-
 def derive_seeds(campaign_seed: int, keys: Sequence[int]) -> list[int]:
-    """``derive_seed(campaign_seed, key)`` for every key, in order.
+    """Counter-based per-replication seeds (documented derivation rule): for
+    every key, in order, the first 64-bit word of ``SeedSequence(
+    campaign_seed, spawn_key=(key,)).generate_state``.
 
     A spawned SeedSequence hashes the seed's words, padded with zeros to its
     pool of 4 words, into the pool, then mixes each spawn-key word into every
@@ -378,7 +372,7 @@ def run_mc_campaign(config: CampaignConfig) -> CampaignResult:
     errors = [res if isinstance(res, str) else None for res in results]
     solved = [i for i, error in enumerate(errors) if error is None]
     scores = _each(
-        lambda estimates: fidelity(*np.broadcast_arrays(truth, np.stack(estimates))).tolist(),
+        lambda estimates: fidelity(truth, np.stack(estimates)).tolist(),
         lambda estimate: fidelity(truth, estimate),
         [results[i].estimate for i in solved],
     )
@@ -559,7 +553,7 @@ class MixedWorkflowConfig(Config):
         built once per config, when the config is checked."""
         return bn_state_protocol(
             self.measurement_orientations, self.measurement_plate_um, self.lam0_um
-        ).rows
+        )
 
 
 def run_mixed_state_workflow(config: MixedWorkflowConfig) -> dict:
@@ -706,7 +700,7 @@ def run_retarder_fit(
     u_left, _, v_right = np.linalg.svd(dominant)
     unitary = u_left @ v_right
     unitary = unitary / np.sqrt(np.linalg.det(unitary))
-    # retarder_unitary matrices map to the (t, r) parameterization by
+    # plate_unitary matrices map to the (t, r) parameterization by
     # entrywise conjugation.
     g = SU2Retarder(complex(np.conj(unitary[0, 0])), complex(np.conj(unitary[0, 1])))
     delta, alpha, degenerate = fit_su2_retarder(g)

@@ -33,7 +33,6 @@ from .waveplate import WaveplateSpec, optical_thickness, plate_unitary
 __all__ = [
     "Measurements",
     "ProcessProtocol",
-    "StateProtocol",
     "IncompleteProtocolError",
     "check_synthesis",
     "j4_states",
@@ -41,14 +40,11 @@ __all__ = [
     "b4_states",
     "state_from_bloch",
     "bloch_vector",
-    "check_orientation_count",
     "bn_state_protocol",
     "process_protocol",
     "auxiliary_rows",
     "process_datasets",
-    "generate_counts",
     "generate_counts_batch",
-    "poisson_counts",
 ]
 
 # Central wavelength of the reference numerical experiments, micrometers.
@@ -92,6 +88,9 @@ def _check_optional_integer(name: str, value: object) -> None:
 def _check_number(name: str, value: object) -> None:
     if isinstance(value, bool) or not isinstance(value, _NUMBER):
         raise ValueError(f"{name} must be a number, got {value!r}")
+    # json reads NaN and +-Infinity; no field means them
+    if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 def _check_choice(choices: tuple, name: str, value: object) -> None:
@@ -137,9 +136,10 @@ class Config:
     """Base of the frozen config dataclasses.
 
     Construction checks every field against its annotation: an ``int`` (or
-    ``int | None``) field must hold an integer, a ``float`` field a number,
-    a ``Literal[...]`` field one of its values, element-wise in ``tuple[...]``
-    fields, and a ``seed`` must be >= 0; each error names the field.
+    ``int | None``) field must hold an integer, a ``float`` field a finite
+    number, a ``Literal[...]`` field one of its values, element-wise in
+    ``tuple[...]`` fields, and a ``seed`` must be >= 0; each error names the
+    field.
     ``from_dict`` builds a config from parsed JSON.
     """
 
@@ -217,15 +217,10 @@ class Measurements:
 
 @dataclass(frozen=True)
 class ProcessProtocol:
-    name: str
+    """The input states of a process protocol, which are also its measured
+    projectors, and its rows."""
+
     input_states: list[np.ndarray]
-    projectors: list[np.ndarray]
-    rows: Measurements
-
-
-@dataclass(frozen=True)
-class StateProtocol:
-    name: str
     rows: Measurements
 
 
@@ -294,26 +289,22 @@ def _affine_bloch_rank(states: Sequence[np.ndarray]) -> int:
     return int(np.linalg.matrix_rank(rows, tol=1e-8))
 
 
-def check_orientation_count(n_orientations: int) -> None:
-    """Raise IncompleteProtocolError when a BN protocol has too few
-    orientations to be tomographically complete."""
-    if n_orientations < 4:
-        raise IncompleteProtocolError(f"need at least 4 orientations, got {n_orientations}")
-
-
 def bn_state_protocol(
     n_orientations: int,
     plate_thickness_um: float = 312.7,
     lam_um: float = 1.0,
-) -> StateProtocol:
-    """State protocol from N orientations of one plate with step 180/N degrees.
+) -> Measurements:
+    """Rows of the state protocol from N orientations of one plate with step
+    180/N degrees.
 
     Row j projects onto the plate-rotated vertical polarizer,
     ``U(a_j)^+ |V><V| U(a_j)`` with a_j = j * 180/N degrees; exposures are
     uniform.  Degenerate plates (retardance a multiple of pi, which makes the
-    plate act as the identity up to phase) are rejected.
+    plate act as the identity up to phase) are rejected, as are fewer than 4
+    orientations.
     """
-    check_orientation_count(n_orientations)
+    if n_orientations < 4:
+        raise IncompleteProtocolError(f"need at least 4 orientations, got {n_orientations}")
     delta = optical_thickness(WaveplateSpec(plate_thickness_um, 0.0), lam_um)
     u = plate_unitary(delta, np.arange(n_orientations) * np.pi / n_orientations)
     ops = u.conj().swapaxes(1, 2) @ np.outer(_V, _V.conj()) @ u
@@ -325,9 +316,7 @@ def bn_state_protocol(
             f"B{n_orientations} with plate retardance {delta:.4f} rad is "
             "tomographically incomplete (plate acts as identity up to phase)"
         )
-    return StateProtocol(
-        name=f"B{n_orientations}", rows=Measurements(ops, np.ones(n_orientations))
-    )
+    return Measurements(ops, np.ones(n_orientations))
 
 
 def _kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -359,7 +348,7 @@ def process_protocol(
     projectors = c[:, :, None] * c.conj()[:, None, :]
     ops = _kron_stack(_input_operators(c)[:, None], projectors[None])
     rows = Measurements(ops.reshape(-1, *ops.shape[2:]), np.ones(len(c) ** 2))
-    return ProcessProtocol(name=name, input_states=states, projectors=states, rows=rows)
+    return ProcessProtocol(input_states=states, rows=rows)
 
 
 def auxiliary_rows(
@@ -379,25 +368,6 @@ def auxiliary_rows(
         np.full(m, round(t_aux / s)),
         np.ones(m, bool),
     )
-
-
-def poisson_counts(means: np.ndarray, rng: np.random.Generator) -> list[int]:
-    """Independent Poisson draws with the given means, in order.
-
-    Each draw consumes only ``rng.random()`` uniforms, in stream order: one
-    by inversion below mean 30, two per attempt of the transformed rejection
-    (Hormann 1993) from 30 up, none for a zero mean.  One loop draws every
-    count on Python floats, reading the uniforms by index from a list that
-    grows by one ``rng.random(n)`` block whenever the next draw needs more;
-    a block yields the same doubles as n scalar calls, so the draws equal
-    those of a draw-by-draw sampler, and the generator ends past the last
-    block, not at the last uniform used.  The rejection constants of every
-    mean from 30 up come from one array pass before the loop, whose IEEE
-    operations give the doubles of the scalar expressions.
-    """
-    means = np.asarray(means, dtype=float)
-    _check_means(means)
-    return _draw_counts(means.tolist(), rng, _block_sizes(means), _rejection_constants(means))
 
 
 def _check_means(means: np.ndarray) -> None:
@@ -442,8 +412,15 @@ def _draw_counts(
     block: int,
     rejection: _RejectionConstants,
 ) -> list[int]:
-    # the sampler of poisson_counts over checked means; each mean from 30 up
-    # takes the next constants from rejection.  i is the next uniform and
+    # independent Poisson draws with the checked means, in order.  Each
+    # draw consumes only rng.random() uniforms, in stream order: one by
+    # inversion below mean 30, two per attempt of the transformed rejection
+    # from 30 up, none for a zero mean.  The uniforms are read by index from
+    # a list that grows by one rng.random(block) whenever the next draw needs
+    # more; a block yields the same doubles as block scalar calls, so the
+    # draws equal those of a draw-by-draw sampler, and the generator ends
+    # past the last block, not at the last uniform used.  Each mean from 30
+    # up takes the next constants from rejection.  i is the next uniform and
     # end the list's length: the first block is fetched by the first draw
     # that needs a uniform, as every later one
     uniforms, i, end = [], 0, 0
@@ -493,33 +470,25 @@ def _draw_counts(
     return counts
 
 
-def generate_counts(
-    rows: Measurements, truth: np.ndarray, n_total: int, seed: int
-) -> Measurements:
-    """Fill observed counts for the non-auxiliary rows of a protocol.
-
-    Rates are ``tr(Lambda_j rho)`` against the trace-1 truth (state or Choi
-    state); uniform exposures are rescaled so the total expected count equals
-    n_total exactly, then each count is an independent Poisson draw from the
-    generator seeded with seed.  This is a batch of one of
-    :func:`generate_counts_batch`.
-    """
-    return generate_counts_batch(rows, truth, n_total, [seed])[0]
-
-
 def generate_counts_batch(
     rows: Measurements,
     truths: np.ndarray | Sequence[np.ndarray],
     n_total: int,
     seeds: Sequence[int],
 ) -> list[Measurements]:
-    """``generate_counts`` for several seeds over one protocol: count set s
-    is ``generate_counts(rows, truths[s], n_total, seeds[s])``, to the bit
-    (tested), and every set shares the operator array of ``rows``.
-    ``truths`` is a stack ``(S, d, d)`` with one seed per truth, or one truth
-    ``(d, d)`` for every seed, which is read as that truth broadcast to
-    ``(S, d, d)``: the same bits as the stack of S copies (tested), with the
-    errors of a single set.  ``n_total`` must be an integer >= 1.
+    """Observed counts for the non-auxiliary rows of a protocol, one count
+    set per seed.
+
+    Set s has the rates ``tr(Lambda_j rho)`` against the trace-1 truth
+    ``truths[s]`` (state or Choi state); the uniform exposures are rescaled
+    so that the total expected count equals n_total exactly, then each count
+    is an independent Poisson draw from the generator seeded with
+    ``seeds[s]``.  Each set is the set drawn alone to the bit (tested), and
+    every set shares the operator array of ``rows``.  ``truths`` is a stack
+    ``(S, d, d)`` with one seed per truth, or one truth ``(d, d)`` for every
+    seed, which is read as that truth broadcast to ``(S, d, d)``: the same
+    bits as the stack of S copies (tested), with the errors of a single set.
+    ``n_total`` must be an integer >= 1.
 
     All truths' rates come from one ``(m*d, d) @ (S, d, d)`` product, the
     operators stacked row-block by row-block, whose diagonal blocks are then
@@ -528,19 +497,20 @@ def generate_counts_batch(
     bit; an einsum would move the last bit of some.  Each truth's total
     expected rate is the dot product ``np.dot`` takes of its rates and the
     exposures (a plain ``rates @ exposures`` moves the last bit).  All
-    truths' means are checked at once, the first bad one raising the error
-    :func:`poisson_counts` raises for it; every truth's first block of
-    uniforms is sized, and the rejection constants of every truth's means
-    from 30 up are computed, in one pass each.  Each set then draws from its
-    own generator with the sampler loop of :func:`poisson_counts`, and the
-    counts of all sets fill one ``(S, m)`` array whose rows the sets hold.
+    truths' means are checked at once, the first bad one naming the error;
+    every truth's first block of uniforms is sized, and the rejection
+    constants of every truth's means from 30 up are computed, in one pass
+    each.  Each set then draws from its own generator with one sampler loop
+    on Python floats (inversion below mean 30, transformed rejection above),
+    and the counts of all sets fill one ``(S, m)`` array whose rows the sets
+    hold.
     """
     _check_integer("n_total", n_total)
     if n_total < 1:
         raise ValueError(f"n_total must be >= 1, got {n_total}")
     truths = np.asarray(truths, dtype=complex)
     if rows.auxiliary.any():
-        raise ValueError("generate_counts expects only non-auxiliary rows")
+        raise ValueError("generate_counts_batch expects only non-auxiliary rows")
     # an error names its set only when the sets have different truths
     named = truths.ndim == 3 and len(truths) > 1
     if truths.ndim == 2:

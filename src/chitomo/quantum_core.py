@@ -103,14 +103,21 @@ def fidelity(rho0: np.ndarray, rho: np.ndarray) -> float | np.ndarray:
 
     Negative round-off eigenvalues are clipped at zero; values may exceed the
     [0, 1] interval only by numerical slack (<= 1e-9), which is clipped too.
-    Stacks ``(..., d, d)`` of equal shape give the array of pairwise
-    fidelities, each bit-identical to the 2-D call on its pair; 2-D input
-    gives a float.  Every eigendecomposition and matrix product is one
-    LAPACK or BLAS call per matrix.
+    The reference ``rho0`` broadcasts against ``rho`` over the leading axes:
+    one reference ``(d, d)`` against a stack ``(..., d, d)``, whose PSD check
+    and square root then run once, or a stack of references, one per matrix.
+    Stacks give the array of fidelities of the broadcast shape, each
+    bit-identical to the 2-D call on its pair; two 2-D inputs give a float.
+    Every eigendecomposition and matrix product is one LAPACK or BLAS call
+    per matrix.
     """
     rho0 = _as_square_stack(rho0)
     rho = _as_square_stack(rho)
-    if rho0.shape != rho.shape:
+    try:
+        shape = np.broadcast_shapes(rho0.shape[:-2], rho.shape[:-2])
+    except ValueError:
+        shape = None
+    if shape is None or rho0.shape[-1] != rho.shape[-1]:
         raise ValueError(f"dimension mismatch: {rho0.shape} vs {rho.shape}")
     for name, r in (("rho0", rho0), ("rho", rho)):
         wmin = np.linalg.eigvalsh(0.5 * (r + r.conj().swapaxes(-1, -2)))[..., 0]
@@ -129,7 +136,7 @@ def fidelity(rho0: np.ndarray, rho: np.ndarray) -> float | np.ndarray:
         if f > 1.0 + 1e-9 or f < -1e-9:
             raise ValueError(f"fidelity {f!r} outside [0, 1] beyond numerical slack")
         values.append(min(max(f, 0.0), 1.0))
-    return values[0] if rho.ndim == 2 else np.reshape(values, rho.shape[:-2])
+    return values[0] if not shape else np.reshape(values, shape)
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float | np.ndarray:

@@ -34,7 +34,6 @@ __all__ = [
     "check_quartz_window",
     "optical_thickness",
     "axis_from_orientation",
-    "retarder_unitary",
     "plate_unitary",
     "sinc2_profile",
     "sinc2_weights",
@@ -42,9 +41,7 @@ __all__ = [
     "fit_su2_retarder",
     "birefringence_from_delta",
     "broadband_mixed_state",
-    "monochromatic_states",
     "plate_count_states",
-    "component_sum_state",
     "component_sum_states",
 ]
 
@@ -176,18 +173,12 @@ def axis_from_orientation(alpha_rad: float | np.ndarray) -> np.ndarray:
     return axis
 
 
-def retarder_unitary(delta: float, axis: np.ndarray) -> np.ndarray:
-    """SU(2) rotation ``I cos(delta) - i (sigma . n) sin(delta)``; unit axis."""
-    axis = np.asarray(axis, dtype=float)
-    if abs(np.linalg.norm(axis) - 1.0) > 1e-12:
-        raise ValueError(f"axis norm {np.linalg.norm(axis)!r} is not 1")
-    return _rotations(delta, axis)
-
-
-def _rotations(delta: float, axes: np.ndarray) -> np.ndarray:
-    # the rotation of retarder_unitary about one axis, or about each of a
-    # stack of axes (..., 3)
+def _rotations(delta: float | np.ndarray, axes: np.ndarray) -> np.ndarray:
+    # the SU(2) rotations ``I cos(delta) - i (sigma . n) sin(delta)``, delta
+    # (...) and unit axes n (..., 3) broadcast against each other: one angle
+    # about a stack of axes, or a stack of angles about one axis
     sigma_n = np.tensordot(axes, _SIGMA, axes=1)
+    delta = np.asarray(delta)[..., None, None]
     return np.cos(delta) * np.eye(2, dtype=complex) - 1j * np.sin(delta) * sigma_n
 
 
@@ -316,11 +307,7 @@ def _unitaries(spec: WaveplateSpec, lam_um: np.ndarray) -> np.ndarray:
     # quartz); the caller checks the window
     n_o, n_e = _sellmeier(lam_um * lam_um)
     delta = np.pi * (n_o - n_e) * spec.thickness_um / lam_um
-    sigma_n = np.tensordot(axis_from_orientation(spec.alpha_rad), _SIGMA, axes=1)
-    return (
-        np.cos(delta)[:, None, None] * np.eye(2, dtype=complex)
-        - 1j * np.sin(delta)[:, None, None] * sigma_n
-    )
+    return _rotations(delta, axis_from_orientation(spec.alpha_rad))
 
 
 def _spectral_average(psi: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -357,23 +344,6 @@ def broadband_mixed_state(
     return _spectral_average(psi, profile.weights)
 
 
-def monochromatic_states(
-    input_state: np.ndarray,
-    plates: list[WaveplateSpec],
-    wavelengths: np.ndarray,
-) -> np.ndarray:
-    """Pure output states ``|psi_k><psi_k|`` at each wavelength, ``(K, 2, 2)``.
-
-    State k is what :func:`broadband_mixed_state` returns, to the bit, for
-    the one-knot profile at ``wavelengths[k]``: a one-knot profile's central
-    knot is the knot itself, so a thin plate also acts with its unitary at
-    that wavelength.  An out-of-window wavelength raises the error of the
-    first such one-knot call.
-    """
-    lam = np.asarray(wavelengths, dtype=float)
-    return _projectors(_output_states(input_state, plates, lam, lam)[-1])
-
-
 def plate_count_states(
     input_state: np.ndarray,
     plates: list[WaveplateSpec],
@@ -383,8 +353,11 @@ def plate_count_states(
     """Broadband and monochromatic output states behind 1..P plates, from
     one pass over the P plates: ``broadband[n - 1]`` (P, 2, 2) is
     ``broadband_mixed_state(input_state, plates[:n], profile)`` and
-    ``monochromatic[n - 1]`` (P, K, 2, 2) is ``monochromatic_states(
-    input_state, plates[:n], wavelengths)``, each to the bit (tested).
+    ``monochromatic[n - 1]`` (P, K, 2, 2) holds the pure states
+    ``|psi_k><psi_k|`` behind the first n plates, state k being what
+    ``broadband_mixed_state`` gives for the one-knot profile at
+    ``wavelengths[k]`` (so a thin plate acts at that wavelength too), each
+    to the bit (tested).
 
     The states behind n plates are the input of plate n + 1, and equal
     plates share their unitaries, so a stack of P copies of one plate
@@ -409,29 +382,19 @@ def plate_count_states(
     return broadband, _projectors(np.stack([psi[n_knots:] for psi in states]))
 
 
-def component_sum_state(components: list[tuple[float, np.ndarray]]) -> np.ndarray:
-    """Weighted mixture of density matrices, renormalized to unit trace.
-
-    Weights must be nonnegative with at least one positive; they are divided
-    by their sum, so only relative weights matter.
-    """
-    weights = [w for w, _ in components]
-    states = [r for _, r in components]
-    return component_sum_states(states, weights, [range(len(components))])[0]
-
-
 def component_sum_states(
     states: np.ndarray, weights: np.ndarray, subsets: Sequence[Sequence[int]]
 ) -> np.ndarray:
-    """The :func:`component_sum_state` of every subset of ``states`` (C, d, d)
-    at once, (S, d, d): mixture s is ``sum_j weights[j] states[j]`` over the
-    0-based indices ``j`` of ``subsets[s]``, in subset order, divided by
-    the sum of those weights.
+    """Weighted mixtures of ``states`` (C, d, d), renormalized to unit
+    trace, for every subset at once, (S, d, d): mixture s is
+    ``sum_j weights[j] states[j]`` over the 0-based indices ``j`` of
+    ``subsets[s]``, in subset order, divided by the sum of those weights, so
+    only relative weights matter.
 
     Weights must be nonnegative, and each subset must hold a positive one.
     Every weighted term comes from one product, the subsets padded to the
     longest with a zero state, and each mixture sums its terms in subset
-    order, as the one-subset sum does; each total is the subset's own
+    order, as a one-subset sum does; each total is the subset's own
     ``np.sum``.  So every mixture is the one-subset result to the bit
     (tested).
     """

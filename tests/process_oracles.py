@@ -6,7 +6,12 @@ sampler, the per-row count rates, one count set, each subset's component
 sum, the process-protocol and auxiliary-row operators, a plate's Choi state
 and a campaign's Monte-Carlo replications as computed before their stacked
 forms, and the channel action, Choi state, outcome probabilities and rank of
-a process computed directly."""
+a process computed directly.
+
+Also the single-item forms of package functions that no command calls: one
+derived seed, the retarder unitary about one axis, the monochromatic states
+behind a plate stack, one component sum, the Poisson sampler over one list
+of means and one count set."""
 
 from __future__ import annotations
 
@@ -16,15 +21,9 @@ from typing import Sequence
 
 import numpy as np
 
-from chitomo import harness
+from chitomo import harness, protocols, waveplate
 from chitomo.ml_engine import expected_rates
-from chitomo.protocols import (
-    Measurements,
-    auxiliary_rows,
-    generate_counts,
-    poisson_counts,
-    process_protocol,
-)
+from chitomo.protocols import Measurements, auxiliary_rows, process_protocol
 from chitomo.quantum_core import _as_complex_matrix, hermitian_eig, vectorize
 from chitomo.waveplate import (
     SpectralProfile,
@@ -32,10 +31,15 @@ from chitomo.waveplate import (
     WaveplateSpec,
     axis_from_orientation,
     quartz_indices,
-    retarder_unitary,
 )
 
 __all__ = [
+    "derive_seed",
+    "retarder_unitary",
+    "monochromatic_states",
+    "component_sum_state",
+    "poisson_counts",
+    "generate_counts",
     "completeness_residual",
     "basis_orthonormality_check",
     "unitary_mix",
@@ -57,6 +61,78 @@ __all__ = [
     "effective_probability",
     "process_rank",
 ]
+
+
+_SIGMA = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
+
+
+def derive_seed(campaign_seed: int, index: int) -> int:
+    """Counter-based per-replication seed (documented derivation rule):
+    the first 64-bit word of ``SeedSequence(campaign_seed,
+    spawn_key=(index,)).generate_state``."""
+    return harness.derive_seeds(campaign_seed, [index])[0]
+
+
+def retarder_unitary(delta: float, axis: np.ndarray) -> np.ndarray:
+    """SU(2) rotation ``I cos(delta) - i (sigma . n) sin(delta)``; unit axis.
+    Its own expression, so that it checks the package's rotation builder."""
+    axis = np.asarray(axis, dtype=float)
+    if abs(np.linalg.norm(axis) - 1.0) > 1e-12:
+        raise ValueError(f"axis norm {np.linalg.norm(axis)!r} is not 1")
+    sigma_n = np.tensordot(axis, _SIGMA, axes=1)
+    return np.cos(delta) * np.eye(2, dtype=complex) - 1j * np.sin(delta) * sigma_n
+
+
+def monochromatic_states(
+    input_state: np.ndarray,
+    plates: list[WaveplateSpec],
+    wavelengths: np.ndarray,
+) -> np.ndarray:
+    """Pure output states ``|psi_k><psi_k|`` at each wavelength, ``(K, 2, 2)``.
+
+    State k is what ``broadband_mixed_state`` returns, to the bit, for the
+    one-knot profile at ``wavelengths[k]``: a one-knot profile's central
+    knot is the knot itself, so a thin plate also acts with its unitary at
+    that wavelength.  An out-of-window wavelength raises the error of the
+    first such one-knot call.
+    """
+    lam = np.asarray(wavelengths, dtype=float)
+    return waveplate._projectors(waveplate._output_states(input_state, plates, lam, lam)[-1])
+
+
+def component_sum_state(components: list[tuple[float, np.ndarray]]) -> np.ndarray:
+    """Weighted mixture of density matrices, renormalized to unit trace.
+
+    Weights must be nonnegative with at least one positive; they are divided
+    by their sum, so only relative weights matter.
+    """
+    weights = [w for w, _ in components]
+    states = [r for _, r in components]
+    return waveplate.component_sum_states(states, weights, [range(len(components))])[0]
+
+
+def poisson_counts(means: np.ndarray, rng: np.random.Generator) -> list[int]:
+    """Independent Poisson draws with the given means, in order, by the
+    sampler of ``protocols.generate_counts_batch``.
+
+    Each draw consumes only ``rng.random()`` uniforms, in stream order: one
+    by inversion below mean 30, two per attempt of the transformed rejection
+    (Hormann 1993) from 30 up, none for a zero mean.  The generator ends
+    past the last block of uniforms fetched, not at the last uniform used.
+    """
+    means = np.asarray(means, dtype=float)
+    protocols._check_means(means)
+    return protocols._draw_counts(
+        means.tolist(), rng, protocols._block_sizes(means), protocols._rejection_constants(means)
+    )
+
+
+def generate_counts(
+    rows: Measurements, truth: np.ndarray, n_total: int, seed: int
+) -> Measurements:
+    """Fill observed counts for the non-auxiliary rows of a protocol: a
+    batch of one of ``protocols.generate_counts_batch``."""
+    return protocols.generate_counts_batch(rows, truth, n_total, [seed])[0]
 
 
 def completeness_residual(kraus_ops: Sequence[np.ndarray]) -> float:
@@ -191,7 +267,7 @@ def sample_poisson(mu: float, rng: np.random.Generator) -> int:
 
 def per_row_rates(rows: Measurements, truth: np.ndarray) -> np.ndarray:
     """``tr(Lambda_j rho)`` row by row: the oracle of the rates in
-    ``protocols.generate_counts``."""
+    ``protocols.generate_counts_batch``."""
     return np.array([np.trace(op @ truth).real for op in rows.operators])
 
 
@@ -274,7 +350,7 @@ def process_rank(chi: np.ndarray, tol: float = 1e-10) -> int:
 def generate_counts_per_set(
     rows: Measurements, truth: np.ndarray, n_total: int, seed: int
 ) -> Measurements:
-    """One count set as ``protocols.generate_counts`` drew it before the
+    """One count set as ``generate_counts`` drew it before the
     batched synthesis: the rates from one ``(m*d, d) @ (d, d)`` product,
     the total from ``np.dot``, exposures scaled by a Python float, and the
     draws from the generator seeded with seed."""
@@ -291,7 +367,7 @@ def generate_counts_per_set(
 def component_sums_per_subset(
     states: np.ndarray, weights: np.ndarray, subsets: Sequence[Sequence[int]]
 ) -> np.ndarray:
-    """Each subset's mixture as ``waveplate.component_sum_state`` formed it
+    """Each subset's mixture as ``component_sum_state`` formed it
     before the stacked sums: a Python sum of the weighted states in subset
     order (0-based indices), divided by the ``np.sum`` of their weights."""
     mixtures = []

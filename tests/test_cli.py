@@ -1,9 +1,11 @@
 import enum
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -12,11 +14,12 @@ import pytest
 
 from chitomo import cli, harness
 from chitomo.cli import COMMANDS, config_hash, main, matrix_from_json, matrix_to_json
-from chitomo.harness import CampaignConfig, ScalingConfig, TruthSpec, build_truth, derive_seed
+from chitomo.harness import CampaignConfig, ScalingConfig, TruthSpec, build_truth
 from chitomo.ml_engine import ReconstructionConfig, solve_likelihood
-from chitomo.protocols import auxiliary_rows, generate_counts, process_protocol
+from chitomo.protocols import auxiliary_rows, process_protocol
 from chitomo.quantum_core import fidelity
 from conftest import REF_PLATE_CHOI
+from process_oracles import derive_seed, generate_counts
 
 
 MC_OUTPUTS = ("result.json", "fidelities.csv", "histogram.csv", "replications.csv")
@@ -467,6 +470,22 @@ class TestErrorPaths:
         cfg.write_text("[1, 2]")
         assert main(["plate-chi", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [("{not json", " is not JSON: Expecting property name"),
+         ("", " is not JSON: Expecting value"),
+         ("[1, 2]", " must hold a JSON object, got list")],
+    )
+    def test_config_errors_name_the_file(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main(["mc", "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: --config {cfg}{message}")
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_invalid_field_exits_2(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", {"replications": 0})
         assert main(["mc", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -588,6 +607,22 @@ class TestErrorPaths:
              "B36 with plate retardance 0.0000 rad is tomographically incomplete"),
             ("mixed-workflow", {"lam0_um": 2.9},
              "wavelength 3.0 um outside quartz dispersion window"),
+            # json reads NaN and +-Infinity into float fields; none means them
+            ("gen-data", {"auxiliary_weight": math.inf},
+             "auxiliary_weight must be a finite number, got inf"),
+            ("mc", {"auxiliary_weight": math.nan}, "auxiliary_weight must be a finite number, got nan"),
+            ("mc", {"auxiliary_weight": math.inf}, "auxiliary_weight must be a finite number, got inf"),
+            ("mc", {"convergence_tol": math.inf}, "convergence_tol must be a finite number, got inf"),
+            ("mc", {"convergence_tol": math.nan}, "convergence_tol must be a finite number, got nan"),
+            ("scaling", {"damping": -math.inf}, "damping must be a finite number, got -inf"),
+            ("reconstruct", {"data_path": "data.json", "convergence_tol": math.nan},
+             "convergence_tol must be a finite number, got nan"),
+            ("fit-retarder", {"chi_path": "chi.json", "min_dominant_share": math.nan},
+             "min_dominant_share must be a finite number, got nan"),
+            ("plate-chi", {"thickness_um": math.inf}, "thickness_um must be a finite number, got inf"),
+            ("gen-data", {"truth": {"alpha_deg": math.nan}}, "alpha_deg must be a finite number"),
+            ("mixed-workflow", {"component_lams_um": [1.0, math.nan], "subsets": [[1, 2]]},
+             "component_lams_um[1] must be a finite number, got nan"),
         ],
     )
     def test_mistyped_field_exits_2(self, tmp_path, capsys, command, config, message):
@@ -705,6 +740,10 @@ class TestMalformedInputFiles:
              ": truth_choi is not PSD: min eigenvalue -1.000e+00"),
             ({"rows": ROWS_4X4, "truth_choi": matrix_to_json(np.full((4, 4), np.nan))},
              ": truth_choi has non-finite entries"),
+            ({"rows": ROWS_4X4, "truth_choi": matrix_to_json(np.triu(np.ones((4, 4))) / 4)},
+             ": truth_choi is not Hermitian: defect 2.500e-01"),
+            ({"rows": ROWS_4X4, "truth_choi": matrix_to_json(np.zeros((4, 4)))},
+             ": truth_choi has trace 0.000e+00, not a positive one"),
         ],
     )
     def test_reconstruct(self, tmp_path, capsys, payload, message):
@@ -731,14 +770,26 @@ class TestMalformedInputFiles:
             ({"dim": 4, "normalization": "choi"}, " has no field 'matrix'"),
             ([[1.0, 0.0]], " must hold a JSON object, got list"),
             ({"matrix": [[1.0, 0.0]]}, ": matrix is not a matrix of [re, im] pairs"),
+            # the 4x4 matrix gets the checks of a truth_choi, before the fit
+            ({"matrix": matrix_to_json(np.zeros((4, 4)))},
+             ": matrix has trace 0.000e+00, not a positive one"),
+            ({"matrix": matrix_to_json(np.full((4, 4), np.nan))}, ": matrix has non-finite entries"),
+            ({"matrix": matrix_to_json(np.triu(np.ones((4, 4))) / 4)},
+             ": matrix is not Hermitian: defect 2.500e-01"),
+            ({"matrix": matrix_to_json(-np.eye(4) / 4)},
+             ": matrix is not PSD: min eigenvalue -2.500e-01"),
         ],
     )
     def test_fit_retarder(self, tmp_path, capsys, payload, message):
         chi = tmp_path / "chi.json"
         chi.write_text(json.dumps(payload))
         cfg = write_config(tmp_path / "f.json", {"chi_path": str(chi)})
-        assert main(["fit-retarder", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no warning on the way to the message
+            assert main(["fit-retarder", "--config", cfg, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"error: chi_path {chi}{message}")
+        assert not (out / "result.json").exists()
 
     def test_not_json(self, tmp_path, capsys):
         chi = tmp_path / "chi.json"
@@ -799,6 +850,23 @@ class TestRepeatedMain:
         for name in ("chi.json", "data.json", "estimate.json", "result.json"):
             in_process = (tmp_path / "in_process" / name).read_bytes()
             assert in_process == (tmp_path / "fresh" / name).read_bytes(), name
+
+
+def test_package_needs_only_numpy(tmp_path):
+    # a fresh interpreter imports the package and runs a command without
+    # loading the test-only dependencies
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        f"import sys\nsys.path.insert(0, {src!r})\n"
+        "import chitomo, chitomo.cli\n"
+        f"assert chitomo.cli.main(['plate-chi', '--out', {str(tmp_path)!r}]) == 0\n"
+        "print(sorted({n.split('.')[0] for n in sys.modules}"
+        " & {'mpmath', 'scipy', 'pytest', 'hypothesis'}))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "chi.json").exists()
 
 
 def _readme_schema_bullets() -> dict[str, str]:

@@ -14,7 +14,6 @@ from chitomo.harness import (
     ScalingConfig,
     TruthSpec,
     build_truth,
-    derive_seed,
     derive_seeds,
     run_mc_campaign,
     run_mixed_state_workflow,
@@ -25,7 +24,6 @@ from chitomo.quantum_core import fidelity, vectorize, von_neumann_entropy
 from chitomo.waveplate import (
     WaveplateSpec,
     broadband_mixed_state,
-    monochromatic_states,
     plate_choi_state,
     plate_unitary,
     sinc2_profile,
@@ -33,7 +31,9 @@ from chitomo.waveplate import (
 from process_oracles import (
     bootstrap_ratio_lower_bound,
     component_sums_per_subset,
+    derive_seed,
     generate_counts_per_set,
+    monochromatic_states,
     plate_choi_state_per_knot,
     replications_one_by_one,
     su2_from_retarder,

@@ -1,8 +1,9 @@
 """Static checks of the package source, with the standard library's ``ast``
 (no linter is needed): no module-level import goes unused, every private
-module-level function or class is referenced somewhere in the package, and
-every name in a module's ``__all__`` or imported by ``chitomo/__init__.py``
-is bound at the top level of the module it names."""
+module-level function or class is referenced somewhere in the package, every
+public module-level function is called by package code (or allowed below,
+with its reason), and every name in a module's ``__all__`` or imported by
+``chitomo/__init__.py`` is bound at the top level of the module it names."""
 
 import ast
 from pathlib import Path
@@ -85,6 +86,42 @@ def test_no_unreferenced_private_definitions():
         and node.name not in referenced
     ]
     assert not unreferenced, f"private definitions never referenced: {', '.join(unreferenced)}"
+
+
+# public functions that no package code calls, each kept for its reason;
+# every other one belongs in tests/process_oracles.py
+UNCALLED_PUBLIC_FUNCTIONS = {
+    "chi_change_basis": "the paper's Pauli <-> standard basis change of a chi-matrix",
+    "broadband_mixed_state": "the benchmark's set-up code imports it, and the tests use it "
+    "as the oracle of plate_count_states",
+    "log_likelihood": "the Poisson log-likelihood at any purified vector, beyond the one "
+    "a result reports",
+}
+
+
+def test_no_uncalled_public_functions():
+    # a public module-level function is uncalled when no package code reads
+    # its name as a variable outside its own definition; __all__ holds
+    # strings and chitomo/__init__ only imports, so neither counts
+    nodes = [node for module in MODULES if module != "__init__" for node in parse(module).body]
+    readers: dict[str, list] = {}
+    for node in nodes:
+        for name in {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}:
+            readers.setdefault(name, []).append(node)
+    uncalled = [
+        node.name
+        for node in nodes
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+        and all(reader is node for reader in readers.get(node.name, []))
+    ]
+    unexplained = [name for name in uncalled if name not in UNCALLED_PUBLIC_FUNCTIONS]
+    assert not unexplained, (
+        f"public functions no package code calls: {', '.join(unexplained)}; move them to "
+        "tests/process_oracles.py or give a reason in UNCALLED_PUBLIC_FUNCTIONS"
+    )
+    stale = sorted(set(UNCALLED_PUBLIC_FUNCTIONS) - set(uncalled))
+    assert not stale, f"UNCALLED_PUBLIC_FUNCTIONS names functions that are called or gone: {stale}"
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from chitomo import ml_engine
-from chitomo.harness import TruthSpec, build_truth, derive_seed
+from chitomo.harness import TruthSpec, build_truth
 from chitomo.ml_engine import (
     _SCORING_RESIDUAL,
     ReconstructionConfig,
@@ -23,11 +23,10 @@ from chitomo.protocols import (
     Measurements,
     auxiliary_rows,
     bn_state_protocol,
-    generate_counts,
     process_protocol,
 )
 from chitomo.quantum_core import fidelity
-from process_oracles import fisher_matrices
+from process_oracles import derive_seed, fisher_matrices, generate_counts
 from random_ops import random_density_matrix, random_unitary
 from chitomo.waveplate import WaveplateSpec, broadband_mixed_state, sinc2_profile
 
@@ -324,7 +323,7 @@ class TestInitialPoint:
         ids=["generic", "diagonal", "maximally-mixed"],
     )
     def test_noiseless_full_rank_state_starts_at_truth(self, rho):
-        rows, _ = noiseless_counts(bn_state_protocol(36, 312.7, 1.0).rows, rho, 10**5)
+        rows, _ = noiseless_counts(bn_state_protocol(36, 312.7, 1.0), rho, 10**5)
         c0 = initial_point(rows, 2)
         # the truth up to the seeded perturbation of 1e-3 per entry
         assert np.max(np.abs(c0 @ c0.conj().T - rho)) < 5e-3
@@ -651,7 +650,7 @@ class TestLazyLogLikelihood:
 
     def test_state_rows(self, monkeypatch):
         # the d=2 solves of mixed-workflow: B36 rows, counts up to ~1e4
-        rows = bn_state_protocol(36, 312.7, 1.0).rows
+        rows = bn_state_protocol(36, 312.7, 1.0)
         truths = [np.diag([0.7, 0.3]).astype(complex), np.eye(2) / 2]
         datasets = [generate_counts(rows, truth, 10**5, 3) for truth in truths]
         batch, eager = self.solve_recording_rates(monkeypatch, datasets, ReconstructionConfig(rank=2))
@@ -674,14 +673,13 @@ class TestLazyLogLikelihood:
 class TestReconstructState:
     def test_pure_v_noiseless(self):
         v = np.diag([0.0, 1.0]).astype(complex)
-        rows, _ = noiseless_counts(bn_state_protocol(36, 312.7, 1.0).rows, v, 10**5)
+        rows, _ = noiseless_counts(bn_state_protocol(36, 312.7, 1.0), v, 10**5)
         res = solve_likelihood(rows, ReconstructionConfig(rank=1))
         assert fidelity(res.estimate, v) >= 1 - 1e-8
 
     def test_maximally_mixed_poisson(self):
         truth = np.eye(2) / 2
-        proto = bn_state_protocol(36, 312.7, 1.0)
-        data = generate_counts(proto.rows, truth, 10**5, 14)
+        data = generate_counts(bn_state_protocol(36, 312.7, 1.0), truth, 10**5, 14)
         res = solve_likelihood(data, ReconstructionConfig(rank=2))
         assert fidelity(res.estimate, truth) >= 0.995
         assert res.nu is None and res.tp_residual is None
@@ -692,7 +690,7 @@ class TestReconstructState:
             np.array([0, 1], dtype=complex), [plate], sinc2_profile(1.0, 0.008)
         )
         lam_max = np.linalg.eigvalsh(truth).max()
-        rows, _ = noiseless_counts(bn_state_protocol(36, 312.7, 1.0).rows, truth, 10**6)
+        rows, _ = noiseless_counts(bn_state_protocol(36, 312.7, 1.0), truth, 10**6)
         res = solve_likelihood(rows, ReconstructionConfig(rank=1))
         f = fidelity(res.estimate, truth)
         # the top-eigenvector projector realizes the pure-state ceiling exactly

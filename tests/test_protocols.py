@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 
 from chitomo import protocols
 from chitomo.cli import COMMANDS
-from chitomo.harness import TruthSpec, derive_seed
+from chitomo.harness import TruthSpec
 from chitomo.ml_engine import ReconstructionConfig
 from chitomo.process_algebra import chi_from_kraus
 from chitomo.protocols import (
@@ -23,10 +23,8 @@ from chitomo.protocols import (
     bloch_vector,
     bn_state_protocol,
     check_synthesis,
-    generate_counts,
     generate_counts_batch,
     j4_states,
-    poisson_counts,
     process_protocol,
     r4_states,
     state_from_bloch,
@@ -34,10 +32,13 @@ from chitomo.protocols import (
 from chitomo.waveplate import WaveplateSpec, optical_thickness, plate_unitary
 from process_oracles import (
     auxiliary_operators_per_row,
+    derive_seed,
     direct_probability,
     effective_probability,
+    generate_counts,
     generate_counts_per_set,
     per_row_rates,
+    poisson_counts,
     process_operators_per_row,
     sample_poisson,
 )
@@ -217,23 +218,23 @@ class TestStateSets:
 
 class TestBnProtocol:
     def test_b36_shape(self):
-        proto = bn_state_protocol(36, 312.7, 1.0)
-        assert proto.name == "B36"
-        assert len(proto.rows.operators) == 36
-        for op in proto.rows.operators:
+        rows = bn_state_protocol(36, 312.7, 1.0)
+        assert isinstance(rows, Measurements)
+        assert len(rows.operators) == 36
+        for op in rows.operators:
             w = np.linalg.eigvalsh(op)
             assert op.trace().real == pytest.approx(1.0, abs=1e-12)
             assert w.min() > -1e-12
             assert np.sum(w > 1e-12) == 1  # rank 1
 
     def test_average_operator_and_completeness(self):
-        proto = bn_state_protocol(36, 312.7, 1.0)
-        avg = sum(proto.rows.operators) / 36
+        rows = bn_state_protocol(36, 312.7, 1.0)
+        avg = sum(rows.operators) / 36
         assert avg.trace().real == pytest.approx(1.0, abs=1e-12)
         stack = np.array(
             [
                 [op[0, 0].real, op[1, 1].real, op[0, 1].real, op[0, 1].imag]
-                for op in proto.rows.operators
+                for op in rows.operators
             ]
         )
         assert np.linalg.matrix_rank(stack, tol=1e-8) == 4
@@ -255,7 +256,7 @@ class TestBnProtocol:
             with pytest.raises(IncompleteProtocolError, match="incomplete"):
                 bn_state_protocol(n, thickness, 1.0)
             return
-        ops = bn_state_protocol(n, thickness, 1.0).rows.operators
+        ops = bn_state_protocol(n, thickness, 1.0).operators
         assert ops.tobytes() == loop.tobytes()
 
     def test_degenerate_plate_rejected(self):
@@ -316,7 +317,7 @@ class TestProcessProtocol:
             proto = process_protocol(name)
             for op, (c_in, c_m) in zip(
                 proto.rows.operators,
-                [(ci, cm) for ci in proto.input_states for cm in proto.projectors],
+                [(ci, cm) for ci in proto.input_states for cm in proto.input_states],
             ):
                 rate = np.real(np.trace(op @ choi))
                 assert rate == pytest.approx(
@@ -513,7 +514,7 @@ class TestGenerateCounts:
             if name == "B4-state":
                 rows = Measurements([np.outer(s, s.conj()) for s in b4_states()], np.ones(4))
             elif name == "B36":
-                rows = bn_state_protocol(36).rows
+                rows = bn_state_protocol(36)
             else:
                 rows = process_protocol(name).rows
             rng = np.random.default_rng(5)
@@ -565,7 +566,7 @@ class TestGenerateCounts:
             rows, n_total = straddle_rows(), 6717
             truths = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.7, 0.3]).astype(complex)]
         else:
-            rows = bn_state_protocol(36).rows if name == "B36" else process_protocol(name).rows
+            rows = bn_state_protocol(36) if name == "B36" else process_protocol(name).rows
             rng = np.random.default_rng(11)
             n_total = 3000
             d = rows.operators.shape[1]
@@ -638,7 +639,7 @@ class TestGenerateCounts:
             rows, n_total = straddle_rows(), 6717  # scale 1: means 0, below and from 30
             truth = np.diag([1.0, 0.0]).astype(complex)
         else:
-            rows = bn_state_protocol(36).rows if name == "B36" else process_protocol(name).rows
+            rows = bn_state_protocol(36) if name == "B36" else process_protocol(name).rows
             truth = random_density_matrix(rows.operators.shape[1], np.random.default_rng(2), 2)
             n_total = 3000
         seeds = [derive_seed(9, k) for k in range(12)]
@@ -688,7 +689,7 @@ class TestGenerateCounts:
         # scale n_total / base overflows: every mean is inf, or nan on a row
         # of rate 0; the one check over all sets raises what set 3's own
         # draw raised before
-        rows = bn_state_protocol(36).rows
+        rows = bn_state_protocol(36)
         rng = np.random.default_rng(4)
         truths = [random_density_matrix(2, rng, rank) for _ in range(6)]
         truths[3] = np.diag([1e-310, 0.0]).astype(complex)

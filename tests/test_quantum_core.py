@@ -198,6 +198,26 @@ class TestStacks:
         assert grid.tobytes() == stacked.tobytes()
 
     @pytest.mark.parametrize("d", [2, 4])
+    def test_fidelity_one_reference_against_a_stack(self, d, rng, monkeypatch):
+        # a (d, d) reference broadcasts against the stack, checked and
+        # rooted once, with the bits of the 2-D calls and of the stack of
+        # copies of the reference
+        ref, rho = random_density_matrix(d, rng, rank=2), random_stack(d, rng)
+        rho[0] = ref
+        loop = [fidelity(ref, r) for r in rho]
+        stacked = fidelity(ref, rho)
+        assert stacked.shape == (len(rho),)
+        assert stacked.tobytes() == np.array(loop).tobytes()
+        assert stacked.tobytes() == fidelity(*np.broadcast_arrays(ref, rho)).tobytes()
+        grid = fidelity(ref, rho.reshape(2, -1, d, d))
+        assert grid.shape == (2, len(rho) // 2)
+        assert grid.tobytes() == stacked.tobytes()
+        eigvalsh, calls = np.linalg.eigvalsh, []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eigvalsh(m))
+        fidelity(ref, rho)
+        assert calls[0] == (d, d)  # the reference's PSD check, once
+
+    @pytest.mark.parametrize("d", [2, 4])
     def test_entropy_matches_loop(self, d, rng):
         rho = random_stack(d, rng)
         rho[0] = np.diag([1.0] + [0.0] * (d - 1))  # exact zero eigenvalues
@@ -235,7 +255,11 @@ class TestStacks:
         with pytest.raises(ValueError, match="mismatch"):
             fidelity(good, good[:2])
         with pytest.raises(ValueError, match="mismatch"):
-            fidelity(np.eye(2) / 2, good)
+            fidelity(np.eye(4) / 4, good)
+        with pytest.raises(ValueError, match="mismatch"):
+            fidelity(np.ones((1, 1)), good)
+        with pytest.raises(ValueError, match=r"^rho\[1\] is not PSD"):
+            fidelity(np.eye(2) / 2, bad)
         with pytest.raises(ValueError, match="square"):
             von_neumann_entropy(np.ones((3, 2, 4)))
 

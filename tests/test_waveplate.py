@@ -12,23 +12,23 @@ from chitomo.waveplate import (
     axis_from_orientation,
     birefringence_from_delta,
     broadband_mixed_state,
-    component_sum_state,
     component_sum_states,
     THIN_PLATE_LIMIT_UM,
     fit_su2_retarder,
-    monochromatic_states,
     optical_thickness,
     plate_choi_state,
     plate_count_states,
     plate_unitary,
     quartz_indices,
-    retarder_unitary,
     sinc2_profile,
     sinc2_weights,
 )
 from process_oracles import (
+    component_sum_state,
     component_sums_per_subset,
+    monochromatic_states,
     plate_choi_state_per_knot,
+    retarder_unitary,
     su2_from_retarder,
 )
 from conftest import REF_PLATE_CHOI, REF_PLATE_EIGENVALUES, SIGMA_X
