@@ -18,8 +18,10 @@ runs in one process; ``--threads`` is still accepted (>= 1) and changes
 nothing, because the benchmark runner (``perfbench/run.py``) passes
 ``--threads 1`` to every command it runs.
 
-Exit codes: 0 full success, 2 bad config or input, 3 refused precondition
-(e.g. retarder fit on a mixed process).
+Exit codes: 0 full success, 1 a failed solve (a failed replication in
+``mc`` or ``scaling``, a ``reconstruct`` or ``mixed-workflow`` solve stopped
+at the iteration cap), 2 bad config or input, 3 refused precondition (e.g.
+retarder fit on a mixed process).
 """
 
 from __future__ import annotations
@@ -424,7 +426,8 @@ def cmd_scaling(config: ScalingConfig, out_dir: Path) -> int:
         for n, loss in zip(config.n_list, study["per_rank"][rank]["mean_loss"]):
             lines.append(f"{rank},{n},{repr(float(loss))}")
     (out_dir / "scaling.csv").write_text("\n".join(lines) + "\n")
-    return 0
+    failed = any(any(cell["n_failures"]) for cell in study["per_rank"].values())
+    return 1 if failed else 0
 
 
 def cmd_mixed_workflow(config: MixedWorkflowConfig, out_dir: Path) -> int:

@@ -89,7 +89,6 @@ REPLICATION_FIELDS = (
     "stop_reason",
     "residual",
     "scoring_steps",
-    "fixed_point_steps",
     "rejected_steps",
 )
 
@@ -152,9 +151,7 @@ class CampaignConfig(Config):
     reconstruction_rank: int = 2
     seed: int = 0
     auxiliary_weight: float = AUXILIARY_WEIGHT
-    damping: float = ReconstructionConfig.damping
     max_iterations: int = ReconstructionConfig.max_iterations
-    convergence_tol: float = ReconstructionConfig.convergence_tol
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -163,7 +160,7 @@ class CampaignConfig(Config):
             raise ValueError("replications must be >= 1")
         if not 1 <= self.reconstruction_rank <= 4:
             raise ValueError("reconstruction rank must be in [1, 4]")
-        _solver_config(self)  # damping and the stopping controls
+        _solver_config(self)  # checks max_iterations
 
 
 @dataclass(frozen=True)
@@ -297,10 +294,7 @@ def build_truth(spec: TruthSpec) -> np.ndarray:
 
 def _solver_config(config: CampaignConfig) -> ReconstructionConfig:
     return ReconstructionConfig(
-        rank=config.reconstruction_rank,
-        damping=config.damping,
-        max_iterations=config.max_iterations,
-        convergence_tol=config.convergence_tol,
+        rank=config.reconstruction_rank, max_iterations=config.max_iterations
     )
 
 
@@ -436,11 +430,12 @@ def run_mc_campaign(config: CampaignConfig) -> CampaignResult:
 
 def run_scaling_study(config: ScalingConfig) -> dict:
     """Mean loss vs n on a log-log grid with least-squares slopes per rank:
-    one campaign per (rank, n) cell of ``config.ranks`` x ``config.n_list``."""
+    one campaign per (rank, n) cell of ``config.ranks`` x ``config.n_list``,
+    each cell's failed replications counted in ``n_failures``."""
     n_list = list(config.n_list)
     study: dict = {"n_list": n_list, "per_rank": {}}
     for rank_idx, rank in enumerate(config.ranks):
-        means = []
+        means, n_failures = [], []
         for n_idx, n in enumerate(n_list):
             cell_seed = int(
                 np.random.SeedSequence(
@@ -454,10 +449,13 @@ def run_scaling_study(config: ScalingConfig) -> dict:
                 reconstruction_rank=rank,
                 seed=cell_seed,
             )
-            means.append(run_mc_campaign(cell).mean_loss)
+            result = run_mc_campaign(cell)
+            means.append(result.mean_loss)
+            n_failures.append(len(result.failures))
         slope, intercept = np.polyfit(np.log10(n_list), np.log10(means), 1)
         study["per_rank"][rank] = {
             "mean_loss": means,
+            "n_failures": n_failures,
             "slope": float(slope),
             "intercept": float(intercept),
         }
@@ -667,7 +665,6 @@ def _solve_status(res: ReconstructionResult) -> dict:
         "iterations": res.iterations,
         "stop_reason": res.stop_reason,
         "scoring_steps": res.scoring_steps,
-        "fixed_point_steps": res.fixed_point_steps,
         "rejected_steps": res.rejected_steps,
     }
 

@@ -12,35 +12,30 @@ Every solve starts from the data: the Poisson-weighted linear-inversion
 estimate, ``rho`` minimizing ``sum_j (t_j tr(Lambda_j rho) - k_j)^2 /
 max(k_j, 1)`` (minimum-norm if the design is rank-deficient), truncated to its
 top ``r`` eigenvectors with eigenvalues floored at 1e-3 times the largest,
-plus a small seeded perturbation.  From there the first relative residual is
-below the scoring threshold in nearly every solve.
+plus a small seeded perturbation.
 
-The iteration takes Levenberg-damped Fisher scoring steps ``delta = (F +
-mu)^{-1} grad`` while the relative residual is moderate; scoring is what makes
-near-boundary solutions (model rank above the true rank) converge in tens of
-iterations instead of hundreds of thousands.  The scoring step and all its
-Levenberg retries come from one eigendecomposition of F per iteration.  The
-damped fixed point ``c <- (1 - beta) c + beta I^{-1} J c``, with
-geometric-series extrapolation of the iterate differences, runs above the
-scoring threshold and when no scoring step is accepted; with the data start it
-is mainly that fallback.
+Every iteration takes one Levenberg-damped Fisher scoring step ``delta = (F +
+mu)^{-1} grad``; scoring is what makes near-boundary solutions (model rank
+above the true rank) converge in tens of iterations instead of hundreds of
+thousands.  The step and all its Levenberg tries come from one
+eigendecomposition of F per iteration.  A try is accepted only if the
+likelihood surrogate below drops by no more than a relative slack of 1e-12,
+so accepted iterations are a monotone ascent.  An accepted try multiplies
+``mu`` by 0.3 and a failed one by 10; a solve whose 8 tries all fail takes no
+step in that iteration and starts the next one from the raised ``mu``.
 
 Steps are compared on the likelihood written without its constant offset,
 ``sum_{k>0} k ln(lambda t / k) - sum (lambda t - k)``: it has the same
 maximizer, but its value is O(number of rows) instead of O(total counts), so
-the relative slack of the acceptance tests stays near float resolution.  A
-scoring step, and a fixed-point step above the damping floor, is accepted
-only if it does not decrease this surrogate beyond that slack, so accepted
-iterations are a monotone ascent; a rejected fixed-point step halves beta,
-and at the floor beta = 1e-3 the fixed-point step is taken without the test.
+the relative slack of the acceptance test stays near float resolution.
 
 Two rules stop the iteration as converged: the relative residual
-``|Ic - Jc| / |Ic|`` falls below ``convergence_tol`` (stop reason
+``|Ic - Jc| / |Ic|`` falls below ``_RESIDUAL_TOL`` = 1e-9 (stop reason
 ``"residual"``), or the Newton decrement ``1/2 grad^T F^+ grad``, taken over
 the eigenvalues of F above a relative cutoff, falls below
 ``_DECREMENT_TOL * (1 + |surrogate|)`` (``"stationary"``; Boyd & Vandenberghe,
 Convex Optimization, 9.5.2).  The second rule ends solves whose residual
-stalls at float resolution short of ``convergence_tol``.  A solve that meets
+stalls at float resolution short of ``_RESIDUAL_TOL``.  A solve that meets
 neither rule within ``max_iterations`` stops with ``"iteration_cap"`` and is
 reported as not converged.
 
@@ -49,9 +44,8 @@ step's real Fisher matrix F at the returned c; a stationary stop reuses that
 step's eigendecomposition.  For a process on an s-level system under an
 adequate model they split into s^2 modes pinned by the auxiliary rows, ``nu``
 data modes and r^2 gauge nulls (``c -> c U``): ``nu + s^2`` lie above 1e-8
-times the largest.  Each result also counts its accepted scoring steps, its
-fixed-point steps and its rejected steps (failed Levenberg retries and
-fixed-point beta halvings).
+times the largest.  Each result also counts its accepted scoring steps and
+its rejected steps (failed Levenberg tries).
 
 A result's ``log_likelihood`` is the full Poisson log-likelihood at the
 estimate, its factorial constant ``sum_j ln k_j!`` included.  The solve
@@ -69,10 +63,10 @@ elementwise operation, or a sum along a lane's own row), so a lane's result
 is bit-identical whether it is solved alone or inside any batch.  A lane
 leaves the batch when it stops, and the remaining lanes are compacted, so a
 long solve costs only its own lane's iterations.  The set-up (I, its
-spectrum and inverse, the data start and its rescale) and the finish (the
-results of the lanes that have stopped) are stacked the same way: one array
-call for all lanes, per-lane LAPACK and BLAS calls inside it.  A set-up error
-names the first failing lane in lane order.
+spectrum, the data start and its rescale) and the finish (the results of the
+lanes that have stopped) are stacked the same way: one array call for all
+lanes, per-lane LAPACK and BLAS calls inside it.  A set-up error names the
+first failing lane in lane order.
 """
 
 from __future__ import annotations
@@ -97,34 +91,29 @@ __all__ = [
 ]
 
 _RATE_FLOOR = 1e-300  # only inside logs and divisions, never in the model
-_SCORING_RESIDUAL = 3e-2  # switch to Fisher scoring below this residual
 _INIT_PERTURBATION = 1e-3  # size of the seeded random start around c0
 _INIT_SEED = 0
 _START_FLOOR = 1e-3  # start eigenvalues floored at this times the largest
 _START_RIDGE = 1e-12  # ridge of the start's normal equations, times their mean diagonal
 _SCORING_SLACK = 1e-12  # relative surrogate slack of a scoring step
-_FIXED_POINT_SLACK = 1e-9  # relative surrogate slack of a fixed-point step
 EIGEN_CUTOFF = 1e-8  # F's range: eigenvalues above this times the largest
+_RESIDUAL_TOL = 1e-9  # converged when the relative residual is below this
 _DECREMENT_TOL = 1e-9  # stationary when the decrement is below this times (1 + |ll|)
 
 
 @dataclass(frozen=True)
 class ReconstructionConfig(Config):
-    """Solver controls: model rank, damping and stopping rules."""
+    """Solver controls: model rank and iteration budget."""
 
     rank: int
-    damping: float = 0.5
     max_iterations: int = 20000
-    convergence_tol: float = 1e-9
 
     def __post_init__(self) -> None:
         super().__post_init__()
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
-        if not 0 < self.damping <= 1:
-            raise ValueError("damping must be in (0, 1]")
-        if self.convergence_tol <= 0 or self.max_iterations < 1:
-            raise ValueError("stopping controls must be positive")
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
 
 
 @dataclass(frozen=True)
@@ -140,8 +129,7 @@ class ReconstructionResult:
     tp_residual: float | None
     info_spectrum: np.ndarray  # the real Fisher matrix's 2*d*r eigenvalues, descending
     scoring_steps: int  # accepted scoring steps
-    fixed_point_steps: int  # fixed-point steps
-    rejected_steps: int  # failed Levenberg retries plus fixed-point beta halvings
+    rejected_steps: int  # failed Levenberg tries
     # the log-likelihood without its factorial constant, and the counts that
     # constant is taken over
     _partial_log_likelihood: float = field(repr=False)
@@ -372,26 +360,20 @@ def solve_likelihood_batch(
         k=counts,
         t=exposures,
         i_mat=i_mat,
-        i_inv=np.linalg.inv(i_mat),
-        beta=np.full(n_lanes, config.damping),
-        mu=np.full(n_lanes, 1e-3),  # Levenberg parameter of the scoring phase
-        # the last fixed-point difference; zero, like a zero difference,
-        # skips the extrapolation
-        prev=np.zeros((n_lanes, d, rank), complex),
-        fixed_steps=np.zeros(n_lanes, int),
-        rejected=np.zeros(n_lanes, int),  # failed Levenberg retries and beta halvings
+        mu=np.full(n_lanes, 1e-3),  # Levenberg parameter
+        steps=np.zeros(n_lanes, int),  # accepted scoring steps
+        rejected=np.zeros(n_lanes, int),  # failed Levenberg tries
     )
     s.k_div = np.where(s.k > 0, s.k, 1.0)
     s.lam = _rates(s.c, ops_flat)
     s.ll = _surrogate(s.lam, s.k, s.t, s.k_div)
-    fixed_steps_taken = False  # until then every prev is zero
     # each lane as it stopped: its c, residual, iterations, step counts, stop
     # reason and, on a stationary stop, the spectrum of its last scoring step
     end = _Lanes(
         c=np.empty_like(c),
         residual=np.empty(n_lanes),
         iterations=np.empty(n_lanes, int),
-        fixed_steps=np.empty(n_lanes, int),
+        steps=np.empty(n_lanes, int),
         rejected=np.empty(n_lanes, int),
     )
     stop_reasons, end_spectra = [""] * n_lanes, [None] * n_lanes
@@ -403,7 +385,7 @@ def solve_likelihood_batch(
             c=s.c[p],
             residual=residual[p],
             iterations=iterations,
-            fixed_steps=s.fixed_steps[p],
+            steps=s.steps[p],
             rejected=s.rejected[p],
         )
         for b, reason in zip(lanes.tolist(), reasons):
@@ -417,17 +399,14 @@ def solve_likelihood_batch(
         grad_c = jc - ic
         norms = np.sqrt(_sq_norm(np.concatenate([grad_c, ic])))
         residual = norms[:n_active] / norms[n_active:]
-        done = residual < config.convergence_tol
+        done = residual < _RESIDUAL_TOL
         stopped = done  # and the stationary lanes
-        fixed = ~done  # less the lanes that take a scoring step
         spectra = {}
-        all_stepped = False
 
-        scoring = fixed & (residual < _SCORING_RESIDUAL)
-        n_scoring = np.count_nonzero(scoring)
+        n_scoring = n_active - np.count_nonzero(done)
         if n_scoring:
             # a basic slice while every lane scores: no copies
-            pos = slice(None) if n_scoring == n_active else np.flatnonzero(scoring)
+            pos = slice(None) if n_scoring == n_active else np.flatnonzero(~done)
             c, ll, k, t, k_div = s.c[pos], s.ll[pos], s.k[pos], s.t[pos], s.k_div[pos]
             fisher = _fisher(c, ops, t, s.lam[pos])
             g = grad_c[pos].swapaxes(1, 2).reshape(len(c), -1)  # each lane column-major
@@ -444,7 +423,6 @@ def solve_likelihood_batch(
                 pos = np.arange(n_active)[pos]
                 stopped = done.copy()
                 stopped[pos[stop]] = True
-                fixed[pos[stop]] = False
                 spectra = dict(zip(pos[stop], w[stop, ::-1]))
                 pos = pos[~stop]
                 if len(pos):
@@ -465,64 +443,22 @@ def solve_likelihood_batch(
                         mu = np.maximum(mu * 0.3, 1e-12)
                         if isinstance(pos, slice):  # the common case: every lane did
                             s.mu, s.c, s.lam, s.ll = mu, c_try, lam_try, ll_try
-                            if fixed_steps_taken:
-                                s.prev[:] = 0.0
-                            all_stepped = True
-                            break
-                        s.put(pos, mu=mu, c=c_try, lam=lam_try, ll=ll_try, prev=0.0)
-                        fixed[pos] = False
+                        else:
+                            s.put(pos, mu=mu, c=c_try, lam=lam_try, ll=ll_try)
+                        s.steps[pos] += 1
                         break
                     s.rejected[pos] += ~ok
                     mu = np.where(ok, np.maximum(mu * 0.3, 1e-12), mu * 10.0)
                     if np.logical_or.reduce(ok):
                         pos = np.arange(n_active)[pos]
                         p = pos[ok]
-                        s.put(p, mu=mu[ok], c=c_try[ok], lam=lam_try[ok], ll=ll_try[ok], prev=0.0)
-                        fixed[p] = False
+                        s.put(p, mu=mu[ok], c=c_try[ok], lam=lam_try[ok], ll=ll_try[ok])
+                        s.steps[p] += 1
                         pos, c, ll, scale, k, t, k_div, w, u, g_eig, ridge, mu = (
                             x[~ok] for x in (pos, c, ll, scale, k, t, k_div, w, u, g_eig, ridge, mu)
                         )
                 else:
-                    s.mu[pos] = mu  # no step after 8 tries: the fixed point follows
-                if all_stepped:
-                    continue  # no lane stopped, and none needs the fixed point
-
-        if np.logical_or.reduce(fixed):
-            pos = np.flatnonzero(fixed)
-            c, ll, beta = s.c[pos], s.ll[pos], s.beta[pos]
-            k, t, k_div = s.k[pos], s.t[pos], s.k_div[pos]
-            step = s.i_inv[pos] @ jc[pos]
-            c_new, lam_new, ll_new = np.empty_like(c), np.empty((len(pos), m)), np.empty(len(pos))
-            halved = np.zeros(len(pos), bool)
-            todo = np.arange(len(pos))
-            while True:
-                b = beta[todo, None, None]
-                c_new[todo] = (1.0 - b) * c[todo] + b * step[todo]
-                lam_new[todo] = _rates(c_new[todo], ops_flat)
-                ll_new[todo] = _surrogate(lam_new[todo], k[todo], t[todo], k_div[todo])
-                slack = _FIXED_POINT_SLACK * (1.0 + np.abs(ll[todo]))
-                todo = todo[~(ll_new[todo] >= ll[todo] - slack) & ~(beta[todo] <= 1e-3)]
-                if not todo.size:
-                    break
-                beta[todo] = np.maximum(beta[todo] / 2.0, 1e-3)
-                halved[todo] = True
-                s.rejected[pos[todo]] += 1
-            beta = np.where(halved, beta, np.minimum(config.damping, beta * 1.5))
-            diff = c_new - c
-            if iterations % 5 == 0:
-                # geometric-series extrapolation, lane by lane: it is rare
-                for j, prev in enumerate(s.prev[pos]):
-                    denom = float(np.vdot(prev, prev).real)
-                    q = float(np.vdot(prev, diff[j]).real) / denom if denom > 0 else 0.0
-                    if 0.0 < q < 0.9999:
-                        c_acc = c_new[j] + diff[j] * (q / (1.0 - q))
-                        lam_acc = _rates(c_acc, ops_flat)
-                        ll_acc = _surrogate(lam_acc, k[j], t[j], k_div[j])
-                        if ll_acc >= ll_new[j]:
-                            c_new[j], lam_new[j], ll_new[j], diff[j] = c_acc, lam_acc, ll_acc, 0.0
-            s.put(pos, c=c_new, lam=lam_new, ll=ll_new, beta=beta, prev=diff)
-            s.fixed_steps[pos] += 1
-            fixed_steps_taken = True
+                    s.mu[pos] = mu  # no step after 8 tries: the next starts from this mu
 
         if np.logical_or.reduce(stopped):
             p = np.flatnonzero(stopped)
@@ -551,7 +487,7 @@ def _results(
     """Every lane's result at the c it stopped with, computed for all lanes
     at once, each quantity by one BLAS or LAPACK call per lane, an
     elementwise operation or a sum along the lane's own row.  ``end`` holds
-    each lane's c, residual, iterations and fixed-point and rejected step
+    each lane's c, residual, iterations and accepted and rejected step
     counts; ``spectra`` holds the last scoring step's F spectrum of a
     stationary stop, taken at exactly that c, and None where it is computed
     here."""
@@ -579,8 +515,6 @@ def _results(
             spectra[b] = spectrum
 
     converged = [reason != "iteration_cap" for reason in stop_reasons]
-    # every iteration but a converged stop's last takes one step
-    scoring_steps = end.iterations - converged - end.fixed_steps
     # one column per field: Python scalars from tolist(), numpy arrays (and
     # the gaps as numpy floats) from iterating over the stacks
     columns = zip(
@@ -592,8 +526,7 @@ def _results(
         gap,
         tp_residual,
         spectra,
-        scoring_steps.tolist(),
-        end.fixed_steps.tolist(),
+        end.steps.tolist(),
         end.rejected.tolist(),
         partial_log_likelihood.tolist(),
         k,
@@ -611,13 +544,12 @@ def _results(
             tp_residual=lane_tp,
             info_spectrum=spectrum,
             scoring_steps=scoring,
-            fixed_point_steps=fixed,
             rejected_steps=rejected,
             _partial_log_likelihood=partial,
             _counts=counts,
         )
         for (
             estimate, iterations, lane_converged, reason, residual, lane_gap, lane_tp,
-            spectrum, scoring, fixed, rejected, partial, counts,
+            spectrum, scoring, rejected, partial, counts,
         ) in columns
     ]

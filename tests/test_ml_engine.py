@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 from chitomo import ml_engine
 from chitomo.harness import TruthSpec, build_truth
 from chitomo.ml_engine import (
-    _SCORING_RESIDUAL,
     ReconstructionConfig,
     _fisher,
     _initial_point,
@@ -269,10 +268,11 @@ class TestSolveLikelihood:
             ReconstructionConfig(rank=0)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="damping"):
-            ReconstructionConfig(rank=2, damping=1.5)
-        with pytest.raises(ValueError, match="positive"):
-            ReconstructionConfig(rank=2, convergence_tol=-1.0)
+        with pytest.raises(ValueError, match="max_iterations must be >= 1, got 0"):
+            ReconstructionConfig(rank=2, max_iterations=0)
+        assert [f.name for f in dataclasses.fields(ReconstructionConfig)] == [
+            "rank", "max_iterations"
+        ]
 
     @pytest.mark.parametrize(
         "fields, name",
@@ -397,20 +397,21 @@ ACCEPTANCE_RANK2_N1E3_SEED = 17260451438471865157
 
 @pytest.fixture(scope="module")
 def campaign_rows():
-    """Rows of replication ``index`` of an R4 ``mc`` campaign on the default
-    plate truth, built exactly as ``run_mc_campaign`` builds them."""
+    """Rows of replication ``index`` of an ``mc`` campaign (R4 unless
+    ``protocol`` says otherwise) on the default plate truth, built exactly as
+    ``run_mc_campaign`` builds them."""
     truth = build_truth(TruthSpec())
-    proto = process_protocol("R4")
 
-    def rows(campaign_seed, index, n):
+    def rows(campaign_seed, index, n, protocol="R4"):
+        proto = process_protocol(protocol)
         return poisson_rows(proto, truth, n=n, seed=derive_seed(campaign_seed, index))
 
     return rows
 
 
 class TestStoppingRule:
-    """Solves whose residual stalls at float resolution above
-    convergence_tol end on the Newton decrement instead of the cap, and not
+    """Solves whose residual stalls at float resolution above the residual
+    tolerance end on the Newton decrement instead of the cap, and not
     before the residual is close to it: a decrement threshold scaled by the
     likelihood's constant offset would stop near residual 1e-5."""
 
@@ -436,6 +437,18 @@ class TestStoppingRule:
         rows = campaign_rows(16606320171885100882, 4, 10**4)
         self.assert_converged(solve_likelihood(rows, ReconstructionConfig(rank=4)))
 
+    @pytest.mark.xfail(
+        strict=True, reason="the residual stalls near 3e-8 and the decrement above its threshold"
+    )
+    def test_capped_j4_lane_converges(self, campaign_rows):
+        # J4, rank 2, n=1e3, replication 0 of campaign seed 11 (derived seed
+        # 16347841621347268350): it stops on the cap at residual 3.4e-8, and
+        # 20 000 iterations only reach 1.4e-8, a "failed" replication that is
+        # at the likelihood maximum
+        rows = campaign_rows(11, 0, 1000, "J4")
+        res = solve_likelihood(rows, ReconstructionConfig(rank=2, max_iterations=2000))
+        assert res.converged
+
     def test_iteration_cap_is_reported(self, plate_truth):
         rows = poisson_rows(process_protocol("R4"), plate_truth, seed=42)
         res = solve_likelihood(rows, ReconstructionConfig(rank=2, max_iterations=3))
@@ -444,13 +457,22 @@ class TestStoppingRule:
         assert res.iterations == 3
 
     @pytest.mark.parametrize(
-        "seed, index, n, rank",
-        [(ACCEPTANCE_RANK2_N1E3_SEED, 7, 1000, 2), (16606320171885100882, 4, 10**4, 4)],
+        "seed, index, n, rank, protocol",
+        [
+            (ACCEPTANCE_RANK2_N1E3_SEED, 7, 1000, 2, "R4"),
+            (16606320171885100882, 4, 10**4, 4, "R4"),
+            # starts at residual 0.044, far from the maximum
+            (77, 48, 500, 2, "R4"),
+            # rank 1 on the rank-2 plate, the inadequate model
+            (11, 138, 10**4, 1, "J4"),
+        ],
     )
-    def test_accepted_steps_never_decrease_likelihood(self, campaign_rows, seed, index, n, rank):
+    def test_accepted_steps_never_decrease_likelihood(
+        self, campaign_rows, seed, index, n, rank, protocol
+    ):
         # the solve capped after N iterations holds the N-th accepted iterate;
         # the tolerance is the float resolution of the full likelihood
-        rows = campaign_rows(seed, index, n)
+        rows = campaign_rows(seed, index, n, protocol)
         final = solve_likelihood(rows, ReconstructionConfig(rank=rank))
         lls = [
             solve_likelihood(rows, ReconstructionConfig(rank=rank, max_iterations=cap)).log_likelihood
@@ -489,7 +511,7 @@ def assert_same_result(alone, lane):
     for name in (
         "iterations", "stop_reason", "converged", "residual", "log_likelihood",
         "normalization_gap", "tp_residual", "nu",
-        "scoring_steps", "fixed_point_steps", "rejected_steps",
+        "scoring_steps", "rejected_steps",
     ):
         assert getattr(alone, name) == getattr(lane, name), name
     for f in dataclasses.fields(alone):  # and no field is left out
@@ -540,15 +562,13 @@ class TestBatchLanes:
         assert max(r.iterations for r in batch) >= 150
         assert len({r.iterations for r in batch}) >= 10
 
-    def test_fixed_point_lane_beside_scoring_lanes(self, campaign_rows):
-        # replication 48 starts above the scoring threshold and takes a
-        # fixed-point step while the other lanes take scoring steps
+    def test_far_start_lane_scores_beside_the_others(self, campaign_rows):
+        # replication 48 starts far from the maximum, at residual 0.044, and
+        # takes a scoring step on its first iteration like the other lanes
         datasets = [campaign_rows(77, i, 500) for i in range(44, 52)]
-        batch = self.assert_lanes_independent(datasets, ReconstructionConfig(rank=2))
+        self.assert_lanes_independent(datasets, ReconstructionConfig(rank=2))
         first = solve_likelihood(datasets[4], ReconstructionConfig(rank=2, max_iterations=1))
-        assert first.residual > _SCORING_RESIDUAL and first.fixed_point_steps == 1
-        assert batch[4].fixed_point_steps >= 1
-        assert all(res.fixed_point_steps == 0 for i, res in enumerate(batch) if i != 4)
+        assert first.residual > 0.04 and first.scoring_steps == 1
 
     def test_iteration_cap_hits_only_the_slow_lane(self, campaign_rows):
         # replication 89 takes 336 iterations without a cap; the others stop
@@ -568,9 +588,9 @@ class TestBatchLanes:
         capped = ReconstructionConfig(rank=2, max_iterations=3)
         for config in (ReconstructionConfig(rank=2), capped):
             for res in solve_likelihood_batch(datasets, config):
-                # one step per iteration, except a converged stop's last
-                steps = res.scoring_steps + res.fixed_point_steps
-                assert steps == res.iterations - res.converged
+                # at most one step per iteration, and none in a converged
+                # stop's last
+                assert 0 <= res.scoring_steps <= res.iterations - res.converged
                 assert res.rejected_steps >= 0
 
     def test_operators_must_be_shared(self, campaign_rows):
