@@ -437,17 +437,21 @@ class TestStoppingRule:
         rows = campaign_rows(16606320171885100882, 4, 10**4)
         self.assert_converged(solve_likelihood(rows, ReconstructionConfig(rank=4)))
 
-    @pytest.mark.xfail(
-        strict=True, reason="the residual stalls near 3e-8 and the decrement above its threshold"
-    )
-    def test_capped_j4_lane_converges(self, campaign_rows):
+    def test_capped_j4_lane_stops_at_the_maximum(self, campaign_rows):
         # J4, rank 2, n=1e3, replication 0 of campaign seed 11 (derived seed
-        # 16347841621347268350): it stops on the cap at residual 3.4e-8, and
-        # 20 000 iterations only reach 1.4e-8, a "failed" replication that is
-        # at the likelihood maximum
+        # 16347841621347268350), a "failed" replication that is at the
+        # likelihood maximum.  An accepted step may lower the surrogate by up
+        # to the scoring slack, so the iterate cycles near residual 1.4e-8
+        # with the decrement above its threshold, and neither 2000 nor 4000
+        # iterations stop it.  A step that converges here fails this test:
+        # it should then assert res.converged within 2000 iterations.
         rows = campaign_rows(11, 0, 1000, "J4")
-        res = solve_likelihood(rows, ReconstructionConfig(rank=2, max_iterations=2000))
-        assert res.converged
+        capped = solve_likelihood(rows, ReconstructionConfig(rank=2, max_iterations=2000))
+        longer = solve_likelihood(rows, ReconstructionConfig(rank=2, max_iterations=4000))
+        assert [capped.stop_reason, longer.stop_reason] == ["iteration_cap"] * 2
+        assert capped.residual < 1e-7
+        assert abs(longer.log_likelihood - capped.log_likelihood) < 1e-7
+        assert fidelity(longer.estimate, capped.estimate) > 1 - 1e-8
 
     def test_iteration_cap_is_reported(self, plate_truth):
         rows = poisson_rows(process_protocol("R4"), plate_truth, seed=42)
