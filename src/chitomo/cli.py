@@ -330,7 +330,7 @@ def cmd_gen_data(config: GenDataConfig, out_dir: Path) -> int:
     truth = build_truth(config.truth)
     weight = config.auxiliary_weight
     proto = process_protocol(config.protocol, config.truth.lam0_um)
-    (data,) = process_datasets(proto, truth, config.n_events, [config.seed], weight)
+    data = process_datasets(proto, truth, config.n_events, [config.seed], weight).lanes(0)
     write_json(
         out_dir / "data.json",
         {

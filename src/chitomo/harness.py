@@ -11,12 +11,13 @@ computed by ``derive_seeds`` for many keys at once: it builds the pool of
 SeedSequence's own arithmetic, giving the same integers.
 
 A Monte-Carlo campaign runs in one process and does once what is the same
-for every replication: one truth, one protocol, one ``generate_counts_batch``
-call for all its seeds, one set of auxiliary rows, one
-``solve_likelihood_batch`` call and one stacked ``fidelity`` call.  Each
-replication draws from its own seeded generator and is its own lane of the
-batch, whose lanes are bit-identical to lone solves, so the outputs equal
-those of one replication at a time.
+for every replication: one truth, one protocol, one ``process_datasets``
+call that draws every count set and adds one set of auxiliary rows, one
+``solve_likelihood_batch`` call and one stacked ``fidelity`` call.  The data
+sets are one ``Measurements`` record with a lane per replication.  Each
+replication draws from its own seeded generator, and a lane's result is
+bit-identical to its lone solve, so the outputs equal those of one
+replication at a time.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass, field, fields
+from typing import Callable, Literal, Sequence
 
 import numpy as np
 
@@ -130,28 +131,32 @@ class TruthSpec(PlateSpec):
     """True process for data generation: the plate, optionally truncated to
     its ``rank`` dominant Kraus operators, or the identity channel."""
 
-    kind: str = "plate"
+    kind: Literal["plate", "identity"] = "plate"
     rank: int | None = None
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.kind not in ("plate", "identity"):
-            raise ValueError(f"unknown truth kind {self.kind!r}; expected plate or identity")
         if self.rank is not None and not 1 <= self.rank <= 4:
             raise ValueError(f"rank must be in 1..4 or null, got {self.rank}")
 
 
 @dataclass(frozen=True)
-class CampaignConfig(Config):
+class _CampaignFields(Config):
+    """The fields a Monte-Carlo campaign shares with a scaling study."""
+
     scenario: str = "plate-r4"
     protocol: ProcessProtocolName = "R4"
     truth: TruthSpec = field(default_factory=TruthSpec)
-    n_events: int = 10_000
     replications: int = 50
-    reconstruction_rank: int = 2
     seed: int = 0
     auxiliary_weight: float = AUXILIARY_WEIGHT
     max_iterations: int = ReconstructionConfig.max_iterations
+
+
+@dataclass(frozen=True)
+class CampaignConfig(_CampaignFields):
+    n_events: int = 10_000
+    reconstruction_rank: int = 2
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -164,7 +169,7 @@ class CampaignConfig(Config):
 
 
 @dataclass(frozen=True)
-class ScalingConfig(CampaignConfig):
+class ScalingConfig(_CampaignFields):
     """A campaign per (rank, sample size) cell of the scaling study."""
 
     n_list: tuple[int, ...] = (10**3, 10**4, 10**5, 10**6)
@@ -184,6 +189,13 @@ class ScalingConfig(CampaignConfig):
                 raise ValueError(f"ranks[{i}] must be in 1..4, got {rank}")
             if rank in self.ranks[:i]:
                 raise ValueError(f"ranks[{i}] repeats rank {rank}; each rank runs one study")
+        self.cell(self.ranks[0], self.n_list[0], self.seed)  # the checks of every cell
+
+    def cell(self, rank: int, n: int, seed: int) -> CampaignConfig:
+        """The campaign of a cell: its seed, n_events n and reconstruction_rank rank."""
+        shared = {f.name: getattr(self, f.name) for f in fields(_CampaignFields)}
+        shared.update(scenario=f"{self.scenario}-rank{rank}-n{n}", seed=seed)
+        return CampaignConfig(**shared, n_events=n, reconstruction_rank=rank)
 
 
 @dataclass(frozen=True)
@@ -308,29 +320,29 @@ def _solve_replications(config: CampaignConfig, truth: np.ndarray, seeds: list[i
     proto = process_protocol(config.protocol, config.truth.lam0_um)
     solver = _solver_config(config)
     try:
-        datasets = process_datasets(proto, truth, config.n_events, seeds, config.auxiliary_weight)
+        data = process_datasets(proto, truth, config.n_events, seeds, config.auxiliary_weight)
     except Exception as exc:
         return [_error_text(exc)] * len(seeds)
     return _each(
-        lambda lanes: solve_likelihood_batch(lanes, solver),
-        lambda data: solve_likelihood(data, solver),
-        datasets,
+        lambda: solve_likelihood_batch(data, solver),
+        lambda i: solve_likelihood(data.lanes(i), solver),
+        len(seeds),
     )
 
 
-def _each(batch: Callable[[list], list], single: Callable, items: list) -> list:
-    # batch(items), one result per item, or, when that raises, single(item)
-    # for each item, with the error text of each one that raises: a batch's
+def _each(batch: Callable[[], list], single: Callable[[int], object], n: int) -> list:
+    # batch(), one result per item, or, when that raises, single(i) for each
+    # of the n items, with the error text of each one that raises: a batch's
     # checks raise when some item's would, and its error may name the item's
     # place in the batch, so only the items' own calls give their own texts
     try:
-        return batch(items)
+        return batch()
     except Exception:
         pass
     results = []
-    for item in items:
+    for i in range(n):
         try:
-            results.append(single(item))
+            results.append(single(i))
         except Exception as exc:
             results.append(_error_text(exc))
     return results
@@ -365,10 +377,11 @@ def run_mc_campaign(config: CampaignConfig) -> CampaignResult:
     results = _solve_replications(config, truth, seeds)
     errors = [res if isinstance(res, str) else None for res in results]
     solved = [i for i, error in enumerate(errors) if error is None]
+    estimates = [results[i].estimate for i in solved]
     scores = _each(
-        lambda estimates: fidelity(truth, np.stack(estimates)).tolist(),
-        lambda estimate: fidelity(truth, estimate),
-        [results[i].estimate for i in solved],
+        lambda: fidelity(truth, np.stack(estimates)).tolist(),
+        lambda i: fidelity(truth, estimates[i]),
+        len(estimates),
     )
     fidelities = np.full(n, np.nan)
     replications = [{**dict.fromkeys(REPLICATION_FIELDS), "seed": seed} for seed in seeds]
@@ -442,14 +455,7 @@ def run_scaling_study(config: ScalingConfig) -> dict:
                     config.seed, spawn_key=(rank_idx, n_idx)
                 ).generate_state(1, np.uint64)[0]
             )
-            cell = replace(
-                config,
-                scenario=f"{config.scenario}-rank{rank}-n{n}",
-                n_events=n,
-                reconstruction_rank=rank,
-                seed=cell_seed,
-            )
-            result = run_mc_campaign(cell)
+            result = run_mc_campaign(config.cell(rank, n, cell_seed))
             means.append(result.mean_loss)
             n_failures.append(len(result.failures))
         slope, intercept = np.polyfit(np.log10(n_list), np.log10(means), 1)
@@ -564,13 +570,14 @@ def run_mixed_state_workflow(config: MixedWorkflowConfig) -> dict:
 
     Each layer runs once for the whole report: the broadband and component
     truths of both plate counts come from one ``plate_count_states`` pass
-    under the config's ``profile``, all 16 count sets from one
-    ``generate_counts_batch`` call over the config's ``measurement_rows``,
-    the solves from two batches (the broadband solves at ``broadband_rank``,
-    the component solves at ``component_rank``), the component sums of both
-    plate counts from one ``component_sum_states`` call, and all fidelities
-    and entropies from one stacked call each; the per-plate-count blocks of
-    the report are sliced from those.
+    under the config's ``profile``, all 16 count sets, the lanes of one
+    record, from one ``generate_counts_batch`` call over the config's
+    ``measurement_rows``, the solves from two batches of its lanes (the
+    broadband ones at ``broadband_rank``, the component ones at
+    ``component_rank``), the component sums of both plate counts from one
+    ``component_sum_states`` call, and all fidelities and entropies from one
+    stacked call each; the per-plate-count blocks of the report are sliced
+    from those.
     """
     input_v = np.array([0.0, 1.0], dtype=complex)
     # the spectral shape at each component wavelength, 1 at the centre
@@ -593,12 +600,12 @@ def run_mixed_state_workflow(config: MixedWorkflowConfig) -> dict:
         config.n_events,
         derive_seeds(config.seed, [1000 * n + j for n in plate_counts for j in range(width)]),
     )
+    is_broadband = np.arange(n_plate_counts * width) % width == 0
     broadband = solve_likelihood_batch(
-        count_sets[::width], ReconstructionConfig(rank=config.broadband_rank)
+        count_sets.lanes(is_broadband), ReconstructionConfig(rank=config.broadband_rank)
     )
     components = solve_likelihood_batch(
-        [data for i, data in enumerate(count_sets) if i % width],
-        ReconstructionConfig(rank=config.component_rank),
+        count_sets.lanes(~is_broadband), ReconstructionConfig(rank=config.component_rank)
     )
 
     # plate count i's component estimates are the block i of the stack, and

@@ -54,14 +54,15 @@ row, is added when ``log_likelihood`` is first read, giving the same bits as
 ``_log_likelihood(..., include_factorial=True)`` at the returned rates.
 
 There is one solver, ``solve_likelihood_batch``; ``solve_likelihood`` is a
-batch of one.  A batch solves several datasets, its lanes, at once: the lanes
-share one operator array and carry their own exposures and counts, and each
-lane runs the algorithm above with its own iterate, step controls, step
-counts and stop rule.  Every per-lane quantity is computed by an operation
-that treats the lanes independently (one BLAS or LAPACK call per lane, or an
-elementwise operation, or a sum along a lane's own row), so a lane's result
-is bit-identical whether it is solved alone or inside any batch.  A lane
-leaves the batch when it stops, and the remaining lanes are compacted, so a
+batch of one.  A batch solves the lanes of one ``Measurements`` record at
+once: the rows of its ``(B, m)`` exposures and counts over its one operator
+array, which the solver reads as they are.  Each lane runs the algorithm
+above with its own iterate, step controls, step counts and stop rule.
+Every per-lane quantity is computed by an operation that treats the lanes
+independently (one BLAS or LAPACK call per lane, or an elementwise
+operation, or a sum along a lane's own row), so a lane's result is
+bit-identical whether it is solved alone or inside any batch.  A lane leaves
+the batch when it stops, and the remaining lanes are compacted, so a
 long solve costs only its own lane's iterations.  The set-up (I, its
 spectrum, the data start and its rescale) and the finish (the results of the
 lanes that have stopped) are stacked the same way: one array call for all
@@ -284,74 +285,66 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None] @ b[:, :, None])[:, 0, 0]
 
 
-def _set_up(
-    datasets: list[Measurements], ops: np.ndarray, rank: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each lane's exposures and counts (B, m) and its ``I = sum_j t_j
-    Lambda_j`` (B, d, d).  Raises for the first lane, in lane order, whose
-    operators differ from ``ops``, whose I is singular or that has no
-    counts, naming its first failing check in that order."""
-    n_lanes = len(datasets)
+def _set_up(t: np.ndarray, k: np.ndarray, ops: np.ndarray, rank: int) -> np.ndarray:
+    """Each lane's ``I = sum_j t_j Lambda_j`` (B, d, d) from its exposures
+    and counts ``t, k (B, m)``.  Raises for the first lane, in lane order,
+    whose I is singular or that has no counts, naming its first failing
+    check in that order."""
+    n_lanes = len(t)
     m, d, _ = ops.shape
-    shared = n_lanes  # the lanes before the first one with other operators
-    for b, data in enumerate(datasets):
-        if data.operators is not ops and not np.array_equal(data.operators, ops):
-            shared = b
-            break
-    t = np.array([data.exposures for data in datasets[:shared]])
-    k = np.array([data.counts for data in datasets[:shared]])
     # what np.tensordot(t, ops, axes=1) computes, lane by lane
-    i_mat = (t[:, None] @ ops.reshape(m, d * d)).reshape(shared, d, d)
+    i_mat = (t[:, None] @ ops.reshape(m, d * d)).reshape(n_lanes, d, d)
     w_i = np.linalg.eigvalsh(i_mat)
     w_min, w_max = w_i.min(axis=1), w_i.max(axis=1)
     singular = w_min <= 1e-12 * w_max
     failing = np.flatnonzero(singular | (k.sum(axis=1) <= 0))
-    if failing.size or shared < n_lanes:
-        b = failing[0] if failing.size else shared
+    if failing.size:
+        b = failing[0]
         lane = f"lane {b}: " if n_lanes > 1 else ""
-        if b == shared:
-            raise ValueError(
-                f"{lane}operators differ from lane 0's; a batch shares one operator array"
-            )
         if singular[b]:
             raise IncompleteProtocolError(
                 f"{lane}information matrix I is singular (eigenvalues {w_min[b]:.3e}.."
                 f"{w_max[b]:.3e}); the protocol cannot identify rank {rank}"
             )
         raise ValueError(f"{lane}no observed counts")
-    return t, k, i_mat
+    return i_mat
 
 
 def solve_likelihood(
     data: Measurements, config: ReconstructionConfig
 ) -> ReconstructionResult:
-    """Solve ``I c = J c`` for one dataset: a batch of one lane."""
-    return solve_likelihood_batch([data], config)[0]
+    """Solve ``I c = J c`` for one data set, exposures and counts ``(m,)``:
+    a batch of one lane."""
+    if data.exposures.ndim != 1:
+        raise ValueError(f"solve_likelihood takes one data set, got {len(data.exposures)} lanes")
+    return solve_likelihood_batch(data, config)[0]
 
 
 def solve_likelihood_batch(
-    datasets: list[Measurements], config: ReconstructionConfig
+    data: Measurements, config: ReconstructionConfig
 ) -> list[ReconstructionResult]:
-    """Solve ``I c = J c`` for every dataset (lane); result b is lane b's.
+    """Solve ``I c = J c`` for every lane of ``data``; result b is lane b's.
 
-    The lanes share one operator array and carry their own exposures and
-    counts.  Auxiliary rows participate exactly like measured ones.  Raises
-    ValueError when the operators differ or a lane has no counts, and
+    The lanes are the rows of the record's ``(B, m)`` exposures and counts
+    over its one operator array; a record of one data set ``(m,)`` is a
+    batch of one lane.  Auxiliary rows participate exactly like measured
+    ones.  Raises ValueError when a lane has no counts, and
     IncompleteProtocolError when a lane's I is singular (the protocol cannot
     identify the model); in a batch of more than one lane the message names
     the first failing lane in lane order.  Non-convergence within the
     iteration budget is reported through the result flags, not raised.
     """
-    if not datasets:
-        raise ValueError("no datasets to solve")
-    ops = datasets[0].operators
+    exposures, counts = np.atleast_2d(data.exposures), np.atleast_2d(data.counts)
+    if not len(exposures):
+        raise ValueError("no lanes to solve")
+    ops = data.operators
     m, d, _ = ops.shape
     rank = config.rank
     if rank > d:
         raise ValueError(f"rank {rank} exceeds dimension {d}")
     ops_flat = ops.reshape(m, d * d)
-    n_lanes = len(datasets)
-    exposures, counts, i_mat = _set_up(datasets, ops, rank)
+    n_lanes = len(exposures)
+    i_mat = _set_up(exposures, counts, ops, rank)
     c = _initial_point(ops_flat, exposures, counts, rank)
     c = c * np.sqrt(counts.sum(axis=1) / _dots(_rates(c, ops_flat), exposures))[:, None, None]
     s = _Lanes(

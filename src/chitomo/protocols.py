@@ -1,11 +1,12 @@
 """Tomographic protocol construction and Poisson count synthesis.
 
 Measurement data travel as one ``Measurements`` record of arrays: m
-Hermitian PSD intensity operators (m, d, d), their exposures and (after data
-generation) observed counts (m,), and a mask of the auxiliary rows.  For
-process tomography the operators act on the composite (input (x) output)
-space and have the effective-projector form ``|conj(c_in)><conj(c_in)| (x)
-|c_m><c_m|``; expected rates are traces against the trace-1 Choi state, so a
+Hermitian PSD intensity operators (m, d, d), a mask of the auxiliary rows,
+and exposures and (after data generation) observed counts, (m,) for one data
+set or (B, m) for B data sets, the lanes of a batch.  For process tomography
+the operators act on the composite (input (x) output) space and have the
+effective-projector form ``|conj(c_in)><conj(c_in)| (x) |c_m><c_m|``;
+expected rates are traces against the trace-1 Choi state, so a
 probability-1 outcome corresponds to rate 1/s.  Auxiliary rows with the
 operator ``|conj(c_in)><conj(c_in)| (x) I`` and virtual counts pin the
 trace-preservation constraint softly.
@@ -180,13 +181,15 @@ class Measurements:
     observed count (zero before data generation; float, so that noiseless
     expected counts fit) and whether it is an auxiliary row.
 
-    Shapes are checked on construction; ``a + b`` concatenates the rows.
+    One data set, or a batch of B data sets (its lanes) over shared
+    operators and mask; shapes are checked on construction.  ``a + b``
+    concatenates the rows, a one-set block broadcast over the other's lanes.
     """
 
-    operators: np.ndarray  # (m, d, d) complex
-    exposures: np.ndarray  # (m,) float
-    counts: np.ndarray | None = None  # (m,) float; None means all zero
-    auxiliary: np.ndarray | None = None  # (m,) bool; None means none
+    operators: np.ndarray  # (m, d, d) complex, shared by every lane
+    exposures: np.ndarray  # (m,) float, or (B, m) with a row per lane
+    counts: np.ndarray | None = None  # the shape of exposures; None means all zero
+    auxiliary: np.ndarray | None = None  # (m,) bool, shared; None means none
 
     def __post_init__(self) -> None:
         try:
@@ -196,21 +199,37 @@ class Measurements:
         if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
             raise ValueError(f"operators must have shape (m, d, d), got {ops.shape}")
         m = len(ops)
-        object.__setattr__(self, "operators", ops)
-        for name, dtype in (("exposures", float), ("counts", float), ("auxiliary", bool)):
-            value = getattr(self, name)
-            value = np.zeros(m, dtype) if value is None else np.asarray(value, dtype)
-            if value.shape != (m,):
-                raise ValueError(f"{name} must have shape ({m},), got {value.shape}")
-            if dtype is float and not np.all(np.isfinite(value) & (value >= 0)):
+        t = np.asarray(self.exposures, dtype=float)
+        if t.ndim not in (1, 2) or t.shape[-1] != m:
+            raise ValueError(f"exposures must have shape ({m},) or (B, {m}), got {t.shape}")
+        k = np.zeros(t.shape) if self.counts is None else np.asarray(self.counts, dtype=float)
+        if k.shape != t.shape:
+            raise ValueError(f"counts must have shape {t.shape}, as exposures, got {k.shape}")
+        for name, value in (("exposures", t), ("counts", k)):
+            if not np.all(np.isfinite(value) & (value >= 0)):
                 raise ValueError(f"{name} must be finite and >= 0")
-            object.__setattr__(self, name, value)
+        aux = np.zeros(m, bool) if self.auxiliary is None else np.asarray(self.auxiliary, bool)
+        if aux.shape != (m,):
+            raise ValueError(f"auxiliary must have shape ({m},), got {aux.shape}")
+        vars(self).update(operators=ops, exposures=t, counts=k, auxiliary=aux)
+
+    def lanes(self, index: int | slice | np.ndarray) -> "Measurements":
+        """The lanes a numpy index selects (an int gives one data set), over
+        the same operator array."""
+        return Measurements(
+            self.operators, self.exposures[index], self.counts[index], self.auxiliary
+        )
 
     def __add__(self, other: "Measurements") -> "Measurements":
+        lanes = np.broadcast_shapes(self.exposures.shape[:-1], other.exposures.shape[:-1])
+
+        def join(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+            return np.concatenate([np.broadcast_to(x, lanes + x.shape[-1:]) for x in (a, b)], -1)
+
         return Measurements(
             np.concatenate([self.operators, other.operators]),
-            np.concatenate([self.exposures, other.exposures]),
-            np.concatenate([self.counts, other.counts]),
+            join(self.exposures, other.exposures),
+            join(self.counts, other.counts),
             np.concatenate([self.auxiliary, other.auxiliary]),
         )
 
@@ -475,20 +494,20 @@ def generate_counts_batch(
     truths: np.ndarray | Sequence[np.ndarray],
     n_total: int,
     seeds: Sequence[int],
-) -> list[Measurements]:
+) -> Measurements:
     """Observed counts for the non-auxiliary rows of a protocol, one count
-    set per seed.
+    set per seed: a record of S lanes over the operator array and auxiliary
+    mask of ``rows``.
 
-    Set s has the rates ``tr(Lambda_j rho)`` against the trace-1 truth
+    Lane s has the rates ``tr(Lambda_j rho)`` against the trace-1 truth
     ``truths[s]`` (state or Choi state); the uniform exposures are rescaled
     so that the total expected count equals n_total exactly, then each count
     is an independent Poisson draw from the generator seeded with
-    ``seeds[s]``.  Each set is the set drawn alone to the bit (tested), and
-    every set shares the operator array of ``rows``.  ``truths`` is a stack
-    ``(S, d, d)`` with one seed per truth, or one truth ``(d, d)`` for every
-    seed, which is read as that truth broadcast to ``(S, d, d)``: the same
-    bits as the stack of S copies (tested), with the errors of a single set.
-    ``n_total`` must be an integer >= 1.
+    ``seeds[s]``.  Each lane is the set drawn alone to the bit (tested).
+    ``truths`` is a stack ``(S, d, d)`` with one seed per truth, or one truth
+    ``(d, d)`` for every seed, which is read as that truth broadcast to
+    ``(S, d, d)``: the same bits as the stack of S copies (tested), with the
+    errors of a single set.  ``n_total`` must be an integer >= 1.
 
     All truths' rates come from one ``(m*d, d) @ (S, d, d)`` product, the
     operators stacked row-block by row-block, whose diagonal blocks are then
@@ -502,8 +521,7 @@ def generate_counts_batch(
     constants of every truth's means from 30 up are computed, in one pass
     each.  Each set then draws from its own generator with one sampler loop
     on Python floats (inversion below mean 30, transformed rejection above),
-    and the counts of all sets fill one ``(S, m)`` array whose rows the sets
-    hold.
+    and the counts of all sets fill the ``(S, m)`` counts of the record.
     """
     _check_integer("n_total", n_total)
     if n_total < 1:
@@ -532,43 +550,24 @@ def generate_counts_batch(
     # one iterator over all sets' constants, in row-major order: each set
     # takes those of its own rows, in turn
     rejection = _rejection_constants(means)
-    counts = np.array(
-        [
-            _draw_counts(set_means, np.random.default_rng(seed), block, rejection)
-            for set_means, seed, block in zip(means.tolist(), seeds, _block_sizes(means))
-        ],
-        dtype=float,
+    counts = [
+        _draw_counts(set_means, np.random.default_rng(seed), block, rejection)
+        for set_means, seed, block in zip(means.tolist(), seeds, _block_sizes(means))
+    ]
+    return Measurements(
+        rows.operators, exposures, np.array(counts, float).reshape(means.shape), rows.auxiliary
     )
-    return [_with_counts(rows, e, k) for e, k in zip(exposures, counts)]
 
 
 def process_datasets(
     proto: ProcessProtocol, truth: np.ndarray, n_total: int, seeds: Sequence[int], weight: float
-) -> list[Measurements]:
-    """The data set of a process protocol for each of one or more seeds: the
-    counts ``generate_counts_batch`` draws from one truth ``(d, d)``, then
-    the protocol's auxiliary rows of weight ``weight``, built once: every set
-    has the same exposures, so ``t_aux = weight * sum(exposures)`` is one
-    number, summed in row order (``np.sum`` adds pairwise, which can move the
-    last bit of every output).  The sets share every array of one checked
-    ``rows + aux`` but the counts."""
-    count_sets = generate_counts_batch(proto.rows, truth, n_total, seeds)
-    aux = auxiliary_rows(proto.input_states, sum(count_sets[0].exposures), weight)
-    rows = count_sets[0] + aux
-    return [
-        _with_counts(rows, rows.exposures, np.concatenate((data.counts, aux.counts)))
-        for data in count_sets
-    ]
-
-
-def _with_counts(rows: Measurements, exposures: np.ndarray, counts: np.ndarray) -> Measurements:
-    # rows with drawn exposures and counts, skipping the checks of
-    # construction, which they pass: the exposures are >= 0 and finite (an
-    # infinite one gives an infinite mean, which the means check rejects
-    # first, or they are those of checked rows) and the counts are
-    # non-negative integers
-    data = object.__new__(Measurements)
-    vars(data).update(
-        operators=rows.operators, exposures=exposures, counts=counts, auxiliary=rows.auxiliary
-    )
-    return data
+) -> Measurements:
+    """The data sets of a process protocol, a lane for each of one or more
+    seeds: the counts ``generate_counts_batch`` draws from one truth ``(d,
+    d)``, then the protocol's auxiliary rows of weight ``weight``, built once
+    and broadcast over the lanes.  Every lane has the same exposures, so
+    ``t_aux = weight * sum(exposures)`` is one number, summed in row order
+    (``np.sum`` adds pairwise, which can move the last bit of every
+    output)."""
+    counts = generate_counts_batch(proto.rows, truth, n_total, seeds)
+    return counts + auxiliary_rows(proto.input_states, sum(counts.exposures[0]), weight)

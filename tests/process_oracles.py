@@ -11,7 +11,7 @@ a process computed directly.
 Also the single-item forms of package functions that no command calls: one
 derived seed, the retarder unitary about one axis, the monochromatic states
 behind a plate stack, one component sum, the Poisson sampler over one list
-of means and one count set."""
+of means and one count set; and a batch record's lanes as a list."""
 
 from __future__ import annotations
 
@@ -40,6 +40,7 @@ __all__ = [
     "component_sum_state",
     "poisson_counts",
     "generate_counts",
+    "each_lane",
     "completeness_residual",
     "basis_orthonormality_check",
     "unitary_mix",
@@ -130,9 +131,14 @@ def poisson_counts(means: np.ndarray, rng: np.random.Generator) -> list[int]:
 def generate_counts(
     rows: Measurements, truth: np.ndarray, n_total: int, seed: int
 ) -> Measurements:
-    """Fill observed counts for the non-auxiliary rows of a protocol: a
-    batch of one of ``protocols.generate_counts_batch``."""
-    return protocols.generate_counts_batch(rows, truth, n_total, [seed])[0]
+    """Fill observed counts for the non-auxiliary rows of a protocol: the
+    one lane of a batch of one of ``protocols.generate_counts_batch``."""
+    return protocols.generate_counts_batch(rows, truth, n_total, [seed]).lanes(0)
+
+
+def each_lane(data: Measurements) -> list[Measurements]:
+    """Every lane of a batch record, in lane order, as one data set each."""
+    return [data.lanes(b) for b in range(len(data.exposures))]
 
 
 def completeness_residual(kraus_ops: Sequence[np.ndarray]) -> float:

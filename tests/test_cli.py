@@ -84,13 +84,13 @@ class TestWriteJson:
             write_json(path, obj)
 
         monkeypatch.setattr(cli, "write_json", recording_write_json)
-        quick = {"replications": 3, "n_events": 1500, "seed": 4}
+        quick = {"replications": 3, "seed": 4}
         configs = {
             "plate-chi": {"knots": 201},
             "protocol-dump": {"protocol": "B4"},
             "gen-data": {"n_events": 2000, "seed": 11, "truth": {"knots": 201}},
             "reconstruct": {"data_path": str(tmp_path / "gen-data" / "data.json")},
-            "mc": quick,
+            "mc": {**quick, "n_events": 1500},
             "scaling": {**quick, "n_list": [1000, 2000, 4000], "ranks": [2]},
             "mixed-workflow": {"knots": 201, "span": 15.0, "n_events": 5000, "seed": 2},
             "fit-retarder": {"chi_path": str(tmp_path / "plate-chi" / "chi.json")},
@@ -296,20 +296,21 @@ class TestMcCommand:
         real = harness.solve_likelihood_batch
         bad = []
 
-        def raise_on_second(datasets, config):
+        def raise_on_second(data, config):
             # the solver rejects the second replication's data, which lane 1
             # of the campaign's batch holds: the batch raises naming the
             # lane, and that data's lone solve raises as well
             if not bad:
-                bad.append(datasets[1].counts)
-            for b, data in enumerate(datasets):
-                if np.array_equal(data.counts, bad[0]):
-                    raise ValueError(("" if len(datasets) == 1 else f"lane {b}: ") + "solver failed")
-            return real(datasets, config)
+                bad.append(data.counts[1])
+            for b, counts in enumerate(np.atleast_2d(data.counts)):
+                if np.array_equal(counts, bad[0]):
+                    lane = "" if data.counts.ndim == 1 else f"lane {b}: "
+                    raise ValueError(lane + "solver failed")
+            return real(data, config)
 
         monkeypatch.setattr(harness, "solve_likelihood_batch", raise_on_second)
         monkeypatch.setattr(
-            harness, "solve_likelihood", lambda data, config: raise_on_second([data], config)[0]
+            harness, "solve_likelihood", lambda data, config: raise_on_second(data, config)[0]
         )
         cfg = write_config(tmp_path / "mc.json", {**self.CONFIG, "max_iterations": 2})
         assert main(["mc", "--config", cfg, "--seed", "9", "--out", str(tmp_path)]) == 1
@@ -329,7 +330,6 @@ class TestScalingCommand:
             tmp_path / "s.json",
             {
                 "replications": 4,
-                "n_events": 1000,
                 "scenario": "cli-scaling",
                 "seed": 1,
                 "n_list": [1000, 10000, 100000],
@@ -366,8 +366,10 @@ class TestScalingCommand:
             assert main(["scaling", "--config", cfg, "--out", str(tmp_path / name)]) == 0
             hashes.append(json.loads((tmp_path / name / "result.json").read_text())["config_hash"])
         assert hashes[0] == hashes[1]
-        resolved = {**CampaignConfig.from_dict({"seed": 1, "replications": 2}).to_dict(),
-                    "n_list": [1000, 2000, 4000], "ranks": [2]}
+        # the campaign's fields but the two that each cell sets
+        campaign = CampaignConfig.from_dict({"seed": 1, "replications": 2}).to_dict()
+        del campaign["n_events"], campaign["reconstruction_rank"]
+        resolved = {**campaign, "n_list": [1000, 2000, 4000], "ranks": [2]}
         assert hashes[0] == config_hash(resolved)
         assert hashes[0] == config_hash(ScalingConfig.from_dict(grid).to_dict())
 
@@ -407,9 +409,9 @@ class TestMixedWorkflowCommand:
         batches = []
         calls = []
 
-        def capped_second_component(datasets, config):
-            results = real(datasets, config)
-            batches.append((len(datasets), config.rank))
+        def capped_second_component(data, config):
+            results = real(data, config)
+            batches.append((len(data.exposures), config.rank))
             calls.extend(results)
             if len(batches) == 2:
                 # lane 1 of the component batch: the second 1-plate component
@@ -572,7 +574,9 @@ class TestErrorPaths:
             ("mc", {"seed": -1}, "seed must be a non-negative integer"),
             ("gen-data", {"seed": -3}, "seed must be a non-negative integer"),
             ("mc", {"n_events": 0}, "n_events must be >= 1"),
-            ("scaling", {"n_events": -5}, "n_events must be >= 1"),
+            # every scaling cell sets its own sample size and rank
+            ("scaling", {"n_events": 7, "reconstruction_rank": 3},
+             "unknown config key(s) 'n_events', 'reconstruction_rank' for ScalingConfig"),
             ("scaling", {"ranks": [5]}, "ranks[0] must be in 1..4"),
             ("scaling", {"ranks": [2, 0]}, "ranks[1] must be in 1..4"),
             ("scaling", {"ranks": []}, "ranks must not be empty"),
@@ -585,7 +589,7 @@ class TestErrorPaths:
             ("mc", {"truth": {"rank": -1}}, "rank must be in 1..4 or null, got -1"),
             ("mc", {"truth": {"rank": 9}}, "rank must be in 1..4 or null, got 9"),
             ("gen-data", {"truth": {"rank": 0}}, "rank must be in 1..4 or null, got 0"),
-            ("mc", {"truth": {"kind": "foo"}}, "unknown truth kind 'foo'"),
+            ("mc", {"truth": {"kind": "foo"}}, "kind must be one of plate, identity, got 'foo'"),
             ("mc", {"protocol": "X4"}, "protocol must be one of J4, R4, B4, got 'X4'"),
             ("scaling", {"protocol": "j4"}, "protocol must be one of J4, R4, B4, got 'j4'"),
             ("gen-data", {"protocol": 4}, "protocol must be one of J4, R4, B4, got 4"),

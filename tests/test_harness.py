@@ -20,6 +20,7 @@ from chitomo.harness import (
     run_retarder_fit,
     run_scaling_study,
 )
+from chitomo.protocols import Measurements
 from chitomo.quantum_core import fidelity, vectorize, von_neumann_entropy
 from chitomo.waveplate import (
     WaveplateSpec,
@@ -39,7 +40,9 @@ from process_oracles import (
     su2_from_retarder,
 )
 
-QUICK = {"replications": 6, "n_events": 2000, "scenario": "test"}
+# a scaling study's cells set their own n_events
+QUICK_SCALING = {"replications": 6, "scenario": "test"}
+QUICK = {**QUICK_SCALING, "n_events": 2000}
 
 
 class TestSeedsAndTruth:
@@ -103,7 +106,7 @@ class TestSeedsAndTruth:
         assert build_truth(spec).tobytes() == want.tobytes()
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="truth kind"):
+        with pytest.raises(ValueError, match="^kind must be one of plate, identity, got 'myst"):
             build_truth(TruthSpec(kind="mystery"))
 
 
@@ -228,9 +231,9 @@ class TestReplicationsAsOneBatch:
             calls["aux"] += 1
             return aux(*args)
 
-        def counting_solve(datasets, config):
-            calls["solve"].append(len(datasets))
-            return solve(datasets, config)
+        def counting_solve(data, config):
+            calls["solve"].append(len(data.exposures))
+            return solve(data, config)
 
         def counting_fidelity(rho0, rho):
             calls["fidelity"].append(np.shape(rho))
@@ -251,7 +254,7 @@ class TestReplicationsAsOneBatch:
         # a scaling study runs one campaign, and so one batch, per cell
         calls["solve"].clear()
         study = ScalingConfig.from_dict(
-            {**QUICK, "replications": 3, "n_list": [1000, 2000, 4000], "ranks": [2, 1]}
+            {**QUICK_SCALING, "replications": 3, "n_list": [1000, 2000, 4000], "ranks": [2, 1]}
         )
         run_scaling_study(study)
         assert calls["solve"] == [3] * 6
@@ -270,8 +273,8 @@ class TestReplicationsAsOneBatch:
         clean = run_mc_campaign(config)
         solve, calls = harness.solve_likelihood_batch, []
 
-        def nan_third_estimate(datasets, solver):
-            results = solve(datasets, solver)
+        def nan_third_estimate(data, solver):
+            results = solve(data, solver)
             for b, res in enumerate(results):
                 calls.append(res)
                 if len(calls) % 6 == 3:  # replication 2, on either path
@@ -281,7 +284,7 @@ class TestReplicationsAsOneBatch:
         monkeypatch.setattr(harness, "solve_likelihood_batch", nan_third_estimate)
         # the one-by-one oracle solves each replication as a batch of one
         monkeypatch.setattr(
-            harness, "solve_likelihood", lambda data, solver: nan_third_estimate([data], solver)[0]
+            harness, "solve_likelihood", lambda data, solver: nan_third_estimate(data, solver)[0]
         )
         result = run_mc_campaign(config)
         assert result.failure_reasons == {2: "ValueError: matrix contains non-finite entries"}
@@ -305,17 +308,18 @@ class TestReplicationsAsOneBatch:
 
         def no_counts_in_set_3(rows, truth, n_total, seeds):
             sets = synthesize(rows, truth, n_total, seeds)
-            sets[3] = dataclasses.replace(sets[3], counts=np.zeros_like(sets[3].counts))
-            return sets
+            counts = sets.counts.copy()
+            counts[3] = 0.0
+            return dataclasses.replace(sets, counts=counts)
 
         monkeypatch.setattr(protocols, "auxiliary_rows", no_auxiliary_counts)
         clean = run_mc_campaign(config)
         assert not clean.failures
         batch_errors = []
 
-        def recording_batch(datasets, solver):
+        def recording_batch(data, solver):
             try:
-                return ml_engine.solve_likelihood_batch(datasets, solver)
+                return ml_engine.solve_likelihood_batch(data, solver)
             except ValueError as exc:
                 batch_errors.append(str(exc))
                 raise
@@ -334,7 +338,8 @@ class TestReplicationsAsOneBatch:
 class TestScalingStudy:
     def test_slopes_negative_and_reported(self):
         config = ScalingConfig.from_dict(
-            {**QUICK, "replications": 8, "seed": 3, "n_list": [10**3, 10**4, 10**5], "ranks": [2]}
+            {**QUICK_SCALING, "replications": 8, "seed": 3, "n_list": [10**3, 10**4, 10**5],
+             "ranks": [2]}
         )
         study = run_scaling_study(config)
         out = study["per_rank"][2]
@@ -344,7 +349,7 @@ class TestScalingStudy:
 
     def test_needs_three_points(self):
         with pytest.raises(ValueError, match="at least 3 sample sizes, got 2"):
-            ScalingConfig.from_dict({**QUICK, "n_list": [10, 100]})
+            ScalingConfig.from_dict({**QUICK_SCALING, "n_list": [10, 100]})
 
 
 class TestBootstrap:
@@ -442,10 +447,16 @@ class TestMixedWorkflow:
         monkeypatch.undo()
 
         def per_set_counts(rows, truths, n_total, seeds):
-            return [
+            sets = [
                 generate_counts_per_set(rows, truth, n_total, seed)
                 for truth, seed in zip(truths, seeds)
             ]
+            return Measurements(
+                rows.operators,
+                [data.exposures for data in sets],
+                [data.counts for data in sets],
+                rows.auxiliary,
+            )
 
         def separate_truths(input_state, plates, profile, wavelengths):
             counts = range(1, len(plates) + 1)

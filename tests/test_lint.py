@@ -1,9 +1,10 @@
 """Static checks of the package source, with the standard library's ``ast``
-(no linter is needed): no module-level import goes unused, every private
-module-level function or class is referenced somewhere in the package, every
-public module-level function is called by package code (or allowed below,
-with its reason), and every name in a module's ``__all__`` or imported by
-``chitomo/__init__.py`` is bound at the top level of the module it names."""
+(no linter is needed): no module-level import goes unused in the package or
+in the tests, every private module-level function or class is referenced
+somewhere in the package, every public module-level function is called by
+package code (or allowed below, with its reason), and every name in a
+module's ``__all__`` or imported by ``chitomo/__init__.py`` is bound at the
+top level of the module it names."""
 
 import ast
 from pathlib import Path
@@ -12,6 +13,11 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "chitomo"
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
+# the files whose imports are checked: package modules by name, test files
+# by their path from the repository root
+IMPORTING = {module: PACKAGE / f"{module}.py" for module in MODULES if module != "__init__"}
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
+IMPORTING.update({f"tests/{path.stem}": path for path in TESTS})
 
 
 def parse(module: str) -> ast.Module:
@@ -52,15 +58,15 @@ def all_names(tree: ast.Module) -> list[str]:
     return []
 
 
-@pytest.mark.parametrize("module", [m for m in MODULES if m != "__init__"])
-def test_no_unused_module_imports(module):
-    # a name read anywhere in the module, or exported by its __all__, is used
-    tree = parse(module)
+@pytest.mark.parametrize("name", IMPORTING)
+def test_no_unused_module_imports(name):
+    # a name read anywhere in the file, or exported by its __all__, is used
+    tree = ast.parse(IMPORTING[name].read_text())
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     used |= set(all_names(tree))
-    unused = [f"{name} (line {line})" for name, line in imported_names(tree).items()
-              if name not in used]
-    assert not unused, f"{module}.py imports but never uses: {', '.join(unused)}"
+    unused = [f"{imported} (line {line})" for imported, line in imported_names(tree).items()
+              if imported not in used]
+    assert not unused, f"{name}.py imports but never uses: {', '.join(unused)}"
 
 
 def test_no_unreferenced_private_definitions():

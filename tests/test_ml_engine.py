@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from chitomo import ml_engine
-from chitomo.harness import TruthSpec, build_truth
+from chitomo.harness import TruthSpec, build_truth, derive_seeds
 from chitomo.ml_engine import (
     ReconstructionConfig,
     _fisher,
@@ -18,14 +18,17 @@ from chitomo.ml_engine import (
     solve_likelihood_batch,
 )
 from chitomo.protocols import (
+    AUXILIARY_WEIGHT,
     IncompleteProtocolError,
     Measurements,
     auxiliary_rows,
     bn_state_protocol,
+    generate_counts_batch,
+    process_datasets,
     process_protocol,
 )
 from chitomo.quantum_core import fidelity
-from process_oracles import derive_seed, fisher_matrices, generate_counts
+from process_oracles import each_lane, fisher_matrices, generate_counts
 from random_ops import random_density_matrix, random_unitary
 from chitomo.waveplate import WaveplateSpec, broadband_mixed_state, sinc2_profile
 
@@ -399,14 +402,27 @@ ACCEPTANCE_RANK2_N1E3_SEED = 17260451438471865157
 def campaign_rows():
     """Rows of replication ``index`` of an ``mc`` campaign (R4 unless
     ``protocol`` says otherwise) on the default plate truth, built exactly as
-    ``run_mc_campaign`` builds them."""
+    ``run_mc_campaign`` builds them; a list or range of indices gives a batch
+    with a lane per replication."""
     truth = build_truth(TruthSpec())
 
     def rows(campaign_seed, index, n, protocol="R4"):
-        proto = process_protocol(protocol)
-        return poisson_rows(proto, truth, n=n, seed=derive_seed(campaign_seed, index))
+        seeds = derive_seeds(campaign_seed, np.ravel(index).tolist())
+        data = process_datasets(process_protocol(protocol), truth, n, seeds, AUXILIARY_WEIGHT)
+        return data if np.ndim(index) else data.lanes(0)
 
     return rows
+
+
+def batch_of(*datasets):
+    """The data sets, each of one lane, as the lanes of one record over the
+    first one's operators."""
+    return Measurements(
+        datasets[0].operators,
+        [data.exposures for data in datasets],
+        [data.counts for data in datasets],
+        datasets[0].auxiliary,
+    )
 
 
 class TestStoppingRule:
@@ -527,11 +543,11 @@ def assert_same_result(alone, lane):
 class TestBatchLanes:
     """A lane's result does not depend on the batch it is solved in."""
 
-    def assert_lanes_independent(self, datasets, config):
-        batch = solve_likelihood_batch(datasets, config)
-        assert len(batch) == len(datasets)
-        for data, lane in zip(datasets, batch):
-            assert_same_result(solve_likelihood(data, config), lane)
+    def assert_lanes_independent(self, data, config):
+        batch = solve_likelihood_batch(data, config)
+        assert len(batch) == len(data.exposures)
+        for one, lane in zip(each_lane(data), batch):
+            assert_same_result(solve_likelihood(one, config), lane)
         return batch
 
     def test_mixed_workflow_batches(self, monkeypatch):
@@ -540,27 +556,27 @@ class TestBatchLanes:
         real = harness.solve_likelihood_batch
         batches = []
 
-        def recording(datasets, config):
-            results = real(datasets, config)
-            batches.append((datasets, config, results))
+        def recording(data, config):
+            results = real(data, config)
+            batches.append((data, config, results))
             return results
 
         monkeypatch.setattr(harness, "solve_likelihood_batch", recording)
         harness.run_mixed_state_workflow(harness.MixedWorkflowConfig(seed=3))
-        assert [(len(d), c.rank) for d, c, _ in batches] == [(2, 2), (14, 1)]
-        for datasets, config, results in batches:
-            for data, lane in zip(datasets, results):
-                assert_same_result(solve_likelihood(data, config), lane)
+        assert [(len(d.exposures), c.rank) for d, c, _ in batches] == [(2, 2), (14, 1)]
+        for data, config, results in batches:
+            for one, lane in zip(each_lane(data), results, strict=True):
+                assert_same_result(solve_likelihood(one, config), lane)
 
     def test_acceptance_cell_first_10_replications(self, campaign_rows):
-        datasets = [campaign_rows(ACCEPTANCE_RANK2_N1E3_SEED, i, 1000) for i in range(10)]
-        self.assert_lanes_independent(datasets, ReconstructionConfig(rank=2))
+        data = campaign_rows(ACCEPTANCE_RANK2_N1E3_SEED, range(10), 1000)
+        self.assert_lanes_independent(data, ReconstructionConfig(rank=2))
 
     def test_acceptance_cell_as_one_batch_of_200(self, campaign_rows):
         # the whole acceptance mc cell (R4, n=1e3, rank 2) in one call: the
         # groundwork for solving a campaign's replications as one batch
-        datasets = [campaign_rows(ACCEPTANCE_RANK2_N1E3_SEED, i, 1000) for i in range(200)]
-        batch = self.assert_lanes_independent(datasets, ReconstructionConfig(rank=2))
+        data = campaign_rows(ACCEPTANCE_RANK2_N1E3_SEED, range(200), 1000)
+        batch = self.assert_lanes_independent(data, ReconstructionConfig(rank=2))
         # lanes leave the batch at many different iterations, the cell's
         # slow solves last
         assert max(r.iterations for r in batch) >= 150
@@ -569,18 +585,18 @@ class TestBatchLanes:
     def test_far_start_lane_scores_beside_the_others(self, campaign_rows):
         # replication 48 starts far from the maximum, at residual 0.044, and
         # takes a scoring step on its first iteration like the other lanes
-        datasets = [campaign_rows(77, i, 500) for i in range(44, 52)]
-        self.assert_lanes_independent(datasets, ReconstructionConfig(rank=2))
-        first = solve_likelihood(datasets[4], ReconstructionConfig(rank=2, max_iterations=1))
+        data = campaign_rows(77, range(44, 52), 500)
+        self.assert_lanes_independent(data, ReconstructionConfig(rank=2))
+        first = solve_likelihood(data.lanes(4), ReconstructionConfig(rank=2, max_iterations=1))
         assert first.residual > 0.04 and first.scoring_steps == 1
 
     def test_iteration_cap_hits_only_the_slow_lane(self, campaign_rows):
         # replication 89 takes 336 iterations without a cap; the others stop
         # within 30
         indices = [0, 1, 89, 2, 3]
-        datasets = [campaign_rows(ACCEPTANCE_RANK2_N1E3_SEED, i, 1000) for i in indices]
+        data = campaign_rows(ACCEPTANCE_RANK2_N1E3_SEED, indices, 1000)
         batch = self.assert_lanes_independent(
-            datasets, ReconstructionConfig(rank=2, max_iterations=100)
+            data, ReconstructionConfig(rank=2, max_iterations=100)
         )
         assert [res.stop_reason == "iteration_cap" for res in batch] == [
             False, False, True, False, False
@@ -588,33 +604,29 @@ class TestBatchLanes:
         assert batch[2].iterations == 100 and not batch[2].converged
 
     def test_step_counts(self, campaign_rows):
-        datasets = [campaign_rows(77, i, 500) for i in range(44, 52)]
+        data = campaign_rows(77, range(44, 52), 500)
         capped = ReconstructionConfig(rank=2, max_iterations=3)
         for config in (ReconstructionConfig(rank=2), capped):
-            for res in solve_likelihood_batch(datasets, config):
+            for res in solve_likelihood_batch(data, config):
                 # at most one step per iteration, and none in a converged
                 # stop's last
                 assert 0 <= res.scoring_steps <= res.iterations - res.converged
                 assert res.rejected_steps >= 0
 
-    def test_operators_must_be_shared(self, campaign_rows):
-        data = campaign_rows(77, 0, 500)
-        other = Measurements(data.operators[::-1], data.exposures, data.counts)
-        with pytest.raises(ValueError, match="lane 1: operators differ"):
-            solve_likelihood_batch([data, other], ReconstructionConfig(rank=2))
-
     def test_errors_name_the_lane(self, campaign_rows):
         data = campaign_rows(77, 0, 500)
         empty = Measurements(data.operators, data.exposures, np.zeros_like(data.counts))
         with pytest.raises(ValueError, match="lane 2: no observed counts"):
-            solve_likelihood_batch([data, data, empty], ReconstructionConfig(rank=2))
+            solve_likelihood_batch(batch_of(data, data, empty), ReconstructionConfig(rank=2))
         with pytest.raises(ValueError, match="^no observed counts"):
             solve_likelihood(empty, ReconstructionConfig(rank=2))
+        with pytest.raises(ValueError, match="^solve_likelihood takes one data set, got 2 lanes"):
+            solve_likelihood(batch_of(data, data), ReconstructionConfig(rank=2))
         # three exposed rows cannot make I = sum_j t_j Lambda_j full rank
         t = np.where(np.arange(len(data.exposures)) < 3, data.exposures, 0.0)
         singular = Measurements(data.operators, t, data.counts)
         with pytest.raises(IncompleteProtocolError, match="lane 1: information matrix"):
-            solve_likelihood_batch([data, singular], ReconstructionConfig(rank=2))
+            solve_likelihood_batch(batch_of(data, singular), ReconstructionConfig(rank=2))
 
 
     def test_first_failing_lane_in_lane_order(self, campaign_rows):
@@ -626,19 +638,13 @@ class TestBatchLanes:
         t = np.where(np.arange(len(data.exposures)) < 3, data.exposures, 0.0)
         singular = Measurements(data.operators, t, data.counts)
         with pytest.raises(IncompleteProtocolError, match="^lane 1: information matrix"):
-            solve_likelihood_batch([data, singular, data, empty], config)
+            solve_likelihood_batch(batch_of(data, singular, data, empty), config)
         with pytest.raises(ValueError, match="^lane 1: no observed counts"):
-            solve_likelihood_batch([data, empty, data, singular], config)
+            solve_likelihood_batch(batch_of(data, empty, data, singular), config)
         # within a lane, the singular I is named before the missing counts
         both = Measurements(data.operators, t, np.zeros_like(data.counts))
         with pytest.raises(IncompleteProtocolError, match="^lane 2: information matrix"):
-            solve_likelihood_batch([data, data, both, empty], config)
-        # and a lane with other operators only where it comes first
-        other = Measurements(data.operators[::-1], data.exposures, data.counts)
-        with pytest.raises(ValueError, match="^lane 1: no observed counts"):
-            solve_likelihood_batch([data, empty, other], config)
-        with pytest.raises(ValueError, match="^lane 1: operators differ"):
-            solve_likelihood_batch([data, other, empty], config)
+            solve_likelihood_batch(batch_of(data, data, both, empty), config)
 
 
 class TestLazyLogLikelihood:
@@ -646,7 +652,7 @@ class TestLazyLogLikelihood:
     with the bits of the eager ``_log_likelihood(..., include_factorial=True)``
     at the rates the solve ended with."""
 
-    def solve_recording_rates(self, monkeypatch, datasets, config):
+    def solve_recording_rates(self, monkeypatch, data, config):
         # the (lam, k, t) of the finish, where the solve takes the partial value
         recorded = []
         real = ml_engine._log_likelihood
@@ -656,7 +662,7 @@ class TestLazyLogLikelihood:
             return real(lam, k, t, include_factorial)
 
         monkeypatch.setattr(ml_engine, "_log_likelihood", recording)
-        results = solve_likelihood_batch(datasets, config)
+        results = solve_likelihood_batch(data, config)
         monkeypatch.setattr(ml_engine, "_log_likelihood", real)
         assert [flag for *_, flag in recorded] == [False]
         lam, k, t, _ = recorded[0]
@@ -664,10 +670,10 @@ class TestLazyLogLikelihood:
 
     def test_equals_eager_value_alone_and_in_batches(self, monkeypatch, campaign_rows):
         config = ReconstructionConfig(rank=2)
-        datasets = [campaign_rows(77, i, 500) for i in range(44, 52)]
-        batch, eager = self.solve_recording_rates(monkeypatch, datasets, config)
-        for data, lane, value in zip(datasets, batch, eager):
-            alone, eager_alone = self.solve_recording_rates(monkeypatch, [data], config)
+        data = campaign_rows(77, range(44, 52), 500)
+        batch, eager = self.solve_recording_rates(monkeypatch, data, config)
+        for one, lane, value in zip(each_lane(data), batch, eager):
+            alone, eager_alone = self.solve_recording_rates(monkeypatch, one, config)
             assert type(lane.log_likelihood) is float
             assert lane.log_likelihood == value == alone[0].log_likelihood == eager_alone[0]
             assert np.isfinite(value)
@@ -676,8 +682,8 @@ class TestLazyLogLikelihood:
         # the d=2 solves of mixed-workflow: B36 rows, counts up to ~1e4
         rows = bn_state_protocol(36, 312.7, 1.0)
         truths = [np.diag([0.7, 0.3]).astype(complex), np.eye(2) / 2]
-        datasets = [generate_counts(rows, truth, 10**5, 3) for truth in truths]
-        batch, eager = self.solve_recording_rates(monkeypatch, datasets, ReconstructionConfig(rank=2))
+        data = generate_counts_batch(rows, truths, 10**5, [3, 3])
+        batch, eager = self.solve_recording_rates(monkeypatch, data, ReconstructionConfig(rank=2))
         assert [res.log_likelihood for res in batch] == eager.tolist()
 
     def test_computed_on_first_read_only(self, monkeypatch, campaign_rows):

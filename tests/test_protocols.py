@@ -34,6 +34,7 @@ from process_oracles import (
     auxiliary_operators_per_row,
     derive_seed,
     direct_probability,
+    each_lane,
     effective_probability,
     generate_counts,
     generate_counts_per_set,
@@ -142,20 +143,47 @@ class TestMeasurements:
         "kwargs, message",
         [
             ({"exposures": [1.0]}, r"exposures must have shape \(2,\)"),
-            ({"exposures": [[1.0, 1.0], [1.0, 1.0]]}, r"exposures must have shape \(2,\)"),
+            ({"exposures": [[[1.0, 1.0]]]}, r"exposures must have shape \(2,\) or \(B, 2\)"),
             ({"counts": [1, 2, 3]}, r"counts must have shape \(2,\)"),
+            ({"exposures": [[1.0, 1.0]] * 3, "counts": [1, 2]},
+             r"counts must have shape \(3, 2\), as exposures, got \(2,\)"),
             ({"auxiliary": [True]}, r"auxiliary must have shape \(2,\)"),
             ({"operators": [np.eye(2), np.eye(3)]}, "operators must all have the same shape"),
             ({"operators": np.ones((2, 2, 3))}, r"operators must have shape \(m, d, d\)"),
             ({"operators": np.eye(2)}, r"operators must have shape \(m, d, d\)"),
         ],
-        ids=["short-exposures", "2d-exposures", "long-counts", "short-mask", "mixed-dim",
-             "non-square", "single-matrix"],
+        ids=["short-exposures", "3d-exposures", "long-counts", "lane-counts", "short-mask",
+             "mixed-dim", "non-square", "single-matrix"],
     )
     def test_shape_mismatch_rejected(self, kwargs, message):
         fields = {"operators": [np.eye(2)] * 2, "exposures": [1.0, 1.0], **kwargs}
         with pytest.raises(ValueError, match=message):
             Measurements(**fields)
+
+    def test_lanes_share_the_operators_and_mask(self):
+        data = Measurements(
+            [np.eye(2), np.diag([1.0, 0.0])], [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]],
+            [[1, 2], [3, 4], [5, 6]], [False, True],
+        )
+        one = data.lanes(1)
+        assert one.exposures.tolist() == [3.0, 4.0] and one.counts.tolist() == [3.0, 4.0]
+        picked = data.lanes(np.array([True, False, True]))
+        assert picked.exposures.tolist() == [[1.0, 2.0], [5.0, 6.0]]
+        assert picked.counts.tolist() == [[1.0, 2.0], [5.0, 6.0]]
+        for lanes in (one, picked, data.lanes(slice(1, None))):
+            assert lanes.operators is data.operators
+            assert lanes.auxiliary is data.auxiliary
+        with pytest.raises(ValueError, match=r"^exposures must have shape .* got \(\)$"):
+            one.lanes(0)  # a data set has no lanes
+
+    def test_concatenation_broadcasts_one_set_over_lanes(self):
+        lanes = Measurements([np.eye(2)], [[1.0], [2.0]], [[3], [4]])
+        shared = Measurements([np.diag([0.0, 1.0])], [5.0], [6], [True])
+        joined = lanes + shared
+        assert joined.exposures.tolist() == [[1.0, 5.0], [2.0, 5.0]]
+        assert joined.counts.tolist() == [[3.0, 6.0], [4.0, 6.0]]
+        assert joined.auxiliary.tolist() == [False, True]
+        assert (shared + lanes).exposures.tolist() == [[5.0, 1.0], [5.0, 2.0]]
 
     @pytest.mark.parametrize("name", ["exposures", "counts"])
     @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf, None])
@@ -374,12 +402,12 @@ class TestProcessDatasets:
         proto = process_protocol(name)
         seeds = [derive_seed(4, i) for i in range(5)]
         sets = protocols.process_datasets(proto, plate_truth, 3000, seeds, 7.5)
-        for data, seed in zip(sets, seeds):
+        for data, seed in zip(each_lane(sets), seeds):
             alone = generate_counts(proto.rows, plate_truth, 3000, seed)
             alone = alone + auxiliary_rows(proto.input_states, sum(alone.exposures), 7.5)
             for column in ("operators", "exposures", "counts", "auxiliary"):
                 assert getattr(data, column).tobytes() == getattr(alone, column).tobytes(), column
-        assert all(data.operators is sets[0].operators for data in sets)
+            assert data.operators is sets.operators
 
 
 class CountingGenerator:
@@ -578,13 +606,13 @@ class TestGenerateCounts:
         means = []
         for n_sets in range(1, 17):
             batch = generate_counts_batch(rows, truths[:n_sets], n_total, seeds[:n_sets])
-            assert len(batch) == n_sets
-            for truth, seed, data in zip(truths, seeds, batch):
+            assert batch.counts.shape == (n_sets, len(rows.operators))
+            for truth, seed, data in zip(truths, seeds, each_lane(batch)):
                 for single in (generate_counts(rows, truth, n_total, seed),
                                generate_counts_per_set(rows, truth, n_total, seed)):
                     assert np.array_equal(data.exposures, single.exposures)
                     assert np.array_equal(data.counts, single.counts)
-                assert data.operators is rows.operators  # the solver's shared-operator path
+                assert data.operators is rows.operators  # every lane's
                 assert data.auxiliary is rows.auxiliary
                 means.append(per_row_rates(rows, truth) * data.exposures)
         means = np.concatenate(means)
@@ -617,7 +645,7 @@ class TestGenerateCounts:
         with monkeypatch.context() as patch:
             patch.setattr(np.random, "default_rng", counting_rng)
             batch = generate_counts_batch(rows, truths, n_total, seeds)
-        for truth, seed, data, generator in zip(truths, seeds, batch, generators):
+        for truth, seed, data, generator in zip(truths, seeds, each_lane(batch), generators):
             assert np.array_equal(data.exposures, rows.exposures)  # scale 1
             set_means = per_row_rates(rows, truth) * data.exposures
             rate = truth[0, 0].real or 1.0  # of the exposed rows
@@ -654,8 +682,8 @@ class TestGenerateCounts:
                 else:
                     singles = [generate_counts(rows, truth, n_total, seed) for seed in seeds]
         stack = generate_counts_batch(rows, np.stack([truth] * len(seeds)), n_total, seeds)
-        assert len(batch) == len(seeds)
-        for data, single, stacked in zip(batch, singles, stack):
+        assert batch.counts.shape == (len(seeds), len(rows.operators))
+        for data, single, stacked in zip(each_lane(batch), singles, each_lane(stack)):
             for other in (single, stacked):
                 assert data.exposures.tobytes() == other.exposures.tobytes()
                 assert data.counts.tobytes() == other.counts.tobytes()
@@ -665,7 +693,8 @@ class TestGenerateCounts:
             assert got.rng.bit_generator.state == want.rng.bit_generator.state
         if name == "straddle":
             assert max(g.calls for g in generators["batch"]) >= 2  # a refilled block
-        assert generate_counts_batch(rows, truth, n_total, []) == []
+        empty = generate_counts_batch(rows, truth, n_total, [])
+        assert empty.counts.shape == (0, len(rows.operators))
 
     def test_one_truth_errors_read_as_one_set(self):
         rows = process_protocol("R4").rows
