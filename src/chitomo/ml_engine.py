@@ -17,10 +17,18 @@ plus a small seeded perturbation.
 Every iteration takes one Levenberg-damped Fisher scoring step ``delta = (F +
 mu)^{-1} grad``; scoring is what makes near-boundary solutions (model rank
 above the true rank) converge in tens of iterations instead of hundreds of
-thousands.  The step and all its Levenberg tries come from one
-eigendecomposition of F per iteration.  A try is accepted only if the
-likelihood surrogate below drops by no more than a relative slack of 1e-12,
-so accepted iterations are a monotone ascent.  An accepted try multiplies
+thousands.  The step and all its Levenberg tries come from one symmetric
+eigendecomposition per iteration.  Write ``F = M^T M``, M the m x 2dr matrix
+with rows ``2 sqrt(t_j / lambda_j) v_j``.  With at least as many rows m as
+real parameters 2dr the eigendecomposition is F's.  With fewer rows (R4, J4
+and B4 at rank 3 and 4: 20 rows for 24 and 32 parameters) it is that of the
+m x m Gram matrix ``G = M M^T = P diag(w) P^T``, which has F's nonzero
+spectrum: the gradient is ``M^T y`` with ``y_j = (k_j / lambda_j - t_j) /
+sqrt(t_j / lambda_j)``, a try is ``M^T P diag(1 / (w + mu R)) P^T y`` and
+the decrement below sums ``(p_i^T y)^2``.  The ridge R is ``tr F / 2dr = tr
+G / 2dr`` on either side.  A try is accepted only if the likelihood
+surrogate below drops by no more than a relative slack of 1e-12, so
+accepted iterations are a monotone ascent.  An accepted try multiplies
 ``mu`` by 0.3 and a failed one by 10; a solve whose 8 tries all fail takes no
 step in that iteration and starts the next one from the raised ``mu``.
 
@@ -39,13 +47,16 @@ stalls at float resolution short of ``_RESIDUAL_TOL``.  A solve that meets
 neither rule within ``max_iterations`` stops with ``"iteration_cap"`` and is
 reported as not converged.
 
-``info_spectrum`` holds the 2*d*r eigenvalues, descending, of the scoring
-step's real Fisher matrix F at the returned c; a stationary stop reuses that
-step's eigendecomposition.  For a process on an s-level system under an
-adequate model they split into s^2 modes pinned by the auxiliary rows, ``nu``
-data modes and r^2 gauge nulls (``c -> c U``): ``nu + s^2`` lie above 1e-8
-times the largest.  Each result also counts its accepted scoring steps and
-its rejected steps (failed Levenberg tries).
+``info_spectrum`` holds the 2*d*r eigenvalues, descending, of the real
+Fisher matrix F at the returned c, taken from the matrix the scoring step
+decomposes: a stationary stop reuses that step's eigendecomposition, and
+the other stops decompose the same matrix at the finish.  On the Gram side
+the 2dr - m eigenvalues of F beyond G's are exact zeros, placed in sorted
+position among G's round-off values.  For a process on an s-level system
+under an adequate model they split into s^2 modes pinned by the auxiliary
+rows, ``nu`` data modes and r^2 gauge nulls (``c -> c U``): ``nu + s^2`` lie
+above 1e-8 times the largest.  Each result also counts its accepted scoring
+steps and its rejected steps (failed Levenberg tries).
 
 A result's ``log_likelihood`` is the full Poisson log-likelihood at the
 estimate, its factorial constant ``sum_j ln k_j!`` included.  The solve
@@ -191,15 +202,83 @@ def _log_factorials(k: np.ndarray) -> list[float]:
     return [sum(map(math.lgamma, row)) for row in (k + 1.0).reshape(-1, k.shape[-1]).tolist()]
 
 
+def _tangents(c: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """The vectors ``v_j = vec(Lambda_j c)`` of a batch c (B, d, r), one row
+    per operator, over the real parameters (Re c, then Im c, each
+    column-major): (B, m, 2*d*r)."""
+    v = np.einsum("mij,bjr->bmir", ops, c).swapaxes(2, 3).reshape(len(c), len(ops), -1)
+    return np.concatenate([v.real, v.imag], axis=2)
+
+
 def _fisher(c: np.ndarray, ops: np.ndarray, t: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Real Fisher matrices ``4 sum_j (t_j / lambda_j) v_j v_j^T`` of a batch
-    c (B, d, r) with exposures t and rates lam (B, m), over the real
-    parameters (Re c, then Im c, each column-major); ``v_j`` is
-    ``vec(Lambda_j c)`` in that layout."""
-    v = np.einsum("mij,bjr->bmir", ops, c).swapaxes(2, 3).reshape(len(c), len(ops), -1)
-    v_real = np.concatenate([v.real, v.imag], axis=2)
+    c (B, d, r) with exposures t and rates lam (B, m)."""
+    v_real = _tangents(c, ops)
     weighted = v_real * (t / np.maximum(lam, _RATE_FLOOR))[:, :, None]
     return 4.0 * weighted.swapaxes(1, 2) @ v_real
+
+
+def _information(
+    c: np.ndarray, ops: np.ndarray, t: np.ndarray, lam: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The matrix whose eigenproblem each lane's scoring step solves, and its
+    factor.  With at least as many rows m as real parameters 2*d*r it is F,
+    factor None.  With fewer it is the smaller Gram matrix ``M M^T`` (B, m,
+    m), which shares F's nonzero spectrum, with its factor M (B, m, 2*d*r):
+    ``F = M^T M``, row j of M ``2 sqrt(t_j / lambda_j) v_j``."""
+    _, d, rank = c.shape
+    if len(ops) >= 2 * d * rank:
+        return _fisher(c, ops, t, lam), None
+    factor = (2.0 * np.sqrt(t / np.maximum(lam, _RATE_FLOOR)))[:, :, None] * _tangents(c, ops)
+    return factor @ factor.swapaxes(1, 2), factor
+
+
+def _descending(w: np.ndarray, n_par: int) -> np.ndarray:
+    """Ascending eigenvalues (B, n) as F's ``n_par`` eigenvalues, descending:
+    a Gram matrix's n < n_par eigenvalues are joined by F's ``n_par - n``
+    structural zeros in sorted position."""
+    if w.shape[1] < n_par:
+        w = np.sort(np.concatenate([w, np.zeros((len(w), n_par - w.shape[1]))], axis=1), axis=1)
+    return w[:, ::-1]
+
+
+def _scoring_system(
+    c: np.ndarray,
+    grad_c: np.ndarray,
+    ops: np.ndarray,
+    t: np.ndarray,
+    lam: np.ndarray,
+    weights: np.ndarray,
+) -> tuple[np.ndarray, ...]:
+    """One eigendecomposition per lane of c (B, d, r), with gradient
+    ``grad_c = (J - I) c``, exposures t, rates lam and ``weights = k / lam``
+    (B, m).  Returns the ascending eigenvalues w, the gradient's coordinates
+    g, the (B, 2*d*r, n) basis with the Levenberg step ``basis @ (g / (w +
+    mu * ridge))``, the ridge ``tr F / (2*d*r)`` and twice the Newton
+    decrement over the eigenvalues above ``EIGEN_CUTOFF`` times the largest.
+
+    On F, ``F = U diag(w) U^T``: g = U^T grad, basis U, and the decrement
+    sums g^2 / w.  On the Gram matrix, ``M M^T = P diag(w) P^T``: the
+    gradient is ``M^T y``, ``y_j = (k_j / lambda_j - t_j) / sqrt(t_j /
+    lambda_j)``, so g = P^T y, basis M^T P, and the decrement sums g^2."""
+    _, d, rank = c.shape
+    info, factor = _information(c, ops, t, lam)
+    w, basis = np.linalg.eigh(info)
+    if factor is None:
+        g = grad_c.swapaxes(1, 2).reshape(len(c), -1)  # each lane column-major
+        grad = 2.0 * np.concatenate([g.real, g.imag], axis=1)
+        g_eig = _matvec(basis.swapaxes(1, 2), grad)
+        curvature = w
+    else:
+        root = np.sqrt(t / np.maximum(lam, _RATE_FLOOR))
+        g_eig = _matvec(basis.swapaxes(1, 2), (weights - t) / np.maximum(root, _RATE_FLOOR))
+        basis = factor.swapaxes(1, 2) @ basis
+        curvature = 1.0
+    # the decrement over F's range: gauge directions (c -> c U) and other
+    # null directions of F carry no predicted ascent
+    in_range = w > EIGEN_CUTOFF * w[:, -1:]
+    twice_decrement = np.add.reduce(g_eig**2 / np.where(in_range, curvature, np.inf), axis=1)
+    return w, g_eig, basis, info.trace(axis1=1, axis2=2) / (2 * d * rank), twice_decrement
 
 
 @functools.cache
@@ -401,33 +480,26 @@ def solve_likelihood_batch(
             # a basic slice while every lane scores: no copies
             pos = slice(None) if n_scoring == n_active else np.flatnonzero(~done)
             c, ll, k, t, k_div = s.c[pos], s.ll[pos], s.k[pos], s.t[pos], s.k_div[pos]
-            fisher = _fisher(c, ops, t, s.lam[pos])
-            g = grad_c[pos].swapaxes(1, 2).reshape(len(c), -1)  # each lane column-major
-            grad = 2.0 * np.concatenate([g.real, g.imag], axis=1)
-            w, u = np.linalg.eigh(fisher)
-            g_eig = _matvec(u.swapaxes(1, 2), grad)
-            # the decrement over F's range: gauge directions (c -> c U) and
-            # other null directions of F carry no predicted ascent
-            in_range = w > EIGEN_CUTOFF * w[:, -1:]
-            twice_decrement = np.add.reduce(g_eig**2 / np.where(in_range, w, np.inf), axis=1)
+            w, g_eig, basis, ridge, twice_decrement = _scoring_system(
+                c, grad_c[pos], ops, t, s.lam[pos], weights[pos]
+            )
             scale = 1.0 + np.abs(ll)
             stop = twice_decrement < (2.0 * _DECREMENT_TOL) * scale
             if np.logical_or.reduce(stop):
                 pos = np.arange(n_active)[pos]
                 stopped = done.copy()
                 stopped[pos[stop]] = True
-                spectra = dict(zip(pos[stop], w[stop, ::-1]))
+                spectra = dict(zip(pos[stop], _descending(w[stop], 2 * d * rank)))
                 pos = pos[~stop]
                 if len(pos):
-                    c, ll, scale, k, t, k_div, fisher, w, u, g_eig = (
-                        x[~stop] for x in (c, ll, scale, k, t, k_div, fisher, w, u, g_eig)
+                    c, ll, scale, k, t, k_div, w, g_eig, basis, ridge = (
+                        x[~stop] for x in (c, ll, scale, k, t, k_div, w, g_eig, basis, ridge)
                     )
             if isinstance(pos, slice) or len(pos):  # Levenberg-damped scoring steps
                 w = np.maximum(w, 0.0)
-                ridge = fisher.trace(axis1=1, axis2=2) / fisher.shape[1]
                 mu = s.mu[pos]
                 for _ in range(8):
-                    dc = _matvec(u, g_eig / (w + (mu * ridge)[:, None])).reshape(-1, 2, rank, d)
+                    dc = _matvec(basis, g_eig / (w + (mu * ridge)[:, None])).reshape(-1, 2, rank, d)
                     c_try = c + (dc[:, 0] + 1j * dc[:, 1]).swapaxes(1, 2)
                     lam_try = _rates(c_try, ops_flat)
                     ll_try = _surrogate(lam_try, k, t, k_div)
@@ -447,8 +519,9 @@ def solve_likelihood_batch(
                         p = pos[ok]
                         s.put(p, mu=mu[ok], c=c_try[ok], lam=lam_try[ok], ll=ll_try[ok])
                         s.steps[p] += 1
-                        pos, c, ll, scale, k, t, k_div, w, u, g_eig, ridge, mu = (
-                            x[~ok] for x in (pos, c, ll, scale, k, t, k_div, w, u, g_eig, ridge, mu)
+                        pos, c, ll, scale, k, t, k_div, w, g_eig, basis, ridge, mu = (
+                            x[~ok]
+                            for x in (pos, c, ll, scale, k, t, k_div, w, g_eig, basis, ridge, mu)
                         )
                 else:
                     s.mu[pos] = mu  # no step after 8 tries: the next starts from this mu
@@ -481,9 +554,9 @@ def _results(
     at once, each quantity by one BLAS or LAPACK call per lane, an
     elementwise operation or a sum along the lane's own row.  ``end`` holds
     each lane's c, residual, iterations and accepted and rejected step
-    counts; ``spectra`` holds the last scoring step's F spectrum of a
+    counts; ``spectra`` holds the last scoring step's spectrum of a
     stationary stop, taken at exactly that c, and None where it is computed
-    here."""
+    here from the same kind of matrix."""
     c = end.c
     m, d, _ = ops.shape
     lam = _rates(c, ops.reshape(m, d * d))
@@ -503,8 +576,8 @@ def _results(
         nu = parameter_count(s, rank)
     missing = [b for b, spectrum in enumerate(spectra) if spectrum is None]
     if missing:
-        fisher = _fisher(c[missing], ops, t[missing], lam[missing])
-        for b, spectrum in zip(missing, np.linalg.eigvalsh(fisher)[:, ::-1]):
+        info, _ = _information(c[missing], ops, t[missing], lam[missing])
+        for b, spectrum in zip(missing, _descending(np.linalg.eigvalsh(info), 2 * d * rank)):
             spectra[b] = spectrum
 
     converged = [reason != "iteration_cap" for reason in stop_reasons]

@@ -1,12 +1,13 @@
 """Test-only checks and oracles: Kraus sets, operator bases, the unitary
 mixing freedom of a chi-matrix factor, the two matrices of the likelihood
-equation ``I c = J c``, density-matrix validation, the SU(2) form of a
-retarder, a bootstrap bound on a ratio of means, the draw-by-draw Poisson
-sampler, the per-row count rates, one count set, each subset's component
-sum, the process-protocol and auxiliary-row operators, a plate's Choi state
-and a campaign's Monte-Carlo replications as computed before their stacked
-forms, and the channel action, Choi state, outcome probabilities and rank of
-a process computed directly.
+equation ``I c = J c``, the solver's scoring step taken on the Fisher side,
+density-matrix validation, the SU(2) form of a retarder, a bootstrap bound
+on a ratio of means, the draw-by-draw Poisson sampler, the per-row count
+rates, one count set, each subset's component sum, the process-protocol and
+auxiliary-row operators, a plate's Choi state and a campaign's Monte-Carlo
+replications as computed before their stacked forms, and the channel
+action, Choi state, outcome probabilities and rank of a process computed
+directly.
 
 Also the single-item forms of package functions that no command calls: one
 derived seed, the retarder unitary about one axis, the monochromatic states
@@ -22,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from chitomo import harness, protocols, waveplate
-from chitomo.ml_engine import expected_rates
+from chitomo.ml_engine import EIGEN_CUTOFF, _fisher, expected_rates
 from chitomo.protocols import Measurements, auxiliary_rows, process_protocol
 from chitomo.quantum_core import _as_complex_matrix, hermitian_eig, vectorize
 from chitomo.waveplate import (
@@ -45,6 +46,7 @@ __all__ = [
     "basis_orthonormality_check",
     "unitary_mix",
     "fisher_matrices",
+    "fisher_scoring_step",
     "check_density_matrix",
     "su2_from_retarder",
     "bootstrap_ratio_lower_bound",
@@ -174,6 +176,33 @@ def fisher_matrices(c: np.ndarray, data: Measurements) -> tuple[np.ndarray, np.n
     i_mat = np.tensordot(data.exposures, data.operators, axes=1)
     j_mat = np.tensordot(data.counts / lam, data.operators, axes=1)
     return i_mat, j_mat
+
+
+def fisher_scoring_step(
+    c: np.ndarray, data: Measurements, mus: Sequence[float]
+) -> tuple[np.ndarray, float, list[np.ndarray]]:
+    """The scoring step at the purified vector c (d, r) taken on the Fisher
+    side: ``np.linalg.eigh`` of the real Fisher matrix F (``ml_engine._fisher``)
+    and the gradient ``2 (J - I) c`` in F's real layout.  Returns F's
+    eigenvalues, descending; twice the Newton decrement ``grad^T F^+ grad``
+    over the eigenvalues above ``EIGEN_CUTOFF`` times the largest; and for
+    each mu the Levenberg step ``(F + mu tr(F) / 2dr)^{-1} grad``, negative
+    round-off eigenvalues taken as zero, as a (d, r) complex array."""
+    d, r = c.shape
+    lam = expected_rates(c, data)
+    fisher = _fisher(c[None], data.operators, data.exposures[None], lam[None])[0]
+    i_mat, j_mat = fisher_matrices(c, data)
+    g = ((j_mat - i_mat) @ c).T.ravel()
+    w, u = np.linalg.eigh(fisher)
+    g_eig = u.T @ (2.0 * np.concatenate([g.real, g.imag]))
+    in_range = w > EIGEN_CUTOFF * w[-1]
+    twice_decrement = float(np.sum(g_eig[in_range] ** 2 / w[in_range]))
+    ridge = np.trace(fisher) / len(fisher)
+    steps = []
+    for mu in mus:
+        x = u @ (g_eig / (np.maximum(w, 0.0) + mu * ridge))
+        steps.append((x[: d * r] + 1j * x[d * r :]).reshape(r, d).T)
+    return w[::-1], twice_decrement, steps
 
 
 def check_density_matrix(

@@ -28,7 +28,7 @@ from chitomo.protocols import (
     process_protocol,
 )
 from chitomo.quantum_core import fidelity
-from process_oracles import each_lane, fisher_matrices, generate_counts
+from process_oracles import each_lane, fisher_matrices, fisher_scoring_step, generate_counts
 from random_ops import random_density_matrix, random_unitary
 from chitomo.waveplate import WaveplateSpec, broadband_mixed_state, sinc2_profile
 
@@ -453,6 +453,21 @@ class TestStoppingRule:
         rows = campaign_rows(16606320171885100882, 4, 10**4)
         self.assert_converged(solve_likelihood(rows, ReconstructionConfig(rank=4)))
 
+    @pytest.mark.parametrize(
+        "seed, index", [(568423245587548860, 1), (7144279438593301514, 0)]
+    )
+    def test_rank_4_boundary_lanes_stop_stationary(self, campaign_rows, seed, index):
+        # R4, rank 4 on the rank-2 plate, n=1e4: a column c_k of c tends to
+        # zero, the gradient along it shrinks like |c_k| and the curvature
+        # like |c_k|^2, so the Newton decrement over all of F stays O(1).  The
+        # decrement over F's range leaves that mode out and stops both lanes
+        # at iteration 9; a decrement and steps solved with F plus a 1e-13
+        # relative ridge took each to the 20000-iteration cap at residual
+        # 1.5e-9
+        res = solve_likelihood(campaign_rows(seed, index, 10**4), ReconstructionConfig(rank=4))
+        assert res.stop_reason == "stationary"
+        assert res.iterations <= 20
+
     def test_capped_j4_lane_stops_at_the_maximum(self, campaign_rows):
         # J4, rank 2, n=1e3, replication 0 of campaign seed 11 (derived seed
         # 16347841621347268350), a "failed" replication that is at the
@@ -523,6 +538,90 @@ class TestDataStartOnTheAcceptanceCell:
         assert np.median(iterations) <= 16
 
 
+def solver_point(rows, rank, iterations):
+    """The purified estimate of a solve capped after ``iterations``, scaled
+    to the data's normalization as the solver's iterate is."""
+    res = solve_likelihood(rows, ReconstructionConfig(rank=rank, max_iterations=iterations))
+    c = purify(res.estimate, rank)
+    return c * np.sqrt(rows.counts.sum() / np.dot(expected_rates(c, rows), rows.exposures))
+
+
+class TestGramSide:
+    """R4, J4 and B4 have m = 20 rows, 16 measured and 4 auxiliary.  At model
+    rank 3 and 4 that is fewer than the 2dr = 24 and 32 real parameters, and
+    each scoring step decomposes the 20 x 20 Gram matrix M M^T instead of
+    F = M^T M: the two share their nonzero spectrum, so the decrement, the
+    steps and the reported spectrum are F's."""
+
+    MUS = (1e-3, 1.0, 1e3)  # the solver's starting mu and two raised ones
+
+    @pytest.mark.parametrize(
+        "protocol, rank", [("R4", 3), ("R4", 4), ("J4", 3), ("J4", 4), ("B4", 4)]
+    )
+    def test_matches_the_fisher_oracle(self, campaign_rows, protocol, rank):
+        n_par = 2 * 4 * rank
+        for rows in each_lane(campaign_rows(987654321, range(4), 10**4, protocol)):
+            for iterations in (1, 3):
+                c = solver_point(rows, rank, iterations)
+                spectrum, twice_decrement, steps = fisher_scoring_step(c, rows, self.MUS)
+                lam = expected_rates(c, rows)
+                i_mat, j_mat = fisher_matrices(c, rows)
+                w, g_eig, basis, ridge, gram_decrement = (
+                    x[0]
+                    for x in ml_engine._scoring_system(
+                        c[None], ((j_mat - i_mat) @ c)[None], rows.operators,
+                        rows.exposures[None], lam[None], (rows.counts / lam)[None],
+                    )
+                )
+                assert len(w) == 20 < len(spectrum) == n_par
+                # the Gram eigenvalues are F's top 20 to 1e-13 of the largest
+                # (1e-15 seen); the rest of F's are round-off
+                assert_allclose(w[::-1], spectrum[:20], rtol=0, atol=1e-13 * spectrum[0])
+                assert np.max(np.abs(spectrum[20:])) < 1e-13 * spectrum[0]
+                # the decrement and the steps to a relative 1e-7 (1.5e-9 seen)
+                assert gram_decrement == pytest.approx(twice_decrement, rel=1e-7)
+                for mu, step in zip(self.MUS, steps):
+                    x = basis @ (g_eig / (np.maximum(w, 0.0) + mu * ridge))
+                    gram_step = (x[: n_par // 2] + 1j * x[n_par // 2 :]).reshape(rank, 4).T
+                    assert np.linalg.norm(gram_step - step) <= 1e-7 * np.linalg.norm(step)
+
+    @pytest.mark.parametrize("rank", [3, 4])
+    def test_reported_spectrum_is_fishers(self, campaign_rows, rank):
+        # stationary and residual stops alike report 2dr eigenvalues,
+        # descending, F's 2dr - 20 structural zeros in sorted position
+        data = campaign_rows(987654321, range(12), 10**4)
+        results = solve_likelihood_batch(data, ReconstructionConfig(rank=rank))
+        assert {res.stop_reason for res in results} == {"residual", "stationary"}
+        for rows, res in zip(each_lane(data), results):
+            spec = res.info_spectrum
+            assert spec.shape == (8 * rank,)
+            assert np.all(np.diff(spec) <= 0)
+            assert np.count_nonzero(spec == 0.0) >= 8 * rank - 20
+            oracle, _, _ = fisher_scoring_step(purify(res.estimate, rank), rows, ())
+            assert_allclose(spec, oracle, rtol=0, atol=1e-9 * spec[0])
+
+    def test_no_eigenproblem_wider_than_the_data(self, monkeypatch, campaign_rows):
+        widths = []
+        for name in ("eigh", "eigvalsh"):
+            real = getattr(np.linalg, name)
+
+            def recording(a, *args, real=real, **kwargs):
+                widths.append(np.shape(a)[-1])
+                return real(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recording)
+        data = campaign_rows(987654321, range(8), 10**4)
+        states = generate_counts_batch(
+            bn_state_protocol(36, 312.7, 1.0), [np.eye(2) / 2] * 2, 10**4, [1, 2]
+        )
+        # R4 processes: 20 rows, 8r parameters; B36 states: 36 rows, 8 parameters
+        cases = [(data, rank, min(20, 8 * rank)) for rank in (1, 2, 3, 4)]
+        for rows, rank, widest in cases + [(states, 2, 8)]:
+            widths.clear()
+            solve_likelihood_batch(rows, ReconstructionConfig(rank=rank))
+            assert max(widths) == widest, rank
+
+
 def assert_same_result(alone, lane):
     """Every output of a lane solved inside a batch equals, to the bit, the
     same dataset solved alone."""
@@ -581,6 +680,12 @@ class TestBatchLanes:
         # slow solves last
         assert max(r.iterations for r in batch) >= 150
         assert len({r.iterations for r in batch}) >= 10
+
+    def test_rank_4_lanes(self, campaign_rows):
+        # Gram-side solves: R4 has 20 rows for the 32 parameters of rank 4
+        data = campaign_rows(987654321, range(12), 10**4)
+        batch = self.assert_lanes_independent(data, ReconstructionConfig(rank=4))
+        assert {res.stop_reason for res in batch} == {"residual", "stationary"}
 
     def test_far_start_lane_scores_beside_the_others(self, campaign_rows):
         # replication 48 starts far from the maximum, at residual 0.044, and
