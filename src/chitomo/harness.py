@@ -37,7 +37,7 @@ from .ml_engine import (
     solve_likelihood,
     solve_likelihood_batch,
 )
-from .process_algebra import kraus_from_chi, chi_from_kraus
+from .process_algebra import chi_from_kraus, kraus_from_chi, parameter_count
 from .protocols import (
     AUXILIARY_WEIGHT,
     LAMBDA_DEFAULT_UM,
@@ -207,7 +207,7 @@ class CampaignResult:
     histogram: dict  # bin_left / bin_right / count arrays
     info_spectrum: np.ndarray
     info_modes_above_cut: int
-    nu: int | None
+    nu: int  # the model's data modes, parameter_count(2, reconstruction_rank)
     metadata: dict
     # per replication, in index order: derived seed and the solve's
     # iterations, stop reason, residual and step counts (None where the
@@ -385,7 +385,7 @@ def run_mc_campaign(config: CampaignConfig) -> CampaignResult:
     )
     fidelities = np.full(n, np.nan)
     replications = [{**dict.fromkeys(REPLICATION_FIELDS), "seed": seed} for seed in seeds]
-    info_spectrum, nu = np.array([]), None
+    info_spectrum = np.array([])  # replication 0's; empty when it raised
     for i, score in zip(solved, scores):
         if isinstance(score, str):
             errors[i] = score
@@ -399,7 +399,7 @@ def run_mc_campaign(config: CampaignConfig) -> CampaignResult:
                 f"iterations, residual {res.residual:.3e}"
             )
         if i == 0:
-            info_spectrum, nu = res.info_spectrum, res.nu
+            info_spectrum = res.info_spectrum
     failure_reasons = {i: error for i, error in enumerate(errors) if error is not None}
 
     failures = list(failure_reasons)
@@ -430,7 +430,7 @@ def run_mc_campaign(config: CampaignConfig) -> CampaignResult:
         },
         info_spectrum=info_spectrum,
         info_modes_above_cut=modes_above,
-        nu=nu,
+        nu=parameter_count(2, config.reconstruction_rank),
         metadata={
             "seed": config.seed,
             "config": config.to_dict(),

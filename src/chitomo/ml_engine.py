@@ -50,19 +50,16 @@ reported as not converged.
 ``info_spectrum`` holds the 2*d*r eigenvalues, descending, of the real
 Fisher matrix F at the returned c, taken from the matrix the scoring step
 decomposes: a stationary stop reuses that step's eigendecomposition, and
-the other stops decompose the same matrix at the finish.  On the Gram side
-the 2dr - m eigenvalues of F beyond G's are exact zeros, placed in sorted
-position among G's round-off values.  For a process on an s-level system
+the other stops decompose the same matrix when the results are made.  On
+the Gram side the 2dr - m eigenvalues of F beyond G's are exact zeros,
+placed in sorted position among G's round-off values.  For a process on an s-level system
 under an adequate model they split into s^2 modes pinned by the auxiliary
 rows, ``nu`` data modes and r^2 gauge nulls (``c -> c U``): ``nu + s^2`` lie
 above 1e-8 times the largest.  Each result also counts its accepted scoring
 steps and its rejected steps (failed Levenberg tries).
 
 A result's ``log_likelihood`` is the full Poisson log-likelihood at the
-estimate, its factorial constant ``sum_j ln k_j!`` included.  The solve
-stores it without that constant; the constant, a Python ``math.lgamma`` per
-row, is added when ``log_likelihood`` is first read, giving the same bits as
-``_log_likelihood(..., include_factorial=True)`` at the returned rates.
+estimate, its factorial constant ``sum_j ln k_j!`` included.
 
 There is one solver, ``solve_likelihood_batch``; ``solve_likelihood`` is a
 batch of one.  A batch solves the lanes of one ``Measurements`` record at
@@ -72,20 +69,26 @@ above with its own iterate, step controls, step counts and stop rule.
 Every per-lane quantity is computed by an operation that treats the lanes
 independently (one BLAS or LAPACK call per lane, or an elementwise
 operation, or a sum along a lane's own row), so a lane's result is
-bit-identical whether it is solved alone or inside any batch.  A lane leaves
-the batch when it stops, and the remaining lanes are compacted, so a
-long solve costs only its own lane's iterations.  The set-up (I, its
-spectrum, the data start and its rescale) and the finish (the results of the
-lanes that have stopped) are stacked the same way: one array call for all
-lanes, per-lane LAPACK and BLAS calls inside it.  A set-up error names the
-first failing lane in lane order.
+bit-identical whether it is solved alone or inside any batch.  A lane
+leaves the batch where its stop rule fires: a residual stop before the
+iteration's eigendecomposition, a stationary stop right after it, with that
+decomposition's spectrum, and a capped lane after the last iteration.  All
+three leave through ``_Lanes.leave``, which writes what the lane stopped
+with to the ``end`` table the results are made from and compacts the
+remaining lanes, so a long solve costs only its own lane's iterations.  An
+iteration's Levenberg tries start over every lane still in the batch, and
+a lane whose try is accepted takes no further tries.  The set-up (I, its
+spectrum, the data start and its rescale) and the results of every lane
+are stacked the same way: one array call for all lanes, per-lane LAPACK
+and BLAS calls inside it.  A set-up error names the first failing lane in
+lane order.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -142,15 +145,7 @@ class ReconstructionResult:
     info_spectrum: np.ndarray  # the real Fisher matrix's 2*d*r eigenvalues, descending
     scoring_steps: int  # accepted scoring steps
     rejected_steps: int  # failed Levenberg tries
-    # the log-likelihood without its factorial constant, and the counts that
-    # constant is taken over
-    _partial_log_likelihood: float = field(repr=False)
-    _counts: np.ndarray = field(repr=False)
-
-    @functools.cached_property
-    def log_likelihood(self) -> float:
-        """Poisson log-likelihood at the estimate, computed on first read."""
-        return self._partial_log_likelihood - _log_factorials(self._counts)[0]
+    log_likelihood: float  # the Poisson log-likelihood at the estimate
 
 
 def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -335,6 +330,16 @@ class _Lanes:
         for name, value in values.items():
             getattr(self, name)[rows] = value
 
+    def leave(self, stop: np.ndarray, end: _Lanes, **values) -> bool:
+        """Moves the lanes where ``stop`` holds out: their rows of every
+        array ``end`` shares, and ``values``, are written to their lanes'
+        rows of ``end``, and the other lanes are kept.  Returns whether any
+        lane is left."""
+        shared = {name: a[stop] for name, a in vars(self).items() if name in vars(end)}
+        end.put(self.lane[stop], **shared, **values)
+        self.keep(~stop)
+        return len(self.lane) > 0
+
 
 def _sq_norm(x: np.ndarray) -> np.ndarray:
     # per lane, the squared norm np.linalg.norm takes: one dot product of the
@@ -422,7 +427,7 @@ def solve_likelihood_batch(
     if rank > d:
         raise ValueError(f"rank {rank} exceeds dimension {d}")
     ops_flat = ops.reshape(m, d * d)
-    n_lanes = len(exposures)
+    n_lanes, n_par = len(exposures), 2 * d * rank
     i_mat = _set_up(exposures, counts, ops, rank)
     c = _initial_point(ops_flat, exposures, counts, rank)
     c = c * np.sqrt(counts.sum(axis=1) / _dots(_rates(c, ops_flat), exposures))[:, None, None]
@@ -439,29 +444,17 @@ def solve_likelihood_batch(
     s.k_div = np.where(s.k > 0, s.k, 1.0)
     s.lam = _rates(s.c, ops_flat)
     s.ll = _surrogate(s.lam, s.k, s.t, s.k_div)
-    # each lane as it stopped: its c, residual, iterations, step counts, stop
-    # reason and, on a stationary stop, the spectrum of its last scoring step
+    # each lane as it stopped; the spectrum is filled in here on a
+    # stationary stop and by _results on the others
     end = _Lanes(
         c=np.empty_like(c),
         residual=np.empty(n_lanes),
         iterations=np.empty(n_lanes, int),
         steps=np.empty(n_lanes, int),
         rejected=np.empty(n_lanes, int),
+        reason=np.empty(n_lanes, object),
+        spectrum=np.empty((n_lanes, n_par)),
     )
-    stop_reasons, end_spectra = [""] * n_lanes, [None] * n_lanes
-
-    def finish(p: np.ndarray, residual: np.ndarray, iterations: int, reasons: list[str]) -> None:
-        lanes = s.lane[p]
-        end.put(
-            lanes,
-            c=s.c[p],
-            residual=residual[p],
-            iterations=iterations,
-            steps=s.steps[p],
-            rejected=s.rejected[p],
-        )
-        for b, reason in zip(lanes.tolist(), reasons):
-            stop_reasons[b] = reason
 
     for iterations in range(1, config.max_iterations + 1):
         n_active = len(s.lane)
@@ -470,92 +463,68 @@ def solve_likelihood_batch(
         ic = s.i_mat @ s.c
         grad_c = jc - ic
         norms = np.sqrt(_sq_norm(np.concatenate([grad_c, ic])))
-        residual = norms[:n_active] / norms[n_active:]
-        done = residual < _RESIDUAL_TOL
-        stopped = done  # and the stationary lanes
-        spectra = {}
-
-        n_scoring = n_active - np.count_nonzero(done)
-        if n_scoring:
-            # a basic slice while every lane scores: no copies
-            pos = slice(None) if n_scoring == n_active else np.flatnonzero(~done)
-            c, ll, k, t, k_div = s.c[pos], s.ll[pos], s.k[pos], s.t[pos], s.k_div[pos]
-            w, g_eig, basis, ridge, twice_decrement = _scoring_system(
-                c, grad_c[pos], ops, t, s.lam[pos], weights[pos]
-            )
-            scale = 1.0 + np.abs(ll)
-            stop = twice_decrement < (2.0 * _DECREMENT_TOL) * scale
-            if np.logical_or.reduce(stop):
-                pos = np.arange(n_active)[pos]
-                stopped = done.copy()
-                stopped[pos[stop]] = True
-                spectra = dict(zip(pos[stop], _descending(w[stop], 2 * d * rank)))
-                pos = pos[~stop]
-                if len(pos):
-                    c, ll, scale, k, t, k_div, w, g_eig, basis, ridge = (
-                        x[~stop] for x in (c, ll, scale, k, t, k_div, w, g_eig, basis, ridge)
-                    )
-            if isinstance(pos, slice) or len(pos):  # Levenberg-damped scoring steps
-                w = np.maximum(w, 0.0)
-                mu = s.mu[pos]
-                for _ in range(8):
-                    dc = _matvec(basis, g_eig / (w + (mu * ridge)[:, None])).reshape(-1, 2, rank, d)
-                    c_try = c + (dc[:, 0] + 1j * dc[:, 1]).swapaxes(1, 2)
-                    lam_try = _rates(c_try, ops_flat)
-                    ll_try = _surrogate(lam_try, k, t, k_div)
-                    ok = ll_try >= ll - _SCORING_SLACK * scale
-                    if np.logical_and.reduce(ok):  # every pending lane takes its step
-                        mu = np.maximum(mu * 0.3, 1e-12)
-                        if isinstance(pos, slice):  # the common case: every lane did
-                            s.mu, s.c, s.lam, s.ll = mu, c_try, lam_try, ll_try
-                        else:
-                            s.put(pos, mu=mu, c=c_try, lam=lam_try, ll=ll_try)
-                        s.steps[pos] += 1
-                        break
-                    s.rejected[pos] += ~ok
-                    mu = np.where(ok, np.maximum(mu * 0.3, 1e-12), mu * 10.0)
-                    if np.logical_or.reduce(ok):
-                        pos = np.arange(n_active)[pos]
-                        p = pos[ok]
-                        s.put(p, mu=mu[ok], c=c_try[ok], lam=lam_try[ok], ll=ll_try[ok])
-                        s.steps[p] += 1
-                        pos, c, ll, scale, k, t, k_div, w, g_eig, basis, ridge, mu = (
-                            x[~ok]
-                            for x in (pos, c, ll, scale, k, t, k_div, w, g_eig, basis, ridge, mu)
-                        )
-                else:
-                    s.mu[pos] = mu  # no step after 8 tries: the next starts from this mu
-
-        if np.logical_or.reduce(stopped):
-            p = np.flatnonzero(stopped)
-            finish(p, residual, iterations, ["residual" if q else "stationary" for q in done[p]])
-            for q, spectrum in spectra.items():
-                end_spectra[s.lane[q]] = spectrum
-            if np.logical_and.reduce(stopped):
+        s.residual = norms[:n_active] / norms[n_active:]
+        stop = s.residual < _RESIDUAL_TOL
+        if np.logical_or.reduce(stop):
+            if not s.leave(stop, end, iterations=iterations, reason="residual"):
                 break
-            s.keep(~stopped)
-            residual = residual[~stopped]
+            weights, grad_c = weights[~stop], grad_c[~stop]
+
+        w, g_eig, basis, ridge, twice_decrement = _scoring_system(
+            s.c, grad_c, ops, s.t, s.lam, weights
+        )
+        scale = 1.0 + np.abs(s.ll)
+        stop = twice_decrement < (2.0 * _DECREMENT_TOL) * scale
+        if np.logical_or.reduce(stop):
+            if not s.leave(
+                stop, end, iterations=iterations, reason="stationary",
+                spectrum=_descending(w[stop], n_par),
+            ):
+                break
+            w, g_eig, basis, ridge, scale = (x[~stop] for x in (w, g_eig, basis, ridge, scale))
+
+        # Levenberg-damped scoring steps; pos is the lanes still trying, a
+        # basic slice while every lane is, so the write is in place
+        pos = slice(None)
+        c, ll, k, t, k_div, mu = s.c, s.ll, s.k, s.t, s.k_div, s.mu
+        w = np.maximum(w, 0.0)
+        for _ in range(8):
+            dc = _matvec(basis, g_eig / (w + (mu * ridge)[:, None])).reshape(-1, 2, rank, d)
+            c_try = c + (dc[:, 0] + 1j * dc[:, 1]).swapaxes(1, 2)
+            lam_try = _rates(c_try, ops_flat)
+            ll_try = _surrogate(lam_try, k, t, k_div)
+            ok = ll_try >= ll - _SCORING_SLACK * scale
+            if np.logical_and.reduce(ok):  # every pending lane takes its step
+                mu = np.maximum(mu * 0.3, 1e-12)
+                s.put(pos, mu=mu, c=c_try, lam=lam_try, ll=ll_try)
+                s.steps[pos] += 1
+                break
+            s.rejected[pos] += ~ok
+            mu = np.where(ok, np.maximum(mu * 0.3, 1e-12), mu * 10.0)
+            if np.logical_or.reduce(ok):
+                pos = np.arange(len(s.lane))[pos]
+                p = pos[ok]
+                s.put(p, mu=mu[ok], c=c_try[ok], lam=lam_try[ok], ll=ll_try[ok])
+                s.steps[p] += 1
+                pos, c, ll, scale, k, t, k_div, w, g_eig, basis, ridge, mu = (
+                    x[~ok] for x in (pos, c, ll, scale, k, t, k_div, w, g_eig, basis, ridge, mu)
+                )
+        else:
+            s.mu[pos] = mu  # no step after 8 tries: the next starts from this mu
     else:
-        capped = ["iteration_cap"] * len(s.lane)
-        finish(np.arange(len(s.lane)), residual, config.max_iterations, capped)
-    return _results(ops, exposures, counts, rank, end, stop_reasons, end_spectra)
+        s.leave(np.ones(len(s.lane), bool), end, iterations=iterations, reason="iteration_cap")
+    return _results(ops, exposures, counts, rank, end)
 
 
 def _results(
-    ops: np.ndarray,
-    t: np.ndarray,
-    k: np.ndarray,
-    rank: int,
-    end: _Lanes,
-    stop_reasons: list[str],
-    spectra: list[np.ndarray | None],
+    ops: np.ndarray, t: np.ndarray, k: np.ndarray, rank: int, end: _Lanes
 ) -> list[ReconstructionResult]:
     """Every lane's result at the c it stopped with, computed for all lanes
     at once, each quantity by one BLAS or LAPACK call per lane, an
     elementwise operation or a sum along the lane's own row.  ``end`` holds
-    each lane's c, residual, iterations and accepted and rejected step
-    counts; ``spectra`` holds the last scoring step's spectrum of a
-    stationary stop, taken at exactly that c, and None where it is computed
+    each lane's c, residual, iterations, accepted and rejected step counts,
+    stop reason and, on a stationary stop, the spectrum of its last scoring
+    step, taken at exactly that c; the other lanes' spectra are computed
     here from the same kind of matrix."""
     c = end.c
     m, d, _ = ops.shape
@@ -564,7 +533,6 @@ def _results(
     gap = np.abs(_dots(lam, t) - n_observed) / n_observed
     rho = c @ c.conj().swapaxes(1, 2)
     rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
-    partial_log_likelihood = _log_likelihood(lam, k, t, include_factorial=False)
 
     s = math.isqrt(d)
     is_process = s >= 2 and s * s == d
@@ -574,35 +542,32 @@ def _results(
         reduced = partial_trace(s * rho, "output")
         tp_residual = np.max(np.abs(reduced - np.eye(s)), axis=(1, 2)).tolist()
         nu = parameter_count(s, rank)
-    missing = [b for b, spectrum in enumerate(spectra) if spectrum is None]
-    if missing:
+    missing = np.flatnonzero(end.reason != "stationary")
+    if missing.size:
         info, _ = _information(c[missing], ops, t[missing], lam[missing])
-        for b, spectrum in zip(missing, _descending(np.linalg.eigvalsh(info), 2 * d * rank)):
-            spectra[b] = spectrum
+        end.spectrum[missing] = _descending(np.linalg.eigvalsh(info), 2 * d * rank)
 
-    converged = [reason != "iteration_cap" for reason in stop_reasons]
     # one column per field: Python scalars from tolist(), numpy arrays (and
     # the gaps as numpy floats) from iterating over the stacks
     columns = zip(
         rho,
         end.iterations.tolist(),
-        converged,
-        stop_reasons,
+        (end.reason != "iteration_cap").tolist(),
+        end.reason.tolist(),
         end.residual.tolist(),
         gap,
         tp_residual,
-        spectra,
+        end.spectrum,
         end.steps.tolist(),
         end.rejected.tolist(),
-        partial_log_likelihood.tolist(),
-        k,
+        _log_likelihood(lam, k, t).tolist(),
     )
     return [
         ReconstructionResult(
             estimate=estimate,
             rank=rank,
             iterations=iterations,
-            converged=lane_converged,
+            converged=converged,
             stop_reason=reason,
             residual=residual,
             normalization_gap=lane_gap,
@@ -611,11 +576,10 @@ def _results(
             info_spectrum=spectrum,
             scoring_steps=scoring,
             rejected_steps=rejected,
-            _partial_log_likelihood=partial,
-            _counts=counts,
+            log_likelihood=ll,
         )
         for (
-            estimate, iterations, lane_converged, reason, residual, lane_gap, lane_tp,
-            spectrum, scoring, rejected, partial, counts,
+            estimate, iterations, converged, reason, residual, lane_gap, lane_tp,
+            spectrum, scoring, rejected, ll,
         ) in columns
     ]

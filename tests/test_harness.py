@@ -334,6 +334,34 @@ class TestReplicationsAsOneBatch:
         assert result.fidelities[others].tobytes() == clean.fidelities[others].tobytes()
         assert [result.replications[i] for i in others] == [clean.replications[i] for i in others]
 
+    @pytest.mark.parametrize("rank, nu", [(1, 3), (2, 8)])
+    def test_failed_replication_0_keeps_nu(self, monkeypatch, rank, nu):
+        # replication 0's count set and the auxiliary rows hold no counts:
+        # its solve raises, so the campaign has no spectrum to report, but
+        # nu is the model's parameter count whichever replications failed
+        config = CampaignConfig.from_dict({**QUICK, "seed": 12, "reconstruction_rank": rank})
+        aux, synthesize = protocols.auxiliary_rows, protocols.generate_counts_batch
+
+        def no_auxiliary_counts(*args):
+            rows = aux(*args)
+            return dataclasses.replace(rows, counts=np.zeros_like(rows.counts))
+
+        def no_counts_in_set_0(rows, truth, n_total, seeds):
+            sets = synthesize(rows, truth, n_total, seeds)
+            counts = sets.counts.copy()
+            counts[0] = 0.0
+            return dataclasses.replace(sets, counts=counts)
+
+        monkeypatch.setattr(protocols, "auxiliary_rows", no_auxiliary_counts)
+        clean = run_mc_campaign(config)
+        monkeypatch.setattr(protocols, "generate_counts_batch", no_counts_in_set_0)
+        result = run_mc_campaign(config)
+        assert result.failure_reasons == {0: "ValueError: no observed counts"}
+        assert len(result.failures) == 1
+        assert result.nu == clean.nu == nu
+        assert result.info_spectrum.size == 0 and result.info_modes_above_cut == 0
+        assert clean.info_spectrum.size == 8 * rank
+
 
 class TestScalingStudy:
     def test_slopes_negative_and_reported(self):

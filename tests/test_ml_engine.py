@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -718,6 +719,58 @@ class TestBatchLanes:
                 assert 0 <= res.scoring_steps <= res.iterations - res.converged
                 assert res.rejected_steps >= 0
 
+    def test_lane_without_a_step(self, monkeypatch, campaign_rows):
+        # one lane's eight Levenberg tries all fail in iteration 2 (its
+        # surrogate reads -inf there): that iteration takes no step for it,
+        # counts eight rejected tries, and the next one starts from its mu
+        # raised eight times by 10; the other lanes step on and keep their
+        # lone results
+        data = campaign_rows(77, range(44, 52), 500)
+        config = ReconstructionConfig(rank=2)
+        target, forced = 4, 2
+        tables, starts = [], []  # the solve's lanes, and their state at each iteration
+        real_lanes, real_system = ml_engine._Lanes, ml_engine._scoring_system
+        real_surrogate = ml_engine._surrogate
+
+        def lanes(**arrays):
+            tables.append(real_lanes(**arrays))
+            return tables[-1]
+
+        def scoring_system(*args):
+            s = tables[0]
+            starts.append({
+                name: dict(zip(s.lane.tolist(), getattr(s, name).tolist()))
+                for name in ("mu", "steps", "rejected")
+            })
+            return real_system(*args)
+
+        def surrogate(lam, k, t, k_div):
+            ll = real_surrogate(lam, k, t, k_div)
+            if len(starts) == forced:
+                ll[np.all(k == data.counts[target], axis=1)] = -np.inf
+            return ll
+
+        monkeypatch.setattr(ml_engine, "_Lanes", lanes)
+        monkeypatch.setattr(ml_engine, "_scoring_system", scoring_system)
+        monkeypatch.setattr(ml_engine, "_surrogate", surrogate)
+        batch = solve_likelihood_batch(data, config)
+        monkeypatch.undo()
+
+        before, after = starts[forced - 1], starts[forced]
+        assert after["steps"][target] == before["steps"][target]
+        assert after["rejected"][target] == before["rejected"][target] + 8
+        mu = before["mu"][target]
+        for _ in range(8):
+            mu *= 10.0
+        assert after["mu"][target] == mu
+        # the others took their steps in that iteration
+        steps = after["steps"]
+        assert all(steps[b] == before["steps"][b] + 1 for b in steps if b != target)
+        for b, (one, lane) in enumerate(zip(each_lane(data), batch, strict=True)):
+            if b != target:
+                assert_same_result(solve_likelihood(one, config), lane)
+        assert batch[target].converged
+
     def test_errors_name_the_lane(self, campaign_rows):
         data = campaign_rows(77, 0, 500)
         empty = Measurements(data.operators, data.exposures, np.zeros_like(data.counts))
@@ -752,13 +805,14 @@ class TestBatchLanes:
             solve_likelihood_batch(batch_of(data, data, both, empty), config)
 
 
-class TestLazyLogLikelihood:
-    """A result's log_likelihood adds its factorial constant on first read,
-    with the bits of the eager ``_log_likelihood(..., include_factorial=True)``
-    at the rates the solve ended with."""
+class TestResultLogLikelihood:
+    """A result's log_likelihood is the full Poisson log-likelihood at the
+    rates the solve ended with, computed with the result: the bits of
+    ``_log_likelihood`` at those rates, which are also those of the partial
+    value minus the factorial constant."""
 
     def solve_recording_rates(self, monkeypatch, data, config):
-        # the (lam, k, t) of the finish, where the solve takes the partial value
+        # the (lam, k, t) the results are made from
         recorded = []
         real = ml_engine._log_likelihood
 
@@ -769,40 +823,51 @@ class TestLazyLogLikelihood:
         monkeypatch.setattr(ml_engine, "_log_likelihood", recording)
         results = solve_likelihood_batch(data, config)
         monkeypatch.setattr(ml_engine, "_log_likelihood", real)
-        assert [flag for *_, flag in recorded] == [False]
+        assert [flag for *_, flag in recorded] == [True]
         lam, k, t, _ = recorded[0]
-        return results, real(lam, k, t, include_factorial=True)
+        return results, lam, k, t
 
-    def test_equals_eager_value_alone_and_in_batches(self, monkeypatch, campaign_rows):
+    def assert_values(self, results, lam, k, t):
+        full = ml_engine._log_likelihood(lam, k, t)
+        partial = ml_engine._log_likelihood(lam, k, t, include_factorial=False)
+        factorials = ml_engine._log_factorials(k)
+        for res, value, lane_partial, constant, lane in zip(
+            results, full.tolist(), partial.tolist(), factorials, zip(lam, k, t), strict=True
+        ):
+            assert type(res.log_likelihood) is float
+            assert res.log_likelihood == value == lane_partial - constant
+            # the sum written out row by row, to the float resolution of the
+            # parts of its terms
+            parts = [
+                (ki * math.log(li * ti), -li * ti, -math.lgamma(ki + 1))
+                for li, ki, ti in zip(*lane)
+            ]
+            exact = math.fsum(x for row in parts for x in row)
+            scale = math.fsum(abs(x) for row in parts for x in row)
+            assert res.log_likelihood == pytest.approx(exact, rel=0, abs=1e-14 * scale)
+
+    def test_alone_and_in_batches(self, monkeypatch, campaign_rows):
         config = ReconstructionConfig(rank=2)
         data = campaign_rows(77, range(44, 52), 500)
-        batch, eager = self.solve_recording_rates(monkeypatch, data, config)
-        for one, lane, value in zip(each_lane(data), batch, eager):
-            alone, eager_alone = self.solve_recording_rates(monkeypatch, one, config)
-            assert type(lane.log_likelihood) is float
-            assert lane.log_likelihood == value == alone[0].log_likelihood == eager_alone[0]
-            assert np.isfinite(value)
+        batch, *finish = self.solve_recording_rates(monkeypatch, data, config)
+        self.assert_values(batch, *finish)
+        for one, lane in zip(each_lane(data), batch, strict=True):
+            alone, *finish = self.solve_recording_rates(monkeypatch, one, config)
+            self.assert_values(alone, *finish)
+            assert alone[0].log_likelihood == lane.log_likelihood
+            assert np.isfinite(lane.log_likelihood)
 
     def test_state_rows(self, monkeypatch):
         # the d=2 solves of mixed-workflow: B36 rows, counts up to ~1e4
         rows = bn_state_protocol(36, 312.7, 1.0)
         truths = [np.diag([0.7, 0.3]).astype(complex), np.eye(2) / 2]
         data = generate_counts_batch(rows, truths, 10**5, [3, 3])
-        batch, eager = self.solve_recording_rates(monkeypatch, data, ReconstructionConfig(rank=2))
-        assert [res.log_likelihood for res in batch] == eager.tolist()
-
-    def test_computed_on_first_read_only(self, monkeypatch, campaign_rows):
-        calls = []
-        real = ml_engine._log_factorials
-        monkeypatch.setattr(ml_engine, "_log_factorials", lambda k: calls.append(k) or real(k))
-        res = solve_likelihood(campaign_rows(77, 0, 500), ReconstructionConfig(rank=2))
-        assert calls == []
-        first = res.log_likelihood
-        assert res.log_likelihood == first and len(calls) == 1
-
-    def test_zero_rate_with_counts_stays_minus_inf(self, campaign_rows):
-        res = solve_likelihood(campaign_rows(77, 0, 500), ReconstructionConfig(rank=2))
-        assert replace(res, _partial_log_likelihood=-np.inf).log_likelihood == -np.inf
+        batch, *finish = self.solve_recording_rates(monkeypatch, data, ReconstructionConfig(rank=2))
+        self.assert_values(batch, *finish)
+        assert [res.log_likelihood for res in batch] == [
+            solve_likelihood(one, ReconstructionConfig(rank=2)).log_likelihood
+            for one in each_lane(data)
+        ]
 
 
 class TestReconstructState:
