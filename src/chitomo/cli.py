@@ -12,7 +12,8 @@ written by ``write_json``.  A ``--config`` file, or an input file that a
 config names (``data_path``, ``chi_path``), that is not the JSON object the
 command reads exits 2, naming the file (and the field); so does a
 ``truth_choi`` or fit-retarder ``matrix`` that is not a finite, Hermitian,
-PSD matrix of positive trace.
+PSD matrix of positive trace, and a ``data.json`` row whose exposure or
+count is a string or a bool or whose is_auxiliary is not a bool.
 Identical config + seed gives byte-identical output files.  Every command
 runs in one process; ``--threads`` is still accepted (>= 1) and changes
 nothing, because the benchmark runner (``perfbench/run.py``) passes
@@ -101,10 +102,6 @@ class FitRetarderConfig(Config):
     min_dominant_share: float = 0.95
 
 
-def matrix_to_json(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, complex)]
-
-
 def matrix_from_json(data: list) -> np.ndarray:
     return np.array([[complex(re, im) for re, im in row] for row in data])
 
@@ -122,7 +119,40 @@ def _json_key(key: object) -> str:
     raise TypeError(f"keys must be str or int, not {type(key).__name__}")
 
 
-def _json_text(obj: object, newline: str) -> str:
+@functools.cache
+def _matrix_template(shape: tuple[int, int], newline: str) -> str:
+    # the text of an array of this shape as rows of [re, im] pairs whose
+    # lines start with newline, with a %s for each float
+    rows, cols = shape
+    if not rows:
+        return "[]"
+    row_line = newline + "  "
+    pair_line = row_line + "  "
+    value_line = pair_line + "  "
+    pair = "[" + value_line + "%s," + value_line + "%s" + pair_line + "]"
+    row = "[" + pair_line + ("," + pair_line).join([pair] * cols) + row_line + "]" if cols else "[]"
+    return "[" + row_line + ("," + row_line).join([row] * rows) + newline + "]"
+
+
+def _matrix_text(a: np.ndarray, newline: str, floats: dict) -> str:
+    # a 2-D numeric array as rows of [re, im] pairs; floats maps the bit
+    # pattern of each float already written in the document to its text
+    if a.ndim != 2 or a.dtype.kind not in "biufc":
+        raise TypeError("Object of type ndarray is not JSON serializable")
+    parts = np.ascontiguousarray(a, dtype=complex).view(float).ravel()
+    keys = parts.view(np.uint64).tolist()
+    try:
+        texts = tuple(map(floats.__getitem__, keys))
+    except KeyError:  # a float this document has not written yet
+        for key, value in zip(keys, parts.tolist()):
+            if key not in floats:
+                text = _float_repr(value)
+                floats[key] = _FLOAT_NAMES.get(text, text)
+        texts = tuple(map(floats.__getitem__, keys))
+    return _matrix_template(a.shape, newline) % texts
+
+
+def _json_text(obj: object, newline: str, floats: dict) -> str:
     # json.dumps(obj, sort_keys=True, indent=2) of a value whose lines start
     # with ``newline``, built by joins instead of json's chain of generators;
     # the checks run in the order of how often chitomo writes each type
@@ -138,18 +168,20 @@ def _json_text(obj: object, newline: str) -> str:
         if not obj:
             return "[]"
         inner = newline + "  "
-        items = [_json_text(value, inner) for value in obj]
+        items = [_json_text(value, inner, floats) for value in obj]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     if kind is dict:
         if not obj:
             return "{}"
         inner = newline + "  "
-        items = [_json_key(k) + ": " + _json_text(v, inner) for k, v in sorted(obj.items())]
+        items = [_json_key(k) + ": " + _json_text(v, inner, floats) for k, v in sorted(obj.items())]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is np.ndarray:
+        return _matrix_text(obj, newline, floats)
     if obj is None or kind is bool:
         return "null" if obj is None else "true" if obj else "false"
     if isinstance(obj, float):  # a numpy float, written as its float
-        return _json_text(float(obj), newline)
+        return _json_text(float(obj), newline, floats)
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
@@ -157,10 +189,15 @@ def write_json(path: Path, obj: dict) -> None:
     """Write ``json.dumps(obj, sort_keys=True, indent=2)`` and a newline,
     byte for byte (tested), for the values chitomo writes: str or int keys,
     and str, int, bool, None, float (numpy floats too), list, tuple and dict
-    values; any other type raises TypeError.  The join-based encoder takes
-    about 40 % less time than json's indenting one, and unlike json it does
-    not detect circular references."""
-    path.write_text(_json_text(obj, "\n") + "\n")
+    values, and 2-D numeric numpy arrays, each written as the list of rows
+    of ``[re, im]`` pairs of its entries taken as complex numbers; any other
+    type (a 1-D, 3-D or object array too) raises TypeError.  An array is
+    filled into a text template cached per shape and depth, and the text of
+    its floats is computed once per distinct bit pattern in the document
+    (so ``-0.0`` and ``0.0`` keep their own texts).  The join-based encoder
+    takes about 40 % less time than json's indenting one, and unlike json
+    it does not detect circular references."""
+    path.write_text(_json_text(obj, "\n", {}) + "\n")
 
 
 def config_hash(config: dict) -> str:
@@ -251,7 +288,7 @@ def _write_chi(path: Path, matrix: np.ndarray, normalization: str) -> None:
         {
             "dim": int(matrix.shape[0]),
             "normalization": normalization,
-            "matrix": matrix_to_json(matrix),
+            "matrix": matrix,
         },
     )
 
@@ -269,7 +306,7 @@ def cmd_plate_chi(config: PlateSpec, out_dir: Path) -> int:
 def cmd_protocol_dump(config: ProtocolDumpConfig, out_dir: Path) -> int:
     proto = process_protocol(config.protocol, config.central_lam_um)
     # a process protocol measures the projectors of its input states
-    states = [matrix_to_json(s.reshape(1, -1)) for s in proto.input_states]
+    states = [s.reshape(1, -1) for s in proto.input_states]
     write_json(
         out_dir / "protocol.json",
         {
@@ -278,8 +315,8 @@ def cmd_protocol_dump(config: ProtocolDumpConfig, out_dir: Path) -> int:
             "input_states": states,
             "projectors": states,
             "rows": [
-                {"operator": matrix_to_json(op), "exposure": float(t)}
-                for op, t in zip(proto.rows.operators, proto.rows.exposures)
+                {"operator": op, "exposure": t}
+                for op, t in zip(proto.rows.operators, proto.rows.exposures.tolist())
             ],
         },
     )
@@ -287,14 +324,12 @@ def cmd_protocol_dump(config: ProtocolDumpConfig, out_dir: Path) -> int:
 
 
 def _rows_to_json(data: Measurements) -> list[dict]:
-    columns = zip(data.operators, data.exposures, data.counts, data.auxiliary)
+    # the columns as Python floats, ints and bools; counts are whole and far
+    # below 2**63, so the int64 cast truncates nothing
+    counts = data.counts.astype(np.int64)
+    columns = zip(data.operators, data.exposures.tolist(), counts.tolist(), data.auxiliary.tolist())
     return [
-        {
-            "operator": matrix_to_json(op),
-            "exposure": float(t),
-            "count": int(k),
-            "is_auxiliary": bool(a),
-        }
+        {"operator": op, "exposure": t, "count": k, "is_auxiliary": a}
         for op, t, k, a in columns
     ]
 
@@ -302,22 +337,45 @@ def _rows_to_json(data: Measurements) -> list[dict]:
 _ROW_FIELDS = ("operator", "exposure", "count", "is_auxiliary")
 
 
+def _stacked_operators(rows: list) -> np.ndarray | None:
+    # every row's operator from one np.array call, as an (m, r, c) complex
+    # array equal to the rows' matrix_from_json results, when every entry is
+    # a JSON number or bool and the operators are r x c matrices of [re, im]
+    # pairs (Measurements requires r == c); None for any other input, which
+    # is then read row by row
+    try:
+        raw = np.array([row["operator"] for row in rows])
+    except (TypeError, KeyError, ValueError):
+        return None
+    if raw.dtype.kind not in "biuf" or raw.ndim != 4 or raw.shape[3] != 2:
+        return None
+    return raw.astype(float).view(complex)[..., 0]
+
+
 def _rows_from_json(rows: object, source: str) -> Measurements:
     # the rows of a data.json; every error names the file (source) and the
     # field
     if not isinstance(rows, list):
         raise ValueError(f"{source}: rows must be a list of row objects, got {type(rows).__name__}")
-    operators = []
+    operators = _stacked_operators(rows)
+    parsed = []
     for j, row in enumerate(rows):
         if not isinstance(row, dict):
             raise ValueError(f"{source}: rows[{j}] must be a JSON object, got {type(row).__name__}")
         missing = [key for key in _ROW_FIELDS if key not in row]
         if missing:
             raise ValueError(f"{source}: rows[{j}] has no field {missing[0]!r}")
-        operators.append(_input_matrix(row["operator"], source, f"rows[{j}].operator"))
+        if operators is None:
+            parsed.append(_input_matrix(row["operator"], source, f"rows[{j}].operator"))
+        for key in ("exposure", "count"):
+            if type(row[key]) in (str, bool):
+                raise ValueError(f"{source}: rows[{j}].{key} must be a number, got {type(row[key]).__name__}")
+        if type(row["is_auxiliary"]) is not bool:
+            kind = type(row["is_auxiliary"]).__name__
+            raise ValueError(f"{source}: rows[{j}].is_auxiliary must be true or false, got {kind}")
     try:
         return Measurements(
-            operators,
+            parsed if operators is None else operators,
             [r["exposure"] for r in rows],
             [0 if r["count"] is None else r["count"] for r in rows],
             [r["is_auxiliary"] for r in rows],
@@ -339,7 +397,7 @@ def cmd_gen_data(config: GenDataConfig, out_dir: Path) -> int:
             "n_events": config.n_events,
             "seed": config.seed,
             "auxiliary_weight": float(weight),  # written as a float even when given as 5
-            "truth_choi": matrix_to_json(truth),
+            "truth_choi": truth,
             "rows": _rows_to_json(data),
         },
     )

@@ -7,7 +7,8 @@ rates, one count set, each subset's component sum, the process-protocol and
 auxiliary-row operators, a plate's Choi state and a campaign's Monte-Carlo
 replications as computed before their stacked forms, and the channel
 action, Choi state, outcome probabilities and rank of a process computed
-directly.
+directly.  ``matrix_to_json`` is the list form of a matrix that
+``cli.write_json`` writes from the array itself.
 
 Also the single-item forms of package functions that no command calls: one
 derived seed, the retarder unitary about one axis, the monochromatic states
@@ -63,6 +64,8 @@ __all__ = [
     "direct_probability",
     "effective_probability",
     "process_rank",
+    "matrix_to_json",
+    "json_lists",
 ]
 
 
@@ -468,3 +471,20 @@ def replications_one_by_one(
         except Exception as exc:
             out.append(f"{type(exc).__name__}: {exc}")
     return out
+
+
+def matrix_to_json(m: np.ndarray) -> list:
+    """A matrix as rows of ``[re, im]`` pairs of Python floats."""
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, complex)]
+
+
+def json_lists(obj: object) -> object:
+    """obj with every numpy array replaced by its ``matrix_to_json`` form, as
+    ``json.dumps`` needs it."""
+    if isinstance(obj, np.ndarray):
+        return matrix_to_json(obj)
+    if isinstance(obj, dict):
+        return {key: json_lists(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(json_lists(value) for value in obj)
+    return obj

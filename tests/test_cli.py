@@ -13,13 +13,13 @@ import numpy as np
 import pytest
 
 from chitomo import cli, harness
-from chitomo.cli import COMMANDS, config_hash, main, matrix_from_json, matrix_to_json
+from chitomo.cli import COMMANDS, config_hash, main, matrix_from_json
 from chitomo.harness import CampaignConfig, ScalingConfig, TruthSpec, build_truth
 from chitomo.ml_engine import ReconstructionConfig, solve_likelihood
 from chitomo.protocols import auxiliary_rows, process_protocol
 from chitomo.quantum_core import fidelity
 from conftest import REF_PLATE_CHOI
-from process_oracles import derive_seed, generate_counts
+from process_oracles import derive_seed, generate_counts, json_lists, matrix_to_json
 
 
 MC_OUTPUTS = ("result.json", "fidelities.csv", "histogram.csv", "replications.csv")
@@ -53,6 +53,31 @@ class TestWriteJson:
         assert (tmp_path / "out.json").read_bytes() == dumps(obj).encode()
 
     @pytest.mark.parametrize(
+        "obj",
+        [
+            # the float texts are memoized by bit pattern: -0.0 next to 0.0,
+            # NaN and the infinities keep their own texts
+            {"m": np.array([[0.0, -0.0, complex(-0.0, 0.0)], [complex(0.0, -0.0), np.nan, -np.inf]])},
+            {"m": np.array([[complex(np.inf, -0.0), complex(np.nan, np.inf)]]),
+             "n": np.array([[complex(-0.0, 0.0), 0.0]])},
+            {"tiny": np.array([[5e-324, -5e-324], [1e300, 2.5e-8]])},
+            # real, integer and bool dtypes are written as complex entries
+            {"real": np.array([[0.1, -2.0], [3.0, 1e16]]), "int": np.array([[1, -2, 3]]),
+             "bool": np.array([[True], [False]]), "f32": np.array([[0.1]], dtype=np.float32)},
+            # (1, d), non-square, empty and non-contiguous shapes
+            {"row": np.arange(4.0).reshape(1, -1) * (1 + 1j), "wide": np.ones((2, 3)) * 1j,
+             "tall": np.eye(3, 2), "empty": np.zeros((0, 3)), "hollow": np.zeros((2, 0)),
+             "strided": (np.arange(16.0).reshape(4, 4) + 1j)[::2, ::-1], "t": np.eye(2, 3).T},
+            # matrices at several depths, values repeated across them
+            {"a": np.eye(2) / 3, "b": [np.eye(2) / 3, {"c": [[np.full((2, 2), 1 / 3j)]]}],
+             "d": ({"e": -np.eye(2) / 3, "f": 1 / 3},)},
+        ],
+    )
+    def test_array_bytes_equal_json_dumps(self, tmp_path, obj):
+        cli.write_json(tmp_path / "out.json", obj)
+        assert (tmp_path / "out.json").read_bytes() == dumps(json_lists(obj)).encode()
+
+    @pytest.mark.parametrize(
         "obj, message",
         [
             ({2.5: 1}, "keys must be str or int, not float"),
@@ -66,6 +91,13 @@ class TestWriteJson:
             ({"a": {"b": object()}}, "Object of type object is not JSON serializable"),
             ({"a": 1, "b": [2, {"c": np.float32(1.5)}]},
              "Object of type float32 is not JSON serializable"),
+            # an array is written only when it is a 2-D numeric matrix
+            ({"a": np.zeros(3)}, "Object of type ndarray is not JSON serializable"),
+            ({"a": [np.zeros((2, 2, 2))]}, "Object of type ndarray is not JSON serializable"),
+            ({"a": np.array(1.0)}, "Object of type ndarray is not JSON serializable"),
+            ({"a": np.array([[1.0, "x"]], dtype=object)},
+             "Object of type ndarray is not JSON serializable"),
+            ({"a": np.array([["x"]])}, "Object of type ndarray is not JSON serializable"),
         ],
     )
     def test_other_types_raise(self, tmp_path, obj, message):
@@ -75,7 +107,7 @@ class TestWriteJson:
 
     def test_every_command_output_equals_json_dumps(self, tmp_path, monkeypatch):
         # every JSON file of every command, against json.dumps of the object
-        # the command wrote
+        # the command wrote, its arrays taken through matrix_to_json
         written = []
         write_json = cli.write_json
 
@@ -101,7 +133,7 @@ class TestWriteJson:
             main([command, "--config", cfg, "--out", str(tmp_path / command)])
         assert len(written) == len(configs)
         for path, obj in written:
-            assert path.read_bytes() == dumps(obj).encode(), path
+            assert path.read_bytes() == dumps(json_lists(obj)).encode(), path
 
 
 class TestMatrixJson:
@@ -724,10 +756,15 @@ def reconstructible_rows() -> list[dict]:
     # channel and their auxiliary rows
     proto = process_protocol("R4")
     data = generate_counts(proto.rows, build_truth(TruthSpec(kind="identity")), 2000, 1)
-    return cli._rows_to_json(data + auxiliary_rows(proto.input_states, sum(data.exposures), 10.0))
+    return json_lists(cli._rows_to_json(data + auxiliary_rows(proto.input_states, sum(data.exposures), 10.0)))
 
 
 ROWS_4X4 = reconstructible_rows()
+
+
+def with_field(j: int, key: str, value) -> list[dict]:
+    # ROWS_4X4 with field key of row j replaced by value(old value)
+    return [{**row, key: value(row[key])} if i == j else row for i, row in enumerate(ROWS_4X4)]
 
 
 class TestMalformedInputFiles:
@@ -745,7 +782,23 @@ class TestMalformedInputFiles:
             ([GOOD_ROW], " must hold a JSON object, got list"),
             ({"rows": [{**GOOD_ROW, "operator": [1.0, 2.0]}]},
              ": rows[0].operator is not a matrix of [re, im] pairs"),
-            ({"rows": [{**GOOD_ROW, "exposure": "x"}]}, ": rows: could not convert string"),
+            # a number given as a string, or a bool, is not read as a number,
+            # and is_auxiliary must be true or false
+            ({"rows": [{**GOOD_ROW, "exposure": "x"}]}, ": rows[0].exposure must be a number, got str"),
+            ({"rows": with_field(3, "exposure", str)}, ": rows[3].exposure must be a number, got str"),
+            ({"rows": with_field(3, "exposure", lambda _: True)},
+             ": rows[3].exposure must be a number, got bool"),
+            ({"rows": with_field(3, "count", str)}, ": rows[3].count must be a number, got str"),
+            ({"rows": with_field(3, "count", lambda _: False)}, ": rows[3].count must be a number, got bool"),
+            ({"rows": with_field(3, "is_auxiliary", lambda _: "no")},
+             ": rows[3].is_auxiliary must be true or false, got str"),
+            ({"rows": with_field(19, "is_auxiliary", lambda _: 1)},
+             ": rows[19].is_auxiliary must be true or false, got int"),
+            ({"rows": with_field(0, "is_auxiliary", lambda _: None)},
+             ": rows[0].is_auxiliary must be true or false, got NoneType"),
+            # non-square operators get the message of the row-by-row read
+            ({"rows": [{**row, "operator": [r[:3] for r in row["operator"]]} for row in ROWS_4X4]},
+             ": rows: operators must have shape (m, d, d), got (20, 4, 3)"),
             ({"rows": [GOOD_ROW], "truth_choi": [["a"]]},
              ": truth_choi is not a matrix of [re, im] pairs"),
             # a truth that does not fit the data is rejected before the solve
@@ -778,6 +831,106 @@ class TestMalformedInputFiles:
         data.write_text(json.dumps({"rows": ROWS_4X4}))
         cfg = write_config(tmp_path / "r.json", {"data_path": str(data)})
         assert main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+    def test_null_count_reads_as_zero(self, tmp_path):
+        results = []
+        for count in (None, 0):
+            data = tmp_path / f"{count}.json"
+            data.write_text(json.dumps({"rows": with_field(3, "count", lambda _: count)}))
+            cfg = write_config(tmp_path / "r.json", {"data_path": str(data)})
+            assert main(["reconstruct", "--config", cfg, "--out", str(tmp_path / str(count))]) == 0
+            results.append((tmp_path / str(count) / "result.json").read_bytes())
+        assert results[0] == results[1]
+
+
+def with_entry(j: int, value) -> list[dict]:
+    # ROWS_4X4 with the real part of entry (1, 2) of row j's operator replaced
+    rows = json.loads(json.dumps(ROWS_4X4))
+    rows[j]["operator"][1][2][0] = value
+    return rows
+
+
+def with_operator(j: int, change) -> list[dict]:
+    # ROWS_4X4 with row j's operator replaced by change(operator)
+    return [{**row, "operator": change(row["operator"])} if i == j else row for i, row in enumerate(ROWS_4X4)]
+
+
+def special_float_rows() -> list[dict]:
+    # 3x3 operators holding -0.0 next to 0.0, the smallest subnormal, the
+    # infinities, NaN and 1e300
+    ops = np.linspace(-1.0, 1.0, 90).reshape(5, 3, 3, 2) / 7
+    ops[0, 0, 0] = [-0.0, 0.0]
+    ops[0, 0, 1] = [5e-324, -np.inf]
+    ops[0, 1, 1] = [np.nan, 1e300]
+    ops[4, 2, 2] = [np.inf, -5e-324]
+    return [{"operator": op.tolist(), "exposure": 1.0, "count": 2, "is_auxiliary": False} for op in ops]
+
+
+def per_row_message(rows: list[dict]) -> str:
+    # the message of the row-by-row read at the first operator it rejects
+    for j, row in enumerate(rows):
+        try:
+            matrix_from_json(row["operator"])
+        except (TypeError, ValueError) as exc:
+            return f"rows[{j}].operator is not a matrix of [re, im] pairs ({exc})"
+    raise AssertionError("every operator reads")
+
+
+class TestOperatorRead:
+    """reconstruct reads every row's operator with one np.array call when all
+    of them are d x d matrices of JSON numbers or bools; any other input is
+    read row by row, with that read's messages."""
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ROWS_4X4,
+            with_entry(2, True),  # a bool entry, read as 1.0 as before
+            with_entry(2, 7),
+            with_entry(2, -0.0),
+            with_entry(2, 2**63 + 1),  # an int beyond int64, rounded as complex() rounds it
+            with_operator(5, lambda op: [[[int(re), True] for re, im in row] for row in op]),
+            special_float_rows(),
+        ],
+        ids=["data", "bool", "int", "minus-zero", "big-int", "int-and-bool-operator", "special-floats"],
+    )
+    def test_one_array_equals_per_row(self, rows):
+        payload = json.loads(json.dumps(rows))
+        assert cli._stacked_operators(payload) is not None
+        read = cli._rows_from_json(payload, "data").operators
+        expected = np.array([matrix_from_json(row["operator"]) for row in payload])
+        assert read.dtype == expected.dtype == complex
+        assert read.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (with_entry(2, "0.5"), None),
+            (with_entry(2, None), None),
+            (with_operator(2, lambda op: [[[*pair, 0.0] for pair in row] for row in op]), None),
+            ([{**row, "operator": [[[*pair, 0.0] for pair in r] for r in row["operator"]]} for row in ROWS_4X4],
+             None),
+            ([{**row, "operator": [[pair[:1] for pair in r] for r in row["operator"]]} for row in ROWS_4X4],
+             None),
+            (with_operator(2, lambda op: [op[0][:3], *op[1:]]), None),
+            (with_operator(2, lambda op: op[:3]), "rows: operators must all have the same shape (d, d)"),
+            (with_operator(2, lambda op: [[[1.0, 0.0]]]), "rows: operators must all have the same shape (d, d)"),
+            ([], "rows: operators must have shape (m, d, d), got (0,)"),
+        ],
+        ids=["string-entry", "null-entry", "3-element-pair", "3-element-pairs-everywhere",
+             "1-element-pairs-everywhere", "ragged-row", "3x4-operator", "1x1-operator", "no-rows"],
+    )
+    def test_other_input_read_row_by_row(self, tmp_path, capsys, rows, message):
+        # an operator the per-row read rejects gets its message
+        assert cli._stacked_operators(rows) is None
+        message = message or per_row_message(rows)
+        data = tmp_path / "data.json"
+        data.write_text(json.dumps({"rows": rows}))
+        cfg = write_config(tmp_path / "r.json", {"data_path": str(data)})
+        out = tmp_path / "out"
+        assert main(["reconstruct", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: data_path {data}: {message}\n"
+        assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize(
         "payload, message",
