@@ -253,7 +253,7 @@ def _input_field(payload: dict, key: str, source: str) -> object:
 def _input_matrix(value: object, source: str, name: str) -> np.ndarray:
     try:
         return matrix_from_json(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{source}: {name} is not a matrix of [re, im] pairs ({exc})") from None
 
 
@@ -380,7 +380,7 @@ def _rows_from_json(rows: object, source: str) -> Measurements:
             [0 if r["count"] is None else r["count"] for r in rows],
             [r["is_auxiliary"] for r in rows],
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{source}: rows: {exc}") from None
 
 

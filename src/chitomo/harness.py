@@ -14,10 +14,12 @@ A Monte-Carlo campaign runs in one process and does once what is the same
 for every replication: one truth, one protocol, one ``process_datasets``
 call that draws every count set and adds one set of auxiliary rows, one
 ``solve_likelihood_batch`` call and one stacked ``fidelity`` call.  The data
-sets are one ``Measurements`` record with a lane per replication.  Each
-replication draws from its own seeded generator, and a lane's result is
-bit-identical to its lone solve, so the outputs equal those of one
-replication at a time.
+sets are one ``Measurements`` record with a lane per replication, and the
+solves one ``ReconstructionResult`` record with a row per replication,
+whose columns the campaign's outputs are read from; a lane that fails its
+set-up carries its error text there.  Each replication draws from its own
+seeded generator, and a lane's result is bit-identical to its lone solve,
+so the outputs equal those of one replication at a time.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, field, fields
-from typing import Callable, Literal, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -34,7 +36,6 @@ from .ml_engine import (
     EIGEN_CUTOFF,
     ReconstructionConfig,
     ReconstructionResult,
-    solve_likelihood,
     solve_likelihood_batch,
 )
 from .process_algebra import chi_from_kraus, kraus_from_chi, parameter_count
@@ -83,6 +84,8 @@ __all__ = [
 ]
 
 HISTOGRAM_BINS = 30
+# the solve's fields of every mixed-workflow stage-1 and stage-2 entry
+_STATUS_FIELDS = ("iterations", "stop_reason", "scoring_steps", "rejected_steps")
 # the per-replication fields of CampaignResult.replications, in column order
 REPLICATION_FIELDS = (
     "seed",
@@ -200,7 +203,7 @@ class ScalingConfig(_CampaignFields):
 
 @dataclass(frozen=True)
 class CampaignResult:
-    fidelities: np.ndarray  # NaN where the solver raised
+    fidelities: np.ndarray  # NaN where the replication has no estimate
     mean_loss: float
     failures: list[int]
     failure_reasons: dict[int, str]  # failed replication -> error text or stop reason
@@ -211,7 +214,7 @@ class CampaignResult:
     metadata: dict
     # per replication, in index order: derived seed and the solve's
     # iterations, stop reason, residual and step counts (None where the
-    # solver raised)
+    # synthesis or the solve's set-up failed)
     replications: list[dict]
 
 
@@ -310,42 +313,25 @@ def _solver_config(config: CampaignConfig) -> ReconstructionConfig:
     )
 
 
-def _error_text(exc: Exception) -> str:
-    return f"{type(exc).__name__}: {exc}"
-
-
-def _solve_replications(config: CampaignConfig, truth: np.ndarray, seeds: list[int]) -> list:
-    # each replication's ReconstructionResult, or the error text of its
-    # synthesis or solve: a synthesis error is every replication's
+def _solve_replications(
+    config: CampaignConfig, truth: np.ndarray, seeds: list[int]
+) -> ReconstructionResult | str:
+    # the record of the campaign's batch, a lane per replication, or the
+    # error text of the synthesis, which is every replication's
     proto = process_protocol(config.protocol, config.truth.lam0_um)
-    solver = _solver_config(config)
     try:
         data = process_datasets(proto, truth, config.n_events, seeds, config.auxiliary_weight)
     except Exception as exc:
-        return [_error_text(exc)] * len(seeds)
-    return _each(
-        lambda: solve_likelihood_batch(data, solver),
-        lambda i: solve_likelihood(data.lanes(i), solver),
-        len(seeds),
-    )
+        return f"{type(exc).__name__}: {exc}"
+    return solve_likelihood_batch(data, _solver_config(config))
 
 
-def _each(batch: Callable[[], list], single: Callable[[int], object], n: int) -> list:
-    # batch(), one result per item, or, when that raises, single(i) for each
-    # of the n items, with the error text of each one that raises: a batch's
-    # checks raise when some item's would, and its error may name the item's
-    # place in the batch, so only the items' own calls give their own texts
-    try:
-        return batch()
-    except Exception:
-        pass
-    results = []
-    for i in range(n):
-        try:
-            results.append(single(i))
-        except Exception as exc:
-            results.append(_error_text(exc))
-    return results
+def _lane_fields(record: ReconstructionResult, names: Sequence[str]) -> list[dict]:
+    # each lane's fields names as Python values, None in a lane that failed
+    # its set-up
+    solved = np.equal(record.error, None)
+    columns = [np.where(solved, getattr(record, name), None).tolist() for name in names]
+    return [dict(zip(names, row)) for row in zip(*columns)]
 
 
 def run_mc_campaign(config: CampaignConfig) -> CampaignResult:
@@ -353,54 +339,48 @@ def run_mc_campaign(config: CampaignConfig) -> CampaignResult:
 
     A replication enters the mean loss and the histogram when its solve
     converged, i.e. stopped on the residual or on stationarity (stop reason
-    ``"residual"`` or ``"stationary"``).  It fails when the solver raised or
-    stopped at the iteration cap; failures are listed in ``failures`` with
-    their error text in ``failure_reasons``.  A failed replication's
-    fidelity slot holds NaN when the solver raised and its fidelity when it
-    only hit the cap.
+    ``"residual"`` or ``"stationary"``).  It fails when its synthesis or
+    the set-up of its solve failed, or when its solve stopped at the
+    iteration cap; failures are listed in ``failures`` with their error
+    text in ``failure_reasons``.  A failed replication's fidelity slot
+    holds NaN when it has no estimate and its fidelity when it only hit
+    the cap.
 
     The campaign runs in one process: one synthesis of every count set,
     one set of auxiliary rows, one ``solve_likelihood_batch`` call with a
-    lane per replication and one stacked ``fidelity`` call.  Each
-    replication draws from its own seeded generator and a lane's result is
-    that of its lone solve, so every output bit is that of one replication
-    at a time.  A synthesis error fails every replication with the same
-    text.  When the batch raises, each replication is solved alone, so a
-    solve or scoring error fails its replication alone, with the text of
-    its own call.
+    lane per replication and one stacked ``fidelity`` call over the lanes
+    with an estimate.  Each replication draws from its own seeded
+    generator and a lane's result is that of its lone solve, so every
+    output bit is that of one replication at a time.  A synthesis error
+    fails every replication with the same text; a lane that fails its
+    set-up fails its replication alone, with the text of its own solve.
+    A solver estimate is ``c c^+`` over its trace at a finite c, so the
+    fidelity call does not raise on it.
     """
     n = config.replications
     truth = build_truth(config.truth)
     seeds = derive_seeds(config.seed, range(n))
-    # failure is data, not a crash: a replication whose synthesis, solve or
-    # scoring raises records the error text
-    results = _solve_replications(config, truth, seeds)
-    errors = [res if isinstance(res, str) else None for res in results]
-    solved = [i for i, error in enumerate(errors) if error is None]
-    estimates = [results[i].estimate for i in solved]
-    scores = _each(
-        lambda: fidelity(truth, np.stack(estimates)).tolist(),
-        lambda i: fidelity(truth, estimates[i]),
-        len(estimates),
-    )
     fidelities = np.full(n, np.nan)
-    replications = [{**dict.fromkeys(REPLICATION_FIELDS), "seed": seed} for seed in seeds]
-    info_spectrum = np.array([])  # replication 0's; empty when it raised
-    for i, score in zip(solved, scores):
-        if isinstance(score, str):
-            errors[i] = score
-            continue
-        res = results[i]
-        fidelities[i] = score
-        replications[i].update(_solve_status(res), residual=res.residual)
-        if not res.converged:
-            errors[i] = (
-                f"not converged: {res.stop_reason} after {res.iterations} "
-                f"iterations, residual {res.residual:.3e}"
-            )
-        if i == 0:
-            info_spectrum = res.info_spectrum
-    failure_reasons = {i: error for i, error in enumerate(errors) if error is not None}
+    record = _solve_replications(config, truth, seeds)
+    if isinstance(record, str):  # the synthesis failed: every replication with its text
+        errors = np.full(n, record, object)
+        statuses = [dict.fromkeys(REPLICATION_FIELDS[1:])] * n
+        info_spectrum = np.array([])
+    else:
+        solved = np.equal(record.error, None)
+        fidelities[solved] = fidelity(truth, record.estimate[solved])
+        errors = record.error.copy()
+        capped = np.flatnonzero(solved & ~record.converged)
+        errors[capped] = [
+            f"not converged: {record.stop_reason[i]} after {record.iterations[i]} "
+            f"iterations, residual {record.residual[i]:.3e}"
+            for i in capped
+        ]
+        statuses = _lane_fields(record, REPLICATION_FIELDS[1:])
+        # replication 0's; empty when it has no estimate
+        info_spectrum = record.info_spectrum[0] if solved[0] else np.array([])
+    replications = [{"seed": seed, **status} for seed, status in zip(seeds, statuses)]
+    failure_reasons = {i: errors[i] for i in np.flatnonzero(np.not_equal(errors, None)).tolist()}
 
     failures = list(failure_reasons)
     # a replication without a fidelity has failed
@@ -577,7 +557,9 @@ def run_mixed_state_workflow(config: MixedWorkflowConfig) -> dict:
     ``component_rank``), the component sums of both plate counts from one
     ``component_sum_states`` call, and all fidelities and entropies from one
     stacked call each; the per-plate-count blocks of the report are sliced
-    from those.
+    from those, the solve statuses from the records' columns.  A count set
+    that fails its solve's set-up raises that batch's ``raise_error``,
+    which names its lane.
     """
     input_v = np.array([0.0, 1.0], dtype=complex)
     # the spectral shape at each component wavelength, 1 at the centre
@@ -604,13 +586,15 @@ def run_mixed_state_workflow(config: MixedWorkflowConfig) -> dict:
     broadband = solve_likelihood_batch(
         count_sets.lanes(is_broadband), ReconstructionConfig(rank=config.broadband_rank)
     )
+    broadband.raise_error()
     components = solve_likelihood_batch(
         count_sets.lanes(~is_broadband), ReconstructionConfig(rank=config.component_rank)
     )
+    components.raise_error()
 
     # plate count i's component estimates are the block i of the stack, and
     # its subsets index that block
-    estimates = np.stack([r.estimate for r in components])
+    estimates = components.estimate
     subsets = [
         [i * n_components + j - 1 for j in subset]
         for i in range(n_plate_counts)
@@ -627,7 +611,7 @@ def run_mixed_state_workflow(config: MixedWorkflowConfig) -> dict:
         ),
         np.concatenate(
             [
-                np.stack([r.estimate for r in broadband])[:, None],
+                broadband.estimate[:, None],
                 estimates.reshape(n_plate_counts, n_components, 2, 2),
                 mixes,
             ],
@@ -638,13 +622,14 @@ def run_mixed_state_workflow(config: MixedWorkflowConfig) -> dict:
 
     report: dict = {"config": config.to_dict(), "per_plate_count": {}}
     component_weights = weights.tolist()
-    component_statuses = [_solve_status(r) for r in components]
+    broadband_statuses = _lane_fields(broadband, _STATUS_FIELDS)
+    component_statuses = _lane_fields(components, _STATUS_FIELDS)
     for i, n_plates in enumerate(plate_counts):
         fid, ent = fidelities[i], entropies[i]
         stage1 = {
             "truth_entropy_bits": ent[0],
             "reconstruction_fidelity": fid[0],
-            **_solve_status(broadband[i]),
+            **broadband_statuses[i],
         }
         stage2 = [
             {"lam_um": lam, "weight": w, "fidelity_vs_pure_truth": f, **status}
@@ -665,15 +650,6 @@ def run_mixed_state_workflow(config: MixedWorkflowConfig) -> dict:
             "stage3": stage3,
         }
     return report
-
-
-def _solve_status(res: ReconstructionResult) -> dict:
-    return {
-        "iterations": res.iterations,
-        "stop_reason": res.stop_reason,
-        "scoring_steps": res.scoring_steps,
-        "rejected_steps": res.rejected_steps,
-    }
 
 
 def run_retarder_fit(

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from chitomo import harness, protocols, waveplate
-from chitomo.ml_engine import EIGEN_CUTOFF, _fisher, expected_rates
+from chitomo.ml_engine import EIGEN_CUTOFF, ReconstructionResult, _fisher, expected_rates
 from chitomo.protocols import Measurements, auxiliary_rows, process_protocol
 from chitomo.quantum_core import _as_complex_matrix, hermitian_eig, vectorize
 from chitomo.waveplate import (
@@ -144,6 +144,12 @@ def generate_counts(
 def each_lane(data: Measurements) -> list[Measurements]:
     """Every lane of a batch record, in lane order, as one data set each."""
     return [data.lanes(b) for b in range(len(data.exposures))]
+
+
+def each_result(record: ReconstructionResult) -> list[ReconstructionResult]:
+    """Every lane of a solver's result record, in lane order, as the
+    one-lane record ``solve_likelihood`` returns."""
+    return [record.lanes(b) for b in range(len(record.iterations))]
 
 
 def completeness_residual(kraus_ops: Sequence[np.ndarray]) -> float:
@@ -453,24 +459,30 @@ def plate_choi_state_per_knot(spec: WaveplateSpec, profile: SpectralProfile) -> 
 
 def replications_one_by_one(
     config: harness.CampaignConfig, truth: np.ndarray, seeds: Sequence[int]
-) -> list:
-    """The solves of ``harness._solve_replications`` as it computed them
+) -> ReconstructionResult | str:
+    """The record of ``harness._solve_replications`` as it was computed
     before the batched synthesis and solve: each replication generates its
-    own count set, builds its own auxiliary rows and has its own solve,
-    giving its result or its error text.  The solver is looked up in
-    ``harness``, so a test's patch there reaches both paths."""
+    own count set, builds its own auxiliary rows and has its own solve, a
+    batch of one lane, and the lanes' records are stacked.  A synthesis
+    error, which is every replication's, gives its text.  The solver is
+    looked up in ``harness``, so a test's patch there reaches both paths."""
     proto = process_protocol(config.protocol, config.truth.lam0_um)
     solver = harness._solver_config(config)
-    out = []
+    records = []
     for seed in seeds:
         try:
             data = generate_counts(proto.rows, truth, config.n_events, seed)
             total_t = sum(data.exposures)
             aux = auxiliary_rows(proto.input_states, total_t, config.auxiliary_weight)
-            out.append(harness.solve_likelihood(data + aux, solver))
         except Exception as exc:
-            out.append(f"{type(exc).__name__}: {exc}")
-    return out
+            return f"{type(exc).__name__}: {exc}"
+        records.append(harness.solve_likelihood_batch(data + aux, solver))
+    stacked = {
+        name: np.concatenate([getattr(record, name) for record in records])
+        for name, column in vars(records[0]).items()
+        if isinstance(column, np.ndarray)
+    }
+    return replace(records[0], **stacked)
 
 
 def matrix_to_json(m: np.ndarray) -> list:

@@ -12,11 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chitomo import cli, harness
+from chitomo import cli, harness, protocols
 from chitomo.cli import COMMANDS, config_hash, main, matrix_from_json
 from chitomo.harness import CampaignConfig, ScalingConfig, TruthSpec, build_truth
 from chitomo.ml_engine import ReconstructionConfig, solve_likelihood
-from chitomo.protocols import auxiliary_rows, process_protocol
+from chitomo.protocols import Measurements, auxiliary_rows, process_protocol
 from chitomo.quantum_core import fidelity
 from conftest import REF_PLATE_CHOI
 from process_oracles import derive_seed, generate_counts, json_lists, matrix_to_json
@@ -233,6 +233,20 @@ class TestGenDataReconstruct:
         assert err.startswith("error: ") and message in err
         assert not (tmp_path / "rec" / "result.json").exists()
 
+    def test_no_observed_counts_exits_2(self, tmp_path, capsys):
+        # the lone solve's set-up error, as the command prints it
+        gen_cfg = write_config(tmp_path / "gen.json", {"n_events": 500, "truth": {"knots": 21}})
+        assert main(["gen-data", "--config", gen_cfg, "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "data.json").read_text())
+        payload["rows"] = [{**row, "count": 0} for row in payload["rows"]]
+        (tmp_path / "zero.json").write_text(json.dumps(payload))
+        rec_cfg = write_config(tmp_path / "rec.json", {"data_path": str(tmp_path / "zero.json")})
+        out = tmp_path / "rec"
+        assert main(["reconstruct", "--config", rec_cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: no observed counts\n"
+        assert not (out / "estimate.json").exists()
+        assert not (out / "result.json").exists()
+
     def test_reconstruct_needs_data_path(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "rec.json", {"rank": 2})
         assert main(["reconstruct", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -322,34 +336,30 @@ class TestMcCommand:
         rows = [line.split(",") for line in texts[0].strip().splitlines()[1:]]
         assert sum(int(row[6]) for row in rows) > 0  # scoring steps were counted
 
-    def test_replications_csv_of_raised_and_capped_solves(self, tmp_path, monkeypatch):
-        import chitomo.harness as harness
+    def test_replications_csv_of_failed_and_capped_solves(self, tmp_path, monkeypatch):
+        # the second replication's count set and the auxiliary rows hold no
+        # counts: lane 1 of the campaign's batch fails its set-up, with the
+        # text of its own solve, and its solve's cells stay empty
+        aux, synthesize = protocols.auxiliary_rows, protocols.generate_counts_batch
 
-        real = harness.solve_likelihood_batch
-        bad = []
+        def no_auxiliary_counts(*args):
+            rows = aux(*args)
+            return Measurements(rows.operators, rows.exposures, None, rows.auxiliary)
 
-        def raise_on_second(data, config):
-            # the solver rejects the second replication's data, which lane 1
-            # of the campaign's batch holds: the batch raises naming the
-            # lane, and that data's lone solve raises as well
-            if not bad:
-                bad.append(data.counts[1])
-            for b, counts in enumerate(np.atleast_2d(data.counts)):
-                if np.array_equal(counts, bad[0]):
-                    lane = "" if data.counts.ndim == 1 else f"lane {b}: "
-                    raise ValueError(lane + "solver failed")
-            return real(data, config)
+        def no_counts_in_set_1(rows, truth, n_total, seeds):
+            sets = synthesize(rows, truth, n_total, seeds)
+            counts = sets.counts.copy()
+            counts[1] = 0.0
+            return Measurements(sets.operators, sets.exposures, counts, sets.auxiliary)
 
-        monkeypatch.setattr(harness, "solve_likelihood_batch", raise_on_second)
-        monkeypatch.setattr(
-            harness, "solve_likelihood", lambda data, config: raise_on_second(data, config)[0]
-        )
+        monkeypatch.setattr(protocols, "auxiliary_rows", no_auxiliary_counts)
+        monkeypatch.setattr(protocols, "generate_counts_batch", no_counts_in_set_1)
         cfg = write_config(tmp_path / "mc.json", {**self.CONFIG, "max_iterations": 2})
         assert main(["mc", "--config", cfg, "--seed", "9", "--out", str(tmp_path)]) == 1
         lines = (tmp_path / "replications.csv").read_text().strip().splitlines()
         assert lines[2] == f"1,{derive_seed(9, 1)},nan,,,,,"
         result = json.loads((tmp_path / "result.json").read_text())
-        assert result["failure_reasons"]["1"] == "ValueError: solver failed"  # the lone solve's text
+        assert result["failure_reasons"]["1"] == "ValueError: no observed counts"
         index, _, fid, iterations, stop_reason, _, scoring, _ = lines[1].split(",")
         assert (iterations, stop_reason) == ("2", "iteration_cap")
         assert 0.0 <= float(fid) <= 1.0
@@ -444,11 +454,13 @@ class TestMixedWorkflowCommand:
         def capped_second_component(data, config):
             results = real(data, config)
             batches.append((len(data.exposures), config.rank))
-            calls.extend(results)
+            calls.extend(results.iterations.tolist())
             if len(batches) == 2:
                 # lane 1 of the component batch: the second 1-plate component
-                results[1] = dataclasses.replace(
-                    results[1], converged=False, stop_reason="iteration_cap"
+                converged, stop_reason = results.converged.copy(), results.stop_reason.copy()
+                converged[1], stop_reason[1] = False, "iteration_cap"
+                results = dataclasses.replace(
+                    results, converged=converged, stop_reason=stop_reason
                 )
             return results
 
@@ -461,9 +473,30 @@ class TestMixedWorkflowCommand:
         stage2 = report["per_plate_count"]["1"]["stage2"]
         assert stage2[1]["stop_reason"] == "iteration_cap"
         # calls holds the 2 broadband lanes, then the 14 component lanes
-        assert stage2[1]["iterations"] == calls[3].iterations
+        assert stage2[1]["iterations"] == calls[3]
         assert len(calls) == 16
         assert batches == [(2, 2), (14, 1)]
+
+
+    @pytest.mark.parametrize("count_set, lane", [(3, 2), (8, 1)], ids=["component", "broadband"])
+    def test_count_set_without_counts_exits_2(self, tmp_path, capsys, monkeypatch, count_set, lane):
+        # count set 3 is lane 2 of the component batch, count set 8 (the
+        # 2-plate broadband set) lane 1 of the broadband batch
+        real = harness.generate_counts_batch
+
+        def zeroed(rows, truths, n_total, seeds):
+            sets = real(rows, truths, n_total, seeds)
+            counts = sets.counts.copy()
+            counts[count_set] = 0.0
+            return type(sets)(sets.operators, sets.exposures, counts, sets.auxiliary)
+
+        monkeypatch.setattr(harness, "generate_counts_batch", zeroed)
+        cfg = write_config(
+            tmp_path / "w.json", {"knots": 201, "span": 15.0, "n_events": 5000, "seed": 2}
+        )
+        assert main(["mixed-workflow", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: lane {lane}: no observed counts\n"
+        assert not (tmp_path / "result.json").exists()
 
 
 class TestFitRetarderCommand:
@@ -767,6 +800,13 @@ def with_field(j: int, key: str, value) -> list[dict]:
     return [{**row, key: value(row[key])} if i == j else row for i, row in enumerate(ROWS_4X4)]
 
 
+def with_entry(j: int, value) -> list[dict]:
+    # ROWS_4X4 with the real part of entry (1, 2) of row j's operator replaced
+    rows = json.loads(json.dumps(ROWS_4X4))
+    rows[j]["operator"][1][2][0] = value
+    return rows
+
+
 class TestMalformedInputFiles:
     """An input file that is not the JSON object its command reads exits 2,
     naming the file and the field."""
@@ -812,6 +852,16 @@ class TestMalformedInputFiles:
              ": truth_choi is not Hermitian: defect 2.500e-01"),
             ({"rows": ROWS_4X4, "truth_choi": matrix_to_json(np.zeros((4, 4)))},
              ": truth_choi has trace 0.000e+00, not a positive one"),
+            # an integer beyond the float range, in a matrix, an operator
+            # read row by row, an exposure or a count
+            ({"rows": ROWS_4X4, "truth_choi": [[[10**400, 0]] * 4] * 4},
+             ": truth_choi is not a matrix of [re, im] pairs (int too large to convert to float)"),
+            ({"rows": with_entry(2, 10**400)},
+             ": rows[2].operator is not a matrix of [re, im] pairs (int too large to convert to float)"),
+            ({"rows": with_field(3, "exposure", lambda _: 10**400)},
+             ": rows: int too large to convert to float"),
+            ({"rows": with_field(3, "count", lambda _: 10**400)},
+             ": rows: int too large to convert to float"),
         ],
     )
     def test_reconstruct(self, tmp_path, capsys, payload, message):
@@ -841,13 +891,6 @@ class TestMalformedInputFiles:
             assert main(["reconstruct", "--config", cfg, "--out", str(tmp_path / str(count))]) == 0
             results.append((tmp_path / str(count) / "result.json").read_bytes())
         assert results[0] == results[1]
-
-
-def with_entry(j: int, value) -> list[dict]:
-    # ROWS_4X4 with the real part of entry (1, 2) of row j's operator replaced
-    rows = json.loads(json.dumps(ROWS_4X4))
-    rows[j]["operator"][1][2][0] = value
-    return rows
 
 
 def with_operator(j: int, change) -> list[dict]:
@@ -946,6 +989,8 @@ class TestOperatorRead:
              ": matrix is not Hermitian: defect 2.500e-01"),
             ({"matrix": matrix_to_json(-np.eye(4) / 4)},
              ": matrix is not PSD: min eigenvalue -2.500e-01"),
+            ({"matrix": [[[10**400, 0]] + [[0.0, 0.0]] * 3] * 4},
+             ": matrix is not a matrix of [re, im] pairs (int too large to convert to float)"),
         ],
     )
     def test_fit_retarder(self, tmp_path, capsys, payload, message):

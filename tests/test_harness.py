@@ -239,10 +239,14 @@ class TestReplicationsAsOneBatch:
             calls["fidelity"].append(np.shape(rho))
             return score(rho0, rho)
 
+        def no_lone_solve(data, config):
+            raise AssertionError("a replication was solved alone")
+
         monkeypatch.setattr(protocols, "generate_counts_batch", counting_batch)
         monkeypatch.setattr(protocols, "auxiliary_rows", counting_aux)
         monkeypatch.setattr(harness, "solve_likelihood_batch", counting_solve)
         monkeypatch.setattr(harness, "fidelity", counting_fidelity)
+        monkeypatch.setattr(ml_engine, "solve_likelihood", no_lone_solve)
         config = CampaignConfig.from_dict({**QUICK, "seed": 8})
         run_mc_campaign(config)
         assert calls == {
@@ -268,37 +272,11 @@ class TestReplicationsAsOneBatch:
         assert np.isnan(result.fidelities).all()
         assert_same_bits(result, one_by_one(config, monkeypatch))
 
-    def test_unscorable_estimate_fails_alone(self, monkeypatch):
-        config = CampaignConfig.from_dict({**QUICK, "seed": 10})
-        clean = run_mc_campaign(config)
-        solve, calls = harness.solve_likelihood_batch, []
-
-        def nan_third_estimate(data, solver):
-            results = solve(data, solver)
-            for b, res in enumerate(results):
-                calls.append(res)
-                if len(calls) % 6 == 3:  # replication 2, on either path
-                    results[b] = dataclasses.replace(res, estimate=np.full((4, 4), np.nan, complex))
-            return results
-
-        monkeypatch.setattr(harness, "solve_likelihood_batch", nan_third_estimate)
-        # the one-by-one oracle solves each replication as a batch of one
-        monkeypatch.setattr(
-            harness, "solve_likelihood", lambda data, solver: nan_third_estimate(data, solver)[0]
-        )
-        result = run_mc_campaign(config)
-        assert result.failure_reasons == {2: "ValueError: matrix contains non-finite entries"}
-        assert math.isnan(result.fidelities[2])
-        others = [0, 1, 3, 4, 5]
-        assert result.fidelities[others].tobytes() == clean.fidelities[others].tobytes()
-        assert result.replications[2]["iterations"] is None
-        assert result.replications[3] == clean.replications[3]
-        assert_same_bits(result, one_by_one(config, monkeypatch))
-
-    def test_raising_batch_falls_back_to_lone_solves(self, monkeypatch):
-        # replication 3's count set has no counts: the batch raises naming
-        # its lane, each replication is then solved alone, and only
-        # replication 3 fails, with the text of its own solve
+    def test_replication_without_counts_fails_alone_in_the_one_solve(self, monkeypatch):
+        # replication 3's count set has no counts: its lane leaves the
+        # campaign's one batch at the set-up with the text of its own solve,
+        # nothing is solved alone, and the other replications keep their
+        # bits
         config = CampaignConfig.from_dict({**QUICK, "seed": 12})
         aux, synthesize = protocols.auxiliary_rows, protocols.generate_counts_batch
 
@@ -315,21 +293,30 @@ class TestReplicationsAsOneBatch:
         monkeypatch.setattr(protocols, "auxiliary_rows", no_auxiliary_counts)
         clean = run_mc_campaign(config)
         assert not clean.failures
-        batch_errors = []
+        calls = {"solve": [], "fidelity": []}
+        solve, score = harness.solve_likelihood_batch, harness.fidelity
 
-        def recording_batch(data, solver):
-            try:
-                return ml_engine.solve_likelihood_batch(data, solver)
-            except ValueError as exc:
-                batch_errors.append(str(exc))
-                raise
+        def counting_solve(data, solver):
+            calls["solve"].append(len(data.exposures))
+            return solve(data, solver)
+
+        def counting_fidelity(rho0, rho):
+            calls["fidelity"].append(np.shape(rho))
+            return score(rho0, rho)
+
+        def no_lone_solve(data, solver):
+            raise AssertionError("a replication was solved alone")
 
         monkeypatch.setattr(protocols, "generate_counts_batch", no_counts_in_set_3)
-        monkeypatch.setattr(harness, "solve_likelihood_batch", recording_batch)
+        monkeypatch.setattr(harness, "solve_likelihood_batch", counting_solve)
+        monkeypatch.setattr(harness, "fidelity", counting_fidelity)
+        monkeypatch.setattr(ml_engine, "solve_likelihood", no_lone_solve)
         result = run_mc_campaign(config)
-        assert batch_errors == ["lane 3: no observed counts"]
+        assert calls == {"solve": [6], "fidelity": [(5, 4, 4)]}
         assert result.failure_reasons == {3: "ValueError: no observed counts"}
-        assert result.replications[3]["iterations"] is None
+        assert math.isnan(result.fidelities[3])
+        seed = clean.replications[3]["seed"]
+        assert result.replications[3] == {**dict.fromkeys(harness.REPLICATION_FIELDS), "seed": seed}
         others = [0, 1, 2, 4, 5]
         assert result.fidelities[others].tobytes() == clean.fidelities[others].tobytes()
         assert [result.replications[i] for i in others] == [clean.replications[i] for i in others]

@@ -29,7 +29,13 @@ from chitomo.protocols import (
     process_protocol,
 )
 from chitomo.quantum_core import fidelity
-from process_oracles import each_lane, fisher_matrices, fisher_scoring_step, generate_counts
+from process_oracles import (
+    each_lane,
+    each_result,
+    fisher_matrices,
+    fisher_scoring_step,
+    generate_counts,
+)
 from random_ops import random_density_matrix, random_unitary
 from chitomo.waveplate import WaveplateSpec, broadband_mixed_state, sinc2_profile
 
@@ -592,8 +598,9 @@ class TestGramSide:
         # descending, F's 2dr - 20 structural zeros in sorted position
         data = campaign_rows(987654321, range(12), 10**4)
         results = solve_likelihood_batch(data, ReconstructionConfig(rank=rank))
-        assert {res.stop_reason for res in results} == {"residual", "stationary"}
-        for rows, res in zip(each_lane(data), results):
+        assert set(results.stop_reason) == {"residual", "stationary"}
+        assert results.info_spectrum.shape == (12, 8 * rank)
+        for rows, res in zip(each_lane(data), each_result(results), strict=True):
             spec = res.info_spectrum
             assert spec.shape == (8 * rank,)
             assert np.all(np.diff(spec) <= 0)
@@ -645,8 +652,8 @@ class TestBatchLanes:
 
     def assert_lanes_independent(self, data, config):
         batch = solve_likelihood_batch(data, config)
-        assert len(batch) == len(data.exposures)
-        for one, lane in zip(each_lane(data), batch):
+        assert batch.estimate.shape == (len(data.exposures), *data.operators.shape[1:])
+        for one, lane in zip(each_lane(data), each_result(batch), strict=True):
             assert_same_result(solve_likelihood(one, config), lane)
         return batch
 
@@ -665,7 +672,7 @@ class TestBatchLanes:
         harness.run_mixed_state_workflow(harness.MixedWorkflowConfig(seed=3))
         assert [(len(d.exposures), c.rank) for d, c, _ in batches] == [(2, 2), (14, 1)]
         for data, config, results in batches:
-            for one, lane in zip(each_lane(data), results, strict=True):
+            for one, lane in zip(each_lane(data), each_result(results), strict=True):
                 assert_same_result(solve_likelihood(one, config), lane)
 
     def test_acceptance_cell_first_10_replications(self, campaign_rows):
@@ -679,14 +686,14 @@ class TestBatchLanes:
         batch = self.assert_lanes_independent(data, ReconstructionConfig(rank=2))
         # lanes leave the batch at many different iterations, the cell's
         # slow solves last
-        assert max(r.iterations for r in batch) >= 150
-        assert len({r.iterations for r in batch}) >= 10
+        assert batch.iterations.max() >= 150
+        assert len(set(batch.iterations)) >= 10
 
     def test_rank_4_lanes(self, campaign_rows):
         # Gram-side solves: R4 has 20 rows for the 32 parameters of rank 4
         data = campaign_rows(987654321, range(12), 10**4)
         batch = self.assert_lanes_independent(data, ReconstructionConfig(rank=4))
-        assert {res.stop_reason for res in batch} == {"residual", "stationary"}
+        assert set(batch.stop_reason) == {"residual", "stationary"}
 
     def test_far_start_lane_scores_beside_the_others(self, campaign_rows):
         # replication 48 starts far from the maximum, at residual 0.044, and
@@ -704,16 +711,16 @@ class TestBatchLanes:
         batch = self.assert_lanes_independent(
             data, ReconstructionConfig(rank=2, max_iterations=100)
         )
-        assert [res.stop_reason == "iteration_cap" for res in batch] == [
+        assert (batch.stop_reason == "iteration_cap").tolist() == [
             False, False, True, False, False
         ]
-        assert batch[2].iterations == 100 and not batch[2].converged
+        assert batch.iterations[2] == 100 and not batch.converged[2]
 
     def test_step_counts(self, campaign_rows):
         data = campaign_rows(77, range(44, 52), 500)
         capped = ReconstructionConfig(rank=2, max_iterations=3)
         for config in (ReconstructionConfig(rank=2), capped):
-            for res in solve_likelihood_batch(data, config):
+            for res in each_result(solve_likelihood_batch(data, config)):
                 # at most one step per iteration, and none in a converged
                 # stop's last
                 assert 0 <= res.scoring_steps <= res.iterations - res.converged
@@ -766,43 +773,118 @@ class TestBatchLanes:
         # the others took their steps in that iteration
         steps = after["steps"]
         assert all(steps[b] == before["steps"][b] + 1 for b in steps if b != target)
-        for b, (one, lane) in enumerate(zip(each_lane(data), batch, strict=True)):
+        for b, (one, lane) in enumerate(zip(each_lane(data), each_result(batch), strict=True)):
             if b != target:
                 assert_same_result(solve_likelihood(one, config), lane)
-        assert batch[target].converged
+        assert batch.converged[target]
 
-    def test_errors_name_the_lane(self, campaign_rows):
+    def failing_lanes(self, campaign_rows):
+        # a solvable lane, a lane without counts, a lane with a singular I
+        # (three exposed rows cannot make I = sum_j t_j Lambda_j full rank)
+        # and a lane with both faults
         data = campaign_rows(77, 0, 500)
-        empty = Measurements(data.operators, data.exposures, np.zeros_like(data.counts))
-        with pytest.raises(ValueError, match="lane 2: no observed counts"):
-            solve_likelihood_batch(batch_of(data, data, empty), ReconstructionConfig(rank=2))
-        with pytest.raises(ValueError, match="^no observed counts"):
-            solve_likelihood(empty, ReconstructionConfig(rank=2))
-        with pytest.raises(ValueError, match="^solve_likelihood takes one data set, got 2 lanes"):
-            solve_likelihood(batch_of(data, data), ReconstructionConfig(rank=2))
-        # three exposed rows cannot make I = sum_j t_j Lambda_j full rank
         t = np.where(np.arange(len(data.exposures)) < 3, data.exposures, 0.0)
-        singular = Measurements(data.operators, t, data.counts)
-        with pytest.raises(IncompleteProtocolError, match="lane 1: information matrix"):
-            solve_likelihood_batch(batch_of(data, singular), ReconstructionConfig(rank=2))
+        no_counts = np.zeros_like(data.counts)
+        return (
+            data,
+            Measurements(data.operators, data.exposures, no_counts, data.auxiliary),
+            Measurements(data.operators, t, data.counts, data.auxiliary),
+            Measurements(data.operators, t, no_counts, data.auxiliary),
+        )
 
-
-    def test_first_failing_lane_in_lane_order(self, campaign_rows):
-        # a singular-I lane and a no-counts lane: the error names whichever
-        # comes first, as a lane-by-lane set-up would
-        data = campaign_rows(77, 0, 500)
+    def test_failing_lanes_leave_at_the_set_up(self, campaign_rows):
+        # the failing lanes in the middle of a batch stop before the first
+        # iteration with the texts their lone solves raise; the other lanes
+        # solve on, bit-identical to their lone solves
+        _, empty, singular, both = self.failing_lanes(campaign_rows)
+        good = each_lane(campaign_rows(77, range(3), 500))
+        lanes = [good[0], empty, singular, good[1], both, good[2]]
         config = ReconstructionConfig(rank=2)
-        empty = Measurements(data.operators, data.exposures, np.zeros_like(data.counts))
-        t = np.where(np.arange(len(data.exposures)) < 3, data.exposures, 0.0)
-        singular = Measurements(data.operators, t, data.counts)
-        with pytest.raises(IncompleteProtocolError, match="^lane 1: information matrix"):
-            solve_likelihood_batch(batch_of(data, singular, data, empty), config)
-        with pytest.raises(ValueError, match="^lane 1: no observed counts"):
-            solve_likelihood_batch(batch_of(data, empty, data, singular), config)
-        # within a lane, the singular I is named before the missing counts
-        both = Measurements(data.operators, t, np.zeros_like(data.counts))
-        with pytest.raises(IncompleteProtocolError, match="^lane 2: information matrix"):
-            solve_likelihood_batch(batch_of(data, data, both, empty), config)
+        batch = solve_likelihood_batch(batch_of(*lanes), config)
+        texts = []
+        for one in lanes:
+            try:
+                solve_likelihood(one, config)
+                texts.append(None)
+            except ValueError as exc:
+                texts.append(f"{type(exc).__name__}: {exc}")
+        assert batch.error.tolist() == texts
+        assert texts[1] == "ValueError: no observed counts"
+        assert texts[2].startswith(
+            "IncompleteProtocolError: information matrix I is singular (eigenvalues "
+        )
+        assert texts[2].endswith("); the protocol cannot identify rank 2")
+        # a lane with both faults is named for its singular I
+        assert texts[4] == texts[2]
+        failing = [1, 2, 4]
+        assert batch.stop_reason[failing].tolist() == ["no_counts", "incomplete", "incomplete"]
+        for b in failing:
+            lane = batch.lanes(b)
+            assert (lane.iterations, lane.converged, lane.scoring_steps, lane.rejected_steps) == (
+                0, False, 0, 0
+            )
+            assert np.isnan(lane.estimate).all() and np.isnan(lane.info_spectrum).all()
+            for value in (lane.residual, lane.normalization_gap, lane.tp_residual, lane.log_likelihood):
+                assert math.isnan(value)
+        for b, one in ((0, good[0]), (3, good[1]), (5, good[2])):
+            assert_same_result(solve_likelihood(one, config), batch.lanes(b))
+            assert batch.error[b] is None
+        # a batch of failing lanes only makes no iteration
+        assert solve_likelihood_batch(batch_of(empty, both), config).error.tolist() == [
+            texts[1], texts[2]
+        ]
+
+    def test_raise_error_names_the_first_failing_lane(self, campaign_rows):
+        # in lane order, with the class of that lane's lone solve; a
+        # one-lane record raises without a lane number
+        data, empty, singular, both = self.failing_lanes(campaign_rows)
+        config = ReconstructionConfig(rank=2)
+        cases = [
+            ((data, singular, data, empty), IncompleteProtocolError, "lane 1: information matrix"),
+            ((data, empty, data, singular), ValueError, "lane 1: no observed counts"),
+            ((data, data, both, empty), IncompleteProtocolError, "lane 2: information matrix"),
+            ((empty,), ValueError, "no observed counts"),
+        ]
+        for lanes, kind, message in cases:
+            record = solve_likelihood_batch(batch_of(*lanes), config)
+            with pytest.raises(ValueError, match=f"^{message}") as caught:
+                record.raise_error()
+            assert caught.type is kind
+        with pytest.raises(ValueError, match="^no observed counts") as caught:
+            solve_likelihood(empty, config)
+        assert caught.type is ValueError
+        solve_likelihood_batch(batch_of(data, data), config).raise_error()  # no failing lane
+        with pytest.raises(ValueError, match="^solve_likelihood takes one data set, got 2 lanes"):
+            solve_likelihood(batch_of(data, data), config)
+
+    def test_non_finite_try_is_rejected(self, monkeypatch, campaign_rows):
+        # a Levenberg try at a non-finite c has a NaN surrogate, which fails
+        # the acceptance test: the lane keeps a finite c, so every estimate
+        # a solve returns is a finite trace-1 PSD matrix that fidelity
+        # scores
+        data = campaign_rows(77, range(44, 52), 500)
+        config = ReconstructionConfig(rank=2)
+        target, calls = 4, []
+        real_system = ml_engine._scoring_system
+
+        def non_finite_first_step(*args):
+            w, g_eig, basis, ridge, twice_decrement = real_system(*args)
+            calls.append(len(w))
+            if len(calls) == 1:
+                g_eig = g_eig.copy()
+                g_eig[target] = np.inf
+            return w, g_eig, basis, ridge, twice_decrement
+
+        monkeypatch.setattr(ml_engine, "_scoring_system", non_finite_first_step)
+        with np.errstate(invalid="ignore", over="ignore"):
+            batch = solve_likelihood_batch(data, config)
+        monkeypatch.undo()
+        assert calls[0] == 8
+        lane = batch.lanes(target)
+        assert lane.rejected_steps >= 8 and lane.converged
+        assert np.isfinite(batch.estimate).all()
+        scores = fidelity(build_truth(TruthSpec()), batch.estimate)
+        assert np.all((scores > 0.5) & (scores <= 1.0))
 
 
 class TestResultLogLikelihood:
@@ -832,7 +914,8 @@ class TestResultLogLikelihood:
         partial = ml_engine._log_likelihood(lam, k, t, include_factorial=False)
         factorials = ml_engine._log_factorials(k)
         for res, value, lane_partial, constant, lane in zip(
-            results, full.tolist(), partial.tolist(), factorials, zip(lam, k, t), strict=True
+            each_result(results), full.tolist(), partial.tolist(), factorials, zip(lam, k, t),
+            strict=True,
         ):
             assert type(res.log_likelihood) is float
             assert res.log_likelihood == value == lane_partial - constant
@@ -851,10 +934,10 @@ class TestResultLogLikelihood:
         data = campaign_rows(77, range(44, 52), 500)
         batch, *finish = self.solve_recording_rates(monkeypatch, data, config)
         self.assert_values(batch, *finish)
-        for one, lane in zip(each_lane(data), batch, strict=True):
+        for one, lane in zip(each_lane(data), each_result(batch), strict=True):
             alone, *finish = self.solve_recording_rates(monkeypatch, one, config)
             self.assert_values(alone, *finish)
-            assert alone[0].log_likelihood == lane.log_likelihood
+            assert alone.log_likelihood[0] == lane.log_likelihood
             assert np.isfinite(lane.log_likelihood)
 
     def test_state_rows(self, monkeypatch):
@@ -864,7 +947,7 @@ class TestResultLogLikelihood:
         data = generate_counts_batch(rows, truths, 10**5, [3, 3])
         batch, *finish = self.solve_recording_rates(monkeypatch, data, ReconstructionConfig(rank=2))
         self.assert_values(batch, *finish)
-        assert [res.log_likelihood for res in batch] == [
+        assert batch.log_likelihood.tolist() == [
             solve_likelihood(one, ReconstructionConfig(rank=2)).log_likelihood
             for one in each_lane(data)
         ]
