@@ -2,22 +2,24 @@
 
 Subcommands: plate-chi, protocol-dump, gen-data, reconstruct, mc, scaling,
 mixed-workflow, fit-retarder.  ``COMMANDS`` maps each one to its frozen
-config class and its runner ``run(config, out_dir)``.  A command
-reads one JSON config into that class (omitted keys take the class defaults;
-an unknown key or a wrongly typed field exits 2), echoes the resolved config
-and its hash to stdout once the config has passed its checks, and writes
+config class and its runner ``run(config, out_dir)``.  A command reads one
+JSON config into that class (omitted keys take the class defaults; an
+unknown key, such as the retired ``auxiliary_weight``, a wrongly typed field
+or an event count outside 1..2**53 exits 2), echoes the resolved config and
+its hash to stdout once the config has passed its checks, and writes
 machine-readable outputs into --out; ``mc``, ``scaling`` and
-``mixed-workflow`` also write the hash into their reports.  JSON files are
-written by ``write_json``.  A ``--config`` file, or an input file that a
-config names (``data_path``, ``chi_path``), that is not the JSON object the
-command reads exits 2, naming the file (and the field); so does a
+``mixed-workflow`` also write the hash into their reports.  The auxiliary
+rows weigh ``protocols.AUXILIARY_WEIGHT``, which ``data.json`` records.  JSON
+files are written by ``write_json``.  A ``--config`` file, or an input file
+that a config names (``data_path``, ``chi_path``), that is not the JSON
+object the command reads exits 2, naming the file (and the field); so does a
 ``truth_choi`` or fit-retarder ``matrix`` that is not a finite, Hermitian,
 PSD matrix of positive trace, and a ``data.json`` row whose exposure or
-count is a string or a bool or whose is_auxiliary is not a bool.
-Identical config + seed gives byte-identical output files.  Every command
-runs in one process; ``--threads`` is still accepted (>= 1) and changes
-nothing, because the benchmark runner (``perfbench/run.py``) passes
-``--threads 1`` to every command it runs.
+count is a string or a bool or whose is_auxiliary is not a bool.  Identical
+config + seed gives byte-identical output files.  Every command runs in one
+process; ``--threads`` is still accepted (>= 1) and changes nothing, because
+the benchmark runner (``perfbench/run.py``) passes ``--threads 1`` to every
+command it runs.
 
 Exit codes: 0 full success, 1 a failed solve (a failed replication in
 ``mc`` or ``scaling``, a ``reconstruct`` or ``mixed-workflow`` solve stopped
@@ -59,7 +61,7 @@ from .protocols import (
     Config,
     Measurements,
     ProcessProtocolName,
-    check_synthesis,
+    check_event_count,
     process_datasets,
     process_protocol,
 )
@@ -79,11 +81,10 @@ class GenDataConfig(Config):
     protocol: ProcessProtocolName = "R4"
     n_events: int = 10_000
     seed: int = 0
-    auxiliary_weight: float = AUXILIARY_WEIGHT
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        check_synthesis(self.n_events, self.auxiliary_weight)
+        check_event_count(self.n_events, "n_events")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -386,9 +387,8 @@ def _rows_from_json(rows: object, source: str) -> Measurements:
 
 def cmd_gen_data(config: GenDataConfig, out_dir: Path) -> int:
     truth = build_truth(config.truth)
-    weight = config.auxiliary_weight
     proto = process_protocol(config.protocol, config.truth.lam0_um)
-    data = process_datasets(proto, truth, config.n_events, [config.seed], weight).lanes(0)
+    data = process_datasets(proto, truth, config.n_events, [config.seed]).lanes(0)
     write_json(
         out_dir / "data.json",
         {
@@ -396,7 +396,7 @@ def cmd_gen_data(config: GenDataConfig, out_dir: Path) -> int:
             "dim": 4,
             "n_events": config.n_events,
             "seed": config.seed,
-            "auxiliary_weight": float(weight),  # written as a float even when given as 5
+            "auxiliary_weight": AUXILIARY_WEIGHT,
             "truth_choi": truth,
             "rows": _rows_to_json(data),
         },

@@ -40,20 +40,18 @@ from .ml_engine import (
 )
 from .process_algebra import chi_from_kraus, kraus_from_chi, parameter_count
 from .protocols import (
-    AUXILIARY_WEIGHT,
     LAMBDA_DEFAULT_UM,
     Config,
     Measurements,
     ProcessProtocolName,
     bn_state_protocol,
-    check_synthesis,
+    check_event_count,
     generate_counts_batch,
     process_datasets,
     process_protocol,
 )
 from .quantum_core import fidelity, hermitian_eig, von_neumann_entropy
 from .waveplate import (
-    THIN_PLATE_LIMIT_UM,
     SpectralProfile,
     SU2Retarder,
     WaveplateSpec,
@@ -84,6 +82,8 @@ __all__ = [
 ]
 
 HISTOGRAM_BINS = 30
+# the plate counts of the mixed-state workflow's truths and report
+_PLATE_COUNTS = (1, 2)
 # the solve's fields of every mixed-workflow stage-1 and stage-2 entry
 _STATUS_FIELDS = ("iterations", "stop_reason", "scoring_steps", "rejected_steps")
 # the per-replication fields of CampaignResult.replications, in column order
@@ -152,7 +152,6 @@ class _CampaignFields(Config):
     truth: TruthSpec = field(default_factory=TruthSpec)
     replications: int = 50
     seed: int = 0
-    auxiliary_weight: float = AUXILIARY_WEIGHT
     max_iterations: int = ReconstructionConfig.max_iterations
 
 
@@ -163,7 +162,7 @@ class CampaignConfig(_CampaignFields):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        check_synthesis(self.n_events, self.auxiliary_weight)
+        check_event_count(self.n_events, "n_events")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if not 1 <= self.reconstruction_rank <= 4:
@@ -183,8 +182,7 @@ class ScalingConfig(_CampaignFields):
         if len(self.n_list) < 3:
             raise ValueError(f"n_list must hold at least 3 sample sizes, got {len(self.n_list)}")
         for i, n in enumerate(self.n_list):
-            if n < 1:
-                raise ValueError(f"n_list[{i}] must be >= 1, got {n}")
+            check_event_count(n, f"n_list[{i}]")
         if not self.ranks:
             raise ValueError("ranks must not be empty")
         for i, rank in enumerate(self.ranks):
@@ -197,8 +195,7 @@ class ScalingConfig(_CampaignFields):
     def cell(self, rank: int, n: int, seed: int) -> CampaignConfig:
         """The campaign of a cell: its seed, n_events n and reconstruction_rank rank."""
         shared = {f.name: getattr(self, f.name) for f in fields(_CampaignFields)}
-        shared.update(scenario=f"{self.scenario}-rank{rank}-n{n}", seed=seed)
-        return CampaignConfig(**shared, n_events=n, reconstruction_rank=rank)
+        return CampaignConfig(**{**shared, "seed": seed}, n_events=n, reconstruction_rank=rank)
 
 
 @dataclass(frozen=True)
@@ -320,7 +317,7 @@ def _solve_replications(
     # error text of the synthesis, which is every replication's
     proto = process_protocol(config.protocol, config.truth.lam0_um)
     try:
-        data = process_datasets(proto, truth, config.n_events, seeds, config.auxiliary_weight)
+        data = process_datasets(proto, truth, config.n_events, seeds)
     except Exception as exc:
         return f"{type(exc).__name__}: {exc}"
     return solve_likelihood_batch(data, _solver_config(config))
@@ -506,20 +503,12 @@ class MixedWorkflowConfig(Config):
                         "(1-based into component_lams_um)"
                     )
         super().__post_init__()
-        if self.n_events < 1:
-            raise ValueError(f"n_events must be >= 1, got {self.n_events}")
+        check_event_count(self.n_events, "n_events")
         for name in ("component_rank", "broadband_rank"):
             rank = getattr(self, name)
             if not 1 <= rank <= 2:
                 raise ValueError(f"{name} must be in 1..2 (a polarization state), got {rank}")
-        # the plate, spectrum and component checks of
-        # run_mixed_state_workflow: a thick plate uses every knot, a thin one
-        # the central knot only
-        knots = self.profile.wavelengths
-        if self.plate().thickness_um < THIN_PLATE_LIMIT_UM:
-            knots = knots[len(knots) // 2 :][:1]
-        check_quartz_window(knots)
-        check_quartz_window(np.asarray(self.component_lams_um))
+        self.truth_states  # builds the truths: the plate, spectrum and component checks
         self.measurement_rows  # builds the protocol: its count and completeness checks
 
     def plate(self) -> WaveplateSpec:
@@ -530,6 +519,18 @@ class MixedWorkflowConfig(Config):
         """The sinc^2 spectrum of the broadband light, built once per config,
         when the config is checked."""
         return sinc2_profile(self.lam0_um, self.fwhm_um, self.knots, self.span)
+
+    @functools.cached_property
+    def truth_states(self) -> tuple[np.ndarray, np.ndarray]:
+        """``plate_count_states`` of vertical polarization behind 1 and 2
+        plates under the config's spectrum and at its component wavelengths,
+        built once per config, when the config is checked."""
+        return plate_count_states(
+            np.array([0.0, 1.0], dtype=complex),
+            [self.plate()] * len(_PLATE_COUNTS),
+            self.profile,
+            self.component_lams_um,
+        )
 
     @functools.cached_property
     def measurement_rows(self) -> Measurements:
@@ -549,30 +550,23 @@ def run_mixed_state_workflow(config: MixedWorkflowConfig) -> dict:
     carries its solve's ``iterations``, ``stop_reason`` and step counts.
 
     Each layer runs once for the whole report: the broadband and component
-    truths of both plate counts come from one ``plate_count_states`` pass
-    under the config's ``profile``, all 16 count sets, the lanes of one
-    record, from one ``generate_counts_batch`` call over the config's
-    ``measurement_rows``, the solves from two batches of its lanes (the
-    broadband ones at ``broadband_rank``, the component ones at
-    ``component_rank``), the component sums of both plate counts from one
-    ``component_sum_states`` call, and all fidelities and entropies from one
-    stacked call each; the per-plate-count blocks of the report are sliced
-    from those, the solve statuses from the records' columns.  A count set
-    that fails its solve's set-up raises that batch's ``raise_error``,
+    truths of both plate counts are the config's ``truth_states``, one
+    ``plate_count_states`` pass made when the config is checked, all 16
+    count sets, the lanes of one record, from one ``generate_counts_batch``
+    call over the config's ``measurement_rows``, the solves from two batches
+    of its lanes (the broadband ones at ``broadband_rank``, the component
+    ones at ``component_rank``), the component sums of both plate counts
+    from one ``component_sum_states`` call, and all fidelities and entropies
+    from one stacked call each; the per-plate-count blocks of the report are
+    sliced from those, the solve statuses from the records' columns.  A count
+    set that fails its solve's set-up raises that batch's ``raise_error``,
     which names its lane.
     """
-    input_v = np.array([0.0, 1.0], dtype=complex)
     # the spectral shape at each component wavelength, 1 at the centre
     weights = sinc2_weights(np.asarray(config.component_lams_um), config.lam0_um, config.fwhm_um)
-    plate_counts = (1, 2)
-    n_plate_counts = len(plate_counts)
+    n_plate_counts = len(_PLATE_COUNTS)
     n_components = len(config.component_lams_um)
-    truths, component_truths = plate_count_states(
-        input_v,
-        [config.plate()] * n_plate_counts,
-        config.profile,
-        config.component_lams_um,
-    )
+    truths, component_truths = config.truth_states
     # per plate count n, the broadband set (seed key 1000 n), then the
     # component sets (keys 1000 n + 1 + index)
     width = 1 + n_components
@@ -580,7 +574,7 @@ def run_mixed_state_workflow(config: MixedWorkflowConfig) -> dict:
         config.measurement_rows,
         np.concatenate([truths[:, None], component_truths], axis=1).reshape(-1, 2, 2),
         config.n_events,
-        derive_seeds(config.seed, [1000 * n + j for n in plate_counts for j in range(width)]),
+        derive_seeds(config.seed, [1000 * n + j for n in _PLATE_COUNTS for j in range(width)]),
     )
     is_broadband = np.arange(n_plate_counts * width) % width == 0
     broadband = solve_likelihood_batch(
@@ -624,7 +618,7 @@ def run_mixed_state_workflow(config: MixedWorkflowConfig) -> dict:
     component_weights = weights.tolist()
     broadband_statuses = _lane_fields(broadband, _STATUS_FIELDS)
     component_statuses = _lane_fields(components, _STATUS_FIELDS)
-    for i, n_plates in enumerate(plate_counts):
+    for i, n_plates in enumerate(_PLATE_COUNTS):
         fid, ent = fidelities[i], entropies[i]
         stage1 = {
             "truth_entropy_bits": ent[0],

@@ -9,7 +9,8 @@ effective-projector form ``|conj(c_in)><conj(c_in)| (x) |c_m><c_m|``;
 expected rates are traces against the trace-1 Choi state, so a
 probability-1 outcome corresponds to rate 1/s.  Auxiliary rows with the
 operator ``|conj(c_in)><conj(c_in)| (x) I`` and virtual counts pin the
-trace-preservation constraint softly.
+trace-preservation constraint softly, at the fixed weight ``AUXILIARY_WEIGHT``.
+An event count must be an integer in 1..2**53 (``check_event_count``).
 
 Counts are Poisson draws with a sampler built directly on the generator's
 uniform stream (inversion below mean 30, transformed rejection above), so a
@@ -35,7 +36,7 @@ __all__ = [
     "Measurements",
     "ProcessProtocol",
     "IncompleteProtocolError",
-    "check_synthesis",
+    "check_event_count",
     "j4_states",
     "r4_states",
     "b4_states",
@@ -50,8 +51,8 @@ __all__ = [
 
 # Central wavelength of the reference numerical experiments, micrometers.
 LAMBDA_DEFAULT_UM = 1.1509
-# Default weight of the auxiliary rows: their exposure per unit of the
-# protocol's total exposure.
+# Weight of the auxiliary rows: their exposure per unit of the protocol's
+# total exposure.
 AUXILIARY_WEIGHT = 10.0
 ProcessProtocolName = typing.Literal["J4", "R4", "B4"]
 
@@ -89,8 +90,12 @@ def _check_optional_integer(name: str, value: object) -> None:
 def _check_number(name: str, value: object) -> None:
     if isinstance(value, bool) or not isinstance(value, _NUMBER):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    # json reads NaN and +-Infinity; no field means them
-    if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+    # json reads NaN, +-Infinity and integers past the float range; no field means them
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
         raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
@@ -243,14 +248,15 @@ class ProcessProtocol:
     rows: Measurements
 
 
-def check_synthesis(n_events: int, auxiliary_weight: float) -> None:
-    """Raise ValueError unless the total expected number of events is >= 1
-    and the auxiliary-row weight is positive: the checks of a config that
-    synthesizes counts."""
-    if n_events < 1:
-        raise ValueError(f"n_events must be >= 1, got {n_events}")
-    if auxiliary_weight <= 0:
-        raise ValueError(f"auxiliary_weight must be positive, got {auxiliary_weight}")
+def check_event_count(n: int, name: str) -> None:
+    """Raise ValueError naming the field ``name`` unless the total expected
+    number of events n is an integer in 1..2**53 (each one a float exactly):
+    the one check of every event count a config or a synthesis is given."""
+    _check_integer(name, n)
+    if n < 1:
+        raise ValueError(f"{name} must be >= 1, got {n}")
+    if n > 2**53:
+        raise ValueError(f"{name} must be <= 2**53, got {n}")
 
 
 def j4_states() -> list[np.ndarray]:
@@ -507,7 +513,7 @@ def generate_counts_batch(
     ``truths`` is a stack ``(S, d, d)`` with one seed per truth, or one truth
     ``(d, d)`` for every seed, which is read as that truth broadcast to
     ``(S, d, d)``: the same bits as the stack of S copies (tested), with the
-    errors of a single set.  ``n_total`` must be an integer >= 1.
+    errors of a single set.  ``n_total`` must be an integer in 1..2**53.
 
     All truths' rates come from one ``(m*d, d) @ (S, d, d)`` product, the
     operators stacked row-block by row-block, whose diagonal blocks are then
@@ -523,9 +529,7 @@ def generate_counts_batch(
     on Python floats (inversion below mean 30, transformed rejection above),
     and the counts of all sets fill the ``(S, m)`` counts of the record.
     """
-    _check_integer("n_total", n_total)
-    if n_total < 1:
-        raise ValueError(f"n_total must be >= 1, got {n_total}")
+    check_event_count(n_total, "n_total")
     truths = np.asarray(truths, dtype=complex)
     if rows.auxiliary.any():
         raise ValueError("generate_counts_batch expects only non-auxiliary rows")
@@ -560,14 +564,14 @@ def generate_counts_batch(
 
 
 def process_datasets(
-    proto: ProcessProtocol, truth: np.ndarray, n_total: int, seeds: Sequence[int], weight: float
+    proto: ProcessProtocol, truth: np.ndarray, n_total: int, seeds: Sequence[int]
 ) -> Measurements:
     """The data sets of a process protocol, a lane for each of one or more
     seeds: the counts ``generate_counts_batch`` draws from one truth ``(d,
-    d)``, then the protocol's auxiliary rows of weight ``weight``, built once
-    and broadcast over the lanes.  Every lane has the same exposures, so
-    ``t_aux = weight * sum(exposures)`` is one number, summed in row order
-    (``np.sum`` adds pairwise, which can move the last bit of every
-    output)."""
+    d)``, then the protocol's auxiliary rows of weight ``AUXILIARY_WEIGHT``,
+    built once and broadcast over the lanes.  Every lane has the same
+    exposures, so ``t_aux = AUXILIARY_WEIGHT * sum(exposures)`` is one
+    number, summed in row order (``np.sum`` adds pairwise, which can move
+    the last bit of every output)."""
     counts = generate_counts_batch(proto.rows, truth, n_total, seeds)
-    return counts + auxiliary_rows(proto.input_states, sum(counts.exposures[0]), weight)
+    return counts + auxiliary_rows(proto.input_states, sum(counts.exposures[0]))

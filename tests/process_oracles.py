@@ -473,7 +473,7 @@ def replications_one_by_one(
         try:
             data = generate_counts(proto.rows, truth, config.n_events, seed)
             total_t = sum(data.exposures)
-            aux = auxiliary_rows(proto.input_states, total_t, config.auxiliary_weight)
+            aux = auxiliary_rows(proto.input_states, total_t)
         except Exception as exc:
             return f"{type(exc).__name__}: {exc}"
         records.append(harness.solve_likelihood_batch(data + aux, solver))

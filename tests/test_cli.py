@@ -594,6 +594,11 @@ class TestErrorPaths:
              "convergence_tol"),
             ("mc", {"replications": 2, "damping": 0.5}, "damping"),
             ("scaling", {"damping": 0.5}, "damping"),
+            # the auxiliary rows always weigh protocols.AUXILIARY_WEIGHT
+            ("gen-data", {"auxiliary_weight": 10}, "auxiliary_weight"),
+            ("gen-data", {"auxiliary_weight": "10"}, "auxiliary_weight"),
+            ("mc", {"replications": 2, "auxiliary_weight": 10.0}, "auxiliary_weight"),
+            ("scaling", {"auxiliary_weight": -1}, "auxiliary_weight"),
         ],
     )
     def test_unknown_key_exits_2(self, tmp_path, capsys, command, config, key):
@@ -631,7 +636,6 @@ class TestErrorPaths:
         "command, config, message",
         [
             ("protocol-dump", {"central_lam_um": "abc"}, "central_lam_um must be a number"),
-            ("gen-data", {"auxiliary_weight": "10"}, "auxiliary_weight must be a number"),
             ("mixed-workflow", {"component_lams_um": [1.0, "x"], "subsets": [[1, 2]]},
              "component_lams_um[1] must be a number"),
             ("scaling", {"ranks": 2}, "ranks must be a list"),
@@ -662,7 +666,6 @@ class TestErrorPaths:
             # value checks of the plan, the solver, the plate and its
             # spectrum, made before the echo
             ("gen-data", {"n_events": 0}, "n_events must be >= 1, got 0"),
-            ("gen-data", {"auxiliary_weight": -1}, "auxiliary_weight must be positive, got -1"),
             ("plate-chi", {"knots": 4}, "knots must be odd and >= 3, got 4"),
             ("plate-chi", {"fwhm_um": 0}, "span and fwhm must be positive"),
             ("gen-data", {"truth": {"fwhm_um": -0.01}}, "span and fwhm must be positive"),
@@ -673,10 +676,21 @@ class TestErrorPaths:
              "wavelength 4.68 um outside quartz dispersion window"),
             ("mc", {"truth": {"lam0_um": 5.0}},
              "wavelength 4.68 um outside quartz dispersion window"),
-            ("mc", {"auxiliary_weight": -1}, "auxiliary_weight must be positive, got -1"),
             ("mc", {"max_iterations": 0}, "max_iterations must be >= 1, got 0"),
             ("mixed-workflow", {"knots": 4}, "knots must be odd and >= 3, got 4"),
             ("mixed-workflow", {"n_events": 0}, "n_events must be >= 1, got 0"),
+            # an event count past 2**53 is a rejected config, not an
+            # overflow during the synthesis
+            ("gen-data", {"n_events": 10**400}, "n_events must be <= 2**53, got 1000"),
+            ("gen-data", {"n_events": 2**53 + 1}, "n_events must be <= 2**53, got 9007199254740993"),
+            ("mc", {"n_events": 10**400}, "n_events must be <= 2**53, got 1000"),
+            ("mc", {"n_events": 2**53 + 1}, "n_events must be <= 2**53, got 9007199254740993"),
+            ("mixed-workflow", {"n_events": 10**400}, "n_events must be <= 2**53, got 1000"),
+            ("mixed-workflow", {"n_events": 2**53 + 1},
+             "n_events must be <= 2**53, got 9007199254740993"),
+            ("scaling", {"n_list": [1000, 10000, 10**400]}, "n_list[2] must be <= 2**53, got 1000"),
+            ("scaling", {"n_list": [1000, 10000, 2**53 + 1]},
+             "n_list[2] must be <= 2**53, got 9007199254740993"),
             ("mixed-workflow", {"measurement_orientations": 3},
              "need at least 4 orientations, got 3"),
             ("mixed-workflow", {"component_rank": 3}, "component_rank must be in 1..2"),
@@ -692,11 +706,21 @@ class TestErrorPaths:
              "B36 with plate retardance 0.0000 rad is tomographically incomplete"),
             ("mixed-workflow", {"lam0_um": 2.9},
              "wavelength 3.0 um outside quartz dispersion window"),
-            # json reads NaN and +-Infinity into float fields; none means them
-            ("gen-data", {"auxiliary_weight": math.inf},
-             "auxiliary_weight must be a finite number, got inf"),
-            ("mc", {"auxiliary_weight": math.nan}, "auxiliary_weight must be a finite number, got nan"),
-            ("mc", {"auxiliary_weight": math.inf}, "auxiliary_weight must be a finite number, got inf"),
+            # json reads NaN, +-Infinity and integers beyond the float range
+            # into float fields; none means them
+            ("gen-data", {"truth": {"fwhm_um": math.inf}}, "fwhm_um must be a finite number, got inf"),
+            ("mc", {"truth": {"span": math.nan}}, "span must be a finite number, got nan"),
+            ("mc", {"truth": {"lam0_um": -math.inf}}, "lam0_um must be a finite number, got -inf"),
+            ("plate-chi", {"fwhm_um": 10**400}, "fwhm_um must be a finite number, got 1000"),
+            ("plate-chi", {"span": 10**400}, "span must be a finite number, got 1000"),
+            ("plate-chi", {"thickness_um": 10**400}, "thickness_um must be a finite number, got 1000"),
+            ("plate-chi", {"alpha_deg": -10**400}, "alpha_deg must be a finite number, got -1000"),
+            ("gen-data", {"truth": {"thickness_um": 10**400}},
+             "thickness_um must be a finite number, got 1000"),
+            ("mixed-workflow", {"component_lams_um": [1.0, 10**400], "subsets": [[1, 2]]},
+             "component_lams_um[1] must be a finite number, got 1000"),
+            ("fit-retarder", {"chi_path": "chi.json", "lam_um": 10**400},
+             "lam_um must be a finite number, got 1000"),
             ("fit-retarder", {"chi_path": "chi.json", "min_dominant_share": math.nan},
              "min_dominant_share must be a finite number, got nan"),
             ("plate-chi", {"thickness_um": math.inf}, "thickness_um must be a finite number, got inf"),
@@ -712,6 +736,18 @@ class TestErrorPaths:
         assert captured.err.startswith(f"error: {message}")
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "config_class, config",
+        [
+            (cli.GenDataConfig, {"n_events": 2**53}),
+            (CampaignConfig, {"n_events": 2**53}),
+            (harness.MixedWorkflowConfig, {"n_events": 2**53}),
+            (ScalingConfig, {"n_list": [1000, 10000, 2**53]}),
+        ],
+    )
+    def test_event_count_of_2_53_accepted(self, config_class, config):
+        config_class.from_dict(config)
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_exits_2(self, tmp_path, capsys, threads):

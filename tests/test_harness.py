@@ -446,7 +446,6 @@ class TestMixedWorkflow:
         # count set, separate broadband and monochromatic calls per plate
         # count, one sum per subset, and one fidelity, von_neumann_entropy
         # and component_sum_states call per plate count, compared exactly
-        config = MixedWorkflowConfig(seed=9)
         stacked_layers = (
             "plate_count_states", "generate_counts_batch", "component_sum_states",
             "fidelity", "von_neumann_entropy",
@@ -457,6 +456,8 @@ class TestMixedWorkflow:
             monkeypatch.setattr(
                 harness, name, lambda *args, _f=real, _n=name: calls.append(_n) or _f(*args)
             )
+        config = MixedWorkflowConfig(seed=9)
+        assert calls == ["plate_count_states"]  # the truths are built with the config
         stacked = run_mixed_state_workflow(config)
         assert sorted(calls) == sorted(stacked_layers)  # each layer runs once
         monkeypatch.undo()
@@ -504,7 +505,7 @@ class TestMixedWorkflow:
         monkeypatch.setattr(harness, "component_sum_states", sums_per_plate_count)
         monkeypatch.setattr(harness, "fidelity", per_plate_count(fidelity))
         monkeypatch.setattr(harness, "von_neumann_entropy", per_plate_count(von_neumann_entropy))
-        per_set = run_mixed_state_workflow(config)
+        per_set = run_mixed_state_workflow(MixedWorkflowConfig(seed=9))
         assert json.dumps(per_set, sort_keys=True) == json.dumps(stacked, sort_keys=True)
 
     @pytest.mark.parametrize(
@@ -514,6 +515,15 @@ class TestMixedWorkflow:
             ({"measurement_orientations": 4}, r"B4 with plate retardance .* incomplete"),
             ({"measurement_plate_um": 1e-6}, r"B36 with plate retardance 0\.0000 rad"),
             ({"lam0_um": 2.9}, r"wavelength 3\.0\d* um outside quartz dispersion window"),
+            # a thin plate's components are checked as a thick plate's
+            (
+                {"plate_thickness_um": 500.0, "component_lams_um": (1.0, 3.5), "subsets": ((1, 2),)},
+                r"wavelength 3\.5 um outside quartz dispersion window",
+            ),
+            (
+                {"component_lams_um": (1.0, 0.15), "subsets": ((1, 2),)},
+                r"wavelength 0\.15 um outside quartz dispersion window",
+            ),
             ({"component_lams_um": ()}, "component_lams_um must not be empty"),
             ({"subsets": ((0, 1),)}, r"subsets\[0\]: index 0 outside 1\.\.7"),
             ({"subsets": ((1, 2), (1, 9))}, r"subsets\[1\]: index 9 outside 1\.\.7"),

@@ -19,7 +19,6 @@ from chitomo.ml_engine import (
     solve_likelihood_batch,
 )
 from chitomo.protocols import (
-    AUXILIARY_WEIGHT,
     IncompleteProtocolError,
     Measurements,
     auxiliary_rows,
@@ -415,7 +414,7 @@ def campaign_rows():
 
     def rows(campaign_seed, index, n, protocol="R4"):
         seeds = derive_seeds(campaign_seed, np.ravel(index).tolist())
-        data = process_datasets(process_protocol(protocol), truth, n, seeds, AUXILIARY_WEIGHT)
+        data = process_datasets(process_protocol(protocol), truth, n, seeds)
         return data if np.ndim(index) else data.lanes(0)
 
     return rows

@@ -22,7 +22,7 @@ from chitomo.protocols import (
     b4_states,
     bloch_vector,
     bn_state_protocol,
-    check_synthesis,
+    check_event_count,
     generate_counts_batch,
     j4_states,
     process_protocol,
@@ -401,10 +401,10 @@ class TestProcessDatasets:
         # from its own exposures, to the bit
         proto = process_protocol(name)
         seeds = [derive_seed(4, i) for i in range(5)]
-        sets = protocols.process_datasets(proto, plate_truth, 3000, seeds, 7.5)
+        sets = protocols.process_datasets(proto, plate_truth, 3000, seeds)
         for data, seed in zip(each_lane(sets), seeds):
             alone = generate_counts(proto.rows, plate_truth, 3000, seed)
-            alone = alone + auxiliary_rows(proto.input_states, sum(alone.exposures), 7.5)
+            alone = alone + auxiliary_rows(proto.input_states, sum(alone.exposures), AUXILIARY_WEIGHT)
             for column in ("operators", "exposures", "counts", "auxiliary"):
                 assert getattr(data, column).tobytes() == getattr(alone, column).tobytes(), column
             assert data.operators is sets.operators
@@ -782,6 +782,7 @@ class TestGenerateCounts:
         [
             (0, "n_total must be >= 1, got 0"),
             (-3, "n_total must be >= 1, got -3"),
+            (2**53 + 1, "n_total must be <= 2**53, got 9007199254740993"),
             (2.5, "n_total must be an integer, got 2.5"),
             (True, "n_total must be an integer, got True"),
         ],
@@ -793,11 +794,16 @@ class TestGenerateCounts:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             generate_counts_batch(rows, plate_truth, n_total, [0, 1])
 
-    def test_check_synthesis(self):
+    def test_check_event_count(self):
         with pytest.raises(ValueError, match="^n_events must be >= 1, got 0$"):
-            check_synthesis(0, AUXILIARY_WEIGHT)
-        with pytest.raises(ValueError, match="^n_events must be >= 1, got -3$"):
-            check_synthesis(-3, AUXILIARY_WEIGHT)
-        with pytest.raises(ValueError, match="^auxiliary_weight must be positive, got 0.0$"):
-            check_synthesis(10, 0.0)
-        check_synthesis(np.int64(1), 1e-9)
+            check_event_count(0, "n_events")
+        with pytest.raises(ValueError, match=r"^n_list\[2\] must be >= 1, got -3$"):
+            check_event_count(-3, "n_list[2]")
+        with pytest.raises(ValueError, match=r"^n_events must be <= 2\*\*53, got 9007199254740993$"):
+            check_event_count(2**53 + 1, "n_events")
+        with pytest.raises(ValueError, match=r"^n_events must be <= 2\*\*53, got 1000"):
+            check_event_count(10**400, "n_events")
+        with pytest.raises(ValueError, match="^n_events must be an integer, got 2.5$"):
+            check_event_count(2.5, "n_events")
+        check_event_count(np.int64(1), "n_events")
+        check_event_count(2**53, "n_events")
