@@ -66,13 +66,21 @@ from .protocols import (
     process_protocol,
 )
 from .quantum_core import fidelity, hermitian_eig
-from .waveplate import plate_choi_state
+from .waveplate import check_quartz_window, plate_choi_state
 
 
 @dataclass(frozen=True)
 class ProtocolDumpConfig(Config):
     protocol: ProcessProtocolName = "R4"
     central_lam_um: float = LAMBDA_DEFAULT_UM
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        # B4 builds its states at the wavelength, and every protocol records it
+        try:
+            check_quartz_window(np.array([self.central_lam_um]))
+        except ValueError as exc:
+            raise ValueError(f"central_lam_um: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -101,6 +109,16 @@ class FitRetarderConfig(Config):
     lam_um: float = LAMBDA_DEFAULT_UM
     thickness_um: float = 25400.0
     min_dominant_share: float = 0.95
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        for name in ("lam_um", "thickness_um"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        if not 0 < self.min_dominant_share <= 1:
+            raise ValueError(
+                f"min_dominant_share must be in (0, 1], got {self.min_dominant_share!r}"
+            )
 
 
 def matrix_from_json(data: list) -> np.ndarray:

@@ -4,11 +4,10 @@ retarder parameter extraction from reconstructed processes.
 
 Determinism contract: a campaign is a pure function of its config (including
 the seed).  Per-replication seeds are derived from the campaign seed with the
-counter-based rule ``SeedSequence(seed, spawn_key=(index,))``, so replications
-can run in any order or in parallel without changing results.  The rule is
-computed by ``derive_seeds`` for many keys at once: it builds the pool of
-``SeedSequence(seed)`` once and mixes each key into a copy of it with
-SeedSequence's own arithmetic, giving the same integers.
+counter-based rule ``SeedSequence(seed, spawn_key=(index,))`` (the first
+64-bit word of its ``generate_state``), so replications can run in any order
+or in parallel without changing results; a scaling study's cells take theirs
+by the same rule at ``spawn_key=(rank_index, n_index)``.
 
 A Monte-Carlo campaign runs in one process and does once what is the same
 for every replication: one truth, one protocol, one ``process_datasets``
@@ -26,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, field, fields
 from typing import Literal, Sequence
 
@@ -215,75 +213,19 @@ class CampaignResult:
     replications: list[dict]
 
 
-# SeedSequence's hash and mix constants (numpy/random/bit_generator.pyx)
-_MASK32 = 0xFFFFFFFF
-_INIT_A = 0x43B0D7E5
-_MULT_A = 0x931E8875
-_INIT_B = 0x8B51F9DD
-_MULT_B = 0x58F38DED
-_MIX_MULT_L = 0xCA01F9DD
-_MIX_MULT_R = 0x4973F715
-_POOL_SIZE = 4
-
-
-def _words32(n: int) -> list[int]:
-    # SeedSequence's entropy words of a non-negative integer, least
-    # significant first; 0 is one word
-    words = [n & _MASK32]
-    n >>= 32
-    while n:
-        words.append(n & _MASK32)
-        n >>= 32
-    return words
+def _spawned_seed(seed: int, *spawn_key: int) -> int:
+    # the documented seed rule: the first 64-bit word of the SeedSequence
+    # spawned from seed at spawn_key; a negative value raises ValueError
+    state = np.random.SeedSequence(seed, spawn_key=spawn_key).generate_state(1, np.uint64)
+    return int(state[0])
 
 
 def derive_seeds(campaign_seed: int, keys: Sequence[int]) -> list[int]:
     """Counter-based per-replication seeds (documented derivation rule): for
     every key, in order, the first 64-bit word of ``SeedSequence(
-    campaign_seed, spawn_key=(key,)).generate_state``.
-
-    A spawned SeedSequence hashes the seed's words, padded with zeros to its
-    pool of 4 words, into the pool, then mixes each spawn-key word into every
-    pool word.  Up to the key words that is the pool of
-    ``SeedSequence(campaign_seed)``, so it is built once and each key
-    continues a copy of it with SeedSequence's hashmix and mix on Python
-    ints; the seed is generate_state's first 64-bit word, which reads pool
-    words 0 and 1 only.  The results equal numpy's integers (tested against
-    ``SeedSequence`` itself).
-    """
-    seed = operator.index(campaign_seed)
-    pool = [int(word) for word in np.random.SeedSequence(seed).pool]
-    # the hash constant after the pool's hashmix calls: one per pool word,
-    # one per ordered pair of pool words, one per pool word for every seed
-    # word past the pool
-    n_calls = _POOL_SIZE**2 + _POOL_SIZE * max(0, len(_words32(seed)) - _POOL_SIZE)
-    start = _INIT_A * pow(_MULT_A, n_calls, 1 << 32) & _MASK32
-    skip = pow(_MULT_A, _POOL_SIZE - 2, 1 << 32)  # the hashmix calls into pool words 2, 3
-    seeds = []
-    for key in keys:
-        key = operator.index(key)
-        if key < 0:
-            raise ValueError(f"spawn key must be a non-negative integer, got {key}")
-        p0, p1, h = pool[0], pool[1], start
-        for word in _words32(key):
-            # mix(p, hashmix(word)) into pool words 0 and 1
-            v = word ^ h
-            h = h * _MULT_A & _MASK32
-            v = v * h & _MASK32
-            v = (_MIX_MULT_L * p0 - _MIX_MULT_R * (v ^ v >> 16)) & _MASK32
-            p0 = v ^ v >> 16
-            v = word ^ h
-            h = h * _MULT_A & _MASK32
-            v = v * h & _MASK32
-            v = (_MIX_MULT_L * p1 - _MIX_MULT_R * (v ^ v >> 16)) & _MASK32
-            p1 = v ^ v >> 16
-            h = h * skip & _MASK32
-        # generate_state(1, np.uint64): two hashed 32-bit words, low first
-        h = _INIT_B * _MULT_B & _MASK32
-        low = (p0 ^ _INIT_B) * h & _MASK32
-        high = (p1 ^ h) * (h * _MULT_B & _MASK32) & _MASK32
-        seeds.append(low ^ low >> 16 | (high ^ high >> 16) << 32)
-    return seeds
+    campaign_seed, spawn_key=(key,)).generate_state``.  A negative seed or
+    key raises ValueError."""
+    return [_spawned_seed(campaign_seed, key) for key in keys]
 
 
 def _truncate_rank(choi: np.ndarray, rank: int) -> np.ndarray:
@@ -427,11 +369,7 @@ def run_scaling_study(config: ScalingConfig) -> dict:
     for rank_idx, rank in enumerate(config.ranks):
         means, n_failures = [], []
         for n_idx, n in enumerate(n_list):
-            cell_seed = int(
-                np.random.SeedSequence(
-                    config.seed, spawn_key=(rank_idx, n_idx)
-                ).generate_state(1, np.uint64)[0]
-            )
+            cell_seed = _spawned_seed(config.seed, rank_idx, n_idx)
             result = run_mc_campaign(config.cell(rank, n, cell_seed))
             means.append(result.mean_loss)
             n_failures.append(len(result.failures))

@@ -97,6 +97,9 @@ def _check_number(name: str, value: object) -> None:
         finite = False
     if not finite:
         raise ValueError(f"{name} must be a finite number, got {value!r}")
+    # numpy takes a Python int past int64 as an object, which its ufuncs refuse
+    if isinstance(value, int) and not -(2**63) <= value < 2**63:
+        raise ValueError(f"{name} must be a float or an integer within int64, got {value!r}")
 
 
 def _check_choice(choices: tuple, name: str, value: object) -> None:
@@ -143,9 +146,9 @@ class Config:
 
     Construction checks every field against its annotation: an ``int`` (or
     ``int | None``) field must hold an integer, a ``float`` field a finite
-    number, a ``Literal[...]`` field one of its values, element-wise in
-    ``tuple[...]`` fields, and a ``seed`` must be >= 0; each error names the
-    field.
+    number (an integer one within int64), a ``Literal[...]`` field one of its
+    values, element-wise in ``tuple[...]`` fields, and a ``seed`` must be
+    >= 0; each error names the field.
     ``from_dict`` builds a config from parsed JSON.
     """
 

@@ -727,6 +727,40 @@ class TestErrorPaths:
             ("gen-data", {"truth": {"alpha_deg": math.nan}}, "alpha_deg must be a finite number"),
             ("mixed-workflow", {"component_lams_um": [1.0, math.nan], "subsets": [[1, 2]]},
              "component_lams_um[1] must be a finite number, got nan"),
+            # integers past int64 in float fields, which numpy's ufuncs refuse
+            ("plate-chi", {"thickness_um": 2**64},
+             "thickness_um must be a float or an integer within int64, got 18446744073709551616"),
+            ("plate-chi", {"alpha_deg": 10**300},
+             "alpha_deg must be a float or an integer within int64, got 1000"),
+            ("plate-chi", {"lam0_um": -(2**63) - 1},
+             "lam0_um must be a float or an integer within int64, got -9223372036854775809"),
+            ("gen-data", {"truth": {"thickness_um": 2**64}},
+             "thickness_um must be a float or an integer within int64"),
+            ("mc", {"truth": {"alpha_deg": 10**300}},
+             "alpha_deg must be a float or an integer within int64"),
+            ("scaling", {"truth": {"alpha_deg": 2**64}},
+             "alpha_deg must be a float or an integer within int64"),
+            ("mixed-workflow", {"plate_alpha_deg": 2**64},
+             "plate_alpha_deg must be a float or an integer within int64"),
+            ("fit-retarder", {"chi_path": "chi.json", "lam_um": 2**64},
+             "lam_um must be a float or an integer within int64"),
+            # fit-retarder's physical values and protocol-dump's wavelength
+            ("fit-retarder", {"chi_path": "chi.json", "thickness_um": 0},
+             "thickness_um must be positive, got 0"),
+            ("fit-retarder", {"chi_path": "chi.json", "lam_um": -1.0},
+             "lam_um must be positive, got -1.0"),
+            ("fit-retarder", {"chi_path": "chi.json", "min_dominant_share": 0.0},
+             "min_dominant_share must be in (0, 1], got 0.0"),
+            ("fit-retarder", {"chi_path": "chi.json", "min_dominant_share": 2.0},
+             "min_dominant_share must be in (0, 1], got 2.0"),
+            ("protocol-dump", {"protocol": "B4", "central_lam_um": 5.0},
+             "central_lam_um: wavelength 5.0 um outside quartz dispersion window (0.2, 3.0)"),
+            ("protocol-dump", {"protocol": "R4", "central_lam_um": -5.0},
+             "central_lam_um: wavelength -5.0 um outside quartz dispersion window"),
+            ("protocol-dump", {"protocol": "J4", "central_lam_um": -5.0},
+             "central_lam_um: wavelength -5.0 um outside quartz dispersion window"),
+            ("protocol-dump", {"protocol": "J4", "central_lam_um": 3},
+             "central_lam_um: wavelength 3.0 um outside quartz dispersion window"),
         ],
     )
     def test_mistyped_field_exits_2(self, tmp_path, capsys, command, config, message):
@@ -736,6 +770,28 @@ class TestErrorPaths:
         assert captured.err.startswith(f"error: {message}")
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("plate-chi", {"alpha_deg": 45, "thickness_um": 5024}),
+            ("protocol-dump", {"protocol": "B4", "central_lam_um": 1}),
+            ("fit-retarder", {"chi_path": "chi.json", "thickness_um": 2**63 - 1,
+                              "min_dominant_share": 1}),
+        ],
+    )
+    def test_integer_in_float_field_echoed_as_given(self, tmp_path, capsys, monkeypatch, command,
+                                                    config):
+        # an integer within int64 passes unchanged: the echo and the hash
+        # are those of the integer
+        config_class, _ = COMMANDS[command]
+        monkeypatch.setitem(COMMANDS, command, (config_class, lambda config, out: 0))
+        cfg = write_config(tmp_path / "c.json", config)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+        echo = json.loads(capsys.readouterr().out)
+        assert {k: echo["config"][k] for k in config} == config
+        assert all(type(echo["config"][k]) is type(v) for k, v in config.items())
+        assert echo["config_hash"] == config_hash(config_class.from_dict(config).to_dict())
 
     @pytest.mark.parametrize(
         "config_class, config",

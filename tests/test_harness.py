@@ -362,6 +362,33 @@ class TestScalingStudy:
         assert out["mean_loss"][0] > out["mean_loss"][-1]
         assert out["slope"] < -0.5
 
+    def test_cell_seeds_follow_the_seed_rule(self, monkeypatch):
+        # each cell's campaign seed is SeedSequence(seed, spawn_key=(rank
+        # index, n index))'s first 64-bit word, the cells in rank-major order
+        cells = []
+        run = harness.run_mc_campaign
+
+        def recording_run(config):
+            cells.append(config)
+            return run(config)
+
+        monkeypatch.setattr(harness, "run_mc_campaign", recording_run)
+        n_list, ranks = [200, 400, 800], [2, 1]
+        run_scaling_study(
+            ScalingConfig.from_dict(
+                {**QUICK_SCALING, "replications": 2, "seed": 11, "n_list": n_list, "ranks": ranks}
+            )
+        )
+        expected = [
+            (rank, n, int(
+                np.random.SeedSequence(11, spawn_key=(i, j)).generate_state(1, np.uint64)[0]
+            ))
+            for i, rank in enumerate(ranks)
+            for j, n in enumerate(n_list)
+        ]
+        assert [(c.reconstruction_rank, c.n_events, c.seed) for c in cells] == expected
+        assert all(type(c.seed) is int for c in cells)
+
     def test_needs_three_points(self):
         with pytest.raises(ValueError, match="at least 3 sample sizes, got 2"):
             ScalingConfig.from_dict({**QUICK_SCALING, "n_list": [10, 100]})
