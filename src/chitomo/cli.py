@@ -15,7 +15,10 @@ that a config names (``data_path``, ``chi_path``), that is not the JSON
 object the command reads exits 2, naming the file (and the field); so does a
 ``truth_choi`` or fit-retarder ``matrix`` that is not a finite, Hermitian,
 PSD matrix of positive trace, and a ``data.json`` row whose exposure or
-count is a string or a bool or whose is_auxiliary is not a bool.  Identical
+count is a string, a bool or null or whose is_auxiliary is not a bool.
+One reader, ``_input_matrix``, reads every matrix of an input file.
+``gen-data`` flags the rows after the protocol's own as ``is_auxiliary``;
+``reconstruct`` checks the flags but fits every row alike.  Identical
 config + seed gives byte-identical output files.  Every command runs in one
 process; ``--threads`` is still accepted (>= 1) and changes nothing, because
 the benchmark runner (``perfbench/run.py``) passes ``--threads 1`` to every
@@ -119,10 +122,6 @@ class FitRetarderConfig(Config):
             raise ValueError(
                 f"min_dominant_share must be in (0, 1], got {self.min_dominant_share!r}"
             )
-
-
-def matrix_from_json(data: list) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in data])
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -269,11 +268,18 @@ def _input_field(payload: dict, key: str, source: str) -> object:
     return payload[key]
 
 
-def _input_matrix(value: object, source: str, name: str) -> np.ndarray:
+def _input_matrix(value: object, source: str, name: str, ndim: int = 2) -> np.ndarray:
+    # value as an ndim-D complex array, from one np.array call: its entries
+    # must be JSON numbers or bools (an integer within -2**63..2**64 - 1,
+    # which numpy reads as a number and rounds to a float) and its last axis
+    # [re, im] pairs; any other value exits naming the file and the field
     try:
-        return matrix_from_json(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{source}: {name} is not a matrix of [re, im] pairs ({exc})") from None
+        raw = np.array(value)
+    except ValueError:  # ragged: an object array, rejected below
+        raw = np.array(None)
+    if raw.dtype.kind not in "biuf" or raw.shape[ndim:] != (2,):
+        raise ValueError(f"{source}: {name} is not a matrix of [re, im] pairs")
+    return raw.astype(float).view(complex)[..., 0]
 
 
 def _check_choi(choi: np.ndarray, source: str, name: str) -> None:
@@ -342,63 +348,48 @@ def cmd_protocol_dump(config: ProtocolDumpConfig, out_dir: Path) -> int:
     return 0
 
 
-def _rows_to_json(data: Measurements) -> list[dict]:
-    # the columns as Python floats, ints and bools; counts are whole and far
-    # below 2**63, so the int64 cast truncates nothing
+def _rows_to_json(data: Measurements, n_measured: int) -> list[dict]:
+    # the columns as Python floats and ints, the rows from n_measured on
+    # flagged auxiliary; counts are whole and far below 2**63, so the int64
+    # cast truncates nothing
     counts = data.counts.astype(np.int64)
-    columns = zip(data.operators, data.exposures.tolist(), counts.tolist(), data.auxiliary.tolist())
+    columns = enumerate(zip(data.operators, data.exposures.tolist(), counts.tolist()))
     return [
-        {"operator": op, "exposure": t, "count": k, "is_auxiliary": a}
-        for op, t, k, a in columns
+        {"operator": op, "exposure": t, "count": k, "is_auxiliary": j >= n_measured}
+        for j, (op, t, k) in columns
     ]
 
 
 _ROW_FIELDS = ("operator", "exposure", "count", "is_auxiliary")
 
 
-def _stacked_operators(rows: list) -> np.ndarray | None:
-    # every row's operator from one np.array call, as an (m, r, c) complex
-    # array equal to the rows' matrix_from_json results, when every entry is
-    # a JSON number or bool and the operators are r x c matrices of [re, im]
-    # pairs (Measurements requires r == c); None for any other input, which
-    # is then read row by row
-    try:
-        raw = np.array([row["operator"] for row in rows])
-    except (TypeError, KeyError, ValueError):
-        return None
-    if raw.dtype.kind not in "biuf" or raw.ndim != 4 or raw.shape[3] != 2:
-        return None
-    return raw.astype(float).view(complex)[..., 0]
-
-
 def _rows_from_json(rows: object, source: str) -> Measurements:
     # the rows of a data.json; every error names the file (source) and the
-    # field
+    # field.  is_auxiliary is checked, not kept: every row is fitted alike
     if not isinstance(rows, list):
         raise ValueError(f"{source}: rows must be a list of row objects, got {type(rows).__name__}")
-    operators = _stacked_operators(rows)
-    parsed = []
     for j, row in enumerate(rows):
         if not isinstance(row, dict):
             raise ValueError(f"{source}: rows[{j}] must be a JSON object, got {type(row).__name__}")
         missing = [key for key in _ROW_FIELDS if key not in row]
         if missing:
             raise ValueError(f"{source}: rows[{j}] has no field {missing[0]!r}")
-        if operators is None:
-            parsed.append(_input_matrix(row["operator"], source, f"rows[{j}].operator"))
         for key in ("exposure", "count"):
-            if type(row[key]) in (str, bool):
+            if row[key] is None or type(row[key]) in (str, bool):
                 raise ValueError(f"{source}: rows[{j}].{key} must be a number, got {type(row[key]).__name__}")
         if type(row["is_auxiliary"]) is not bool:
             kind = type(row["is_auxiliary"]).__name__
             raise ValueError(f"{source}: rows[{j}].is_auxiliary must be true or false, got {kind}")
     try:
-        return Measurements(
-            parsed if operators is None else operators,
-            [r["exposure"] for r in rows],
-            [0 if r["count"] is None else r["count"] for r in rows],
-            [r["is_auxiliary"] for r in rows],
-        )
+        operators = _input_matrix([row["operator"] for row in rows], source, "rows", 3)
+    except ValueError:
+        # read alone, the first malformed operator names its row; operators
+        # that each read are left to the record, which names their shapes
+        operators = [
+            _input_matrix(row["operator"], source, f"rows[{j}].operator") for j, row in enumerate(rows)
+        ]
+    try:
+        return Measurements(operators, [row["exposure"] for row in rows], [row["count"] for row in rows])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{source}: rows: {exc}") from None
 
@@ -416,7 +407,7 @@ def cmd_gen_data(config: GenDataConfig, out_dir: Path) -> int:
             "seed": config.seed,
             "auxiliary_weight": AUXILIARY_WEIGHT,
             "truth_choi": truth,
-            "rows": _rows_to_json(data),
+            "rows": _rows_to_json(data, len(proto.rows.operators)),
         },
     )
     return 0

@@ -418,7 +418,7 @@ class MixedWorkflowConfig(Config):
     )
 
     def __post_init__(self) -> None:
-        # the subset checks run first so that their messages name the subset
+        super().__post_init__()
         n_components = len(self.component_lams_um)
         if n_components == 0:
             raise ValueError("component_lams_um must not be empty")
@@ -433,14 +433,11 @@ class MixedWorkflowConfig(Config):
             if len(subset) == 0:
                 raise ValueError(f"subsets[{k}] must not be empty")
             for i in subset:
-                if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
-                    raise ValueError(f"subsets[{k}]: index {i!r} is not an integer")
                 if not 1 <= i <= n_components:
                     raise ValueError(
                         f"subsets[{k}]: index {i} outside 1..{n_components} "
                         "(1-based into component_lams_um)"
                     )
-        super().__post_init__()
         check_event_count(self.n_events, "n_events")
         for name in ("component_rank", "broadband_rank"):
             rank = getattr(self, name)

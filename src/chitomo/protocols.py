@@ -1,15 +1,17 @@
 """Tomographic protocol construction and Poisson count synthesis.
 
 Measurement data travel as one ``Measurements`` record of arrays: m
-Hermitian PSD intensity operators (m, d, d), a mask of the auxiliary rows,
-and exposures and (after data generation) observed counts, (m,) for one data
-set or (B, m) for B data sets, the lanes of a batch.  For process tomography
-the operators act on the composite (input (x) output) space and have the
-effective-projector form ``|conj(c_in)><conj(c_in)| (x) |c_m><c_m|``;
-expected rates are traces against the trace-1 Choi state, so a
-probability-1 outcome corresponds to rate 1/s.  Auxiliary rows with the
-operator ``|conj(c_in)><conj(c_in)| (x) I`` and virtual counts pin the
-trace-preservation constraint softly, at the fixed weight ``AUXILIARY_WEIGHT``.
+Hermitian PSD intensity operators (m, d, d), and exposures and (after data
+generation) observed counts, (m,) for one data set or (B, m) for B data
+sets, the lanes of a batch.  For process tomography the operators act on
+the composite (input (x) output) space and have the effective-projector
+form ``|conj(c_in)><conj(c_in)| (x) |c_m><c_m|``; expected rates are traces
+against the trace-1 Choi state, so a probability-1 outcome corresponds to
+rate 1/s.  Auxiliary rows with the operator ``|conj(c_in)><conj(c_in)| (x)
+I`` and virtual counts pin the trace-preservation constraint softly, at the
+fixed weight ``AUXILIARY_WEIGHT``.  The record carries no mark of them:
+they are fitted exactly like measured rows, and ``process_datasets`` puts
+them after the protocol's rows, the order a reader of the rows relies on.
 An event count must be an integer in 1..2**53 (``check_event_count``).
 
 Counts are Poisson draws with a sampler built directly on the generator's
@@ -185,19 +187,18 @@ class Config:
 
 @dataclass(frozen=True, eq=False)
 class Measurements:
-    """Row j of a protocol: intensity operator ``operators[j]``, exposure,
-    observed count (zero before data generation; float, so that noiseless
-    expected counts fit) and whether it is an auxiliary row.
+    """Row j of a protocol: intensity operator ``operators[j]``, exposure
+    and observed count (zero before data generation; float, so that
+    noiseless expected counts fit).
 
     One data set, or a batch of B data sets (its lanes) over shared
-    operators and mask; shapes are checked on construction.  ``a + b``
-    concatenates the rows, a one-set block broadcast over the other's lanes.
+    operators; shapes are checked on construction.  ``a + b`` concatenates
+    the rows, a one-set block broadcast over the other's lanes.
     """
 
     operators: np.ndarray  # (m, d, d) complex, shared by every lane
     exposures: np.ndarray  # (m,) float, or (B, m) with a row per lane
     counts: np.ndarray | None = None  # the shape of exposures; None means all zero
-    auxiliary: np.ndarray | None = None  # (m,) bool, shared; None means none
 
     def __post_init__(self) -> None:
         try:
@@ -216,17 +217,12 @@ class Measurements:
         for name, value in (("exposures", t), ("counts", k)):
             if not np.all(np.isfinite(value) & (value >= 0)):
                 raise ValueError(f"{name} must be finite and >= 0")
-        aux = np.zeros(m, bool) if self.auxiliary is None else np.asarray(self.auxiliary, bool)
-        if aux.shape != (m,):
-            raise ValueError(f"auxiliary must have shape ({m},), got {aux.shape}")
-        vars(self).update(operators=ops, exposures=t, counts=k, auxiliary=aux)
+        vars(self).update(operators=ops, exposures=t, counts=k)
 
     def lanes(self, index: int | slice | np.ndarray) -> "Measurements":
         """The lanes a numpy index selects (an int gives one data set), over
         the same operator array."""
-        return Measurements(
-            self.operators, self.exposures[index], self.counts[index], self.auxiliary
-        )
+        return Measurements(self.operators, self.exposures[index], self.counts[index])
 
     def __add__(self, other: "Measurements") -> "Measurements":
         lanes = np.broadcast_shapes(self.exposures.shape[:-1], other.exposures.shape[:-1])
@@ -238,7 +234,6 @@ class Measurements:
             np.concatenate([self.operators, other.operators]),
             join(self.exposures, other.exposures),
             join(self.counts, other.counts),
-            np.concatenate([self.auxiliary, other.auxiliary]),
         )
 
 
@@ -394,7 +389,6 @@ def auxiliary_rows(
         _kron_stack(_input_operators(c), np.eye(s)),
         np.full(m, t_aux),
         np.full(m, round(t_aux / s)),
-        np.ones(m, bool),
     )
 
 
@@ -504,9 +498,8 @@ def generate_counts_batch(
     n_total: int,
     seeds: Sequence[int],
 ) -> Measurements:
-    """Observed counts for the non-auxiliary rows of a protocol, one count
-    set per seed: a record of S lanes over the operator array and auxiliary
-    mask of ``rows``.
+    """Observed counts for the rows of a protocol, one count set per seed:
+    a record of S lanes over the operator array of ``rows``.
 
     Lane s has the rates ``tr(Lambda_j rho)`` against the trace-1 truth
     ``truths[s]`` (state or Choi state); the uniform exposures are rescaled
@@ -534,8 +527,6 @@ def generate_counts_batch(
     """
     check_event_count(n_total, "n_total")
     truths = np.asarray(truths, dtype=complex)
-    if rows.auxiliary.any():
-        raise ValueError("generate_counts_batch expects only non-auxiliary rows")
     # an error names its set only when the sets have different truths
     named = truths.ndim == 3 and len(truths) > 1
     if truths.ndim == 2:
@@ -561,18 +552,18 @@ def generate_counts_batch(
         _draw_counts(set_means, np.random.default_rng(seed), block, rejection)
         for set_means, seed, block in zip(means.tolist(), seeds, _block_sizes(means))
     ]
-    return Measurements(
-        rows.operators, exposures, np.array(counts, float).reshape(means.shape), rows.auxiliary
-    )
+    return Measurements(rows.operators, exposures, np.array(counts, float).reshape(means.shape))
 
 
 def process_datasets(
     proto: ProcessProtocol, truth: np.ndarray, n_total: int, seeds: Sequence[int]
 ) -> Measurements:
     """The data sets of a process protocol, a lane for each of one or more
-    seeds: the counts ``generate_counts_batch`` draws from one truth ``(d,
-    d)``, then the protocol's auxiliary rows of weight ``AUXILIARY_WEIGHT``,
-    built once and broadcast over the lanes.  Every lane has the same
+    seeds: first the ``len(proto.rows.operators)`` rows whose counts
+    ``generate_counts_batch`` draws from one truth ``(d, d)``, then the
+    protocol's auxiliary rows of weight ``AUXILIARY_WEIGHT``, one per input
+    state, built once and broadcast over the lanes.  ``gen-data`` flags the
+    auxiliary rows in ``data.json`` by this order.  Every lane has the same
     exposures, so ``t_aux = AUXILIARY_WEIGHT * sum(exposures)`` is one
     number, summed in row order (``np.sum`` adds pairwise, which can move
     the last bit of every output)."""

@@ -8,7 +8,9 @@ auxiliary-row operators, a plate's Choi state and a campaign's Monte-Carlo
 replications as computed before their stacked forms, and the channel
 action, Choi state, outcome probabilities and rank of a process computed
 directly.  ``matrix_to_json`` is the list form of a matrix that
-``cli.write_json`` writes from the array itself.
+``cli.write_json`` writes from the array itself, and ``matrix_from_json``
+reads that form entry by entry, the oracle of the one-array read of the
+CLI's input files.
 
 Also the single-item forms of package functions that no command calls: one
 derived seed, the retarder unitary about one axis, the monochromatic states
@@ -65,6 +67,7 @@ __all__ = [
     "effective_probability",
     "process_rank",
     "matrix_to_json",
+    "matrix_from_json",
     "json_lists",
 ]
 
@@ -136,8 +139,8 @@ def poisson_counts(means: np.ndarray, rng: np.random.Generator) -> list[int]:
 def generate_counts(
     rows: Measurements, truth: np.ndarray, n_total: int, seed: int
 ) -> Measurements:
-    """Fill observed counts for the non-auxiliary rows of a protocol: the
-    one lane of a batch of one of ``protocols.generate_counts_batch``."""
+    """Fill observed counts for the rows of a protocol: the one lane of a
+    batch of one of ``protocols.generate_counts_batch``."""
     return protocols.generate_counts_batch(rows, truth, n_total, [seed]).lanes(0)
 
 
@@ -488,6 +491,11 @@ def replications_one_by_one(
 def matrix_to_json(m: np.ndarray) -> list:
     """A matrix as rows of ``[re, im]`` pairs of Python floats."""
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, complex)]
+
+
+def matrix_from_json(data: list) -> np.ndarray:
+    """A matrix from rows of ``[re, im]`` pairs, each entry ``complex(re, im)``."""
+    return np.array([[complex(re, im) for re, im in row] for row in data])
 
 
 def json_lists(obj: object) -> object:

@@ -13,13 +13,13 @@ import numpy as np
 import pytest
 
 from chitomo import cli, harness, protocols
-from chitomo.cli import COMMANDS, config_hash, main, matrix_from_json
+from chitomo.cli import COMMANDS, config_hash, main
 from chitomo.harness import CampaignConfig, ScalingConfig, TruthSpec, build_truth
 from chitomo.ml_engine import ReconstructionConfig, solve_likelihood
 from chitomo.protocols import Measurements, auxiliary_rows, process_protocol
 from chitomo.quantum_core import fidelity
 from conftest import REF_PLATE_CHOI
-from process_oracles import derive_seed, generate_counts, json_lists, matrix_to_json
+from process_oracles import derive_seed, generate_counts, json_lists, matrix_from_json, matrix_to_json
 
 
 MC_OUTPUTS = ("result.json", "fidelities.csv", "histogram.csv", "replications.csv")
@@ -212,12 +212,37 @@ class TestGenDataReconstruct:
         )
         assert np.max(np.abs(estimate - res.estimate)) < 1e-13
 
+    @pytest.mark.parametrize("protocol", ["J4", "R4", "B4"])
+    def test_data_flags_the_last_four_rows_auxiliary(self, tmp_path, protocol):
+        # 16 protocol rows, then one auxiliary row per input state
+        gen_cfg = write_config(
+            tmp_path / "gen.json", {"protocol": protocol, "n_events": 500, "truth": {"knots": 21}}
+        )
+        assert main(["gen-data", "--config", gen_cfg, "--out", str(tmp_path)]) == 0
+        rows = json.loads((tmp_path / "data.json").read_text())["rows"]
+        assert [row["is_auxiliary"] for row in rows] == [False] * 16 + [True] * 4
+
+    def test_auxiliary_flags_change_no_output(self, tmp_path):
+        # is_auxiliary is checked, not used: every row is fitted alike
+        gen_cfg = write_config(tmp_path / "gen.json", {"n_events": 2000, "truth": {"knots": 21}})
+        assert main(["gen-data", "--config", gen_cfg, "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "data.json").read_text())
+        payload["rows"] = [{**row, "is_auxiliary": not row["is_auxiliary"]} for row in payload["rows"]]
+        (tmp_path / "flipped.json").write_text(json.dumps(payload))
+        outputs = []
+        for name in ("data", "flipped"):
+            rec_cfg = write_config(tmp_path / "rec.json", {"data_path": str(tmp_path / f"{name}.json")})
+            assert main(["reconstruct", "--config", rec_cfg, "--out", str(tmp_path / name)]) == 0
+            outputs.append([(tmp_path / name / f).read_bytes() for f in ("estimate.json", "result.json")])
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize(
         "corrupt, message",
         [
             (lambda rows: [{**r, "exposure": [r["exposure"]] * 2} for r in rows], "exposures"),
             (lambda rows: [{**rows[0], "operator": [[[1.0, 0.0]]]}, *rows[1:]], "operators"),
-            (lambda rows: [{**rows[0], "exposure": None}, *rows[1:]], "exposures"),
+            (lambda rows: [{**rows[0], "exposure": None}, *rows[1:]],
+             "rows[0].exposure must be a number, got NoneType"),
         ],
         ids=["exposure-lists", "mixed-dimension", "null-exposure"],
     )
@@ -344,13 +369,13 @@ class TestMcCommand:
 
         def no_auxiliary_counts(*args):
             rows = aux(*args)
-            return Measurements(rows.operators, rows.exposures, None, rows.auxiliary)
+            return Measurements(rows.operators, rows.exposures)
 
         def no_counts_in_set_1(rows, truth, n_total, seeds):
             sets = synthesize(rows, truth, n_total, seeds)
             counts = sets.counts.copy()
             counts[1] = 0.0
-            return Measurements(sets.operators, sets.exposures, counts, sets.auxiliary)
+            return Measurements(sets.operators, sets.exposures, counts)
 
         monkeypatch.setattr(protocols, "auxiliary_rows", no_auxiliary_counts)
         monkeypatch.setattr(protocols, "generate_counts_batch", no_counts_in_set_1)
@@ -488,7 +513,7 @@ class TestMixedWorkflowCommand:
             sets = real(rows, truths, n_total, seeds)
             counts = sets.counts.copy()
             counts[count_set] = 0.0
-            return type(sets)(sets.operators, sets.exposures, counts, sets.auxiliary)
+            return type(sets)(sets.operators, sets.exposures, counts)
 
         monkeypatch.setattr(harness, "generate_counts_batch", zeroed)
         cfg = write_config(
@@ -639,6 +664,11 @@ class TestErrorPaths:
             ("mixed-workflow", {"component_lams_um": [1.0, "x"], "subsets": [[1, 2]]},
              "component_lams_um[1] must be a number"),
             ("scaling", {"ranks": 2}, "ranks must be a list"),
+            # a mixed-workflow subset or wavelength list that is not a list
+            ("mixed-workflow", {"subsets": [5]}, "subsets[0] must be a list, got 5\n"),
+            ("mixed-workflow", {"subsets": 3}, "subsets must be a list, got 3\n"),
+            ("mixed-workflow", {"subsets": [[1, 2.5]]}, "subsets[0][1] must be an integer, got 2.5\n"),
+            ("mixed-workflow", {"component_lams_um": 1.0}, "component_lams_um must be a list, got 1.0\n"),
             ("mc", {"truth": 5}, "truth must be a JSON object"),
             ("mc", {"seed": -1}, "seed must be a non-negative integer"),
             ("gen-data", {"seed": -3}, "seed must be a non-negative integer"),
@@ -881,7 +911,8 @@ def reconstructible_rows() -> list[dict]:
     # channel and their auxiliary rows
     proto = process_protocol("R4")
     data = generate_counts(proto.rows, build_truth(TruthSpec(kind="identity")), 2000, 1)
-    return json_lists(cli._rows_to_json(data + auxiliary_rows(proto.input_states, sum(data.exposures), 10.0)))
+    rows = data + auxiliary_rows(proto.input_states, sum(data.exposures), 10.0)
+    return json_lists(cli._rows_to_json(rows, len(proto.rows.operators)))
 
 
 ROWS_4X4 = reconstructible_rows()
@@ -922,6 +953,10 @@ class TestMalformedInputFiles:
              ": rows[3].exposure must be a number, got bool"),
             ({"rows": with_field(3, "count", str)}, ": rows[3].count must be a number, got str"),
             ({"rows": with_field(3, "count", lambda _: False)}, ": rows[3].count must be a number, got bool"),
+            # null is not a number either, for the exposure and the count alike
+            ({"rows": with_field(3, "exposure", lambda _: None)},
+             ": rows[3].exposure must be a number, got NoneType"),
+            ({"rows": with_field(5, "count", lambda _: None)}, ": rows[5].count must be a number, got NoneType"),
             ({"rows": with_field(3, "is_auxiliary", lambda _: "no")},
              ": rows[3].is_auxiliary must be true or false, got str"),
             ({"rows": with_field(19, "is_auxiliary", lambda _: 1)},
@@ -944,12 +979,11 @@ class TestMalformedInputFiles:
              ": truth_choi is not Hermitian: defect 2.500e-01"),
             ({"rows": ROWS_4X4, "truth_choi": matrix_to_json(np.zeros((4, 4)))},
              ": truth_choi has trace 0.000e+00, not a positive one"),
-            # an integer beyond the float range, in a matrix, an operator
-            # read row by row, an exposure or a count
+            # an integer beyond the float range, in a matrix, an operator,
+            # an exposure or a count
             ({"rows": ROWS_4X4, "truth_choi": [[[10**400, 0]] * 4] * 4},
-             ": truth_choi is not a matrix of [re, im] pairs (int too large to convert to float)"),
-            ({"rows": with_entry(2, 10**400)},
-             ": rows[2].operator is not a matrix of [re, im] pairs (int too large to convert to float)"),
+             ": truth_choi is not a matrix of [re, im] pairs\n"),
+            ({"rows": with_entry(2, 10**400)}, ": rows[2].operator is not a matrix of [re, im] pairs\n"),
             ({"rows": with_field(3, "exposure", lambda _: 10**400)},
              ": rows: int too large to convert to float"),
             ({"rows": with_field(3, "count", lambda _: 10**400)},
@@ -966,23 +1000,15 @@ class TestMalformedInputFiles:
         assert not (out / "estimate.json").exists()
         assert not (out / "result.json").exists()
 
-    def test_reconstructible_rows_reconstruct(self, tmp_path):
+    # a count of 0 is a number; null is not (above)
+    @pytest.mark.parametrize("rows", [ROWS_4X4, with_field(3, "count", lambda _: 0)], ids=["rows", "zero-count"])
+    def test_reconstructible_rows_reconstruct(self, tmp_path, rows):
         # the rows of the truth_choi cases above pass every check without a
         # truth
         data = tmp_path / "data.json"
-        data.write_text(json.dumps({"rows": ROWS_4X4}))
+        data.write_text(json.dumps({"rows": rows}))
         cfg = write_config(tmp_path / "r.json", {"data_path": str(data)})
         assert main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-
-    def test_null_count_reads_as_zero(self, tmp_path):
-        results = []
-        for count in (None, 0):
-            data = tmp_path / f"{count}.json"
-            data.write_text(json.dumps({"rows": with_field(3, "count", lambda _: count)}))
-            cfg = write_config(tmp_path / "r.json", {"data_path": str(data)})
-            assert main(["reconstruct", "--config", cfg, "--out", str(tmp_path / str(count))]) == 0
-            results.append((tmp_path / str(count) / "result.json").read_bytes())
-        assert results[0] == results[1]
 
 
 def with_operator(j: int, change) -> list[dict]:
@@ -1001,20 +1027,30 @@ def special_float_rows() -> list[dict]:
     return [{"operator": op.tolist(), "exposure": 1.0, "count": 2, "is_auxiliary": False} for op in ops]
 
 
-def per_row_message(rows: list[dict]) -> str:
-    # the message of the row-by-row read at the first operator it rejects
-    for j, row in enumerate(rows):
-        try:
-            matrix_from_json(row["operator"])
-        except (TypeError, ValueError) as exc:
-            return f"rows[{j}].operator is not a matrix of [re, im] pairs ({exc})"
-    raise AssertionError("every operator reads")
+def malformed(form: str, matrix: list) -> object:
+    # the matrix of [re, im] pairs (4 x 4) in one of the malformed forms
+    m = json.loads(json.dumps(matrix))
+    if form == "too-deep":
+        return [m]
+    if form == "ragged-row":
+        m[1] = m[1][:3]
+    elif form == "3-element-pair":
+        m[1][2] = [*m[1][2], 0.0]
+    else:
+        m[1][2][0] = {"string-entry": "0.5", "null-entry": None, "10**400": 10**400,
+                      "2**64": 2**64}[form]
+    return m
+
+
+MALFORMED_FORMS = ["string-entry", "null-entry", "3-element-pair", "ragged-row", "10**400", "2**64",
+                   "too-deep"]
 
 
 class TestOperatorRead:
-    """reconstruct reads every row's operator with one np.array call when all
-    of them are d x d matrices of JSON numbers or bools; any other input is
-    read row by row, with that read's messages."""
+    """Every matrix an input file holds is read by one np.array call over
+    JSON numbers or bools with a last axis of [re, im] pairs, to the bits of
+    the entry-by-entry oracle; an operator is read alone only to name the
+    first malformed row."""
 
     @pytest.mark.parametrize(
         "rows",
@@ -1029,36 +1065,56 @@ class TestOperatorRead:
         ],
         ids=["data", "bool", "int", "minus-zero", "big-int", "int-and-bool-operator", "special-floats"],
     )
-    def test_one_array_equals_per_row(self, rows):
+    def test_one_array_equals_per_entry(self, rows):
         payload = json.loads(json.dumps(rows))
-        assert cli._stacked_operators(payload) is not None
-        read = cli._rows_from_json(payload, "data").operators
         expected = np.array([matrix_from_json(row["operator"]) for row in payload])
-        assert read.dtype == expected.dtype == complex
-        assert read.tobytes() == expected.tobytes()
+        read = cli._rows_from_json(payload, "data").operators
+        alone = np.array([cli._input_matrix(row["operator"], "data", "matrix") for row in payload])
+        for array in (read, alone):
+            assert array.dtype == expected.dtype == complex
+            assert array.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("form", MALFORMED_FORMS)
+    @pytest.mark.parametrize("field", ["truth_choi", "matrix", "rows[2].operator"])
+    def test_malformed_matrix_exits_2(self, tmp_path, capsys, field, form):
+        # the same malformed forms of a 4x4 matrix exit 2 naming the file and
+        # the field, whichever field holds them, and nothing is written
+        good = matrix_to_json(np.eye(4) / 4)
+        path = tmp_path / "input.json"
+        if field == "matrix":
+            path.write_text(json.dumps({"matrix": malformed(form, good)}))
+            command, config, source = "fit-retarder", {"chi_path": str(path)}, f"chi_path {path}"
+        else:
+            payload = {"rows": ROWS_4X4, "truth_choi": good}
+            if field == "truth_choi":
+                payload["truth_choi"] = malformed(form, good)
+            else:
+                payload["rows"] = with_operator(2, lambda op: malformed(form, op))
+            path.write_text(json.dumps(payload))
+            command, config, source = "reconstruct", {"data_path": str(path)}, f"data_path {path}"
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "c.json", config)
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {source}: {field} is not a matrix of [re, im] pairs\n"
+        assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize(
         "rows, message",
         [
-            (with_entry(2, "0.5"), None),
-            (with_entry(2, None), None),
-            (with_operator(2, lambda op: [[[*pair, 0.0] for pair in row] for row in op]), None),
             ([{**row, "operator": [[[*pair, 0.0] for pair in r] for r in row["operator"]]} for row in ROWS_4X4],
-             None),
+             "rows[0].operator is not a matrix of [re, im] pairs"),
             ([{**row, "operator": [[pair[:1] for pair in r] for r in row["operator"]]} for row in ROWS_4X4],
-             None),
-            (with_operator(2, lambda op: [op[0][:3], *op[1:]]), None),
+             "rows[0].operator is not a matrix of [re, im] pairs"),
+            # operators that each read, but not as one stack, get the
+            # record's message
             (with_operator(2, lambda op: op[:3]), "rows: operators must all have the same shape (d, d)"),
             (with_operator(2, lambda op: [[[1.0, 0.0]]]), "rows: operators must all have the same shape (d, d)"),
             ([], "rows: operators must have shape (m, d, d), got (0,)"),
         ],
-        ids=["string-entry", "null-entry", "3-element-pair", "3-element-pairs-everywhere",
-             "1-element-pairs-everywhere", "ragged-row", "3x4-operator", "1x1-operator", "no-rows"],
+        ids=["3-element-pairs-everywhere", "1-element-pairs-everywhere", "3x4-operator", "1x1-operator",
+             "no-rows"],
     )
-    def test_other_input_read_row_by_row(self, tmp_path, capsys, rows, message):
-        # an operator the per-row read rejects gets its message
-        assert cli._stacked_operators(rows) is None
-        message = message or per_row_message(rows)
+    def test_operators_that_do_not_stack_exit_2(self, tmp_path, capsys, rows, message):
         data = tmp_path / "data.json"
         data.write_text(json.dumps({"rows": rows}))
         cfg = write_config(tmp_path / "r.json", {"data_path": str(data)})
@@ -1082,7 +1138,7 @@ class TestOperatorRead:
             ({"matrix": matrix_to_json(-np.eye(4) / 4)},
              ": matrix is not PSD: min eigenvalue -2.500e-01"),
             ({"matrix": [[[10**400, 0]] + [[0.0, 0.0]] * 3] * 4},
-             ": matrix is not a matrix of [re, im] pairs (int too large to convert to float)"),
+             ": matrix is not a matrix of [re, im] pairs\n"),
         ],
     )
     def test_fit_retarder(self, tmp_path, capsys, payload, message):

@@ -498,7 +498,6 @@ class TestMixedWorkflow:
                 rows.operators,
                 [data.exposures for data in sets],
                 [data.counts for data in sets],
-                rows.auxiliary,
             )
 
         def separate_truths(input_state, plates, profile, wavelengths):
@@ -555,7 +554,13 @@ class TestMixedWorkflow:
             ({"subsets": ((0, 1),)}, r"subsets\[0\]: index 0 outside 1\.\.7"),
             ({"subsets": ((1, 2), (1, 9))}, r"subsets\[1\]: index 9 outside 1\.\.7"),
             ({"subsets": ((),)}, r"subsets\[0\] must not be empty"),
-            ({"subsets": ((1.5,),)}, r"subsets\[0\]: index 1\.5 is not an integer"),
+            # the framework's element check names the subset and the index
+            ({"subsets": ((1.5,),)}, r"subsets\[0\]\[0\] must be an integer, got 1\.5"),
+            ({"subsets": ((1, 2.5),)}, r"subsets\[0\]\[1\] must be an integer, got 2\.5"),
+            # a value that is not a list is named before its length is taken
+            ({"subsets": (5,)}, r"^subsets\[0\] must be a list, got 5$"),
+            ({"subsets": 3}, r"^subsets must be a list, got 3$"),
+            ({"component_lams_um": 1.0}, r"^component_lams_um must be a list, got 1\.0$"),
             ({"component_lams_um": (1.0, 1.002), "subsets": ((1, 3),)}, r"outside 1\.\.2"),
             # 1000 components would give the 1-plate component 999 the seed
             # key 2000 of the 2-plate broadband counts

@@ -427,7 +427,6 @@ def batch_of(*datasets):
         datasets[0].operators,
         [data.exposures for data in datasets],
         [data.counts for data in datasets],
-        datasets[0].auxiliary,
     )
 
 
@@ -786,9 +785,9 @@ class TestBatchLanes:
         no_counts = np.zeros_like(data.counts)
         return (
             data,
-            Measurements(data.operators, data.exposures, no_counts, data.auxiliary),
-            Measurements(data.operators, t, data.counts, data.auxiliary),
-            Measurements(data.operators, t, no_counts, data.auxiliary),
+            Measurements(data.operators, data.exposures, no_counts),
+            Measurements(data.operators, t, data.counts),
+            Measurements(data.operators, t, no_counts),
         )
 
     def test_failing_lanes_leave_at_the_set_up(self, campaign_rows):

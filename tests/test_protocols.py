@@ -126,18 +126,16 @@ class TestMeasurements:
         assert data.operators.dtype == complex and data.operators.shape == (2, 2, 2)
         assert data.exposures.dtype == float
         assert data.counts.tolist() == [0.0, 0.0]
-        assert data.auxiliary.tolist() == [False, False]
         assert len(data.operators) == 2
 
     def test_concatenation_keeps_row_order(self):
         a = Measurements([np.eye(2)], [1.0], [3])
-        b = Measurements([np.diag([0.0, 1.0])] * 2, [2.0, 4.0], [5, 7], [True, True])
+        b = Measurements([np.diag([0.0, 1.0])] * 2, [2.0, 4.0], [5, 7])
         joined = a + b
         assert len(joined.operators) == 3
         assert np.array_equal(joined.operators[1], b.operators[0])
         assert joined.exposures.tolist() == [1.0, 2.0, 4.0]
         assert joined.counts.tolist() == [3.0, 5.0, 7.0]
-        assert joined.auxiliary.tolist() == [False, True, True]
 
     @pytest.mark.parametrize(
         "kwargs, message",
@@ -147,23 +145,22 @@ class TestMeasurements:
             ({"counts": [1, 2, 3]}, r"counts must have shape \(2,\)"),
             ({"exposures": [[1.0, 1.0]] * 3, "counts": [1, 2]},
              r"counts must have shape \(3, 2\), as exposures, got \(2,\)"),
-            ({"auxiliary": [True]}, r"auxiliary must have shape \(2,\)"),
             ({"operators": [np.eye(2), np.eye(3)]}, "operators must all have the same shape"),
             ({"operators": np.ones((2, 2, 3))}, r"operators must have shape \(m, d, d\)"),
             ({"operators": np.eye(2)}, r"operators must have shape \(m, d, d\)"),
         ],
-        ids=["short-exposures", "3d-exposures", "long-counts", "lane-counts", "short-mask",
-             "mixed-dim", "non-square", "single-matrix"],
+        ids=["short-exposures", "3d-exposures", "long-counts", "lane-counts", "mixed-dim",
+             "non-square", "single-matrix"],
     )
     def test_shape_mismatch_rejected(self, kwargs, message):
         fields = {"operators": [np.eye(2)] * 2, "exposures": [1.0, 1.0], **kwargs}
         with pytest.raises(ValueError, match=message):
             Measurements(**fields)
 
-    def test_lanes_share_the_operators_and_mask(self):
+    def test_lanes_share_the_operators(self):
         data = Measurements(
             [np.eye(2), np.diag([1.0, 0.0])], [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]],
-            [[1, 2], [3, 4], [5, 6]], [False, True],
+            [[1, 2], [3, 4], [5, 6]],
         )
         one = data.lanes(1)
         assert one.exposures.tolist() == [3.0, 4.0] and one.counts.tolist() == [3.0, 4.0]
@@ -172,17 +169,15 @@ class TestMeasurements:
         assert picked.counts.tolist() == [[1.0, 2.0], [5.0, 6.0]]
         for lanes in (one, picked, data.lanes(slice(1, None))):
             assert lanes.operators is data.operators
-            assert lanes.auxiliary is data.auxiliary
         with pytest.raises(ValueError, match=r"^exposures must have shape .* got \(\)$"):
             one.lanes(0)  # a data set has no lanes
 
     def test_concatenation_broadcasts_one_set_over_lanes(self):
         lanes = Measurements([np.eye(2)], [[1.0], [2.0]], [[3], [4]])
-        shared = Measurements([np.diag([0.0, 1.0])], [5.0], [6], [True])
+        shared = Measurements([np.diag([0.0, 1.0])], [5.0], [6])
         joined = lanes + shared
         assert joined.exposures.tolist() == [[1.0, 5.0], [2.0, 5.0]]
         assert joined.counts.tolist() == [[3.0, 6.0], [4.0, 6.0]]
-        assert joined.auxiliary.tolist() == [False, True]
         assert (shared + lanes).exposures.tolist() == [[5.0, 1.0], [5.0, 2.0]]
 
     @pytest.mark.parametrize("name", ["exposures", "counts"])
@@ -378,10 +373,9 @@ class TestAuxiliaryRows:
 
     def test_exposure_and_virtual_count(self):
         rows = auxiliary_rows(j4_states(), total_exposure=1000.0, weight=10.0)
-        for exposure, count, auxiliary in zip(rows.exposures, rows.counts, rows.auxiliary):
+        for exposure, count in zip(rows.exposures, rows.counts):
             assert exposure == pytest.approx(10000.0)
             assert count == 5000
-            assert auxiliary
 
     def test_operator_is_psd_trace_two(self):
         for op in auxiliary_rows(r4_states(), 10.0, 1.0).operators:
@@ -405,7 +399,7 @@ class TestProcessDatasets:
         for data, seed in zip(each_lane(sets), seeds):
             alone = generate_counts(proto.rows, plate_truth, 3000, seed)
             alone = alone + auxiliary_rows(proto.input_states, sum(alone.exposures), AUXILIARY_WEIGHT)
-            for column in ("operators", "exposures", "counts", "auxiliary"):
+            for column in ("operators", "exposures", "counts"):
                 assert getattr(data, column).tobytes() == getattr(alone, column).tobytes(), column
             assert data.operators is sets.operators
 
@@ -613,7 +607,6 @@ class TestGenerateCounts:
                     assert np.array_equal(data.exposures, single.exposures)
                     assert np.array_equal(data.counts, single.counts)
                 assert data.operators is rows.operators  # every lane's
-                assert data.auxiliary is rows.auxiliary
                 means.append(per_row_rates(rows, truth) * data.exposures)
         means = np.concatenate(means)
         assert np.any(means < 30.0) and np.any(means >= 30.0)
@@ -771,11 +764,6 @@ class TestGenerateCounts:
         )
         se = np.sqrt(expected / reps)
         assert np.all(np.abs(sums / reps - expected) < 4 * se)
-
-    def test_rejects_auxiliary_rows(self, plate_truth):
-        aux = auxiliary_rows(j4_states(), 10.0, 1.0)
-        with pytest.raises(ValueError, match="non-auxiliary"):
-            generate_counts(aux, plate_truth, 100, 0)
 
     @pytest.mark.parametrize(
         "n_total, message",
