@@ -375,7 +375,7 @@ def _rows_from_json(rows: object, source: str) -> Measurements:
         if missing:
             raise ValueError(f"{source}: rows[{j}] has no field {missing[0]!r}")
         for key in ("exposure", "count"):
-            if row[key] is None or type(row[key]) in (str, bool):
+            if type(row[key]) not in (int, float):
                 raise ValueError(f"{source}: rows[{j}].{key} must be a number, got {type(row[key]).__name__}")
         if type(row["is_auxiliary"]) is not bool:
             kind = type(row["is_auxiliary"]).__name__

@@ -58,8 +58,13 @@ rows, ``nu`` data modes and r^2 gauge nulls (``c -> c U``): ``nu + s^2`` lie
 above 1e-8 times the largest.  Each result also counts its accepted scoring
 steps and its rejected steps (failed Levenberg tries).
 
-A result's ``log_likelihood`` is the full Poisson log-likelihood at the
-estimate, its factorial constant ``sum_j ln k_j!`` included.
+A result's ``log_likelihood`` is the surrogate at the c the lane stopped
+with, the value its solve maximized: the log-likelihood ratio of the
+estimate against the saturated model, whose rate on every row is its
+count.  It lies in (-inf, 0], and -2 times it is the Poisson deviance.  The
+full Poisson log-likelihood differs from it by ``sum_j (k_j ln k_j - k_j -
+ln k_j!)``, a constant of the data, so values on the same data compare
+alike.
 
 There is one solver, ``solve_likelihood_batch``; ``solve_likelihood`` is a
 batch of one.  A batch solves the lanes of one ``Measurements`` record at
@@ -101,8 +106,6 @@ from .quantum_core import partial_trace
 __all__ = [
     "ReconstructionConfig",
     "ReconstructionResult",
-    "expected_rates",
-    "log_likelihood",
     "solve_likelihood",
     "solve_likelihood_batch",
 ]
@@ -156,7 +159,7 @@ class ReconstructionResult:
     info_spectrum: np.ndarray  # (B, 2*d*r) the real Fisher matrix's eigenvalues, descending
     scoring_steps: np.ndarray  # (B,) accepted scoring steps
     rejected_steps: np.ndarray  # (B,) failed Levenberg tries
-    log_likelihood: np.ndarray  # (B,) the Poisson log-likelihood at the estimate
+    log_likelihood: np.ndarray  # (B,) the log-likelihood ratio to the saturated model, <= 0
     error: np.ndarray  # (B,) the set-up error text, or None
 
     def lanes(self, index: int | slice | np.ndarray) -> "ReconstructionResult":
@@ -188,42 +191,6 @@ def _rates(c: np.ndarray, ops_flat: np.ndarray) -> np.ndarray:
     # and each lane gets its own matrix-vector product
     rho = c @ c.conj().swapaxes(-1, -2)
     return _matvec(ops_flat, rho.swapaxes(-1, -2).reshape(*c.shape[:-2], ops_flat.shape[1])).real
-
-
-def expected_rates(c: np.ndarray, data: Measurements) -> np.ndarray:
-    """Rates ``lambda_j = tr(c^+ Lambda_j c)`` for every row."""
-    c = np.asarray(c, dtype=complex)
-    ops = data.operators
-    if ops.shape[1] != c.shape[0]:
-        raise ValueError(f"operator dim {ops.shape[1]} does not match c dim {c.shape[0]}")
-    return _rates(c, ops.reshape(len(ops), -1))
-
-
-def log_likelihood(c: np.ndarray, data: Measurements, include_factorial: bool = True) -> float:
-    """Poisson log-likelihood sum_j [k ln(lambda t) - lambda t - ln k!].
-
-    Returns -inf when some row has a positive count but zero rate.  The
-    factorial constant does not depend on c; dropping it gives the monotone
-    surrogate the solver tracks.
-    """
-    lam = expected_rates(c, data)
-    return float(_log_likelihood(lam, data.counts, data.exposures, include_factorial))
-
-
-def _log_likelihood(
-    lam: np.ndarray, k: np.ndarray, t: np.ndarray, include_factorial: bool = True
-) -> np.ndarray:
-    # log_likelihood per lane of rates, counts and exposures (..., m)
-    mean = lam * t
-    ll = np.sum(k * np.log(np.maximum(mean, _RATE_FLOOR)), axis=-1) - mean.sum(axis=-1)
-    if include_factorial:
-        ll = ll - np.reshape(_log_factorials(k), ll.shape)
-    return np.where(np.logical_or.reduce((mean <= 0) & (k > 0), axis=-1), -np.inf, ll)
-
-
-def _log_factorials(k: np.ndarray) -> list[float]:
-    # sum_j ln k_j! of each row of counts (..., m), a Python lgamma per count
-    return [sum(map(math.lgamma, row)) for row in (k + 1.0).reshape(-1, k.shape[-1]).tolist()]
 
 
 def _tangents(c: np.ndarray, ops: np.ndarray) -> np.ndarray:
@@ -466,7 +433,8 @@ def solve_likelihood_batch(
     i_mat, reason, error = _set_up(exposures, counts, ops, rank)
     s = _Lanes(lane=np.arange(n_lanes), k=counts, t=exposures, i_mat=i_mat)
     # each lane as it stopped or failed its set-up; the spectrum is filled
-    # in here on a stationary stop and by _results on the others
+    # in here on a stationary stop and by _results on the others, and ll is
+    # the surrogate each solved lane stopped with
     end = _Lanes(
         c=np.full((n_lanes, d, rank), np.nan, complex),
         residual=np.full(n_lanes, np.nan),
@@ -476,6 +444,7 @@ def solve_likelihood_batch(
         reason=reason,
         error=error,
         spectrum=np.full((n_lanes, n_par), np.nan),
+        ll=np.full(n_lanes, np.nan),
     )
     failing = np.not_equal(error, None)
     if np.logical_or.reduce(failing) and not s.leave(failing, end):
@@ -563,11 +532,11 @@ def _results(
     """The record of every lane at the c it stopped with, the results of
     the solved lanes computed for all of them at once, each quantity by one
     BLAS or LAPACK call per lane, an elementwise operation or a sum along
-    the lane's own row.  ``end`` holds each lane's c, residual, iterations,
-    accepted and rejected step counts, stop reason, set-up error and, on a
-    stationary stop, the spectrum of its last scoring step, taken at
-    exactly that c; the other solved lanes' spectra are computed here from
-    the same kind of matrix."""
+    the lane's own row.  ``end`` holds each lane's c, residual, surrogate,
+    iterations, accepted and rejected step counts, stop reason, set-up
+    error and, on a stationary stop, the spectrum of its last scoring step,
+    taken at exactly that c; the other solved lanes' spectra are computed
+    here from the same kind of matrix."""
     solved = np.equal(end.error, None)
     index = np.flatnonzero(solved)
     c, t, k = end.c[index], t[index], k[index]
@@ -601,6 +570,6 @@ def _results(
         info_spectrum=end.spectrum,
         scoring_steps=end.steps,
         rejected_steps=end.rejected,
-        log_likelihood=_lane_column(solved, _log_likelihood(lam, k, t)),
+        log_likelihood=end.ll,
         error=end.error,
     )

@@ -374,17 +374,15 @@ def process_protocol(
     return ProcessProtocol(input_states=states, rows=rows)
 
 
-def auxiliary_rows(
-    input_states: Sequence[np.ndarray], total_exposure: float, weight: float = AUXILIARY_WEIGHT
-) -> Measurements:
+def auxiliary_rows(input_states: Sequence[np.ndarray], total_exposure: float) -> Measurements:
     """Trace-preservation rows: operator ``|conj(c_in)><conj(c_in)| (x) I``
-    with exposure weight*total_exposure and the virtual count round(t/s) that
-    a trace-preserving process would produce exactly."""
+    with exposure ``t = AUXILIARY_WEIGHT * total_exposure`` and the virtual
+    count round(t/s) that a trace-preserving process would produce exactly."""
     if _affine_bloch_rank(input_states) < 4:
         raise IncompleteProtocolError("input states are not tomographically complete")
     c = np.array(input_states, dtype=complex)
     m, s = c.shape
-    t_aux = weight * total_exposure
+    t_aux = AUXILIARY_WEIGHT * total_exposure
     return Measurements(
         _kron_stack(_input_operators(c), np.eye(s)),
         np.full(m, t_aux),
@@ -397,18 +395,6 @@ def _check_means(means: np.ndarray) -> None:
     bad = means[~(np.isfinite(means) & (means >= 0))]
     if bad.size:
         raise ValueError(f"Poisson mean must be finite and >= 0, got {bad[0]}")
-
-
-# a checked mean's uniforms in the first block: none for a zero mean, one for
-# an inversion draw below 30, two for a rejection attempt from 30 up
-_UNIFORM_EDGES = np.array([np.nextafter(0.0, 1.0), 30.0])
-
-
-def _block_sizes(means: np.ndarray) -> int | list[int]:
-    # the first block covers a row's draws unless some rejection attempts
-    # fail; one size per row of (S, m) means, from one pass over all rows
-    uniforms = _UNIFORM_EDGES.searchsorted(means, side="right")
-    return (np.add.reduce(uniforms, axis=-1) + 16).tolist()
 
 
 # the transformed rejection's (b, a, 1/alpha, v_r) of consecutive means
@@ -518,12 +504,13 @@ def generate_counts_batch(
     bit; an einsum would move the last bit of some.  Each truth's total
     expected rate is the dot product ``np.dot`` takes of its rates and the
     exposures (a plain ``rates @ exposures`` moves the last bit).  All
-    truths' means are checked at once, the first bad one naming the error;
-    every truth's first block of uniforms is sized, and the rejection
-    constants of every truth's means from 30 up are computed, in one pass
-    each.  Each set then draws from its own generator with one sampler loop
-    on Python floats (inversion below mean 30, transformed rejection above),
-    and the counts of all sets fill the ``(S, m)`` counts of the record.
+    truths' means are checked at once, the first bad one naming the error,
+    and the rejection constants of every truth's means from 30 up are
+    computed in one pass.  Each set then draws from its own generator with
+    one sampler loop on Python floats (inversion below mean 30, transformed
+    rejection above), fetching uniforms in blocks of ``2 m + 16``, which
+    cover every draw unless some rejection attempts fail, and the counts of
+    all sets fill the ``(S, m)`` counts of the record.
     """
     check_event_count(n_total, "n_total")
     truths = np.asarray(truths, dtype=complex)
@@ -549,8 +536,8 @@ def generate_counts_batch(
     # takes those of its own rows, in turn
     rejection = _rejection_constants(means)
     counts = [
-        _draw_counts(set_means, np.random.default_rng(seed), block, rejection)
-        for set_means, seed, block in zip(means.tolist(), seeds, _block_sizes(means))
+        _draw_counts(set_means, np.random.default_rng(seed), 2 * m + 16, rejection)
+        for set_means, seed in zip(means.tolist(), seeds)
     ]
     return Measurements(rows.operators, exposures, np.array(counts, float).reshape(means.shape))
 

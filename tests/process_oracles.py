@@ -1,16 +1,18 @@
 """Test-only checks and oracles: Kraus sets, operator bases, the unitary
 mixing freedom of a chi-matrix factor, the two matrices of the likelihood
-equation ``I c = J c``, the solver's scoring step taken on the Fisher side,
-density-matrix validation, the SU(2) form of a retarder, a bootstrap bound
-on a ratio of means, the draw-by-draw Poisson sampler, the per-row count
-rates, one count set, each subset's component sum, the process-protocol and
-auxiliary-row operators, a plate's Choi state and a campaign's Monte-Carlo
-replications as computed before their stacked forms, and the channel
-action, Choi state, outcome probabilities and rank of a process computed
-directly.  ``matrix_to_json`` is the list form of a matrix that
-``cli.write_json`` writes from the array itself, and ``matrix_from_json``
-reads that form entry by entry, the oracle of the one-array read of the
-CLI's input files.
+equation ``I c = J c``, the rates and the textbook Poisson log-likelihood
+at a purified vector with the saturated model's value, the solver's
+scoring step taken on the Fisher side, density-matrix validation, the
+SU(2) form of a retarder, a bootstrap bound on a ratio of means, the
+draw-by-draw Poisson sampler, the per-row count rates, one count set,
+each subset's component sum, the process-protocol and auxiliary-row
+operators, a plate's Choi state and a campaign's Monte-Carlo replications
+as computed before their stacked forms, and the channel action, Choi
+state, outcome probabilities and rank of a process computed directly.
+``matrix_to_json`` is the list form of a matrix that ``cli.write_json``
+writes from the array itself, and ``matrix_from_json`` reads that form
+entry by entry, the oracle of the one-array read of the CLI's input
+files.
 
 Also the single-item forms of package functions that no command calls: one
 derived seed, the retarder unitary about one axis, the monochromatic states
@@ -26,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from chitomo import harness, protocols, waveplate
-from chitomo.ml_engine import EIGEN_CUTOFF, ReconstructionResult, _fisher, expected_rates
+from chitomo.ml_engine import EIGEN_CUTOFF, ReconstructionResult, _fisher, _rates
 from chitomo.protocols import Measurements, auxiliary_rows, process_protocol
 from chitomo.quantum_core import _as_complex_matrix, hermitian_eig, vectorize
 from chitomo.waveplate import (
@@ -48,6 +50,9 @@ __all__ = [
     "completeness_residual",
     "basis_orthonormality_check",
     "unitary_mix",
+    "expected_rates",
+    "log_likelihood",
+    "saturated_log_likelihood",
     "fisher_matrices",
     "fisher_scoring_step",
     "check_density_matrix",
@@ -132,7 +137,7 @@ def poisson_counts(means: np.ndarray, rng: np.random.Generator) -> list[int]:
     means = np.asarray(means, dtype=float)
     protocols._check_means(means)
     return protocols._draw_counts(
-        means.tolist(), rng, protocols._block_sizes(means), protocols._rejection_constants(means)
+        means.tolist(), rng, 2 * len(means) + 16, protocols._rejection_constants(means)
     )
 
 
@@ -179,6 +184,41 @@ def unitary_mix(e: np.ndarray, u: np.ndarray) -> np.ndarray:
     if defect > 1e-10:
         raise ValueError(f"mixing matrix is not unitary: defect {defect:.3e}")
     return e @ u
+
+
+def expected_rates(c: np.ndarray, data: Measurements) -> np.ndarray:
+    """Rates ``lambda_j = tr(c^+ Lambda_j c)`` for every row at the
+    purified vector c (d, r), by the solver's rate function."""
+    c = np.asarray(c, dtype=complex)
+    ops = data.operators
+    if ops.shape[1] != c.shape[0]:
+        raise ValueError(f"operator dim {ops.shape[1]} does not match c dim {c.shape[0]}")
+    return _rates(c, ops.reshape(len(ops), -1))
+
+
+def log_likelihood(c: np.ndarray, data: Measurements) -> float:
+    """The textbook Poisson log-likelihood ``sum_j [k_j ln(lambda_j t_j) -
+    lambda_j t_j - ln k_j!]`` at the purified vector c, or -inf when some
+    row has a positive count but zero rate.  A solver result's
+    ``log_likelihood`` is this minus ``saturated_log_likelihood`` of the
+    counts."""
+    mean = expected_rates(c, data) * data.exposures
+    k = data.counts
+    if np.any((mean <= 0) & (k > 0)):
+        return -np.inf
+    observed = k > 0
+    terms = k[observed] * np.log(mean[observed])
+    return float(terms.sum() - mean.sum() - sum(math.lgamma(x + 1.0) for x in k.tolist()))
+
+
+def saturated_log_likelihood(counts: np.ndarray) -> float:
+    """``sum_j (k_j ln k_j - k_j - ln k_j!)``, 0 ln 0 taken as 0: the
+    Poisson log-likelihood of the saturated model, whose rate on every row
+    is its count, summed exactly (``math.fsum``)."""
+    return math.fsum(
+        (k * math.log(k) if k > 0 else 0.0) - k - math.lgamma(k + 1.0)
+        for k in np.asarray(counts, dtype=float).tolist()
+    )
 
 
 def fisher_matrices(c: np.ndarray, data: Measurements) -> tuple[np.ndarray, np.ndarray]:

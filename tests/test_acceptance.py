@@ -23,12 +23,7 @@ from chitomo.harness import (
     run_mixed_state_workflow,
     run_scaling_study,
 )
-from chitomo.ml_engine import (
-    ReconstructionConfig,
-    expected_rates,
-    log_likelihood,
-    solve_likelihood,
-)
+from chitomo.ml_engine import ReconstructionConfig, solve_likelihood
 from chitomo.process_algebra import chi_from_kraus, kraus_from_chi, kraus_stack
 from chitomo.protocols import Measurements, auxiliary_rows, process_protocol
 from chitomo.quantum_core import fidelity, partial_trace
@@ -37,7 +32,9 @@ from process_oracles import (
     choi_from_channel,
     direct_probability,
     effective_probability,
+    expected_rates,
     fisher_matrices,
+    log_likelihood,
     unitary_mix,
 )
 from random_ops import (
@@ -260,7 +257,7 @@ class TestCriterion7PropertySuite:
         ops = proto.rows.operators
         rates = np.array([np.real(np.trace(op @ plate_truth)) for op in ops])
         t = 10**4 / rates.sum()
-        aux = auxiliary_rows(proto.input_states, 16 * t, 10.0)
+        aux = auxiliary_rows(proto.input_states, 16 * t)
         rows = Measurements(ops, np.full(16, t), rates * t) + replace(
             aux, counts=aux.exposures / 2.0
         )

@@ -200,7 +200,7 @@ class TestGenDataReconstruct:
         truth = build_truth(TruthSpec())
         proto = process_protocol("R4")
         data = generate_counts(proto.rows, truth, 5000, 321)
-        rows = data + auxiliary_rows(proto.input_states, sum(data.exposures), 10.0)
+        rows = data + auxiliary_rows(proto.input_states, sum(data.exposures))
         res = solve_likelihood(rows, ReconstructionConfig(rank=2))
         expected = fidelity(truth, res.estimate)
         assert result["fidelity_vs_truth"] == pytest.approx(expected, abs=1e-13)
@@ -239,7 +239,8 @@ class TestGenDataReconstruct:
     @pytest.mark.parametrize(
         "corrupt, message",
         [
-            (lambda rows: [{**r, "exposure": [r["exposure"]] * 2} for r in rows], "exposures"),
+            (lambda rows: [{**r, "exposure": [r["exposure"]] * 2} for r in rows],
+             "rows[0].exposure must be a number, got list"),
             (lambda rows: [{**rows[0], "operator": [[[1.0, 0.0]]]}, *rows[1:]], "operators"),
             (lambda rows: [{**rows[0], "exposure": None}, *rows[1:]],
              "rows[0].exposure must be a number, got NoneType"),
@@ -911,7 +912,7 @@ def reconstructible_rows() -> list[dict]:
     # channel and their auxiliary rows
     proto = process_protocol("R4")
     data = generate_counts(proto.rows, build_truth(TruthSpec(kind="identity")), 2000, 1)
-    rows = data + auxiliary_rows(proto.input_states, sum(data.exposures), 10.0)
+    rows = data + auxiliary_rows(proto.input_states, sum(data.exposures))
     return json_lists(cli._rows_to_json(rows, len(proto.rows.operators)))
 
 
@@ -957,6 +958,10 @@ class TestMalformedInputFiles:
             ({"rows": with_field(3, "exposure", lambda _: None)},
              ": rows[3].exposure must be a number, got NoneType"),
             ({"rows": with_field(5, "count", lambda _: None)}, ": rows[5].count must be a number, got NoneType"),
+            # nor is a list or an object
+            ({"rows": with_field(3, "exposure", lambda _: [1.0, 2.0])},
+             ": rows[3].exposure must be a number, got list"),
+            ({"rows": with_field(3, "count", lambda _: {"a": 1})}, ": rows[3].count must be a number, got dict"),
             ({"rows": with_field(3, "is_auxiliary", lambda _: "no")},
              ": rows[3].is_auxiliary must be true or false, got str"),
             ({"rows": with_field(19, "is_auxiliary", lambda _: 1)},

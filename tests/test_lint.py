@@ -100,8 +100,6 @@ UNCALLED_PUBLIC_FUNCTIONS = {
     "chi_change_basis": "the paper's Pauli <-> standard basis change of a chi-matrix",
     "broadband_mixed_state": "the benchmark's set-up code imports it, and the tests use it "
     "as the oracle of plate_count_states",
-    "log_likelihood": "the Poisson log-likelihood at any purified vector, beyond the one "
-    "a result reports",
 }
 
 

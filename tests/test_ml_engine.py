@@ -13,8 +13,7 @@ from chitomo.ml_engine import (
     _fisher,
     _initial_point,
     _perturbation,
-    expected_rates,
-    log_likelihood,
+    _surrogate,
     solve_likelihood,
     solve_likelihood_batch,
 )
@@ -31,9 +30,12 @@ from chitomo.quantum_core import fidelity
 from process_oracles import (
     each_lane,
     each_result,
+    expected_rates,
     fisher_matrices,
     fisher_scoring_step,
     generate_counts,
+    log_likelihood,
+    saturated_log_likelihood,
 )
 from random_ops import random_density_matrix, random_unitary
 from chitomo.waveplate import WaveplateSpec, broadband_mixed_state, sinc2_profile
@@ -53,15 +55,17 @@ def noiseless_counts(rows, truth, n):
     return Measurements(rows.operators, np.full(len(rates), t), rates * t), t
 
 
-def noiseless_rows(protocol, truth, n=10**4, weight=10.0):
+def noiseless_rows(protocol, truth, n=10**4):
     data, t = noiseless_counts(protocol.rows, truth, n)
-    aux = auxiliary_rows(protocol.input_states, 16 * t, weight)
+    aux = auxiliary_rows(protocol.input_states, 16 * t)
     return data + replace(aux, counts=aux.exposures / 2.0)
 
 
-def poisson_rows(protocol, truth, n=10**4, seed=0, weight=10.0):
+def poisson_rows(protocol, truth, n=10**4, seed=0, aux_scale=1.0):
+    # aux_scale multiplies the auxiliary rows' exposure, AUXILIARY_WEIGHT
+    # times the measured rows' total
     data = generate_counts(protocol.rows, truth, n, seed)
-    return data + auxiliary_rows(protocol.input_states, sum(data.exposures), weight)
+    return data + auxiliary_rows(protocol.input_states, aux_scale * sum(data.exposures))
 
 
 class TestExpectedRates:
@@ -91,25 +95,41 @@ class TestExpectedRates:
             )
 
 
+def surrogate(c, rows):
+    # the solver's likelihood surrogate at c, one lane
+    k, t = rows.counts[None], rows.exposures[None]
+    return _surrogate(expected_rates(c, rows)[None], k, t, np.where(k > 0, k, 1.0))[0]
+
+
 class TestLogLikelihood:
+    """The oracle's textbook Poisson log-likelihood and the solver's
+    surrogate, which is it minus the saturated model's value."""
+
     def test_zero_rate_with_counts_is_failure(self):
         rows = Measurements([np.diag([1.0, 0.0])], [1.0], [5])
         c = np.array([[0.0], [1.0]], dtype=complex)
         assert log_likelihood(c, rows) == -np.inf
+        assert surrogate(c, rows) == -np.inf
 
     def test_empty_row_changes_nothing(self):
         c = np.array([[0.0], [1.0]], dtype=complex)
         base = Measurements([np.diag([0.0, 1.0])], [2.0], [3])
         extra = base + Measurements([np.diag([1.0, 0.0])], [2.0], [0])
         assert log_likelihood(c, extra) == pytest.approx(log_likelihood(c, base))
+        assert surrogate(c, extra) == surrogate(c, base)
 
-    def test_factorial_constant_shift(self):
+    def test_saturated_model_shift(self):
+        # rate 1, exposure 2, count 3: 3 ln(2/3) - (2 - 3) against
+        # 3 ln 2 - 2 - ln 3!, their gap 3 ln 3 - 3 - ln 3!
         c = np.array([[0.0], [1.0]], dtype=complex)
         rows = Measurements([np.diag([0.0, 1.0])], [2.0], [3])
-        import math
-
-        diff = log_likelihood(c, rows, include_factorial=False) - log_likelihood(c, rows)
-        assert diff == pytest.approx(math.lgamma(4.0))
+        assert surrogate(c, rows) == pytest.approx(3 * math.log(2 / 3) + 1, rel=1e-15)
+        assert saturated_log_likelihood(rows.counts) == pytest.approx(
+            3 * math.log(3) - 3 - math.lgamma(4.0), rel=1e-15
+        )
+        assert surrogate(c, rows) == pytest.approx(
+            log_likelihood(c, rows) - saturated_log_likelihood(rows.counts), rel=1e-14
+        )
 
     def test_gradient_against_finite_differences(self, rng, plate_truth):
         proto = process_protocol("R4")
@@ -255,8 +275,8 @@ class TestSolveLikelihood:
     def test_tp_residual_shrinks_with_aux_weight(self, plate_truth):
         proto = process_protocol("R4")
         residuals = []
-        for weight in (1.0, 10.0, 100.0):
-            rows = poisson_rows(proto, plate_truth, seed=6, weight=weight)
+        for aux_scale in (0.1, 1.0, 10.0):
+            rows = poisson_rows(proto, plate_truth, seed=6, aux_scale=aux_scale)
             res = solve_likelihood(rows, ReconstructionConfig(rank=2))
             residuals.append(res.tp_residual)
         assert residuals[0] > residuals[1] > residuals[2]
@@ -525,11 +545,13 @@ class TestStoppingRule:
 class TestDataStartOnTheAcceptanceCell:
     def test_replication_63_reaches_the_higher_maximum(self, campaign_rows):
         # from a fixed start at c0[i % d, i] = 1/sqrt(r) this solve stopped
-        # at a lower stationary point: ll -76.9524, loss 0.1432 against 0.1154
+        # at a lower stationary point: full Poisson log-likelihood -76.9524,
+        # loss 0.1432 against 0.1154.  The result's value is the full one
+        # minus the saturated model's
         rows = campaign_rows(ACCEPTANCE_RANK2_N1E3_SEED, 63, 1000)
         res = solve_likelihood(rows, ReconstructionConfig(rank=2))
         assert res.stop_reason == "stationary"
-        assert res.log_likelihood >= -76.8807
+        assert res.log_likelihood >= -76.8807 - saturated_log_likelihood(rows.counts)
 
     def test_median_iterations_of_first_20_replications(self, campaign_rows):
         # the fixed start took a median of 22; the median, not the total,
@@ -886,55 +908,47 @@ class TestBatchLanes:
 
 
 class TestResultLogLikelihood:
-    """A result's log_likelihood is the full Poisson log-likelihood at the
-    rates the solve ended with, computed with the result: the bits of
-    ``_log_likelihood`` at those rates, which are also those of the partial
-    value minus the factorial constant."""
+    """A result's log_likelihood is the surrogate its solve maximized, at
+    the c its lane stopped with: the log-likelihood ratio to the saturated
+    model, <= 0, which is the oracle's full Poisson log-likelihood at that c
+    minus the saturated model's value of the lane's counts."""
 
-    def solve_recording_rates(self, monkeypatch, data, config):
-        # the (lam, k, t) the results are made from
+    def solve_recording_c(self, monkeypatch, data, config):
+        # the c of every lane the results are made from
         recorded = []
-        real = ml_engine._log_likelihood
+        real = ml_engine._results
 
-        def recording(lam, k, t, include_factorial=True):
-            recorded.append((lam, k, t, include_factorial))
-            return real(lam, k, t, include_factorial)
+        def recording(ops, t, k, rank, end):
+            recorded.append(end.c.copy())
+            return real(ops, t, k, rank, end)
 
-        monkeypatch.setattr(ml_engine, "_log_likelihood", recording)
+        monkeypatch.setattr(ml_engine, "_results", recording)
         results = solve_likelihood_batch(data, config)
-        monkeypatch.setattr(ml_engine, "_log_likelihood", real)
-        assert [flag for *_, flag in recorded] == [True]
-        lam, k, t, _ = recorded[0]
-        return results, lam, k, t
+        monkeypatch.setattr(ml_engine, "_results", real)
+        [c] = recorded
+        return results, c
 
-    def assert_values(self, results, lam, k, t):
-        full = ml_engine._log_likelihood(lam, k, t)
-        partial = ml_engine._log_likelihood(lam, k, t, include_factorial=False)
-        factorials = ml_engine._log_factorials(k)
-        for res, value, lane_partial, constant, lane in zip(
-            each_result(results), full.tolist(), partial.tolist(), factorials, zip(lam, k, t),
-            strict=True,
-        ):
+    def assert_values(self, results, c, lanes):
+        for res, lane_c, lane in zip(each_result(results), c, lanes, strict=True):
             assert type(res.log_likelihood) is float
-            assert res.log_likelihood == value == lane_partial - constant
-            # the sum written out row by row, to the float resolution of the
-            # parts of its terms
-            parts = [
-                (ki * math.log(li * ti), -li * ti, -math.lgamma(ki + 1))
-                for li, ki, ti in zip(*lane)
-            ]
-            exact = math.fsum(x for row in parts for x in row)
-            scale = math.fsum(abs(x) for row in parts for x in row)
-            assert res.log_likelihood == pytest.approx(exact, rel=0, abs=1e-14 * scale)
+            assert res.log_likelihood <= 0
+            full = log_likelihood(lane_c, lane)
+            constant = saturated_log_likelihood(lane.counts)
+            # to the float resolution of the full form's parts
+            mean = expected_rates(lane_c, lane) * lane.exposures
+            k = lane.counts
+            parts = np.concatenate([k * np.log(mean), mean, [math.lgamma(x + 1.0) for x in k]])
+            scale = math.fsum(np.abs(parts).tolist())
+            assert res.log_likelihood == pytest.approx(full - constant, rel=0, abs=1e-14 * scale)
 
     def test_alone_and_in_batches(self, monkeypatch, campaign_rows):
         config = ReconstructionConfig(rank=2)
         data = campaign_rows(77, range(44, 52), 500)
-        batch, *finish = self.solve_recording_rates(monkeypatch, data, config)
-        self.assert_values(batch, *finish)
+        batch, c = self.solve_recording_c(monkeypatch, data, config)
+        self.assert_values(batch, c, each_lane(data))
         for one, lane in zip(each_lane(data), each_result(batch), strict=True):
-            alone, *finish = self.solve_recording_rates(monkeypatch, one, config)
-            self.assert_values(alone, *finish)
+            alone, c = self.solve_recording_c(monkeypatch, one, config)
+            self.assert_values(alone, c, [one])
             assert alone.log_likelihood[0] == lane.log_likelihood
             assert np.isfinite(lane.log_likelihood)
 
@@ -943,12 +957,20 @@ class TestResultLogLikelihood:
         rows = bn_state_protocol(36, 312.7, 1.0)
         truths = [np.diag([0.7, 0.3]).astype(complex), np.eye(2) / 2]
         data = generate_counts_batch(rows, truths, 10**5, [3, 3])
-        batch, *finish = self.solve_recording_rates(monkeypatch, data, ReconstructionConfig(rank=2))
-        self.assert_values(batch, *finish)
+        batch, c = self.solve_recording_c(monkeypatch, data, ReconstructionConfig(rank=2))
+        self.assert_values(batch, c, each_lane(data))
         assert batch.log_likelihood.tolist() == [
             solve_likelihood(one, ReconstructionConfig(rank=2)).log_likelihood
             for one in each_lane(data)
         ]
+
+    def test_noiseless_pure_state_reaches_the_saturated_model(self, rng):
+        # counts equal to the rates of a rank-1 model are the saturated model
+        v = random_density_matrix(2, rng, rank=1)
+        rows, _ = noiseless_counts(bn_state_protocol(8, 312.7, 1.0), v, 10**5)
+        res = solve_likelihood(rows, ReconstructionConfig(rank=1))
+        assert res.converged
+        assert abs(res.log_likelihood) <= 1e-12 * rows.counts.sum()
 
 
 class TestReconstructState:

@@ -14,7 +14,6 @@ from chitomo.harness import TruthSpec
 from chitomo.ml_engine import ReconstructionConfig
 from chitomo.process_algebra import chi_from_kraus
 from chitomo.protocols import (
-    AUXILIARY_WEIGHT,
     Config,
     IncompleteProtocolError,
     Measurements,
@@ -355,7 +354,7 @@ class TestProcessProtocol:
         proto = process_protocol(name, lam_um)
         oracle = process_operators_per_row(proto.input_states)
         assert proto.rows.operators.tobytes() == oracle.tobytes()
-        aux = auxiliary_rows(proto.input_states, 123.4, 10.0)
+        aux = auxiliary_rows(proto.input_states, 123.4)
         assert aux.operators.tobytes() == auxiliary_operators_per_row(proto.input_states).tobytes()
 
     def test_unknown_name(self):
@@ -365,27 +364,27 @@ class TestProcessProtocol:
 
 class TestAuxiliaryRows:
     def test_rate_is_half_for_trace_preserving(self, rng):
-        rows = auxiliary_rows(j4_states(), total_exposure=100.0, weight=10.0)
+        rows = auxiliary_rows(j4_states(), total_exposure=100.0)
         kraus = random_trace_preserving_kraus(2, 3, rng)
         choi = chi_from_kraus(kraus) / 2
         for op in rows.operators:
             assert np.real(np.trace(op @ choi)) == pytest.approx(0.5, abs=1e-12)
 
     def test_exposure_and_virtual_count(self):
-        rows = auxiliary_rows(j4_states(), total_exposure=1000.0, weight=10.0)
+        rows = auxiliary_rows(j4_states(), total_exposure=1000.0)
         for exposure, count in zip(rows.exposures, rows.counts):
             assert exposure == pytest.approx(10000.0)
             assert count == 5000
 
     def test_operator_is_psd_trace_two(self):
-        for op in auxiliary_rows(r4_states(), 10.0, 1.0).operators:
+        for op in auxiliary_rows(r4_states(), 10.0).operators:
             assert op.trace().real == pytest.approx(2.0, abs=1e-12)
             assert np.linalg.eigvalsh(op).min() > -1e-12
 
     def test_incomplete_inputs_rejected(self):
         h = np.array([1.0, 0.0])
         with pytest.raises(IncompleteProtocolError, match="complete"):
-            auxiliary_rows([h, h, h, h], 10.0, 1.0)
+            auxiliary_rows([h, h, h, h], 10.0)
 
 
 class TestProcessDatasets:
@@ -398,7 +397,7 @@ class TestProcessDatasets:
         sets = protocols.process_datasets(proto, plate_truth, 3000, seeds)
         for data, seed in zip(each_lane(sets), seeds):
             alone = generate_counts(proto.rows, plate_truth, 3000, seed)
-            alone = alone + auxiliary_rows(proto.input_states, sum(alone.exposures), AUXILIARY_WEIGHT)
+            alone = alone + auxiliary_rows(proto.input_states, sum(alone.exposures))
             for column in ("operators", "exposures", "counts"):
                 assert getattr(data, column).tobytes() == getattr(alone, column).tobytes(), column
             assert data.operators is sets.operators
@@ -447,25 +446,29 @@ class TestPoissonSampler:
         assert abs(draws.var() - mean) < 5 * se_var
 
     def test_generator_ends_past_the_first_block(self):
-        # the first block holds a uniform per mean in (0, 30), two per mean
-        # from 30 up and 16 more; when it covers the draws, the generator
-        # ends right past it
+        # the first block holds two uniforms per mean and 16 more; when it
+        # covers the draws, the generator ends right past it
         means = [0.0, 0.5, 5e-324, 29.99, 30.0, 1e3, 0.0]
         rng = np.random.default_rng(8)
         poisson_counts(means, rng)
         oracle = np.random.default_rng(8)
-        oracle.random(3 + 2 * 2 + 16)  # 3 inversion draws, 2 rejection means
+        oracle.random(2 * 7 + 16)  # 7 means
         assert rng.random() == oracle.random()
 
-    def test_matches_scalar_oracle_across_blocks(self):
+    @pytest.mark.parametrize("block", [2, 3, 17])
+    def test_matches_scalar_oracle_across_blocks(self, block):
         # the blocks of uniforms are one stream: the draws equal one scalar
-        # rng.random() call per uniform, also past a block's end
+        # rng.random() call per uniform, also past a block's end, where a
+        # rejection attempt may take the block's last uniform and the next
+        # block's first; a block is fetched only when the next draw needs it
         means = np.tile([0.0, 0.3, 7.0, 29.99, 30.0, 30.01, 64.0, 5e3], 40)
         counting = CountingGenerator(31)
-        draws = poisson_counts(means, counting)
-        oracle = np.random.default_rng(31)
+        draws = protocols._draw_counts(
+            means.tolist(), counting, block, protocols._rejection_constants(means)
+        )
+        oracle = CountingGenerator(31)
         assert draws == [sample_poisson(mu, oracle) for mu in means]
-        assert counting.calls >= 2
+        assert counting.calls == -(-oracle.calls // block)
 
     def test_rejection_constants_equal_scalar_expressions(self):
         # the one array pass gives the doubles of the oracle's per-draw
@@ -492,20 +495,20 @@ class TestPoissonSampler:
     )
     def test_draws_and_end_state_equal_scalar_oracle(self, means):
         # every draw is the scalar oracle's, and the generator ends past the
-        # last block fetched: blocks of (uniforms per first attempt + 16),
-        # as many as the oracle's uniforms fill, none for all-zero means;
-        # the rejection means fail more than 8 attempts and refill the
-        # block, in the odd-sized block of "odd-block" with one uniform left
+        # last block fetched: blocks of 2 m + 16 uniforms for m means, as
+        # many as the oracle's uniforms fill, none for all-zero means; where
+        # the means from 30 up take all but at most 17 uniforms of the
+        # block, they fail more than 8 attempts and refill it
         counting = CountingGenerator(41)
         draws = poisson_counts(means, counting)
         oracle = CountingGenerator(41)
         assert draws == [sample_poisson(mu, oracle) for mu in means]
-        block = sum(1 if 0 < mu < 30 else 2 if mu >= 30 else 0 for mu in means) + 16
+        block = 2 * len(means) + 16
         end = np.random.default_rng(41)
         end.random(-(-oracle.calls // block) * block)
         assert counting.rng.bit_generator.state == end.bit_generator.state
         assert counting.calls == -(-oracle.calls // block)
-        if max(means) >= 30.0:
+        if sum(mu < 30.0 for mu in means) <= 1:
             assert counting.calls >= 2
 
 
@@ -517,20 +520,37 @@ def straddle_rows():
     return Measurements(ops, np.repeat(means, 2))
 
 
+# the total of rejection_rows' exposures: scale 1, so the means are the exposures
+REJECTION_TOTAL = 75 * 10_104
+
+
+def rejection_rows():
+    """300 identity rows, rate 1 under every trace-1 truth, with means 30,
+    33, 41 and 1e4 at n_total ``REJECTION_TOTAL``: every draw is a rejection
+    draw of two uniforms per attempt, so more than 8 failed attempts refill
+    a set's block of 2 m + 16 uniforms."""
+    return Measurements(np.tile(np.eye(2), (300, 1, 1)), np.tile([30.0, 33.0, 41.0, 1e4], 75))
+
+
 class TestGenerateCounts:
     def test_frozen_counts(self, plate_truth):
         proto = process_protocol("R4")
         rows = generate_counts(proto.rows, plate_truth, 10**4, 123)
         assert rows.counts.tolist() == GOLDEN_COUNTS
 
-    @pytest.mark.parametrize("name", ["J4", "R4", "B4", "B4-state", "B36", "straddle"])
+    @pytest.mark.parametrize(
+        "name", ["J4", "R4", "B4", "B4-state", "B36", "straddle", "rejection"]
+    )
     def test_matches_per_row_reference(self, name, monkeypatch):
         # the per-row loop that the one-product rates replaced, drawing with
         # the scalar sampler: each rate is the same length-d dot product, so
         # exposures and counts must agree bit for bit (an einsum for the
         # rates moves the last bit of some), for truths of every rank
-        if name == "straddle":
-            rows, n_total = straddle_rows(), 6717  # the exposed rows' sum: scale 1
+        if name in ("straddle", "rejection"):
+            # scale 1: n_total is the exposed rows' sum
+            rows, n_total = {
+                "straddle": (straddle_rows(), 6717), "rejection": (rejection_rows(), REJECTION_TOTAL)
+            }[name]
             truths = [np.diag([1.0, 0.0]).astype(complex)]
         else:
             if name == "B4-state":
@@ -576,6 +596,7 @@ class TestGenerateCounts:
             means = np.multiply(rates, exposures)
             assert np.any(means == 0.0) and np.any((means > 29.9) & (means < 30))
             assert np.any((means >= 30.0) & (means < 30.1))
+        if name == "rejection":
             assert generators[-1].calls >= 2  # the uniform block was refilled
 
     @pytest.mark.parametrize("name", ["J4", "R4", "B4", "B36", "straddle"])
@@ -613,20 +634,25 @@ class TestGenerateCounts:
         if name in ("straddle", "B36"):
             assert np.any(np.abs(means) < 1e-12)
 
-    def test_batch_equals_scalar_oracle_with_end_states(self, monkeypatch):
-        # rows of rate 1 or 0 under diagonal truths, with exposures whose
-        # every partial sum is exact and whose total is n_total, so the
-        # exposure scale is 1 and the means are exactly 0, 0.3125, 29.875
-        # (dyadic neighbours of 0.3 and 29.9), 30, 1e4 and 1e7 (halved under
-        # the mixed truth); each set's counts are
-        # the scalar oracle's draws from its seed, and each generator ends
-        # past the blocks its draws fetched, some set refilling its first
-        means = np.tile([0.0, 0.3125, 29.875, 30.0, 1e4, 1e7, 0.8125], 40)
-        rows = Measurements(
-            np.tile([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], (len(means), 1, 1)),
-            np.repeat(means, 2),
-        )
-        n_total = 40 * 10_010_061
+    @pytest.mark.parametrize("name", ["straddle", "rejection"])
+    def test_batch_equals_scalar_oracle_with_end_states(self, name, monkeypatch):
+        # "straddle": rows of rate 1 or 0 under diagonal truths, with
+        # exposures whose every partial sum is exact and whose total is
+        # n_total, so the exposure scale is 1 and the means are exactly 0,
+        # 0.3125, 29.875 (dyadic neighbours of 0.3 and 29.9), 30, 1e4 and 1e7
+        # (halved under the mixed truth); "rejection": rejection_rows, every
+        # set refilling its block.  Each set's counts are the scalar
+        # oracle's draws from its seed, and each generator ends past the
+        # blocks its draws fetched
+        if name == "straddle":
+            means = np.tile([0.0, 0.3125, 29.875, 30.0, 1e4, 1e7, 0.8125], 40)
+            rows = Measurements(
+                np.tile([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], (len(means), 1, 1)),
+                np.repeat(means, 2),
+            )
+            n_total = 40 * 10_010_061
+        else:
+            rows, n_total = rejection_rows(), REJECTION_TOTAL
         truths = np.array([np.diag(p) for p in ([1.0, 0.0], [0.0, 1.0], [0.5, 0.5])], complex)
         seeds = [derive_seed(3, k) for k in range(3)]
         generators = []
@@ -641,23 +667,29 @@ class TestGenerateCounts:
         for truth, seed, data, generator in zip(truths, seeds, each_lane(batch), generators):
             assert np.array_equal(data.exposures, rows.exposures)  # scale 1
             set_means = per_row_rates(rows, truth) * data.exposures
-            rate = truth[0, 0].real or 1.0  # of the exposed rows
-            assert set(set_means.tolist()) >= {0.0, 30.0 * rate, 1e4 * rate, 1e7 * rate}
+            if name == "straddle":
+                rate = truth[0, 0].real or 1.0  # of the exposed rows
+                assert set(set_means.tolist()) >= {0.0, 30.0 * rate, 1e4 * rate, 1e7 * rate}
             oracle = CountingGenerator(seed)
             assert data.counts.tolist() == [sample_poisson(mu, oracle) for mu in set_means]
-            block = int(np.count_nonzero(set_means) + np.count_nonzero(set_means >= 30) + 16)
+            block = 2 * len(set_means) + 16
             end = np.random.default_rng(seed)
             end.random(-(-oracle.calls // block) * block)
             assert generator.rng.bit_generator.state == end.bit_generator.state
-        assert max(generator.calls for generator in generators) >= 2
+            assert generator.calls == -(-oracle.calls // block)
+        if name == "rejection":
+            assert min(generator.calls for generator in generators) >= 2
 
-    @pytest.mark.parametrize("name", ["R4", "B36", "straddle"])
+    @pytest.mark.parametrize("name", ["R4", "B36", "straddle", "rejection"])
     def test_one_truth_for_many_seeds(self, name, monkeypatch):
         # one truth for S seeds is one generate_counts call per seed and the
         # stack of S copies of the truth: the same exposures and counts, and
         # each generator in the same end state
         if name == "straddle":
             rows, n_total = straddle_rows(), 6717  # scale 1: means 0, below and from 30
+            truth = np.diag([1.0, 0.0]).astype(complex)
+        elif name == "rejection":
+            rows, n_total = rejection_rows(), REJECTION_TOTAL
             truth = np.diag([1.0, 0.0]).astype(complex)
         else:
             rows = bn_state_protocol(36) if name == "B36" else process_protocol(name).rows
@@ -684,7 +716,7 @@ class TestGenerateCounts:
         for got, want in zip(generators["batch"], generators["single"]):
             assert got.calls == want.calls
             assert got.rng.bit_generator.state == want.rng.bit_generator.state
-        if name == "straddle":
+        if name == "rejection":
             assert max(g.calls for g in generators["batch"]) >= 2  # a refilled block
         empty = generate_counts_batch(rows, truth, n_total, [])
         assert empty.counts.shape == (0, len(rows.operators))
