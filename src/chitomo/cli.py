@@ -461,9 +461,9 @@ def _write_campaign(out_dir: Path, result) -> None:
     solve_fields = REPLICATION_FIELDS[1:]
     lines = [",".join(("replication", "seed", "fidelity", *solve_fields))]
     for i, (f, rep) in enumerate(zip(result.fidelities, result.replications)):
-        # str(float) is repr(float); the solve's fields are empty where it raised
+        # str(float) is repr(float)
         cells = (i, rep["seed"], float(f), *(rep[key] for key in solve_fields))
-        lines.append(",".join("" if c is None else str(c) for c in cells))
+        lines.append(",".join(map(str, cells)))
     (out_dir / "replications.csv").write_text("\n".join(lines) + "\n")
     hist = result.histogram
     lines = ["bin_left,bin_right,count"]

@@ -15,10 +15,10 @@ call that draws every count set and adds one set of auxiliary rows, one
 ``solve_likelihood_batch`` call and one stacked ``fidelity`` call.  The data
 sets are one ``Measurements`` record with a lane per replication, and the
 solves one ``ReconstructionResult`` record with a row per replication,
-whose columns the campaign's outputs are read from; a lane that fails its
-set-up carries its error text there.  Each replication draws from its own
-seeded generator, and a lane's result is bit-identical to its lone solve,
-so the outputs equal those of one replication at a time.
+whose columns the campaign's outputs are read from.  Each replication
+draws from its own seeded generator, and a lane's result is bit-identical
+to its lone solve, so the outputs equal those of one replication at a
+time.
 """
 
 from __future__ import annotations
@@ -198,18 +198,17 @@ class ScalingConfig(_CampaignFields):
 
 @dataclass(frozen=True)
 class CampaignResult:
-    fidelities: np.ndarray  # NaN where the replication has no estimate
+    fidelities: np.ndarray  # per replication, capped solves' included
     mean_loss: float
-    failures: list[int]
-    failure_reasons: dict[int, str]  # failed replication -> error text or stop reason
+    failures: list[int]  # the replications whose solve stopped at the iteration cap
+    failure_reasons: dict[int, str]  # failed replication -> its stop, iterations and residual
     histogram: dict  # bin_left / bin_right / count arrays
     info_spectrum: np.ndarray
     info_modes_above_cut: int
     nu: int  # the model's data modes, parameter_count(2, reconstruction_rank)
     metadata: dict
     # per replication, in index order: derived seed and the solve's
-    # iterations, stop reason, residual and step counts (None where the
-    # synthesis or the solve's set-up failed)
+    # iterations, stop reason, residual and step counts
     replications: list[dict]
 
 
@@ -254,22 +253,16 @@ def _solver_config(config: CampaignConfig) -> ReconstructionConfig:
 
 def _solve_replications(
     config: CampaignConfig, truth: np.ndarray, seeds: list[int]
-) -> ReconstructionResult | str:
-    # the record of the campaign's batch, a lane per replication, or the
-    # error text of the synthesis, which is every replication's
+) -> ReconstructionResult:
+    # the record of the campaign's batch, a lane per replication
     proto = process_protocol(config.protocol, config.truth.lam0_um)
-    try:
-        data = process_datasets(proto, truth, config.n_events, seeds)
-    except Exception as exc:
-        return f"{type(exc).__name__}: {exc}"
+    data = process_datasets(proto, truth, config.n_events, seeds)
     return solve_likelihood_batch(data, _solver_config(config))
 
 
 def _lane_fields(record: ReconstructionResult, names: Sequence[str]) -> list[dict]:
-    # each lane's fields names as Python values, None in a lane that failed
-    # its set-up
-    solved = np.equal(record.error, None)
-    columns = [np.where(solved, getattr(record, name), None).tolist() for name in names]
+    # each lane's fields names as Python values
+    columns = [getattr(record, name).tolist() for name in names]
     return [dict(zip(names, row)) for row in zip(*columns)]
 
 
@@ -278,51 +271,34 @@ def run_mc_campaign(config: CampaignConfig) -> CampaignResult:
 
     A replication enters the mean loss and the histogram when its solve
     converged, i.e. stopped on the residual or on stationarity (stop reason
-    ``"residual"`` or ``"stationary"``).  It fails when its synthesis or
-    the set-up of its solve failed, or when its solve stopped at the
-    iteration cap; failures are listed in ``failures`` with their error
-    text in ``failure_reasons``.  A failed replication's fidelity slot
-    holds NaN when it has no estimate and its fidelity when it only hit
-    the cap.
+    ``"residual"`` or ``"stationary"``).  It fails when its solve stopped
+    at the iteration cap; failures are listed in ``failures`` with their
+    stop in ``failure_reasons``, and their fidelity slot holds the capped
+    estimate's fidelity.
 
     The campaign runs in one process: one synthesis of every count set,
     one set of auxiliary rows, one ``solve_likelihood_batch`` call with a
-    lane per replication and one stacked ``fidelity`` call over the lanes
-    with an estimate.  Each replication draws from its own seeded
-    generator and a lane's result is that of its lone solve, so every
-    output bit is that of one replication at a time.  A synthesis error
-    fails every replication with the same text; a lane that fails its
-    set-up fails its replication alone, with the text of its own solve.
-    A solver estimate is ``c c^+`` over its trace at a finite c, so the
-    fidelity call does not raise on it.
+    lane per replication and one stacked ``fidelity`` call over the lanes.
+    Each replication draws from its own seeded generator and a lane's
+    result is that of its lone solve, so every output bit is that of one
+    replication at a time.  A synthesis or set-up error raises.  A solver
+    estimate is ``c c^+`` over its trace at a finite c, so the fidelity
+    call does not raise on it.
     """
-    n = config.replications
     truth = build_truth(config.truth)
-    seeds = derive_seeds(config.seed, range(n))
-    fidelities = np.full(n, np.nan)
+    seeds = derive_seeds(config.seed, range(config.replications))
     record = _solve_replications(config, truth, seeds)
-    if isinstance(record, str):  # the synthesis failed: every replication with its text
-        errors = np.full(n, record, object)
-        statuses = [dict.fromkeys(REPLICATION_FIELDS[1:])] * n
-        info_spectrum = np.array([])
-    else:
-        solved = np.equal(record.error, None)
-        fidelities[solved] = fidelity(truth, record.estimate[solved])
-        errors = record.error.copy()
-        capped = np.flatnonzero(solved & ~record.converged)
-        errors[capped] = [
-            f"not converged: {record.stop_reason[i]} after {record.iterations[i]} "
-            f"iterations, residual {record.residual[i]:.3e}"
-            for i in capped
-        ]
-        statuses = _lane_fields(record, REPLICATION_FIELDS[1:])
-        # replication 0's; empty when it has no estimate
-        info_spectrum = record.info_spectrum[0] if solved[0] else np.array([])
+    fidelities = fidelity(truth, record.estimate)
+    failures = np.flatnonzero(~record.converged).tolist()
+    failure_reasons = {
+        i: f"not converged: {record.stop_reason[i]} after {record.iterations[i]} "
+        f"iterations, residual {record.residual[i]:.3e}"
+        for i in failures
+    }
+    statuses = _lane_fields(record, REPLICATION_FIELDS[1:])
     replications = [{"seed": seed, **status} for seed, status in zip(seeds, statuses)]
-    failure_reasons = {i: errors[i] for i in np.flatnonzero(np.not_equal(errors, None)).tolist()}
+    info_spectrum = record.info_spectrum[0]  # replication 0's
 
-    failures = list(failure_reasons)
-    # a replication without a fidelity has failed
     losses = 1.0 - np.delete(fidelities, failures)
     mean_loss = float(losses.mean()) if losses.size else math.nan
     if losses.size:
@@ -332,9 +308,7 @@ def run_mc_campaign(config: CampaignConfig) -> CampaignResult:
     else:
         counts, edges = np.zeros(HISTOGRAM_BINS, int), np.linspace(0, 1, HISTOGRAM_BINS + 1)
     # the solver's cutoff of F's range
-    modes_above = (
-        int(np.sum(info_spectrum > EIGEN_CUTOFF * info_spectrum[0])) if info_spectrum.size else 0
-    )
+    modes_above = int(np.sum(info_spectrum > EIGEN_CUTOFF * info_spectrum[0]))
     from . import __version__
 
     return CampaignResult(
@@ -494,8 +468,7 @@ def run_mixed_state_workflow(config: MixedWorkflowConfig) -> dict:
     from one ``component_sum_states`` call, and all fidelities and entropies
     from one stacked call each; the per-plate-count blocks of the report are
     sliced from those, the solve statuses from the records' columns.  A count
-    set that fails its solve's set-up raises that batch's ``raise_error``,
-    which names its lane.
+    set that fails its solve's set-up raises, naming its lane of the batch.
     """
     # the spectral shape at each component wavelength, 1 at the centre
     weights = sinc2_weights(np.asarray(config.component_lams_um), config.lam0_um, config.fwhm_um)
@@ -515,11 +488,9 @@ def run_mixed_state_workflow(config: MixedWorkflowConfig) -> dict:
     broadband = solve_likelihood_batch(
         count_sets.lanes(is_broadband), ReconstructionConfig(rank=config.broadband_rank)
     )
-    broadband.raise_error()
     components = solve_likelihood_batch(
         count_sets.lanes(~is_broadband), ReconstructionConfig(rank=config.component_rank)
     )
-    components.raise_error()
 
     # plate count i's component estimates are the block i of the stack, and
     # its subsets index that block

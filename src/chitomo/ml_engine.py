@@ -85,10 +85,10 @@ iteration's Levenberg tries start over every lane still in the batch, and
 a lane whose try is accepted takes no further tries.  The set-up (I, its
 spectrum, the data start and its rescale) and the results of every lane
 are stacked the same way: one array call for all lanes, per-lane LAPACK
-and BLAS calls inside it.  A lane with no counts or a singular I leaves
-before the first iteration, with the error text of its lone solve, and
-the other lanes solve on.  The batch returns one ``ReconstructionResult``
-of stacked columns, a row per lane.
+and BLAS calls inside it.  A batch with a lane that has no counts or a
+singular I raises at the set-up, before any iteration, for the first such
+lane.  The batch returns one ``ReconstructionResult`` of stacked columns, a
+row per lane.
 """
 
 from __future__ import annotations
@@ -136,22 +136,15 @@ class ReconstructionConfig(Config):
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
 
 
-# a set-up failure's stop reason, and the error class of its lone solve
-_SET_UP_ERRORS = {"incomplete": IncompleteProtocolError, "no_counts": ValueError}
-
-
 @dataclass(frozen=True)
 class ReconstructionResult:
-    """The results of a batch, one row per lane.  A lane that fails its
-    set-up stops with reason ``"incomplete"`` (a singular I) or
-    ``"no_counts"``, its lone solve's ``"<class>: <message>"`` in ``error``
-    (None in the other lanes), NaN results and no iterations or steps."""
+    """The results of a batch, one row per lane."""
 
     estimate: np.ndarray  # (B, d, d) trace-1 density / Choi matrices
     rank: int
     iterations: np.ndarray  # (B,)
     converged: np.ndarray  # (B,) stopped on "residual" or "stationary"
-    stop_reason: np.ndarray  # (B,) "residual", "stationary", "iteration_cap" or a set-up failure
+    stop_reason: np.ndarray  # (B,) "residual", "stationary" or "iteration_cap"
     residual: np.ndarray  # (B,)
     normalization_gap: np.ndarray  # (B,)
     nu: int | None
@@ -160,7 +153,6 @@ class ReconstructionResult:
     scoring_steps: np.ndarray  # (B,) accepted scoring steps
     rejected_steps: np.ndarray  # (B,) failed Levenberg tries
     log_likelihood: np.ndarray  # (B,) the log-likelihood ratio to the saturated model, <= 0
-    error: np.ndarray  # (B,) the set-up error text, or None
 
     def lanes(self, index: int | slice | np.ndarray) -> "ReconstructionResult":
         """The lanes a numpy index selects; an int gives one lane, its
@@ -168,16 +160,6 @@ class ReconstructionResult:
         picked = {k: v[index] for k, v in vars(self).items() if isinstance(v, np.ndarray)}
         scalars = {k: v.item() for k, v in picked.items() if isinstance(v, np.generic)}
         return ReconstructionResult(**{**vars(self), **picked, **scalars})
-
-    def raise_error(self) -> None:
-        """Raises the set-up error of the first failing lane, in lane order,
-        with the class and message of its lone solve, the message prefixed
-        ``"lane b: "`` in a record of more than one lane."""
-        failing = np.flatnonzero(np.not_equal(self.error, None))
-        if failing.size:
-            b = failing[0]
-            lane = f"lane {b}: " if len(self.error) > 1 else ""
-            raise _SET_UP_ERRORS[self.stop_reason[b]](lane + self.error[b].partition(": ")[2])
 
 
 def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -365,44 +347,40 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None] @ b[:, :, None])[:, 0, 0]
 
 
-def _set_up(
-    t: np.ndarray, k: np.ndarray, ops: np.ndarray, rank: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _set_up(t: np.ndarray, k: np.ndarray, ops: np.ndarray, rank: int) -> np.ndarray:
     """Each lane's ``I = sum_j t_j Lambda_j`` (B, d, d) from its exposures
-    and counts ``t, k (B, m)``, with its stop reason and error text when it
-    cannot be solved, None otherwise: ``"incomplete"`` where I is singular,
-    else ``"no_counts"`` where the lane has no counts."""
+    ``t (B, m)``.  Raises for the first lane, in lane order, that cannot be
+    solved: IncompleteProtocolError where its I is singular, else ValueError
+    where its counts ``k (B, m)`` are all zero, the message prefixed ``"lane
+    b: "`` in a batch of more than one lane."""
     n_lanes = len(t)
     m, d, _ = ops.shape
     # what np.tensordot(t, ops, axes=1) computes, lane by lane
     i_mat = (t[:, None] @ ops.reshape(m, d * d)).reshape(n_lanes, d, d)
     w_i = np.linalg.eigvalsh(i_mat)
     w_min, w_max = w_i.min(axis=1), w_i.max(axis=1)
-    singular = np.flatnonzero(w_min <= 1e-12 * w_max)
-    no_counts = np.flatnonzero(k.sum(axis=1) <= 0)
-    reason, error = np.full(n_lanes, None, object), np.full(n_lanes, None, object)
-    reason[no_counts], error[no_counts] = "no_counts", "ValueError: no observed counts"
-    reason[singular] = "incomplete"
-    error[singular] = [
-        f"IncompleteProtocolError: information matrix I is singular (eigenvalues "
-        f"{w_min[b]:.3e}..{w_max[b]:.3e}); the protocol cannot identify rank {rank}"
-        for b in singular
-    ]
-    return i_mat, reason, error
+    singular = w_min <= 1e-12 * w_max
+    failing = np.flatnonzero(singular | (k.sum(axis=1) <= 0))
+    if failing.size:
+        b = failing[0]
+        lane = f"lane {b}: " if n_lanes > 1 else ""
+        if singular[b]:
+            raise IncompleteProtocolError(
+                f"{lane}information matrix I is singular (eigenvalues {w_min[b]:.3e}.."
+                f"{w_max[b]:.3e}); the protocol cannot identify rank {rank}"
+            )
+        raise ValueError(f"{lane}no observed counts")
+    return i_mat
 
 
 def solve_likelihood(
     data: Measurements, config: ReconstructionConfig
 ) -> ReconstructionResult:
     """Solve ``I c = J c`` for one data set, exposures and counts ``(m,)``:
-    lane 0 of a batch of one lane, whose per-lane fields are scalars.
-    Raises the lane's set-up error: ValueError when it has no counts,
-    IncompleteProtocolError when its I is singular."""
+    lane 0 of a batch of one lane, whose per-lane fields are scalars."""
     if data.exposures.ndim != 1:
         raise ValueError(f"solve_likelihood takes one data set, got {len(data.exposures)} lanes")
-    result = solve_likelihood_batch(data, config)
-    result.raise_error()
-    return result.lanes(0)
+    return solve_likelihood_batch(data, config).lanes(0)
 
 
 def solve_likelihood_batch(
@@ -414,11 +392,11 @@ def solve_likelihood_batch(
     The lanes are the rows of the record's ``(B, m)`` exposures and counts
     over its one operator array; a record of one data set ``(m,)`` is a
     batch of one lane.  Auxiliary rows participate exactly like measured
-    ones.  A lane with no counts, or whose I is singular (the protocol
-    cannot identify the model), stops before the first iteration with its
-    error text in the record (``ReconstructionResult.raise_error`` raises
-    it), and the other lanes solve on.  Non-convergence within the
-    iteration budget is reported through the result flags, not raised.
+    ones.  A lane with no counts raises ValueError, and one whose I is
+    singular (the protocol cannot identify the model) raises
+    IncompleteProtocolError, before any iteration; the message names the
+    first such lane.  Non-convergence within the iteration budget is
+    reported through the result flags, not raised.
     """
     exposures, counts = np.atleast_2d(data.exposures), np.atleast_2d(data.counts)
     if not len(exposures):
@@ -430,26 +408,23 @@ def solve_likelihood_batch(
         raise ValueError(f"rank {rank} exceeds dimension {d}")
     ops_flat = ops.reshape(m, d * d)
     n_lanes, n_par = len(exposures), 2 * d * rank
-    i_mat, reason, error = _set_up(exposures, counts, ops, rank)
-    s = _Lanes(lane=np.arange(n_lanes), k=counts, t=exposures, i_mat=i_mat)
-    # each lane as it stopped or failed its set-up; the spectrum is filled
-    # in here on a stationary stop and by _results on the others, and ll is
-    # the surrogate each solved lane stopped with
+    s = _Lanes(
+        lane=np.arange(n_lanes), k=counts, t=exposures,
+        i_mat=_set_up(exposures, counts, ops, rank),
+    )
+    # each lane as it stopped; the spectrum is filled in here on a
+    # stationary stop and by _results on the others, and ll is the
+    # surrogate the lane stopped with
     end = _Lanes(
         c=np.full((n_lanes, d, rank), np.nan, complex),
         residual=np.full(n_lanes, np.nan),
         iterations=np.zeros(n_lanes, int),
         steps=np.zeros(n_lanes, int),
         rejected=np.zeros(n_lanes, int),
-        reason=reason,
-        error=error,
+        reason=np.full(n_lanes, None, object),
         spectrum=np.full((n_lanes, n_par), np.nan),
         ll=np.full(n_lanes, np.nan),
     )
-    failing = np.not_equal(error, None)
-    if np.logical_or.reduce(failing) and not s.leave(failing, end):
-        return _results(ops, exposures, counts, rank, end)
-    n_lanes = len(s.lane)
     c = _initial_point(ops_flat, s.t, s.k, rank)
     s.c = c * np.sqrt(s.k.sum(axis=1) / _dots(_rates(c, ops_flat), s.t))[:, None, None]
     s.mu = np.full(n_lanes, 1e-3)  # Levenberg parameter
@@ -519,27 +494,17 @@ def solve_likelihood_batch(
     return _results(ops, exposures, counts, rank, end)
 
 
-def _lane_column(solved: np.ndarray, values: np.ndarray) -> np.ndarray:
-    # the solved lanes' values as a column of every lane, NaN in the others
-    column = np.full(solved.shape + values.shape[1:], np.nan, values.dtype)
-    column[solved] = values
-    return column
-
-
 def _results(
     ops: np.ndarray, t: np.ndarray, k: np.ndarray, rank: int, end: _Lanes
 ) -> ReconstructionResult:
-    """The record of every lane at the c it stopped with, the results of
-    the solved lanes computed for all of them at once, each quantity by one
-    BLAS or LAPACK call per lane, an elementwise operation or a sum along
-    the lane's own row.  ``end`` holds each lane's c, residual, surrogate,
-    iterations, accepted and rejected step counts, stop reason, set-up
-    error and, on a stationary stop, the spectrum of its last scoring step,
-    taken at exactly that c; the other solved lanes' spectra are computed
-    here from the same kind of matrix."""
-    solved = np.equal(end.error, None)
-    index = np.flatnonzero(solved)
-    c, t, k = end.c[index], t[index], k[index]
+    """The record of every lane at the c it stopped with, its results
+    computed for all lanes at once, each quantity by one BLAS or LAPACK call
+    per lane, an elementwise operation or a sum along the lane's own row.
+    ``end`` holds each lane's c, residual, surrogate, iterations, accepted
+    and rejected step counts, stop reason and, on a stationary stop, the
+    spectrum of its last scoring step, taken at exactly that c; the other
+    lanes' spectra are computed here from the same kind of matrix."""
+    c = end.c
     m, d, _ = ops.shape
     lam = _rates(c, ops.reshape(m, d * d))
     n_observed = k.sum(axis=1)
@@ -551,25 +516,24 @@ def _results(
     tp_residual = nu = None
     if s >= 2 and s * s == d:
         reduced = partial_trace(s * rho, "output")
-        tp_residual = _lane_column(solved, np.max(np.abs(reduced - np.eye(s)), axis=(1, 2)))
+        tp_residual = np.max(np.abs(reduced - np.eye(s)), axis=(1, 2))
         nu = parameter_count(s, rank)
-    missing = np.flatnonzero(end.reason[index] != "stationary")
+    missing = np.flatnonzero(end.reason != "stationary")
     if missing.size:
         info, _ = _information(c[missing], ops, t[missing], lam[missing])
-        end.spectrum[index[missing]] = _descending(np.linalg.eigvalsh(info), 2 * d * rank)
+        end.spectrum[missing] = _descending(np.linalg.eigvalsh(info), 2 * d * rank)
     return ReconstructionResult(
-        estimate=_lane_column(solved, rho),
+        estimate=rho,
         rank=rank,
         iterations=end.iterations,
-        converged=solved & (end.reason != "iteration_cap"),
+        converged=end.reason != "iteration_cap",
         stop_reason=end.reason,
         residual=end.residual,
-        normalization_gap=_lane_column(solved, gap),
+        normalization_gap=gap,
         nu=nu,
         tp_residual=tp_residual,
         info_spectrum=end.spectrum,
         scoring_steps=end.steps,
         rejected_steps=end.rejected,
         log_likelihood=end.ll,
-        error=end.error,
     )

@@ -118,11 +118,6 @@ class SU2Retarder:
         if abs(norm - 1.0) > 1e-10:
             raise ValueError(f"|t|^2 + |r|^2 = {norm!r} is not 1")
 
-    def matrix(self) -> np.ndarray:
-        return np.array(
-            [[self.t, self.r], [-np.conj(self.r), np.conj(self.t)]], dtype=complex
-        )
-
 
 def quartz_indices(lam_um: float) -> tuple[float, float]:
     """Ordinary and extraordinary refractive indices of crystalline quartz.

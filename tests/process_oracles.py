@@ -57,6 +57,7 @@ __all__ = [
     "fisher_scoring_step",
     "check_density_matrix",
     "su2_from_retarder",
+    "su2_matrix",
     "bootstrap_ratio_lower_bound",
     "sample_poisson",
     "per_row_rates",
@@ -287,6 +288,11 @@ def su2_from_retarder(delta: float, alpha_rad: float) -> SU2Retarder:
     return SU2Retarder(complex(t), complex(r))
 
 
+def su2_matrix(g: SU2Retarder) -> np.ndarray:
+    """The unimodular retarder matrix [[t, r], [-conj(r), conj(t)]] of g."""
+    return np.array([[g.t, g.r], [-np.conj(g.r), np.conj(g.t)]], dtype=complex)
+
+
 def bootstrap_ratio_lower_bound(
     numerator: np.ndarray,
     denominator: np.ndarray,
@@ -502,23 +508,18 @@ def plate_choi_state_per_knot(spec: WaveplateSpec, profile: SpectralProfile) -> 
 
 def replications_one_by_one(
     config: harness.CampaignConfig, truth: np.ndarray, seeds: Sequence[int]
-) -> ReconstructionResult | str:
+) -> ReconstructionResult:
     """The record of ``harness._solve_replications`` as it was computed
     before the batched synthesis and solve: each replication generates its
     own count set, builds its own auxiliary rows and has its own solve, a
-    batch of one lane, and the lanes' records are stacked.  A synthesis
-    error, which is every replication's, gives its text.  The solver is
+    batch of one lane, and the lanes' records are stacked.  The solver is
     looked up in ``harness``, so a test's patch there reaches both paths."""
     proto = process_protocol(config.protocol, config.truth.lam0_um)
     solver = harness._solver_config(config)
     records = []
     for seed in seeds:
-        try:
-            data = generate_counts(proto.rows, truth, config.n_events, seed)
-            total_t = sum(data.exposures)
-            aux = auxiliary_rows(proto.input_states, total_t)
-        except Exception as exc:
-            return f"{type(exc).__name__}: {exc}"
+        data = generate_counts(proto.rows, truth, config.n_events, seed)
+        aux = auxiliary_rows(proto.input_states, sum(data.exposures))
         records.append(harness.solve_likelihood_batch(data + aux, solver))
     stacked = {
         name: np.concatenate([getattr(record, name) for record in records])

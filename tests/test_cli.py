@@ -12,11 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chitomo import cli, harness, protocols
+from chitomo import cli, harness
 from chitomo.cli import COMMANDS, config_hash, main
 from chitomo.harness import CampaignConfig, ScalingConfig, TruthSpec, build_truth
 from chitomo.ml_engine import ReconstructionConfig, solve_likelihood
-from chitomo.protocols import Measurements, auxiliary_rows, process_protocol
+from chitomo.protocols import auxiliary_rows, process_protocol
 from chitomo.quantum_core import fidelity
 from conftest import REF_PLATE_CHOI
 from process_oracles import derive_seed, generate_counts, json_lists, matrix_from_json, matrix_to_json
@@ -362,33 +362,22 @@ class TestMcCommand:
         rows = [line.split(",") for line in texts[0].strip().splitlines()[1:]]
         assert sum(int(row[6]) for row in rows) > 0  # scoring steps were counted
 
-    def test_replications_csv_of_failed_and_capped_solves(self, tmp_path, monkeypatch):
-        # the second replication's count set and the auxiliary rows hold no
-        # counts: lane 1 of the campaign's batch fails its set-up, with the
-        # text of its own solve, and its solve's cells stay empty
-        aux, synthesize = protocols.auxiliary_rows, protocols.generate_counts_batch
-
-        def no_auxiliary_counts(*args):
-            rows = aux(*args)
-            return Measurements(rows.operators, rows.exposures)
-
-        def no_counts_in_set_1(rows, truth, n_total, seeds):
-            sets = synthesize(rows, truth, n_total, seeds)
-            counts = sets.counts.copy()
-            counts[1] = 0.0
-            return Measurements(sets.operators, sets.exposures, counts)
-
-        monkeypatch.setattr(protocols, "auxiliary_rows", no_auxiliary_counts)
-        monkeypatch.setattr(protocols, "generate_counts_batch", no_counts_in_set_1)
+    def test_replications_csv_of_capped_solves(self, tmp_path):
+        # every solve stops at the cap: each row holds its fidelity and its
+        # solve's fields, and each replication's stop is in failure_reasons
         cfg = write_config(tmp_path / "mc.json", {**self.CONFIG, "max_iterations": 2})
         assert main(["mc", "--config", cfg, "--seed", "9", "--out", str(tmp_path)]) == 1
         lines = (tmp_path / "replications.csv").read_text().strip().splitlines()
-        assert lines[2] == f"1,{derive_seed(9, 1)},nan,,,,,"
         result = json.loads((tmp_path / "result.json").read_text())
-        assert result["failure_reasons"]["1"] == "ValueError: no observed counts"
-        index, _, fid, iterations, stop_reason, _, scoring, _ = lines[1].split(",")
-        assert (iterations, stop_reason) == ("2", "iteration_cap")
-        assert 0.0 <= float(fid) <= 1.0
+        for i, line in enumerate(lines[1:]):
+            index, seed, fid, iterations, stop_reason, residual, scoring, rejected = line.split(",")
+            assert (int(index), int(seed)) == (i, derive_seed(9, i))
+            assert (iterations, stop_reason) == ("2", "iteration_cap")
+            assert 0.0 <= float(fid) <= 1.0
+            assert result["failure_reasons"][index] == (
+                f"not converged: iteration_cap after 2 iterations, residual {float(residual):.3e}"
+            )
+        scoring = lines[1].split(",")[6]
         assert int(scoring) == 2  # this capped solve steps in each of its iterations
 
 

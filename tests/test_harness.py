@@ -38,6 +38,7 @@ from process_oracles import (
     plate_choi_state_per_knot,
     replications_one_by_one,
     su2_from_retarder,
+    su2_matrix,
 )
 
 # a scaling study's cells set their own n_events
@@ -263,20 +264,18 @@ class TestReplicationsAsOneBatch:
         run_scaling_study(study)
         assert calls["solve"] == [3] * 6
 
-    def test_non_finite_truth_fails_every_replication_alike(self, monkeypatch):
+    def test_non_finite_truth_raises(self, monkeypatch):
+        # the synthesis error of a campaign, as of each replication alone
         monkeypatch.setattr(harness, "build_truth", lambda spec: np.full((4, 4), np.nan, complex))
         config = CampaignConfig.from_dict({**QUICK, "seed": 9})
-        result = run_mc_campaign(config)
-        text = "ValueError: total expected rate nan is not usable"
-        assert result.failure_reasons == {i: text for i in range(6)}
-        assert np.isnan(result.fidelities).all()
-        assert_same_bits(result, one_by_one(config, monkeypatch))
+        for run in (run_mc_campaign, lambda config: one_by_one(config, monkeypatch)):
+            with pytest.raises(ValueError, match="^total expected rate nan is not usable$"):
+                run(config)
 
-    def test_replication_without_counts_fails_alone_in_the_one_solve(self, monkeypatch):
-        # replication 3's count set has no counts: its lane leaves the
-        # campaign's one batch at the set-up with the text of its own solve,
-        # nothing is solved alone, and the other replications keep their
-        # bits
+    def test_replication_without_counts_raises_in_the_one_solve(self, monkeypatch):
+        # replication 3's count set and the auxiliary rows have no counts:
+        # the campaign's one batch raises at its set-up, naming lane 3,
+        # before anything is scored, and nothing is solved alone
         config = CampaignConfig.from_dict({**QUICK, "seed": 12})
         aux, synthesize = protocols.auxiliary_rows, protocols.generate_counts_batch
 
@@ -291,63 +290,58 @@ class TestReplicationsAsOneBatch:
             return dataclasses.replace(sets, counts=counts)
 
         monkeypatch.setattr(protocols, "auxiliary_rows", no_auxiliary_counts)
-        clean = run_mc_campaign(config)
-        assert not clean.failures
-        calls = {"solve": [], "fidelity": []}
-        solve, score = harness.solve_likelihood_batch, harness.fidelity
+        assert not run_mc_campaign(config).failures
+        calls = []
+        solve = harness.solve_likelihood_batch
 
         def counting_solve(data, solver):
-            calls["solve"].append(len(data.exposures))
+            calls.append(len(data.exposures))
             return solve(data, solver)
 
-        def counting_fidelity(rho0, rho):
-            calls["fidelity"].append(np.shape(rho))
-            return score(rho0, rho)
-
-        def no_lone_solve(data, solver):
-            raise AssertionError("a replication was solved alone")
+        def no_call(*args):
+            raise AssertionError("a replication was scored or solved alone")
 
         monkeypatch.setattr(protocols, "generate_counts_batch", no_counts_in_set_3)
         monkeypatch.setattr(harness, "solve_likelihood_batch", counting_solve)
-        monkeypatch.setattr(harness, "fidelity", counting_fidelity)
-        monkeypatch.setattr(ml_engine, "solve_likelihood", no_lone_solve)
-        result = run_mc_campaign(config)
-        assert calls == {"solve": [6], "fidelity": [(5, 4, 4)]}
-        assert result.failure_reasons == {3: "ValueError: no observed counts"}
-        assert math.isnan(result.fidelities[3])
-        seed = clean.replications[3]["seed"]
-        assert result.replications[3] == {**dict.fromkeys(harness.REPLICATION_FIELDS), "seed": seed}
-        others = [0, 1, 2, 4, 5]
-        assert result.fidelities[others].tobytes() == clean.fidelities[others].tobytes()
-        assert [result.replications[i] for i in others] == [clean.replications[i] for i in others]
+        monkeypatch.setattr(harness, "fidelity", no_call)
+        monkeypatch.setattr(ml_engine, "solve_likelihood", no_call)
+        with pytest.raises(ValueError, match="^lane 3: no observed counts$") as caught:
+            run_mc_campaign(config)
+        assert caught.type is ValueError
+        assert calls == [6]
 
     @pytest.mark.parametrize("rank, nu", [(1, 3), (2, 8)])
-    def test_failed_replication_0_keeps_nu(self, monkeypatch, rank, nu):
-        # replication 0's count set and the auxiliary rows hold no counts:
-        # its solve raises, so the campaign has no spectrum to report, but
-        # nu is the model's parameter count whichever replications failed
-        config = CampaignConfig.from_dict({**QUICK, "seed": 12, "reconstruction_rank": rank})
-        aux, synthesize = protocols.auxiliary_rows, protocols.generate_counts_batch
-
-        def no_auxiliary_counts(*args):
-            rows = aux(*args)
-            return dataclasses.replace(rows, counts=np.zeros_like(rows.counts))
-
-        def no_counts_in_set_0(rows, truth, n_total, seeds):
-            sets = synthesize(rows, truth, n_total, seeds)
-            counts = sets.counts.copy()
-            counts[0] = 0.0
-            return dataclasses.replace(sets, counts=counts)
-
-        monkeypatch.setattr(protocols, "auxiliary_rows", no_auxiliary_counts)
-        clean = run_mc_campaign(config)
-        monkeypatch.setattr(protocols, "generate_counts_batch", no_counts_in_set_0)
+    def test_capped_replication_0_keeps_nu_and_spectrum(self, rank, nu):
+        # every solve stops at the cap: nu is the model's parameter count and
+        # the spectrum is replication 0's, whichever replications failed
+        config = CampaignConfig.from_dict(
+            {**QUICK, "seed": 12, "reconstruction_rank": rank, "max_iterations": 2}
+        )
         result = run_mc_campaign(config)
-        assert result.failure_reasons == {0: "ValueError: no observed counts"}
-        assert len(result.failures) == 1
-        assert result.nu == clean.nu == nu
-        assert result.info_spectrum.size == 0 and result.info_modes_above_cut == 0
-        assert clean.info_spectrum.size == 8 * rank
+        assert result.failures == list(range(config.replications))
+        assert result.nu == nu
+        spectrum = result.info_spectrum
+        assert spectrum.size == 8 * rank and np.all(spectrum[:-1] >= spectrum[1:])
+        assert result.info_modes_above_cut == int(np.sum(spectrum > 1e-8 * spectrum[0]))
+
+    @pytest.mark.parametrize("protocol", ["J4", "R4", "B4"])
+    @pytest.mark.parametrize(
+        "truth",
+        [{}, {"kind": "identity"}, {"rank": 1}, {"thickness_um": 0.0}],
+        ids=["plate", "identity", "rank-1", "thin-plate"],
+    )
+    def test_no_campaign_lane_fails_its_set_up(self, protocol, truth):
+        # the premise of raising at the set-up: at the smallest sample size
+        # every lane's auxiliary rows carry counts and every lane's I, one
+        # for all since the lanes share exposures, is regular, so no mc or
+        # scaling config reaches the raise
+        seeds = derive_seeds(0, range(200))
+        proto = protocols.process_protocol(protocol)
+        data = protocols.process_datasets(proto, build_truth(TruthSpec(**truth)), 1, seeds)
+        n_aux = len(proto.input_states)
+        assert data.counts[:, -n_aux:].min() >= 1
+        assert np.all(data.exposures == data.exposures[0])
+        ml_engine._set_up(data.exposures, data.counts, data.operators, 4)
 
 
 class TestScalingStudy:
@@ -602,7 +596,7 @@ class TestRetarderFit:
         dn_fold = delta_fold * lam / (np.pi * thickness)
         assert report["birefringence"] == pytest.approx(dn_fold, abs=5e-5)
         # the fitted pair reproduces the true SU(2) element up to sign
-        m_fit = su2_from_retarder(report["delta_rad"], report["alpha_rad"]).matrix()
+        m_fit = su2_matrix(su2_from_retarder(report["delta_rad"], report["alpha_rad"]))
         m_true = np.conj(u)
         err = min(np.max(np.abs(m_fit - m_true)), np.max(np.abs(m_fit + m_true)))
         assert err < 1e-9

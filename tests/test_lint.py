@@ -2,9 +2,10 @@
 (no linter is needed): no module-level import goes unused in the package or
 in the tests, every private module-level function or class is referenced
 somewhere in the package, every public module-level function is called by
-package code (or allowed below, with its reason), and every name in a
-module's ``__all__`` or imported by ``chitomo/__init__.py`` is bound at the
-top level of the module it names."""
+package code (or allowed below, with its reason), every method of a package
+class but a dunder is called by package code, and every name in a module's
+``__all__`` or imported by ``chitomo/__init__.py`` is bound at the top level
+of the module it names."""
 
 import ast
 from pathlib import Path
@@ -128,6 +129,33 @@ def test_no_uncalled_public_functions():
     )
     stale = sorted(set(UNCALLED_PUBLIC_FUNCTIONS) - set(uncalled))
     assert not stale, f"UNCALLED_PUBLIC_FUNCTIONS names functions that are called or gone: {stale}"
+
+
+def test_no_uncalled_methods():
+    # a method of a package class is uncalled when no package code reads
+    # its name as an attribute outside the method's own definition; dunders
+    # are called by Python itself
+    trees = [parse(module) for module in MODULES]
+
+    def attribute_reads(node: ast.AST) -> list[str]:
+        return [n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+                and isinstance(n.ctx, ast.Load)]
+
+    reads = [attr for tree in trees for attr in attribute_reads(tree)]
+    uncalled = [
+        f"{cls.name}.{method.name} (line {method.lineno})"
+        for tree in trees
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for method in cls.body
+        if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (method.name.startswith("__") and method.name.endswith("__"))
+        and reads.count(method.name) == attribute_reads(method).count(method.name)
+    ]
+    assert not uncalled, (
+        f"methods no package code calls: {', '.join(uncalled)}; move them to "
+        "tests/process_oracles.py"
+    )
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -812,70 +812,46 @@ class TestBatchLanes:
             Measurements(data.operators, t, no_counts),
         )
 
-    def test_failing_lanes_leave_at_the_set_up(self, campaign_rows):
-        # the failing lanes in the middle of a batch stop before the first
-        # iteration with the texts their lone solves raise; the other lanes
-        # solve on, bit-identical to their lone solves
-        _, empty, singular, both = self.failing_lanes(campaign_rows)
-        good = each_lane(campaign_rows(77, range(3), 500))
-        lanes = [good[0], empty, singular, good[1], both, good[2]]
-        config = ReconstructionConfig(rank=2)
-        batch = solve_likelihood_batch(batch_of(*lanes), config)
-        texts = []
-        for one in lanes:
-            try:
-                solve_likelihood(one, config)
-                texts.append(None)
-            except ValueError as exc:
-                texts.append(f"{type(exc).__name__}: {exc}")
-        assert batch.error.tolist() == texts
-        assert texts[1] == "ValueError: no observed counts"
-        assert texts[2].startswith(
-            "IncompleteProtocolError: information matrix I is singular (eigenvalues "
-        )
-        assert texts[2].endswith("); the protocol cannot identify rank 2")
-        # a lane with both faults is named for its singular I
-        assert texts[4] == texts[2]
-        failing = [1, 2, 4]
-        assert batch.stop_reason[failing].tolist() == ["no_counts", "incomplete", "incomplete"]
-        for b in failing:
-            lane = batch.lanes(b)
-            assert (lane.iterations, lane.converged, lane.scoring_steps, lane.rejected_steps) == (
-                0, False, 0, 0
-            )
-            assert np.isnan(lane.estimate).all() and np.isnan(lane.info_spectrum).all()
-            for value in (lane.residual, lane.normalization_gap, lane.tp_residual, lane.log_likelihood):
-                assert math.isnan(value)
-        for b, one in ((0, good[0]), (3, good[1]), (5, good[2])):
-            assert_same_result(solve_likelihood(one, config), batch.lanes(b))
-            assert batch.error[b] is None
-        # a batch of failing lanes only makes no iteration
-        assert solve_likelihood_batch(batch_of(empty, both), config).error.tolist() == [
-            texts[1], texts[2]
-        ]
-
-    def test_raise_error_names_the_first_failing_lane(self, campaign_rows):
-        # in lane order, with the class of that lane's lone solve; a
-        # one-lane record raises without a lane number
+    def test_set_up_raises_for_the_first_failing_lane(self, campaign_rows):
+        # in lane order: IncompleteProtocolError for a singular I, also in a
+        # lane that has no counts either, else ValueError for no counts; the
+        # message names the lane in a batch of more than one, and a lone
+        # solve raises the same without a lane number
         data, empty, singular, both = self.failing_lanes(campaign_rows)
         config = ReconstructionConfig(rank=2)
+        incomplete = (
+            r"information matrix I is singular \(eigenvalues \S+\.\.\S+\); "
+            r"the protocol cannot identify rank 2$"
+        )
         cases = [
-            ((data, singular, data, empty), IncompleteProtocolError, "lane 1: information matrix"),
-            ((data, empty, data, singular), ValueError, "lane 1: no observed counts"),
-            ((data, data, both, empty), IncompleteProtocolError, "lane 2: information matrix"),
-            ((empty,), ValueError, "no observed counts"),
+            ((data, singular, data, empty), IncompleteProtocolError, "lane 1: " + incomplete),
+            ((data, empty, data, singular), ValueError, "lane 1: no observed counts$"),
+            ((data, data, both, empty), IncompleteProtocolError, "lane 2: " + incomplete),
+            ((empty, both), ValueError, "lane 0: no observed counts$"),
+            ((empty,), ValueError, "no observed counts$"),
+            ((both,), IncompleteProtocolError, incomplete),
         ]
         for lanes, kind, message in cases:
-            record = solve_likelihood_batch(batch_of(*lanes), config)
             with pytest.raises(ValueError, match=f"^{message}") as caught:
-                record.raise_error()
+                solve_likelihood_batch(batch_of(*lanes), config)
             assert caught.type is kind
-        with pytest.raises(ValueError, match="^no observed counts") as caught:
-            solve_likelihood(empty, config)
-        assert caught.type is ValueError
-        solve_likelihood_batch(batch_of(data, data), config).raise_error()  # no failing lane
+            if len(lanes) == 1:
+                with pytest.raises(kind, match=f"^{message}"):
+                    solve_likelihood(lanes[0], config)
         with pytest.raises(ValueError, match="^solve_likelihood takes one data set, got 2 lanes"):
             solve_likelihood(batch_of(data, data), config)
+
+    def test_set_up_raises_before_any_iteration(self, monkeypatch, campaign_rows):
+        # the good lanes before a failing one take no start and no step
+        data, empty, _, _ = self.failing_lanes(campaign_rows)
+
+        def no_call(*args):
+            raise AssertionError("a lane started or iterated before the set-up raised")
+
+        monkeypatch.setattr(ml_engine, "_initial_point", no_call)
+        monkeypatch.setattr(ml_engine, "_scoring_system", no_call)
+        with pytest.raises(ValueError, match="^lane 2: no observed counts$"):
+            solve_likelihood_batch(batch_of(data, data, empty), ReconstructionConfig(rank=2))
 
     def test_non_finite_try_is_rejected(self, monkeypatch, campaign_rows):
         # a Levenberg try at a non-finite c has a NaN surrogate, which fails

@@ -30,6 +30,7 @@ from process_oracles import (
     plate_choi_state_per_knot,
     retarder_unitary,
     su2_from_retarder,
+    su2_matrix,
 )
 from conftest import REF_PLATE_CHOI, REF_PLATE_EIGENVALUES, SIGMA_X
 
@@ -297,8 +298,8 @@ class TestSU2Retarder:
             if degenerate:
                 continue
             assert 0 <= d <= np.pi / 2 and 0 <= a < np.pi
-            m_fit = su2_from_retarder(d, a).matrix()
-            m_true = g.matrix()
+            m_fit = su2_matrix(su2_from_retarder(d, a))
+            m_true = su2_matrix(g)
             err = min(
                 np.max(np.abs(m_fit - m_true)), np.max(np.abs(m_fit + m_true))
             )
