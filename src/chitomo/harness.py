@@ -92,6 +92,7 @@ REPLICATION_FIELDS = (
     "residual",
     "scoring_steps",
     "rejected_steps",
+    "log_likelihood",
 )
 
 
@@ -208,7 +209,7 @@ class CampaignResult:
     nu: int  # the model's data modes, parameter_count(2, reconstruction_rank)
     metadata: dict
     # per replication, in index order: derived seed and the solve's
-    # iterations, stop reason, residual and step counts
+    # iterations, stop reason, residual, step counts and log-likelihood
     replications: list[dict]
 
 
@@ -307,7 +308,7 @@ def run_mc_campaign(config: CampaignConfig) -> CampaignResult:
         counts, edges = np.histogram(losses, bins=HISTOGRAM_BINS, range=(lo, hi))
     else:
         counts, edges = np.zeros(HISTOGRAM_BINS, int), np.linspace(0, 1, HISTOGRAM_BINS + 1)
-    # the solver's cutoff of F's range
+    # F's range as ml_engine defines it
     modes_above = int(np.sum(info_spectrum > EIGEN_CUTOFF * info_spectrum[0]))
     from . import __version__
 

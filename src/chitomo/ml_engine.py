@@ -14,49 +14,61 @@ max(k_j, 1)`` (minimum-norm if the design is rank-deficient), truncated to its
 top ``r`` eigenvectors with eigenvalues floored at 1e-3 times the largest,
 plus a small seeded perturbation.
 
-Every iteration takes one Levenberg-damped Fisher scoring step ``delta = (F +
-mu)^{-1} grad``; scoring is what makes near-boundary solutions (model rank
-above the true rank) converge in tens of iterations instead of hundreds of
-thousands.  The step and all its Levenberg tries come from one symmetric
-eigendecomposition per iteration.  Write ``F = M^T M``, M the m x 2dr matrix
-with rows ``2 sqrt(t_j / lambda_j) v_j``.  With at least as many rows m as
-real parameters 2dr the eigendecomposition is F's.  With fewer rows (R4, J4
-and B4 at rank 3 and 4: 20 rows for 24 and 32 parameters) it is that of the
-m x m Gram matrix ``G = M M^T = P diag(w) P^T``, which has F's nonzero
-spectrum: the gradient is ``M^T y`` with ``y_j = (k_j / lambda_j - t_j) /
-sqrt(t_j / lambda_j)``, a try is ``M^T P diag(1 / (w + mu R)) P^T y`` and
-the decrement below sums ``(p_i^T y)^2``.  The ridge R is ``tr F / 2dr = tr
-G / 2dr`` on either side.  A try is accepted only if the likelihood
-surrogate below drops by no more than a relative slack of 1e-12, so
-accepted iterations are a monotone ascent.  An accepted try multiplies
-``mu`` by 0.3 and a failed one by 10; a solve whose 8 tries all fail takes no
-step in that iteration and starts the next one from the raised ``mu``.
+Every iteration takes one Levenberg-damped Newton step ``delta = (H + mu R
+I)^{-1} grad`` on the real parameters (Re c, then Im c, each column-major):
+the gradient is ``grad = 2 (J - I) c`` and the curvature ``H = F + D+``.  F
+is the real Fisher matrix ``4 sum_j (t_j / lambda_j) v_j v_j^T``, v_j the
+real form of ``Lambda_j c``.  D+ is ``I_r (x) (-2 (J - I)_-)`` in the same
+layout, ``(J - I)_-`` the part of ``J - I`` on its negative eigenvalues
+(one d x d eigendecomposition per lane): the observed Hessian's
+second-derivative term ``-2 tr(delta^+ (J - I) delta)``, clipped so that H
+stays positive semidefinite.  It carries the curvature F lacks when the
+model rank exceeds the true rank: along a column c_k that tends to zero F's
+curvature is O(|c_k|^2) and D+'s is O(1), so those solves converge in tens
+of iterations where Fisher scoring alone crawled for hundreds.  Each try is
+one LAPACK solve per lane, with the ridge R = ``tr H / 2dr``.  A try is
+accepted only if the likelihood surrogate below drops by no more than a
+relative slack of 1e-12, so accepted iterations are a monotone ascent.  An
+accepted try multiplies ``mu`` by 0.3 and a failed one by 10; a solve whose
+8 tries all fail takes no step in that iteration and starts the next one
+from the raised ``mu``.
 
 Steps are compared on the likelihood written without its constant offset,
 ``sum_{k>0} k ln(lambda t / k) - sum (lambda t - k)``: it has the same
 maximizer, but its value is O(number of rows) instead of O(total counts), so
 the relative slack of the acceptance test stays near float resolution.
 
-Two rules stop the iteration as converged: the relative residual
-``|Ic - Jc| / |Ic|`` falls below ``_RESIDUAL_TOL`` = 1e-9 (stop reason
-``"residual"``), or the Newton decrement ``1/2 grad^T F^+ grad``, taken over
-the eigenvalues of F above a relative cutoff, falls below
-``_DECREMENT_TOL * (1 + |surrogate|)`` (``"stationary"``; Boyd & Vandenberghe,
-Convex Optimization, 9.5.2).  The second rule ends solves whose residual
-stalls at float resolution short of ``_RESIDUAL_TOL``.  A solve that meets
-neither rule within ``max_iterations`` stops with ``"iteration_cap"`` and is
-reported as not converged.
+Two rules stop the iteration as converged, both checked at the start of
+an iteration.  The relative residual ``|Ic - Jc| / |Ic|`` below
+``_RESIDUAL_TOL`` = 1e-9 stops it with ``"residual"``.  The
+``"stationary"`` stop ends solves whose residual stalls at float resolution
+short of that: the Newton decrement ``1/2 grad^T (H + 1e-12 R I)^{-1}
+grad`` was below ``_DECREMENT_TOL * (1 + |surrogate|)`` (Boyd &
+Vandenberghe, Convex Optimization, 9.5.2), and the step taken from there
+gained less than ``_GAIN_TOL * (1 + |surrogate|)``, ``_GAIN_TOL`` = 1e-10
+(8 failed tries gain nothing).  The decrement alone stops too early where
+the ascent is slow: on noiseless data under an over-rank model the
+likelihood is quartic in the columns of c that tend to zero, each step
+gains only a fraction of what is left, and the decrement alone stopped
+such a fit (B4, identity channel, rank 4) at an infidelity of 2.8e-6,
+where the gain rule stops it at 7.5e-7.  A lane that converges
+quadratically takes the step its small decrement gives and mostly stops on
+the residual at the next iteration.  As ``mu >= 1e-12``, the first try's
+``grad^T delta`` is at most twice the decrement, so only a lane already
+below the threshold with it takes the decrement's own solve.  A solve that
+meets neither rule within ``max_iterations`` stops with
+``"iteration_cap"`` and is reported as not converged.
 
 ``info_spectrum`` holds the 2*d*r eigenvalues, descending, of the real
-Fisher matrix F at the returned c, taken from the matrix the scoring step
-decomposes: a stationary stop reuses that step's eigendecomposition, and
-the other stops decompose the same matrix when the results are made.  On
-the Gram side the 2dr - m eigenvalues of F beyond G's are exact zeros,
-placed in sorted position among G's round-off values.  For a process on an s-level system
-under an adequate model they split into s^2 modes pinned by the auxiliary
-rows, ``nu`` data modes and r^2 gauge nulls (``c -> c U``): ``nu + s^2`` lie
-above 1e-8 times the largest.  Each result also counts its accepted scoring
-steps and its rejected steps (failed Levenberg tries).
+Fisher matrix F at the returned c, one ``eigvalsh`` per lane in the
+results.  For a process on an s-level system under an
+adequate model the eigenvalues split into s^2 modes pinned by the auxiliary
+rows, ``nu`` data modes and r^2 gauge nulls (``c -> c U``): ``nu + s^2``
+lie above ``EIGEN_CUTOFF`` = 1e-8 times the largest.  With fewer rows m than
+parameters (R4, J4 and B4 at rank 3 and 4: 20 rows for 24 and 32
+parameters) at most m of them are nonzero, the others round-off.  Each
+result also counts its accepted steps (``scoring_steps``) and its rejected
+steps (failed Levenberg tries).
 
 A result's ``log_likelihood`` is the surrogate at the c the lane stopped
 with, the value its solve maximized: the log-likelihood ratio of the
@@ -75,12 +87,12 @@ Every per-lane quantity is computed by an operation that treats the lanes
 independently (one BLAS or LAPACK call per lane, or an elementwise
 operation, or a sum along a lane's own row), so a lane's result is
 bit-identical whether it is solved alone or inside any batch.  A lane
-leaves the batch where its stop rule fires: a residual stop before the
-iteration's eigendecomposition, a stationary stop right after it, with that
-decomposition's spectrum, and a capped lane after the last iteration.  All
-three leave through ``_Lanes.leave``, which writes what the lane stopped
-with to the ``end`` table the results are made from and compacts the
-remaining lanes, so a long solve costs only its own lane's iterations.  An
+leaves the batch where its stop rule fires: a residual or stationary stop
+at the start of an iteration, before its Newton system is built, and a
+capped lane after the last iteration.  All of them leave through
+``_Lanes.leave``, which writes what the lane stopped with to the
+``end`` table the results are made from and compacts the remaining lanes,
+so a long solve costs only its own lane's iterations.  An
 iteration's Levenberg tries start over every lane still in the batch, and
 a lane whose try is accepted takes no further tries.  The set-up (I, its
 spectrum, the data start and its rescale) and the results of every lane
@@ -115,10 +127,12 @@ _INIT_PERTURBATION = 1e-3  # size of the seeded random start around c0
 _INIT_SEED = 0
 _START_FLOOR = 1e-3  # start eigenvalues floored at this times the largest
 _START_RIDGE = 1e-12  # ridge of the start's normal equations, times their mean diagonal
-_SCORING_SLACK = 1e-12  # relative surrogate slack of a scoring step
+_STEP_SLACK = 1e-12  # relative surrogate slack of a Newton step
+_DECREMENT_RIDGE = 1e-12  # ridge of the decrement's solve, times tr H / 2dr, and mu's floor
 EIGEN_CUTOFF = 1e-8  # F's range: eigenvalues above this times the largest
 _RESIDUAL_TOL = 1e-9  # converged when the relative residual is below this
 _DECREMENT_TOL = 1e-9  # stationary when the decrement is below this times (1 + |ll|)
+_GAIN_TOL = 1e-10  # and the step after it gained less than this times (1 + |ll|)
 
 
 @dataclass(frozen=True)
@@ -150,7 +164,7 @@ class ReconstructionResult:
     nu: int | None
     tp_residual: np.ndarray | None  # (B,) for a process, None for a state
     info_spectrum: np.ndarray  # (B, 2*d*r) the real Fisher matrix's eigenvalues, descending
-    scoring_steps: np.ndarray  # (B,) accepted scoring steps
+    scoring_steps: np.ndarray  # (B,) accepted Newton steps
     rejected_steps: np.ndarray  # (B,) failed Levenberg tries
     log_likelihood: np.ndarray  # (B,) the log-likelihood ratio to the saturated model, <= 0
 
@@ -175,83 +189,76 @@ def _rates(c: np.ndarray, ops_flat: np.ndarray) -> np.ndarray:
     return _matvec(ops_flat, rho.swapaxes(-1, -2).reshape(*c.shape[:-2], ops_flat.shape[1])).real
 
 
-def _tangents(c: np.ndarray, ops: np.ndarray) -> np.ndarray:
-    """The vectors ``v_j = vec(Lambda_j c)`` of a batch c (B, d, r), one row
-    per operator, over the real parameters (Re c, then Im c, each
-    column-major): (B, m, 2*d*r)."""
-    v = np.einsum("mij,bjr->bmir", ops, c).swapaxes(2, 3).reshape(len(c), len(ops), -1)
-    return np.concatenate([v.real, v.imag], axis=2)
+def _tangent_layout(ops: np.ndarray) -> np.ndarray:
+    """The operators as the (d, d*m) matrix whose entry ``[l, i*m + j]`` is
+    ``Lambda_j[i, l]``: ``c^T`` times it is, per lane, the (r, d*m) matrix
+    of every ``(Lambda_j c)[i, k]`` at ``[k, i*m + j]``."""
+    m, d, _ = ops.shape
+    return ops.transpose(2, 1, 0).reshape(d, d * m)
 
 
-def _fisher(c: np.ndarray, ops: np.ndarray, t: np.ndarray, lam: np.ndarray) -> np.ndarray:
+def _fisher(c: np.ndarray, ops_t: np.ndarray, t: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Real Fisher matrices ``4 sum_j (t_j / lambda_j) v_j v_j^T`` of a batch
-    c (B, d, r) with exposures t and rates lam (B, m)."""
-    v_real = _tangents(c, ops)
-    weighted = v_real * (t / np.maximum(lam, _RATE_FLOOR))[:, :, None]
-    return 4.0 * weighted.swapaxes(1, 2) @ v_real
+    c (B, d, r) with exposures t and rates lam (B, m), ``ops_t`` the
+    operators' ``_tangent_layout``; ``v_j = vec(Lambda_j c)`` over the real
+    parameters (Re c, then Im c, each column-major)."""
+    n_lanes, d, rank = c.shape
+    v = (c.swapaxes(1, 2) @ ops_t).reshape(n_lanes, d * rank, -1)  # v_j as column j
+    v = np.concatenate([v.real, v.imag], axis=1)
+    return (v * (4.0 * t / np.maximum(lam, _RATE_FLOOR))[:, None, :]) @ v.swapaxes(1, 2)
 
 
-def _information(
-    c: np.ndarray, ops: np.ndarray, t: np.ndarray, lam: np.ndarray
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """The matrix whose eigenproblem each lane's scoring step solves, and its
-    factor.  With at least as many rows m as real parameters 2*d*r it is F,
-    factor None.  With fewer it is the smaller Gram matrix ``M M^T`` (B, m,
-    m), which shares F's nonzero spectrum, with its factor M (B, m, 2*d*r):
-    ``F = M^T M``, row j of M ``2 sqrt(t_j / lambda_j) v_j``."""
-    _, d, rank = c.shape
-    if len(ops) >= 2 * d * rank:
-        return _fisher(c, ops, t, lam), None
-    factor = (2.0 * np.sqrt(t / np.maximum(lam, _RATE_FLOOR)))[:, :, None] * _tangents(c, ops)
-    return factor @ factor.swapaxes(1, 2), factor
+@functools.cache
+def _embedding(d: int, rank: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where ``I_r (x) A`` of a Hermitian d x d A lands in the real 2dr x 2dr
+    layout: flat indices into the matrix, and the entries of A's float view
+    (d rows of interleaved real and imaginary parts) that go there.  The
+    real form of A is ``[[Re A, -Im A], [Im A, Re A]]``, and ``-Im A[i, l]
+    = Im A[l, i]``."""
+    half, n = d * rank, 2 * d * rank
+    i, l = np.divmod(np.arange(d * d), d)
+    re, im, im_t = 2 * d * i + 2 * l, 2 * d * i + 2 * l + 1, 2 * d * l + 2 * i + 1
+    rows, cols, source = [], [], []
+    for k in range(rank):
+        a, b = k * d + i, k * d + l
+        for row, col, src in (
+            (a, b, re), (half + a, half + b, re), (half + a, b, im), (a, half + b, im_t)
+        ):
+            rows.append(row), cols.append(col), source.append(src)
+    dest, source = np.concatenate(rows) * n + np.concatenate(cols), np.concatenate(source)
+    dest.flags.writeable = source.flags.writeable = False
+    return dest, source
 
 
-def _descending(w: np.ndarray, n_par: int) -> np.ndarray:
-    """Ascending eigenvalues (B, n) as F's ``n_par`` eigenvalues, descending:
-    a Gram matrix's n < n_par eigenvalues are joined by F's ``n_par - n``
-    structural zeros in sorted position."""
-    if w.shape[1] < n_par:
-        w = np.sort(np.concatenate([w, np.zeros((len(w), n_par - w.shape[1]))], axis=1), axis=1)
-    return w[:, ::-1]
+def _newton_system(
+    c: np.ndarray, grad_c: np.ndarray, j_minus_i: np.ndarray, ops_t: np.ndarray,
+    t: np.ndarray, lam: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each lane's Newton system at c (B, d, r): the curvature ``H = F +
+    D+`` (B, 2dr, 2dr), the real gradient ``2 (J - I) c`` (B, 2dr) and the
+    ridge ``tr H / 2dr``.  ``D+`` is ``I_r (x) (-2 (J - I)_-)`` in the real
+    layout, ``(J - I)_-`` the negative part of the lane's ``J - I``: the
+    likelihood's second-derivative term ``-2 tr(delta^+ (J - I) delta)``
+    clipped to keep H positive semidefinite."""
+    n_lanes, d, rank = c.shape
+    h = _fisher(c, ops_t, t, lam)
+    w, u = np.linalg.eigh(j_minus_i)
+    a = (u * (-2.0 * np.minimum(w, 0.0))[:, None, :]) @ u.conj().swapaxes(1, 2)
+    dest, source = _embedding(d, rank)
+    flat = h.reshape(n_lanes, -1)
+    flat[:, dest] += a.view(float).reshape(n_lanes, -1)[:, source]
+    g = grad_c.swapaxes(1, 2).reshape(n_lanes, -1)  # each lane column-major
+    grad = 2.0 * np.concatenate([g.real, g.imag], axis=1)
+    return h, grad, flat[:, :: 2 * d * rank + 1].sum(axis=1) / (2 * d * rank)
 
 
-def _scoring_system(
-    c: np.ndarray,
-    grad_c: np.ndarray,
-    ops: np.ndarray,
-    t: np.ndarray,
-    lam: np.ndarray,
-    weights: np.ndarray,
-) -> tuple[np.ndarray, ...]:
-    """One eigendecomposition per lane of c (B, d, r), with gradient
-    ``grad_c = (J - I) c``, exposures t, rates lam and ``weights = k / lam``
-    (B, m).  Returns the ascending eigenvalues w, the gradient's coordinates
-    g, the (B, 2*d*r, n) basis with the Levenberg step ``basis @ (g / (w +
-    mu * ridge))``, the ridge ``tr F / (2*d*r)`` and twice the Newton
-    decrement over the eigenvalues above ``EIGEN_CUTOFF`` times the largest.
-
-    On F, ``F = U diag(w) U^T``: g = U^T grad, basis U, and the decrement
-    sums g^2 / w.  On the Gram matrix, ``M M^T = P diag(w) P^T``: the
-    gradient is ``M^T y``, ``y_j = (k_j / lambda_j - t_j) / sqrt(t_j /
-    lambda_j)``, so g = P^T y, basis M^T P, and the decrement sums g^2."""
-    _, d, rank = c.shape
-    info, factor = _information(c, ops, t, lam)
-    w, basis = np.linalg.eigh(info)
-    if factor is None:
-        g = grad_c.swapaxes(1, 2).reshape(len(c), -1)  # each lane column-major
-        grad = 2.0 * np.concatenate([g.real, g.imag], axis=1)
-        g_eig = _matvec(basis.swapaxes(1, 2), grad)
-        curvature = w
-    else:
-        root = np.sqrt(t / np.maximum(lam, _RATE_FLOOR))
-        g_eig = _matvec(basis.swapaxes(1, 2), (weights - t) / np.maximum(root, _RATE_FLOOR))
-        basis = factor.swapaxes(1, 2) @ basis
-        curvature = 1.0
-    # the decrement over F's range: gauge directions (c -> c U) and other
-    # null directions of F carry no predicted ascent
-    in_range = w > EIGEN_CUTOFF * w[:, -1:]
-    twice_decrement = np.add.reduce(g_eig**2 / np.where(in_range, curvature, np.inf), axis=1)
-    return w, g_eig, basis, info.trace(axis1=1, axis2=2) / (2 * d * rank), twice_decrement
+def _damped_solve(h: np.ndarray, grad: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """The solution x of ``(h + shift I) x = grad`` for h (B, n, n), grad
+    (B, n) and shift (B,), one LAPACK solve per matrix."""
+    n = h.shape[-1]
+    a = h.copy()
+    a.reshape(len(h), n * n)[:, :: n + 1] += shift[:, None]
+    return np.linalg.solve(a, grad[..., None])[..., 0]
 
 
 @functools.cache
@@ -406,15 +413,13 @@ def solve_likelihood_batch(
     rank = config.rank
     if rank > d:
         raise ValueError(f"rank {rank} exceeds dimension {d}")
-    ops_flat = ops.reshape(m, d * d)
-    n_lanes, n_par = len(exposures), 2 * d * rank
+    ops_flat, ops_t = ops.reshape(m, d * d), _tangent_layout(ops)
+    n_lanes = len(exposures)
     s = _Lanes(
         lane=np.arange(n_lanes), k=counts, t=exposures,
         i_mat=_set_up(exposures, counts, ops, rank),
     )
-    # each lane as it stopped; the spectrum is filled in here on a
-    # stationary stop and by _results on the others, and ll is the
-    # surrogate the lane stopped with
+    # each lane as it stopped; ll is the surrogate the lane stopped with
     end = _Lanes(
         c=np.full((n_lanes, d, rank), np.nan, complex),
         residual=np.full(n_lanes, np.nan),
@@ -422,73 +427,80 @@ def solve_likelihood_batch(
         steps=np.zeros(n_lanes, int),
         rejected=np.zeros(n_lanes, int),
         reason=np.full(n_lanes, None, object),
-        spectrum=np.full((n_lanes, n_par), np.nan),
         ll=np.full(n_lanes, np.nan),
     )
     c = _initial_point(ops_flat, s.t, s.k, rank)
     s.c = c * np.sqrt(s.k.sum(axis=1) / _dots(_rates(c, ops_flat), s.t))[:, None, None]
     s.mu = np.full(n_lanes, 1e-3)  # Levenberg parameter
-    s.steps = np.zeros(n_lanes, int)  # accepted scoring steps
+    s.steps = np.zeros(n_lanes, int)  # accepted Newton steps
     s.rejected = np.zeros(n_lanes, int)  # failed Levenberg tries
     s.k_div = np.where(s.k > 0, s.k, 1.0)
     s.lam = _rates(s.c, ops_flat)
     s.ll = _surrogate(s.lam, s.k, s.t, s.k_div)
+    s.gain = np.full(n_lanes, np.inf)  # what the last accepted step gained
+    s.flat = np.zeros(n_lanes, bool)  # the decrement was below its threshold where it started
 
     for iterations in range(1, config.max_iterations + 1):
         n_active = len(s.lane)
         weights = s.k / np.maximum(s.lam, _RATE_FLOOR)
-        jc = (weights[:, None, :] @ ops_flat).reshape(n_active, d, d) @ s.c
+        j_minus_i = (weights[:, None, :] @ ops_flat).reshape(n_active, d, d) - s.i_mat
+        grad_c = j_minus_i @ s.c
         ic = s.i_mat @ s.c
-        grad_c = jc - ic
         norms = np.sqrt(_sq_norm(np.concatenate([grad_c, ic])))
         s.residual = norms[:n_active] / norms[n_active:]
-        stop = s.residual < _RESIDUAL_TOL
-        if np.logical_or.reduce(stop):
-            if not s.leave(stop, end, iterations=iterations, reason="residual"):
-                break
-            weights, grad_c = weights[~stop], grad_c[~stop]
-
-        w, g_eig, basis, ridge, twice_decrement = _scoring_system(
-            s.c, grad_c, ops, s.t, s.lam, weights
-        )
         scale = 1.0 + np.abs(s.ll)
-        stop = twice_decrement < (2.0 * _DECREMENT_TOL) * scale
+        converged = s.residual < _RESIDUAL_TOL
+        stop = converged | (s.flat & (s.gain < _GAIN_TOL * scale))
         if np.logical_or.reduce(stop):
-            if not s.leave(
-                stop, end, iterations=iterations, reason="stationary",
-                spectrum=_descending(w[stop], n_par),
-            ):
+            reason = np.where(converged, "residual", "stationary")[stop]
+            if not s.leave(stop, end, iterations=iterations, reason=reason):
                 break
-            w, g_eig, basis, ridge, scale = (x[~stop] for x in (w, g_eig, basis, ridge, scale))
+            j_minus_i, grad_c, scale = j_minus_i[~stop], grad_c[~stop], scale[~stop]
 
-        # Levenberg-damped scoring steps; pos is the lanes still trying, a
+        h, grad, ridge = _newton_system(s.c, grad_c, j_minus_i, ops_t, s.t, s.lam)
+        step = _damped_solve(h, grad, s.mu * ridge)  # the first Levenberg try
+        threshold = (2.0 * _DECREMENT_TOL) * scale
+        # mu >= _DECREMENT_RIDGE, so the try's grad^T step is at most twice
+        # the decrement: only lanes already below the threshold with it take
+        # the decrement's own solve, mostly in their last iterations
+        flat = _dots(grad, step) < threshold
+        if np.logical_or.reduce(flat):
+            near = np.flatnonzero(flat)
+            x = _damped_solve(h[near], grad[near], _DECREMENT_RIDGE * ridge[near])
+            flat[near] = _dots(grad[near], x) < threshold[near]
+        s.flat = flat
+
+        # Levenberg-damped Newton steps; pos is the lanes still trying, a
         # basic slice while every lane is, so the write is in place
         pos = slice(None)
         c, ll, k, t, k_div, mu = s.c, s.ll, s.k, s.t, s.k_div, s.mu
-        w = np.maximum(w, 0.0)
-        for _ in range(8):
-            dc = _matvec(basis, g_eig / (w + (mu * ridge)[:, None])).reshape(-1, 2, rank, d)
+        for attempt in range(8):
+            if attempt:
+                step = _damped_solve(h, grad, mu * ridge)
+            dc = step.reshape(-1, 2, rank, d)
             c_try = c + (dc[:, 0] + 1j * dc[:, 1]).swapaxes(1, 2)
             lam_try = _rates(c_try, ops_flat)
             ll_try = _surrogate(lam_try, k, t, k_div)
-            ok = ll_try >= ll - _SCORING_SLACK * scale
+            ok = ll_try >= ll - _STEP_SLACK * scale
             if np.logical_and.reduce(ok):  # every pending lane takes its step
-                mu = np.maximum(mu * 0.3, 1e-12)
-                s.put(pos, mu=mu, c=c_try, lam=lam_try, ll=ll_try)
+                mu = np.maximum(mu * 0.3, _DECREMENT_RIDGE)
+                s.put(pos, mu=mu, c=c_try, lam=lam_try, ll=ll_try, gain=ll_try - ll)
                 s.steps[pos] += 1
                 break
             s.rejected[pos] += ~ok
-            mu = np.where(ok, np.maximum(mu * 0.3, 1e-12), mu * 10.0)
+            mu = np.where(ok, np.maximum(mu * 0.3, _DECREMENT_RIDGE), mu * 10.0)
             if np.logical_or.reduce(ok):
                 pos = np.arange(len(s.lane))[pos]
                 p = pos[ok]
-                s.put(p, mu=mu[ok], c=c_try[ok], lam=lam_try[ok], ll=ll_try[ok])
+                gain = ll_try - ll
+                s.put(p, mu=mu[ok], c=c_try[ok], lam=lam_try[ok], ll=ll_try[ok], gain=gain[ok])
                 s.steps[p] += 1
-                pos, c, ll, scale, k, t, k_div, w, g_eig, basis, ridge, mu = (
-                    x[~ok] for x in (pos, c, ll, scale, k, t, k_div, w, g_eig, basis, ridge, mu)
+                pos, c, ll, scale, k, t, k_div, h, grad, ridge, mu = (
+                    v[~ok] for v in (pos, c, ll, scale, k, t, k_div, h, grad, ridge, mu)
                 )
         else:
-            s.mu[pos] = mu  # no step after 8 tries: the next starts from this mu
+            # no step after 8 tries: the next starts from this mu
+            s.put(pos, mu=mu, gain=0.0)
     else:
         s.leave(np.ones(len(s.lane), bool), end, iterations=iterations, reason="iteration_cap")
     return _results(ops, exposures, counts, rank, end)
@@ -501,9 +513,7 @@ def _results(
     computed for all lanes at once, each quantity by one BLAS or LAPACK call
     per lane, an elementwise operation or a sum along the lane's own row.
     ``end`` holds each lane's c, residual, surrogate, iterations, accepted
-    and rejected step counts, stop reason and, on a stationary stop, the
-    spectrum of its last scoring step, taken at exactly that c; the other
-    lanes' spectra are computed here from the same kind of matrix."""
+    and rejected step counts and stop reason."""
     c = end.c
     m, d, _ = ops.shape
     lam = _rates(c, ops.reshape(m, d * d))
@@ -518,10 +528,6 @@ def _results(
         reduced = partial_trace(s * rho, "output")
         tp_residual = np.max(np.abs(reduced - np.eye(s)), axis=(1, 2))
         nu = parameter_count(s, rank)
-    missing = np.flatnonzero(end.reason != "stationary")
-    if missing.size:
-        info, _ = _information(c[missing], ops, t[missing], lam[missing])
-        end.spectrum[missing] = _descending(np.linalg.eigvalsh(info), 2 * d * rank)
     return ReconstructionResult(
         estimate=rho,
         rank=rank,
@@ -532,7 +538,7 @@ def _results(
         normalization_gap=gap,
         nu=nu,
         tp_residual=tp_residual,
-        info_spectrum=end.spectrum,
+        info_spectrum=np.linalg.eigvalsh(_fisher(c, _tangent_layout(ops), t, lam))[:, ::-1],
         scoring_steps=end.steps,
         rejected_steps=end.rejected,
         log_likelihood=end.ll,

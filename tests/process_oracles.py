@@ -1,14 +1,15 @@
 """Test-only checks and oracles: Kraus sets, operator bases, the unitary
 mixing freedom of a chi-matrix factor, the two matrices of the likelihood
 equation ``I c = J c``, the rates and the textbook Poisson log-likelihood
-at a purified vector with the saturated model's value, the solver's
-scoring step taken on the Fisher side, density-matrix validation, the
-SU(2) form of a retarder, a bootstrap bound on a ratio of means, the
-draw-by-draw Poisson sampler, the per-row count rates, one count set,
-each subset's component sum, the process-protocol and auxiliary-row
-operators, a plate's Choi state and a campaign's Monte-Carlo replications
-as computed before their stacked forms, and the channel action, Choi
-state, outcome probabilities and rank of a process computed directly.
+at a purified vector with the saturated model's value, the solver's Newton
+system built row by row with its real layout of ``I_r (x) A``,
+density-matrix validation, the SU(2) form of a retarder, a bootstrap bound
+on a ratio of means, the draw-by-draw Poisson sampler, the per-row count
+rates, one count set, each subset's component sum, the process-protocol
+and auxiliary-row operators, a plate's Choi state and a campaign's
+Monte-Carlo replications as computed before their stacked forms, and the
+channel action, Choi state, outcome probabilities and rank of a process
+computed directly.
 ``matrix_to_json`` is the list form of a matrix that ``cli.write_json``
 writes from the array itself, and ``matrix_from_json`` reads that form
 entry by entry, the oracle of the one-array read of the CLI's input
@@ -28,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from chitomo import harness, protocols, waveplate
-from chitomo.ml_engine import EIGEN_CUTOFF, ReconstructionResult, _fisher, _rates
+from chitomo.ml_engine import ReconstructionResult, _rates
 from chitomo.protocols import Measurements, auxiliary_rows, process_protocol
 from chitomo.quantum_core import _as_complex_matrix, hermitian_eig, vectorize
 from chitomo.waveplate import (
@@ -54,7 +55,8 @@ __all__ = [
     "log_likelihood",
     "saturated_log_likelihood",
     "fisher_matrices",
-    "fisher_scoring_step",
+    "real_embedding",
+    "newton_step",
     "check_density_matrix",
     "su2_from_retarder",
     "su2_matrix",
@@ -231,31 +233,44 @@ def fisher_matrices(c: np.ndarray, data: Measurements) -> tuple[np.ndarray, np.n
     return i_mat, j_mat
 
 
-def fisher_scoring_step(
+def real_embedding(a: np.ndarray, rank: int) -> np.ndarray:
+    """``I_r (x) A`` of a d x d complex A as the real 2dr x 2dr matrix of the
+    solver's layout (Re c, then Im c, each column-major), ``[[I_r (x) Re A,
+    -I_r (x) Im A], [I_r (x) Im A, I_r (x) Re A]]``: for Hermitian A,
+    ``x^T emb(A) x = tr(delta^+ A delta)`` with x the real form of delta."""
+    eye = np.eye(rank)
+    re, im = np.kron(eye, a.real), np.kron(eye, a.imag)
+    return np.block([[re, -im], [im, re]])
+
+
+def newton_step(
     c: np.ndarray, data: Measurements, mus: Sequence[float]
-) -> tuple[np.ndarray, float, list[np.ndarray]]:
-    """The scoring step at the purified vector c (d, r) taken on the Fisher
-    side: ``np.linalg.eigh`` of the real Fisher matrix F (``ml_engine._fisher``)
-    and the gradient ``2 (J - I) c`` in F's real layout.  Returns F's
-    eigenvalues, descending; twice the Newton decrement ``grad^T F^+ grad``
-    over the eigenvalues above ``EIGEN_CUTOFF`` times the largest; and for
-    each mu the Levenberg step ``(F + mu tr(F) / 2dr)^{-1} grad``, negative
-    round-off eigenvalues taken as zero, as a (d, r) complex array."""
+) -> tuple[np.ndarray, np.ndarray, float, list[np.ndarray]]:
+    """The Newton system at the purified vector c (d, r), built row by row:
+    the real Fisher matrix ``F = 4 sum_j (t_j / lambda_j) v_j v_j^T``, ``v_j``
+    the real form of ``Lambda_j c``; the curvature ``H = F + emb(I_r (x) -2
+    (J - I)_-)``, ``(J - I)_-`` the part of ``J - I`` on its negative
+    eigenvalues; and the gradient ``2 (J - I) c`` in the same layout.
+    Returns F, H, twice the Newton decrement ``grad^T (H + 1e-12 R)^{-1}
+    grad`` with the ridge ``R = tr H / 2dr``, and for each mu the Levenberg
+    step ``(H + mu R)^{-1} grad`` as a (d, r) complex array."""
     d, r = c.shape
     lam = expected_rates(c, data)
-    fisher = _fisher(c[None], data.operators, data.exposures[None], lam[None])[0]
+    real = [np.concatenate([v.real, v.imag]) for v in ((op @ c).T.ravel() for op in data.operators)]
+    fisher = 4.0 * sum(t / x * np.outer(v, v) for t, x, v in zip(data.exposures, lam, real))
     i_mat, j_mat = fisher_matrices(c, data)
+    w, u = np.linalg.eigh(j_mat - i_mat)
+    curvature = fisher + real_embedding(-2.0 * (u * np.minimum(w, 0.0)) @ u.conj().T, r)
     g = ((j_mat - i_mat) @ c).T.ravel()
-    w, u = np.linalg.eigh(fisher)
-    g_eig = u.T @ (2.0 * np.concatenate([g.real, g.imag]))
-    in_range = w > EIGEN_CUTOFF * w[-1]
-    twice_decrement = float(np.sum(g_eig[in_range] ** 2 / w[in_range]))
-    ridge = np.trace(fisher) / len(fisher)
+    grad = 2.0 * np.concatenate([g.real, g.imag])
+    ridge = np.trace(curvature) / len(curvature)
+    eye = np.eye(len(curvature))
+    twice_decrement = float(grad @ np.linalg.solve(curvature + 1e-12 * ridge * eye, grad))
     steps = []
     for mu in mus:
-        x = u @ (g_eig / (np.maximum(w, 0.0) + mu * ridge))
+        x = np.linalg.solve(curvature + mu * ridge * eye, grad)
         steps.append((x[: d * r] + 1j * x[d * r :]).reshape(r, d).T)
-    return w[::-1], twice_decrement, steps
+    return fisher, curvature, twice_decrement, steps
 
 
 def check_density_matrix(

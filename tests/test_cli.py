@@ -332,12 +332,12 @@ class TestMcCommand:
         lines = (tmp_path / "replications.csv").read_text().strip().splitlines()
         assert lines[0] == (
             "replication,seed,fidelity,iterations,stop_reason,residual,"
-            "scoring_steps,rejected_steps"
+            "scoring_steps,rejected_steps,log_likelihood"
         )
         fidelities = (tmp_path / "fidelities.csv").read_text().strip().splitlines()[1:]
         assert len(lines) == 1 + self.CONFIG["replications"]
         for i, (line, fid_line) in enumerate(zip(lines[1:], fidelities)):
-            index, seed, fid, iterations, stop_reason, residual, *steps = line.split(",")
+            index, seed, fid, iterations, stop_reason, residual, *steps, ll = line.split(",")
             assert int(index) == i
             assert int(seed) == derive_seed(9, i)
             assert f"{index},{fid}" == fid_line
@@ -348,6 +348,8 @@ class TestMcCommand:
             scoring, rejected = map(int, steps)
             assert scoring <= int(iterations) - 1
             assert min(scoring, rejected) >= 0
+            # the solve's log-likelihood ratio to the saturated model
+            assert -math.inf < float(ll) <= 0.0
 
     def test_step_counts_deterministic(self, tmp_path):
         # the step columns repeat byte for byte, and --threads 2 leaves them alone
@@ -370,7 +372,7 @@ class TestMcCommand:
         lines = (tmp_path / "replications.csv").read_text().strip().splitlines()
         result = json.loads((tmp_path / "result.json").read_text())
         for i, line in enumerate(lines[1:]):
-            index, seed, fid, iterations, stop_reason, residual, scoring, rejected = line.split(",")
+            index, seed, fid, iterations, stop_reason, residual, scoring, rejected, ll = line.split(",")
             assert (int(index), int(seed)) == (i, derive_seed(9, i))
             assert (iterations, stop_reason) == ("2", "iteration_cap")
             assert 0.0 <= float(fid) <= 1.0

@@ -215,6 +215,14 @@ class TestReplicationsAsOneBatch:
         if name == "capped":
             assert result.failures == list(range(config.replications))
 
+    def test_replications_carry_each_solves_log_likelihood(self):
+        config = CampaignConfig.from_dict({**QUICK, "seed": 26})
+        seeds = derive_seeds(config.seed, range(config.replications))
+        record = harness._solve_replications(config, build_truth(config.truth), seeds)
+        result = run_mc_campaign(config)
+        assert [r["log_likelihood"] for r in result.replications] == record.log_likelihood.tolist()
+        assert all(-math.inf < r["log_likelihood"] <= 0.0 for r in result.replications)
+
     def test_one_synthesis_solve_and_scoring_per_campaign(self, monkeypatch):
         calls = {"batch": [], "aux": 0, "solve": [], "fidelity": []}
         batch, aux, solve, score = (
